@@ -8,7 +8,7 @@ weight-prior precisions, and stored approximate prior factors get one
 expectation-propagation refresh per data pass.
 """
 
-from .active import ActiveConfig, acquire_next, run_active_experiment
+from .active import ActiveConfig, acquire_next, run_active_experiment, run_active_experiments
 from .data import (
     DataError,
     Dataset,
@@ -34,6 +34,7 @@ from .posterior import (
     LayerPosterior,
     NetworkPosterior,
     PbpConfig,
+    PosteriorStack,
     new_uniform,
     perturb_means,
 )
@@ -46,7 +47,7 @@ from .prediction import (
     rmse,
     test_log_likelihood,
 )
-from .training import SkipRateError, TrainReport, train
+from .training import SkipRateError, TrainReport, train, train_runs
 from .updates import (
     GradientStore,
     LogZTriple,
@@ -57,6 +58,7 @@ from .updates import (
     gamma_refine,
     gaussian_refine,
     incorporate_likelihood_factor,
+    incorporate_likelihood_factors,
     incorporate_prior_factor,
     log_z_likelihood,
     log_z_prior_factor,

@@ -15,7 +15,7 @@ import numpy as np
 from .data import Dataset, normalize
 from .posterior import PbpConfig
 from .prediction import TrainedModel, predict_batch, rmse
-from .training import train
+from .training import train_runs
 
 
 @dataclass
@@ -95,10 +95,18 @@ def _initial_split(dataset: Dataset, cfg: ActiveConfig, rng: np.random.Generator
     )
 
 
-def _fit(state: ActiveState, config: PbpConfig, rng: np.random.Generator) -> TrainedModel:
-    train_norm, stats = normalize(state.train)
-    net, sites, _ = train(train_norm, config, rng)
-    return TrainedModel(net=net, sites=sites, norm=stats, config=config)
+def _fit(
+    states: list[ActiveState],
+    config: PbpConfig,
+    rngs: list[np.random.Generator],
+    labels: list[str] | None,
+) -> list[TrainedModel]:
+    normalized = [normalize(state.train) for state in states]
+    runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
+    return [
+        TrainedModel(net=net, sites=sites, norm=stats, config=config)
+        for (net, sites, _), (_, stats) in zip(runs, normalized)
+    ]
 
 
 def run_active_experiment(
@@ -114,30 +122,50 @@ def run_active_experiment(
     giving acquisitions+1 evaluations. The split depends only on the rng state
     at entry, so active and random arms started from the same seed share it.
     """
+    [state] = run_active_experiments(dataset, policy, config, [rng], active_cfg)
+    return state
+
+
+def run_active_experiments(
+    dataset: Dataset,
+    policy: str,
+    config: PbpConfig,
+    rngs: list[np.random.Generator],
+    active_cfg: ActiveConfig | None = None,
+    labels: list[str] | None = None,
+) -> list[ActiveState]:
+    """Independent repetitions of run_active_experiment, one per rng.
+
+    Every repetition has the same training-set size at each step, so each
+    step's trainings run in lockstep; each repetition's results are those of
+    running it alone. labels name the repetitions in a SkipRateError.
+    """
     cfg = active_cfg or ActiveConfig()
     cfg = ActiveConfig(cfg.initial_train, cfg.test_size, cfg.acquisitions, policy)
-    state = _initial_split(dataset, cfg, rng)
+    states = [_initial_split(dataset, cfg, rng) for rng in rngs]
 
-    model = _fit(state, config, rng)
+    models = _fit(states, config, rngs, labels)
     for _step in range(cfg.acquisitions):
+        for state, model, rng in zip(states, models, rngs):
+            state.rmse_history.append(rmse(model, state.test))
+            remaining = state.pool_remaining
+            if cfg.policy == "active":
+                pick = acquire_next(model, state.pool_features[remaining])
+            else:
+                pick = int(rng.integers(remaining.shape[0]))
+            original = int(remaining[pick])
+            x_new = state.pool_features[original]
+            y_new = state.pool_targets.reveal(original)
+
+            state.train = Dataset(
+                np.vstack([state.train.features, x_new[None, :]]),
+                np.append(state.train.targets, y_new),
+                state.train.columns,
+            )
+            state.pool_remaining = np.delete(remaining, pick)
+
+        models = _fit(states, config, rngs, labels)
+
+    for state, model in zip(states, models):
         state.rmse_history.append(rmse(model, state.test))
-        remaining = state.pool_remaining
-        if cfg.policy == "active":
-            pick = acquire_next(model, state.pool_features[remaining])
-        else:
-            pick = int(rng.integers(remaining.shape[0]))
-        original = int(remaining[pick])
-        x_new = state.pool_features[original]
-        y_new = state.pool_targets.reveal(original)
-
-        state.train = Dataset(
-            np.vstack([state.train.features, x_new[None, :]]),
-            np.append(state.train.targets, y_new),
-            state.train.columns,
-        )
-        state.pool_remaining = np.delete(remaining, pick)
-
-        model = _fit(state, config, rng)
-
-    state.rmse_history.append(rmse(model, state.test))
-    return state
+    return states

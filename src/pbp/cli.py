@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import data as dio
-from .active import ActiveConfig, run_active_experiment
+from .active import ActiveConfig, run_active_experiments
 from .posterior import PbpConfig
 from .prediction import TrainedModel, predict_batch, rmse, test_log_likelihood
-from .training import SkipRateError, train
+from .training import SkipRateError, train, train_runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,16 +159,43 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _benchmark_one(payload):
-    (features, targets, columns, split_seed, test_fraction, hidden, epochs) = payload
+def _shards(count: int, jobs: int) -> list[list[int]]:
+    """Split run indices 0..count-1 into at most `jobs` contiguous, nonempty shards."""
+    shards = np.array_split(np.arange(count), max(1, min(jobs, count)))
+    return [shard.tolist() for shard in shards if shard.size]
+
+
+def _map_shards(fn, payloads):
+    """fn over the shard payloads, one worker process each when there are
+    several; the per-run results come back concatenated in run order."""
+    if len(payloads) > 1:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=len(payloads), mp_context=context) as pool:
+            shards = list(pool.map(fn, payloads))
+    else:
+        shards = [fn(p) for p in payloads]
+    return [result for shard in shards for result in shard]
+
+
+def _benchmark_shard(payload):
+    """Test RMSE and log-likelihood of each split in the shard, trained in lockstep."""
+    (features, targets, columns, seed, splits, test_fraction, hidden, epochs) = payload
     dataset = dio.Dataset(features, targets, columns)
-    rng = np.random.default_rng(split_seed)
-    train_set, test_set = dio.split(dataset, test_fraction, rng)
-    train_norm, stats = dio.normalize(train_set)
-    config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=split_seed)
-    net, sites, _ = train(train_norm, config, rng)
-    model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
-    return rmse(model, test_set), test_log_likelihood(model, test_set)
+    rngs, train_sets, evaluations = [], [], []
+    for s in splits:
+        rng = np.random.default_rng(seed + s)
+        train_set, test_set = dio.split(dataset, test_fraction, rng)
+        train_norm, stats = dio.normalize(train_set)
+        rngs.append(rng)
+        train_sets.append(train_norm)
+        evaluations.append((stats, test_set))
+    config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=seed)
+    runs = train_runs(train_sets, config, rngs, [f"split {s}" for s in splits])
+    results = []
+    for (net, sites, _), (stats, test_set) in zip(runs, evaluations):
+        model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
+        results.append((rmse(model, test_set), test_log_likelihood(model, test_set)))
+    return results
 
 
 def cmd_benchmark(args) -> int:
@@ -177,18 +205,15 @@ def cmd_benchmark(args) -> int:
             dataset.features,
             dataset.targets,
             dataset.columns,
-            args.seed + s,
+            args.seed,
+            splits,
             args.test_fraction,
             list(args.hidden),
             args.epochs,
         )
-        for s in range(args.splits)
+        for splits in _shards(args.splits, args.jobs)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_benchmark_one, payloads))
-    else:
-        results = [_benchmark_one(p) for p in payloads]
+    results = _map_shards(_benchmark_shard, payloads)
 
     rmses = np.array([r for r, _ in results])
     lls = np.array([l for _, l in results])
@@ -210,14 +235,16 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def _active_one(payload):
-    (features, targets, columns, policy, rep_seed, hidden, epochs, knobs) = payload
+def _active_shard(payload):
+    """Test-RMSE history of each repetition in the shard, trained in lockstep."""
+    (features, targets, columns, policy, seed, reps, hidden, epochs, knobs) = payload
     dataset = dio.Dataset(features, targets, columns)
-    config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=rep_seed)
+    config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=seed)
     cfg = ActiveConfig(*knobs, policy=policy)
-    rng = np.random.default_rng(rep_seed)
-    state = run_active_experiment(dataset, policy, config, rng, cfg)
-    return state.rmse_history
+    rngs = [np.random.default_rng(seed + rep) for rep in reps]
+    labels = [f"{policy} repetition {rep}" for rep in reps]
+    states = run_active_experiments(dataset, policy, config, rngs, cfg, labels)
+    return [state.rmse_history for state in states]
 
 
 def run_active_curves(dataset, policy, args) -> list[list[float]]:
@@ -227,17 +254,15 @@ def run_active_curves(dataset, policy, args) -> list[list[float]]:
             dataset.targets,
             dataset.columns,
             policy,
-            args.seed + rep,
+            args.seed,
+            reps,
             list(args.hidden),
             args.epochs,
             (args.initial_train, args.test_size, args.acquisitions),
         )
-        for rep in range(args.repetitions)
+        for reps in _shards(args.repetitions, args.jobs)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(_active_one, payloads))
-    return [_active_one(p) for p in payloads]
+    return _map_shards(_active_shard, payloads)
 
 
 def cmd_active(args) -> int:

@@ -295,4 +295,52 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
+    problem = _model_problem(net, sites, norm)
+    if problem:
+        raise DataError(f"corrupt model file {path}: {problem}")
     return TrainedModel(net=net, sites=sites, norm=norm, config=config)
+
+
+def _model_problem(net: NetworkPosterior, sites: PriorSiteStore, norm: NormStats) -> str | None:
+    """What makes a loaded posterior unusable, or None when it is sound.
+
+    Shapes must follow layer_sizes, every number must be finite, weight
+    variances, Gamma parameters and normalization scales positive.
+    """
+    sizes = net.layer_sizes
+    if len(sizes) < 2 or sizes[-1] != 1 or len(net.layers) != len(sizes) - 1:
+        return f"layer_sizes {sizes} do not describe {len(net.layers)} layers with one output"
+    site_lists = {
+        "precision": sites.precision,
+        "precision_mean": sites.precision_mean,
+        "lambda_shape": sites.lam_shape,
+        "lambda_rate": sites.lam_rate,
+    }
+    for name, arrays in site_lists.items():
+        if len(arrays) != len(net.layers):
+            return f"{len(arrays)} {name} site arrays for {len(net.layers)} layers"
+    for l, layer in enumerate(net.layers):
+        expected = (sizes[l + 1], sizes[l] + 1)
+        named = {"means": layer.means, "variances": layer.variances}
+        named.update((name, arrays[l]) for name, arrays in site_lists.items())
+        for name, arr in named.items():
+            if arr.shape != expected:
+                return f"layer {l} {name} have shape {arr.shape}, expected {expected}"
+            if not np.all(np.isfinite(arr)):
+                return f"layer {l} {name} hold a non-finite value"
+        if not np.all(layer.variances > 0.0):
+            return f"layer {l} has a non-positive weight variance"
+    for name, g in (("gamma", net.gamma), ("lambda", net.lam)):
+        if not (0.0 < g.shape < math.inf and 0.0 < g.rate < math.inf):
+            return f"{name} shape and rate must be positive and finite, got {g.shape}, {g.rate}"
+    for name in ("feature_mean", "feature_std"):
+        arr = getattr(norm, name)
+        if arr.shape != (sizes[0],):
+            return f"{name} has shape {arr.shape}, expected ({sizes[0]},)"
+        if not np.all(np.isfinite(arr)):
+            return f"{name} holds a non-finite value"
+    if not np.all(norm.feature_std > 0.0):
+        return "feature_std holds a non-positive value"
+    if not (math.isfinite(norm.target_mean) and 0.0 < norm.target_std < math.inf):
+        return f"target mean {norm.target_mean} and std {norm.target_std} must be finite, std > 0"
+    return None

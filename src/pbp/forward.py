@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .gauss import LOG_2PI
-from .posterior import LayerPosterior, NetworkPosterior
+from .posterior import LayerPosterior, NetworkPosterior, PosteriorStack
 
 # Below this pre-activation variance the unit is treated as deterministic:
 # the moment formulas divide by sqrt(v) and this is their exact limit.
@@ -29,7 +29,11 @@ SERIES_THRESHOLD = -30.0
 
 @dataclass
 class MomentVector:
-    """Paired mean/variance vectors for one layer's random activations."""
+    """Paired mean/variance vectors for one layer's random activations.
+
+    The last axis indexes units; a leading axis, when present, indexes
+    independent runs.
+    """
 
     mean: np.ndarray
     variance: np.ndarray
@@ -39,7 +43,7 @@ class MomentVector:
             raise ValueError("mean and variance must have equal length")
 
     def __len__(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 @dataclass
@@ -60,35 +64,58 @@ class ReluAux:
 @dataclass
 class LayerTrace:
     """One layer's forward record: input, pre-activation and post-rectifier
-    moments plus the rectifier intermediates (the output layer has neither)."""
+    moments plus the rectifier intermediates (the output layer has neither),
+    and the squared weight means the backward pass reuses."""
 
     z_in: MomentVector
     pre: MomentVector
     post: MomentVector | None
     relu: ReluAux | None
+    means_sq: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, exactly as used going forward."""
+    """Everything the backward pass needs, exactly as used going forward.
+
+    The output moments are floats for one network and arrays over the runs of
+    a stack.
+    """
 
     records: list[LayerTrace]
-    output_mean: float
-    output_variance: float
+    output_mean: float | np.ndarray
+    output_variance: float | np.ndarray
 
 
-def forward_linear(layer: LayerPosterior, z: MomentVector) -> MomentVector:
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over the last two axes of a and the last axis of x, per run."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x @ a (that is, a.T @ x) per run; same BLAS call as the 2-D form."""
+    return np.matmul(x[..., None, :], a)[..., 0, :]
+
+
+def forward_linear(
+    layer: LayerPosterior, z: MomentVector, means_sq: np.ndarray | None = None
+) -> MomentVector:
     """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent.
 
     The 1/sqrt(cols) factor keeps each unit's input scale independent of its
-    fan-in.
+    fan-in. The layer may carry a leading runs axis, with z then one input per
+    run; means_sq is layer.means squared, when the caller already has it.
     """
     cols = layer.cols
     if len(z) != cols:
         raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
     m, v = layer.means, layer.variances
-    mean = (m @ z.mean) / math.sqrt(cols)
-    variance = ((m * m) @ z.variance + v @ (z.mean * z.mean) + v @ z.variance) / cols
+    if means_sq is None:
+        means_sq = m * m
+    mean = matvec(m, z.mean) / math.sqrt(cols)
+    variance = (
+        matvec(means_sq, z.variance) + matvec(v, z.mean * z.mean) + matvec(v, z.variance)
+    ) / cols
     return MomentVector(mean, variance)
 
 
@@ -99,7 +126,8 @@ def relu_moments(a: MomentVector) -> tuple[MomentVector, ReluAux]:
         raise ValueError("negative pre-activation variance (upstream bug)")
 
     det = v < DETERMINISTIC_VARIANCE
-    v_safe = np.where(det, 1.0, v)
+    any_det = det.any()
+    v_safe = np.where(det, 1.0, v) if any_det else v
     sqrt_v = np.sqrt(v_safe)
     alpha = m / sqrt_v
 
@@ -110,20 +138,19 @@ def relu_moments(a: MomentVector) -> tuple[MomentVector, ReluAux]:
     pdf = np.exp(log_pdf)
 
     series = alpha < SERIES_THRESHOLD
-    alpha_s = np.where(series, alpha, -1.0)  # keeps the unused branch finite
-    ratio = np.where(
-        series,
-        -alpha_s - 1.0 / alpha_s + 2.0 / alpha_s**3,
-        np.exp(log_pdf - log_cdf),
-    )
+    ratio = np.exp(log_pdf - log_cdf)
+    if series.any():
+        alpha_s = np.where(series, alpha, -1.0)  # keeps the unused branch finite
+        ratio = np.where(series, -alpha_s - 1.0 / alpha_s + 2.0 / alpha_s**3, ratio)
 
     vprime = m + sqrt_v * ratio
     mean_b = cdf * vprime
     var_b = mean_b * vprime * cdf_neg + cdf * v_safe * (1.0 - ratio * (ratio + alpha))
     var_b = np.maximum(var_b, 0.0)
 
-    mean_b = np.where(det, np.maximum(m, 0.0), mean_b)
-    var_b = np.where(det, 0.0, var_b)
+    if any_det:
+        mean_b = np.where(det, np.maximum(m, 0.0), mean_b)
+        var_b = np.where(det, 0.0, var_b)
 
     aux = ReluAux(
         alpha=alpha,
@@ -140,41 +167,46 @@ def relu_moments(a: MomentVector) -> tuple[MomentVector, ReluAux]:
 
 
 def append_bias(b: MomentVector) -> MomentVector:
-    """Concatenate the constant bias unit: mean 1, variance 0."""
-    return MomentVector(
-        np.append(b.mean, 1.0),
-        np.append(b.variance, 0.0),
-    )
+    """Concatenate the constant bias unit (mean 1, variance 0) on the last axis."""
+    shape = b.mean.shape[:-1] + (b.mean.shape[-1] + 1,)
+    mean, variance = np.empty(shape), np.empty(shape)
+    mean[..., :-1] = b.mean
+    mean[..., -1] = 1.0
+    variance[..., :-1] = b.variance
+    variance[..., -1] = 0.0
+    return MomentVector(mean, variance)
 
 
 def forward_output_moments(
-    net: NetworkPosterior, x: np.ndarray
+    net: NetworkPosterior | PosteriorStack, x: np.ndarray
 ) -> tuple[float, float, ForwardTrace]:
     """Propagate one input's moments through every layer.
 
     Returns the scalar output mean/variance and the full trace needed for the
-    backward gradient pass.
+    backward gradient pass. For a PosteriorStack of R runs, x holds one input
+    per run, shape (R, d), and the output moments are arrays of length R.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (net.layer_sizes[0],):
-        raise ValueError(
-            f"input has shape {x.shape}, expected ({net.layer_sizes[0]},)"
-        )
-    z = MomentVector(np.append(x, 1.0), np.zeros(len(x) + 1))
+    expected = net.layers[0].means.shape[:-2] + (net.layer_sizes[0],)
+    if x.shape != expected:
+        raise ValueError(f"input has shape {x.shape}, expected {expected}")
+    z = append_bias(MomentVector(x, np.zeros_like(x)))
 
     records = []
     last = len(net.layers) - 1
     for l, layer in enumerate(net.layers):
-        a = forward_linear(layer, z)
+        means_sq = layer.means * layer.means
+        a = forward_linear(layer, z, means_sq)
         if l < last:
             b, aux = relu_moments(a)
-            records.append(LayerTrace(z_in=z, pre=a, post=b, relu=aux))
+            records.append(LayerTrace(z, a, b, aux, means_sq))
             z = append_bias(b)
         else:
-            records.append(LayerTrace(z_in=z, pre=a, post=None, relu=None))
+            records.append(LayerTrace(z, a, None, None, means_sq))
 
-    out_mean = float(a.mean[0])
-    out_var = float(a.variance[0])
+    out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
+    if out_mean.ndim == 0:
+        out_mean, out_var = float(out_mean), float(out_var)
     return out_mean, out_var, ForwardTrace(records, out_mean, out_var)
 
 

@@ -2,9 +2,6 @@
 
 import math
 
-import numpy as np
-from scipy.special import log_ndtr
-
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -14,17 +11,3 @@ def gaussian_log_density(x: float, mean: float, variance: float) -> float:
         raise ValueError(f"variance must be positive, got {variance}")
     return -0.5 * (LOG_2PI + math.log(variance) + (x - mean) ** 2 / variance)
 
-
-def std_norm_cdf(z):
-    """Phi(z), elementwise."""
-    return np.exp(log_ndtr(z))
-
-
-def std_norm_log_cdf(z):
-    """log Phi(z), elementwise, stable down to very negative z."""
-    return log_ndtr(z)
-
-
-def std_norm_log_pdf(z):
-    """log phi(z), elementwise."""
-    return -0.5 * (z * z + LOG_2PI)

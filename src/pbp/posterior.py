@@ -51,7 +51,10 @@ class GammaDist:
 
 @dataclass
 class LayerPosterior:
-    """Per-layer matrices of weight means and variances, bias column included."""
+    """Per-layer matrices of weight means and variances, bias column included.
+
+    In a PosteriorStack the matrices carry a leading runs axis.
+    """
 
     means: np.ndarray
     variances: np.ndarray
@@ -64,11 +67,11 @@ class LayerPosterior:
 
     @property
     def rows(self) -> int:
-        return self.means.shape[0]
+        return self.means.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.means.shape[1]
+        return self.means.shape[-1]
 
 
 @dataclass
@@ -88,6 +91,60 @@ class NetworkPosterior:
 
     def n_weights(self) -> int:
         return sum(layer.means.size for layer in self.layers)
+
+
+@dataclass
+class PosteriorStack:
+    """R independent posteriors of one architecture, updated in lockstep.
+
+    Each layer holds the runs' weight matrices stacked as (R, rows, cols);
+    each run keeps its own two Gamma factors.
+    """
+
+    layers: list[LayerPosterior]
+    gammas: list[GammaDist]
+    lams: list[GammaDist]
+    layer_sizes: list[int]
+
+    @classmethod
+    def of(cls, nets: list[NetworkPosterior]) -> PosteriorStack:
+        """Stack copies of networks that share one architecture."""
+        first = nets[0]
+        layers = [
+            LayerPosterior(
+                means=np.stack([net.layers[l].means for net in nets]),
+                variances=np.stack([net.layers[l].variances for net in nets]),
+            )
+            for l in range(len(first.layers))
+        ]
+        return cls(
+            layers=layers,
+            gammas=[net.gamma for net in nets],
+            lams=[net.lam for net in nets],
+            layer_sizes=list(first.layer_sizes),
+        )
+
+    def n_weights(self) -> int:
+        """Weights per run."""
+        return sum(layer.rows * layer.cols for layer in self.layers)
+
+    def run(self, r: int) -> NetworkPosterior:
+        """Run r as a network whose weight matrices are views into the stack.
+
+        In-place writes to its weights land in the stack; its Gamma factors
+        go back with put_gammas.
+        """
+        return NetworkPosterior(
+            layers=[LayerPosterior(layer.means[r], layer.variances[r]) for layer in self.layers],
+            gamma=self.gammas[r],
+            lam=self.lams[r],
+            layer_sizes=list(self.layer_sizes),
+        )
+
+    def put_gammas(self, r: int, net: NetworkPosterior) -> None:
+        """Store the Gamma factors of run r's view back into the stack."""
+        self.gammas[r] = net.gamma
+        self.lams[r] = net.lam
 
 
 @dataclass

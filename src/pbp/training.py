@@ -1,5 +1,11 @@
 """Training orchestration: prior incorporation, per-example ADF sweeps, and
-the per-pass EP refresh of the stored prior sites."""
+the per-pass EP refresh of the stored prior sites.
+
+Independent runs of one architecture (benchmark splits, active-learning
+repetitions) train in lockstep as a PosteriorStack: every run takes its t-th
+example in the same step. Each run's arithmetic is exactly that of training
+it alone; `train` is the one-run case.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ from .posterior import (
     GammaDist,
     NetworkPosterior,
     PbpConfig,
+    PosteriorStack,
     new_uniform,
     perturb_means,
 )
@@ -21,7 +28,7 @@ from .updates import (
     PriorSiteStore,
     ep_refresh_prior,
     incorporate_all_prior_factors,
-    incorporate_likelihood_factor,
+    incorporate_likelihood_factors,
 )
 
 # Abort threshold: fraction of examples skipped (non-finite log Z) per epoch.
@@ -41,7 +48,7 @@ class TrainReport:
     undo_events: int = 0
     weight_updates: int = 0
     epoch_rmse: list[float] = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0  # wall time of the batch the run was trained in
 
 
 def train(
@@ -55,53 +62,94 @@ def train(
     and refresh the stored prior sites. The per-epoch RMSE uses the predictive
     means on the (normalized) training targets.
     """
+    [(net, sites, report)] = train_runs([dataset], config, [rng])
+    return net, sites, report
+
+
+def train_runs(
+    datasets: list[Dataset],
+    config: PbpConfig,
+    rngs: list[np.random.Generator],
+    labels: list[str] | None = None,
+) -> list[tuple[NetworkPosterior, PriorSiteStore, TrainReport]]:
+    """Train one posterior per dataset, all in lockstep; see `train`.
+
+    The datasets must have equal sizes. Run r draws only from rngs[r], in the
+    order a lone run would: the mean perturbation, then one permutation per
+    epoch. labels name the runs in a SkipRateError (default "run <r>").
+    """
     start = time.perf_counter()
-    n = len(dataset.targets)
+    n = len(datasets[0].targets)
     if n == 0:
         raise ValueError("empty training set")
+    if any(len(ds.targets) != n for ds in datasets):
+        raise ValueError("runs trained together need equal training-set sizes")
+    runs = len(datasets)
+    if len(rngs) != runs:
+        raise ValueError(f"{len(rngs)} rngs for {runs} runs")
+    labels = labels or [f"run {r}" for r in range(runs)]
 
-    layer_sizes = [dataset.features.shape[1], *config.hidden_layer_sizes, 1]
-    net = new_uniform(layer_sizes)
+    layer_sizes = [datasets[0].features.shape[1], *config.hidden_layer_sizes, 1]
+    nets, sites = [], []
+    for rng in rngs:
+        net = new_uniform(layer_sizes)
+        # Hyperprior factors match the posterior family; absorbing them is exact.
+        net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
+        net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
+        run_sites = PriorSiteStore.zeros(net)
+        incorporate_all_prior_factors(net, run_sites)
+        perturb_means(net, rng)
+        nets.append(net)
+        sites.append(run_sites)
+    stack = PosteriorStack.of(nets)
 
-    # Hyperprior factors match the posterior family; absorbing them is exact.
-    net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
-    net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
+    def refresh_all():
+        for r in range(runs):
+            view = stack.run(r)
+            ep_refresh_prior(view, sites[r])
+            stack.put_gammas(r, view)
 
-    sites = PriorSiteStore.zeros(net)
-    incorporate_all_prior_factors(net, sites)
-    perturb_means(net, rng)
-
-    report = TrainReport()
+    reports = [TrainReport() for _ in range(runs)]
+    undo = np.zeros(runs, dtype=int)
+    updates = np.zeros(runs, dtype=int)
     refresh_every = config.refresh_every_n_examples or n
     since_refresh = 0
+    features = np.stack([ds.features for ds in datasets])
+    targets = np.stack([ds.targets for ds in datasets])
+    run_index = np.arange(runs)[:, None]
 
-    for _epoch in range(config.epochs):
-        skipped_this_epoch = 0
-        for idx in rng.permutation(n):
-            outcome = incorporate_likelihood_factor(
-                net, dataset.features[idx], float(dataset.targets[idx])
-            )
-            if outcome.skipped:
-                skipped_this_epoch += 1
-            report.undo_events += outcome.undo_count
-            report.weight_updates += outcome.weight_updates
+    for epoch in range(1, config.epochs + 1):
+        order = np.stack([rng.permutation(n) for rng in rngs])
+        # Step-major copies: row t holds every run's t-th example.
+        xs = np.ascontiguousarray(features[run_index, order].swapaxes(0, 1))
+        ys = np.ascontiguousarray(targets[run_index, order].T)
+        skipped = np.zeros(runs, dtype=int)
+        for t in range(n):
+            outcome = incorporate_likelihood_factors(stack, xs[t], ys[t])
+            skipped += outcome.skipped
+            undo += outcome.undo_count
+            updates += outcome.weight_updates
             since_refresh += 1
             if since_refresh >= refresh_every:
-                ep_refresh_prior(net, sites)
+                refresh_all()
                 since_refresh = 0
 
-        report.examples_skipped += skipped_this_epoch
-        report.epochs_run += 1
-        means, _ = forward_output_moments_batch(net, dataset.features)
-        report.epoch_rmse.append(
-            float(np.sqrt(np.mean((means - dataset.targets) ** 2)))
-        )
-        if skipped_this_epoch > MAX_SKIP_RATE * n:
-            report.seconds = time.perf_counter() - start
-            raise SkipRateError(
-                f"{skipped_this_epoch}/{n} examples skipped in epoch "
-                f"{report.epochs_run}"
-            )
+        for r, (ds, report) in enumerate(zip(datasets, reports)):
+            report.examples_skipped += int(skipped[r])
+            report.epochs_run += 1
+            means, _ = forward_output_moments_batch(stack.run(r), ds.features)
+            report.epoch_rmse.append(float(np.sqrt(np.mean((means - ds.targets) ** 2))))
+        for r in range(runs):
+            if skipped[r] > MAX_SKIP_RATE * n:
+                raise SkipRateError(
+                    f"{labels[r]}: {skipped[r]}/{n} examples skipped in epoch {epoch}"
+                )
 
-    report.seconds = time.perf_counter() - start
-    return net, sites, report
+    seconds = time.perf_counter() - start
+    results = []
+    for r, report in enumerate(reports):
+        report.undo_events = int(undo[r])
+        report.weight_updates = int(updates[r])
+        report.seconds = seconds
+        results.append((stack.run(r), sites[r], report))
+    return results

@@ -24,9 +24,10 @@ from .forward import (
     MomentVector,
     ReluAux,
     forward_output_moments,
+    vecmat,
 )
 from .gauss import gaussian_log_density
-from .posterior import GammaDist, LayerPosterior, NetworkPosterior
+from .posterior import GammaDist, LayerPosterior, NetworkPosterior, PosteriorStack
 
 
 class NegativeVarianceError(Exception):
@@ -89,11 +90,12 @@ class RefreshReport:
 
 @dataclass
 class UpdateOutcome:
-    """Outcome of incorporating one likelihood factor."""
+    """Outcome of incorporating one likelihood factor; for a stack of runs,
+    each field is an array with one entry per run."""
 
-    skipped: bool
-    undo_count: int
-    weight_updates: int
+    skipped: bool | np.ndarray
+    undo_count: int | np.ndarray
+    weight_updates: int | np.ndarray
 
 
 def gaussian_refine(m: float, v: float, dm: float, dv: float) -> tuple[float, float]:
@@ -239,19 +241,23 @@ def incorporate_all_prior_factors(net: NetworkPosterior, sites: PriorSiteStore) 
 
 
 def backward_gradients(
-    net: NetworkPosterior, trace: ForwardTrace, y: float
+    net: NetworkPosterior | PosteriorStack, trace: ForwardTrace, y: float | np.ndarray
 ) -> GradientStore:
     """Gradients of the likelihood log Z w.r.t. every weight mean and variance.
 
     Seeds with d log Z / d(output moments) and walks the trace in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
-    maps as implemented in the forward pass.
+    maps as implemented in the forward pass. For a PosteriorStack, y holds one
+    target per run and every gradient carries the leading runs axis.
     """
-    gam = net.gamma
-    total = gam.rate / (gam.shape - 1.0) + trace.output_variance
+    if isinstance(net, PosteriorStack):
+        noise = np.array([g.rate / (g.shape - 1.0) for g in net.gammas])
+    else:
+        noise = net.gamma.rate / (net.gamma.shape - 1.0)
+    total = noise + trace.output_variance
     diff = y - trace.output_mean
-    dma = np.array([diff / total])
-    dva = np.array([0.5 * (diff * diff / (total * total) - 1.0 / total)])
+    dma = np.asarray(diff / total)[..., None]
+    dva = np.asarray(0.5 * (diff * diff / (total * total) - 1.0 / total))[..., None]
 
     n_layers = len(net.layers)
     d_means: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
@@ -259,30 +265,34 @@ def backward_gradients(
 
     for l in range(n_layers - 1, -1, -1):
         rec = trace.records[l]
-        dM, dV, dmz, dvz = _linear_backward(net.layers[l], rec.z_in, dma, dva)
+        dM, dV, dmz, dvz = _linear_backward(net.layers[l], rec.z_in, dma, dva, rec.means_sq)
         d_means[l] = dM
         d_variances[l] = dV
         if l > 0:
             # Drop the appended bias slot; its moments are constants.
-            dmb, dvb = dmz[:-1], dvz[:-1]
+            dmb, dvb = dmz[..., :-1], dvz[..., :-1]
             prev = trace.records[l - 1]
             dma, dva = _relu_backward(prev.pre, prev.relu, dmb, dvb)
 
     return GradientStore(d_means, d_variances)
 
 
-def _linear_backward(layer: LayerPosterior, z: MomentVector, dma, dva):
-    """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c."""
+def _linear_backward(layer: LayerPosterior, z: MomentVector, dma, dva, means_sq):
+    """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c.
+
+    means_sq is M*M as the forward pass computed it.
+    """
     c = layer.cols
     inv_c = 1.0 / c
     inv_s = 1.0 / math.sqrt(c)
     m, v = layer.means, layer.variances
     mz, vz = z.mean, z.variance
+    dma_col, dva_col = dma[..., :, None], dva[..., :, None]
 
-    dM = np.outer(dma, mz) * inv_s + 2.0 * inv_c * m * np.outer(dva, vz)
-    dV = inv_c * np.outer(dva, mz * mz + vz)
-    dmz = inv_s * (m.T @ dma) + 2.0 * inv_c * mz * (v.T @ dva)
-    dvz = inv_c * ((m * m + v).T @ dva)
+    dM = dma_col * mz[..., None, :] * inv_s + 2.0 * inv_c * m * (dva_col * vz[..., None, :])
+    dV = inv_c * (dva_col * (mz * mz + vz)[..., None, :])
+    dmz = inv_s * vecmat(dma, m) + 2.0 * inv_c * mz * vecmat(dva, v)
+    dvz = inv_c * vecmat(dva, means_sq + v)
     return dM, dV, dmz, dvz
 
 
@@ -295,19 +305,20 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     """
     m, v = pre.mean, pre.variance
     det = aux.deterministic
-    v_safe = np.where(det, 1.0, v)
+    any_det = det.any()
+    v_safe = np.where(det, 1.0, v) if any_det else v
     s = aux.sqrt_v
     alpha = aux.alpha
     g = aux.ratio
     cdf, cdf_neg, pdf = aux.cdf, aux.cdf_neg, aux.pdf
     vp = aux.vprime
 
-    alpha_s = np.where(aux.series, alpha, -1.0)
-    dg_dalpha = np.where(
-        aux.series,
-        -1.0 + alpha_s**-2 - 6.0 * alpha_s**-4,
-        -g * (alpha + g),
-    )
+    dg_dalpha = -g * (alpha + g)
+    if aux.series.any():
+        alpha_s = np.where(aux.series, alpha, -1.0)
+        dg_dalpha = np.where(
+            aux.series, -1.0 + alpha_s**-2 - 6.0 * alpha_s**-4, dg_dalpha
+        )
 
     dalpha_dm = 1.0 / s
     dalpha_dv = -alpha / (2.0 * v_safe)
@@ -327,29 +338,87 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     du_dalpha = -dg_dalpha * (2.0 * g + alpha) - g
 
     # vb = mb * vp * Phi(-alpha) + Phi(alpha) * v * u
+    mb_vp_pdf = mb * vp * pdf
+    cdf_v_du = cdf * v_safe * du_dalpha
     dvb_dm = (
         dmb_dm * vp * cdf_neg
         + mb * dvp_dm * cdf_neg
-        - mb * vp * pdf * dalpha_dm
+        - mb_vp_pdf * dalpha_dm
         + dcdf_dm * v_safe * u
-        + cdf * v_safe * du_dalpha * dalpha_dm
+        + cdf_v_du * dalpha_dm
     )
     dvb_dv = (
         dmb_dv * vp * cdf_neg
         + mb * dvp_dv * cdf_neg
-        - mb * vp * pdf * dalpha_dv
+        - mb_vp_pdf * dalpha_dv
         + dcdf_dv * v_safe * u
         + cdf * u
-        + cdf * v_safe * du_dalpha * dalpha_dv
+        + cdf_v_du * dalpha_dv
     )
 
     dma = dmb * dmb_dm + dvb * dvb_dm
     dva = dmb * dmb_dv + dvb * dvb_dv
 
-    # Deterministic units: mb = max(0, m), vb = 0.
-    dma = np.where(det, dmb * (m > 0.0), dma)
-    dva = np.where(det, 0.0, dva)
+    if any_det:
+        # Deterministic units: mb = max(0, m), vb = 0.
+        dma = np.where(det, dmb * (m > 0.0), dma)
+        dva = np.where(det, 0.0, dva)
     return dma, dva
+
+
+def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist) -> LogZTriple | None:
+    """The likelihood log-Z triple of one example, or None when it is unusable
+    (invalid arguments or a non-finite value): the example is then skipped."""
+    try:
+        triple = LogZTriple(
+            log_z_likelihood(y, mz, vz, gam, 0),
+            log_z_likelihood(y, mz, vz, gam, 1),
+            log_z_likelihood(y, mz, vz, gam, 2),
+        )
+    except ValueError:
+        return None
+    return triple if triple.is_finite() else None
+
+
+def _incorporate(net: NetworkPosterior | PosteriorStack, x, y, gammas: list[GammaDist]):
+    """The likelihood update shared by one network and a stack of runs.
+
+    gammas holds each run's noise Gamma and is refined in place. Returns the
+    per-run skip mask and undo counts (a scalar count without a runs axis);
+    the undo count of a skipped run is meaningless.
+    """
+    mz, vz, trace = forward_output_moments(net, x)
+    triples = [
+        _likelihood_triple(*args)
+        for args in zip(np.ravel(y).tolist(), np.ravel(mz).tolist(), np.ravel(vz).tolist(), gammas)
+    ]
+    skipped = np.array([t is None for t in triples])
+    if skipped.all():
+        return skipped, 0
+
+    grads = backward_gradients(net, trace, y)
+    # Runs that skip this example keep their weights; only a stack has any.
+    hold = skipped[:, None, None] if skipped.any() else None
+
+    undo = 0
+    for layer, dM, dV in zip(net.layers, grads.d_means, grads.d_variances):
+        m, v = layer.means, layer.variances
+        m_new = m + v * dM
+        v_new = v - v * v * (dM * dM - 2.0 * dV)
+        bad = ~(v_new > 0.0) | ~np.isfinite(v_new) | ~np.isfinite(m_new)
+        undo = undo + bad.sum(axis=(-2, -1))
+        if hold is not None:
+            bad |= hold
+        if bad.any():
+            layer.means = np.where(bad, m, m_new)
+            layer.variances = np.where(bad, v, v_new)
+        else:
+            layer.means, layer.variances = m_new, v_new
+
+    for r, triple in enumerate(triples):
+        if triple is not None:
+            gammas[r] = gamma_refine(gammas[r], triple)
+    return skipped, undo
 
 
 def incorporate_likelihood_factor(
@@ -362,35 +431,28 @@ def incorporate_likelihood_factor(
     noise-precision Gamma. Weights whose refined variance would be invalid are
     rolled back individually; a non-finite log Z skips the whole example.
     """
-    mz, vz, trace = forward_output_moments(net, x)
-    gam = net.gamma
-    try:
-        triple = LogZTriple(
-            log_z_likelihood(y, mz, vz, gam, 0),
-            log_z_likelihood(y, mz, vz, gam, 1),
-            log_z_likelihood(y, mz, vz, gam, 2),
-        )
-    except ValueError:
+    gammas = [net.gamma]
+    skipped, undo = _incorporate(net, x, y, gammas)
+    net.gamma = gammas[0]
+    if skipped[0]:
         return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
-    if not triple.is_finite():
-        return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
+    return UpdateOutcome(skipped=False, undo_count=int(undo), weight_updates=net.n_weights())
 
-    grads = backward_gradients(net, trace, y)
 
-    undo = 0
-    total = 0
-    for layer, dM, dV in zip(net.layers, grads.d_means, grads.d_variances):
-        m, v = layer.means, layer.variances
-        m_new = m + v * dM
-        v_new = v - v * v * (dM * dM - 2.0 * dV)
-        bad = ~(v_new > 0.0) | ~np.isfinite(v_new) | ~np.isfinite(m_new)
-        undo += int(bad.sum())
-        total += m.size
-        layer.means = np.where(bad, m, m_new)
-        layer.variances = np.where(bad, v, v_new)
+def incorporate_likelihood_factors(
+    stack: PosteriorStack, x: np.ndarray, y: np.ndarray
+) -> UpdateOutcome:
+    """Fold one observation per run into a stack: run r takes (x[r], y[r]).
 
-    net.gamma = gamma_refine(gam, triple)
-    return UpdateOutcome(skipped=False, undo_count=undo, weight_updates=total)
+    Each run's arithmetic is that of incorporate_likelihood_factor on that run
+    alone, bit for bit. The outcome's fields are arrays over the runs.
+    """
+    skipped, undo = _incorporate(stack, x, y, stack.gammas)
+    return UpdateOutcome(
+        skipped=skipped,
+        undo_count=np.where(skipped, 0, undo),
+        weight_updates=np.where(skipped, 0, stack.n_weights()),
+    )
 
 
 def ep_refresh_prior(net: NetworkPosterior, sites: PriorSiteStore) -> RefreshReport:

@@ -1,10 +1,12 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from conftest import toy_cubic_dataset
-from pbp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import pbp.training as training
+from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -97,6 +99,33 @@ class TestPredictCommand:
         for row in read_rows(out)[1:]:
             assert float(row[1]) >= floor * (1 - 1e-12)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda d: d["network"]["layers"][0]["variances"][1].__setitem__(0, float("inf")),
+                         id="infinite-variance"),
+            pytest.param(lambda d: d["normalization"]["feature_std"].__setitem__(0, 0.0),
+                         id="zero-feature-std"),
+            pytest.param(lambda d: d["network"]["layers"][1]["variances"][0].__setitem__(2, -0.5),
+                         id="negative-variance"),
+            pytest.param(lambda d: d["network"].__setitem__("layer_sizes", [1, 5, 1]),
+                         id="layer-sizes-disagree"),
+        ],
+    )
+    def test_hostile_model_file_is_a_data_error(self, toy_csv, tmp_path, capsys, corrupt):
+        model = self._train(toy_csv, tmp_path)
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc))
+        feats = tmp_path / "f.csv"
+        feats.write_text("0.5\n")
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"corrupt model file {model}" in err
+        assert not out.exists()
+
     def test_dimension_mismatch(self, toy_csv, tmp_path, capsys):
         model = self._train(toy_csv, tmp_path)
         feats = tmp_path / "f.csv"
@@ -137,6 +166,29 @@ class TestBenchmarkCommand:
         assert main(args + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_uneven_shards_match_one_batch(self, toy_csv, tmp_path):
+        # Three splits over two processes: shards of two and one split.
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        args = [
+            "benchmark", "--data", str(toy_csv), "--hidden", "3",
+            "--epochs", "2", "--splits", "3", "--seed", "8",
+        ]
+        assert main(args + ["--jobs", "1", "--out", str(one)]) == EXIT_OK
+        assert main(args + ["--jobs", "2", "--out", str(two)]) == EXIT_OK
+        assert one.read_bytes() == two.read_bytes()
+
+    def test_skip_rate_failure_names_the_split(self, toy_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "MAX_SKIP_RATE", -1)
+        code = main(
+            [
+                "benchmark", "--data", str(toy_csv), "--hidden", "3", "--epochs", "1",
+                "--splits", "2", "--out", str(tmp_path / "b.csv"),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "split 0: 0/54 examples skipped in epoch 1" in err
+
 
 class TestActiveCommand:
     def test_smoke_run_produces_curves(self, toy_csv, tmp_path):
@@ -154,6 +206,20 @@ class TestActiveCommand:
             rows = read_rows(tmp_path / f"curve_{policy}.csv")
             assert rows[0] == ["step", "mean_rmse", "stderr"]
             assert len(rows) == 1 + 10  # header + 10 evaluations
+
+    def test_sharded_repetitions_match_one_batch(self, toy_csv, tmp_path):
+        args = [
+            "active", "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
+            "--policy", "both", "--initial-train", "8", "--test-size", "10",
+            "--acquisitions", "3", "--repetitions", "3", "--seed", "6",
+        ]
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(args + ["--jobs", "1", "--out", str(one)]) == EXIT_OK
+        assert main(args + ["--jobs", "2", "--out", str(two)]) == EXIT_OK
+        for policy in ("active", "random"):
+            a = tmp_path / f"one_{policy}.csv"
+            b = tmp_path / f"two_{policy}.csv"
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestUsageErrors:

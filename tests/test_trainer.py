@@ -30,11 +30,12 @@ class TestSchedule:
         norm, _ = normalized_toy(n=13)
         seen = []
 
-        def spy(net, x, y):
-            seen.append(float(x[0]))
+        def spy(stack, x, y):
+            # One row of x per run; train is the one-run case.
+            seen.extend(x[:, 0].tolist())
             return UpdateOutcome(skipped=False, undo_count=0, weight_updates=0)
 
-        monkeypatch.setattr(training, "incorporate_likelihood_factor", spy)
+        monkeypatch.setattr(training, "incorporate_likelihood_factors", spy)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=4, seed=5)
         train(norm, cfg, np.random.default_rng(5))
         assert len(seen) == 13 * 4
@@ -150,7 +151,7 @@ class TestSkipRateAbort:
         def always_skip(net, x, y):
             return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
 
-        monkeypatch.setattr(training, "incorporate_likelihood_factor", always_skip)
+        monkeypatch.setattr(training, "incorporate_likelihood_factors", always_skip)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=1, seed=0)
         with pytest.raises(SkipRateError):
             train(norm, cfg, np.random.default_rng(0))
