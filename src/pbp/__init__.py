@@ -30,7 +30,6 @@ from .forward import (
 )
 from .posterior import (
     GammaDist,
-    GaussianScalar,
     LayerPosterior,
     NetworkPosterior,
     PbpConfig,

@@ -18,6 +18,9 @@ from .prediction import TrainedModel, predict_batch, rmse
 from .training import train_runs
 
 
+POLICIES = ("active", "random")
+
+
 @dataclass
 class ActiveConfig:
     """Experiment protocol knobs."""
@@ -25,11 +28,6 @@ class ActiveConfig:
     initial_train: int = 20
     test_size: int = 100
     acquisitions: int = 9
-    policy: str = "active"  # "active" | "random"
-
-    def __post_init__(self):
-        if self.policy not in ("active", "random"):
-            raise ValueError(f"unknown policy {self.policy!r}")
 
 
 class HiddenTargets:
@@ -76,7 +74,9 @@ def acquire_next(model: TrainedModel, pool_features: np.ndarray) -> int:
     return int(np.argmax(variances))
 
 
-def _initial_split(dataset: Dataset, cfg: ActiveConfig, rng: np.random.Generator) -> ActiveState:
+def _initial_split(
+    dataset: Dataset, cfg: ActiveConfig, rng: np.random.Generator, policy: str
+) -> ActiveState:
     n = len(dataset)
     needed = cfg.initial_train + cfg.test_size + cfg.acquisitions
     if n < needed:
@@ -91,7 +91,7 @@ def _initial_split(dataset: Dataset, cfg: ActiveConfig, rng: np.random.Generator
         pool_targets=HiddenTargets(dataset.targets[pool]),
         pool_remaining=np.arange(pool.shape[0]),
         test=Dataset(dataset.features[te], dataset.targets[te], dataset.columns),
-        policy=cfg.policy,
+        policy=policy,
     )
 
 
@@ -122,34 +122,40 @@ def run_active_experiment(
     giving acquisitions+1 evaluations. The split depends only on the rng state
     at entry, so active and random arms started from the same seed share it.
     """
-    [state] = run_active_experiments(dataset, policy, config, [rng], active_cfg)
+    [state] = run_active_experiments(dataset, [policy], config, [rng], active_cfg)
     return state
 
 
 def run_active_experiments(
     dataset: Dataset,
-    policy: str,
+    policies: list[str],
     config: PbpConfig,
     rngs: list[np.random.Generator],
     active_cfg: ActiveConfig | None = None,
     labels: list[str] | None = None,
 ) -> list[ActiveState]:
-    """Independent repetitions of run_active_experiment, one per rng.
+    """Independent repetitions of run_active_experiment, repetition r with
+    policy policies[r] and generator rngs[r].
 
-    Every repetition has the same training-set size at each step, so each
-    step's trainings run in lockstep; each repetition's results are those of
-    running it alone. labels name the repetitions in a SkipRateError.
+    Every repetition, of either policy, has the same training-set size at each
+    step, so each step's trainings run in lockstep; each repetition's results
+    are those of running it alone. labels name the repetitions in a
+    SkipRateError.
     """
+    if len(policies) != len(rngs):
+        raise ValueError(f"{len(policies)} policies for {len(rngs)} rngs")
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
     cfg = active_cfg or ActiveConfig()
-    cfg = ActiveConfig(cfg.initial_train, cfg.test_size, cfg.acquisitions, policy)
-    states = [_initial_split(dataset, cfg, rng) for rng in rngs]
+    states = [_initial_split(dataset, cfg, rng, p) for rng, p in zip(rngs, policies)]
 
     models = _fit(states, config, rngs, labels)
     for _step in range(cfg.acquisitions):
         for state, model, rng in zip(states, models, rngs):
             state.rmse_history.append(rmse(model, state.test))
             remaining = state.pool_remaining
-            if cfg.policy == "active":
+            if state.policy == "active":
                 pick = acquire_next(model, state.pool_features[remaining])
             else:
                 pick = int(rng.integers(remaining.shape[0]))

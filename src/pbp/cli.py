@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import data as dio
-from .active import ActiveConfig, run_active_experiments
+from .active import POLICIES, ActiveConfig, run_active_experiments
 from .posterior import PbpConfig
 from .prediction import TrainedModel, predict_batch, rmse, test_log_likelihood
 from .training import SkipRateError, train, train_runs
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act = sub.add_parser("active", help="active-learning experiment")
     common(p_act)
     p_act.set_defaults(hidden=[10])
-    p_act.add_argument("--policy", choices=["active", "random", "both"], default="both")
+    p_act.add_argument("--policy", choices=[*POLICIES, "both"], default="both")
     p_act.add_argument("--initial-train", type=int, default=20)
     p_act.add_argument("--test-size", type=int, default=100)
     p_act.add_argument("--acquisitions", type=int, default=9)
@@ -154,7 +154,7 @@ def cmd_predict(args) -> int:
             f"{args.data}: {features.shape[1]} feature columns, model expects {expected}"
         )
     means, variances = predict_batch(model.net, model.norm, features)
-    rows = [[_fmt(m), _fmt(v)] for m, v in zip(means, variances)]
+    rows = list(zip(map(repr, means.tolist()), map(repr, variances.tolist())))
     _write_csv(args.out, ["mean", "variance"], rows)
     return EXIT_OK
 
@@ -236,40 +236,39 @@ def cmd_benchmark(args) -> int:
 
 
 def _active_shard(payload):
-    """Test-RMSE history of each repetition in the shard, trained in lockstep."""
-    (features, targets, columns, policy, seed, reps, hidden, epochs, knobs) = payload
+    """Test-RMSE history of each (policy, repetition) run in the shard, trained in lockstep."""
+    (features, targets, columns, seed, runs, hidden, epochs, knobs) = payload
     dataset = dio.Dataset(features, targets, columns)
     config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=seed)
-    cfg = ActiveConfig(*knobs, policy=policy)
-    rngs = [np.random.default_rng(seed + rep) for rep in reps]
-    labels = [f"{policy} repetition {rep}" for rep in reps]
-    states = run_active_experiments(dataset, policy, config, rngs, cfg, labels)
+    policies = [policy for policy, _ in runs]
+    rngs = [np.random.default_rng(seed + rep) for _, rep in runs]
+    labels = [f"{policy} repetition {rep}" for policy, rep in runs]
+    states = run_active_experiments(dataset, policies, config, rngs, ActiveConfig(*knobs), labels)
     return [state.rmse_history for state in states]
 
 
-def run_active_curves(dataset, policy, args) -> list[list[float]]:
+def cmd_active(args) -> int:
+    dataset = dio.load_csv(args.data, args.target)
+    policies = list(POLICIES) if args.policy == "both" else [args.policy]
+    # Repetition r of every policy starts from seed + r; all of them train as
+    # one batch, which --jobs cuts into shards.
+    runs = [(policy, rep) for policy in policies for rep in range(args.repetitions)]
     payloads = [
         (
             dataset.features,
             dataset.targets,
             dataset.columns,
-            policy,
             args.seed,
-            reps,
+            [runs[i] for i in shard],
             list(args.hidden),
             args.epochs,
             (args.initial_train, args.test_size, args.acquisitions),
         )
-        for reps in _shards(args.repetitions, args.jobs)
+        for shard in _shards(len(runs), args.jobs)
     ]
-    return _map_shards(_active_shard, payloads)
-
-
-def cmd_active(args) -> int:
-    dataset = dio.load_csv(args.data, args.target)
-    policies = ["active", "random"] if args.policy == "both" else [args.policy]
+    results = _map_shards(_active_shard, payloads)
     for policy in policies:
-        histories = np.array(run_active_curves(dataset, policy, args))
+        histories = np.array([h for (p, _), h in zip(runs, results) if p == policy])
         means = histories.mean(axis=0)
         if histories.shape[0] > 1:
             stderrs = histories.std(axis=0, ddof=1) / np.sqrt(histories.shape[0])

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -99,6 +100,16 @@ def read_csv_matrix(path) -> tuple[np.ndarray, list[str] | None]:
             raise DataError(f"{path}: header but no data rows")
 
     width = len(rows[0])
+    if all(len(row) == width for row in rows):
+        try:
+            cells = map(float, chain.from_iterable(rows))
+            data = np.fromiter(cells, dtype=float, count=len(rows) * width)
+        except ValueError:
+            data = None
+        if data is not None and np.isfinite(data).all():
+            return data.reshape(len(rows), width), header
+
+    # A row or cell is bad: parse cell by cell to report the first, in row order.
     offset = 2 if header is not None else 1
     data = np.empty((len(rows), width))
     for r, row in enumerate(rows):
@@ -165,20 +176,47 @@ def split(
 
 
 def normalize(train: Dataset) -> tuple[Dataset, NormStats]:
-    """Zero-mean unit-variance stats from the training set only."""
-    f_mean = train.features.mean(axis=0)
-    f_std = train.features.std(axis=0)  # population formula
+    """Zero-mean unit-variance stats from the training set only.
+
+    Raises DataError naming the column when a mean or standard deviation is
+    not finite (values so large that the sums overflow).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_mean = train.features.mean(axis=0)
+        f_std = train.features.std(axis=0)  # population formula
+        t_mean = float(train.targets.mean())
+        t_std = float(train.targets.std())
+    _require_finite_stats(train.columns, f_mean, f_std, t_mean, t_std)
     # Constant columns (up to float summation noise): pin the mean to the
     # first row so they normalize to exactly zero, and divide by 1.
     constant = f_std <= np.maximum(np.abs(f_mean), 1.0) * 1e-13
     f_mean = np.where(constant, train.features[0], f_mean)
     f_std = np.where(constant, 1.0, f_std)
-    t_mean = float(train.targets.mean())
-    t_std = float(train.targets.std())
     if t_std <= 0.0:
         t_std = 1.0
     stats = NormStats(f_mean, f_std, t_mean, t_std)
     return stats.apply(train), stats
+
+
+def _require_finite_stats(columns, f_mean, f_std, t_mean, t_std) -> None:
+    """DataError naming the first column whose mean or std is not finite.
+
+    columns, when known, holds the feature names and then the target's.
+    """
+    bad = ~(np.isfinite(f_mean) & np.isfinite(f_std))
+    if bad.any():
+        j = int(np.argmax(bad))
+        what = f"feature column {columns[j]!r}" if columns else f"feature column {j + 1}"
+        mean, std = float(f_mean[j]), float(f_std[j])
+    elif math.isfinite(t_mean) and math.isfinite(t_std):
+        return
+    else:
+        what = f"target column {columns[-1]!r}" if columns else "target column"
+        mean, std = t_mean, t_std
+    raise DataError(
+        f"{what}: mean {mean!r} and standard deviation {std!r} are not both finite; "
+        "the values are too large to normalize"
+    )
 
 
 def identity_stats(n_features: int) -> NormStats:

@@ -20,14 +20,6 @@ INFINITE_VARIANCE = math.inf
 
 
 @dataclass
-class GaussianScalar:
-    """Mean/variance pair for a single weight's marginal posterior."""
-
-    mean: float
-    variance: float
-
-
-@dataclass
 class GammaDist:
     """Gamma distribution in shape/rate parametrization.
 

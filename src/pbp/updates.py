@@ -26,7 +26,7 @@ from .forward import (
     forward_output_moments,
     vecmat,
 )
-from .gauss import gaussian_log_density
+from .gauss import LOG_2PI, gaussian_log_density
 from .posterior import GammaDist, LayerPosterior, NetworkPosterior, PosteriorStack
 
 
@@ -41,9 +41,6 @@ class LogZTriple:
     log_z: float
     log_z1: float
     log_z2: float
-
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.log_z, self.log_z1, self.log_z2)))
 
 
 @dataclass
@@ -123,22 +120,53 @@ def gamma_refine(g: GammaDist, logz: LogZTriple) -> GammaDist:
     and the matched Gamma follows from mean and variance. Invalid results
     (non-positive or non-finite parameters) reject the update and keep g.
     """
-    a, b = g.shape, g.rate
+    refined = _gamma_moments(g.shape, g.rate, logz.log_z, logz.log_z1, logz.log_z2)
+    return g if refined is None else GammaDist(*refined)
+
+
+def _gamma_moments(a, b, log_z, log_z1, log_z2):
+    """gamma_refine on floats: the matched (shape, rate), or None when rejected."""
     try:
-        r_z2 = math.exp(logz.log_z + logz.log_z2 - 2.0 * logz.log_z1)
-        r_21 = math.exp(logz.log_z2 - logz.log_z1)
-        r_10 = math.exp(logz.log_z1 - logz.log_z)
+        r_z2 = math.exp(log_z + log_z2 - 2.0 * log_z1)
+        r_21 = math.exp(log_z2 - log_z1)
+        r_10 = math.exp(log_z1 - log_z)
     except OverflowError:
-        return g
+        return None
     denom_shape = r_z2 * (a + 1.0) / a - 1.0
     denom_rate = r_21 * (a + 1.0) / b - r_10 * a / b
     if denom_shape <= 0.0 or denom_rate <= 0.0:
-        return g
+        return None
     shape_new = 1.0 / denom_shape
     rate_new = 1.0 / denom_rate
     if not (math.isfinite(shape_new) and math.isfinite(rate_new)):
-        return g
-    return GammaDist(shape=shape_new, rate=rate_new)
+        return None
+    return shape_new, rate_new
+
+
+def _log_z_triple(x, mean, v, shape, rate):
+    """log N(x | mean, rate/(shape+k-1) + v) for k = 0, 1, 2 on floats.
+
+    The Gaussian collapse of the Student's t left by marginalizing a Gamma
+    precision, at the three shapes gamma_refine needs: log_z_likelihood of
+    (x, mean, v) and log_z_prior_factor of (x, v) with mean 0. Raises
+    ValueError where those would.
+    """
+    if shape <= 1.0:
+        raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
+    var0 = rate / (shape - 1.0) + v
+    if var0 <= 0.0:
+        raise ValueError(f"variance must be positive, got {var0}")
+    sq = (x - mean) ** 2
+    log_z = -0.5 * (LOG_2PI + math.log(var0) + sq / var0)
+    var1 = rate / (shape + 1.0 - 1.0) + v
+    if var1 <= 0.0:
+        raise ValueError(f"variance must be positive, got {var1}")
+    log_z1 = -0.5 * (LOG_2PI + math.log(var1) + sq / var1)
+    var2 = rate / (shape + 2.0 - 1.0) + v
+    if var2 <= 0.0:
+        raise ValueError(f"variance must be positive, got {var2}")
+    log_z2 = -0.5 * (LOG_2PI + math.log(var2) + sq / var2)
+    return log_z, log_z1, log_z2
 
 
 def log_z_prior_factor(m: float, v: float, lam: GammaDist, shift: int = 0) -> float:
@@ -173,12 +201,83 @@ def log_z_likelihood(
     return gaussian_log_density(y, mz, gam.rate / (shape - 1.0) + vz)
 
 
-def _prior_logz_gradients(m: float, v: float, lam: GammaDist) -> tuple[float, float]:
-    """d log Z / dm and d log Z / dv for the prior-factor normalizer."""
-    total = lam.rate / (lam.shape - 1.0) + v
-    dm = -m / total
-    dv = 0.5 * (m * m / (total * total) - 1.0 / total)
-    return dm, dv
+def _match_prior_site(flat, m, v, eta, a, b, gamma_ok):
+    """Moment-match one zero-mean prior factor against the cavity N(m, v) x Gamma(a, b).
+
+    Returns the refined (mean, variance, shape, rate). A flat cavity (zero
+    precision, natural mean eta; m and v unused) resolves through the
+    closed-form limit of the refinement: the weight collapses onto the
+    collapsed Gaussian prior keeping eta, and the Gamma is untouched (all Z
+    ratios -> 1). With gamma_ok False the Gamma is untouched as well. Raises
+    NegativeVarianceError when the refined variance is invalid.
+    """
+    if flat:
+        sigma2 = b / (a - 1.0)
+        return sigma2 * eta, sigma2, a, b
+    # d log Z / dm and d log Z / dv of log N(m | 0, b/(a-1) + v).
+    total = b / (a - 1.0) + v
+    m_new, v_new = gaussian_refine(
+        m, v, -m / total, 0.5 * (m * m / (total * total) - 1.0 / total)
+    )
+    if gamma_ok:
+        refined = _gamma_moments(a, b, *_log_z_triple(m, 0.0, v, a, b))
+        if refined is not None:
+            a, b = refined
+    return m_new, v_new, a, b
+
+
+def _site_arrays(net: NetworkPosterior, sites: PriorSiteStore):
+    """Weight means, weight variances and the four site arrays, each per layer."""
+    return (
+        [layer.means for layer in net.layers],
+        [layer.variances for layer in net.layers],
+        sites.precision,
+        sites.precision_mean,
+        sites.lam_shape,
+        sites.lam_rate,
+    )
+
+
+def _as_lists(groups):
+    """Each group of arrays as one list of Python floats, array by array in
+    row-major order: the order in which the prior loops visit the weights."""
+    return [np.concatenate([a.ravel() for a in arrays]).tolist() for arrays in groups]
+
+
+def _store_lists(groups, lists):
+    """Write the lists back into their arrays in place (they may be views
+    into a PosteriorStack)."""
+    for arrays, values in zip(groups, lists):
+        flat = np.array(values)
+        start = 0
+        for a in arrays:
+            a[...] = flat[start : start + a.size].reshape(a.shape)
+            start += a.size
+
+
+def _incorporate_prior_factors(net: NetworkPosterior, groups) -> None:
+    """ADF-incorporate the prior factors of the weights in groups, in order.
+
+    Each refines its weight against the current marginal (a marginal of
+    infinite variance is the flat cavity), refines the shared prior-precision
+    Gamma, and records the implied site: refined marginal / previous marginal
+    in natural parameters, and the Gamma's change.
+    """
+    means, variances, prec, prec_mean, site_shape, site_rate = lists = _as_lists(groups)
+    a, b = net.lam.shape, net.lam.rate
+    try:
+        for k, (m, v) in enumerate(zip(means, variances)):
+            flat = math.isinf(v)
+            m_new, v_new, a_new, b_new = _match_prior_site(flat, m, v, 0.0, a, b, True)
+            p_old, eta_old = (0.0, 0.0) if flat else (1.0 / v, m / v)
+            prec[k] = 1.0 / v_new - p_old
+            prec_mean[k] = m_new / v_new - eta_old
+            site_shape[k] = a_new - a
+            site_rate[k] = b_new - b
+            means[k], variances[k], a, b = m_new, v_new, a_new, b_new
+    finally:
+        _store_lists(groups, lists)
+        net.lam = GammaDist(a, b)
 
 
 def incorporate_prior_factor(
@@ -195,49 +294,14 @@ def incorporate_prior_factor(
     through the closed-form limit: the weight collapses onto the collapsed
     Gaussian prior and the precision factor is untouched (all Z ratios -> 1).
     """
-    layer = net.layers[layer_idx]
-    m = float(layer.means[i, j])
-    v = float(layer.variances[i, j])
-    lam = net.lam
-
-    if math.isinf(v):
-        sigma2 = lam.rate / (lam.shape - 1.0)
-        m_new, v_new = 0.0, sigma2
-        lam_new = lam
-    else:
-        dm, dv = _prior_logz_gradients(m, v, lam)
-        m_new, v_new = gaussian_refine(m, v, dm, dv)
-        triple = LogZTriple(
-            log_z_prior_factor(m, v, lam, 0),
-            log_z_prior_factor(m, v, lam, 1),
-            log_z_prior_factor(m, v, lam, 2),
-        )
-        lam_new = gamma_refine(lam, triple)
-
-    _set_gaussian_site(sites, layer_idx, i, j, m, v, m_new, v_new)
-    sites.lam_shape[layer_idx][i, j] = lam_new.shape - lam.shape
-    sites.lam_rate[layer_idx][i, j] = lam_new.rate - lam.rate
-    layer.means[i, j] = m_new
-    layer.variances[i, j] = v_new
-    net.lam = lam_new
-
-
-def _set_gaussian_site(sites, layer_idx, i, j, m_old, v_old, m_new, v_new):
-    """Store site = refined marginal / previous marginal, in natural params."""
-    if math.isinf(v_old):
-        p_old, pm_old = 0.0, 0.0
-    else:
-        p_old, pm_old = 1.0 / v_old, m_old / v_old
-    sites.precision[layer_idx][i, j] = 1.0 / v_new - p_old
-    sites.precision_mean[layer_idx][i, j] = m_new / v_new - pm_old
+    cell = (slice(i, i + 1), slice(j, j + 1))
+    groups = [[arrays[layer_idx][cell]] for arrays in _site_arrays(net, sites)]
+    _incorporate_prior_factors(net, groups)
 
 
 def incorporate_all_prior_factors(net: NetworkPosterior, sites: PriorSiteStore) -> None:
     """Sequentially incorporate every weight's prior factor, row-major order."""
-    for layer_idx, layer in enumerate(net.layers):
-        for i in range(layer.rows):
-            for j in range(layer.cols):
-                incorporate_prior_factor(net, layer_idx, i, j, sites)
+    _incorporate_prior_factors(net, _site_arrays(net, sites))
 
 
 def backward_gradients(
@@ -366,18 +430,16 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     return dma, dva
 
 
-def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist) -> LogZTriple | None:
+def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
     """The likelihood log-Z triple of one example, or None when it is unusable
     (invalid arguments or a non-finite value): the example is then skipped."""
+    if vz < 0.0:
+        return None
     try:
-        triple = LogZTriple(
-            log_z_likelihood(y, mz, vz, gam, 0),
-            log_z_likelihood(y, mz, vz, gam, 1),
-            log_z_likelihood(y, mz, vz, gam, 2),
-        )
+        triple = _log_z_triple(y, mz, vz, gam.shape, gam.rate)
     except ValueError:
         return None
-    return triple if triple.is_finite() else None
+    return triple if all(map(math.isfinite, triple)) else None
 
 
 def _incorporate(net: NetworkPosterior | PosteriorStack, x, y, gammas: list[GammaDist]):
@@ -417,7 +479,9 @@ def _incorporate(net: NetworkPosterior | PosteriorStack, x, y, gammas: list[Gamm
 
     for r, triple in enumerate(triples):
         if triple is not None:
-            gammas[r] = gamma_refine(gammas[r], triple)
+            refined = _gamma_moments(gammas[r].shape, gammas[r].rate, *triple)
+            if refined is not None:
+                gammas[r] = GammaDist(*refined)
     return skipped, undo
 
 
@@ -465,80 +529,48 @@ def ep_refresh_prior(net: NetworkPosterior, sites: PriorSiteStore) -> RefreshRep
     flat limit as the first incorporation. Gamma cavities whose shape would
     not support the Gaussian collapse leave the precision factor untouched.
     """
-    visited = 0
+    groups = _site_arrays(net, sites)
+    means, variances, prec, prec_mean, site_shape, site_rate = lists = _as_lists(groups)
+    a, b = net.lam.shape, net.lam.rate
     skipped = 0
     max_change = 0.0
-
-    for layer_idx, layer in enumerate(net.layers):
-        prec = sites.precision[layer_idx]
-        prec_mean = sites.precision_mean[layer_idx]
-        site_shape = sites.lam_shape[layer_idx]
-        site_rate = sites.lam_rate[layer_idx]
-        for i in range(layer.rows):
-            for j in range(layer.cols):
-                visited += 1
-                m = float(layer.means[i, j])
-                v = float(layer.variances[i, j])
-                p_cav = 1.0 / v - float(prec[i, j])
-                eta_cav = m / v - float(prec_mean[i, j])
-                if p_cav < 0.0:
-                    skipped += 1
-                    continue
-
-                a_cav = net.lam.shape - float(site_shape[i, j])
-                b_cav = net.lam.rate - float(site_rate[i, j])
-                gamma_ok = a_cav > 1.0 and b_cav > 0.0
-                lam_cav = GammaDist(a_cav, b_cav) if gamma_ok else net.lam
-
-                if p_cav == 0.0:
-                    # Flat cavity: the limit of the refinement keeps the
-                    # cavity's natural mean and collapses onto the prior.
-                    sigma2 = lam_cav.rate / (lam_cav.shape - 1.0)
-                    m_new, v_new = sigma2 * eta_cav, sigma2
-                    lam_new = lam_cav
-                    m_cav_over_v = eta_cav
-                else:
-                    v_cav = 1.0 / p_cav
-                    m_cav = eta_cav * v_cav
-                    dm, dv = _prior_logz_gradients(m_cav, v_cav, lam_cav)
-                    try:
-                        m_new, v_new = gaussian_refine(m_cav, v_cav, dm, dv)
-                    except NegativeVarianceError:
-                        skipped += 1
-                        continue
-                    if gamma_ok:
-                        triple = LogZTriple(
-                            log_z_prior_factor(m_cav, v_cav, lam_cav, 0),
-                            log_z_prior_factor(m_cav, v_cav, lam_cav, 1),
-                            log_z_prior_factor(m_cav, v_cav, lam_cav, 2),
-                        )
-                        lam_new = gamma_refine(lam_cav, triple)
-                    else:
-                        lam_new = net.lam
-                    m_cav_over_v = eta_cav
-
-                prec[i, j] = 1.0 / v_new - p_cav
-                prec_mean[i, j] = m_new / v_new - m_cav_over_v
-                if gamma_ok:
-                    site_shape[i, j] = lam_new.shape - a_cav
-                    site_rate[i, j] = lam_new.rate - b_cav
-                    delta_lam = max(
-                        abs(lam_new.shape - net.lam.shape),
-                        abs(lam_new.rate - net.lam.rate),
-                    )
-                    net.lam = lam_new
-                else:
-                    delta_lam = 0.0
-
-                max_change = max(
-                    max_change,
-                    abs(m_new - m),
-                    abs(v_new - v),
-                    delta_lam,
+    try:
+        for k, (m, v, p_site, eta_site, a_site, b_site) in enumerate(zip(*lists)):
+            p_cav = 1.0 / v - p_site
+            eta_cav = m / v - eta_site
+            if p_cav < 0.0:
+                skipped += 1
+                continue
+            a_cav = a - a_site
+            b_cav = b - b_site
+            gamma_ok = a_cav > 1.0 and b_cav > 0.0
+            a_fit, b_fit = (a_cav, b_cav) if gamma_ok else (a, b)
+            flat = p_cav == 0.0
+            v_cav = math.inf if flat else 1.0 / p_cav
+            try:
+                m_new, v_new, a_new, b_new = _match_prior_site(
+                    flat, eta_cav * v_cav, v_cav, eta_cav, a_fit, b_fit, gamma_ok
                 )
-                layer.means[i, j] = m_new
-                layer.variances[i, j] = v_new
+            except NegativeVarianceError:
+                skipped += 1
+                continue
+
+            prec[k] = 1.0 / v_new - p_cav
+            prec_mean[k] = m_new / v_new - eta_cav
+            if gamma_ok:
+                site_shape[k] = a_new - a_cav
+                site_rate[k] = b_new - b_cav
+                delta_lam = max(abs(a_new - a), abs(b_new - b))
+                a, b = a_new, b_new
+            else:
+                delta_lam = 0.0
+            max_change = max(max_change, abs(m_new - m), abs(v_new - v), delta_lam)
+            means[k] = m_new
+            variances[k] = v_new
+    finally:
+        _store_lists(groups, lists)
+        net.lam = GammaDist(a, b)
 
     return RefreshReport(
-        sites_visited=visited, sites_skipped=skipped, max_abs_change=max_change
+        sites_visited=len(means), sites_skipped=skipped, max_abs_change=max_change
     )

@@ -53,6 +53,27 @@ class TestTrainCommand:
         for layer in model.net.layers:
             assert np.allclose(layer.variances, 1.2)
 
+    @pytest.mark.parametrize(
+        "scale, column",
+        [((1e300, 1.0), "feature column 'x'"), ((1.0, 1e300), "target column 'y'")],
+        ids=["huge-features", "huge-targets"],
+    )
+    def test_overflowing_scale_is_a_data_error(self, tmp_path, capsys, scale, column):
+        ds = toy_cubic_dataset(60, seed=2)
+        data = tmp_path / "huge.csv"
+        with open(data, "w") as fh:
+            fh.write("x,y\n")
+            for row, target in zip(ds.features, ds.targets):
+                fh.write(f"{float(row[0]) * scale[0]!r},{float(target) * scale[1]!r}\n")
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--hidden", "4", "--epochs", "1",
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"data error: {column}: mean" in captured.err
+        assert "test_rmse" not in captured.out
+        assert not out.exists()
+
     def test_missing_file_exit_code_and_message(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         code = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.json")])
@@ -220,6 +241,36 @@ class TestActiveCommand:
             a = tmp_path / f"one_{policy}.csv"
             b = tmp_path / f"two_{policy}.csv"
             assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_both_policies_match_separate_runs(self, toy_csv, tmp_path, jobs):
+        # Both arms train as one batch; each curve is that of its arm alone.
+        args = [
+            "active", "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
+            "--initial-train", "8", "--test-size", "10", "--acquisitions", "3",
+            "--repetitions", "3", "--seed", "11", "--jobs", jobs,
+        ]
+        both = tmp_path / "both"
+        assert main(args + ["--policy", "both", "--out", str(both)]) == EXIT_OK
+        for policy in ("active", "random"):
+            alone = tmp_path / f"alone_{policy}"
+            assert main(args + ["--policy", policy, "--out", str(alone)]) == EXIT_OK
+            separate = tmp_path / f"alone_{policy}_{policy}.csv"
+            assert (tmp_path / f"both_{policy}.csv").read_bytes() == separate.read_bytes()
+
+    def test_skip_rate_failure_names_the_repetition(self, toy_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "MAX_SKIP_RATE", -1)
+        code = main(
+            [
+                "active", "--data", str(toy_csv), "--hidden", "3", "--epochs", "1",
+                "--initial-train", "8", "--test-size", "10", "--acquisitions", "2",
+                "--repetitions", "2", "--out", str(tmp_path / "curve"),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "active repetition 0: 0/8 examples skipped in epoch 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("curve_*.csv"))
 
 
 class TestUsageErrors:

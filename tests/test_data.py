@@ -59,6 +59,25 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(p)
 
+    def test_first_bad_cell_in_row_order_is_reported(self, tmp_path):
+        # A non-finite cell, then a non-numeric one, then a ragged row: the
+        # non-finite cell comes first in row order and is the one named.
+        p = tmp_path / "d.csv"
+        p.write_text("x,y\n1,2\n3,inf\n4,oops\n5\n")
+        with pytest.raises(DataError, match=r"^non-finite value at row 3, column 2: 'inf'$"):
+            load_csv(p)
+        p.write_text("x,y\n1,2\n3\n4,oops\n")
+        with pytest.raises(DataError, match=r"row 3 has 1 cells, expected 2$"):
+            load_csv(p)
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        p = tmp_path / "d.csv"
+        cells = ["0.1", " 2.5e-3", "1_000", "-7", "4.940656458412465e-324", "1e308"]
+        p.write_text(",".join(cells) + "\n" + ",".join(reversed(cells)) + "\n")
+        data = load_csv(p).features
+        want = [[float(c) for c in cells[:-1]], [float(c) for c in reversed(cells)][:-1]]
+        assert data.tobytes() == np.array(want).tobytes()
+
     def test_missing_column_name(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")
@@ -150,6 +169,28 @@ def small_trained_model(tmp_path=None, epochs=2):
     cfg = PbpConfig(hidden_layer_sizes=(5,), epochs=epochs, seed=1)
     net, sites, _ = train(norm, cfg, np.random.default_rng(1))
     return TrainedModel(net=net, sites=sites, norm=stats, config=cfg)
+
+
+class TestNormalizeOverflow:
+    @pytest.mark.parametrize(
+        "columns, name", [(["a", "b", "y"], "feature column 'b'"), (None, "feature column 2")]
+    )
+    def test_overflowing_feature_is_named(self, columns, name):
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(20, 2)) * np.array([1.0, 1e300])
+        with pytest.raises(DataError, match=f"^{name}: mean .* standard deviation inf"):
+            normalize(Dataset(features, rng.normal(size=20), columns))
+
+    def test_overflowing_target_is_named(self):
+        rng = np.random.default_rng(1)
+        ds = Dataset(rng.normal(size=(20, 2)), rng.normal(size=20) * 1e300, ["a", "b", "y"])
+        with pytest.raises(DataError, match="^target column 'y': mean"):
+            normalize(ds)
+
+    def test_summed_overflow_of_a_constant_column_is_rejected(self):
+        features = np.full((20, 1), 1.5e308)
+        with pytest.raises(DataError, match="^feature column 1: mean inf"):
+            normalize(Dataset(features, np.arange(20.0)))
 
 
 class TestModelFile:

@@ -5,7 +5,6 @@ import pytest
 
 from pbp.posterior import (
     GammaDist,
-    GaussianScalar,
     PbpConfig,
     new_uniform,
     perturb_means,
@@ -75,11 +74,6 @@ class TestGammaDist:
             GammaDist(0.0, 1.0)
         with pytest.raises(ValueError):
             GammaDist(1.0, -1.0)
-
-
-def test_gaussian_scalar_fields():
-    g = GaussianScalar(mean=0.5, variance=2.0)
-    assert g.mean == 0.5 and g.variance == 2.0
 
 
 def test_config_defaults_match_protocol():
