@@ -25,7 +25,6 @@ from .forward import (
     append_bias,
     forward_linear,
     forward_output_moments,
-    forward_output_moments_batch,
     relu_moments,
 )
 from .posterior import (
@@ -38,10 +37,8 @@ from .posterior import (
     perturb_means,
 )
 from .prediction import (
-    PredictiveGaussian,
     TrainedModel,
     noise_floor,
-    predict,
     predict_batch,
     rmse,
     test_log_likelihood,

@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """An integer of at least 1, for the flags that count runs or rows."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pbp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,20 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="repeated random-split evaluation")
     common(p_bench)
-    p_bench.add_argument("--splits", type=int, default=20)
+    p_bench.add_argument("--splits", type=_count, default=20)
     p_bench.add_argument("--test-fraction", type=float, default=0.1)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--jobs", type=_count, default=1)
     p_bench.add_argument("--out", default="-", help="output CSV ('-' = stdout)")
 
     p_act = sub.add_parser("active", help="active-learning experiment")
     common(p_act)
     p_act.set_defaults(hidden=[10])
     p_act.add_argument("--policy", choices=[*POLICIES, "both"], default="both")
-    p_act.add_argument("--initial-train", type=int, default=20)
+    p_act.add_argument("--initial-train", type=_count, default=20)
     p_act.add_argument("--test-size", type=int, default=100)
     p_act.add_argument("--acquisitions", type=int, default=9)
-    p_act.add_argument("--repetitions", type=int, default=40)
-    p_act.add_argument("--jobs", type=int, default=1)
+    p_act.add_argument("--repetitions", type=_count, default=40)
+    p_act.add_argument("--jobs", type=_count, default=1)
     p_act.add_argument(
         "--out",
         required=True,
@@ -92,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pbp_config(args, seed: int) -> PbpConfig:
+def _pbp_config(args) -> PbpConfig:
     return PbpConfig(
         hidden_layer_sizes=tuple(args.hidden),
         epochs=args.epochs,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -126,7 +137,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(args.seed)
     train_set, test_set = dio.split(dataset, args.test_fraction, rng)
     train_norm, stats = dio.normalize(train_set)
-    config = _pbp_config(args, args.seed)
+    config = _pbp_config(args)
     net, sites, report = train(train_norm, config, rng)
     model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
     dio.save_model(model, args.out)
@@ -161,8 +172,7 @@ def cmd_predict(args) -> int:
 
 def _shards(count: int, jobs: int) -> list[list[int]]:
     """Split run indices 0..count-1 into at most `jobs` contiguous, nonempty shards."""
-    shards = np.array_split(np.arange(count), max(1, min(jobs, count)))
-    return [shard.tolist() for shard in shards if shard.size]
+    return [shard.tolist() for shard in np.array_split(np.arange(count), min(jobs, count))]
 
 
 def _map_shards(fn, payloads):
@@ -179,17 +189,15 @@ def _map_shards(fn, payloads):
 
 def _benchmark_shard(payload):
     """Test RMSE and log-likelihood of each split in the shard, trained in lockstep."""
-    (features, targets, columns, seed, splits, test_fraction, hidden, epochs) = payload
-    dataset = dio.Dataset(features, targets, columns)
+    dataset, config, splits, test_fraction = payload
     rngs, train_sets, evaluations = [], [], []
     for s in splits:
-        rng = np.random.default_rng(seed + s)
+        rng = np.random.default_rng(config.seed + s)
         train_set, test_set = dio.split(dataset, test_fraction, rng)
         train_norm, stats = dio.normalize(train_set)
         rngs.append(rng)
         train_sets.append(train_norm)
         evaluations.append((stats, test_set))
-    config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=seed)
     runs = train_runs(train_sets, config, rngs, [f"split {s}" for s in splits])
     results = []
     for (net, sites, _), (stats, test_set) in zip(runs, evaluations):
@@ -200,17 +208,9 @@ def _benchmark_shard(payload):
 
 def cmd_benchmark(args) -> int:
     dataset = dio.load_csv(args.data, args.target)
+    config = _pbp_config(args)
     payloads = [
-        (
-            dataset.features,
-            dataset.targets,
-            dataset.columns,
-            args.seed,
-            splits,
-            args.test_fraction,
-            list(args.hidden),
-            args.epochs,
-        )
+        (dataset, config, splits, args.test_fraction)
         for splits in _shards(args.splits, args.jobs)
     ]
     results = _map_shards(_benchmark_shard, payloads)
@@ -237,13 +237,11 @@ def cmd_benchmark(args) -> int:
 
 def _active_shard(payload):
     """Test-RMSE history of each (policy, repetition) run in the shard, trained in lockstep."""
-    (features, targets, columns, seed, runs, hidden, epochs, knobs) = payload
-    dataset = dio.Dataset(features, targets, columns)
-    config = PbpConfig(hidden_layer_sizes=tuple(hidden), epochs=epochs, seed=seed)
+    dataset, config, runs, active_cfg = payload
     policies = [policy for policy, _ in runs]
-    rngs = [np.random.default_rng(seed + rep) for _, rep in runs]
+    rngs = [np.random.default_rng(config.seed + rep) for _, rep in runs]
     labels = [f"{policy} repetition {rep}" for policy, rep in runs]
-    states = run_active_experiments(dataset, policies, config, rngs, ActiveConfig(*knobs), labels)
+    states = run_active_experiments(dataset, policies, config, rngs, active_cfg, labels)
     return [state.rmse_history for state in states]
 
 
@@ -253,17 +251,10 @@ def cmd_active(args) -> int:
     # Repetition r of every policy starts from seed + r; all of them train as
     # one batch, which --jobs cuts into shards.
     runs = [(policy, rep) for policy in policies for rep in range(args.repetitions)]
+    config = _pbp_config(args)
+    active_cfg = ActiveConfig(args.initial_train, args.test_size, args.acquisitions)
     payloads = [
-        (
-            dataset.features,
-            dataset.targets,
-            dataset.columns,
-            args.seed,
-            [runs[i] for i in shard],
-            list(args.hidden),
-            args.epochs,
-            (args.initial_train, args.test_size, args.acquisitions),
-        )
+        (dataset, config, [runs[i] for i in shard], active_cfg)
         for shard in _shards(len(runs), args.jobs)
     ]
     results = _map_shards(_active_shard, payloads)

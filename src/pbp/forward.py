@@ -29,10 +29,10 @@ SERIES_THRESHOLD = -30.0
 
 @dataclass
 class MomentVector:
-    """Paired mean/variance vectors for one layer's random activations.
+    """Paired mean/variance arrays for one layer's random activations.
 
-    The last axis indexes units; a leading axis, when present, indexes
-    independent runs.
+    Shape (*runs, rows, units): the last axis indexes units, the one before it
+    input rows, and a leading axis, when present, independent runs.
     """
 
     mean: np.ndarray
@@ -87,24 +87,15 @@ class ForwardTrace:
     output_variance: float | np.ndarray
 
 
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x over the last two axes of a and the last axis of x, per run."""
-    return np.matmul(a, x[..., None])[..., 0]
-
-
-def vecmat(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x @ a (that is, a.T @ x) per run; same BLAS call as the 2-D form."""
-    return np.matmul(x[..., None, :], a)[..., 0, :]
-
-
 def forward_linear(
     layer: LayerPosterior, z: MomentVector, means_sq: np.ndarray | None = None
 ) -> MomentVector:
     """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent.
 
     The 1/sqrt(cols) factor keeps each unit's input scale independent of its
-    fan-in. The layer may carry a leading runs axis, with z then one input per
-    run; means_sq is layer.means squared, when the caller already has it.
+    fan-in. z holds rows of inputs, (*runs, rows, cols) when the layer carries
+    a leading runs axis; means_sq is layer.means squared, when the caller
+    already has it.
     """
     cols = layer.cols
     if len(z) != cols:
@@ -112,9 +103,12 @@ def forward_linear(
     m, v = layer.means, layer.variances
     if means_sq is None:
         means_sq = m * m
-    mean = matvec(m, z.mean) / math.sqrt(cols)
+    # One row is the BLAS gemv of W z; n rows are one gemm, which rounds
+    # differently from n gemv calls, so the rows axis is never folded away.
+    m_t, v_t = m.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    mean = (z.mean @ m_t) / math.sqrt(cols)
     variance = (
-        matvec(means_sq, z.variance) + matvec(v, z.mean * z.mean) + matvec(v, z.variance)
+        z.variance @ means_sq.swapaxes(-1, -2) + (z.mean * z.mean) @ v_t + z.variance @ v_t
     ) / cols
     return MomentVector(mean, variance)
 
@@ -179,58 +173,43 @@ def append_bias(b: MomentVector) -> MomentVector:
 
 def forward_output_moments(
     net: NetworkPosterior | PosteriorStack, x: np.ndarray
-) -> tuple[float, float, ForwardTrace]:
-    """Propagate one input's moments through every layer.
+) -> tuple[float | np.ndarray, float | np.ndarray, ForwardTrace | None]:
+    """Propagate the moments of rows of inputs through every layer.
 
-    Returns the scalar output mean/variance and the full trace needed for the
-    backward gradient pass. For a PosteriorStack of R runs, x holds one input
-    per run, shape (R, d), and the output moments are arrays of length R.
+    x has shape (*runs, rows, d): (n, d) for one network and (R, n, d) for a
+    PosteriorStack of R runs; the output mean and variance have shape
+    (*runs, rows). A single input of shape (d,) gives float moments.
+
+    The trace the backward pass needs is kept only with one row per run, the
+    case an update uses; otherwise it is None.
     """
     x = np.asarray(x, dtype=float)
-    expected = net.layers[0].means.shape[:-2] + (net.layer_sizes[0],)
-    if x.shape != expected:
-        raise ValueError(f"input has shape {x.shape}, expected {expected}")
+    runs = net.layers[0].means.shape[:-2]
+    single = x.ndim == 1 and not runs
+    if single:
+        x = x[None, :]
+    d = net.layer_sizes[0]
+    if x.ndim != len(runs) + 2 or x.shape[:-2] != runs or x.shape[-1] != d:
+        raise ValueError(f"input has shape {x.shape}, expected {runs + ('n', d)}")
     z = append_bias(MomentVector(x, np.zeros_like(x)))
 
-    records = []
+    records = [] if x.shape[-2] == 1 else None
     last = len(net.layers) - 1
     for l, layer in enumerate(net.layers):
         means_sq = layer.means * layer.means
         a = forward_linear(layer, z, means_sq)
-        if l < last:
-            b, aux = relu_moments(a)
+        b, aux = relu_moments(a) if l < last else (None, None)
+        if records is not None:
             records.append(LayerTrace(z, a, b, aux, means_sq))
+        if b is not None:
             z = append_bias(b)
-        else:
-            records.append(LayerTrace(z, a, None, None, means_sq))
 
     out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
-    if out_mean.ndim == 0:
-        out_mean, out_var = float(out_mean), float(out_var)
-    return out_mean, out_var, ForwardTrace(records, out_mean, out_var)
-
-
-def forward_output_moments_batch(
-    net: NetworkPosterior, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output moments for a batch of inputs (rows of X). No trace is kept."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.layer_sizes[0]:
-        raise ValueError(
-            f"batch has shape {X.shape}, expected (n, {net.layer_sizes[0]})"
-        )
-    n = X.shape[0]
-    mz = np.hstack([X, np.ones((n, 1))])
-    vz = np.zeros_like(mz)
-
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        m, v = layer.means, layer.variances
-        cols = layer.cols
-        ma = (mz @ m.T) / math.sqrt(cols)
-        va = (vz @ (m * m).T + (mz * mz) @ v.T + vz @ v.T) / cols
-        if l < last:
-            b, _ = relu_moments(MomentVector(ma, va))
-            mz = np.hstack([b.mean, np.ones((n, 1))])
-            vz = np.hstack([b.variance, np.zeros((n, 1))])
-    return ma[:, 0], va[:, 0]
+    if records is None:
+        return out_mean, out_var, None
+    row_mean, row_var = out_mean[..., 0], out_var[..., 0]
+    if not runs:
+        row_mean, row_var = float(row_mean), float(row_var)
+    if single:
+        out_mean, out_var = row_mean, row_var
+    return out_mean, out_var, ForwardTrace(records, row_mean, row_var)

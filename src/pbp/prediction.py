@@ -2,24 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, NormStats
-from .forward import forward_output_moments, forward_output_moments_batch
+from .forward import forward_output_moments
 from .gauss import LOG_2PI
 from .posterior import NetworkPosterior, PbpConfig
 from .updates import PriorSiteStore
-
-
-@dataclass
-class PredictiveGaussian:
-    """Predictive mean and variance, de-normalized to original target units."""
-
-    mean: float
-    variance: float
 
 
 @dataclass
@@ -42,23 +33,16 @@ def noise_floor(net: NetworkPosterior) -> float:
     return net.gamma.rate / (net.gamma.shape - 1.0)
 
 
-def predict(net: NetworkPosterior, norm: NormStats, x_raw: np.ndarray) -> PredictiveGaussian:
-    """Predictive Gaussian for one raw input."""
-    x = norm.apply_features(np.asarray(x_raw, dtype=float))
-    mz, vz, _ = forward_output_moments(net, x)
-    var_norm = noise_floor(net) + vz
-    return PredictiveGaussian(
-        mean=mz * norm.target_std + norm.target_mean,
-        variance=var_norm * norm.target_std**2,
-    )
-
-
 def predict_batch(
     net: NetworkPosterior, norm: NormStats, X_raw: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means/variances for many raw inputs at once."""
+) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """Predictive means and variances in original target units.
+
+    X_raw holds raw inputs as rows, shape (n, d); one input of shape (d,)
+    gives floats.
+    """
     X = norm.apply_features(np.asarray(X_raw, dtype=float))
-    mz, vz = forward_output_moments_batch(net, X)
+    mz, vz, _ = forward_output_moments(net, X)
     means = mz * norm.target_std + norm.target_mean
     variances = (noise_floor(net) + vz) * norm.target_std**2
     return means, variances

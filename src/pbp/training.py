@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .forward import forward_output_moments_batch
+from .forward import forward_output_moments
 from .posterior import (
     GammaDist,
     NetworkPosterior,
@@ -134,11 +134,12 @@ def train_runs(
                 refresh_all()
                 since_refresh = 0
 
-        for r, (ds, report) in enumerate(zip(datasets, reports)):
+        means, _, _ = forward_output_moments(stack, features)
+        epoch_rmse = np.sqrt(np.mean((means - targets) ** 2, axis=-1))
+        for r, report in enumerate(reports):
             report.examples_skipped += int(skipped[r])
             report.epochs_run += 1
-            means, _ = forward_output_moments_batch(stack.run(r), ds.features)
-            report.epoch_rmse.append(float(np.sqrt(np.mean((means - ds.targets) ** 2))))
+            report.epoch_rmse.append(float(epoch_rmse[r]))
         for r in range(runs):
             if skipped[r] > MAX_SKIP_RATE * n:
                 raise SkipRateError(

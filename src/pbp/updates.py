@@ -24,7 +24,6 @@ from .forward import (
     MomentVector,
     ReluAux,
     forward_output_moments,
-    vecmat,
 )
 from .gauss import LOG_2PI, gaussian_log_density
 from .posterior import GammaDist, LayerPosterior, NetworkPosterior, PosteriorStack
@@ -311,8 +310,9 @@ def backward_gradients(
 
     Seeds with d log Z / d(output moments) and walks the trace in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
-    maps as implemented in the forward pass. For a PosteriorStack, y holds one
-    target per run and every gradient carries the leading runs axis.
+    maps as implemented in the forward pass. The trace holds one input row
+    (per run); for a PosteriorStack, y holds one target per run and every
+    gradient carries the leading runs axis.
     """
     if isinstance(net, PosteriorStack):
         noise = np.array([g.rate / (g.shape - 1.0) for g in net.gammas])
@@ -320,8 +320,9 @@ def backward_gradients(
         noise = net.gamma.rate / (net.gamma.shape - 1.0)
     total = noise + trace.output_variance
     diff = y - trace.output_mean
-    dma = np.asarray(diff / total)[..., None]
-    dva = np.asarray(0.5 * (diff * diff / (total * total) - 1.0 / total))[..., None]
+    # Shape (*runs, 1 row, 1 output unit), as the forward pass's moments.
+    dma = np.asarray(diff / total)[..., None, None]
+    dva = np.asarray(0.5 * (diff * diff / (total * total) - 1.0 / total))[..., None, None]
 
     n_layers = len(net.layers)
     d_means: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
@@ -344,19 +345,20 @@ def backward_gradients(
 def _linear_backward(layer: LayerPosterior, z: MomentVector, dma, dva, means_sq):
     """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c.
 
-    means_sq is M*M as the forward pass computed it.
+    z and the output gradients hold one row (per run); means_sq is M*M as the
+    forward pass computed it.
     """
     c = layer.cols
     inv_c = 1.0 / c
     inv_s = 1.0 / math.sqrt(c)
     m, v = layer.means, layer.variances
     mz, vz = z.mean, z.variance
-    dma_col, dva_col = dma[..., :, None], dva[..., :, None]
+    dma_col, dva_col = dma.swapaxes(-1, -2), dva.swapaxes(-1, -2)
 
-    dM = dma_col * mz[..., None, :] * inv_s + 2.0 * inv_c * m * (dva_col * vz[..., None, :])
-    dV = inv_c * (dva_col * (mz * mz + vz)[..., None, :])
-    dmz = inv_s * vecmat(dma, m) + 2.0 * inv_c * mz * vecmat(dva, v)
-    dvz = inv_c * vecmat(dva, means_sq + v)
+    dM = dma_col * mz * inv_s + 2.0 * inv_c * m * (dva_col * vz)
+    dV = inv_c * (dva_col * (mz * mz + vz))
+    dmz = inv_s * (dma @ m) + 2.0 * inv_c * mz * (dva @ v)
+    dvz = inv_c * (dva @ (means_sq + v))
     return dM, dV, dmz, dvz
 
 
@@ -432,12 +434,13 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
 
 def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
     """The likelihood log-Z triple of one example, or None when it is unusable
-    (invalid arguments or a non-finite value): the example is then skipped."""
+    (invalid arguments, a squared residual that overflows, or a non-finite
+    value): the example is then skipped."""
     if vz < 0.0:
         return None
     try:
         triple = _log_z_triple(y, mz, vz, gam.shape, gam.rate)
-    except ValueError:
+    except (ValueError, OverflowError):
         return None
     return triple if all(map(math.isfinite, triple)) else None
 
@@ -458,9 +461,14 @@ def _incorporate(net: NetworkPosterior | PosteriorStack, x, y, gammas: list[Gamm
     if skipped.all():
         return skipped, 0
 
-    grads = backward_gradients(net, trace, y)
     # Runs that skip this example keep their weights; only a stack has any.
-    hold = skipped[:, None, None] if skipped.any() else None
+    hold = None
+    if skipped.any():
+        hold = skipped[:, None, None]
+        # Their gradients are discarded; a zero residual keeps them finite
+        # where an overflowing one would fill them with inf and NaN.
+        y = np.where(skipped, trace.output_mean, y)
+    grads = backward_gradients(net, trace, y)
 
     undo = 0
     for layer, dM, dV in zip(net.layers, grads.d_means, grads.d_variances):
@@ -511,7 +519,7 @@ def incorporate_likelihood_factors(
     Each run's arithmetic is that of incorporate_likelihood_factor on that run
     alone, bit for bit. The outcome's fields are arrays over the runs.
     """
-    skipped, undo = _incorporate(stack, x, y, stack.gammas)
+    skipped, undo = _incorporate(stack, x[:, None, :], y, stack.gammas)
     return UpdateOutcome(
         skipped=skipped,
         undo_count=np.where(skipped, 0, undo),

@@ -12,7 +12,7 @@ import pbp.training as training
 import pbp.updates as updates
 from conftest import toy_cubic_dataset
 from pbp.data import Dataset, normalize, split
-from pbp.forward import forward_output_moments_batch
+from reference_forward import forward_output_moments_batch
 from pbp.posterior import GammaDist, PbpConfig, new_uniform, perturb_means
 from pbp.training import SkipRateError, TrainReport, train, train_runs
 from pbp.updates import (
@@ -161,6 +161,24 @@ def test_run_that_skips_an_example_leaves_the_others_untouched(monkeypatch):
     for got, ds, state in zip(batch, datasets, states):
         assert_same_run(got, reference_train(ds, cfg, rng_at(state)))
     assert [report.examples_skipped for _, _, report in batch] == [0, 2, 0]
+
+
+def test_run_whose_squared_residual_overflows_skips_the_example(monkeypatch):
+    # A 1e160 target overflows the squared residual of the log-Z triple: run 1
+    # skips that example in every epoch, and run 0 trains as it would alone.
+    monkeypatch.setattr(training, "MAX_SKIP_RATE", 1.0)
+    datasets, states = split_runs(2)
+    targets = datasets[1].targets.copy()
+    targets[4] = 1e160
+    datasets[1] = Dataset(datasets[1].features, targets)
+    cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
+    # Run 1's epoch RMSE overflows too, to inf.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    [alone] = train_runs([datasets[0]], cfg, [rng_at(states[0])])
+    assert_same_run(batch[0], alone)
+    assert batch[1][2].examples_skipped == cfg.epochs
+    assert batch[1][2].epoch_rmse == [np.inf] * cfg.epochs
 
 
 def test_skip_rate_error_names_the_run_and_epoch(monkeypatch):

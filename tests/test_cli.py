@@ -288,3 +288,24 @@ class TestUsageErrors:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("benchmark", "--splits", "0"),
+            ("benchmark", "--splits", "-2"),
+            ("benchmark", "--jobs", "0"),
+            ("benchmark", "--jobs", "-1"),
+            ("active", "--repetitions", "0"),
+            ("active", "--initial-train", "0"),
+            ("active", "--jobs", "0"),
+            ("active", "--jobs", "-1"),
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(self, toy_csv, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert main([command, "--data", str(toy_csv), flag, value, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert flag in err and "at least 1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]

@@ -13,7 +13,7 @@ from pbp.data import (
     split,
 )
 from pbp.posterior import PbpConfig
-from pbp.prediction import TrainedModel, predict
+from pbp.prediction import TrainedModel, predict_batch
 from pbp.training import train
 
 
@@ -222,10 +222,10 @@ class TestModelFile:
         save_model(model, p)
         loaded = load_model(p)
         x = np.array([0.37])
-        a = predict(model.net, model.norm, x)
-        b = predict(loaded.net, loaded.norm, x)
-        assert a.mean == b.mean
-        assert a.variance == b.variance
+        a_mean, a_variance = predict_batch(model.net, model.norm, x)
+        b_mean, b_variance = predict_batch(loaded.net, loaded.norm, x)
+        assert a_mean == b_mean
+        assert a_variance == b_variance
 
     def test_future_version_rejected(self, tmp_path):
         model = small_trained_model()

@@ -10,11 +10,11 @@ from pbp.forward import (
     append_bias,
     forward_linear,
     forward_output_moments,
-    forward_output_moments_batch,
     relu_moments,
 )
 from pbp.oracles import mc_forward_moments
-from pbp.posterior import LayerPosterior, new_uniform
+from pbp.posterior import LayerPosterior, PosteriorStack, new_uniform
+from reference_forward import forward_output_moments_batch
 
 
 def mv(mean, var):
@@ -244,8 +244,68 @@ class TestForwardOutputMoments:
         rng = np.random.default_rng(2)
         net = random_net([3, 5, 1], rng)
         X = rng.normal(size=(11, 3))
-        bm, bv = forward_output_moments_batch(net, X)
+        bm, bv, _ = forward_output_moments(net, X)
         for i in range(11):
             m, v, _ = forward_output_moments(net, X[i])
             assert bm[i] == pytest.approx(m, rel=1e-12)
             assert bv[i] == pytest.approx(v, rel=1e-12)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestShapeContract:
+    """Moments have shape (*runs, rows, units); one function serves updates,
+    prediction and stacked runs, with the arithmetic of the paths it replaced."""
+
+    @pytest.mark.parametrize("sizes", [[3, 5, 1], [4, 6, 5, 1]])
+    @pytest.mark.parametrize("n", [1, 11, 500])
+    def test_rows_match_the_batch_reference(self, sizes, n):
+        rng = np.random.default_rng(n)
+        net = random_net(sizes, rng)
+        X = rng.normal(size=(n, sizes[0]))
+        m, v, _ = forward_output_moments(net, X)
+        ref_m, ref_v = forward_output_moments_batch(net, X)
+        assert m.shape == v.shape == (n,)
+        assert _bits(m) == _bits(ref_m)
+        assert _bits(v) == _bits(ref_v)
+
+    @pytest.mark.parametrize("n", [1, 11])
+    def test_stack_matches_each_run_alone(self, n):
+        rng = np.random.default_rng(9)
+        nets = [random_net([3, 4, 4, 1], rng) for _ in range(3)]
+        X = rng.normal(size=(3, n, 3))
+        m, v, _ = forward_output_moments(PosteriorStack.of(nets), X)
+        assert m.shape == v.shape == (3, n)
+        for r, net in enumerate(nets):
+            alone_m, alone_v, _ = forward_output_moments(net, X[r])
+            assert _bits(m[r]) == _bits(alone_m)
+            assert _bits(v[r]) == _bits(alone_v)
+
+    def test_single_input_gives_the_floats_of_its_row(self):
+        rng = np.random.default_rng(4)
+        net = random_net([3, 5, 1], rng)
+        x = rng.normal(size=3)
+        m, v, trace = forward_output_moments(net, x)
+        row_m, row_v, row_trace = forward_output_moments(net, x[None, :])
+        assert type(m) is float and type(v) is float
+        assert _bits(m) == _bits(row_m[0]) and _bits(v) == _bits(row_v[0])
+        assert (trace.output_mean, trace.output_variance) == (m, v)
+        assert (row_trace.output_mean, row_trace.output_variance) == (m, v)
+
+    def test_stack_without_a_rows_axis_rejected(self):
+        rng = np.random.default_rng(5)
+        stack = PosteriorStack.of([random_net([3, 4, 1], rng) for _ in range(3)])
+        with pytest.raises(ValueError, match="expected"):
+            forward_output_moments(stack, rng.normal(size=(3, 3)))
+
+    def test_trace_kept_only_for_one_row(self):
+        rng = np.random.default_rng(6)
+        net = random_net([3, 4, 1], rng)
+        stack = PosteriorStack.of([net, random_net([3, 4, 1], rng)])
+        assert forward_output_moments(net, rng.normal(size=(2, 3)))[2] is None
+        assert forward_output_moments(stack, rng.normal(size=(2, 5, 3)))[2] is None
+        _, _, trace = forward_output_moments(stack, rng.normal(size=(2, 1, 3)))
+        assert trace.output_mean.shape == (2,)
+        assert len(trace.records) == 2

@@ -10,7 +10,6 @@ from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import (
     TrainedModel,
     noise_floor,
-    predict,
     predict_batch,
     rmse,
 )
@@ -33,17 +32,17 @@ class TestPredict:
         net = random_net([2, 4, 1], rng)
         x = np.array([0.3, -0.8])
         mz, vz, _ = forward_output_moments(net, x)
-        out = predict(net, identity_stats(2), x)
-        assert out.mean == mz
-        assert out.variance == noise_floor(net) + vz
+        mean, variance = predict_batch(net, identity_stats(2), x)
+        assert mean == mz
+        assert variance == noise_floor(net) + vz
 
     def test_deterministic_net_gives_noise_floor_only(self):
         rng = np.random.default_rng(4)
         net = random_net([2, 3, 1], rng)
         for layer in net.layers:
             layer.variances[...] = 0.0
-        out = predict(net, identity_stats(2), np.array([0.5, 0.5]))
-        assert out.variance == pytest.approx(noise_floor(net), rel=1e-15)
+        _, variance = predict_batch(net, identity_stats(2), np.array([0.5, 0.5]))
+        assert variance == pytest.approx(noise_floor(net), rel=1e-15)
 
     def test_denormalization_identity(self):
         # Scaling stats must map the normalized-space computation through
@@ -55,9 +54,9 @@ class TestPredict:
         stats.target_std = 2.5
         x = rng.normal(size=3)
         mz, vz, _ = forward_output_moments(net, x)
-        out = predict(net, stats, x)
-        assert out.mean == pytest.approx(mz * 2.5 + 11.0, rel=1e-15)
-        assert out.variance == pytest.approx((noise_floor(net) + vz) * 6.25, rel=1e-15)
+        mean, variance = predict_batch(net, stats, x)
+        assert mean == pytest.approx(mz * 2.5 + 11.0, rel=1e-15)
+        assert variance == pytest.approx((noise_floor(net) + vz) * 6.25, rel=1e-15)
 
     def test_feature_normalization_applied(self):
         rng = np.random.default_rng(8)
@@ -66,14 +65,14 @@ class TestPredict:
         stats.feature_mean = np.array([2.0])
         stats.feature_std = np.array([4.0])
         raw = np.array([6.0])  # normalizes to 1.0
-        direct = predict(net, identity_stats(1), np.array([1.0]))
-        via_stats = predict(net, stats, raw)
-        assert via_stats.mean == direct.mean
+        direct_mean, _ = predict_batch(net, identity_stats(1), np.array([1.0]))
+        via_stats_mean, _ = predict_batch(net, stats, raw)
+        assert via_stats_mean == direct_mean
 
     def test_dimension_mismatch(self):
         net = random_net([2, 3, 1], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            predict(net, identity_stats(2), np.zeros(3))
+            predict_batch(net, identity_stats(2), np.zeros(3))
 
 
 class TestMetrics:
