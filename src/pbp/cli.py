@@ -36,15 +36,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _count(text: str) -> int:
-    """An integer of at least 1, for the flags that count runs or rows."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """Argument type: an integer of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+# The flags that count runs or rows take _count; --acquisitions may be 0.
+_count = _int_at_least(1)
+_nonnegative = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.set_defaults(hidden=[10])
     p_act.add_argument("--policy", choices=[*POLICIES, "both"], default="both")
     p_act.add_argument("--initial-train", type=_count, default=20)
-    p_act.add_argument("--test-size", type=int, default=100)
-    p_act.add_argument("--acquisitions", type=int, default=9)
+    p_act.add_argument("--test-size", type=_count, default=100)
+    p_act.add_argument("--acquisitions", type=_nonnegative, default=9)
     p_act.add_argument("--repetitions", type=_count, default=40)
     p_act.add_argument("--jobs", type=_count, default=1)
     p_act.add_argument(

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -74,43 +75,70 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+# Leading or trailing, these count as whitespace to np.loadtxt but not to float().
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt(fh, skiprows: int) -> np.ndarray | None:
+    """The lines of fh after the first skiprows as a finite float matrix, or
+    None when np.loadtxt rejects them, warns, or reads a non-finite value, or
+    the text holds a character the two parsers treat differently."""
+    fh.seek(0)
+    try:
+        text = fh.read()
+        if any(c in text for c in _LOADTXT_ONLY_SPACE):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                io.StringIO(text, newline=""), delimiter=",", comments=None,
+                skiprows=skiprows, ndmin=2,
+            )
+    except (ValueError, Warning):
+        return None
+    return data if np.isfinite(data).all() else None
+
+
 def read_csv_matrix(path) -> tuple[np.ndarray, list[str] | None]:
     """Read a numeric CSV with an optional single header row.
 
     The first row is treated as a header when any of its cells fails to parse
     as a number. Ragged rows and non-finite cells are rejected with row/column
     diagnostics (1-based, header included in the numbering).
+
+    The data rows are first handed to numpy's C parser, np.loadtxt, which
+    holds the file's text and the matrix but no Python string per cell. Any
+    file it rejects (quoted cells, a '#' or whitespace-only line, digits that
+    only Python's float reads) or any non-finite value falls back to the exact
+    csv-module parser below, so the values accepted and the diagnostics given
+    are those of that parser alone.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next(filter(None, reader), None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            header = None
+            try:
+                [float(cell) for cell in first]
+            except ValueError:
+                header = [cell.strip() for cell in first]
+            data = _loadtxt(fh, reader.line_num if header is not None else 0)
+            if data is not None:
+                return data, header
+            fh.seek(0)
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file")
-
-    header: list[str] | None = None
-    first = rows[0]
-    try:
-        [float(cell) for cell in first]
-    except ValueError:
-        header = [cell.strip() for cell in first]
+    if header is not None:
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
 
-    width = len(rows[0])
-    if all(len(row) == width for row in rows):
-        try:
-            cells = map(float, chain.from_iterable(rows))
-            data = np.fromiter(cells, dtype=float, count=len(rows) * width)
-        except ValueError:
-            data = None
-        if data is not None and np.isfinite(data).all():
-            return data.reshape(len(rows), width), header
-
-    # A row or cell is bad: parse cell by cell to report the first, in row order.
+    # Parse cell by cell, so the first bad row or cell is the one reported.
     offset = 2 if header is not None else 1
+    width = len(rows[0])
     data = np.empty((len(rows), width))
     for r, row in enumerate(rows):
         if len(row) != width:

@@ -26,6 +26,9 @@ DETERMINISTIC_VARIANCE = 1e-30
 # series, which stays accurate where the direct ratio loses precision.
 SERIES_THRESHOLD = -30.0
 
+# Rows per block of a large forward pass (see forward_output_moments).
+BLOCK_ROWS = 1024
+
 
 @dataclass
 class MomentVector:
@@ -182,6 +185,12 @@ def forward_output_moments(
 
     The trace the backward pass needs is kept only with one row per run, the
     case an update uses; otherwise it is None.
+
+    From 2 * BLOCK_ROWS rows on, the rows go through in blocks, so the working
+    set is bounded by one block whatever the row count. Each block starts at a
+    multiple of BLOCK_ROWS and the last takes the remainder: every gemm sees at
+    least BLOCK_ROWS rows and every row keeps its offset mod 4, which keeps the
+    kernels, and so the bits, of the unblocked pass.
     """
     x = np.asarray(x, dtype=float)
     runs = net.layers[0].means.shape[:-2]
@@ -191,19 +200,20 @@ def forward_output_moments(
     d = net.layer_sizes[0]
     if x.ndim != len(runs) + 2 or x.shape[:-2] != runs or x.shape[-1] != d:
         raise ValueError(f"input has shape {x.shape}, expected {runs + ('n', d)}")
-    z = append_bias(MomentVector(x, np.zeros_like(x)))
+    means_sq = [layer.means * layer.means for layer in net.layers]
 
-    records = [] if x.shape[-2] == 1 else None
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        means_sq = layer.means * layer.means
-        a = forward_linear(layer, z, means_sq)
-        b, aux = relu_moments(a) if l < last else (None, None)
-        if records is not None:
-            records.append(LayerTrace(z, a, b, aux, means_sq))
-        if b is not None:
-            z = append_bias(b)
+    n = x.shape[-2]
+    if n >= 2 * BLOCK_ROWS:
+        out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
+        starts = range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS)
+        for start, stop in zip(starts, [*starts[1:], n]):
+            a = _output_preactivation(net, x[..., start:stop, :], means_sq)
+            out_mean[..., start:stop] = a.mean[..., 0]
+            out_var[..., start:stop] = a.variance[..., 0]
+        return out_mean, out_var, None
 
+    records = [] if n == 1 else None
+    a = _output_preactivation(net, x, means_sq, records)
     out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
     if records is None:
         return out_mean, out_var, None
@@ -213,3 +223,23 @@ def forward_output_moments(
     if single:
         out_mean, out_var = row_mean, row_var
     return out_mean, out_var, ForwardTrace(records, row_mean, row_var)
+
+
+def _output_preactivation(
+    net: NetworkPosterior | PosteriorStack,
+    x: np.ndarray,
+    means_sq: list[np.ndarray],
+    records: list[LayerTrace] | None = None,
+) -> MomentVector:
+    """The output layer's pre-activation moments for rows x, appending each
+    layer's trace to records when given."""
+    z = append_bias(MomentVector(x, np.zeros_like(x)))
+    last = len(net.layers) - 1
+    for l, layer in enumerate(net.layers):
+        a = forward_linear(layer, z, means_sq[l])
+        b, aux = relu_moments(a) if l < last else (None, None)
+        if records is not None:
+            records.append(LayerTrace(z, a, b, aux, means_sq[l]))
+        if b is not None:
+            z = append_bias(b)
+    return a

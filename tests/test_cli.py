@@ -300,6 +300,8 @@ class TestUsageErrors:
             ("active", "--initial-train", "0"),
             ("active", "--jobs", "0"),
             ("active", "--jobs", "-1"),
+            ("active", "--test-size", "0"),
+            ("active", "--test-size", "-5"),
         ],
     )
     def test_count_below_one_is_a_usage_error(self, toy_csv, tmp_path, capsys, command, flag, value):
@@ -309,3 +311,25 @@ class TestUsageErrors:
         assert err.startswith("usage error:")
         assert flag in err and "at least 1" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
+
+    @pytest.mark.parametrize("value", ["-1", "-2"])
+    def test_negative_acquisitions_is_a_usage_error(self, toy_csv, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        code = main(["active", "--data", str(toy_csv), "--acquisitions", value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "--acquisitions" in err and "at least 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
+
+    def test_zero_acquisitions_gives_a_one_row_curve(self, toy_csv, tmp_path):
+        prefix = tmp_path / "curve"
+        code = main(
+            [
+                "active", "--data", str(toy_csv), "--hidden", "3", "--epochs", "1",
+                "--policy", "random", "--initial-train", "8", "--test-size", "10",
+                "--acquisitions", "0", "--repetitions", "2", "--out", str(prefix),
+            ]
+        )
+        assert code == EXIT_OK
+        assert len(read_rows(tmp_path / "curve_random.csv")) == 1 + 1

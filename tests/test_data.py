@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,15 +7,18 @@ import pytest
 from pbp.data import (
     DataError,
     Dataset,
+    _loadtxt,
     load_csv,
     load_model,
     normalize,
+    read_csv_matrix,
     save_model,
     split,
 )
 from pbp.posterior import PbpConfig
 from pbp.prediction import TrainedModel, predict_batch
 from pbp.training import train
+from reference_data import read_csv_matrix as reference_read_csv_matrix
 
 
 class TestLoadCsv:
@@ -87,6 +91,78 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="ghost.csv"):
             load_csv(tmp_path / "ghost.csv")
+
+
+def _outcome(read, path):
+    """What a CSV reader makes of a file: its matrix bytes, shape and header,
+    or its DataError message."""
+    try:
+        data, header = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return data.dtype, data.shape, data.tobytes(), header
+
+
+# (file bytes, id): each must read exactly as the reference parser reads it.
+CSV_CASES = [
+    (b"1,2\n3,4\n", "plain"),
+    (b"\n1,2\n\n\n3,4\n\n", "blank-lines"),
+    (b"a,b\r\n1,2\r\n3,4\r\n", "crlf"),
+    (b"1,2\r3,4\r", "cr"),
+    (b"a,b\n1,2\n3,4", "no-final-newline"),
+    (b" a , b \n 1 ,2 \n3, 4\n", "spaces-around-cells"),
+    (b"1\n2\n3\n", "single-column"),
+    (b"y\n1\n2\n", "single-column-header"),
+    (b"1.5,-2e3,+.25,7.\n0,-0,1e-400,4.940656458412465e-324\n", "number-forms"),
+    (b'a,b\n"1",2\n3,4\n', "quoted-cell"),
+    (b'"a,b",c\n1,2\n', "quoted-header"),
+    (b'"a\nb",c\n1,2\n', "multi-line-header"),
+    (b"a,b\n1_000,2\n3,4\n", "underscore"),
+    ("a,b\n\uff11,2\n3,4\n".encode(), "fullwidth-digit"),
+    ("a,b\n\xa01,2\u3000\n3,4\n".encode(), "unicode-spaces"),
+    (b"a,b\n\x1c1,2\n3,4\n", "loadtxt-only-space"),
+    (b"#a,b\n1,2\n", "hash-header"),
+    (b"a,b\n1,2\n#3,4\n", "hash-line"),
+    (b"a,b\n1,2\n  \n3,4\n", "whitespace-only-line"),
+    (b"1,2\n \n", "whitespace-only-line-single-column"),
+    (b"a,b\n1,2\n3\n", "ragged-row"),
+    (b"1,2,\n3,4,\n", "trailing-comma"),
+    (b"a,b\n1,\n3,4\n", "empty-cell"),
+    (b"a,b\n1,nan\n3,4\n", "nan"),
+    (b"1,2\n1e999,4\n", "overflow"),
+    (b"a,b\n1,2 3\n", "inner-space"),
+    (b"a,b\n", "header-only"),
+    (b"", "empty"),
+    (b"\n\r\n\n", "only-blank-lines"),
+    (b"a,b\n1,\xff\n", "invalid-utf8"),
+    (b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n", "invalid-utf8-past-first-chunk"),
+    (b"a,b\n" + b"1,2\n" * 3000 + b"3,4\n", "many-rows"),
+    (b"a,b\n" + b"1,2\n" * 3000 + b"3,x\n", "bad-cell-past-first-chunk"),
+]
+
+
+class TestCsvFastPath:
+    """read_csv_matrix tries np.loadtxt first; every file must still read
+    exactly as the csv-module parser it falls back to reads it."""
+
+    @pytest.mark.parametrize("content", [c for c, _ in CSV_CASES], ids=[i for _, i in CSV_CASES])
+    def test_same_result_as_the_exact_parser(self, tmp_path, content):
+        p = tmp_path / "d.csv"
+        p.write_bytes(content)
+        try:
+            want = _outcome(reference_read_csv_matrix, p)
+        except ValueError as exc:  # undecodable bytes
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                read_csv_matrix(p)
+            return
+        assert _outcome(read_csv_matrix, p) == want
+
+    def test_plain_file_takes_the_fast_path(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,b\n1,2\n3,4\n")
+        with open(p, newline="", encoding="utf-8") as fh:
+            data = _loadtxt(fh, 1)
+        assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestSplit:

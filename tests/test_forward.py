@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import random_net
+from pbp import forward
 from pbp.forward import (
+    BLOCK_ROWS,
     MomentVector,
     append_bias,
     forward_linear,
@@ -309,3 +312,100 @@ class TestShapeContract:
         _, _, trace = forward_output_moments(stack, rng.normal(size=(2, 1, 3)))
         assert trace.output_mean.shape == (2,)
         assert len(trace.records) == 2
+
+
+def _row_counts(b):
+    return [b - 1, b, 2 * b - 1, 2 * b, 2 * b + 1, 3 * b + 5]
+
+
+def _branch_net_and_rows(n, block, rng):
+    """A [6, 10, 1] net and n rows where only the rows of block 1 (rows
+    block..2*block-1) drive hidden unit 0 into the deterministic and far-tail
+    rectifier branches.
+
+    Unit 0 reads its mean from feature 0 and its variance from feature 1 alone,
+    so alpha = -x0 / |x1|: x1 = 0 makes it deterministic, x1 = 1e-3 puts alpha
+    at -700 or below, and x1 in [1, 2] keeps every other row in the direct
+    branch.
+    """
+    net = random_net([6, 10, 1], rng)
+    unit = net.layers[0]
+    unit.means[0] = 0.0
+    unit.means[0, 0] = -1.0
+    unit.variances[0] = 0.0
+    unit.variances[0, 1] = 1.0
+    X = rng.normal(size=(n, 6))
+    X[:, 0] = rng.uniform(-1.0, 1.0, n)
+    X[:, 1] = rng.uniform(1.0, 2.0, n)
+    special = np.arange(block, block + 6)
+    X[special, 0] = [1.0, -1.0, 0.5, 1.0, 2.0, 0.7]
+    X[special, 1] = [0.0, 0.0, 0.0, 1e-3, 1e-3, 1e-3]
+    return net, X
+
+
+class TestBlockedRows:
+    """From 2 * BLOCK_ROWS rows on, the forward pass runs in row blocks; it
+    must stay bit-identical to the unblocked reference."""
+
+    @pytest.fixture(params=[BLOCK_ROWS, 64], ids=["block-default", "block-64"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(forward, "BLOCK_ROWS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("sizes", [[11, 50, 50, 1], [6, 10, 1]])
+    def test_rows_match_the_unblocked_reference(self, block, sizes):
+        rng = np.random.default_rng(sizes[0])
+        net = random_net(sizes, rng, mean_scale=0.5)
+        for n in _row_counts(block):
+            X = rng.normal(size=(n, sizes[0]))
+            m, v, trace = forward_output_moments(net, X)
+            ref_m, ref_v = forward_output_moments_batch(net, X)
+            assert trace is None and m.shape == v.shape == (n,)
+            assert np.array_equal(m, ref_m), n
+            assert np.array_equal(v, ref_v), n
+
+    def test_stack_matches_the_unblocked_reference_per_run(self, block):
+        rng = np.random.default_rng(12)
+        nets = [random_net([11, 50, 50, 1], rng, mean_scale=0.5) for _ in range(3)]
+        stack = PosteriorStack.of(nets)
+        for n in _row_counts(block):
+            X = rng.normal(size=(3, n, 11))
+            m, v, _ = forward_output_moments(stack, X)
+            assert m.shape == v.shape == (3, n)
+            for r, net in enumerate(nets):
+                ref_m, ref_v = forward_output_moments_batch(net, X[r])
+                assert np.array_equal(m[r], ref_m), (n, r)
+                assert np.array_equal(v[r], ref_v), (n, r)
+
+    def test_branches_taken_in_one_block_only(self, block):
+        rng = np.random.default_rng(13)
+        n = 3 * block + 5
+        net, X = _branch_net_and_rows(n, block, rng)
+        _, aux = relu_moments(forward_linear(net.layers[0], append_bias(mv(X, np.zeros_like(X)))))
+        for flags in (aux.deterministic[:, 0], aux.series[:, 0]):
+            assert flags[block : 2 * block].any()
+            assert not flags[:block].any() and not flags[2 * block :].any()
+        m, v, _ = forward_output_moments(net, X)
+        ref_m, ref_v = forward_output_moments_batch(net, X)
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(v, ref_v)
+
+
+def _forward_peak_bytes(net, X) -> int:
+    tracemalloc.start()
+    try:
+        forward_output_moments(net, X)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_is_bounded_by_one_block():
+    # Unblocked, a 20k-row forward through 11-50-50-1 peaked at 210 MB.
+    rng = np.random.default_rng(14)
+    net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
+    X20, X40 = rng.normal(size=(20_000, 11)), rng.normal(size=(40_000, 11))
+    peak20 = _forward_peak_bytes(net, X20)
+    peak40 = _forward_peak_bytes(net, X40)
+    assert peak20 < 40e6
+    assert peak40 < 1.5 * peak20
