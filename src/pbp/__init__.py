@@ -31,6 +31,7 @@ from .posterior import (
     GammaDist,
     LayerPosterior,
     NetworkPosterior,
+    NumericError,
     PbpConfig,
     PosteriorStack,
     new_uniform,
@@ -53,11 +54,8 @@ from .updates import (
     ep_refresh_prior,
     gamma_refine,
     gaussian_refine,
-    incorporate_likelihood_factor,
     incorporate_likelihood_factors,
     incorporate_prior_factor,
-    log_z_likelihood,
-    log_z_prior_factor,
 )
 
 __version__ = "0.1.0"

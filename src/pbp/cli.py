@@ -12,12 +12,13 @@ import csv
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import data as dio
 from .active import POLICIES, ActiveConfig, run_active_experiments
-from .posterior import PbpConfig
+from .posterior import NumericError, PbpConfig
 from .prediction import TrainedModel, predict_batch, rmse, test_log_likelihood
 from .training import SkipRateError, train, train_runs
 
@@ -120,21 +121,28 @@ def _pbp_config(args) -> PbpConfig:
     )
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """The output file at path, or stdout for '-'."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
 
 
 def _write_csv(path, header, rows):
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+
+
+def _prediction_csv(means: np.ndarray, variances: np.ndarray) -> str:
+    """The mean,variance CSV of predictions, floats as repr: what csv.writer
+    gives for these fields, none of which needs quoting."""
+    rows = [f"{m!r},{v!r}\n" for m, v in zip(means.tolist(), variances.tolist())]
+    return "mean,variance\n" + "".join(rows)
 
 
 def _fmt(x: float) -> str:
@@ -174,8 +182,8 @@ def cmd_predict(args) -> int:
             f"{args.data}: {features.shape[1]} feature columns, model expects {expected}"
         )
     means, variances = predict_batch(model.net, model.norm, features)
-    rows = list(zip(map(repr, means.tolist()), map(repr, variances.tolist())))
-    _write_csv(args.out, ["mean", "variance"], rows)
+    with _output(args.out) as fh:
+        fh.write(_prediction_csv(means, variances))
     return EXIT_OK
 
 
@@ -305,7 +313,7 @@ def main(argv=None) -> int:
     except dio.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SkipRateError as exc:
+    except (NumericError, OverflowError, SkipRateError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

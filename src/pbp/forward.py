@@ -16,7 +16,14 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .gauss import LOG_2PI
-from .posterior import LayerPosterior, NetworkPosterior, PosteriorStack
+from .posterior import (
+    LayerPosterior,
+    NetworkPosterior,
+    NumericError,
+    PosteriorStack,
+    flat_layers,
+    layer_views,
+)
 
 # Below this pre-activation variance the unit is treated as deterministic:
 # the moment formulas divide by sqrt(v) and this is their exact limit.
@@ -51,27 +58,36 @@ class MomentVector:
 
 @dataclass
 class ReluAux:
-    """Per-unit intermediates of relu_moments, reused by the backward pass."""
+    """Per-unit intermediates of relu_moments, reused by the backward pass.
 
-    alpha: np.ndarray       # m / sqrt(v)
-    ratio: np.ndarray       # phi(alpha) / Phi(alpha), series in the far tail
-    vprime: np.ndarray      # conditional mean of the positive branch
-    cdf: np.ndarray         # Phi(alpha)
-    cdf_neg: np.ndarray     # Phi(-alpha)
-    pdf: np.ndarray         # phi(alpha)
-    sqrt_v: np.ndarray
-    deterministic: np.ndarray  # bool mask: variance below the exact-limit cutoff
-    series: np.ndarray         # bool mask: asymptotic-series branch used
+    A mask is None when no unit takes its branch; v_safe is then v itself.
+    """
+
+    alpha: np.ndarray        # m / sqrt(v)
+    ratio: np.ndarray        # phi(alpha) / Phi(alpha), series in the far tail
+    vprime: np.ndarray       # conditional mean of the positive branch
+    cdf: np.ndarray          # Phi(alpha)
+    cdf_neg: np.ndarray      # Phi(-alpha)
+    pdf: np.ndarray          # phi(alpha)
+    sqrt_v: np.ndarray       # sqrt(v_safe)
+    v_safe: np.ndarray       # v, with 1 in place of deterministic units' variance
+    ratio_alpha: np.ndarray  # ratio + alpha
+    u: np.ndarray            # 1 - ratio * (ratio + alpha)
+    cdf_v: np.ndarray        # cdf * v_safe
+    mean_pos: np.ndarray     # cdf * vprime, before the deterministic override
+    mean_vprime: np.ndarray  # mean_pos * vprime
+    deterministic: np.ndarray | None  # variance below the exact-limit cutoff
+    series: np.ndarray | None         # asymptotic-series branch used
 
 
 @dataclass
 class LayerTrace:
-    """One layer's forward record: input, pre-activation and post-rectifier
-    moments plus the rectifier intermediates (the output layer has neither),
-    and the squared weight means the backward pass reuses."""
+    """One layer's forward record: bias-extended input and pre-activation
+    moments, the rectifier's output moments and intermediates (the output
+    layer has neither), and the squared weight means the backward pass reuses."""
 
     z_in: MomentVector
-    pre: MomentVector
+    pre: MomentVector | None
     post: MomentVector | None
     relu: ReluAux | None
     means_sq: np.ndarray
@@ -90,41 +106,118 @@ class ForwardTrace:
     output_variance: float | np.ndarray
 
 
+class Workspace:
+    """The buffers of a one-row forward pass and of its backward pass.
+
+    Built on flat (*runs, W) weight buffers and their layer views: the squared
+    means, the gradients of log Z (filled by the backward pass, flat with
+    per-layer views), every layer's bias-extended input, into which the
+    previous rectifier writes, and the trace records. A PosteriorStack keeps
+    its own in `workspace`, so a training step allocates none of them; each
+    one-row pass overwrites the last one's trace.
+    """
+
+    def __init__(self, means, variances, layer_sizes):
+        self.means = means
+        self.layers = layers = flat_layers(means, variances, layer_sizes)
+        self.means_sq = np.empty_like(means)
+        self.d_means = np.empty_like(means)
+        self.d_variances = np.empty_like(means)
+        self.d_mean_views = layer_views(self.d_means, layer_sizes)
+        self.d_variance_views = layer_views(self.d_variances, layer_sizes)
+        self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], means.shape[:-1] + (1,))
+        means_sq = layer_views(self.means_sq, layer_sizes)
+        self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
+        last = len(layers) - 1
+        self.trace = ForwardTrace(
+            [
+                LayerTrace(z, None, self.outputs[l + 1] if l < last else None, None, msq)
+                for l, (z, msq) in enumerate(zip(self.inputs, means_sq))
+            ],
+            None,
+            None,
+        )
+
+
+def workspace(net: NetworkPosterior | PosteriorStack) -> Workspace:
+    """The stack's own workspace, built on first use; a network gets a new one
+    on copies of its weights."""
+    if isinstance(net, PosteriorStack):
+        if net.workspace is None:
+            net.workspace = Workspace(net.means, net.variances, net.layer_sizes)
+        return net.workspace
+    return Workspace(*net.flat_weights(), net.layer_sizes)
+
+
+def _bias_buffers(widths, rows_shape):
+    """Bias-extended input moments of widths units for rows of rows_shape, with
+    the bias unit (mean 1, variance 0) in place, and views of their unit slots:
+    outputs[0] takes the inputs x (variance 0), outputs[l] the rectifier
+    output of layer l - 1."""
+    inputs, outputs = [], []
+    for units in widths:
+        shape = rows_shape + (units + 1,)
+        mean, variance = np.empty(shape), np.zeros(shape)
+        mean[..., -1] = 1.0
+        inputs.append(MomentVector(mean, variance))
+        outputs.append(MomentVector(mean[..., :-1], variance[..., :-1]))
+    return inputs, outputs
+
+
 def forward_linear(
-    layer: LayerPosterior, z: MomentVector, means_sq: np.ndarray | None = None
+    layer: LayerPosterior,
+    z: MomentVector,
+    transposed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> MomentVector:
     """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent.
 
     The 1/sqrt(cols) factor keeps each unit's input scale independent of its
     fan-in. z holds rows of inputs, (*runs, rows, cols) when the layer carries
-    a leading runs axis; means_sq is layer.means squared, when the caller
-    already has it.
+    a leading runs axis. transposed is _transposed of the layer, when the
+    caller keeps it.
     """
     cols = layer.cols
     if len(z) != cols:
         raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
-    m, v = layer.means, layer.variances
-    if means_sq is None:
-        means_sq = m * m
+    if transposed is None:
+        transposed = _transposed(layer, layer.means * layer.means)
     # One row is the BLAS gemv of W z; n rows are one gemm, which rounds
     # differently from n gemv calls, so the rows axis is never folded away.
-    m_t, v_t = m.swapaxes(-1, -2), v.swapaxes(-1, -2)
+    m_t, v_t, means_sq_t = transposed
     mean = (z.mean @ m_t) / math.sqrt(cols)
-    variance = (
-        z.variance @ means_sq.swapaxes(-1, -2) + (z.mean * z.mean) @ v_t + z.variance @ v_t
-    ) / cols
+    variance = (z.variance @ means_sq_t + (z.mean * z.mean) @ v_t + z.variance @ v_t) / cols
     return MomentVector(mean, variance)
 
 
-def relu_moments(a: MomentVector) -> tuple[MomentVector, ReluAux]:
-    """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit."""
-    m, v = a.mean, a.variance
-    if np.any(v < 0.0):
-        raise ValueError("negative pre-activation variance (upstream bug)")
+def _transposed(layer: LayerPosterior, means_sq: np.ndarray):
+    """The layer's means, variances and squared means (means_sq), each as a
+    transposed view, (*runs, cols, rows)."""
+    return (
+        layer.means.swapaxes(-1, -2),
+        layer.variances.swapaxes(-1, -2),
+        means_sq.swapaxes(-1, -2),
+    )
 
-    det = v < DETERMINISTIC_VARIANCE
-    any_det = det.any()
-    v_safe = np.where(det, 1.0, v) if any_det else v
+
+def relu_moments(a: MomentVector, out: MomentVector | None = None) -> tuple[MomentVector, ReluAux]:
+    """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit.
+
+    out, when given, receives the moments (the unit slots of the next layer's
+    bias-extended input, say) and is returned.
+
+    Each branch test is one NaN-ignoring reduction; a branch's mask, and the
+    arrays it needs, are built only when some unit takes it.
+    """
+    m, v = a.mean, a.variance
+    v_min = np.fmin.reduce(v, axis=None, initial=math.inf)
+    if v_min < 0.0:
+        raise NumericError("negative pre-activation variance (upstream bug)")
+
+    det = None
+    v_safe = v
+    if v_min < DETERMINISTIC_VARIANCE:
+        det = v < DETERMINISTIC_VARIANCE
+        v_safe = np.where(det, 1.0, v)
     sqrt_v = np.sqrt(v_safe)
     alpha = m / sqrt_v
 
@@ -134,44 +227,43 @@ def relu_moments(a: MomentVector) -> tuple[MomentVector, ReluAux]:
     log_pdf = -0.5 * (alpha * alpha + LOG_2PI)
     pdf = np.exp(log_pdf)
 
-    series = alpha < SERIES_THRESHOLD
+    series = None
     ratio = np.exp(log_pdf - log_cdf)
-    if series.any():
+    del log_cdf, log_pdf  # unused from here on; a rows pass frees them early
+    if np.fmin.reduce(alpha, axis=None, initial=math.inf) < SERIES_THRESHOLD:
+        series = alpha < SERIES_THRESHOLD
         alpha_s = np.where(series, alpha, -1.0)  # keeps the unused branch finite
         ratio = np.where(series, -alpha_s - 1.0 / alpha_s + 2.0 / alpha_s**3, ratio)
 
+    if out is None:
+        out = MomentVector(np.empty_like(m), np.empty_like(m))
     vprime = m + sqrt_v * ratio
-    mean_b = cdf * vprime
-    var_b = mean_b * vprime * cdf_neg + cdf * v_safe * (1.0 - ratio * (ratio + alpha))
-    var_b = np.maximum(var_b, 0.0)
+    mean_b = np.multiply(cdf, vprime, out=out.mean)
+    mean_vprime = mean_b * vprime
+    cdf_v = cdf * v_safe
+    ratio_alpha = ratio + alpha
+    u = 1.0 - ratio * ratio_alpha
+    np.maximum(mean_vprime * cdf_neg + cdf_v * u, 0.0, out=out.variance)
 
-    if any_det:
-        mean_b = np.where(det, np.maximum(m, 0.0), mean_b)
-        var_b = np.where(det, 0.0, var_b)
+    mean_pos = mean_b
+    if det is not None:
+        mean_pos = mean_b.copy()
+        np.copyto(out.mean, np.maximum(m, 0.0), where=det)
+        out.variance[det] = 0.0
 
     aux = ReluAux(
-        alpha=alpha,
-        ratio=ratio,
-        vprime=vprime,
-        cdf=cdf,
-        cdf_neg=cdf_neg,
-        pdf=pdf,
-        sqrt_v=sqrt_v,
-        deterministic=det,
-        series=series,
+        alpha, ratio, vprime, cdf, cdf_neg, pdf, sqrt_v, v_safe,
+        ratio_alpha, u, cdf_v, mean_pos, mean_vprime, det, series,
     )
-    return MomentVector(mean_b, var_b), aux
+    return out, aux
 
 
 def append_bias(b: MomentVector) -> MomentVector:
     """Concatenate the constant bias unit (mean 1, variance 0) on the last axis."""
-    shape = b.mean.shape[:-1] + (b.mean.shape[-1] + 1,)
-    mean, variance = np.empty(shape), np.empty(shape)
-    mean[..., :-1] = b.mean
-    mean[..., -1] = 1.0
-    variance[..., :-1] = b.variance
-    variance[..., -1] = 0.0
-    return MomentVector(mean, variance)
+    [z], [slots] = _bias_buffers([len(b)], b.mean.shape[:-1])
+    slots.mean[...] = b.mean
+    slots.variance[...] = b.variance
+    return z
 
 
 def forward_output_moments(
@@ -184,7 +276,8 @@ def forward_output_moments(
     (*runs, rows). A single input of shape (d,) gives float moments.
 
     The trace the backward pass needs is kept only with one row per run, the
-    case an update uses; otherwise it is None.
+    case an update uses; otherwise it is None. That pass runs in the
+    workspace: a stack's trace stays valid until its next one-row pass.
 
     From 2 * BLOCK_ROWS rows on, the rows go through in blocks, so the working
     set is bounded by one block whatever the row count. Each block starts at a
@@ -200,46 +293,48 @@ def forward_output_moments(
     d = net.layer_sizes[0]
     if x.ndim != len(runs) + 2 or x.shape[:-2] != runs or x.shape[-1] != d:
         raise ValueError(f"input has shape {x.shape}, expected {runs + ('n', d)}")
-    means_sq = [layer.means * layer.means for layer in net.layers]
 
     n = x.shape[-2]
-    if n >= 2 * BLOCK_ROWS:
-        out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
-        starts = range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS)
-        for start, stop in zip(starts, [*starts[1:], n]):
-            a = _output_preactivation(net, x[..., start:stop, :], means_sq)
-            out_mean[..., start:stop] = a.mean[..., 0]
-            out_var[..., start:stop] = a.variance[..., 0]
-        return out_mean, out_var, None
+    if n == 1:
+        ws = workspace(net)
+        np.multiply(ws.means, ws.means, out=ws.means_sq)
+        trace = ws.trace
+        a = _propagate(ws.layers, ws.inputs, ws.outputs, x, ws.transposed, trace.records)
+        out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
+        row_mean, row_var = out_mean[..., 0], out_var[..., 0]
+        if not runs:
+            row_mean, row_var = float(row_mean), float(row_var)
+        if single:
+            out_mean, out_var = row_mean, row_var
+        trace.output_mean, trace.output_variance = row_mean, row_var
+        return out_mean, out_var, trace
 
-    records = [] if n == 1 else None
-    a = _output_preactivation(net, x, means_sq, records)
-    out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
-    if records is None:
-        return out_mean, out_var, None
-    row_mean, row_var = out_mean[..., 0], out_var[..., 0]
-    if not runs:
-        row_mean, row_var = float(row_mean), float(row_var)
-    if single:
-        out_mean, out_var = row_mean, row_var
-    return out_mean, out_var, ForwardTrace(records, row_mean, row_var)
+    transposed = [_transposed(layer, layer.means * layer.means) for layer in net.layers]
+    out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
+    starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        block = x[..., start:stop, :]
+        inputs, outputs = _bias_buffers(net.layer_sizes[:-1], block.shape[:-1])
+        a = _propagate(net.layers, inputs, outputs, block, transposed)
+        out_mean[..., start:stop] = a.mean[..., 0]
+        out_var[..., start:stop] = a.variance[..., 0]
+    return out_mean, out_var, None
 
 
-def _output_preactivation(
-    net: NetworkPosterior | PosteriorStack,
-    x: np.ndarray,
-    means_sq: list[np.ndarray],
-    records: list[LayerTrace] | None = None,
-) -> MomentVector:
-    """The output layer's pre-activation moments for rows x, appending each
-    layer's trace to records when given."""
-    z = append_bias(MomentVector(x, np.zeros_like(x)))
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        a = forward_linear(layer, z, means_sq[l])
-        b, aux = relu_moments(a) if l < last else (None, None)
+def _propagate(layers, inputs, outputs, x, transposed, records=None) -> MomentVector:
+    """The output layer's pre-activation moments for rows x, through the
+    bias-extended input buffers of _bias_buffers and each layer's transposed
+    means, variances and squared means; each layer's pre-activation and
+    rectifier intermediates go on records, when given."""
+    np.copyto(outputs[0].mean, x)
+    last = len(layers) - 1
+    for l, layer in enumerate(layers):
+        a = forward_linear(layer, inputs[l], transposed=transposed[l])
         if records is not None:
-            records.append(LayerTrace(z, a, b, aux, means_sq[l]))
-        if b is not None:
-            z = append_bias(b)
+            records[l].pre = a
+        if l < last:
+            _, aux = relu_moments(a, outputs[l + 1])
+            if records is not None:
+                records[l].relu = aux
+            del aux  # frees a rows pass's intermediates before the next layer
     return a

@@ -19,6 +19,11 @@ import numpy as np
 INFINITE_VARIANCE = math.inf
 
 
+class NumericError(ValueError):
+    """The arithmetic of the approximation failed (a negative variance, say),
+    as opposed to the input being invalid."""
+
+
 @dataclass
 class GammaDist:
     """Gamma distribution in shape/rate parametrization.
@@ -84,41 +89,50 @@ class NetworkPosterior:
     def n_weights(self) -> int:
         return sum(layer.means.size for layer in self.layers)
 
+    def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of all weight means and variances, layer after layer and
+        row-major within a layer."""
+        return tuple(
+            np.concatenate([getattr(layer, name).ravel() for layer in self.layers])
+            for name in ("means", "variances")
+        )
 
-@dataclass
+
 class PosteriorStack:
     """R independent posteriors of one architecture, updated in lockstep.
 
-    Each layer holds the runs' weight matrices stacked as (R, rows, cols);
-    each run keeps its own two Gamma factors.
+    Every run's weight means, layer after layer and row-major within a layer,
+    fill one row of the (R, W) buffer `means`, and likewise the variances;
+    each layer holds (R, rows, cols) views into the two buffers, so training
+    updates them in place. Each run keeps its own two Gamma factors.
+    `workspace` holds the buffers of one update step; the stack's first
+    one-row forward pass builds it, and only the stack refers to it.
     """
 
-    layers: list[LayerPosterior]
-    gammas: list[GammaDist]
-    lams: list[GammaDist]
-    layer_sizes: list[int]
+    def __init__(self, means, variances, gammas, lams, layer_sizes):
+        self.means = means
+        self.variances = variances
+        self.gammas = gammas
+        self.lams = lams
+        self.layer_sizes = layer_sizes
+        self.layers = flat_layers(means, variances, layer_sizes)
+        self.workspace = None
 
     @classmethod
     def of(cls, nets: list[NetworkPosterior]) -> PosteriorStack:
         """Stack copies of networks that share one architecture."""
-        first = nets[0]
-        layers = [
-            LayerPosterior(
-                means=np.stack([net.layers[l].means for net in nets]),
-                variances=np.stack([net.layers[l].variances for net in nets]),
-            )
-            for l in range(len(first.layers))
-        ]
+        means, variances = zip(*(net.flat_weights() for net in nets))
         return cls(
-            layers=layers,
-            gammas=[net.gamma for net in nets],
-            lams=[net.lam for net in nets],
-            layer_sizes=list(first.layer_sizes),
+            np.stack(means),
+            np.stack(variances),
+            [net.gamma for net in nets],
+            [net.lam for net in nets],
+            list(nets[0].layer_sizes),
         )
 
     def n_weights(self) -> int:
         """Weights per run."""
-        return sum(layer.rows * layer.cols for layer in self.layers)
+        return self.means.shape[-1]
 
     def run(self, r: int) -> NetworkPosterior:
         """Run r as a network whose weight matrices are views into the stack.
@@ -137,6 +151,27 @@ class PosteriorStack:
         """Store the Gamma factors of run r's view back into the stack."""
         self.gammas[r] = net.gamma
         self.lams[r] = net.lam
+
+
+def flat_layers(means, variances, layer_sizes: list[int]) -> list[LayerPosterior]:
+    """The layers whose weights are views into flat (*runs, W) buffers."""
+    return [
+        LayerPosterior(m, v)
+        for m, v in zip(layer_views(means, layer_sizes), layer_views(variances, layer_sizes))
+    ]
+
+
+def layer_views(flat: np.ndarray, layer_sizes: list[int]) -> list[np.ndarray]:
+    """Each layer's (*runs, rows, cols) view into a (*runs, W) weight buffer."""
+    views, start = [], 0
+    for v_in, v_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        shape = (v_out, v_in + 1)  # +1 bias column
+        stop = start + shape[0] * shape[1]
+        views.append(flat[..., start:stop].reshape(flat.shape[:-1] + shape, copy=False))
+        start = stop
+    if start != flat.shape[-1]:
+        raise ValueError(f"{flat.shape[-1]} weights for layer sizes {layer_sizes}")
+    return views
 
 
 @dataclass

@@ -25,11 +25,11 @@ from .forward import (
     ReluAux,
     forward_output_moments,
 )
-from .gauss import LOG_2PI, gaussian_log_density
-from .posterior import GammaDist, LayerPosterior, NetworkPosterior, PosteriorStack
+from .gauss import LOG_2PI
+from .posterior import GammaDist, LayerPosterior, NetworkPosterior, NumericError, PosteriorStack
 
 
-class NegativeVarianceError(Exception):
+class NegativeVarianceError(NumericError):
     """A Gaussian refinement produced a non-positive variance; caller undoes."""
 
 
@@ -86,12 +86,12 @@ class RefreshReport:
 
 @dataclass
 class UpdateOutcome:
-    """Outcome of incorporating one likelihood factor; for a stack of runs,
+    """Outcome of incorporating one likelihood factor per run of a stack:
     each field is an array with one entry per run."""
 
-    skipped: bool | np.ndarray
-    undo_count: int | np.ndarray
-    weight_updates: int | np.ndarray
+    skipped: np.ndarray
+    undo_count: np.ndarray
+    weight_updates: np.ndarray
 
 
 def gaussian_refine(m: float, v: float, dm: float, dv: float) -> tuple[float, float]:
@@ -146,9 +146,10 @@ def _log_z_triple(x, mean, v, shape, rate):
     """log N(x | mean, rate/(shape+k-1) + v) for k = 0, 1, 2 on floats.
 
     The Gaussian collapse of the Student's t left by marginalizing a Gamma
-    precision, at the three shapes gamma_refine needs: log_z_likelihood of
-    (x, mean, v) and log_z_prior_factor of (x, v) with mean 0. Raises
-    ValueError where those would.
+    precision, at the three shapes gamma_refine needs: the likelihood
+    log-normalizer of a target x against output moments (mean, v), and the
+    prior one of a weight x of variance v against mean 0. Raises ValueError
+    for a shape at or below 1 or a non-positive variance.
     """
     if shape <= 1.0:
         raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
@@ -166,38 +167,6 @@ def _log_z_triple(x, mean, v, shape, rate):
         raise ValueError(f"variance must be positive, got {var2}")
     log_z2 = -0.5 * (LOG_2PI + math.log(var2) + sq / var2)
     return log_z, log_z1, log_z2
-
-
-def log_z_prior_factor(m: float, v: float, lam: GammaDist, shift: int = 0) -> float:
-    """Approximate log-normalizer of one zero-mean weight-prior factor.
-
-    Marginalizing the Gamma precision gives a Student's t in the weight, which
-    is collapsed to the Gaussian of equal mean and variance:
-
-      log Z = log N(m | 0, rate/(shape+shift-1) + v)
-
-    shift in {0, 1, 2} realizes the Z, Z1, Z2 evaluations.
-    """
-    shape = lam.shape + shift
-    if shape <= 1.0:
-        raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
-    return gaussian_log_density(m, 0.0, lam.rate / (shape - 1.0) + v)
-
-
-def log_z_likelihood(
-    y: float, mz: float, vz: float, gam: GammaDist, shift: int = 0
-) -> float:
-    """Approximate log-normalizer of one likelihood factor.
-
-    log Z = log N(y | mz, rate/(shape+shift-1) + vz), the Gaussian collapse of
-    the Student's t obtained by marginalizing the noise precision.
-    """
-    if vz < 0.0:
-        raise ValueError(f"negative output variance {vz}")
-    shape = gam.shape + shift
-    if shape <= 1.0:
-        raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
-    return gaussian_log_density(y, mz, gam.rate / (shape - 1.0) + vz)
 
 
 def _match_prior_site(flat, m, v, eta, a, b, gamma_ok):
@@ -303,50 +272,48 @@ def incorporate_all_prior_factors(net: NetworkPosterior, sites: PriorSiteStore) 
     _incorporate_prior_factors(net, _site_arrays(net, sites))
 
 
-def backward_gradients(
-    net: NetworkPosterior | PosteriorStack, trace: ForwardTrace, y: float | np.ndarray
-) -> GradientStore:
+def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray) -> GradientStore:
     """Gradients of the likelihood log Z w.r.t. every weight mean and variance.
 
     Seeds with d log Z / d(output moments) and walks the trace in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
-    maps as implemented in the forward pass. The trace holds one input row
-    (per run); for a PosteriorStack, y holds one target per run and every
-    gradient carries the leading runs axis.
+    maps as implemented in the forward pass. The trace is the stack's last
+    one-row forward pass and y holds one target per run. The gradients go
+    into the stack's workspace, flat over all weights; the returned store
+    holds their per-layer (R, rows, cols) views.
     """
-    if isinstance(net, PosteriorStack):
-        noise = np.array([g.rate / (g.shape - 1.0) for g in net.gammas])
-    else:
-        noise = net.gamma.rate / (net.gamma.shape - 1.0)
+    ws = stack.workspace
+    noise = np.array([g.rate / (g.shape - 1.0) for g in stack.gammas])
     total = noise + trace.output_variance
     diff = y - trace.output_mean
-    # Shape (*runs, 1 row, 1 output unit), as the forward pass's moments.
-    dma = np.asarray(diff / total)[..., None, None]
-    dva = np.asarray(0.5 * (diff * diff / (total * total) - 1.0 / total))[..., None, None]
+    # Shape (runs, 1 row, 1 output unit), as the forward pass's moments.
+    dma = (diff / total)[:, None, None]
+    dva = (0.5 * (diff * diff / (total * total) - 1.0 / total))[:, None, None]
 
-    n_layers = len(net.layers)
-    d_means: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    d_variances: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(stack.layers) - 1, -1, -1):
         rec = trace.records[l]
-        dM, dV, dmz, dvz = _linear_backward(net.layers[l], rec.z_in, dma, dva, rec.means_sq)
-        d_means[l] = dM
-        d_variances[l] = dV
+        d_inputs = _linear_backward(
+            stack.layers[l], rec.z_in, dma, dva, rec.means_sq,
+            ws.d_mean_views[l], ws.d_variance_views[l], inputs=l > 0,
+        )
         if l > 0:
             # Drop the appended bias slot; its moments are constants.
-            dmb, dvb = dmz[..., :-1], dvz[..., :-1]
+            dmz, dvz = d_inputs
             prev = trace.records[l - 1]
-            dma, dva = _relu_backward(prev.pre, prev.relu, dmb, dvb)
+            dma, dva = _relu_backward(prev.pre, prev.relu, dmz[..., :-1], dvz[..., :-1])
 
-    return GradientStore(d_means, d_variances)
+    return GradientStore(ws.d_mean_views, ws.d_variance_views)
 
 
-def _linear_backward(layer: LayerPosterior, z: MomentVector, dma, dva, means_sq):
+def _linear_backward(
+    layer: LayerPosterior, z: MomentVector, dma, dva, means_sq, dM, dV, inputs=True
+):
     """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c.
 
     z and the output gradients hold one row (per run); means_sq is M*M as the
-    forward pass computed it.
+    forward pass computed it. The weight gradients are written into dM and dV;
+    the input gradients (dmz, dvz) are returned when inputs is true, and
+    otherwise not computed (the input layer's would go unused).
     """
     c = layer.cols
     inv_c = 1.0 / c
@@ -355,11 +322,13 @@ def _linear_backward(layer: LayerPosterior, z: MomentVector, dma, dva, means_sq)
     mz, vz = z.mean, z.variance
     dma_col, dva_col = dma.swapaxes(-1, -2), dva.swapaxes(-1, -2)
 
-    dM = dma_col * mz * inv_s + 2.0 * inv_c * m * (dva_col * vz)
-    dV = inv_c * (dva_col * (mz * mz + vz))
+    np.add(dma_col * mz * inv_s, 2.0 * inv_c * m * (dva_col * vz), out=dM)
+    np.multiply(inv_c, dva_col * (mz * mz + vz), out=dV)
+    if not inputs:
+        return None
     dmz = inv_s * (dma @ m) + 2.0 * inv_c * mz * (dva @ v)
     dvz = inv_c * (dva @ (means_sq + v))
-    return dM, dV, dmz, dvz
+    return dmz, dvz
 
 
 def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
@@ -367,20 +336,18 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
 
     Differentiates the forward expressions exactly, including through the
     asymptotic series for the pdf/cdf ratio where that branch was taken, so
-    finite differences of the implemented forward pass agree everywhere.
+    finite differences of the implemented forward pass agree everywhere. The
+    intermediates the forward pass already formed come from aux.
     """
-    m, v = pre.mean, pre.variance
-    det = aux.deterministic
-    any_det = det.any()
-    v_safe = np.where(det, 1.0, v) if any_det else v
+    v_safe = aux.v_safe
     s = aux.sqrt_v
     alpha = aux.alpha
     g = aux.ratio
     cdf, cdf_neg, pdf = aux.cdf, aux.cdf_neg, aux.pdf
     vp = aux.vprime
 
-    dg_dalpha = -g * (alpha + g)
-    if aux.series.any():
+    dg_dalpha = -g * aux.ratio_alpha
+    if aux.series is not None:
         alpha_s = np.where(aux.series, alpha, -1.0)
         dg_dalpha = np.where(
             aux.series, -1.0 + alpha_s**-2 - 6.0 * alpha_s**-4, dg_dalpha
@@ -396,16 +363,16 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     dcdf_dm = pdf * dalpha_dm
     dcdf_dv = pdf * dalpha_dv
 
-    mb = cdf * vp
+    mb = aux.mean_pos
     dmb_dm = dcdf_dm * vp + cdf * dvp_dm
     dmb_dv = dcdf_dv * vp + cdf * dvp_dv
 
-    u = 1.0 - g * (g + alpha)
+    u = aux.u
     du_dalpha = -dg_dalpha * (2.0 * g + alpha) - g
 
     # vb = mb * vp * Phi(-alpha) + Phi(alpha) * v * u
-    mb_vp_pdf = mb * vp * pdf
-    cdf_v_du = cdf * v_safe * du_dalpha
+    mb_vp_pdf = aux.mean_vprime * pdf
+    cdf_v_du = aux.cdf_v * du_dalpha
     dvb_dm = (
         dmb_dm * vp * cdf_neg
         + mb * dvp_dm * cdf_neg
@@ -425,9 +392,10 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     dma = dmb * dmb_dm + dvb * dvb_dm
     dva = dmb * dmb_dv + dvb * dvb_dv
 
-    if any_det:
+    det = aux.deterministic
+    if det is not None:
         # Deterministic units: mb = max(0, m), vb = 0.
-        dma = np.where(det, dmb * (m > 0.0), dma)
+        dma = np.where(det, dmb * (pre.mean > 0.0), dma)
         dva = np.where(det, 0.0, dva)
     return dma, dva
 
@@ -445,81 +413,68 @@ def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
     return triple if all(map(math.isfinite, triple)) else None
 
 
-def _incorporate(net: NetworkPosterior | PosteriorStack, x, y, gammas: list[GammaDist]):
-    """The likelihood update shared by one network and a stack of runs.
+def incorporate_likelihood_factors(
+    stack: PosteriorStack, x: np.ndarray, y: np.ndarray
+) -> UpdateOutcome:
+    """Fold one observation per run into a stack: run r takes (x[r], y[r]).
 
-    gammas holds each run's noise Gamma and is refined in place. Returns the
-    per-run skip mask and undo counts (a scalar count without a runs axis);
-    the undo count of a skipped run is meaningless.
+    One probabilistic forward pass, one reverse gradient sweep, then the
+    Gaussian refinement of every weight, in place, and the tilted-moment
+    update of each run's noise-precision Gamma. Weights whose refined
+    variance would be invalid are rolled back individually; a run whose log Z
+    is not finite skips the example and keeps its weights. A run's arithmetic
+    is that of a stack of that run alone, bit for bit.
     """
-    mz, vz, trace = forward_output_moments(net, x)
+    gammas = stack.gammas
+    mz, vz, trace = forward_output_moments(stack, x[:, None, :])
     triples = [
         _likelihood_triple(*args)
         for args in zip(np.ravel(y).tolist(), np.ravel(mz).tolist(), np.ravel(vz).tolist(), gammas)
     ]
     skipped = np.array([t is None for t in triples])
     if skipped.all():
-        return skipped, 0
+        none = np.zeros(len(gammas), dtype=int)
+        return UpdateOutcome(skipped, none, none.copy())
 
-    # Runs that skip this example keep their weights; only a stack has any.
-    hold = None
-    if skipped.any():
-        hold = skipped[:, None, None]
-        # Their gradients are discarded; a zero residual keeps them finite
-        # where an overflowing one would fill them with inf and NaN.
+    hold = skipped.any()
+    if hold:
+        # The skipping runs' gradients are discarded; a zero residual keeps
+        # them finite where an overflowing one would fill them with inf and NaN.
         y = np.where(skipped, trace.output_mean, y)
-    grads = backward_gradients(net, trace, y)
+    backward_gradients(stack, trace, y)
 
-    undo = 0
-    for layer, dM, dV in zip(net.layers, grads.d_means, grads.d_variances):
-        m, v = layer.means, layer.variances
-        m_new = m + v * dM
-        v_new = v - v * v * (dM * dM - 2.0 * dV)
+    # One pass over all weights of all runs. The validity check is four
+    # reductions; the mask of weights to roll back, and its per-run counts,
+    # are formed only when it fails or some run keeps its weights.
+    ws = stack.workspace
+    m, v, dM, dV = stack.means, stack.variances, ws.d_means, ws.d_variances
+    m_new = m + v * dM
+    v_new = v - v * v * (dM * dM - 2.0 * dV)
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
+    if (
+        not hold
+        and minimum(v_new, axis=None) > 0.0
+        and maximum(v_new, axis=None) < math.inf
+        and minimum(m_new, axis=None) > -math.inf
+        and maximum(m_new, axis=None) < math.inf
+    ):
+        np.copyto(m, m_new)
+        np.copyto(v, v_new)
+        undo = 0
+    else:
         bad = ~(v_new > 0.0) | ~np.isfinite(v_new) | ~np.isfinite(m_new)
-        undo = undo + bad.sum(axis=(-2, -1))
-        if hold is not None:
-            bad |= hold
-        if bad.any():
-            layer.means = np.where(bad, m, m_new)
-            layer.variances = np.where(bad, v, v_new)
-        else:
-            layer.means, layer.variances = m_new, v_new
+        undo = bad.sum(axis=-1)
+        if hold:
+            bad |= skipped[:, None]
+        keep = ~bad
+        np.copyto(m, m_new, where=keep)
+        np.copyto(v, v_new, where=keep)
 
     for r, triple in enumerate(triples):
         if triple is not None:
             refined = _gamma_moments(gammas[r].shape, gammas[r].rate, *triple)
             if refined is not None:
                 gammas[r] = GammaDist(*refined)
-    return skipped, undo
-
-
-def incorporate_likelihood_factor(
-    net: NetworkPosterior, x: np.ndarray, y: float
-) -> UpdateOutcome:
-    """Fold one observation into the posterior.
-
-    One probabilistic forward pass, one reverse gradient sweep, then the
-    Gaussian refinement for every weight and the tilted-moment update for the
-    noise-precision Gamma. Weights whose refined variance would be invalid are
-    rolled back individually; a non-finite log Z skips the whole example.
-    """
-    gammas = [net.gamma]
-    skipped, undo = _incorporate(net, x, y, gammas)
-    net.gamma = gammas[0]
-    if skipped[0]:
-        return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
-    return UpdateOutcome(skipped=False, undo_count=int(undo), weight_updates=net.n_weights())
-
-
-def incorporate_likelihood_factors(
-    stack: PosteriorStack, x: np.ndarray, y: np.ndarray
-) -> UpdateOutcome:
-    """Fold one observation per run into a stack: run r takes (x[r], y[r]).
-
-    Each run's arithmetic is that of incorporate_likelihood_factor on that run
-    alone, bit for bit. The outcome's fields are arrays over the runs.
-    """
-    skipped, undo = _incorporate(stack, x[:, None, :], y, stack.gammas)
     return UpdateOutcome(
         skipped=skipped,
         undo_count=np.where(skipped, 0, undo),

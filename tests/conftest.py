@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pbp.data import Dataset
-from pbp.posterior import GammaDist, new_uniform
+from pbp.forward import forward_output_moments
+from pbp.posterior import GammaDist, PosteriorStack, new_uniform
+from pbp.updates import GradientStore, backward_gradients
 
 # Prepared benchmark CSVs live here (see scripts/fetch_datasets.py); tests that
 # need them skip when absent, since this suite must run offline.
@@ -51,3 +53,15 @@ def toy_cubic_dataset(n: int, seed: int, noise_sd: float = 3.0) -> Dataset:
     x = rng.uniform(-4.0, 4.0, n)
     y = x**3 + rng.normal(0.0, noise_sd, n)
     return Dataset(x[:, None], y)
+
+
+def one_run_gradients(net, x, y) -> GradientStore:
+    """backward_gradients of the likelihood log Z for one input x and target y,
+    through a one-run stack of a copy of net; per-layer arrays without the
+    runs axis."""
+    stack = PosteriorStack.of([net])
+    _, _, trace = forward_output_moments(stack, np.asarray(x, dtype=float)[None, None, :])
+    grads = backward_gradients(stack, trace, np.array([y]))
+    return GradientStore(
+        [g[0].copy() for g in grads.d_means], [g[0].copy() for g in grads.d_variances]
+    )

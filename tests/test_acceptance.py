@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_net, require_uci, toy_cubic_dataset
+from conftest import one_run_gradients, random_net, require_uci, toy_cubic_dataset
 from pbp.active import ActiveConfig, run_active_experiment
 from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
@@ -26,7 +26,7 @@ from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import TrainedModel, predict_batch, rmse
 from pbp.prediction import test_log_likelihood as avg_log_likelihood
 from pbp.training import train
-from pbp.updates import backward_gradients, gamma_refine, gaussian_refine
+from pbp.updates import gamma_refine, gaussian_refine
 
 BENCH_CONFIG = dict(hidden_layer_sizes=(50,), epochs=40)
 SPLITS = 20
@@ -148,8 +148,7 @@ class TestCriterion1UnitOracles:
             )
             x = rng.normal(size=net.layer_sizes[0])
             y = float(rng.normal())
-            _, _, trace = forward_output_moments(net, x)
-            grads = backward_gradients(net, trace, y)
+            grads = one_run_gradients(net, x, y)
             fd = fd_logz_gradients(net, x, y)
             assert_gradients_match(grads, fd, rel_tol=1e-5)
         announce("1e", "backward gradients match finite differences on 100 instances")

@@ -1,25 +1,32 @@
 """The lockstep engine against the per-example training loop.
 
 `reference_train` is the one-run, one-example-at-a-time schedule that
-`train_runs` replaces. Every run of a batch must match it bit for bit: the
-batch changes how the work is dispatched, never the arithmetic of a run.
+`train_runs` replaces, updating through the frozen per-network step of
+`reference_update`. Every run of a batch must match it bit for bit: the batch
+changes how the work is dispatched and where it is stored, never the
+arithmetic of a run.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 import pbp.training as training
 import pbp.updates as updates
-from conftest import toy_cubic_dataset
+import reference_update
+from conftest import random_net, toy_cubic_dataset
 from pbp.data import Dataset, normalize, split
 from reference_forward import forward_output_moments_batch
-from pbp.posterior import GammaDist, PbpConfig, new_uniform, perturb_means
+from reference_update import incorporate_likelihood_factor
+from pbp.posterior import GammaDist, PbpConfig, PosteriorStack, new_uniform, perturb_means
 from pbp.training import SkipRateError, TrainReport, train, train_runs
 from pbp.updates import (
     PriorSiteStore,
     ep_refresh_prior,
     incorporate_all_prior_factors,
-    incorporate_likelihood_factor,
+    incorporate_likelihood_factors,
 )
 
 
@@ -128,17 +135,26 @@ def test_run_alone_equals_run_inside_a_batch():
     assert_same_run(batch[1], alone)
 
 
-def test_forced_undo_matches(monkeypatch):
-    real_backward = updates.backward_gradients
+def sabotage(real_backward, index=(..., 1, 1)):
+    """real_backward, forcing a guaranteed-negative refined variance for the
+    input-layer weight at index (by default weight (1, 1) of every run)."""
 
     def sabotaged(net, trace, y):
         grads = real_backward(net, trace, y)
-        # Force a guaranteed-negative refined variance for one weight per run.
-        grads.d_means[0][..., 1, 1] = 1e6
-        grads.d_variances[0][..., 1, 1] = 0.0
+        grads.d_means[0][index] = 1e6
+        grads.d_variances[0][index] = 0.0
         return grads
 
-    monkeypatch.setattr(updates, "backward_gradients", sabotaged)
+    return sabotaged
+
+
+def test_forced_undo_matches(monkeypatch):
+    # The engine's gradients are views into the stack's flat buffer: writes
+    # through them reach the refinement.
+    monkeypatch.setattr(updates, "backward_gradients", sabotage(updates.backward_gradients))
+    monkeypatch.setattr(
+        reference_update, "backward_gradients", sabotage(reference_update.backward_gradients)
+    )
     datasets, states = split_runs(3)
     cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=2)
     batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
@@ -198,3 +214,150 @@ def test_unequal_training_sets_rejected():
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="equal training-set sizes"):
         train_runs([normalize(a)[0], normalize(b)[0]], cfg, rngs)
+
+
+def step_nets(sizes, runs, seed):
+    rng = np.random.default_rng(seed)
+    return [random_net(sizes, rng, mean_scale=0.5) for _ in range(runs)], rng
+
+
+def assert_step_matches_reference(nets, xs, ys):
+    """One lockstep step on a stack of copies of nets against the frozen
+    per-network step on each net alone, gradients included; returns the stack
+    and its outcome."""
+    stack = PosteriorStack.of([net.clone() for net in nets])
+    outcome = incorporate_likelihood_factors(stack, xs, ys)
+    ws = stack.workspace
+    for r, net in enumerate(nets):
+        if not outcome.skipped[r]:
+            _, _, trace = reference_update.forward_trace(net, xs[r])
+            grads = reference_update.backward_gradients(net, trace, float(ys[r]))
+            for got_dm, got_dv, dm, dv in zip(
+                ws.d_mean_views, ws.d_variance_views, grads.d_means, grads.d_variances, strict=True
+            ):
+                assert _bits(got_dm[r]) == _bits(dm), r
+                assert _bits(got_dv[r]) == _bits(dv), r
+        ref = net.clone()
+        want = incorporate_likelihood_factor(ref, xs[r], float(ys[r]))
+        got = stack.run(r)
+        for layer, ref_layer in zip(got.layers, ref.layers, strict=True):
+            assert _bits(layer.means) == _bits(ref_layer.means), r
+            assert _bits(layer.variances) == _bits(ref_layer.variances), r
+        assert got.gamma == ref.gamma
+        assert bool(outcome.skipped[r]) == want.skipped
+        assert outcome.undo_count[r] == want.undo_count
+        assert outcome.weight_updates[r] == want.weight_updates
+    return stack, outcome
+
+
+def test_step_on_the_all_valid_path_matches_the_reference():
+    nets, rng = step_nets([3, 5, 4, 1], 3, 40)
+    stack, outcome = assert_step_matches_reference(
+        nets, rng.normal(size=(3, 3)), rng.normal(size=3)
+    )
+    relu = [rec.relu for rec in stack.workspace.trace.records[:-1]]
+    assert all(aux.deterministic is None and aux.series is None for aux in relu)
+    assert outcome.undo_count.tolist() == [0, 0, 0]
+
+
+def test_step_with_a_deterministic_unit_in_one_run_matches_the_reference():
+    # Run 0's first hidden unit has weight variances of 1e-40, so its
+    # pre-activation variance falls below the 1e-30 exact-limit cutoff.
+    nets, rng = step_nets([3, 5, 4, 1], 3, 41)
+    nets[0].layers[0].variances[0] = 1e-40
+    stack, _ = assert_step_matches_reference(nets, rng.normal(size=(3, 3)), rng.normal(size=3))
+    det = stack.workspace.trace.records[0].relu.deterministic
+    assert det[:, 0, 0].tolist() == [True, False, False]
+    assert not det[..., 1:].any()
+
+
+def test_step_with_a_far_tail_unit_in_one_run_matches_the_reference():
+    # Run 2's first hidden unit has weight means of -40 on positive inputs:
+    # alpha is about -150, in the asymptotic-series branch.
+    nets, rng = step_nets([3, 5, 4, 1], 3, 42)
+    nets[2].layers[0].means[0] = -40.0
+    xs = rng.uniform(0.5, 1.5, size=(3, 3))
+    stack, _ = assert_step_matches_reference(nets, xs, rng.normal(size=3))
+    series = stack.workspace.trace.records[0].relu.series
+    assert series[:, 0, 0].tolist() == [False, False, True]
+    assert not series[..., 1:].any()
+
+
+def test_step_with_an_undone_weight_in_one_run_matches_the_reference(monkeypatch):
+    nets, rng = step_nets([3, 5, 4, 1], 3, 43)
+    xs, ys = rng.normal(size=(3, 3)), rng.normal(size=3)
+    refs = [net.clone() for net in nets]
+    wants = [incorporate_likelihood_factor(refs[r], xs[r], float(ys[r])) for r in (0, 2)]
+    monkeypatch.setattr(
+        reference_update,
+        "backward_gradients",
+        sabotage(reference_update.backward_gradients, (2, 3)),
+    )
+    wants.insert(1, incorporate_likelihood_factor(refs[1], xs[1], float(ys[1])))
+    monkeypatch.setattr(
+        updates, "backward_gradients", sabotage(updates.backward_gradients, (1, 2, 3))
+    )
+    stack = PosteriorStack.of([net.clone() for net in nets])
+    outcome = incorporate_likelihood_factors(stack, xs, ys)
+
+    assert outcome.undo_count.tolist() == [want.undo_count for want in wants] == [0, 1, 0]
+    for r, ref in enumerate(refs):
+        for layer, ref_layer in zip(stack.run(r).layers, ref.layers, strict=True):
+            assert _bits(layer.means) == _bits(ref_layer.means), r
+            assert _bits(layer.variances) == _bits(ref_layer.variances), r
+        assert stack.gammas[r] == ref.gamma
+    assert stack.layers[0].means[1, 2, 3] == nets[1].layers[0].means[2, 3]
+
+
+def test_step_with_a_nan_target_in_one_run_of_three_matches_the_reference():
+    nets, rng = step_nets([3, 5, 4, 1], 3, 44)
+    ys = np.array([0.3, np.nan, -0.2])
+    stack, outcome = assert_step_matches_reference(nets, rng.normal(size=(3, 3)), ys)
+    assert outcome.skipped.tolist() == [False, True, False]
+    assert _bits(stack.means[1]) == _bits(PosteriorStack.of([nets[1]]).means[0])
+
+
+def test_stack_layers_and_runs_are_views_of_one_buffer():
+    nets, _ = step_nets([3, 4, 2, 1], 3, 45)
+    stack = PosteriorStack.of(nets)
+    assert stack.means.shape == stack.variances.shape == (3, 4 * 4 + 2 * 5 + 3)
+    for r, net in enumerate(nets):
+        flat = np.concatenate([layer.means.ravel() for layer in net.layers])
+        assert _bits(stack.means[r]) == _bits(flat)
+    for layer in stack.layers:
+        assert np.shares_memory(layer.means, stack.means)
+        assert np.shares_memory(layer.variances, stack.variances)
+    run = stack.run(1)
+    run.layers[1].means[0, 2] = 7.0
+    assert stack.means[1, 16 + 2] == 7.0
+    stack.layers[0].variances[2, 3, 1] = 5.0
+    assert stack.variances[2, 3 * 4 + 1] == 5.0
+    assert run.layers[0].variances[3, 1] != 5.0
+    means, variances = stack.means, stack.variances
+    incorporate_likelihood_factors(stack, np.ones((3, 3)), np.zeros(3))
+    assert stack.means is means and stack.variances is variances
+    assert np.shares_memory(run.layers[0].means, stack.means)
+    assert run.layers[1].means[0, 2] == stack.means[1, 16 + 2] != 7.0
+
+
+def test_no_workspace_outlives_its_train_runs_call(monkeypatch):
+    refs, ids = [], set()
+    real = training.incorporate_likelihood_factors
+
+    def spy(stack, x, y):
+        outcome = real(stack, x, y)
+        refs.append(weakref.ref(stack.workspace))
+        ids.add(id(stack.workspace))
+        return outcome
+
+    monkeypatch.setattr(training, "incorporate_likelihood_factors", spy)
+    datasets, states = split_runs(2)
+    cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
+    results = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    # One workspace served every step, and it went with its stack, without
+    # waiting for the cycle collector.
+    assert len(refs) == 2 * len(datasets[0].targets) and len(ids) == 1
+    assert refs[0]() is None
+    gc.collect()
+    assert refs[0]() is None
+    assert [report.epochs_run for _, _, report in results] == [2, 2]

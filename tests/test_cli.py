@@ -1,12 +1,18 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from conftest import toy_cubic_dataset
+import pbp.forward as forward
 import pbp.training as training
-from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+import pbp.updates as updates
+from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _prediction_csv, main
+from pbp.data import load_model, read_csv_matrix
+from pbp.forward import MomentVector
+from pbp.prediction import predict_batch
 
 
 @pytest.fixture
@@ -154,6 +160,85 @@ class TestPredictCommand:
         code = main(["predict", "--model", str(model), "--data", str(feats), "--out", "-"])
         assert code == EXIT_DATA
         assert "expects 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    def test_output_is_what_the_csv_writer_wrote(self, toy_csv, tmp_path, capsys, to_stdout):
+        model_path = self._train(toy_csv, tmp_path)
+        feats = tmp_path / "f.csv"
+        feats.write_text("".join(f"{x!r}\n" for x in np.linspace(-4.0, 4.0, 57).tolist()))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model_path), "--data", str(feats),
+                     "--out", "-" if to_stdout else str(out)])
+        assert code == EXIT_OK
+        got = capsys.readouterr().out.encode() if to_stdout else out.read_bytes()
+
+        model = load_model(model_path)
+        means, variances = predict_batch(model.net, model.norm, read_csv_matrix(feats)[0])
+        assert got == csv_writer_output(means, variances).encode()
+
+
+def csv_writer_output(means, variances) -> str:
+    """The predictions as csv.writer wrote them: repr of every float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["mean", "variance"])
+    writer.writerows(zip(map(repr, means.tolist()), map(repr, variances.tolist())))
+    return buf.getvalue()
+
+
+def test_prediction_csv_matches_the_csv_writer_on_special_floats():
+    means = np.array([0.0, -0.0, 1e-300, 5e-324, 1e22, 1.0 / 3.0, np.inf, -np.inf, np.nan])
+    variances = np.array([1.0, 2.5e-8, 1e300, np.inf, 0.1, 7.0, 3.0, np.nan, 1e-5])
+    assert _prediction_csv(means, variances) == csv_writer_output(means, variances)
+    assert _prediction_csv(means[:0], variances[:0]) == "mean,variance\n"
+
+
+class TestNumericFailures:
+    """Failures of the arithmetic exit 3 with a diagnostic, never as a data
+    error and never with a traceback."""
+
+    def _train(self, toy_csv, tmp_path):
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(toy_csv), "--hidden", "4", "--epochs", "1",
+                     "--out", str(out)])
+        return code, out
+
+    def test_negative_preactivation_variance(self, toy_csv, tmp_path, monkeypatch, capsys):
+        real = forward.forward_linear
+
+        def negative(*args, **kwargs):
+            a = real(*args, **kwargs)
+            return MomentVector(a.mean, -1.0 - a.variance)
+
+        monkeypatch.setattr(forward, "forward_linear", negative)
+        code, out = self._train(toy_csv, tmp_path)
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: negative pre-activation variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_variance_in_the_first_prior_incorporation(
+        self, toy_csv, tmp_path, monkeypatch, capsys
+    ):
+        def failing(*args):
+            raise updates.NegativeVarianceError("refined variance -1.0 (from v=inf)")
+
+        monkeypatch.setattr(updates, "_match_prior_site", failing)
+        code, out = self._train(toy_csv, tmp_path)
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: refined variance -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflow(self, toy_csv, tmp_path, monkeypatch, capsys):
+        def overflowing(net, rng):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(training, "perturb_means", overflowing)
+        code, out = self._train(toy_csv, tmp_path)
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: math range error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchmarkCommand:

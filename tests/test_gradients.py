@@ -11,11 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_net
+from conftest import one_run_gradients, random_net
 from pbp.forward import forward_output_moments
 from pbp.oracles import fd_logz_gradients
-from pbp.posterior import GammaDist, new_uniform
-from pbp.updates import backward_gradients
+from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 
 GRAD_FLOOR = 1e-5
 FD_NOISE = 1e-9
@@ -40,8 +39,7 @@ def test_matches_finite_differences_random_nets():
         net.gamma = GammaDist(rng.uniform(2, 10), rng.uniform(2, 10))
         x = rng.normal(size=net.layer_sizes[0])
         y = float(rng.normal())
-        _, _, trace = forward_output_moments(net, x)
-        grads = backward_gradients(net, trace, y)
+        grads = one_run_gradients(net, x, y)
         fd = fd_logz_gradients(net, x, y)
         assert_gradients_match(grads, fd)
 
@@ -72,8 +70,7 @@ def test_deterministic_net_equals_classic_backprop():
     d_a1 = d_b1 * (a1 > 0.0)
     d_w1 = np.outer(d_a1, z0) / math.sqrt(3)
 
-    _, _, trace = forward_output_moments(net, x)
-    grads = backward_gradients(net, trace, y)
+    grads = one_run_gradients(net, x, y)
     assert np.allclose(grads.d_means[1][0], d_w2, rtol=1e-12, atol=1e-14)
     assert np.allclose(grads.d_means[0], d_w1, rtol=1e-12, atol=1e-14)
 
@@ -85,8 +82,8 @@ def test_output_bias_variance_gradient_single_path():
     net = random_net([2, 4, 1], rng)
     x = rng.normal(size=2)
     y = -0.4
-    mz, vz, trace = forward_output_moments(net, x)
-    grads = backward_gradients(net, trace, y)
+    mz, vz, _ = forward_output_moments(net, x)
+    grads = one_run_gradients(net, x, y)
 
     total = net.gamma.rate / (net.gamma.shape - 1.0) + vz
     dvz = 0.5 * ((y - mz) ** 2 / total**2 - 1.0 / total)
@@ -106,8 +103,9 @@ def test_gradients_through_series_branch():
     net.layers[1].variances[...] = np.array([[0.2, 0.1, 0.3]])
     x = np.array([1.0])
     y = 0.3
-    _, _, trace = forward_output_moments(net, x)
+    stack = PosteriorStack.of([net])
+    _, _, trace = forward_output_moments(stack, x[None, None, :])
     assert trace.records[0].relu.series.any()
-    grads = backward_gradients(net, trace, y)
+    grads = one_run_gradients(net, x, y)
     fd = fd_logz_gradients(net, x, y)
     assert_gradients_match(grads, fd)

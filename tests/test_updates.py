@@ -8,19 +8,19 @@ from conftest import random_net
 from pbp.forward import forward_output_moments
 from pbp.gauss import gaussian_log_density
 from pbp.oracles import gamma_tilted_moments_quadrature
-from pbp.posterior import GammaDist, new_uniform
+from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.updates import (
     LogZTriple,
     NegativeVarianceError,
     PriorSiteStore,
+    _likelihood_triple,
+    _log_z_triple,
     ep_refresh_prior,
     gamma_refine,
     gaussian_refine,
     incorporate_all_prior_factors,
-    incorporate_likelihood_factor,
+    incorporate_likelihood_factors,
     incorporate_prior_factor,
-    log_z_likelihood,
-    log_z_prior_factor,
 )
 
 
@@ -141,46 +141,50 @@ class TestGammaRefine:
 
 
 class TestLogZPriorFactor:
+    """The prior factor's log-normalizers: _log_z_triple of a weight (m, v)
+    against mean 0."""
+
     def test_frozen_value(self):
         # log N(0 | 0, 6/5 + 1) with the Gaussian collapse of the t density.
-        val = log_z_prior_factor(0.0, 1.0, GammaDist(6.0, 6.0), 0)
+        val = _log_z_triple(0.0, 0.0, 1.0, 6.0, 6.0)[0]
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * 2.2), abs=1e-13)
         assert val == pytest.approx(-1.3131672133868078, abs=1e-12)
 
     def test_shift_shrinks_collapse_variance(self):
-        lam = GammaDist(6.0, 6.0)
-        v0 = log_z_prior_factor(0.0, 0.5, lam, 0)
-        v1 = log_z_prior_factor(0.0, 0.5, lam, 1)
+        v0, v1, _ = _log_z_triple(0.0, 0.0, 0.5, 6.0, 6.0)
         # 6/5 -> 6/6: smaller total variance, higher peak density at 0.
         assert v1 > v0
 
     def test_shape_guard(self):
         with pytest.raises(ValueError):
-            log_z_prior_factor(0.0, 1.0, GammaDist(1.0, 1.0), 0)
+            _log_z_triple(0.0, 0.0, 1.0, 1.0, 1.0)
 
     def test_infinite_variance_gives_minus_inf(self):
-        val = log_z_prior_factor(0.0, math.inf, GammaDist(6.0, 6.0), 0)
+        val = _log_z_triple(0.0, 0.0, math.inf, 6.0, 6.0)[0]
         assert val == -math.inf
 
 
 class TestLogZLikelihood:
+    """The likelihood factor's log-normalizers: _log_z_triple of a target
+    against the output moments, guarded by _likelihood_triple."""
+
     def test_frozen_value(self):
-        val = log_z_likelihood(0.0, 0.0, 1.0, GammaDist(6.0, 6.0), 0)
+        val = _log_z_triple(0.0, 0.0, 1.0, 6.0, 6.0)[0]
         assert val == pytest.approx(-1.3131672133868078, abs=1e-12)
 
     def test_peak_value_deterministic_output(self):
         # vz = 0, noise variance = 6/5: peak density of N(y | y, 1.2).
-        val = log_z_likelihood(2.0, 2.0, 0.0, GammaDist(6.0, 6.0), 0)
+        val = _log_z_triple(2.0, 2.0, 0.0, 6.0, 6.0)[0]
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * 1.2), abs=1e-13)
 
     def test_monotone_in_output_variance_at_peak(self):
-        lam = GammaDist(6.0, 6.0)
-        vals = [log_z_likelihood(1.0, 1.0, vz, lam, 0) for vz in (0.0, 0.5, 1.0, 4.0)]
+        vals = [_log_z_triple(1.0, 1.0, vz, 6.0, 6.0)[0] for vz in (0.0, 0.5, 1.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_negative_output_variance_rejected(self):
-        with pytest.raises(ValueError):
-            log_z_likelihood(0.0, 0.0, -0.1, GammaDist(6.0, 6.0), 0)
+        # The example is skipped, as it is when the squared residual overflows.
+        assert _likelihood_triple(0.0, 0.0, -0.1, GammaDist(6.0, 6.0)) is None
+        assert _likelihood_triple(1e160, 0.0, 1.0, GammaDist(6.0, 6.0)) is None
 
 
 class TestIncorporatePriorFactor:
@@ -233,48 +237,55 @@ class TestIncorporatePriorFactor:
         assert abs(net.layers[0].means[0, 0] - 0.5) <= 1e-6 * abs(0.5 / total) * 1.01
 
 
+def one_run_step(stack, x, y):
+    """incorporate_likelihood_factors on a one-run stack."""
+    return incorporate_likelihood_factors(stack, np.asarray(x)[None, :], np.array([y]))
+
+
 class TestIncorporateLikelihoodFactor:
     def test_same_point_twice_shrinks_predictive_variance(self):
         rng = np.random.default_rng(3)
         net = random_net([1, 1, 1], rng, mean_scale=0.5, var_low=0.5, var_high=1.0)
+        stack = PosteriorStack.of([net])
         x = np.array([0.8])
-        _, v0, _ = forward_output_moments(net, x)
-        incorporate_likelihood_factor(net, x, 0.3)
-        _, v1, _ = forward_output_moments(net, x)
-        incorporate_likelihood_factor(net, x, 0.3)
-        _, v2, _ = forward_output_moments(net, x)
+        _, v0, _ = forward_output_moments(stack.run(0), x)
+        one_run_step(stack, x, 0.3)
+        _, v1, _ = forward_output_moments(stack.run(0), x)
+        one_run_step(stack, x, 0.3)
+        _, v2, _ = forward_output_moments(stack.run(0), x)
         assert v1 < v0
         assert v2 < v1
 
     def test_undo_restores_exact_values(self, monkeypatch):
         rng = np.random.default_rng(9)
-        net = random_net([2, 3, 1], rng)
+        stack = PosteriorStack.of([random_net([2, 3, 1], rng)])
+        layer = stack.layers[0]
         real_backward = updates.backward_gradients
 
         def sabotaged(n, trace, y):
             grads = real_backward(n, trace, y)
             # Force a guaranteed-negative refined variance for one weight.
-            grads.d_means[0][1, 2] = 1e6
-            grads.d_variances[0][1, 2] = 0.0
+            grads.d_means[0][0, 1, 2] = 1e6
+            grads.d_variances[0][0, 1, 2] = 0.0
             return grads
 
         monkeypatch.setattr(updates, "backward_gradients", sabotaged)
-        m_before = net.layers[0].means[1, 2]
-        v_before = net.layers[0].variances[1, 2]
-        other_before = net.layers[0].means[0, 0]
-        outcome = incorporate_likelihood_factor(net, np.array([0.5, -0.2]), 0.1)
-        assert not outcome.skipped
-        assert outcome.undo_count == 1
-        assert net.layers[0].means[1, 2] == m_before
-        assert net.layers[0].variances[1, 2] == v_before
-        assert net.layers[0].means[0, 0] != other_before
+        m_before = layer.means[0, 1, 2]
+        v_before = layer.variances[0, 1, 2]
+        other_before = layer.means[0, 0, 0]
+        outcome = one_run_step(stack, np.array([0.5, -0.2]), 0.1)
+        assert not outcome.skipped[0]
+        assert outcome.undo_count[0] == 1
+        assert layer.means[0, 1, 2] == m_before
+        assert layer.variances[0, 1, 2] == v_before
+        assert layer.means[0, 0, 0] != other_before
 
     def test_large_residual_grows_noise_estimate(self):
         rng = np.random.default_rng(12)
         net = random_net([1, 2, 1], rng, var_low=0.01, var_high=0.05)
-        before = net.gamma.mean()
-        incorporate_likelihood_factor(net, np.array([0.1]), 50.0)
-        assert net.gamma.mean() < before
+        stack = PosteriorStack.of([net])
+        one_run_step(stack, np.array([0.1]), 50.0)
+        assert stack.gammas[0].mean() < net.gamma.mean()
 
     def test_gamma_update_matches_quadrature_direction_and_size(self):
         rng = np.random.default_rng(30)
@@ -286,10 +297,11 @@ class TestIncorporateLikelihoodFactor:
         g = net.gamma
         factor = student_t_factor(y - mz, vz)
         e1, _ = gamma_tilted_moments_quadrature(g, factor)
-        incorporate_likelihood_factor(net, x, y)
+        stack = PosteriorStack.of([net])
+        one_run_step(stack, x, y)
         # The collapsed-Gaussian Z triple is an approximation; the matched mean
         # must land close to the exact tilted mean.
-        assert net.gamma.mean() == pytest.approx(e1, rel=0.05)
+        assert stack.gammas[0].mean() == pytest.approx(e1, rel=0.05)
 
 
 class TestEpRefreshPrior:
