@@ -9,7 +9,10 @@ have closed forms.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,10 @@ SERIES_THRESHOLD = -30.0
 
 # Rows per block of a large forward pass (see forward_output_moments).
 BLOCK_ROWS = 1024
+
+# Elements per rectifier chunk of a rows pass: the dozen intermediates of one
+# chunk stay in a core's cache (see _relu_in_chunks).
+RELU_CHUNK = 4096
 
 
 @dataclass
@@ -107,14 +114,14 @@ class ForwardTrace:
 
 
 class Workspace:
-    """The buffers of a one-row forward pass and of its backward pass.
+    """The buffers of a stack's one-row forward pass and of its backward pass.
 
     Built on flat (*runs, W) weight buffers and their layer views: the squared
     means, the gradients of log Z (filled by the backward pass, flat with
     per-layer views), every layer's bias-extended input, into which the
     previous rectifier writes, and the trace records. A PosteriorStack keeps
-    its own in `workspace`, so a training step allocates none of them; each
-    one-row pass overwrites the last one's trace.
+    its own in `workspace`, built by its first one-row pass, so a training step
+    allocates none of them; each one-row pass overwrites the last one's trace.
     """
 
     def __init__(self, means, variances, layer_sizes):
@@ -128,25 +135,21 @@ class Workspace:
         self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], means.shape[:-1] + (1,))
         means_sq = layer_views(self.means_sq, layer_sizes)
         self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
-        last = len(layers) - 1
-        self.trace = ForwardTrace(
-            [
-                LayerTrace(z, None, self.outputs[l + 1] if l < last else None, None, msq)
-                for l, (z, msq) in enumerate(zip(self.inputs, means_sq))
-            ],
-            None,
-            None,
-        )
+        self.trace = _empty_trace(self.inputs, self.outputs, means_sq)
 
 
-def workspace(net: NetworkPosterior | PosteriorStack) -> Workspace:
-    """The stack's own workspace, built on first use; a network gets a new one
-    on copies of its weights."""
-    if isinstance(net, PosteriorStack):
-        if net.workspace is None:
-            net.workspace = Workspace(net.means, net.variances, net.layer_sizes)
-        return net.workspace
-    return Workspace(*net.flat_weights(), net.layer_sizes)
+def _empty_trace(inputs, outputs, means_sq) -> ForwardTrace:
+    """A trace whose records hold each layer's input buffer, the rectifier's
+    output buffer and the squared means; a one-row pass fills in the rest."""
+    last = len(inputs) - 1
+    return ForwardTrace(
+        [
+            LayerTrace(z, None, outputs[l + 1] if l < last else None, None, msq)
+            for l, (z, msq) in enumerate(zip(inputs, means_sq))
+        ],
+        None,
+        None,
+    )
 
 
 def _bias_buffers(widths, rows_shape):
@@ -276,14 +279,18 @@ def forward_output_moments(
     (*runs, rows). A single input of shape (d,) gives float moments.
 
     The trace the backward pass needs is kept only with one row per run, the
-    case an update uses; otherwise it is None. That pass runs in the
-    workspace: a stack's trace stays valid until its next one-row pass.
+    case an update uses; otherwise it is None. A stack runs that pass in its
+    workspace, and its trace stays valid until the stack's next one-row pass.
 
-    From 2 * BLOCK_ROWS rows on, the rows go through in blocks, so the working
-    set is bounded by one block whatever the row count. Each block starts at a
-    multiple of BLOCK_ROWS and the last takes the remainder: every gemm sees at
-    least BLOCK_ROWS rows and every row keeps its offset mod 4, which keeps the
-    kernels, and so the bits, of the unblocked pass.
+    More rows go through in work items (see _work_items) of one row block and,
+    for a stack, a group of runs, so the working set is bounded by one item
+    whatever the row count. From 2 * BLOCK_ROWS rows on, the blocks start at
+    multiples of BLOCK_ROWS and the last takes the remainder: every gemm sees
+    at least BLOCK_ROWS rows and every row keeps its offset mod 4, which keeps
+    the kernels, and so the bits, of an unblocked pass. No item reads
+    another's rows or runs, so from 2 * BLOCK_ROWS rows over all runs on, the
+    items run on every usable CPU (see _run_items), bit for bit as in a
+    serial pass.
     """
     x = np.asarray(x, dtype=float)
     runs = net.layers[0].means.shape[:-2]
@@ -296,10 +303,8 @@ def forward_output_moments(
 
     n = x.shape[-2]
     if n == 1:
-        ws = workspace(net)
-        np.multiply(ws.means, ws.means, out=ws.means_sq)
-        trace = ws.trace
-        a = _propagate(ws.layers, ws.inputs, ws.outputs, x, ws.transposed, trace.records)
+        trace = _one_row(net, x)
+        a = trace.records[-1].pre
         out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
         row_mean, row_var = out_mean[..., 0], out_var[..., 0]
         if not runs:
@@ -311,30 +316,147 @@ def forward_output_moments(
 
     transposed = [_transposed(layer, layer.means * layer.means) for layer in net.layers]
     out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
-    starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        block = x[..., start:stop, :]
+
+    def forward_item(item):
+        runs_index, rows = item
+        block = x[runs_index + (rows,)]
         inputs, outputs = _bias_buffers(net.layer_sizes[:-1], block.shape[:-1])
-        a = _propagate(net.layers, inputs, outputs, block, transposed)
-        out_mean[..., start:stop] = a.mean[..., 0]
-        out_var[..., start:stop] = a.variance[..., 0]
+        item_transposed = [(m[runs_index], v[runs_index], s[runs_index]) for m, v, s in transposed]
+        a = _propagate(net.layers, inputs, outputs, block, item_transposed)
+        out_mean[runs_index + (rows,)] = a.mean[..., 0]
+        out_var[runs_index + (rows,)] = a.variance[..., 0]
+
+    parallel = math.prod(runs) * n >= 2 * BLOCK_ROWS
+    _run_items(forward_item, _work_items(runs, n), parallel)
     return out_mean, out_var, None
+
+
+def _one_row(net: NetworkPosterior | PosteriorStack, x: np.ndarray) -> ForwardTrace:
+    """The filled trace of a pass of one row per run: in the stack's
+    workspace, or for a network in buffers built on its own weights."""
+    if isinstance(net, PosteriorStack):
+        if net.workspace is None:
+            net.workspace = Workspace(net.means, net.variances, net.layer_sizes)
+        ws = net.workspace
+        np.multiply(ws.means, ws.means, out=ws.means_sq)
+        layers, inputs, outputs, transposed, trace = (
+            ws.layers, ws.inputs, ws.outputs, ws.transposed, ws.trace
+        )
+    else:
+        layers = net.layers
+        means_sq = [layer.means * layer.means for layer in layers]
+        inputs, outputs = _bias_buffers(net.layer_sizes[:-1], (1,))
+        transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
+        trace = _empty_trace(inputs, outputs, means_sq)
+    _propagate(layers, inputs, outputs, x, transposed, trace.records)
+    return trace
+
+
+def _work_items(runs: tuple[int, ...], n: int) -> list[tuple[tuple, slice]]:
+    """The (runs index, rows) items of a pass of n rows per run: the row
+    blocks of forward_output_moments and, for a stack, contiguous groups of
+    runs of about BLOCK_ROWS rows between them."""
+    starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
+    blocks = [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
+    if not runs:
+        return [((), rows) for rows in blocks]
+    group = max(1, BLOCK_ROWS // max(blocks[0].stop, 1))
+    return [((slice(r, r + group),), rows) for r in range(0, runs[0], group) for rows in blocks]
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_items(work, items: list, parallel: bool) -> None:
+    """work(item) for every item: on the calling thread alone or, when
+    parallel, on it and on helper threads, one thread per usable CPU at most.
+
+    Each thread takes the next item until none is left. The helpers run in
+    copies of the caller's context, so numpy's error state holds there too.
+    After the first exception no thread takes another item, and it is raised
+    here once every helper has ended.
+    """
+    helpers = min(usable_cpus(), len(items)) - 1 if parallel else 0
+    if helpers <= 0:
+        for item in items:
+            work(item)
+        return
+
+    pending = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def take():
+        while True:
+            with lock:
+                item = None if errors else next(pending, None)
+            if item is None:
+                return
+            try:
+                work(item)
+            except BaseException as exc:  # raised in the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    threads = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(take,))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: the others take its share
+                break
+            threads.append(thread)
+        take()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _propagate(layers, inputs, outputs, x, transposed, records=None) -> MomentVector:
     """The output layer's pre-activation moments for rows x, through the
     bias-extended input buffers of _bias_buffers and each layer's transposed
-    means, variances and squared means; each layer's pre-activation and
-    rectifier intermediates go on records, when given."""
+    means, variances and squared means.
+
+    With records (a one-row pass), each layer's pre-activation and rectifier
+    intermediates go on them; without, the rectifier runs in chunks.
+    """
     np.copyto(outputs[0].mean, x)
     last = len(layers) - 1
     for l, layer in enumerate(layers):
         a = forward_linear(layer, inputs[l], transposed=transposed[l])
         if records is not None:
             records[l].pre = a
-        if l < last:
-            _, aux = relu_moments(a, outputs[l + 1])
-            if records is not None:
-                records[l].relu = aux
-            del aux  # frees a rows pass's intermediates before the next layer
+            if l < last:
+                records[l].relu = relu_moments(a, outputs[l + 1])[1]
+        elif l < last:
+            _relu_in_chunks(a, outputs[l + 1])
     return a
+
+
+def _relu_in_chunks(a: MomentVector, out: MomentVector) -> None:
+    """relu_moments of a into out, over chunks of their (rows, units) views,
+    runs and rows flattened into one axis: chunks of about RELU_CHUNK
+    elements, the last taking the remainder, so a chunk's intermediates stay
+    in cache and are freed before the next one. Each element is computed
+    alone, so the chunks give the bits of one call."""
+    units = a.mean.shape[-1]
+    rows, step = a.mean.size // units, max(1, RELU_CHUNK // units)
+    if rows < 2 * step:
+        relu_moments(a, out)
+        return
+    m, v, out_m, out_v = (
+        arr.reshape(rows, units, copy=False) for arr in (a.mean, a.variance, out.mean, out.variance)
+    )
+    starts = range(0, rows - step + 1, step)
+    for start, stop in zip(starts, [*starts[1:], rows]):
+        chunk = slice(start, stop)
+        relu_moments(MomentVector(m[chunk], v[chunk]), MomentVector(out_m[chunk], out_v[chunk]))

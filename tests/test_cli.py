@@ -296,6 +296,54 @@ class TestBenchmarkCommand:
         assert "split 0: 0/54 examples skipped in epoch 1" in err
 
 
+class TestCpuCount:
+    """Large forward passes run on every usable CPU; what a command writes
+    must not depend on how many there are. Blocks of 64 rows put the
+    passes below over the serial threshold of 2 * BLOCK_ROWS rows."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+
+    def _outputs(self, monkeypatch, cpus, args, out):
+        """The bytes the command writes to out on cpus CPUs, and whether some
+        forward pass ran in parallel."""
+        run_items, parallel = forward._run_items, []
+
+        def spy(work, items, is_parallel):
+            parallel.append(is_parallel)
+            return run_items(work, items, is_parallel)
+
+        monkeypatch.setattr(forward, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forward, "_run_items", spy)
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        return out.read_bytes(), any(parallel)
+
+    def test_predict(self, toy_csv, tmp_path, monkeypatch):
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(toy_csv), "--hidden", "4", "--epochs", "2",
+                     "--out", str(model)]) == EXIT_OK
+        feats = tmp_path / "f.csv"
+        feats.write_text("".join(f"{x!r}\n" for x in np.linspace(-4.0, 4.0, 3 * 64 + 5).tolist()))
+        args = ["predict", "--model", str(model), "--data", str(feats)]
+        one = self._outputs(monkeypatch, 1, args, tmp_path / "one.csv")
+        two = self._outputs(monkeypatch, 2, args, tmp_path / "two.csv")
+        assert two[1]
+        assert one[0] == two[0]
+
+    def test_benchmark(self, toy_csv, tmp_path, monkeypatch):
+        # Three splits of 54 training rows: each epoch-RMSE pass of the stack
+        # covers 162 rows.
+        args = [
+            "benchmark", "--data", str(toy_csv), "--hidden", "3",
+            "--epochs", "2", "--splits", "3", "--seed", "5",
+        ]
+        one = self._outputs(monkeypatch, 1, args, tmp_path / "one.csv")
+        two = self._outputs(monkeypatch, 2, args, tmp_path / "two.csv")
+        assert two[1]
+        assert one[0] == two[0]
+
+
 class TestActiveCommand:
     def test_smoke_run_produces_curves(self, toy_csv, tmp_path):
         prefix = tmp_path / "curve"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -16,7 +18,7 @@ from pbp.forward import (
     relu_moments,
 )
 from pbp.oracles import mc_forward_moments
-from pbp.posterior import LayerPosterior, PosteriorStack, new_uniform
+from pbp.posterior import LayerPosterior, NumericError, PosteriorStack, new_uniform
 from reference_forward import forward_output_moments_batch
 
 
@@ -347,11 +349,6 @@ class TestBlockedRows:
     """From 2 * BLOCK_ROWS rows on, the forward pass runs in row blocks; it
     must stay bit-identical to the unblocked reference."""
 
-    @pytest.fixture(params=[BLOCK_ROWS, 64], ids=["block-default", "block-64"])
-    def block(self, request, monkeypatch):
-        monkeypatch.setattr(forward, "BLOCK_ROWS", request.param)
-        return request.param
-
     @pytest.mark.parametrize("sizes", [[11, 50, 50, 1], [6, 10, 1]])
     def test_rows_match_the_unblocked_reference(self, block, sizes):
         rng = np.random.default_rng(sizes[0])
@@ -391,6 +388,173 @@ class TestBlockedRows:
         assert np.array_equal(v, ref_v)
 
 
+@pytest.fixture(params=[BLOCK_ROWS, 64], ids=["block-default", "block-64"])
+def block(request, monkeypatch):
+    monkeypatch.setattr(forward, "BLOCK_ROWS", request.param)
+    return request.param
+
+
+def _force_cpus(monkeypatch, count):
+    monkeypatch.setattr(forward, "usable_cpus", lambda: count)
+
+
+def _on_helpers(monkeypatch, on_helper=lambda: None):
+    """Route relu_moments through a wrapper that runs on_helper on helper
+    threads, and holds the calling thread's first call until a helper has
+    made one, so some helper surely takes an item. Returns the
+    (thread, aux) of every call."""
+    real, calls, entered = forward.relu_moments, [], threading.Event()
+    main = threading.current_thread()
+
+    def relu_moments(*args, **kwargs):
+        if threading.current_thread() is main:
+            entered.wait(timeout=10)
+        else:
+            entered.set()
+            on_helper()
+        out, aux = real(*args, **kwargs)
+        calls.append((threading.current_thread(), aux))
+        return out, aux
+
+    monkeypatch.setattr(forward, "relu_moments", relu_moments)
+    return calls
+
+
+class TestParallelPass:
+    """A rows pass over enough rows runs its items on every usable CPU; its
+    outputs must be those of the serial reference, bit for bit."""
+
+    @pytest.fixture(params=[1, 2, 3], ids=["cpus-1", "cpus-2", "cpus-3"])
+    def cpus(self, request, monkeypatch):
+        _force_cpus(monkeypatch, request.param)
+        return request.param
+
+    def test_network_matches_the_reference(self, cpus, block):
+        rng = np.random.default_rng(15)
+        net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
+        for n in _row_counts(block):
+            X = rng.normal(size=(n, 11))
+            m, v, _ = forward_output_moments(net, X)
+            ref_m, ref_v = forward_output_moments_batch(net, X)
+            assert np.array_equal(m, ref_m), n
+            assert np.array_equal(v, ref_v), n
+
+    def test_stack_matches_the_reference_per_run(self, cpus, block):
+        # Three runs: 2 * block // 3 rows per run are below the serial
+        # threshold, one more is above it, and the rest straddle the blocks.
+        rng = np.random.default_rng(16)
+        nets = [random_net([13, 50, 1], rng, mean_scale=0.5) for _ in range(3)]
+        stack = PosteriorStack.of(nets)
+        for n in [2 * block // 3, 2 * block // 3 + 1, *_row_counts(block)]:
+            X = rng.normal(size=(3, n, 13))
+            m, v, _ = forward_output_moments(stack, X)
+            for r, net in enumerate(nets):
+                ref_m, ref_v = forward_output_moments_batch(net, X[r])
+                assert np.array_equal(m[r], ref_m), (n, r)
+                assert np.array_equal(v[r], ref_v), (n, r)
+
+    def test_branches_taken_in_a_helpers_item_only(self, monkeypatch):
+        # One block alone has deterministic and far-tail units. Which thread
+        # takes it is up to the scheduler, so the pass repeats, with those
+        # rows in block 1 and then in block 0, until a helper has taken it;
+        # it must match the reference every time.
+        _force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+        real, calls = forward.relu_moments, []
+
+        def relu_moments(*args, **kwargs):
+            out, aux = real(*args, **kwargs)
+            calls.append((threading.current_thread(), aux))
+            return out, aux
+
+        monkeypatch.setattr(forward, "relu_moments", relu_moments)
+        net, X = _branch_net_and_rows(3 * 64 + 5, 64, np.random.default_rng(17))
+        for attempt in range(50):
+            rows = np.roll(X, -64 * (attempt % 2), axis=0)
+            calls.clear()
+            m, v, _ = forward_output_moments(net, rows)
+            ref_m, ref_v = forward_output_moments_batch(net, rows)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+            branched = [t for t, aux in calls if aux.deterministic is not None]
+            assert branched == [t for t, aux in calls if aux.series is not None]
+            assert len(branched) == 1
+            if branched[0] is not threading.current_thread():
+                break
+        else:
+            pytest.fail("no helper took the item with the branches in 50 passes")
+
+    def test_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+
+        def fail():
+            raise NumericError("raised in a helper")
+
+        calls = _on_helpers(monkeypatch, fail)
+        net = random_net([6, 10, 1], np.random.default_rng(18))
+        X = np.random.default_rng(19).normal(size=(40 * 64, 6))
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="raised in a helper"):
+            forward_output_moments(net, X)
+        assert threading.active_count() == threads
+        # The caller finished the item it had; nobody took another of the 40.
+        assert len(calls) <= 2
+
+    def test_helpers_see_the_callers_error_state(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+        seen = []
+        calls = _on_helpers(monkeypatch, lambda: seen.append(np.geterr()))
+        net = random_net([6, 10, 1], np.random.default_rng(20))
+        X = np.random.default_rng(21).normal(size=(4 * 64, 6))
+        with np.errstate(all="ignore"):
+            expected = np.geterr()
+            forward_output_moments(net, X)
+        assert seen and all(state == expected for state in seen)
+        assert expected != np.geterr()
+        assert len(calls) == 4
+
+    def test_more_threads_than_cpus_take_every_item_once(self, monkeypatch):
+        # Eight threads on fewer CPUs, switching every 10 us: a lost or a
+        # doubled hand-out of an item would show in the count or the bits.
+        _force_cpus(monkeypatch, 8)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 16)
+        real, calls = forward.relu_moments, []
+
+        def relu_moments(*args, **kwargs):
+            calls.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "relu_moments", relu_moments)
+        rng = np.random.default_rng(24)
+        net = random_net([6, 10, 1], rng)
+        X = rng.normal(size=(60 * 16, 6))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            m, v, _ = forward_output_moments(net, X)
+        finally:
+            sys.setswitchinterval(interval)
+        ref_m, ref_v = forward_output_moments_batch(net, X)
+        assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+        assert len(calls) == 60
+
+    def test_no_thread_to_be_had_leaves_the_work_to_the_caller(self, monkeypatch):
+        _force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+
+        def no_thread(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        rng = np.random.default_rng(22)
+        net = random_net([6, 10, 1], rng)
+        X = rng.normal(size=(5 * 64, 6))
+        m, v, _ = forward_output_moments(net, X)
+        ref_m, ref_v = forward_output_moments_batch(net, X)
+        assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+
 def _forward_peak_bytes(net, X) -> int:
     tracemalloc.start()
     try:
@@ -400,8 +564,10 @@ def _forward_peak_bytes(net, X) -> int:
         tracemalloc.stop()
 
 
-def test_forward_memory_is_bounded_by_one_block():
-    # Unblocked, a 20k-row forward through 11-50-50-1 peaked at 210 MB.
+def test_forward_memory_is_bounded_by_one_block(monkeypatch):
+    # Unblocked, a 20k-row forward through 11-50-50-1 peaked at 210 MB. Each
+    # working thread holds one block, so the thread count is fixed.
+    _force_cpus(monkeypatch, 2)
     rng = np.random.default_rng(14)
     net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
     X20, X40 = rng.normal(size=(20_000, 11)), rng.normal(size=(40_000, 11))
@@ -409,3 +575,15 @@ def test_forward_memory_is_bounded_by_one_block():
     peak40 = _forward_peak_bytes(net, X40)
     assert peak20 < 40e6
     assert peak40 < 1.5 * peak20
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_stack_memory_is_bounded_by_its_items(monkeypatch, cpus):
+    # The epoch-RMSE pass of 20 Boston-shaped runs peaked at 64.5 MB while the
+    # rectifier ran over all runs at once and kept every intermediate alive;
+    # in items of a few runs and cache-sized chunks it takes 2.5 MB on one
+    # thread and 4.7 MB on two.
+    _force_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(23)
+    stack = PosteriorStack.of([random_net([13, 50, 1], rng) for _ in range(20)])
+    assert _forward_peak_bytes(stack, rng.normal(size=(20, 456, 13))) < 12e6
