@@ -53,9 +53,7 @@ from .updates import (
     backward_gradients,
     ep_refresh_prior,
     gamma_refine,
-    gaussian_refine,
     incorporate_likelihood_factors,
-    incorporate_prior_factor,
 )
 
 __version__ = "0.1.0"

@@ -346,12 +346,10 @@ def load_model(path):
         )
         net = _net_from_dict(doc["network"])
         ps = doc["prior_sites"]
-        sites = PriorSiteStore(
-            [np.array(a, dtype=float) for a in ps["precision"]],
-            [np.array(a, dtype=float) for a in ps["precision_mean"]],
-            [np.array(a, dtype=float) for a in ps["lambda_shape"]],
-            [np.array(a, dtype=float) for a in ps["lambda_rate"]],
-        )
+        site_lists = {
+            name: [np.array(a, dtype=float) for a in ps[name]]
+            for name in ("precision", "precision_mean", "lambda_shape", "lambda_rate")
+        }
         nm = doc["normalization"]
         norm = NormStats(
             feature_mean=np.array(nm["feature_mean"], dtype=float),
@@ -359,15 +357,17 @@ def load_model(path):
             target_mean=float(nm["target_mean"]),
             target_std=float(nm["target_std"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
-    problem = _model_problem(net, sites, norm)
+    problem = _model_problem(net, site_lists, norm)
     if problem:
         raise DataError(f"corrupt model file {path}: {problem}")
+    flat = [np.concatenate([a.ravel() for a in arrays]) for arrays in site_lists.values()]
+    sites = PriorSiteStore(np.stack(flat), net.layer_sizes)
     return TrainedModel(net=net, sites=sites, norm=norm, config=config)
 
 
-def _model_problem(net: NetworkPosterior, sites: PriorSiteStore, norm: NormStats) -> str | None:
+def _model_problem(net: NetworkPosterior, site_lists: dict, norm: NormStats) -> str | None:
     """What makes a loaded posterior unusable, or None when it is sound.
 
     Shapes must follow layer_sizes, every number must be finite, weight
@@ -376,12 +376,6 @@ def _model_problem(net: NetworkPosterior, sites: PriorSiteStore, norm: NormStats
     sizes = net.layer_sizes
     if len(sizes) < 2 or sizes[-1] != 1 or len(net.layers) != len(sizes) - 1:
         return f"layer_sizes {sizes} do not describe {len(net.layers)} layers with one output"
-    site_lists = {
-        "precision": sites.precision,
-        "precision_mean": sites.precision_mean,
-        "lambda_shape": sites.lam_shape,
-        "lambda_rate": sites.lam_rate,
-    }
     for name, arrays in site_lists.items():
         if len(arrays) != len(net.layers):
             return f"{len(arrays)} {name} site arrays for {len(net.layers)} layers"

@@ -138,7 +138,7 @@ class PosteriorStack:
         """Run r as a network whose weight matrices are views into the stack.
 
         In-place writes to its weights land in the stack; its Gamma factors
-        go back with put_gammas.
+        are the stack's at the time of the call.
         """
         return NetworkPosterior(
             layers=[LayerPosterior(layer.means[r], layer.variances[r]) for layer in self.layers],
@@ -146,11 +146,6 @@ class PosteriorStack:
             lam=self.lams[r],
             layer_sizes=list(self.layer_sizes),
         )
-
-    def put_gammas(self, r: int, net: NetworkPosterior) -> None:
-        """Store the Gamma factors of run r's view back into the stack."""
-        self.gammas[r] = net.gamma
-        self.lams[r] = net.lam
 
 
 def flat_layers(means, variances, layer_sizes: list[int]) -> list[LayerPosterior]:
@@ -195,6 +190,17 @@ class PbpConfig:
             raise ValueError("epochs must be nonnegative")
         if any(h <= 0 for h in self.hidden_layer_sizes):
             raise ValueError("hidden layer sizes must be positive")
+        # The Gaussian collapse of a Gamma(a, b) precision has variance
+        # b / (a - 1): it needs a finite shape above 1 and a finite rate above 0.
+        for name, low in (
+            ("prior_shape_lambda", 1.0),
+            ("prior_rate_lambda", 0.0),
+            ("prior_shape_gamma", 1.0),
+            ("prior_rate_gamma", 0.0),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > low):
+                raise ValueError(f"{name} must be finite and > {low:g}, got {value}")
 
 
 def new_uniform(layer_sizes: list[int]) -> NetworkPosterior:

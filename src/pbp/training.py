@@ -49,6 +49,8 @@ class TrainReport:
     weight_updates: int = 0
     epoch_rmse: list[float] = field(default_factory=list)
     seconds: float = 0.0  # wall time of the batch the run was trained in
+    # One (sites skipped, max abs change) per EP refresh of the prior sites.
+    refreshes: list[tuple[int, float]] = field(default_factory=list)
 
 
 def train(
@@ -90,24 +92,15 @@ def train_runs(
     labels = labels or [f"run {r}" for r in range(runs)]
 
     layer_sizes = [datasets[0].features.shape[1], *config.hidden_layer_sizes, 1]
-    nets, sites = [], []
-    for rng in rngs:
-        net = new_uniform(layer_sizes)
-        # Hyperprior factors match the posterior family; absorbing them is exact.
-        net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
-        net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
-        run_sites = PriorSiteStore.zeros(net)
-        incorporate_all_prior_factors(net, run_sites)
-        perturb_means(net, rng)
-        nets.append(net)
-        sites.append(run_sites)
-    stack = PosteriorStack.of(nets)
-
-    def refresh_all():
-        for r in range(runs):
-            view = stack.run(r)
-            ep_refresh_prior(view, sites[r])
-            stack.put_gammas(r, view)
+    net = new_uniform(layer_sizes)
+    # Hyperprior factors match the posterior family; absorbing them is exact.
+    net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
+    net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
+    stack = PosteriorStack.of([net] * runs)
+    sites = PriorSiteStore.zeros(stack)
+    incorporate_all_prior_factors(stack, sites)
+    for r, rng in enumerate(rngs):
+        perturb_means(stack.run(r), rng)
 
     reports = [TrainReport() for _ in range(runs)]
     undo = np.zeros(runs, dtype=int)
@@ -131,7 +124,9 @@ def train_runs(
             updates += outcome.weight_updates
             since_refresh += 1
             if since_refresh >= refresh_every:
-                refresh_all()
+                refresh = ep_refresh_prior(stack, sites)
+                for report, run_refresh in zip(reports, refresh.runs):
+                    report.refreshes.append(run_refresh)
                 since_refresh = 0
 
         means, _, _ = forward_output_moments(stack, features)
@@ -152,5 +147,5 @@ def train_runs(
         report.undo_events = int(undo[r])
         report.weight_updates = int(updates[r])
         report.seconds = seconds
-        results.append((stack.run(r), sites[r], report))
+        results.append((stack.run(r), sites.run(r), report))
     return results

@@ -26,7 +26,14 @@ from .forward import (
     forward_output_moments,
 )
 from .gauss import LOG_2PI
-from .posterior import GammaDist, LayerPosterior, NetworkPosterior, NumericError, PosteriorStack
+from .posterior import (
+    GammaDist,
+    LayerPosterior,
+    NetworkPosterior,
+    NumericError,
+    PosteriorStack,
+    layer_views,
+)
 
 
 class NegativeVarianceError(NumericError):
@@ -55,33 +62,43 @@ class PriorSiteStore:
 
     Gaussian sites live in natural parameters (precision, precision x mean) so
     the cavity is a subtraction; each site's Gamma contribution to the prior
-    precision is likewise additive in (shape - 1, rate).
+    precision is likewise additive in (shape - 1, rate). The four site arrays
+    fill one (4, *runs, W) buffer `flat`, each weight where a PosteriorStack
+    keeps it; `precision`, `precision_mean`, `lam_shape` and `lam_rate` are
+    per-layer (*runs, rows, cols) views into it.
     """
 
-    def __init__(self, precision, precision_mean, lam_shape, lam_rate):
-        self.precision = precision
-        self.precision_mean = precision_mean
-        self.lam_shape = lam_shape
-        self.lam_rate = lam_rate
+    def __init__(self, flat: np.ndarray, layer_sizes: list[int]):
+        self.flat = flat
+        self.layer_sizes = list(layer_sizes)
+        self.precision, self.precision_mean, self.lam_shape, self.lam_rate = (
+            layer_views(f, layer_sizes) for f in flat
+        )
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the views on the copied buffer.
+        return PriorSiteStore, (self.flat, self.layer_sizes)
 
     @classmethod
-    def zeros(cls, net: NetworkPosterior) -> "PriorSiteStore":
-        shapes = [layer.means.shape for layer in net.layers]
-        return cls(
-            [np.zeros(s) for s in shapes],
-            [np.zeros(s) for s in shapes],
-            [np.zeros(s) for s in shapes],
-            [np.zeros(s) for s in shapes],
-        )
+    def zeros(cls, posterior: NetworkPosterior | PosteriorStack) -> PriorSiteStore:
+        """All-zero sites for a network, or for every run of a stack."""
+        runs = posterior.means.shape[:-1] if isinstance(posterior, PosteriorStack) else ()
+        return cls(np.zeros((4, *runs, posterior.n_weights())), posterior.layer_sizes)
+
+    def run(self, r: int) -> PriorSiteStore:
+        """Run r's sites, as views into this store."""
+        return PriorSiteStore(self.flat[:, r], self.layer_sizes)
 
 
 @dataclass
 class RefreshReport:
-    """Outcome of one EP sweep over the stored prior sites."""
+    """Outcome of one EP sweep over the stored prior sites of a stack: totals
+    over its runs, and each run's (sites skipped, max abs change)."""
 
     sites_visited: int
     sites_skipped: int
     max_abs_change: float
+    runs: list[tuple[int, float]]
 
 
 @dataclass
@@ -92,22 +109,6 @@ class UpdateOutcome:
     skipped: np.ndarray
     undo_count: np.ndarray
     weight_updates: np.ndarray
-
-
-def gaussian_refine(m: float, v: float, dm: float, dv: float) -> tuple[float, float]:
-    """Moment-matched Gaussian update from the gradients of log Z.
-
-    m_new = m + v * dm
-    v_new = v - v^2 * (dm^2 - 2 dv)
-
-    Raises NegativeVarianceError when the refined variance is not a positive
-    finite number; the caller decides whether to undo.
-    """
-    m_new = m + v * dm
-    v_new = v - v * v * (dm * dm - 2.0 * dv)
-    if not (v_new > 0.0 and math.isfinite(v_new) and math.isfinite(m_new)):
-        raise NegativeVarianceError(f"refined variance {v_new} (from v={v})")
-    return m_new, v_new
 
 
 def gamma_refine(g: GammaDist, logz: LogZTriple) -> GammaDist:
@@ -148,8 +149,9 @@ def _log_z_triple(x, mean, v, shape, rate):
     The Gaussian collapse of the Student's t left by marginalizing a Gamma
     precision, at the three shapes gamma_refine needs: the likelihood
     log-normalizer of a target x against output moments (mean, v), and the
-    prior one of a weight x of variance v against mean 0. Raises ValueError
-    for a shape at or below 1 or a non-positive variance.
+    prior one of a weight x of variance v against mean 0 (which _refresh_run
+    writes out). Raises ValueError for a shape at or below 1 or a
+    non-positive variance.
     """
     if shape <= 1.0:
         raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
@@ -169,107 +171,27 @@ def _log_z_triple(x, mean, v, shape, rate):
     return log_z, log_z1, log_z2
 
 
-def _match_prior_site(flat, m, v, eta, a, b, gamma_ok):
-    """Moment-match one zero-mean prior factor against the cavity N(m, v) x Gamma(a, b).
+def incorporate_all_prior_factors(stack: PosteriorStack, sites: PriorSiteStore) -> None:
+    """ADF-incorporate every weight's prior factor into a stack in the uniform
+    start, in place.
 
-    Returns the refined (mean, variance, shape, rate). A flat cavity (zero
-    precision, natural mean eta; m and v unused) resolves through the
-    closed-form limit of the refinement: the weight collapses onto the
-    collapsed Gaussian prior keeping eta, and the Gamma is untouched (all Z
-    ratios -> 1). With gamma_ok False the Gamma is untouched as well. Raises
-    NegativeVarianceError when the refined variance is invalid.
+    Every marginal is flat (infinite variance), so each factor takes the
+    closed-form limit of the refinement, the same for every weight of a run:
+    the weight collapses onto the collapsed Gaussian prior, mean 0, variance
+    b/(a-1) of the run's prior-precision Gamma(a, b); its site is that prior
+    in natural parameters; and the Gamma is untouched (all Z ratios -> 1).
+    Raises ValueError on any other state.
     """
-    if flat:
+    if not np.isinf(stack.variances).all():
+        raise ValueError("the prior factors are incorporated once, into the uniform state")
+    for r, lam in enumerate(stack.lams):
+        a, b = lam.shape, lam.rate
         sigma2 = b / (a - 1.0)
-        return sigma2 * eta, sigma2, a, b
-    # d log Z / dm and d log Z / dv of log N(m | 0, b/(a-1) + v).
-    total = b / (a - 1.0) + v
-    m_new, v_new = gaussian_refine(
-        m, v, -m / total, 0.5 * (m * m / (total * total) - 1.0 / total)
-    )
-    if gamma_ok:
-        refined = _gamma_moments(a, b, *_log_z_triple(m, 0.0, v, a, b))
-        if refined is not None:
-            a, b = refined
-    return m_new, v_new, a, b
-
-
-def _site_arrays(net: NetworkPosterior, sites: PriorSiteStore):
-    """Weight means, weight variances and the four site arrays, each per layer."""
-    return (
-        [layer.means for layer in net.layers],
-        [layer.variances for layer in net.layers],
-        sites.precision,
-        sites.precision_mean,
-        sites.lam_shape,
-        sites.lam_rate,
-    )
-
-
-def _as_lists(groups):
-    """Each group of arrays as one list of Python floats, array by array in
-    row-major order: the order in which the prior loops visit the weights."""
-    return [np.concatenate([a.ravel() for a in arrays]).tolist() for arrays in groups]
-
-
-def _store_lists(groups, lists):
-    """Write the lists back into their arrays in place (they may be views
-    into a PosteriorStack)."""
-    for arrays, values in zip(groups, lists):
-        flat = np.array(values)
-        start = 0
-        for a in arrays:
-            a[...] = flat[start : start + a.size].reshape(a.shape)
-            start += a.size
-
-
-def _incorporate_prior_factors(net: NetworkPosterior, groups) -> None:
-    """ADF-incorporate the prior factors of the weights in groups, in order.
-
-    Each refines its weight against the current marginal (a marginal of
-    infinite variance is the flat cavity), refines the shared prior-precision
-    Gamma, and records the implied site: refined marginal / previous marginal
-    in natural parameters, and the Gamma's change.
-    """
-    means, variances, prec, prec_mean, site_shape, site_rate = lists = _as_lists(groups)
-    a, b = net.lam.shape, net.lam.rate
-    try:
-        for k, (m, v) in enumerate(zip(means, variances)):
-            flat = math.isinf(v)
-            m_new, v_new, a_new, b_new = _match_prior_site(flat, m, v, 0.0, a, b, True)
-            p_old, eta_old = (0.0, 0.0) if flat else (1.0 / v, m / v)
-            prec[k] = 1.0 / v_new - p_old
-            prec_mean[k] = m_new / v_new - eta_old
-            site_shape[k] = a_new - a
-            site_rate[k] = b_new - b
-            means[k], variances[k], a, b = m_new, v_new, a_new, b_new
-    finally:
-        _store_lists(groups, lists)
-        net.lam = GammaDist(a, b)
-
-
-def incorporate_prior_factor(
-    net: NetworkPosterior,
-    layer_idx: int,
-    i: int,
-    j: int,
-    sites: PriorSiteStore,
-) -> None:
-    """ADF-incorporate the zero-mean prior factor of one weight.
-
-    Updates that weight's Gaussian marginal, the shared prior-precision Gamma,
-    and records the implied site. The infinite-variance uniform state resolves
-    through the closed-form limit: the weight collapses onto the collapsed
-    Gaussian prior and the precision factor is untouched (all Z ratios -> 1).
-    """
-    cell = (slice(i, i + 1), slice(j, j + 1))
-    groups = [[arrays[layer_idx][cell]] for arrays in _site_arrays(net, sites)]
-    _incorporate_prior_factors(net, groups)
-
-
-def incorporate_all_prior_factors(net: NetworkPosterior, sites: PriorSiteStore) -> None:
-    """Sequentially incorporate every weight's prior factor, row-major order."""
-    _incorporate_prior_factors(net, _site_arrays(net, sites))
+        mean = sigma2 * 0.0
+        site = [1.0 / sigma2 - 0.0, mean / sigma2 - 0.0, a - a, b - b]
+        stack.means[r] = mean
+        stack.variances[r] = sigma2
+        sites.flat[:, r] = np.array(site)[:, None]
 
 
 def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray) -> GradientStore:
@@ -482,58 +404,141 @@ def incorporate_likelihood_factors(
     )
 
 
-def ep_refresh_prior(net: NetworkPosterior, sites: PriorSiteStore) -> RefreshReport:
-    """One EP sweep over the stored prior sites.
+def ep_refresh_prior(stack: PosteriorStack, sites: PriorSiteStore) -> RefreshReport:
+    """One EP sweep over the stored prior sites of every run of a stack.
 
-    Per weight: remove the site (natural-parameter subtraction), redo the
-    tilted moment-match against the cavity, and store the new site. Cavities
-    with non-positive Gaussian precision are skipped; a cavity with exactly
-    zero precision (no likelihood information yet) takes the same closed-form
-    flat limit as the first incorporation. Gamma cavities whose shape would
-    not support the Gaussian collapse leave the precision factor untouched.
+    Per weight, in order: remove the site (natural-parameter subtraction),
+    redo the tilted moment-match against the cavity, and store the new site.
+    Cavities with negative Gaussian precision are skipped, and so are those
+    whose refined variance is invalid; a cavity with exactly zero precision
+    (no likelihood information yet) takes the closed-form flat limit. Gamma
+    cavities whose shape would not support the Gaussian collapse leave the
+    precision factor untouched.
+
+    Only the running prior-precision Gamma makes a run's sweep sequential.
+    The cavities and the write-back are numpy over all runs and weights, and
+    one loop per run on Python floats does the rest (_refresh_run), because
+    numpy's exp and log differ from math's in the last bit where its + - * /
+    do not. Each run's result is bit for bit that of the per-weight loop. A
+    zero weight variance raises NumericError; nothing is written when
+    anything raises.
     """
-    groups = _site_arrays(net, sites)
-    means, variances, prec, prec_mean, site_shape, site_rate = lists = _as_lists(groups)
-    a, b = net.lam.shape, net.lam.rate
-    skipped = 0
-    max_change = 0.0
-    try:
-        for k, (m, v, p_site, eta_site, a_site, b_site) in enumerate(zip(*lists)):
-            p_cav = 1.0 / v - p_site
-            eta_cav = m / v - eta_site
-            if p_cav < 0.0:
-                skipped += 1
-                continue
-            a_cav = a - a_site
-            b_cav = b - b_site
-            gamma_ok = a_cav > 1.0 and b_cav > 0.0
-            a_fit, b_fit = (a_cav, b_cav) if gamma_ok else (a, b)
-            flat = p_cav == 0.0
-            v_cav = math.inf if flat else 1.0 / p_cav
-            try:
-                m_new, v_new, a_new, b_new = _match_prior_site(
-                    flat, eta_cav * v_cav, v_cav, eta_cav, a_fit, b_fit, gamma_ok
-                )
-            except NegativeVarianceError:
-                skipped += 1
-                continue
+    m, v = stack.means, stack.variances
+    if not v.all():
+        raise NumericError("zero weight variance: its prior-site cavity is undefined")
+    p_site, eta_site, a_site, b_site = sites.flat
+    # Python floats give the same infs and NaNs without a warning. Where they
+    # raise on a division by zero, NumericError is raised instead, here for a
+    # zero weight variance and in _refresh_run for a zero prior variance; the
+    # 1/0 cavity variance of a flat site goes unused.
+    with np.errstate(all="ignore"):
+        p_cav = 1.0 / v - p_site
+        eta_cav = m / v - eta_site
+        v_cav = 1.0 / p_cav
+        m_cav = eta_cav * v_cav
+        cavities = [p_cav, m_cav, v_cav, m_cav * m_cav, v_cav * v_cav, eta_cav]
+    cavities = [x.tolist() for x in cavities]
+    outputs = [x.tolist() for x in (m, v, a_site, b_site)]
+    lams, skipped, max_delta = [], [], []
+    for r, lam in enumerate(stack.lams):
+        a, b, skips, delta = _refresh_run(
+            lam.shape, lam.rate, zip(*(x[r] for x in cavities)), *(x[r] for x in outputs)
+        )
+        lams.append(GammaDist(a, b))
+        skipped.append(skips)
+        max_delta.append(delta)
 
-            prec[k] = 1.0 / v_new - p_cav
-            prec_mean[k] = m_new / v_new - eta_cav
-            if gamma_ok:
-                site_shape[k] = a_new - a_cav
-                site_rate[k] = b_new - b_cav
-                delta_lam = max(abs(a_new - a), abs(b_new - b))
-                a, b = a_new, b_new
-            else:
-                delta_lam = 0.0
-            max_change = max(max_change, abs(m_new - m), abs(v_new - v), delta_lam)
-            means[k] = m_new
-            variances[k] = v_new
-    finally:
-        _store_lists(groups, lists)
-        net.lam = GammaDist(a, b)
+    m_new, v_new, a_new, b_new = map(np.array, outputs)
+    keep = np.ones(m.shape, dtype=bool)
+    for r, skips in enumerate(skipped):
+        keep[r, skips] = False
+    with np.errstate(all="ignore"):
+        np.copyto(p_site, 1.0 / v_new - p_cav, where=keep)
+        np.copyto(eta_site, m_new / v_new - eta_cav, where=keep)
+        change = np.fmax(np.abs(m_new - m), np.abs(v_new - v))
+    # fmax skips NaN as Python's max does when it follows the running value;
+    # the weights left as they were add changes of 0 or NaN.
+    max_change = np.fmax.reduce(change, axis=-1, initial=0.0).tolist()
+    np.copyto(m, m_new)
+    np.copyto(v, v_new)
+    np.copyto(a_site, a_new)
+    np.copyto(b_site, b_new)
+    stack.lams[:] = lams
 
+    runs = [(len(s), max(c, d)) for s, c, d in zip(skipped, max_change, max_delta)]
     return RefreshReport(
-        sites_visited=len(means), sites_skipped=skipped, max_abs_change=max_change
+        sites_visited=m.size,
+        sites_skipped=sum(n for n, _ in runs),
+        max_abs_change=max(c for _, c in runs),
+        runs=runs,
     )
+
+
+def _refresh_run(a, b, cavities, means, variances, site_shape, site_rate):
+    """The sequential part of ep_refresh_prior for one run, on Python floats:
+    every step that depends on the running prior-precision Gamma(a, b).
+
+    cavities yields, per weight in order, the cavity's (precision, mean,
+    variance, mean*mean, variance*variance, natural mean). The other lists
+    hold, per weight, its mean and variance and its site's Gamma part (shape,
+    rate), and take what the sweep changes. Returns the final (a, b), the
+    indices of the sites skipped, and the largest change of the Gamma.
+    """
+    log, inf = math.log, math.inf
+    skipped = []
+    max_delta = 0.0
+    for k, (p, m, v, m_sq, v_sq, eta) in enumerate(cavities):
+        if p < 0.0:
+            skipped.append(k)
+            continue
+        a_cav = a - site_shape[k]
+        b_cav = b - site_rate[k]
+        gamma_ok = a_cav > 1.0 and b_cav > 0.0
+        a_fit, b_fit = (a_cav, b_cav) if gamma_ok else (a, b)
+        prior_var = b_fit / (a_fit - 1.0)
+        if p == 0.0:
+            # The limit of the refinement for a flat cavity: the weight
+            # collapses onto the collapsed prior keeping the natural mean eta,
+            # and the Gamma stays at its cavity (all Z ratios -> 1).
+            if prior_var == 0.0:
+                raise NumericError("prior variance underflows to 0 at a flat prior site")
+            means[k], variances[k] = prior_var * eta, prior_var
+            a_new, b_new = a_fit, b_fit
+        else:
+            # The Gaussian refinement with d log Z / dm and d log Z / dv of
+            # log N(m | 0, b/(a-1) + v); m_sq and v_sq are m*m and v*v.
+            total = prior_var + v
+            dm = -m / total
+            dv = 0.5 * (m_sq / (total * total) - 1.0 / total)
+            m_new = m + v * dm
+            v_new = v - v_sq * (dm * dm - 2.0 * dv)
+            if not (0.0 < v_new < inf and -inf < m_new < inf):
+                skipped.append(k)
+                continue
+            means[k], variances[k] = m_new, v_new
+            if not gamma_ok:
+                continue
+            # _log_z_triple(m, 0.0, v, a_fit, b_fit) written out, as the call
+            # costs a sixth of a site; its checks cannot fail for a_fit > 1,
+            # b_fit > 0 and v > 0. total is its first variance, and the square
+            # stays libm's pow, which differs from m * m in the last bit.
+            sq = (m - 0.0) ** 2
+            var1 = b_fit / (a_fit + 1.0 - 1.0) + v
+            var2 = b_fit / (a_fit + 2.0 - 1.0) + v
+            refined = _gamma_moments(
+                a_fit,
+                b_fit,
+                -0.5 * (LOG_2PI + log(total) + sq / total),
+                -0.5 * (LOG_2PI + log(var1) + sq / var1),
+                -0.5 * (LOG_2PI + log(var2) + sq / var2),
+            )
+            a_new, b_new = refined or (a_fit, b_fit)
+        if gamma_ok:
+            site_shape[k] = a_new - a_cav
+            site_rate[k] = b_new - b_cav
+            # A NaN change is skipped, as Python's max does after the running value.
+            delta = max(abs(a_new - a), abs(b_new - b))
+            if delta > max_delta:
+                max_delta = delta
+            a, b = a_new, b_new
+    return a, b, skipped, max_delta

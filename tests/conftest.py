@@ -9,7 +9,7 @@ import pytest
 from pbp.data import Dataset
 from pbp.forward import forward_output_moments
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
-from pbp.updates import GradientStore, backward_gradients
+from pbp.updates import GradientStore, PriorSiteStore, backward_gradients
 
 # Prepared benchmark CSVs live here (see scripts/fetch_datasets.py); tests that
 # need them skip when absent, since this suite must run offline.
@@ -65,3 +65,17 @@ def one_run_gradients(net, x, y) -> GradientStore:
     return GradientStore(
         [g[0].copy() for g in grads.d_means], [g[0].copy() for g in grads.d_variances]
     )
+
+
+def one_run(kernel, net, sites):
+    """A prior kernel of pbp.updates (ep_refresh_prior or
+    incorporate_all_prior_factors) on a one-run stack of a copy of net, with
+    sites as the stack's site store. net takes the run's weights and prior
+    Gamma back when the kernel returns; returns what the kernel returned."""
+    stack = PosteriorStack.of([net])
+    result = kernel(stack, PriorSiteStore(sites.flat[:, None], net.layer_sizes))
+    for layer, run_layer in zip(net.layers, stack.layers):
+        layer.means[...] = run_layer.means[0]
+        layer.variances[...] = run_layer.variances[0]
+    net.lam = stack.lams[0]
+    return result

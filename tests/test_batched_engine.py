@@ -2,7 +2,7 @@
 
 `reference_train` is the one-run, one-example-at-a-time schedule that
 `train_runs` replaces, updating through the frozen per-network step of
-`reference_update`. Every run of a batch must match it bit for bit: the batch
+`reference_update` and the per-weight prior loops of `reference_prior`. Every run of a batch must match it bit for bit: the batch
 changes how the work is dispatched and where it is stored, never the
 arithmetic of a run.
 """
@@ -22,12 +22,8 @@ from reference_forward import forward_output_moments_batch
 from reference_update import incorporate_likelihood_factor
 from pbp.posterior import GammaDist, PbpConfig, PosteriorStack, new_uniform, perturb_means
 from pbp.training import SkipRateError, TrainReport, train, train_runs
-from pbp.updates import (
-    PriorSiteStore,
-    ep_refresh_prior,
-    incorporate_all_prior_factors,
-    incorporate_likelihood_factors,
-)
+from pbp.updates import PriorSiteStore, incorporate_likelihood_factors
+from reference_prior import ep_refresh_prior, incorporate_all_prior_factors
 
 
 def reference_train(dataset, config, rng):

@@ -137,6 +137,12 @@ class TestPredictCommand:
                          id="negative-variance"),
             pytest.param(lambda d: d["network"].__setitem__("layer_sizes", [1, 5, 1]),
                          id="layer-sizes-disagree"),
+            pytest.param(lambda d: d["config"].__setitem__("prior_shape_lambda", 1.0),
+                         id="prior-shape-one"),
+            pytest.param(lambda d: d["config"].__setitem__("prior_rate_gamma", float("inf")),
+                         id="prior-rate-infinite"),
+            pytest.param(lambda d: d["config"].__setitem__("prior_rate_lambda", 10**400),
+                         id="prior-rate-beyond-float"),
         ],
     )
     def test_hostile_model_file_is_a_data_error(self, toy_csv, tmp_path, capsys, corrupt):
@@ -224,7 +230,7 @@ class TestNumericFailures:
         def failing(*args):
             raise updates.NegativeVarianceError("refined variance -1.0 (from v=inf)")
 
-        monkeypatch.setattr(updates, "_match_prior_site", failing)
+        monkeypatch.setattr(training, "incorporate_all_prior_factors", failing)
         code, out = self._train(toy_csv, tmp_path)
         assert code == EXIT_NUMERIC
         assert "numeric failure: refined variance -1.0" in capsys.readouterr().err

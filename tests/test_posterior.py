@@ -83,6 +83,24 @@ def test_config_defaults_match_protocol():
     assert cfg.prior_shape_gamma == 6.0 == cfg.prior_rate_gamma
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prior_shape_lambda", 0.5),   # a negative prior variance
+        ("prior_shape_lambda", 1.0),   # b / (a - 1) divides by zero
+        ("prior_rate_lambda", 0.0),    # a zero prior variance
+        ("prior_rate_lambda", math.inf),
+        ("prior_shape_gamma", 1.0),    # every example skipped
+        ("prior_shape_gamma", math.nan),
+        ("prior_rate_gamma", -1.0),
+        ("prior_shape_lambda", math.inf),
+    ],
+)
+def test_config_rejects_priors_the_gaussian_collapse_cannot_use(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > "):
+        PbpConfig(**{field: value})
+
+
 def test_clone_is_independent():
     net = new_uniform([2, 3, 1])
     other = net.clone()

@@ -50,13 +50,13 @@ class TestSchedule:
         real_prior = training.incorporate_all_prior_factors
         real_refresh = training.ep_refresh_prior
 
-        def prior_spy(net, sites):
+        def prior_spy(stack, sites):
             counts["prior"] += 1
-            return real_prior(net, sites)
+            return real_prior(stack, sites)
 
-        def refresh_spy(net, sites):
+        def refresh_spy(stack, sites):
             counts["refresh"] += 1
-            return real_refresh(net, sites)
+            return real_refresh(stack, sites)
 
         monkeypatch.setattr(training, "incorporate_all_prior_factors", prior_spy)
         monkeypatch.setattr(training, "ep_refresh_prior", refresh_spy)
@@ -70,9 +70,9 @@ class TestSchedule:
         counts = {"refresh": 0}
         real_refresh = training.ep_refresh_prior
 
-        def refresh_spy(net, sites):
+        def refresh_spy(stack, sites):
             counts["refresh"] += 1
-            return real_refresh(net, sites)
+            return real_refresh(stack, sites)
 
         monkeypatch.setattr(training, "ep_refresh_prior", refresh_spy)
         cfg = PbpConfig(
@@ -80,6 +80,37 @@ class TestSchedule:
         )
         train(norm, cfg, np.random.default_rng(2))
         assert counts["refresh"] == 4  # every 5 of the 20 total updates
+
+
+    def test_each_run_keeps_its_own_refresh_outcomes(self, monkeypatch):
+        norm, _ = normalized_toy(n=10)
+        real_refresh = training.ep_refresh_prior
+        seen = []
+
+        def inflating_spy(stack, sites):
+            # Inflate one site of run 0 beyond its marginal's precision: a
+            # negative cavity, which that run alone skips.
+            sites.precision[0][0, 0, 0] = 1.0 / stack.variances[0, 0] + 5.0
+            report = real_refresh(stack, sites)
+            seen.append(report.runs)
+            return report
+
+        monkeypatch.setattr(training, "ep_refresh_prior", inflating_spy)
+        cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=2)
+        rngs = [np.random.default_rng(2), np.random.default_rng(3)]
+        results = training.train_runs([norm, norm], cfg, rngs)
+        skipping, clean = (report.refreshes for _, _, report in results)
+        assert [n for n, _ in skipping] == [1, 1, 1]
+        assert [n for n, _ in clean] == [0, 0, 0]
+        assert [list(pair) for pair in zip(skipping, clean)] == seen
+        assert all(0.0 < change < np.inf for _, change in skipping + clean)
+
+    def test_a_lone_run_reports_every_refresh(self):
+        norm, _ = normalized_toy(n=10)
+        cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=2, seed=2, refresh_every_n_examples=5)
+        _, _, report = train(norm, cfg, np.random.default_rng(2))
+        assert len(report.refreshes) == 4
+        assert all(n == 0 and 0.0 < change < np.inf for n, change in report.refreshes)
 
 
 class TestDeterminism:

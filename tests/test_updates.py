@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pbp.updates as updates
-from conftest import random_net
+from conftest import one_run, random_net
 from pbp.forward import forward_output_moments
 from pbp.gauss import gaussian_log_density
 from pbp.oracles import gamma_tilted_moments_quadrature
@@ -17,11 +17,10 @@ from pbp.updates import (
     _log_z_triple,
     ep_refresh_prior,
     gamma_refine,
-    gaussian_refine,
     incorporate_all_prior_factors,
     incorporate_likelihood_factors,
-    incorporate_prior_factor,
 )
+from reference_prior import gaussian_refine, incorporate_prior_factor
 
 
 def conjugate_logz_gradients(y, m, v, noise_var):
@@ -193,7 +192,7 @@ class TestIncorporatePriorFactor:
         net.lam = GammaDist(6.0, 6.0)
         net.gamma = GammaDist(6.0, 6.0)
         sites = PriorSiteStore.zeros(net)
-        incorporate_prior_factor(net, 0, 0, 0, sites)
+        one_run(incorporate_all_prior_factors, net, sites)
         assert net.layers[0].means[0, 0] == 0.0
         assert net.layers[0].variances[0, 0] == pytest.approx(1.2, abs=1e-15)
         # Gamma factor untouched in the flat limit.
@@ -322,12 +321,12 @@ class TestEpRefreshPrior:
         net, sites = self._trained_state()
         converged = False
         for _ in range(30):
-            rep = ep_refresh_prior(net, sites)
+            rep = one_run(ep_refresh_prior, net, sites)
             if rep.max_abs_change < 1e-8:
                 converged = True
                 break
         assert converged, "EP refresh failed to reach its fixed point"
-        rep = ep_refresh_prior(net, sites)
+        rep = one_run(ep_refresh_prior, net, sites)
         assert rep.max_abs_change < 1e-8
 
     def test_single_factor_refresh_is_exact_noop(self):
@@ -335,14 +334,14 @@ class TestEpRefreshPrior:
         net.lam = GammaDist(6.0, 6.0)
         net.gamma = GammaDist(6.0, 6.0)
         sites = PriorSiteStore.zeros(net)
-        incorporate_all_prior_factors(net, sites)
+        one_run(incorporate_all_prior_factors, net, sites)
         from pbp.posterior import perturb_means
 
         perturb_means(net, np.random.default_rng(0))
         m0 = net.layers[0].means.copy()
         v0 = net.layers[0].variances.copy()
         for _ in range(3):
-            rep = ep_refresh_prior(net, sites)
+            rep = one_run(ep_refresh_prior, net, sites)
             assert rep.max_abs_change == 0.0
             assert rep.sites_skipped == 0
         assert np.array_equal(net.layers[0].means, m0)
@@ -354,7 +353,7 @@ class TestEpRefreshPrior:
         sites.precision[0][0, 0] = 1.0 / net.layers[0].variances[0, 0] + 5.0
         m = net.layers[0].means[0, 0]
         v = net.layers[0].variances[0, 0]
-        rep = ep_refresh_prior(net, sites)
+        rep = one_run(ep_refresh_prior, net, sites)
         assert rep.sites_skipped == 1
         assert net.layers[0].means[0, 0] == m
         assert net.layers[0].variances[0, 0] == v
@@ -362,7 +361,7 @@ class TestEpRefreshPrior:
     def test_refresh_keeps_variances_positive_and_shapes_above_one(self):
         net, sites = self._trained_state()
         for _ in range(5):
-            ep_refresh_prior(net, sites)
+            one_run(ep_refresh_prior, net, sites)
         for layer in net.layers:
             assert np.all(layer.variances > 0.0)
         assert net.lam.shape > 1.0
