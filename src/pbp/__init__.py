@@ -8,7 +8,7 @@ weight-prior precisions, and stored approximate prior factors get one
 expectation-propagation refresh per data pass.
 """
 
-from .active import ActiveConfig, acquire_next, run_active_experiment, run_active_experiments
+from .active import ActiveConfig, acquire_next, run_active_experiments
 from .data import (
     DataError,
     Dataset,
@@ -22,9 +22,9 @@ from .data import (
 from .forward import (
     ForwardTrace,
     MomentVector,
-    append_bias,
     forward_linear,
     forward_output_moments,
+    forward_trace,
     relu_moments,
 )
 from .posterior import (
@@ -47,12 +47,9 @@ from .prediction import (
 from .training import SkipRateError, TrainReport, train, train_runs
 from .updates import (
     GradientStore,
-    LogZTriple,
-    NegativeVarianceError,
     PriorSiteStore,
     backward_gradients,
     ep_refresh_prior,
-    gamma_refine,
     incorporate_likelihood_factors,
 )
 

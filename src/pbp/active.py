@@ -109,23 +109,6 @@ def _fit(
     ]
 
 
-def run_active_experiment(
-    dataset: Dataset,
-    policy: str,
-    config: PbpConfig,
-    rng: np.random.Generator,
-    active_cfg: ActiveConfig | None = None,
-) -> ActiveState:
-    """One repetition: split, train from scratch, then acquire/retrain loop.
-
-    Test RMSE is recorded before each acquisition and once more at the end,
-    giving acquisitions+1 evaluations. The split depends only on the rng state
-    at entry, so active and random arms started from the same seed share it.
-    """
-    [state] = run_active_experiments(dataset, [policy], config, [rng], active_cfg)
-    return state
-
-
 def run_active_experiments(
     dataset: Dataset,
     policies: list[str],
@@ -134,8 +117,14 @@ def run_active_experiments(
     active_cfg: ActiveConfig | None = None,
     labels: list[str] | None = None,
 ) -> list[ActiveState]:
-    """Independent repetitions of run_active_experiment, repetition r with
-    policy policies[r] and generator rngs[r].
+    """Independent repetitions of the experiment, repetition r with policy
+    policies[r] and generator rngs[r].
+
+    Each repetition splits the data, trains from scratch, then acquires a
+    point and retrains, acquisitions times. Test RMSE is recorded before each
+    acquisition and once more at the end, giving acquisitions+1 evaluations.
+    A split depends only on its rng's state at entry, so active and random
+    arms started from the same seed share it.
 
     Every repetition, of either policy, has the same training-set size at each
     step, so each step's trainings run in lockstep; each repetition's results

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -56,6 +54,10 @@ def _int_at_least(minimum: int):
 _count = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
+# --jobs is accepted for compatibility: every run trains in one in-process
+# batch, whose large forward passes already use every usable CPU.
+_JOBS_HELP = "accepted and ignored; all runs train as one batch in this process"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pbp", description=__doc__)
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench)
     p_bench.add_argument("--splits", type=_count, default=20)
     p_bench.add_argument("--test-fraction", type=float, default=0.1)
-    p_bench.add_argument("--jobs", type=_count, default=1)
+    p_bench.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_bench.add_argument("--out", default="-", help="output CSV ('-' = stdout)")
 
     p_act = sub.add_parser("active", help="active-learning experiment")
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("--test-size", type=_count, default=100)
     p_act.add_argument("--acquisitions", type=_nonnegative, default=9)
     p_act.add_argument("--repetitions", type=_count, default=40)
-    p_act.add_argument("--jobs", type=_count, default=1)
+    p_act.add_argument("--jobs", type=_count, default=1, help=_JOBS_HELP)
     p_act.add_argument(
         "--out",
         required=True,
@@ -151,10 +153,10 @@ def _fmt(x: float) -> str:
 
 def cmd_train(args) -> int:
     dataset = dio.load_csv(args.data, args.target)
-    rng = np.random.default_rng(args.seed)
+    config = _pbp_config(args)
+    rng = np.random.default_rng(config.seed)
     train_set, test_set = dio.split(dataset, args.test_fraction, rng)
     train_norm, stats = dio.normalize(train_set)
-    config = _pbp_config(args)
     net, sites, report = train(train_norm, config, rng)
     model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
     dio.save_model(model, args.out)
@@ -187,53 +189,27 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _shards(count: int, jobs: int) -> list[list[int]]:
-    """Split run indices 0..count-1 into at most `jobs` contiguous, nonempty shards."""
-    return [shard.tolist() for shard in np.array_split(np.arange(count), min(jobs, count))]
-
-
-def _map_shards(fn, payloads):
-    """fn over the shard payloads, one worker process each when there are
-    several; the per-run results come back concatenated in run order."""
-    if len(payloads) > 1:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=len(payloads), mp_context=context) as pool:
-            shards = list(pool.map(fn, payloads))
-    else:
-        shards = [fn(p) for p in payloads]
-    return [result for shard in shards for result in shard]
-
-
-def _benchmark_shard(payload):
-    """Test RMSE and log-likelihood of each split in the shard, trained in lockstep."""
-    dataset, config, splits, test_fraction = payload
+def cmd_benchmark(args) -> int:
+    dataset = dio.load_csv(args.data, args.target)
+    config = _pbp_config(args)
+    # Split i draws its split and its training from seed + i; all splits
+    # train in lockstep as one batch.
     rngs, train_sets, evaluations = [], [], []
-    for s in splits:
-        rng = np.random.default_rng(config.seed + s)
-        train_set, test_set = dio.split(dataset, test_fraction, rng)
+    for i in range(args.splits):
+        rng = np.random.default_rng(config.seed + i)
+        train_set, test_set = dio.split(dataset, args.test_fraction, rng)
         train_norm, stats = dio.normalize(train_set)
         rngs.append(rng)
         train_sets.append(train_norm)
         evaluations.append((stats, test_set))
-    runs = train_runs(train_sets, config, rngs, [f"split {s}" for s in splits])
-    results = []
+    runs = train_runs(train_sets, config, rngs, [f"split {i}" for i in range(args.splits)])
+    rmses, lls = [], []
     for (net, sites, _), (stats, test_set) in zip(runs, evaluations):
         model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
-        results.append((rmse(model, test_set), test_log_likelihood(model, test_set)))
-    return results
+        rmses.append(rmse(model, test_set))
+        lls.append(test_log_likelihood(model, test_set))
 
-
-def cmd_benchmark(args) -> int:
-    dataset = dio.load_csv(args.data, args.target)
-    config = _pbp_config(args)
-    payloads = [
-        (dataset, config, splits, args.test_fraction)
-        for splits in _shards(args.splits, args.jobs)
-    ]
-    results = _map_shards(_benchmark_shard, payloads)
-
-    rmses = np.array([r for r, _ in results])
-    lls = np.array([l for _, l in results])
+    rmses, lls = np.array(rmses), np.array(lls)
     s = args.splits
     rows = [
         [str(i), _fmt(rmses[i]), "", _fmt(lls[i]), ""] for i in range(s)
@@ -252,31 +228,24 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def _active_shard(payload):
-    """Test-RMSE history of each (policy, repetition) run in the shard, trained in lockstep."""
-    dataset, config, runs, active_cfg = payload
-    policies = [policy for policy, _ in runs]
-    rngs = [np.random.default_rng(config.seed + rep) for _, rep in runs]
-    labels = [f"{policy} repetition {rep}" for policy, rep in runs]
-    states = run_active_experiments(dataset, policies, config, rngs, active_cfg, labels)
-    return [state.rmse_history for state in states]
-
-
 def cmd_active(args) -> int:
     dataset = dio.load_csv(args.data, args.target)
     policies = list(POLICIES) if args.policy == "both" else [args.policy]
     # Repetition r of every policy starts from seed + r; all of them train as
-    # one batch, which --jobs cuts into shards.
+    # one batch.
     runs = [(policy, rep) for policy in policies for rep in range(args.repetitions)]
     config = _pbp_config(args)
     active_cfg = ActiveConfig(args.initial_train, args.test_size, args.acquisitions)
-    payloads = [
-        (dataset, config, [runs[i] for i in shard], active_cfg)
-        for shard in _shards(len(runs), args.jobs)
-    ]
-    results = _map_shards(_active_shard, payloads)
+    states = run_active_experiments(
+        dataset,
+        [policy for policy, _ in runs],
+        config,
+        [np.random.default_rng(config.seed + rep) for _, rep in runs],
+        active_cfg,
+        [f"{policy} repetition {rep}" for policy, rep in runs],
+    )
     for policy in policies:
-        histories = np.array([h for (p, _), h in zip(runs, results) if p == policy])
+        histories = np.array([s.rmse_history for (p, _), s in zip(runs, states) if p == policy])
         means = histories.mean(axis=0)
         if histories.shape[0] > 1:
             stderrs = histories.std(axis=0, ddof=1) / np.sqrt(histories.shape[0])

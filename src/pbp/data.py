@@ -61,9 +61,6 @@ class NormStats:
             columns=dataset.columns,
         )
 
-    def invert_target(self, y_norm: np.ndarray) -> np.ndarray:
-        return y_norm * self.target_std + self.target_mean
-
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
     try:
@@ -245,11 +242,6 @@ def _require_finite_stats(columns, f_mean, f_std, t_mean, t_std) -> None:
         f"{what}: mean {mean!r} and standard deviation {std!r} are not both finite; "
         "the values are too large to normalize"
     )
-
-
-def identity_stats(n_features: int) -> NormStats:
-    """Pass-through stats, handy for data that is already normalized."""
-    return NormStats(np.zeros(n_features), np.ones(n_features), 0.0, 1.0)
 
 
 def _net_to_dict(net: NetworkPosterior) -> dict:

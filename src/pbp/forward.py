@@ -102,26 +102,25 @@ class LayerTrace:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, exactly as used going forward.
-
-    The output moments are floats for one network and arrays over the runs of
-    a stack.
-    """
+    """Everything the backward pass needs, exactly as used going forward: one
+    record per layer and the output moments, one per run of the stack."""
 
     records: list[LayerTrace]
-    output_mean: float | np.ndarray
-    output_variance: float | np.ndarray
+    output_mean: np.ndarray | None
+    output_variance: np.ndarray | None
 
 
 class Workspace:
-    """The buffers of a stack's one-row forward pass and of its backward pass.
+    """The buffers of a stack's forward_trace and of its backward pass.
 
     Built on flat (*runs, W) weight buffers and their layer views: the squared
     means, the gradients of log Z (filled by the backward pass, flat with
     per-layer views), every layer's bias-extended input, into which the
-    previous rectifier writes, and the trace records. A PosteriorStack keeps
-    its own in `workspace`, built by its first one-row pass, so a training step
-    allocates none of them; each one-row pass overwrites the last one's trace.
+    previous rectifier writes, and the trace records, which hold each layer's
+    input buffer, the rectifier's output buffer and the squared means. A
+    PosteriorStack keeps its own in `workspace`, built by its first
+    forward_trace, so a training step allocates none of them; each
+    forward_trace overwrites the last one's trace.
     """
 
     def __init__(self, means, variances, layer_sizes):
@@ -135,21 +134,12 @@ class Workspace:
         self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], means.shape[:-1] + (1,))
         means_sq = layer_views(self.means_sq, layer_sizes)
         self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
-        self.trace = _empty_trace(self.inputs, self.outputs, means_sq)
-
-
-def _empty_trace(inputs, outputs, means_sq) -> ForwardTrace:
-    """A trace whose records hold each layer's input buffer, the rectifier's
-    output buffer and the squared means; a one-row pass fills in the rest."""
-    last = len(inputs) - 1
-    return ForwardTrace(
-        [
-            LayerTrace(z, None, outputs[l + 1] if l < last else None, None, msq)
-            for l, (z, msq) in enumerate(zip(inputs, means_sq))
-        ],
-        None,
-        None,
-    )
+        last = len(layers) - 1
+        records = [
+            LayerTrace(z, None, self.outputs[l + 1] if l < last else None, None, msq)
+            for l, (z, msq) in enumerate(zip(self.inputs, means_sq))
+        ]
+        self.trace = ForwardTrace(records, None, None)
 
 
 def _bias_buffers(widths, rows_shape):
@@ -261,28 +251,16 @@ def relu_moments(a: MomentVector, out: MomentVector | None = None) -> tuple[Mome
     return out, aux
 
 
-def append_bias(b: MomentVector) -> MomentVector:
-    """Concatenate the constant bias unit (mean 1, variance 0) on the last axis."""
-    [z], [slots] = _bias_buffers([len(b)], b.mean.shape[:-1])
-    slots.mean[...] = b.mean
-    slots.variance[...] = b.variance
-    return z
-
-
 def forward_output_moments(
     net: NetworkPosterior | PosteriorStack, x: np.ndarray
-) -> tuple[float | np.ndarray, float | np.ndarray, ForwardTrace | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the moments of rows of inputs through every layer.
 
     x has shape (*runs, rows, d): (n, d) for one network and (R, n, d) for a
     PosteriorStack of R runs; the output mean and variance have shape
-    (*runs, rows). A single input of shape (d,) gives float moments.
+    (*runs, rows). No trace is kept; an update takes forward_trace.
 
-    The trace the backward pass needs is kept only with one row per run, the
-    case an update uses; otherwise it is None. A stack runs that pass in its
-    workspace, and its trace stays valid until the stack's next one-row pass.
-
-    More rows go through in work items (see _work_items) of one row block and,
+    The rows go through in work items (see _work_items) of one row block and,
     for a stack, a group of runs, so the working set is bounded by one item
     whatever the row count. From 2 * BLOCK_ROWS rows on, the blocks start at
     multiples of BLOCK_ROWS and the last takes the remainder: every gemm sees
@@ -294,26 +272,11 @@ def forward_output_moments(
     """
     x = np.asarray(x, dtype=float)
     runs = net.layers[0].means.shape[:-2]
-    single = x.ndim == 1 and not runs
-    if single:
-        x = x[None, :]
     d = net.layer_sizes[0]
     if x.ndim != len(runs) + 2 or x.shape[:-2] != runs or x.shape[-1] != d:
         raise ValueError(f"input has shape {x.shape}, expected {runs + ('n', d)}")
 
     n = x.shape[-2]
-    if n == 1:
-        trace = _one_row(net, x)
-        a = trace.records[-1].pre
-        out_mean, out_var = a.mean[..., 0], a.variance[..., 0]
-        row_mean, row_var = out_mean[..., 0], out_var[..., 0]
-        if not runs:
-            row_mean, row_var = float(row_mean), float(row_var)
-        if single:
-            out_mean, out_var = row_mean, row_var
-        trace.output_mean, trace.output_variance = row_mean, row_var
-        return out_mean, out_var, trace
-
     transposed = [_transposed(layer, layer.means * layer.means) for layer in net.layers]
     out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
 
@@ -328,27 +291,27 @@ def forward_output_moments(
 
     parallel = math.prod(runs) * n >= 2 * BLOCK_ROWS
     _run_items(forward_item, _work_items(runs, n), parallel)
-    return out_mean, out_var, None
+    return out_mean, out_var
 
 
-def _one_row(net: NetworkPosterior | PosteriorStack, x: np.ndarray) -> ForwardTrace:
-    """The filled trace of a pass of one row per run: in the stack's
-    workspace, or for a network in buffers built on its own weights."""
-    if isinstance(net, PosteriorStack):
-        if net.workspace is None:
-            net.workspace = Workspace(net.means, net.variances, net.layer_sizes)
-        ws = net.workspace
-        np.multiply(ws.means, ws.means, out=ws.means_sq)
-        layers, inputs, outputs, transposed, trace = (
-            ws.layers, ws.inputs, ws.outputs, ws.transposed, ws.trace
-        )
-    else:
-        layers = net.layers
-        means_sq = [layer.means * layer.means for layer in layers]
-        inputs, outputs = _bias_buffers(net.layer_sizes[:-1], (1,))
-        transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
-        trace = _empty_trace(inputs, outputs, means_sq)
-    _propagate(layers, inputs, outputs, x, transposed, trace.records)
+def forward_trace(stack: PosteriorStack, x: np.ndarray) -> ForwardTrace:
+    """The forward pass of one input row per run, x of shape (R, d), with the
+    trace the backward pass needs; its output moments have shape (R,).
+
+    It runs in the stack's workspace, which the first call builds, and its
+    trace stays valid until the stack's next forward_trace.
+    """
+    x = np.asarray(x, dtype=float)
+    expected = stack.means.shape[:-1] + (stack.layer_sizes[0],)
+    if x.shape != expected:
+        raise ValueError(f"input has shape {x.shape}, expected {expected}")
+    if stack.workspace is None:
+        stack.workspace = Workspace(stack.means, stack.variances, stack.layer_sizes)
+    ws = stack.workspace
+    np.multiply(ws.means, ws.means, out=ws.means_sq)
+    trace = ws.trace
+    a = _propagate(ws.layers, ws.inputs, ws.outputs, x[:, None, :], ws.transposed, trace.records)
+    trace.output_mean, trace.output_variance = a.mean[:, 0, 0], a.variance[:, 0, 0]
     return trace
 
 
@@ -426,7 +389,7 @@ def _propagate(layers, inputs, outputs, x, transposed, records=None) -> MomentVe
     bias-extended input buffers of _bias_buffers and each layer's transposed
     means, variances and squared means.
 
-    With records (a one-row pass), each layer's pre-activation and rectifier
+    With records (forward_trace), each layer's pre-activation and rectifier
     intermediates go on them; without, the rectifier runs in chunks.
     """
     np.copyto(outputs[0].mean, x)

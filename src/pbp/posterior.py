@@ -40,11 +40,6 @@ class GammaDist:
         if self.rate < 0.0:
             raise ValueError(f"Gamma rate must be nonnegative, got {self.rate}")
 
-    def mean(self) -> float:
-        if self.rate <= 0.0:
-            raise ValueError("mean undefined for the uniform (rate=0) state")
-        return self.shape / self.rate
-
 
 @dataclass
 class LayerPosterior:
@@ -106,7 +101,7 @@ class PosteriorStack:
     each layer holds (R, rows, cols) views into the two buffers, so training
     updates them in place. Each run keeps its own two Gamma factors.
     `workspace` holds the buffers of one update step; the stack's first
-    one-row forward pass builds it, and only the stack refers to it.
+    forward_trace builds it, and only the stack refers to it.
     """
 
     def __init__(self, means, variances, gammas, lams, layer_sizes):
@@ -181,9 +176,6 @@ class PbpConfig:
     prior_shape_gamma: float = 6.0
     prior_rate_gamma: float = 6.0
     seed: int = 0
-    # Refresh the stored prior sites after this many likelihood updates.
-    # None means once per full pass over the training data.
-    refresh_every_n_examples: int | None = None
 
     def __post_init__(self):
         if self.epochs < 0:

@@ -42,9 +42,12 @@ def predict_batch(
     gives floats.
     """
     X = norm.apply_features(np.asarray(X_raw, dtype=float))
-    mz, vz, _ = forward_output_moments(net, X)
+    single = X.ndim == 1
+    mz, vz = forward_output_moments(net, X[None, :] if single else X)
     means = mz * norm.target_std + norm.target_mean
     variances = (noise_floor(net) + vz) * norm.target_std**2
+    if single:
+        return float(means[0]), float(variances[0])
     return means, variances
 
 

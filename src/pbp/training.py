@@ -61,8 +61,8 @@ def train(
     Schedule: absorb the Gamma hyperpriors exactly, ADF-incorporate every
     weight-prior factor once, perturb the means to break symmetry, then for
     each epoch shuffle the examples, incorporate each likelihood factor once,
-    and refresh the stored prior sites. The per-epoch RMSE uses the predictive
-    means on the (normalized) training targets.
+    and refresh the stored prior sites after the last. The per-epoch RMSE
+    uses the predictive means on the (normalized) training targets.
     """
     [(net, sites, report)] = train_runs([dataset], config, [rng])
     return net, sites, report
@@ -105,8 +105,6 @@ def train_runs(
     reports = [TrainReport() for _ in range(runs)]
     undo = np.zeros(runs, dtype=int)
     updates = np.zeros(runs, dtype=int)
-    refresh_every = config.refresh_every_n_examples or n
-    since_refresh = 0
     features = np.stack([ds.features for ds in datasets])
     targets = np.stack([ds.targets for ds in datasets])
     run_index = np.arange(runs)[:, None]
@@ -122,14 +120,11 @@ def train_runs(
             skipped += outcome.skipped
             undo += outcome.undo_count
             updates += outcome.weight_updates
-            since_refresh += 1
-            if since_refresh >= refresh_every:
-                refresh = ep_refresh_prior(stack, sites)
-                for report, run_refresh in zip(reports, refresh.runs):
-                    report.refreshes.append(run_refresh)
-                since_refresh = 0
+        refresh = ep_refresh_prior(stack, sites)
+        for report, run_refresh in zip(reports, refresh.runs):
+            report.refreshes.append(run_refresh)
 
-        means, _, _ = forward_output_moments(stack, features)
+        means, _ = forward_output_moments(stack, features)
         epoch_rmse = np.sqrt(np.mean((means - targets) ** 2, axis=-1))
         for r, report in enumerate(reports):
             report.examples_skipped += int(skipped[r])

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (
-    ForwardTrace,
-    MomentVector,
-    ReluAux,
-    forward_output_moments,
-)
+from .forward import ForwardTrace, MomentVector, ReluAux, forward_trace
 from .gauss import LOG_2PI
 from .posterior import (
     GammaDist,
@@ -34,19 +29,6 @@ from .posterior import (
     PosteriorStack,
     layer_views,
 )
-
-
-class NegativeVarianceError(NumericError):
-    """A Gaussian refinement produced a non-positive variance; caller undoes."""
-
-
-@dataclass
-class LogZTriple:
-    """Log-normalizers at Gamma shape, shape+1 and shape+2."""
-
-    log_z: float
-    log_z1: float
-    log_z2: float
 
 
 @dataclass
@@ -111,21 +93,16 @@ class UpdateOutcome:
     weight_updates: np.ndarray
 
 
-def gamma_refine(g: GammaDist, logz: LogZTriple) -> GammaDist:
-    """Match the first two tilted moments of the precision.
+def _gamma_moments(a, b, log_z, log_z1, log_z2):
+    """Match the first two tilted moments of a Gamma(a, b) precision.
 
     With Z_k the normalizer at shape+k, the tilted moments are
-    E[x]   = (Z1/Z)  * shape/rate
-    E[x^2] = (Z2/Z)  * shape*(shape+1)/rate^2
-    and the matched Gamma follows from mean and variance. Invalid results
-    (non-positive or non-finite parameters) reject the update and keep g.
+    E[x]   = (Z1/Z)  * a/b
+    E[x^2] = (Z2/Z)  * a*(a+1)/b^2
+    and the matched Gamma follows from mean and variance. Returns the matched
+    (shape, rate) on floats, or None when the result is invalid (non-positive
+    or non-finite parameters): the update is then rejected.
     """
-    refined = _gamma_moments(g.shape, g.rate, logz.log_z, logz.log_z1, logz.log_z2)
-    return g if refined is None else GammaDist(*refined)
-
-
-def _gamma_moments(a, b, log_z, log_z1, log_z2):
-    """gamma_refine on floats: the matched (shape, rate), or None when rejected."""
     try:
         r_z2 = math.exp(log_z + log_z2 - 2.0 * log_z1)
         r_21 = math.exp(log_z2 - log_z1)
@@ -147,7 +124,7 @@ def _log_z_triple(x, mean, v, shape, rate):
     """log N(x | mean, rate/(shape+k-1) + v) for k = 0, 1, 2 on floats.
 
     The Gaussian collapse of the Student's t left by marginalizing a Gamma
-    precision, at the three shapes gamma_refine needs: the likelihood
+    precision, at the three shapes _gamma_moments needs: the likelihood
     log-normalizer of a target x against output moments (mean, v), and the
     prior one of a weight x of variance v against mean 0 (which _refresh_run
     writes out). Raises ValueError for a shape at or below 1 or a
@@ -200,7 +177,7 @@ def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray
     Seeds with d log Z / d(output moments) and walks the trace in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
     maps as implemented in the forward pass. The trace is the stack's last
-    one-row forward pass and y holds one target per run. The gradients go
+    forward_trace and y holds one target per run. The gradients go
     into the stack's workspace, flat over all weights; the returned store
     holds their per-layer (R, rows, cols) views.
     """
@@ -348,10 +325,12 @@ def incorporate_likelihood_factors(
     is that of a stack of that run alone, bit for bit.
     """
     gammas = stack.gammas
-    mz, vz, trace = forward_output_moments(stack, x[:, None, :])
+    trace = forward_trace(stack, x)
     triples = [
         _likelihood_triple(*args)
-        for args in zip(np.ravel(y).tolist(), np.ravel(mz).tolist(), np.ravel(vz).tolist(), gammas)
+        for args in zip(
+            np.ravel(y).tolist(), trace.output_mean.tolist(), trace.output_variance.tolist(), gammas
+        )
     ]
     skipped = np.array([t is None for t in triples])
     if skipped.all():

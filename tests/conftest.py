@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbp.data import Dataset
-from pbp.forward import forward_output_moments
+from pbp.data import Dataset, NormStats
+from pbp.forward import forward_output_moments, forward_trace
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.updates import GradientStore, PriorSiteStore, backward_gradients
 
@@ -47,6 +47,17 @@ def random_net(layer_sizes, rng, mean_scale=1.0, var_low=0.05, var_high=1.0):
     return net
 
 
+def output_moments(net, x):
+    """The output mean and variance of one input row x, as two floats."""
+    m, v = forward_output_moments(net, np.asarray(x, dtype=float)[None, :])
+    return float(m[0]), float(v[0])
+
+
+def identity_stats(n_features: int) -> NormStats:
+    """Pass-through normalization statistics, for data already normalized."""
+    return NormStats(np.zeros(n_features), np.ones(n_features), 0.0, 1.0)
+
+
 def toy_cubic_dataset(n: int, seed: int, noise_sd: float = 3.0) -> Dataset:
     """Inputs uniform on [-4, 4], targets x^3 plus Gaussian noise."""
     rng = np.random.default_rng(seed)
@@ -60,7 +71,7 @@ def one_run_gradients(net, x, y) -> GradientStore:
     through a one-run stack of a copy of net; per-layer arrays without the
     runs axis."""
     stack = PosteriorStack.of([net])
-    _, _, trace = forward_output_moments(stack, np.asarray(x, dtype=float)[None, None, :])
+    trace = forward_trace(stack, np.asarray(x, dtype=float)[None, :])
     grads = backward_gradients(stack, trace, np.array([y]))
     return GradientStore(
         [g[0].copy() for g in grads.d_means], [g[0].copy() for g in grads.d_variances]

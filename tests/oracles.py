@@ -15,10 +15,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .forward import forward_output_moments
-from .gauss import LOG_2PI
-from .posterior import GammaDist, NetworkPosterior
-from .updates import GradientStore
+from pbp.forward import forward_output_moments
+from pbp.gauss import LOG_2PI
+from pbp.posterior import GammaDist, NetworkPosterior
+from pbp.updates import GradientStore
 
 
 class OracleError(Exception):
@@ -151,7 +151,8 @@ def fd_logz_gradients(
 
     def logz(n: NetworkPosterior) -> float:
         # log N(y | mz, noise + vz), the noise precision's Gamma collapsed.
-        mz, vz, _ = forward_output_moments(n, x)
+        mz, vz = forward_output_moments(n, x[None, :])
+        mz, vz = mz[0], vz[0]
         var = n.gamma.rate / (n.gamma.shape - 1.0) + vz
         return -0.5 * (LOG_2PI + math.log(var) + (y - mz) ** 2 / var)
 

@@ -9,15 +9,28 @@ prior factor from any state (`incorporate_prior_factor`,
 (`gaussian_refine`), the EP refresh of the stored sites
 (`ep_refresh_prior`), the Gamma moment match (`gamma_refine`) and the
 likelihood log-Z triple (`_likelihood_triple`). Where it aborts, it leaves
-the weights and sites it had reached changed.
+the weights and sites it had reached changed. The Gaussian log-density and
+the error a refinement raises, which the package no longer has, are frozen
+here with it.
 """
 
 import math
 from dataclasses import dataclass
 
-from pbp.gauss import gaussian_log_density
-from pbp.posterior import GammaDist, NetworkPosterior
-from pbp.updates import NegativeVarianceError, PriorSiteStore, RefreshReport
+from pbp.gauss import LOG_2PI
+from pbp.posterior import GammaDist, NetworkPosterior, NumericError
+from pbp.updates import PriorSiteStore, RefreshReport
+
+
+class NegativeVarianceError(NumericError):
+    """A Gaussian refinement produced a non-positive variance; caller undoes."""
+
+
+def gaussian_log_density(x: float, mean: float, variance: float) -> float:
+    """log N(x | mean, variance), variance > 0 (inf allowed, giving -inf)."""
+    if variance <= 0.0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    return -0.5 * (LOG_2PI + math.log(variance) + (x - mean) ** 2 / variance)
 
 
 @dataclass

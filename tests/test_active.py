@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_net, toy_cubic_dataset
-from pbp.active import ActiveConfig, acquire_next, run_active_experiment
-from pbp.data import Dataset, identity_stats, normalize
+from conftest import identity_stats, random_net, toy_cubic_dataset
+from pbp.active import ActiveConfig, acquire_next, run_active_experiments
+from pbp.data import Dataset, normalize
 from pbp.posterior import PbpConfig
 from pbp.prediction import TrainedModel
 from pbp.training import train
@@ -17,6 +17,12 @@ def model_from_net(net):
         norm=identity_stats(net.layer_sizes[0]),
         config=PbpConfig(hidden_layer_sizes=tuple(net.layer_sizes[1:-1])),
     )
+
+
+def run_active_experiment(dataset, policy, config, rng, active_cfg):
+    """One repetition of run_active_experiments."""
+    [state] = run_active_experiments(dataset, [policy], config, [rng], active_cfg)
+    return state
 
 
 SMALL = PbpConfig(hidden_layer_sizes=(5,), epochs=5, seed=0)

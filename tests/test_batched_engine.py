@@ -39,8 +39,6 @@ def reference_train(dataset, config, rng):
     perturb_means(net, rng)
 
     report = TrainReport()
-    refresh_every = config.refresh_every_n_examples or n
-    since_refresh = 0
     for _epoch in range(config.epochs):
         skipped_this_epoch = 0
         for idx in rng.permutation(n):
@@ -51,10 +49,7 @@ def reference_train(dataset, config, rng):
                 skipped_this_epoch += 1
             report.undo_events += outcome.undo_count
             report.weight_updates += outcome.weight_updates
-            since_refresh += 1
-            if since_refresh >= refresh_every:
-                ep_refresh_prior(net, sites)
-                since_refresh = 0
+        ep_refresh_prior(net, sites)
 
         report.examples_skipped += skipped_this_epoch
         report.epochs_run += 1
@@ -106,12 +101,24 @@ def rng_at(state):
     return rng
 
 
-@pytest.mark.parametrize("refresh", [None, 5])
 @pytest.mark.parametrize("hidden", [(4,), (3, 3)])
 @pytest.mark.parametrize("runs", [1, 3])
-def test_every_run_matches_the_per_example_loop(runs, hidden, refresh):
+def test_every_run_matches_the_per_example_loop(runs, hidden):
     datasets, states = split_runs(runs)
-    cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=3, refresh_every_n_examples=refresh)
+    cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=3)
+    batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    for got, ds, state in zip(batch, datasets, states, strict=True):
+        assert_same_run(got, reference_train(ds, cfg, rng_at(state)))
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_one_row_training_sets_match_the_per_example_loop(runs):
+    # One example per run: each epoch is one step, one EP refresh and an
+    # epoch-RMSE pass of one row per run.
+    rng = np.random.default_rng(31)
+    datasets = [Dataset(rng.normal(size=(1, 2)), rng.normal(size=1)) for _ in range(runs)]
+    states = [np.random.default_rng(60 + r).bit_generator.state for r in range(runs)]
+    cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=4)
     batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
     for got, ds, state in zip(batch, datasets, states, strict=True):
         assert_same_run(got, reference_train(ds, cfg, rng_at(state)))
@@ -119,7 +126,7 @@ def test_every_run_matches_the_per_example_loop(runs, hidden, refresh):
 
 def test_train_is_the_one_run_case():
     [ds], [state] = split_runs(1)
-    cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=2, refresh_every_n_examples=5)
+    cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=2)
     assert_same_run(train(ds, cfg, rng_at(state)), reference_train(ds, cfg, rng_at(state)))
 
 

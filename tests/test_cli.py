@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import math
+import multiprocessing
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
@@ -8,11 +11,12 @@ import pytest
 from conftest import toy_cubic_dataset
 import pbp.forward as forward
 import pbp.training as training
-import pbp.updates as updates
 from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _prediction_csv, main
-from pbp.data import load_model, read_csv_matrix
+from pbp.data import load_csv, load_model, normalize, read_csv_matrix, split
 from pbp.forward import MomentVector
+from pbp.posterior import NumericError, PbpConfig
 from pbp.prediction import predict_batch
+from pbp.training import train
 
 
 @pytest.fixture
@@ -31,6 +35,34 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+@pytest.fixture
+def process_starts(monkeypatch):
+    """The processes started while the test runs (none may be left running)."""
+    started = []
+    real_start = BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", start)
+    yield started
+    assert multiprocessing.active_children() == []
+
+
+def write_csv(path, rows):
+    with open(path, "w") as fh:
+        fh.write("x,y\n")
+        for x, y in rows:
+            fh.write(f"{x!r},{y!r}\n")
+    return path
+
+
+def summary(text):
+    """The train command's summary lines as a dict of strings."""
+    return dict(line.split(": ", 1) for line in text.splitlines())
+
+
 class TestTrainCommand:
     def test_happy_path_writes_model(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -46,6 +78,24 @@ class TestTrainCommand:
         text = capsys.readouterr().out
         assert "epochs_run: 2" in text
         assert "test_rmse:" in text
+
+    def test_one_seed_drives_the_split_and_the_training(self, toy_csv, tmp_path):
+        # --seed becomes config.seed, the one source of the split and the
+        # training draws, and the model file records it.
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(toy_csv), "--hidden", "4", "--epochs", "2",
+                     "--seed", "7", "--out", str(out)])
+        assert code == EXIT_OK
+        model = load_model(out)
+        assert model.config.seed == 7
+
+        rng = np.random.default_rng(7)
+        train_set, _ = split(load_csv(toy_csv), 0.1, rng)
+        train_norm, _ = normalize(train_set)
+        net, _, _ = train(train_norm, PbpConfig(hidden_layer_sizes=(4,), epochs=2, seed=7), rng)
+        for got, want in zip(model.net.layers, net.layers, strict=True):
+            assert np.array_equal(got.means, want.means)
+            assert np.array_equal(got.variances, want.variances)
 
     def test_zero_epochs_prior_only(self, toy_csv, tmp_path):
         out = tmp_path / "m.json"
@@ -228,7 +278,7 @@ class TestNumericFailures:
         self, toy_csv, tmp_path, monkeypatch, capsys
     ):
         def failing(*args):
-            raise updates.NegativeVarianceError("refined variance -1.0 (from v=inf)")
+            raise NumericError("refined variance -1.0 (from v=inf)")
 
         monkeypatch.setattr(training, "incorporate_all_prior_factors", failing)
         code, out = self._train(toy_csv, tmp_path)
@@ -268,26 +318,17 @@ class TestBenchmarkCommand:
             per_split.std(ddof=1) / np.sqrt(3)
         )
 
-    def test_jobs_flag_matches_serial(self, toy_csv, tmp_path):
+    def test_jobs_flag_matches_serial(self, toy_csv, tmp_path, process_starts):
+        # --jobs is accepted and ignored: every split trains in this process.
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
         args = [
             "benchmark", "--data", str(toy_csv), "--hidden", "3",
-            "--epochs", "1", "--splits", "2", "--seed", "3",
+            "--epochs", "1", "--splits", "3", "--seed", "3",
         ]
-        assert main(args + ["--out", str(serial)]) == EXIT_OK
+        assert main(args + ["--jobs", "1", "--out", str(serial)]) == EXIT_OK
         assert main(args + ["--jobs", "2", "--out", str(parallel)]) == EXIT_OK
         assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_uneven_shards_match_one_batch(self, toy_csv, tmp_path):
-        # Three splits over two processes: shards of two and one split.
-        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-        args = [
-            "benchmark", "--data", str(toy_csv), "--hidden", "3",
-            "--epochs", "2", "--splits", "3", "--seed", "8",
-        ]
-        assert main(args + ["--jobs", "1", "--out", str(one)]) == EXIT_OK
-        assert main(args + ["--jobs", "2", "--out", str(two)]) == EXIT_OK
-        assert one.read_bytes() == two.read_bytes()
+        assert process_starts == []
 
     def test_skip_rate_failure_names_the_split(self, toy_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(training, "MAX_SKIP_RATE", -1)
@@ -367,7 +408,8 @@ class TestActiveCommand:
             assert rows[0] == ["step", "mean_rmse", "stderr"]
             assert len(rows) == 1 + 10  # header + 10 evaluations
 
-    def test_sharded_repetitions_match_one_batch(self, toy_csv, tmp_path):
+    def test_sharded_repetitions_match_one_batch(self, toy_csv, tmp_path, process_starts):
+        # --jobs is accepted and ignored: every repetition trains in this process.
         args = [
             "active", "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
             "--policy", "both", "--initial-train", "8", "--test-size", "10",
@@ -380,6 +422,7 @@ class TestActiveCommand:
             a = tmp_path / f"one_{policy}.csv"
             b = tmp_path / f"two_{policy}.csv"
             assert a.read_bytes() == b.read_bytes()
+        assert process_starts == []
 
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -472,3 +515,39 @@ class TestUsageErrors:
         )
         assert code == EXIT_OK
         assert len(read_rows(tmp_path / "curve_random.csv")) == 1 + 1
+
+
+class TestHostileTrainingSets:
+    """Training sets of one row or of repeated rows train cleanly: exit 0 and
+    finite numbers, never a traceback or a NaN."""
+
+    def test_two_row_csv_trains_on_one_row(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "two.csv", [(0.5, 1.5), (-1.0, 4.0)])
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--hidden", "4", "--epochs", "3",
+                     "--test-fraction", "0.5", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = summary(capsys.readouterr().out)
+        for key in ("final_train_rmse_normalized", "test_rmse", "test_log_likelihood"):
+            assert math.isfinite(float(lines[key])), key
+        assert lines["examples_skipped"] == "0"
+        assert np.isfinite(load_model(out).net.layers[0].means).all()
+
+    @pytest.mark.parametrize(
+        "rows, fraction",
+        [([(0.5, 1.5)] * 2, "0.5"), ([(0.5, 1.5), (2.0, -3.0)] * 20, "0.1")],
+        ids=["one-row-twice", "two-rows-20-times"],
+    )
+    def test_repeated_rows_train_and_benchmark(self, tmp_path, capsys, rows, fraction):
+        data = write_csv(tmp_path / "dup.csv", rows)
+        model, bench = tmp_path / "m.json", tmp_path / "b.csv"
+        assert main(["train", "--data", str(data), "--hidden", "4", "--epochs", "3",
+                     "--test-fraction", fraction, "--out", str(model)]) == EXIT_OK
+        lines = summary(capsys.readouterr().out)
+        for key in ("final_train_rmse_normalized", "test_rmse", "test_log_likelihood"):
+            assert math.isfinite(float(lines[key])), key
+        assert main(["benchmark", "--data", str(data), "--hidden", "4", "--epochs", "3",
+                     "--splits", "3", "--test-fraction", fraction, "--out", str(bench)]) == EXIT_OK
+        table = read_rows(bench)
+        assert len(table) == 1 + 3 + 1
+        assert all(math.isfinite(float(cell)) for row in table[1:] for cell in row[1:] if cell)

@@ -7,19 +7,20 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import random_net
+from conftest import output_moments, random_net
 from pbp import forward
 from pbp.forward import (
     BLOCK_ROWS,
     MomentVector,
-    append_bias,
     forward_linear,
     forward_output_moments,
+    forward_trace,
     relu_moments,
 )
-from pbp.oracles import mc_forward_moments
+from oracles import mc_forward_moments
 from pbp.posterior import LayerPosterior, NumericError, PosteriorStack, new_uniform
 from reference_forward import forward_output_moments_batch
+from reference_update import append_bias
 
 
 def mv(mean, var):
@@ -157,6 +158,9 @@ class TestReluMoments:
 
 
 class TestAppendBias:
+    """The reference update's bias step, which the forward and gradient
+    oracles build every layer input with."""
+
     def test_empty(self):
         out = append_bias(mv([], []))
         assert out.mean.tolist() == [1.0] and out.variance.tolist() == [0.0]
@@ -181,7 +185,7 @@ class TestForwardOutputMoments:
         for layer in net.layers:
             layer.variances[...] = 0.0
         x = rng.normal(size=3)
-        m, v, _ = forward_output_moments(net, x)
+        m, v = output_moments(net, x)
 
         z = np.append(x, 1.0)
         a = net.layers[0].means @ z / math.sqrt(4)
@@ -194,7 +198,7 @@ class TestForwardOutputMoments:
         rng = np.random.default_rng(42)
         net = random_net([2, 8, 1], rng, mean_scale=0.8, var_low=0.05, var_high=0.6)
         x = np.array([0.3, -1.2])
-        m, v, _ = forward_output_moments(net, x)
+        m, v = output_moments(net, x)
         est = mc_forward_moments(net, x, 10**6, np.random.default_rng(7))
         assert abs(m - est.mean) < 3 * est.mean_se
         assert abs(v - est.variance) < 3 * est.variance_se
@@ -206,7 +210,7 @@ class TestForwardOutputMoments:
         rng = np.random.default_rng(21)
         net = random_net([3, 6, 5, 1], rng, mean_scale=0.7, var_low=0.02, var_high=0.4)
         x = rng.normal(size=3)
-        m, v, _ = forward_output_moments(net, x)
+        m, v = output_moments(net, x)
         est = mc_forward_moments(net, x, 10**6, np.random.default_rng(3))
         scale = math.sqrt(est.variance)
         assert abs(m - est.mean) < max(3 * est.mean_se, 0.08 * scale)
@@ -216,7 +220,7 @@ class TestForwardOutputMoments:
         rng = np.random.default_rng(17)
         net = random_net([3, 6, 1], rng)
         x = rng.normal(size=3)
-        m0, v0, _ = forward_output_moments(net, x)
+        m0, v0 = output_moments(net, x)
 
         perm = rng.permutation(6)
         permuted = net.clone()
@@ -228,7 +232,7 @@ class TestForwardOutputMoments:
         permuted.layers[1].variances = np.hstack(
             [net.layers[1].variances[:, :6][:, perm], net.layers[1].variances[:, 6:]]
         )
-        m1, v1, _ = forward_output_moments(permuted, x)
+        m1, v1 = output_moments(permuted, x)
         assert m1 == pytest.approx(m0, rel=1e-12)
         assert v1 == pytest.approx(v0, rel=1e-12)
 
@@ -237,21 +241,21 @@ class TestForwardOutputMoments:
         for _ in range(25):
             net = random_net([4, 5, 1], rng, mean_scale=2.0, var_high=3.0)
             x = rng.normal(scale=2.0, size=4)
-            _, v, _ = forward_output_moments(net, x)
+            _, v = output_moments(net, x)
             assert v >= 0.0
 
     def test_dimension_mismatch(self):
         net = new_uniform([3, 2, 1])
         with pytest.raises(ValueError):
-            forward_output_moments(net, np.zeros(4))
+            forward_output_moments(net, np.zeros((1, 4)))
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(2)
         net = random_net([3, 5, 1], rng)
         X = rng.normal(size=(11, 3))
-        bm, bv, _ = forward_output_moments(net, X)
+        bm, bv = forward_output_moments(net, X)
         for i in range(11):
-            m, v, _ = forward_output_moments(net, X[i])
+            m, v = output_moments(net, X[i])
             assert bm[i] == pytest.approx(m, rel=1e-12)
             assert bv[i] == pytest.approx(v, rel=1e-12)
 
@@ -270,7 +274,7 @@ class TestShapeContract:
         rng = np.random.default_rng(n)
         net = random_net(sizes, rng)
         X = rng.normal(size=(n, sizes[0]))
-        m, v, _ = forward_output_moments(net, X)
+        m, v = forward_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert m.shape == v.shape == (n,)
         assert _bits(m) == _bits(ref_m)
@@ -281,23 +285,12 @@ class TestShapeContract:
         rng = np.random.default_rng(9)
         nets = [random_net([3, 4, 4, 1], rng) for _ in range(3)]
         X = rng.normal(size=(3, n, 3))
-        m, v, _ = forward_output_moments(PosteriorStack.of(nets), X)
+        m, v = forward_output_moments(PosteriorStack.of(nets), X)
         assert m.shape == v.shape == (3, n)
         for r, net in enumerate(nets):
-            alone_m, alone_v, _ = forward_output_moments(net, X[r])
+            alone_m, alone_v = forward_output_moments(net, X[r])
             assert _bits(m[r]) == _bits(alone_m)
             assert _bits(v[r]) == _bits(alone_v)
-
-    def test_single_input_gives_the_floats_of_its_row(self):
-        rng = np.random.default_rng(4)
-        net = random_net([3, 5, 1], rng)
-        x = rng.normal(size=3)
-        m, v, trace = forward_output_moments(net, x)
-        row_m, row_v, row_trace = forward_output_moments(net, x[None, :])
-        assert type(m) is float and type(v) is float
-        assert _bits(m) == _bits(row_m[0]) and _bits(v) == _bits(row_v[0])
-        assert (trace.output_mean, trace.output_variance) == (m, v)
-        assert (row_trace.output_mean, row_trace.output_variance) == (m, v)
 
     def test_stack_without_a_rows_axis_rejected(self):
         rng = np.random.default_rng(5)
@@ -305,15 +298,35 @@ class TestShapeContract:
         with pytest.raises(ValueError, match="expected"):
             forward_output_moments(stack, rng.normal(size=(3, 3)))
 
-    def test_trace_kept_only_for_one_row(self):
+    def test_single_input_rejected(self):
+        rng = np.random.default_rng(4)
+        net = random_net([3, 5, 1], rng)
+        with pytest.raises(ValueError, match="expected"):
+            forward_output_moments(net, rng.normal(size=3))
+
+    def test_trace_gives_the_bits_of_the_rows_pass(self):
+        # The update's one-row trace and the rows pass are separate entry
+        # points over the same layer arithmetic.
         rng = np.random.default_rng(6)
-        net = random_net([3, 4, 1], rng)
-        stack = PosteriorStack.of([net, random_net([3, 4, 1], rng)])
-        assert forward_output_moments(net, rng.normal(size=(2, 3)))[2] is None
-        assert forward_output_moments(stack, rng.normal(size=(2, 5, 3)))[2] is None
-        _, _, trace = forward_output_moments(stack, rng.normal(size=(2, 1, 3)))
-        assert trace.output_mean.shape == (2,)
-        assert len(trace.records) == 2
+        nets = [random_net([3, 4, 4, 1], rng) for _ in range(2)]
+        stack = PosteriorStack.of(nets)
+        x = rng.normal(size=(2, 3))
+        trace = forward_trace(stack, x)
+        m, v = forward_output_moments(stack, x[:, None, :])
+        assert trace.output_mean.shape == trace.output_variance.shape == (2,)
+        assert len(trace.records) == 3
+        assert _bits(trace.output_mean) == _bits(m[:, 0])
+        assert _bits(trace.output_variance) == _bits(v[:, 0])
+        for r, net in enumerate(nets):
+            alone_m, alone_v = forward_output_moments(net, x[r][None, :])
+            assert _bits(alone_m) == _bits(m[r]) and _bits(alone_v) == _bits(v[r])
+
+    def test_trace_shape_checked(self):
+        rng = np.random.default_rng(7)
+        stack = PosteriorStack.of([random_net([3, 4, 1], rng) for _ in range(2)])
+        for shape in [(2, 1, 3), (3,), (1, 3), (2, 4)]:
+            with pytest.raises(ValueError, match="expected"):
+                forward_trace(stack, rng.normal(size=shape))
 
 
 def _row_counts(b):
@@ -355,9 +368,9 @@ class TestBlockedRows:
         net = random_net(sizes, rng, mean_scale=0.5)
         for n in _row_counts(block):
             X = rng.normal(size=(n, sizes[0]))
-            m, v, trace = forward_output_moments(net, X)
+            m, v = forward_output_moments(net, X)
             ref_m, ref_v = forward_output_moments_batch(net, X)
-            assert trace is None and m.shape == v.shape == (n,)
+            assert m.shape == v.shape == (n,)
             assert np.array_equal(m, ref_m), n
             assert np.array_equal(v, ref_v), n
 
@@ -367,7 +380,7 @@ class TestBlockedRows:
         stack = PosteriorStack.of(nets)
         for n in _row_counts(block):
             X = rng.normal(size=(3, n, 11))
-            m, v, _ = forward_output_moments(stack, X)
+            m, v = forward_output_moments(stack, X)
             assert m.shape == v.shape == (3, n)
             for r, net in enumerate(nets):
                 ref_m, ref_v = forward_output_moments_batch(net, X[r])
@@ -382,7 +395,7 @@ class TestBlockedRows:
         for flags in (aux.deterministic[:, 0], aux.series[:, 0]):
             assert flags[block : 2 * block].any()
             assert not flags[:block].any() and not flags[2 * block :].any()
-        m, v, _ = forward_output_moments(net, X)
+        m, v = forward_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m)
         assert np.array_equal(v, ref_v)
@@ -434,7 +447,7 @@ class TestParallelPass:
         net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
         for n in _row_counts(block):
             X = rng.normal(size=(n, 11))
-            m, v, _ = forward_output_moments(net, X)
+            m, v = forward_output_moments(net, X)
             ref_m, ref_v = forward_output_moments_batch(net, X)
             assert np.array_equal(m, ref_m), n
             assert np.array_equal(v, ref_v), n
@@ -447,7 +460,7 @@ class TestParallelPass:
         stack = PosteriorStack.of(nets)
         for n in [2 * block // 3, 2 * block // 3 + 1, *_row_counts(block)]:
             X = rng.normal(size=(3, n, 13))
-            m, v, _ = forward_output_moments(stack, X)
+            m, v = forward_output_moments(stack, X)
             for r, net in enumerate(nets):
                 ref_m, ref_v = forward_output_moments_batch(net, X[r])
                 assert np.array_equal(m[r], ref_m), (n, r)
@@ -472,7 +485,7 @@ class TestParallelPass:
         for attempt in range(50):
             rows = np.roll(X, -64 * (attempt % 2), axis=0)
             calls.clear()
-            m, v, _ = forward_output_moments(net, rows)
+            m, v = forward_output_moments(net, rows)
             ref_m, ref_v = forward_output_moments_batch(net, rows)
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
             branched = [t for t, aux in calls if aux.deterministic is not None]
@@ -532,7 +545,7 @@ class TestParallelPass:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            m, v, _ = forward_output_moments(net, X)
+            m, v = forward_output_moments(net, X)
         finally:
             sys.setswitchinterval(interval)
         ref_m, ref_v = forward_output_moments_batch(net, X)
@@ -550,7 +563,7 @@ class TestParallelPass:
         rng = np.random.default_rng(22)
         net = random_net([6, 10, 1], rng)
         X = rng.normal(size=(5 * 64, 6))
-        m, v, _ = forward_output_moments(net, X)
+        m, v = forward_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 

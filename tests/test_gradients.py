@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_run_gradients, random_net
-from pbp.forward import forward_output_moments
-from pbp.oracles import fd_logz_gradients
+from conftest import one_run_gradients, output_moments, random_net
+from oracles import fd_logz_gradients
+from pbp.forward import forward_trace
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 
 GRAD_FLOOR = 1e-5
@@ -82,7 +82,7 @@ def test_output_bias_variance_gradient_single_path():
     net = random_net([2, 4, 1], rng)
     x = rng.normal(size=2)
     y = -0.4
-    mz, vz, _ = forward_output_moments(net, x)
+    mz, vz = output_moments(net, x)
     grads = one_run_gradients(net, x, y)
 
     total = net.gamma.rate / (net.gamma.shape - 1.0) + vz
@@ -104,7 +104,7 @@ def test_gradients_through_series_branch():
     x = np.array([1.0])
     y = 0.3
     stack = PosteriorStack.of([net])
-    _, _, trace = forward_output_moments(stack, x[None, None, :])
+    trace = forward_trace(stack, x[None, :])
     assert trace.records[0].relu.series.any()
     grads = one_run_gradients(net, x, y)
     fd = fd_logz_gradients(net, x, y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_net
-from pbp.oracles import (
+from oracles import (
     OracleError,
     _sample_network_output,
     gamma_tilted_moments_quadrature,

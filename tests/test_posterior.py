@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,13 +63,6 @@ class TestPerturbMeans:
 
 
 class TestGammaDist:
-    def test_mean(self):
-        assert GammaDist(6.0, 6.0).mean() == 1.0
-
-    def test_mean_undefined_for_uniform_state(self):
-        with pytest.raises(ValueError):
-            GammaDist(1.0, 0.0).mean()
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             GammaDist(0.0, 1.0)
@@ -81,6 +75,22 @@ def test_config_defaults_match_protocol():
     assert cfg.epochs == 40
     assert cfg.prior_shape_lambda == 6.0 == cfg.prior_rate_lambda
     assert cfg.prior_shape_gamma == 6.0 == cfg.prior_rate_gamma
+
+
+def test_config_has_no_refresh_setting():
+    # The prior sites are refreshed once per pass over the data: a schedule,
+    # not a setting.
+    assert [f.name for f in dataclasses.fields(PbpConfig)] == [
+        "hidden_layer_sizes",
+        "epochs",
+        "prior_shape_lambda",
+        "prior_rate_lambda",
+        "prior_shape_gamma",
+        "prior_rate_gamma",
+        "seed",
+    ]
+    with pytest.raises(TypeError):
+        PbpConfig(refresh_every_n_examples=5)
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_net
-from pbp.data import Dataset, identity_stats, normalize
-from pbp.forward import forward_output_moments
-from pbp.posterior import GammaDist, PbpConfig
+from conftest import identity_stats, output_moments, random_net
+from pbp.data import Dataset, normalize
+from pbp.posterior import GammaDist, PbpConfig, new_uniform
 from pbp.prediction import (
     TrainedModel,
     noise_floor,
@@ -31,8 +30,9 @@ class TestPredict:
         rng = np.random.default_rng(2)
         net = random_net([2, 4, 1], rng)
         x = np.array([0.3, -0.8])
-        mz, vz, _ = forward_output_moments(net, x)
+        mz, vz = output_moments(net, x)
         mean, variance = predict_batch(net, identity_stats(2), x)
+        assert type(mean) is float and type(variance) is float
         assert mean == mz
         assert variance == noise_floor(net) + vz
 
@@ -53,7 +53,7 @@ class TestPredict:
         stats.target_mean = 11.0
         stats.target_std = 2.5
         x = rng.normal(size=3)
-        mz, vz, _ = forward_output_moments(net, x)
+        mz, vz = output_moments(net, x)
         mean, variance = predict_batch(net, stats, x)
         assert mean == pytest.approx(mz * 2.5 + 11.0, rel=1e-15)
         assert variance == pytest.approx((noise_floor(net) + vz) * 6.25, rel=1e-15)
@@ -73,6 +73,23 @@ class TestPredict:
         net = random_net([2, 3, 1], np.random.default_rng(0))
         with pytest.raises(ValueError):
             predict_batch(net, identity_stats(2), np.zeros(3))
+
+
+class TestNoiseFloor:
+    def test_gaussian_collapse_of_the_noise_gamma(self):
+        net = new_uniform([2, 3, 1])
+        net.gamma = GammaDist(6.0, 6.0)
+        assert noise_floor(net) == 6.0 / 5.0
+        net.gamma = GammaDist(3.0, 0.5)
+        assert noise_floor(net) == 0.25
+
+    @pytest.mark.parametrize("gamma", [GammaDist(1.0, 0.0), GammaDist(0.5, 2.0)])
+    def test_undefined_for_an_untrained_gamma(self, gamma):
+        # Shape <= 1 (the uniform state among them) has no finite variance.
+        net = new_uniform([2, 3, 1])
+        net.gamma = gamma
+        with pytest.raises(ValueError, match="not trained"):
+            noise_floor(net)
 
 
 class TestMetrics:

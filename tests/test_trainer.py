@@ -5,7 +5,7 @@ import pbp.training as training
 from conftest import toy_cubic_dataset
 from pbp.data import normalize
 from pbp.posterior import PbpConfig
-from pbp.training import SkipRateError, train
+from pbp.training import SkipRateError, train, train_runs
 from pbp.updates import UpdateOutcome
 
 
@@ -65,22 +65,26 @@ class TestSchedule:
         assert counts["prior"] == 1
         assert counts["refresh"] == 5
 
-    def test_refresh_knob_changes_cadence(self, monkeypatch):
-        norm, _ = normalized_toy(n=10)
-        counts = {"refresh": 0}
-        real_refresh = training.ep_refresh_prior
+    def test_refresh_follows_the_last_example_of_each_epoch(self, monkeypatch):
+        # Per epoch: every example once, then one EP refresh, then the
+        # epoch-RMSE pass on the refreshed posterior.
+        datasets = [normalized_toy(n=4, seed=s)[0] for s in (1, 2, 3)]
+        events = []
 
-        def refresh_spy(stack, sites):
-            counts["refresh"] += 1
-            return real_refresh(stack, sites)
+        def spy(name, real):
+            def record(*args):
+                events.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(training, "ep_refresh_prior", refresh_spy)
-        cfg = PbpConfig(
-            hidden_layer_sizes=(3,), epochs=2, seed=2, refresh_every_n_examples=5
-        )
-        train(norm, cfg, np.random.default_rng(2))
-        assert counts["refresh"] == 4  # every 5 of the 20 total updates
+            monkeypatch.setattr(training, real.__name__, record)
 
+        spy("example", training.incorporate_likelihood_factors)
+        spy("refresh", training.ep_refresh_prior)
+        spy("rmse", training.forward_output_moments)
+        cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=4)
+        results = train_runs(datasets, cfg, [np.random.default_rng(s) for s in (4, 5, 6)])
+        assert events == (["example"] * 4 + ["refresh", "rmse"]) * 3
+        assert all(len(report.refreshes) == 3 for _, _, report in results)
 
     def test_each_run_keeps_its_own_refresh_outcomes(self, monkeypatch):
         norm, _ = normalized_toy(n=10)
@@ -107,9 +111,9 @@ class TestSchedule:
 
     def test_a_lone_run_reports_every_refresh(self):
         norm, _ = normalized_toy(n=10)
-        cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=2, seed=2, refresh_every_n_examples=5)
+        cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=2, seed=2)
         _, _, report = train(norm, cfg, np.random.default_rng(2))
-        assert len(report.refreshes) == 4
+        assert len(report.refreshes) == 2
         assert all(n == 0 and 0.0 < change < np.inf for n, change in report.refreshes)
 
 
