@@ -46,8 +46,6 @@ from .prediction import (
 )
 from .training import SkipRateError, TrainReport, train, train_runs
 from .updates import (
-    GradientStore,
-    PriorSiteStore,
     backward_gradients,
     ep_refresh_prior,
     incorporate_likelihood_factors,

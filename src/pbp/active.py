@@ -104,8 +104,8 @@ def _fit(
     normalized = [normalize(state.train) for state in states]
     runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
     return [
-        TrainedModel(net=net, sites=sites, norm=stats, config=config)
-        for (net, sites, _), (_, stats) in zip(runs, normalized)
+        TrainedModel(net=net, norm=stats, config=config)
+        for (net, _, _), (_, stats) in zip(runs, normalized)
     ]
 
 

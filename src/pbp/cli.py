@@ -157,8 +157,8 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     train_set, test_set = dio.split(dataset, args.test_fraction, rng)
     train_norm, stats = dio.normalize(train_set)
-    net, sites, report = train(train_norm, config, rng)
-    model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
+    net, _, report = train(train_norm, config, rng)
+    model = TrainedModel(net=net, norm=stats, config=config)
     dio.save_model(model, args.out)
 
     print(f"model: {args.out}")
@@ -204,8 +204,8 @@ def cmd_benchmark(args) -> int:
         evaluations.append((stats, test_set))
     runs = train_runs(train_sets, config, rngs, [f"split {i}" for i in range(args.splits)])
     rmses, lls = [], []
-    for (net, sites, _), (stats, test_set) in zip(runs, evaluations):
-        model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
+    for (net, _, _), (stats, test_set) in zip(runs, evaluations):
+        model = TrainedModel(net=net, norm=stats, config=config)
         rmses.append(rmse(model, test_set))
         lls.append(test_log_likelihood(model, test_set))
 

@@ -17,9 +17,11 @@ from .posterior import (
     NetworkPosterior,
     PbpConfig,
 )
-from .updates import PriorSiteStore
 
-MODEL_FORMAT_VERSION = 1
+# Format 1 files also hold the prior sites of training, which load_model
+# ignores: prediction reads only the weight marginals and the noise Gamma.
+MODEL_FORMAT_VERSION = 2
+READABLE_FORMAT_VERSIONS = (1, 2)
 
 
 class DataError(Exception):
@@ -290,12 +292,6 @@ def save_model(model, path) -> None:
             "seed": model.config.seed,
         },
         "network": _net_to_dict(model.net),
-        "prior_sites": {
-            "precision": [a.tolist() for a in model.sites.precision],
-            "precision_mean": [a.tolist() for a in model.sites.precision_mean],
-            "lambda_shape": [a.tolist() for a in model.sites.lam_shape],
-            "lambda_rate": [a.tolist() for a in model.sites.lam_rate],
-        },
         "normalization": {
             "feature_mean": model.norm.feature_mean.tolist(),
             "feature_std": model.norm.feature_std.tolist(),
@@ -309,6 +305,9 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """The TrainedModel a model file of a readable format holds. Raises
+    DataError when the file cannot be read or parsed, is of another format, or
+    holds an unusable posterior (see _model_problem)."""
     from .prediction import TrainedModel
 
     try:
@@ -319,11 +318,12 @@ def load_model(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
 
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    # A bool is an int, and True == 1: the type is checked first.
+    if type(version) is not int or version not in READABLE_FORMAT_VERSIONS:
         raise DataError(
             f"{path}: model format version {version!r} not supported "
-            f"(expected {MODEL_FORMAT_VERSION})"
+            f"(expected one of {READABLE_FORMAT_VERSIONS})"
         )
     try:
         cfg = doc["config"]
@@ -337,11 +337,6 @@ def load_model(path):
             seed=cfg["seed"],
         )
         net = _net_from_dict(doc["network"])
-        ps = doc["prior_sites"]
-        site_lists = {
-            name: [np.array(a, dtype=float) for a in ps[name]]
-            for name in ("precision", "precision_mean", "lambda_shape", "lambda_rate")
-        }
         nm = doc["normalization"]
         norm = NormStats(
             feature_mean=np.array(nm["feature_mean"], dtype=float),
@@ -351,15 +346,13 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
-    problem = _model_problem(net, site_lists, norm)
+    problem = _model_problem(net, norm)
     if problem:
         raise DataError(f"corrupt model file {path}: {problem}")
-    flat = [np.concatenate([a.ravel() for a in arrays]) for arrays in site_lists.values()]
-    sites = PriorSiteStore(np.stack(flat), net.layer_sizes)
-    return TrainedModel(net=net, sites=sites, norm=norm, config=config)
+    return TrainedModel(net=net, norm=norm, config=config)
 
 
-def _model_problem(net: NetworkPosterior, site_lists: dict, norm: NormStats) -> str | None:
+def _model_problem(net: NetworkPosterior, norm: NormStats) -> str | None:
     """What makes a loaded posterior unusable, or None when it is sound.
 
     Shapes must follow layer_sizes, every number must be finite, weight
@@ -368,14 +361,9 @@ def _model_problem(net: NetworkPosterior, site_lists: dict, norm: NormStats) -> 
     sizes = net.layer_sizes
     if len(sizes) < 2 or sizes[-1] != 1 or len(net.layers) != len(sizes) - 1:
         return f"layer_sizes {sizes} do not describe {len(net.layers)} layers with one output"
-    for name, arrays in site_lists.items():
-        if len(arrays) != len(net.layers):
-            return f"{len(arrays)} {name} site arrays for {len(net.layers)} layers"
     for l, layer in enumerate(net.layers):
         expected = (sizes[l + 1], sizes[l] + 1)
-        named = {"means": layer.means, "variances": layer.variances}
-        named.update((name, arrays[l]) for name, arrays in site_lists.items())
-        for name, arr in named.items():
+        for name, arr in (("means", layer.means), ("variances", layer.variances)):
             if arr.shape != expected:
                 return f"layer {l} {name} have shape {arr.shape}, expected {expected}"
             if not np.all(np.isfinite(arr)):

@@ -160,20 +160,18 @@ def _bias_buffers(widths, rows_shape):
 def forward_linear(
     layer: LayerPosterior,
     z: MomentVector,
-    transposed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    transposed: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> MomentVector:
     """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent.
 
     The 1/sqrt(cols) factor keeps each unit's input scale independent of its
     fan-in. z holds rows of inputs, (*runs, rows, cols) when the layer carries
-    a leading runs axis. transposed is _transposed of the layer, when the
-    caller keeps it.
+    a leading runs axis. transposed is _transposed of the layer, which the
+    caller keeps.
     """
     cols = layer.cols
     if len(z) != cols:
         raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
-    if transposed is None:
-        transposed = _transposed(layer, layer.means * layer.means)
     # One row is the BLAS gemv of W z; n rows are one gemm, which rounds
     # differently from n gemv calls, so the rows axis is never folded away.
     m_t, v_t, means_sq_t = transposed
@@ -395,7 +393,7 @@ def _propagate(layers, inputs, outputs, x, transposed, records=None) -> MomentVe
     np.copyto(outputs[0].mean, x)
     last = len(layers) - 1
     for l, layer in enumerate(layers):
-        a = forward_linear(layer, inputs[l], transposed=transposed[l])
+        a = forward_linear(layer, inputs[l], transposed[l])
         if records is not None:
             records[l].pre = a
             if l < last:

@@ -8,7 +8,6 @@ mean/variance matrices whose column count includes the bias column.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -77,12 +76,6 @@ class NetworkPosterior:
     gamma: GammaDist
     lam: GammaDist
     layer_sizes: list[int]
-
-    def clone(self) -> NetworkPosterior:
-        return copy.deepcopy(self)
-
-    def n_weights(self) -> int:
-        return sum(layer.means.size for layer in self.layers)
 
     def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of all weight means and variances, layer after layer and

@@ -9,8 +9,7 @@ import numpy as np
 from .data import Dataset, NormStats
 from .forward import forward_output_moments
 from .gauss import LOG_2PI
-from .posterior import NetworkPosterior, PbpConfig
-from .updates import PriorSiteStore
+from .posterior import NetworkPosterior, NumericError, PbpConfig
 
 
 @dataclass
@@ -18,7 +17,6 @@ class TrainedModel:
     """A trained posterior bundled with its normalization statistics."""
 
     net: NetworkPosterior
-    sites: PriorSiteStore
     norm: NormStats
     config: PbpConfig
 
@@ -39,13 +37,23 @@ def predict_batch(
     """Predictive means and variances in original target units.
 
     X_raw holds raw inputs as rows, shape (n, d); one input of shape (d,)
-    gives floats.
+    gives floats. Raises NumericError naming the first row, counted from 1,
+    whose mean or variance is not finite (inputs or weights too large for the
+    arithmetic).
     """
-    X = norm.apply_features(np.asarray(X_raw, dtype=float))
-    single = X.ndim == 1
-    mz, vz = forward_output_moments(net, X[None, :] if single else X)
-    means = mz * norm.target_std + norm.target_mean
-    variances = (noise_floor(net) + vz) * norm.target_std**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = norm.apply_features(np.asarray(X_raw, dtype=float))
+        single = X.ndim == 1
+        mz, vz = forward_output_moments(net, X[None, :] if single else X)
+        means = mz * norm.target_std + norm.target_mean
+        variances = (noise_floor(net) + vz) * norm.target_std**2
+    bad = ~(np.isfinite(means) & np.isfinite(variances))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericError(
+            f"input row {i + 1}: predictive mean {float(means[i])!r} and variance "
+            f"{float(variances[i])!r} are not both finite"
+        )
     if single:
         return float(means[0]), float(variances[0])
     return means, variances

@@ -25,7 +25,6 @@ from .posterior import (
     perturb_means,
 )
 from .updates import (
-    PriorSiteStore,
     ep_refresh_prior,
     incorporate_all_prior_factors,
     incorporate_likelihood_factors,
@@ -55,14 +54,16 @@ class TrainReport:
 
 def train(
     dataset: Dataset, config: PbpConfig, rng: np.random.Generator
-) -> tuple[NetworkPosterior, PriorSiteStore, TrainReport]:
+) -> tuple[NetworkPosterior, np.ndarray, TrainReport]:
     """Run the full sequential-update schedule on a normalized training set.
 
     Schedule: absorb the Gamma hyperpriors exactly, ADF-incorporate every
     weight-prior factor once, perturb the means to break symmetry, then for
     each epoch shuffle the examples, incorporate each likelihood factor once,
     and refresh the stored prior sites after the last. The per-epoch RMSE
-    uses the predictive means on the (normalized) training targets.
+    uses the predictive means on the (normalized) training targets. Returns
+    the posterior, its (4, W) prior sites (see incorporate_all_prior_factors)
+    and the report.
     """
     [(net, sites, report)] = train_runs([dataset], config, [rng])
     return net, sites, report
@@ -73,7 +74,7 @@ def train_runs(
     config: PbpConfig,
     rngs: list[np.random.Generator],
     labels: list[str] | None = None,
-) -> list[tuple[NetworkPosterior, PriorSiteStore, TrainReport]]:
+) -> list[tuple[NetworkPosterior, np.ndarray, TrainReport]]:
     """Train one posterior per dataset, all in lockstep; see `train`.
 
     The datasets must have equal sizes. Run r draws only from rngs[r], in the
@@ -97,8 +98,7 @@ def train_runs(
     net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
     net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
     stack = PosteriorStack.of([net] * runs)
-    sites = PriorSiteStore.zeros(stack)
-    incorporate_all_prior_factors(stack, sites)
+    sites = incorporate_all_prior_factors(stack)
     for r, rng in enumerate(rngs):
         perturb_means(stack.run(r), rng)
 
@@ -142,5 +142,5 @@ def train_runs(
         report.undo_events = int(undo[r])
         report.weight_updates = int(updates[r])
         report.seconds = seconds
-        results.append((stack.run(r), sites.run(r), report))
+        results.append((stack.run(r), sites[:, r], report))
     return results

@@ -21,55 +21,7 @@ import numpy as np
 
 from .forward import ForwardTrace, MomentVector, ReluAux, forward_trace
 from .gauss import LOG_2PI
-from .posterior import (
-    GammaDist,
-    LayerPosterior,
-    NetworkPosterior,
-    NumericError,
-    PosteriorStack,
-    layer_views,
-)
-
-
-@dataclass
-class GradientStore:
-    """Per-layer gradients of log Z w.r.t. weight means and variances."""
-
-    d_means: list[np.ndarray]
-    d_variances: list[np.ndarray]
-
-
-class PriorSiteStore:
-    """Stored approximate factors, one per weight-prior factor.
-
-    Gaussian sites live in natural parameters (precision, precision x mean) so
-    the cavity is a subtraction; each site's Gamma contribution to the prior
-    precision is likewise additive in (shape - 1, rate). The four site arrays
-    fill one (4, *runs, W) buffer `flat`, each weight where a PosteriorStack
-    keeps it; `precision`, `precision_mean`, `lam_shape` and `lam_rate` are
-    per-layer (*runs, rows, cols) views into it.
-    """
-
-    def __init__(self, flat: np.ndarray, layer_sizes: list[int]):
-        self.flat = flat
-        self.layer_sizes = list(layer_sizes)
-        self.precision, self.precision_mean, self.lam_shape, self.lam_rate = (
-            layer_views(f, layer_sizes) for f in flat
-        )
-
-    def __reduce__(self):
-        # Copies and pickles rebuild the views on the copied buffer.
-        return PriorSiteStore, (self.flat, self.layer_sizes)
-
-    @classmethod
-    def zeros(cls, posterior: NetworkPosterior | PosteriorStack) -> PriorSiteStore:
-        """All-zero sites for a network, or for every run of a stack."""
-        runs = posterior.means.shape[:-1] if isinstance(posterior, PosteriorStack) else ()
-        return cls(np.zeros((4, *runs, posterior.n_weights())), posterior.layer_sizes)
-
-    def run(self, r: int) -> PriorSiteStore:
-        """Run r's sites, as views into this store."""
-        return PriorSiteStore(self.flat[:, r], self.layer_sizes)
+from .posterior import GammaDist, LayerPosterior, NumericError, PosteriorStack
 
 
 @dataclass
@@ -148,19 +100,24 @@ def _log_z_triple(x, mean, v, shape, rate):
     return log_z, log_z1, log_z2
 
 
-def incorporate_all_prior_factors(stack: PosteriorStack, sites: PriorSiteStore) -> None:
+def incorporate_all_prior_factors(stack: PosteriorStack) -> np.ndarray:
     """ADF-incorporate every weight's prior factor into a stack in the uniform
-    start, in place.
+    start, in place, and return the prior sites of every run.
 
-    Every marginal is flat (infinite variance), so each factor takes the
-    closed-form limit of the refinement, the same for every weight of a run:
-    the weight collapses onto the collapsed Gaussian prior, mean 0, variance
-    b/(a-1) of the run's prior-precision Gamma(a, b); its site is that prior
-    in natural parameters; and the Gamma is untouched (all Z ratios -> 1).
-    Raises ValueError on any other state.
+    The sites are one (4, R, W) array: per weight, in PosteriorStack order,
+    the site's precision and precision x mean (a Gaussian in natural
+    parameters, so the cavity is a subtraction) and its additive Gamma
+    contribution to the prior precision (shape, rate). Every marginal is flat
+    (infinite variance), so each factor takes the closed-form limit of the
+    refinement, the same for every weight of a run: the weight collapses onto
+    the collapsed Gaussian prior, mean 0, variance b/(a-1) of the run's
+    prior-precision Gamma(a, b); its site is that prior in natural
+    parameters; and the Gamma is untouched (all Z ratios -> 1). Raises
+    ValueError on any other state.
     """
     if not np.isinf(stack.variances).all():
         raise ValueError("the prior factors are incorporated once, into the uniform state")
+    sites = np.empty((4, *stack.means.shape))
     for r, lam in enumerate(stack.lams):
         a, b = lam.shape, lam.rate
         sigma2 = b / (a - 1.0)
@@ -168,18 +125,19 @@ def incorporate_all_prior_factors(stack: PosteriorStack, sites: PriorSiteStore) 
         site = [1.0 / sigma2 - 0.0, mean / sigma2 - 0.0, a - a, b - b]
         stack.means[r] = mean
         stack.variances[r] = sigma2
-        sites.flat[:, r] = np.array(site)[:, None]
+        sites[:, r] = np.array(site)[:, None]
+    return sites
 
 
-def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray) -> GradientStore:
+def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray) -> None:
     """Gradients of the likelihood log Z w.r.t. every weight mean and variance.
 
     Seeds with d log Z / d(output moments) and walks the trace in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
     maps as implemented in the forward pass. The trace is the stack's last
     forward_trace and y holds one target per run. The gradients go
-    into the stack's workspace, flat over all weights; the returned store
-    holds their per-layer (R, rows, cols) views.
+    into the stack's workspace: flat over all weights in d_means and
+    d_variances, with per-layer (R, rows, cols) views.
     """
     ws = stack.workspace
     noise = np.array([g.rate / (g.shape - 1.0) for g in stack.gammas])
@@ -200,8 +158,6 @@ def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray
             dmz, dvz = d_inputs
             prev = trace.records[l - 1]
             dma, dva = _relu_backward(prev.pre, prev.relu, dmz[..., :-1], dvz[..., :-1])
-
-    return GradientStore(ws.d_mean_views, ws.d_variance_views)
 
 
 def _linear_backward(
@@ -383,8 +339,9 @@ def incorporate_likelihood_factors(
     )
 
 
-def ep_refresh_prior(stack: PosteriorStack, sites: PriorSiteStore) -> RefreshReport:
-    """One EP sweep over the stored prior sites of every run of a stack.
+def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:
+    """One EP sweep over the stored prior sites of every run of a stack, the
+    (4, R, W) array of incorporate_all_prior_factors, updated in place.
 
     Per weight, in order: remove the site (natural-parameter subtraction),
     redo the tilted moment-match against the cavity, and store the new site.
@@ -405,7 +362,7 @@ def ep_refresh_prior(stack: PosteriorStack, sites: PriorSiteStore) -> RefreshRep
     m, v = stack.means, stack.variances
     if not v.all():
         raise NumericError("zero weight variance: its prior-site cavity is undefined")
-    p_site, eta_site, a_site, b_site = sites.flat
+    p_site, eta_site, a_site, b_site = sites
     # Python floats give the same infs and NaNs without a warning. Where they
     # raise on a division by zero, NumericError is raised instead, here for a
     # zero weight variance and in _refresh_run for a zero prior variance; the

@@ -9,7 +9,8 @@ import pytest
 from pbp.data import Dataset, NormStats
 from pbp.forward import forward_output_moments, forward_trace
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
-from pbp.updates import GradientStore, PriorSiteStore, backward_gradients
+from pbp.updates import backward_gradients, ep_refresh_prior, incorporate_all_prior_factors
+from reference_update import GradientStore
 
 # Prepared benchmark CSVs live here (see scripts/fetch_datasets.py); tests that
 # need them skip when absent, since this suite must run offline.
@@ -72,21 +73,38 @@ def one_run_gradients(net, x, y) -> GradientStore:
     runs axis."""
     stack = PosteriorStack.of([net])
     trace = forward_trace(stack, np.asarray(x, dtype=float)[None, :])
-    grads = backward_gradients(stack, trace, np.array([y]))
+    backward_gradients(stack, trace, np.array([y]))
+    ws = stack.workspace
     return GradientStore(
-        [g[0].copy() for g in grads.d_means], [g[0].copy() for g in grads.d_variances]
+        [g[0].copy() for g in ws.d_mean_views], [g[0].copy() for g in ws.d_variance_views]
     )
 
 
-def one_run(kernel, net, sites):
-    """A prior kernel of pbp.updates (ep_refresh_prior or
-    incorporate_all_prior_factors) on a one-run stack of a copy of net, with
-    sites as the stack's site store. net takes the run's weights and prior
-    Gamma back when the kernel returns; returns what the kernel returned."""
+def _one_run(net, kernel):
+    """kernel(stack) on a one-run stack of a copy of net; net takes the run's
+    weights and prior Gamma back when the kernel returns."""
     stack = PosteriorStack.of([net])
-    result = kernel(stack, PriorSiteStore(sites.flat[:, None], net.layer_sizes))
+    result = kernel(stack)
     for layer, run_layer in zip(net.layers, stack.layers):
         layer.means[...] = run_layer.means[0]
         layer.variances[...] = run_layer.variances[0]
     net.lam = stack.lams[0]
     return result
+
+
+def refresh_one_run(net, sites):
+    """pbp.updates.ep_refresh_prior on a one-run stack of a copy of net, with
+    sites (a reference_prior.Sites) as the run's sites, refreshed in place;
+    net takes the run's weights and prior Gamma back. Returns the report."""
+    return _one_run(net, lambda stack: ep_refresh_prior(stack, sites.flat[:, None]))
+
+
+def incorporate_one_run(net, sites):
+    """pbp.updates.incorporate_all_prior_factors on a one-run stack of a copy
+    of net; net takes the run's weights back and sites (a
+    reference_prior.Sites) the run's new sites."""
+
+    def incorporate(stack):
+        sites.flat[...] = incorporate_all_prior_factors(stack)[:, 0]
+
+    _one_run(net, incorporate)

@@ -8,6 +8,7 @@ log-transformed axis.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from scipy.special import gammaln
 from pbp.forward import forward_output_moments
 from pbp.gauss import LOG_2PI
 from pbp.posterior import GammaDist, NetworkPosterior
-from pbp.updates import GradientStore
+from reference_update import GradientStore
 
 
 class OracleError(Exception):
@@ -156,7 +157,7 @@ def fd_logz_gradients(
         var = n.gamma.rate / (n.gamma.shape - 1.0) + vz
         return -0.5 * (LOG_2PI + math.log(var) + (y - mz) ** 2 / var)
 
-    work = net.clone()
+    work = copy.deepcopy(net)
     d_means, d_variances = [], []
     for layer in work.layers:
         dm = np.zeros_like(layer.means)

@@ -2,8 +2,8 @@
 `pbp.updates`, kept as the reference its tests compare against: verbatim, but
 for the one-run entry its RefreshReport now carries.
 
-It works on one `NetworkPosterior` and its `PriorSiteStore`, weight by weight
-in row-major order, on Python floats: the ADF incorporation of each weight's
+It works on one `NetworkPosterior` and its `Sites`, weight by weight in
+row-major order, on Python floats: the ADF incorporation of each weight's
 prior factor from any state (`incorporate_prior_factor`,
 `incorporate_all_prior_factors`) and its Gaussian refinement
 (`gaussian_refine`), the EP refresh of the stored sites
@@ -11,15 +11,41 @@ prior factor from any state (`incorporate_prior_factor`,
 likelihood log-Z triple (`_likelihood_triple`). Where it aborts, it leaves
 the weights and sites it had reached changed. The Gaussian log-density and
 the error a refinement raises, which the package no longer has, are frozen
-here with it.
+here with it, and so are the per-layer site views the package dropped when
+its sites became one plain array.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from pbp.gauss import LOG_2PI
-from pbp.posterior import GammaDist, NetworkPosterior, NumericError
-from pbp.updates import PriorSiteStore, RefreshReport
+from pbp.posterior import GammaDist, NetworkPosterior, NumericError, layer_views
+from pbp.updates import RefreshReport
+
+
+class Sites:
+    """One network's prior sites: a (4, W) array laid out as the sites of
+    `pbp.updates` (precision, precision x mean, Gamma shape and Gamma rate,
+    weights in PosteriorStack order) and, per row, its per-layer (rows, cols)
+    views `precision`, `precision_mean`, `lam_shape` and `lam_rate`. A deep
+    copy copies the array and rebuilds the views on the copy."""
+
+    def __init__(self, flat: np.ndarray, layer_sizes: list[int]):
+        self.flat = flat
+        self.layer_sizes = list(layer_sizes)
+        self.precision, self.precision_mean, self.lam_shape, self.lam_rate = (
+            layer_views(f, layer_sizes) for f in flat
+        )
+
+    @classmethod
+    def zeros(cls, net: NetworkPosterior) -> "Sites":
+        weights = sum(layer.means.size for layer in net.layers)
+        return cls(np.zeros((4, weights)), net.layer_sizes)
+
+    def __deepcopy__(self, memo) -> "Sites":
+        return Sites(self.flat.copy(), self.layer_sizes)
 
 
 class NegativeVarianceError(NumericError):
@@ -133,7 +159,7 @@ def incorporate_prior_factor(
     layer_idx: int,
     i: int,
     j: int,
-    sites: PriorSiteStore,
+    sites: Sites,
 ) -> None:
     """ADF-incorporate the zero-mean prior factor of one weight.
 
@@ -179,7 +205,7 @@ def _set_gaussian_site(sites, layer_idx, i, j, m_old, v_old, m_new, v_new):
     sites.precision_mean[layer_idx][i, j] = m_new / v_new - pm_old
 
 
-def incorporate_all_prior_factors(net: NetworkPosterior, sites: PriorSiteStore) -> None:
+def incorporate_all_prior_factors(net: NetworkPosterior, sites: Sites) -> None:
     """Sequentially incorporate every weight's prior factor, row-major order."""
     for layer_idx, layer in enumerate(net.layers):
         for i in range(layer.rows):
@@ -201,7 +227,7 @@ def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist) -> LogZTr
     return triple if triple.is_finite() else None
 
 
-def ep_refresh_prior(net: NetworkPosterior, sites: PriorSiteStore) -> RefreshReport:
+def ep_refresh_prior(net: NetworkPosterior, sites: Sites) -> RefreshReport:
     """One EP sweep over the stored prior sites.
 
     Per weight: remove the site (natural-parameter subtraction), redo the

@@ -299,4 +299,5 @@ def incorporate_likelihood_factor(
     net.gamma = gammas[0]
     if skipped[0]:
         return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
-    return UpdateOutcome(skipped=False, undo_count=int(undo), weight_updates=net.n_weights())
+    weights = sum(layer.means.size for layer in net.layers)
+    return UpdateOutcome(skipped=False, undo_count=int(undo), weight_updates=weights)

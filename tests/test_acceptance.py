@@ -166,8 +166,8 @@ def _benchmark_split(payload):
     train_set, test_set = split(dataset, 0.1, rng)
     train_norm, stats = normalize(train_set)
     config = PbpConfig(hidden_layer_sizes=hidden, epochs=epochs, seed=seed)
-    net, sites, report = train(train_norm, config, rng)
-    model = TrainedModel(net=net, sites=sites, norm=stats, config=config)
+    net, _, report = train(train_norm, config, rng)
+    model = TrainedModel(net=net, norm=stats, config=config)
     negative = sum(int((l.variances <= 0).sum()) for l in net.layers)
     return (
         rmse(model, test_set),
@@ -250,8 +250,8 @@ class TestCriterion5ToyCubic:
         ds = toy_cubic_dataset(20, seed=7, noise_sd=3.0)
         norm, stats = normalize(ds)
         cfg = PbpConfig(hidden_layer_sizes=(100,), epochs=40, seed=7)
-        net, sites, _ = train(norm, cfg, np.random.default_rng(7))
-        model = TrainedModel(net=net, sites=sites, norm=stats, config=cfg)
+        net, _, _ = train(norm, cfg, np.random.default_rng(7))
+        model = TrainedModel(net=net, norm=stats, config=cfg)
 
         holdout_rng = np.random.default_rng(70)
         x_hold = holdout_rng.uniform(-4.0, 4.0, 100)

@@ -7,13 +7,11 @@ from pbp.data import Dataset, normalize
 from pbp.posterior import PbpConfig
 from pbp.prediction import TrainedModel
 from pbp.training import train
-from pbp.updates import PriorSiteStore
 
 
 def model_from_net(net):
     return TrainedModel(
         net=net,
-        sites=PriorSiteStore.zeros(net),
         norm=identity_stats(net.layer_sizes[0]),
         config=PbpConfig(hidden_layer_sizes=tuple(net.layer_sizes[1:-1])),
     )
@@ -52,8 +50,8 @@ class TestAcquireNext:
         ds = toy_cubic_dataset(20, seed=3)
         norm, stats = normalize(ds)
         cfg = PbpConfig(hidden_layer_sizes=(50,), epochs=20, seed=3)
-        net, sites, _ = train(norm, cfg, np.random.default_rng(3))
-        model = TrainedModel(net=net, sites=sites, norm=stats, config=cfg)
+        net, _, _ = train(norm, cfg, np.random.default_rng(3))
+        model = TrainedModel(net=net, norm=stats, config=cfg)
         # One interpolation point, one extrapolation point far outside [-4, 4].
         pool = np.array([[0.1], [9.0]])
         assert acquire_next(model, pool) == 1

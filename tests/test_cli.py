@@ -296,6 +296,30 @@ class TestNumericFailures:
         assert "numeric failure: math range error" in capsys.readouterr().err
         assert not out.exists()
 
+    def _predict(self, model, tmp_path, features):
+        feats = tmp_path / "f.csv"
+        feats.write_text(features)
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(out)])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "1e160"])
+    def test_inputs_too_large_for_the_forward_pass(self, toy_csv, tmp_path, capsys, value):
+        _, model = self._train(toy_csv, tmp_path)
+        assert self._predict(model, tmp_path, f"0.5\n{value}\n-0.5\n") == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: input row 2: predictive mean" in err
+        assert "are not both finite" in err
+
+    def test_a_weight_mean_too_large_for_the_forward_pass(self, toy_csv, tmp_path, capsys):
+        _, model = self._train(toy_csv, tmp_path)
+        doc = json.loads(model.read_text())
+        doc["network"]["layers"][0]["means"][0][0] = 1e200
+        model.write_text(json.dumps(doc))
+        assert self._predict(model, tmp_path, "0.5\n") == EXIT_NUMERIC
+        assert "numeric failure: input row 1: predictive mean nan" in capsys.readouterr().err
+
 
 class TestBenchmarkCommand:
     def test_schema_and_determinism(self, toy_csv, tmp_path):

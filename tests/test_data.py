@@ -1,9 +1,11 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pbp.cli import EXIT_DATA, EXIT_OK, main
 from pbp.data import (
     DataError,
     Dataset,
@@ -19,6 +21,9 @@ from pbp.posterior import PbpConfig
 from pbp.prediction import TrainedModel, predict_batch
 from pbp.training import train
 from reference_data import read_csv_matrix as reference_read_csv_matrix
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+MODEL_V1 = FIXTURES / "model_v1.json"
 
 
 class TestLoadCsv:
@@ -243,8 +248,8 @@ def small_trained_model(tmp_path=None, epochs=2):
     ds = Dataset(x[:, None], y)
     norm, stats = normalize(ds)
     cfg = PbpConfig(hidden_layer_sizes=(5,), epochs=epochs, seed=1)
-    net, sites, _ = train(norm, cfg, np.random.default_rng(1))
-    return TrainedModel(net=net, sites=sites, norm=stats, config=cfg)
+    net, _, _ = train(norm, cfg, np.random.default_rng(1))
+    return TrainedModel(net=net, norm=stats, config=cfg)
 
 
 class TestNormalizeOverflow:
@@ -288,8 +293,6 @@ class TestModelFile:
             assert np.array_equal(a.variances, b.variances)
         assert model.net.gamma == loaded.net.gamma
         assert model.net.lam == loaded.net.lam
-        for a, b in zip(model.sites.precision, loaded.sites.precision):
-            assert np.array_equal(a, b)
         assert np.array_equal(model.norm.feature_mean, loaded.norm.feature_mean)
 
     def test_predictions_identical_after_reload(self, tmp_path):
@@ -318,3 +321,54 @@ class TestModelFile:
         p.write_text("{not json")
         with pytest.raises(DataError, match="corrupt"):
             load_model(p)
+
+    @pytest.mark.parametrize("doc", ["[1]", '"format_version"', "2"])
+    def test_document_that_is_not_an_object_rejected(self, tmp_path, doc):
+        p = tmp_path / "m.json"
+        p.write_text(doc)
+        with pytest.raises(DataError, match="model format version None not supported"):
+            load_model(p)
+
+
+def predict_fixture_features(model, tmp_path) -> bytes:
+    out = tmp_path / "p.csv"
+    features = FIXTURES / "toy_features.csv"
+    code = main(["predict", "--model", str(model), "--data", str(features), "--out", str(out)])
+    assert code == EXIT_OK
+    return out.read_bytes()
+
+
+class TestFormatOneModelFile:
+    """fixtures/model_v1.json is a format-1 file, which also holds the prior
+    sites, written by `pbp train --data toy.csv --hidden 4 --epochs 2
+    --seed 1`; fixtures/pred_v1.csv is what `pbp predict` wrote from it for
+    toy_features.csv before format 2 existed."""
+
+    def test_loads_and_predicts_the_same_bytes(self, tmp_path):
+        assert json.loads(MODEL_V1.read_text())["format_version"] == 1
+        got = predict_fixture_features(MODEL_V1, tmp_path)
+        assert got == (FIXTURES / "pred_v1.csv").read_bytes()
+
+    def test_saved_copy_is_format_two_and_predicts_the_same_bytes(self, tmp_path):
+        p = tmp_path / "m.json"
+        save_model(load_model(MODEL_V1), p)
+        want = json.loads(MODEL_V1.read_text())
+        del want["prior_sites"]
+        want["format_version"] = 2
+        assert json.loads(p.read_text()) == want
+        assert predict_fixture_features(p, tmp_path) == (FIXTURES / "pred_v1.csv").read_bytes()
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 0, 3, None])
+    def test_other_versions_are_data_errors(self, tmp_path, capsys, version):
+        doc = json.loads(MODEL_V1.read_text())
+        doc["format_version"] = version
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"model format version {re.escape(repr(version))} not"):
+            load_model(p)
+        out = tmp_path / "p.csv"
+        features = FIXTURES / "toy_features.csv"
+        code = main(["predict", "--model", str(p), "--data", str(features), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "data error:" in capsys.readouterr().err
+        assert not out.exists()

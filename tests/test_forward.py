@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import threading
@@ -27,34 +28,40 @@ def mv(mean, var):
     return MomentVector(np.asarray(mean, dtype=float), np.asarray(var, dtype=float))
 
 
+def linear(layer, z):
+    """forward_linear of z through layer, with the transposed weights that the
+    forward pass keeps per layer."""
+    return forward_linear(layer, z, forward._transposed(layer, layer.means * layer.means))
+
+
 class TestForwardLinear:
     def test_deterministic_weights_and_inputs(self):
         layer = LayerPosterior(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
-        out = forward_linear(layer, mv([3.0, 1.0], [0.0, 0.0]))
+        out = linear(layer, mv([3.0, 1.0], [0.0, 0.0]))
         assert out.mean[0] == pytest.approx(4.0 / math.sqrt(2.0), abs=1e-15)
         assert out.variance[0] == 0.0
 
     def test_pure_weight_variance(self):
         layer = LayerPosterior(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
-        out = forward_linear(layer, mv([1.0, 1.0], [0.0, 0.0]))
+        out = linear(layer, mv([1.0, 1.0], [0.0, 0.0]))
         assert out.mean[0] == 0.0
         assert out.variance[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_all_deterministic_gives_zero_variance(self):
         layer = LayerPosterior(np.array([[2.0, -1.0, 0.5]]), np.zeros((1, 3)))
-        out = forward_linear(layer, mv([0.3, 0.7, 1.0], [0.0, 0.0, 0.0]))
+        out = linear(layer, mv([0.3, 0.7, 1.0], [0.0, 0.0, 0.0]))
         assert out.variance[0] == 0.0
 
     def test_dimension_mismatch(self):
         layer = LayerPosterior(np.zeros((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError):
-            forward_linear(layer, mv([1.0, 2.0], [0.0, 0.0]))
+            linear(layer, mv([1.0, 2.0], [0.0, 0.0]))
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(8)
         layer = LayerPosterior(rng.normal(size=(2, 3)), rng.uniform(0.1, 1.0, (2, 3)))
         z_mean = rng.normal(size=3)
-        out = forward_linear(layer, mv(z_mean, np.zeros(3)))
+        out = linear(layer, mv(z_mean, np.zeros(3)))
         n = 400_000
         w = layer.means + np.sqrt(layer.variances) * rng.standard_normal((n, 2, 3))
         samples = np.einsum("nrc,c->nr", w, z_mean) / math.sqrt(3)
@@ -223,7 +230,7 @@ class TestForwardOutputMoments:
         m0, v0 = output_moments(net, x)
 
         perm = rng.permutation(6)
-        permuted = net.clone()
+        permuted = copy.deepcopy(net)
         permuted.layers[0].means = net.layers[0].means[perm]
         permuted.layers[0].variances = net.layers[0].variances[perm]
         permuted.layers[1].means = np.hstack(
@@ -391,7 +398,7 @@ class TestBlockedRows:
         rng = np.random.default_rng(13)
         n = 3 * block + 5
         net, X = _branch_net_and_rows(n, block, rng)
-        _, aux = relu_moments(forward_linear(net.layers[0], append_bias(mv(X, np.zeros_like(X)))))
+        _, aux = relu_moments(linear(net.layers[0], append_bias(mv(X, np.zeros_like(X)))))
         for flags in (aux.deterministic[:, 0], aux.series[:, 0]):
             assert flags[block : 2 * block].any()
             assert not flags[:block].any() and not flags[2 * block :].any()

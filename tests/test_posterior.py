@@ -110,9 +110,3 @@ def test_config_rejects_priors_the_gaussian_collapse_cannot_use(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite and > "):
         PbpConfig(**{field: value})
 
-
-def test_clone_is_independent():
-    net = new_uniform([2, 3, 1])
-    other = net.clone()
-    other.layers[0].means[0, 0] = 5.0
-    assert net.layers[0].means[0, 0] == 0.0

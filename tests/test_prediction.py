@@ -5,7 +5,7 @@ import pytest
 
 from conftest import identity_stats, output_moments, random_net
 from pbp.data import Dataset, normalize
-from pbp.posterior import GammaDist, PbpConfig, new_uniform
+from pbp.posterior import GammaDist, NumericError, PbpConfig, new_uniform
 from pbp.prediction import (
     TrainedModel,
     noise_floor,
@@ -13,13 +13,11 @@ from pbp.prediction import (
     rmse,
 )
 from pbp.prediction import test_log_likelihood as avg_log_likelihood
-from pbp.updates import PriorSiteStore
 
 
 def model_from_net(net, norm=None):
     return TrainedModel(
         net=net,
-        sites=PriorSiteStore.zeros(net),
         norm=norm or identity_stats(net.layer_sizes[0]),
         config=PbpConfig(hidden_layer_sizes=tuple(net.layer_sizes[1:-1])),
     )
@@ -73,6 +71,16 @@ class TestPredict:
         net = random_net([2, 3, 1], np.random.default_rng(0))
         with pytest.raises(ValueError):
             predict_batch(net, identity_stats(2), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "rows, first", [((0.5, 1e300, 0.5), 2), ((1e160, -1e300), 1), ((-1e300,), 1)]
+    )
+    def test_non_finite_prediction_names_the_first_row(self, rows, first):
+        # Overflow and inf - inf are left to the check on the outputs, so no
+        # RuntimeWarning comes first (the suite turns those into errors).
+        net = random_net([1, 3, 1], np.random.default_rng(9))
+        with pytest.raises(NumericError, match=f"^input row {first}: predictive mean"):
+            predict_batch(net, identity_stats(1), np.array(rows)[:, None])
 
 
 class TestNoiseFloor:

@@ -26,20 +26,13 @@ import pytest
 import pbp.training as training
 import pbp.updates as updates
 import reference_prior as ref
-from conftest import one_run, toy_cubic_dataset
+from conftest import incorporate_one_run, refresh_one_run, toy_cubic_dataset
 from pbp.data import normalize, split
 from pbp.gauss import LOG_2PI
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
 from pbp.training import train, train_runs
-from pbp.updates import PriorSiteStore, RefreshReport
-
-
-def kernel_refresh(net, sites):
-    return one_run(updates.ep_refresh_prior, net, sites)
-
-
-def kernel_incorporate(net, sites):
-    return one_run(updates.incorporate_all_prior_factors, net, sites)
+from pbp.updates import RefreshReport
+from reference_prior import Sites
 
 
 def _bits(x) -> bytes:
@@ -49,10 +42,10 @@ def _bits(x) -> bytes:
 
 
 def state(net, sites):
-    """Everything a prior loop may change, as bytes."""
+    """Everything a prior loop may change, as bytes; sites is a Sites or its
+    (4, W) array."""
     arrays = [layer.means for layer in net.layers] + [layer.variances for layer in net.layers]
-    for name in ("precision", "precision_mean", "lam_shape", "lam_rate"):
-        arrays += getattr(sites, name)
+    arrays.append(sites.flat if isinstance(sites, Sites) else sites)
     gammas = [net.gamma.shape, net.gamma.rate, net.lam.shape, net.lam.rate]
     return [_bits(a) for a in arrays] + [_bits(float(g)) for g in gammas]
 
@@ -98,14 +91,14 @@ def trained(hidden, seed=3, n=24, epochs=2):
     ds = toy_cubic_dataset(n, seed)
     cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=epochs)
     net, sites, _ = train(normalize(ds)[0], cfg, np.random.default_rng(seed))
-    return net, sites
+    return net, Sites(sites, net.layer_sizes)
 
 
 def uniform(layer_sizes, lam):
     net = new_uniform(layer_sizes)
     net.gamma = GammaDist(6.0, 6.0)
     net.lam = GammaDist(*lam)
-    return net, PriorSiteStore.zeros(net)
+    return net, Sites.zeros(net)
 
 
 HIDDEN = [(4,), (3, 3), (50,)]
@@ -114,14 +107,14 @@ HIDDEN = [(4,), (3, 3), (50,)]
 @pytest.mark.parametrize("hidden", HIDDEN)
 def test_first_incorporation_from_the_uniform_state(hidden):
     net, sites = uniform([2, *hidden, 1], (6.0, 6.0))
-    assert_same(kernel_incorporate, ref.incorporate_all_prior_factors, net, sites)
+    assert_same(incorporate_one_run, ref.incorporate_all_prior_factors, net, sites)
 
 
 @pytest.mark.parametrize("lam", [(6.0, 6.0), (1.0 + 2.0**-40, 3.0), (40.0, 0.01), (1e20, 6.0)])
 @pytest.mark.parametrize("layer_sizes", [[6, 10, 1], [13, 50, 1], [11, 50, 50, 1]])
 def test_first_incorporation_closed_form_on_the_benchmark_shapes(layer_sizes, lam):
     net, sites = uniform(layer_sizes, lam)
-    assert_same(kernel_incorporate, ref.incorporate_all_prior_factors, net, sites)
+    assert_same(incorporate_one_run, ref.incorporate_all_prior_factors, net, sites)
 
 
 @pytest.mark.parametrize("hidden", HIDDEN)
@@ -129,18 +122,18 @@ def test_incorporation_on_a_trained_posterior(hidden):
     # The prior factors go in once, into the uniform state; finite variances
     # are refused, and so is one finite weight among flat ones.
     net, _ = trained(hidden)
-    assert_refused(kernel_incorporate, ValueError, net, PriorSiteStore.zeros(net))
+    assert_refused(incorporate_one_run, ValueError, net, Sites.zeros(net))
     flat, sites = uniform(net.layer_sizes, (6.0, 6.0))
     flat.layers[-1].variances[0, 0] = 1.0
-    assert_refused(kernel_incorporate, ValueError, flat, sites)
+    assert_refused(incorporate_one_run, ValueError, flat, sites)
 
 
 @pytest.mark.parametrize("hidden", HIDDEN)
 def test_ep_refresh_on_trained_posteriors(hidden):
     net, sites = trained(hidden)
     for _ in range(3):  # each sweep starts from the sites the last one stored
-        report = assert_same(kernel_refresh, ref.ep_refresh_prior, net, sites)
-        assert report.sites_visited == net.n_weights()
+        report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
+        assert report.sites_visited == sites.flat.shape[-1]
 
 
 def one_layer(weights):
@@ -148,7 +141,7 @@ def one_layer(weights):
     (mean, variance, site precision, site precision-mean, site shape, site rate)."""
     net = new_uniform([len(weights) - 1, 1])
     net.gamma = net.lam = GammaDist(6.0, 6.0)
-    sites = PriorSiteStore.zeros(net)
+    sites = Sites.zeros(net)
     arrays = [net.layers[0].means, net.layers[0].variances, *(
         getattr(sites, name)[0] for name in ("precision", "precision_mean", "lam_shape", "lam_rate")
     )]
@@ -178,12 +171,12 @@ EVERY_BRANCH = [
 
 def test_ep_refresh_reaches_every_branch():
     net, sites = one_layer(EVERY_BRANCH)
-    report = assert_same(kernel_refresh, ref.ep_refresh_prior, net, sites)
+    report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
     assert report.sites_skipped == 4
     # The rejected refine leaves the Gamma at its cavity, as the reference does.
     assert net.lam.shape == 1e20
     # A second sweep starts from the sites and Gamma the first one stored.
-    assert_same(kernel_refresh, ref.ep_refresh_prior, net, sites)
+    assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
 
 
 @pytest.mark.parametrize(
@@ -205,17 +198,17 @@ def test_first_incorporation_reaches_every_branch(lam, weights):
     # sigma2 * 0.0 is -0.0 where the reference writes 0.0.)
     net, sites = one_layer([(m, v, 0.0, 0.0, 0.0, 0.0) for m, v in weights])
     net.lam = GammaDist(*lam)
-    assert_refused(kernel_incorporate, ValueError, net, sites)
+    assert_refused(incorporate_one_run, ValueError, net, sites)
     if lam[0] > 1.0:
         net.layers[0].variances[...] = math.inf
-        assert_same(kernel_incorporate, ref.incorporate_all_prior_factors, net, sites)
+        assert_same(incorporate_one_run, ref.incorporate_all_prior_factors, net, sites)
 
 
 def test_ep_refresh_with_an_inflated_site_on_a_trained_posterior():
     net, sites = trained((4,))
     sites.precision[0][0, 0] = 1.0 / net.layers[0].variances[0, 0] + 5.0
     sites.lam_shape[1][0, 2] = net.lam.shape  # Gamma cavity shape 0
-    report = assert_same(kernel_refresh, ref.ep_refresh_prior, net, sites)
+    report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
     assert report.sites_skipped == 1
 
 
@@ -233,19 +226,20 @@ def three_run_stack():
     for layer in flat.layers:
         layer.means[...] = np.random.default_rng(1).normal(0.0, 0.5, layer.means.shape)
     stack = PosteriorStack.of([net, net, flat])
-    stack_sites = PriorSiteStore(
-        np.stack([sites.flat, sites.flat, flat_sites.flat], axis=1), stack.layer_sizes
-    )
+    stack_sites = np.stack([sites.flat, sites.flat, flat_sites.flat], axis=1)
     hand = np.array(EVERY_BRANCH).T
     stack.means[0, :10], stack.variances[0, :10] = hand[:2]
-    stack_sites.flat[:, 0, :10] = hand[2:]
+    stack_sites[:, 0, :10] = hand[2:]
     stack.lams[0] = GammaDist(6.0, 6.0)
     return stack, stack_sites
 
 
 def test_three_run_stack_matches_each_run_alone():
     stack, sites = three_run_stack()
-    runs = [(copy.deepcopy(stack.run(r)), copy.deepcopy(sites.run(r))) for r in range(3)]
+    runs = [
+        (copy.deepcopy(stack.run(r)), Sites(sites[:, r].copy(), stack.layer_sizes))
+        for r in range(3)
+    ]
     for sweep in range(2):
         report = updates.ep_refresh_prior(stack, sites)
         want = [ref.ep_refresh_prior(net, s) for net, s in runs]
@@ -255,7 +249,7 @@ def test_three_run_stack_matches_each_run_alone():
         for r, ((net, s), w) in enumerate(zip(runs, want)):
             alone = RefreshReport(13, *report.runs[r], [report.runs[r]])
             assert same_report(alone, w), (sweep, r)
-            assert state(stack.run(r), sites.run(r)) == state(net, s), (sweep, r)
+            assert state(stack.run(r), sites[:, r]) == state(net, s), (sweep, r)
     # The runs did take different branches.
     assert [w.sites_skipped for w in want] == [4, 0, 0]
 
@@ -269,7 +263,7 @@ def test_squared_cavity_mean_is_a_python_power():
     m = 0.7248364021613508
     assert m**2 != m * m
     net, sites = one_layer([(m, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)])
-    assert_same(kernel_refresh, ref.ep_refresh_prior, net, sites)
+    assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
 
     def log_z(k):
         var = 6.0 / (6.0 + k - 1.0) + 1.0
@@ -289,7 +283,7 @@ def test_max_change_skips_nan_as_python_max_does():
         (math.nan, math.nan, 0.0, 0.0, 0.0, 0.0),
         (0.1, 1.0, 0.0, 0.0, 0.0, 0.0),
     ])
-    report = assert_same(kernel_refresh, ref.ep_refresh_prior, net, sites)
+    report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
     assert report.sites_skipped == 1
     assert 0.0 < report.max_abs_change < math.inf
 
@@ -300,7 +294,7 @@ def test_zero_variance_raises_numeric_error_before_any_write():
     net, sites = one_layer([(0.3, 1.0, 0.0, 0.0, 0.0, 0.0), (0.2, 0.0, 0.0, 0.0, 0.0, 0.0)])
     with pytest.raises(ZeroDivisionError):
         ref.ep_refresh_prior(copy.deepcopy(net), copy.deepcopy(sites))
-    assert_refused(kernel_refresh, NumericError, net, sites)
+    assert_refused(refresh_one_run, NumericError, net, sites)
 
 
 def test_flat_site_with_a_zero_prior_variance_raises_numeric_error():
@@ -310,7 +304,7 @@ def test_flat_site_with_a_zero_prior_variance_raises_numeric_error():
     net.lam = GammaDist(10.0, 5e-324)
     with pytest.raises(ZeroDivisionError):
         ref.ep_refresh_prior(copy.deepcopy(net), copy.deepcopy(sites))
-    assert_refused(kernel_refresh, NumericError, net, sites)
+    assert_refused(refresh_one_run, NumericError, net, sites)
 
 
 # ------------------------------------------------ likelihood and Gamma
@@ -377,26 +371,31 @@ def test_gamma_refine_matches_on_its_branches(logz):
 # ------------------------------------------------------------- training
 
 
-def per_run(reference):
-    """A reference prior loop applied to each run of a stack in turn, as
-    train_runs did before the stacked kernel."""
+def per_run(reference, stack, sites):
+    """A reference prior loop applied to each run of a stack in turn, on the
+    stack's (4, R, W) sites, as train_runs did before the stacked kernel."""
+    reports = []
+    for r in range(len(stack.lams)):
+        net = stack.run(r)
+        reports.append(reference(net, Sites(sites[:, r], stack.layer_sizes)))
+        stack.lams[r] = net.lam
+    return reports
 
-    def kernel(stack, sites):
-        reports = []
-        for r in range(len(stack.lams)):
-            net = stack.run(r)
-            reports.append(reference(net, sites.run(r)))
-            stack.lams[r] = net.lam
-        if reports[0] is None:
-            return None
-        return RefreshReport(
-            sum(rep.sites_visited for rep in reports),
-            sum(rep.sites_skipped for rep in reports),
-            max(rep.max_abs_change for rep in reports),
-            [(rep.sites_skipped, rep.max_abs_change) for rep in reports],
-        )
 
-    return kernel
+def per_run_incorporate(stack):
+    sites = np.zeros((4, *stack.means.shape))
+    per_run(ref.incorporate_all_prior_factors, stack, sites)
+    return sites
+
+
+def per_run_refresh(stack, sites):
+    reports = per_run(ref.ep_refresh_prior, stack, sites)
+    return RefreshReport(
+        sum(rep.sites_visited for rep in reports),
+        sum(rep.sites_skipped for rep in reports),
+        max(rep.max_abs_change for rep in reports),
+        [(rep.sites_skipped, rep.max_abs_change) for rep in reports],
+    )
 
 
 def reference_tail(monkeypatch):
@@ -412,10 +411,8 @@ def reference_tail(monkeypatch):
         out = ref.gamma_refine(g, ref.LogZTriple(*logz))
         return None if out is g else (out.shape, out.rate)
 
-    monkeypatch.setattr(
-        training, "incorporate_all_prior_factors", per_run(ref.incorporate_all_prior_factors)
-    )
-    monkeypatch.setattr(training, "ep_refresh_prior", per_run(ref.ep_refresh_prior))
+    monkeypatch.setattr(training, "incorporate_all_prior_factors", per_run_incorporate)
+    monkeypatch.setattr(training, "ep_refresh_prior", per_run_refresh)
     monkeypatch.setattr(updates, "_likelihood_triple", likelihood_triple)
     monkeypatch.setattr(updates, "_gamma_moments", gamma_moments)
 

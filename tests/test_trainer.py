@@ -50,9 +50,9 @@ class TestSchedule:
         real_prior = training.incorporate_all_prior_factors
         real_refresh = training.ep_refresh_prior
 
-        def prior_spy(stack, sites):
+        def prior_spy(stack):
             counts["prior"] += 1
-            return real_prior(stack, sites)
+            return real_prior(stack)
 
         def refresh_spy(stack, sites):
             counts["refresh"] += 1
@@ -92,9 +92,9 @@ class TestSchedule:
         seen = []
 
         def inflating_spy(stack, sites):
-            # Inflate one site of run 0 beyond its marginal's precision: a
-            # negative cavity, which that run alone skips.
-            sites.precision[0][0, 0, 0] = 1.0 / stack.variances[0, 0] + 5.0
+            # Inflate the precision of run 0's first site beyond its
+            # marginal's: a negative cavity, which that run alone skips.
+            sites[0, 0, 0] = 1.0 / stack.variances[0, 0] + 5.0
             report = real_refresh(stack, sites)
             seen.append(report.runs)
             return report

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 import pbp.updates as updates
-from conftest import one_run, output_moments, random_net
+from conftest import incorporate_one_run, output_moments, random_net, refresh_one_run
 from oracles import gamma_tilted_moments_quadrature
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.updates import (
-    PriorSiteStore,
     _gamma_moments,
     _likelihood_triple,
     _log_z_triple,
-    ep_refresh_prior,
-    incorporate_all_prior_factors,
     incorporate_likelihood_factors,
 )
 from reference_prior import (
     NegativeVarianceError,
+    Sites,
     gaussian_log_density,
     gaussian_refine,
     incorporate_prior_factor,
@@ -196,8 +194,8 @@ class TestIncorporatePriorFactor:
         net = new_uniform([1, 1])
         net.lam = GammaDist(6.0, 6.0)
         net.gamma = GammaDist(6.0, 6.0)
-        sites = PriorSiteStore.zeros(net)
-        one_run(incorporate_all_prior_factors, net, sites)
+        sites = Sites.zeros(net)
+        incorporate_one_run(net, sites)
         assert net.layers[0].means[0, 0] == 0.0
         assert net.layers[0].variances[0, 0] == pytest.approx(1.2, abs=1e-15)
         # Gamma factor untouched in the flat limit.
@@ -221,7 +219,7 @@ class TestIncorporatePriorFactor:
     def test_repeated_incorporation_shrinks_variance(self):
         net = new_uniform([1, 1])
         net.lam = GammaDist(6.0, 6.0)
-        sites = PriorSiteStore.zeros(net)
+        sites = Sites.zeros(net)
         incorporate_prior_factor(net, 0, 0, 0, sites)
         prev = net.layers[0].variances[0, 0]
         for _ in range(10):
@@ -233,7 +231,7 @@ class TestIncorporatePriorFactor:
     def test_tiny_variance_update_bounded(self):
         net = new_uniform([1, 1])
         net.lam = GammaDist(6.0, 6.0)
-        sites = PriorSiteStore.zeros(net)
+        sites = Sites.zeros(net)
         net.layers[0].means[0, 0] = 0.5
         net.layers[0].variances[0, 0] = 1e-6
         incorporate_prior_factor(net, 0, 0, 0, sites)
@@ -266,12 +264,11 @@ class TestIncorporateLikelihoodFactor:
         layer = stack.layers[0]
         real_backward = updates.backward_gradients
 
-        def sabotaged(n, trace, y):
-            grads = real_backward(n, trace, y)
+        def sabotaged(stack, trace, y):
+            real_backward(stack, trace, y)
             # Force a guaranteed-negative refined variance for one weight.
-            grads.d_means[0][0, 1, 2] = 1e6
-            grads.d_variances[0][0, 1, 2] = 0.0
-            return grads
+            stack.workspace.d_mean_views[0][0, 1, 2] = 1e6
+            stack.workspace.d_variance_views[0][0, 1, 2] = 0.0
 
         monkeypatch.setattr(updates, "backward_gradients", sabotaged)
         m_before = layer.means[0, 1, 2]
@@ -322,33 +319,33 @@ class TestEpRefreshPrior:
         ds, _ = normalize(Dataset(x[:, None], y))
         cfg = PbpConfig(hidden_layer_sizes=(15,), epochs=10, seed=5)
         net, sites, _ = train(ds, cfg, np.random.default_rng(5))
-        return net, sites
+        return net, Sites(sites, net.layer_sizes)
 
     def test_refresh_reaches_and_holds_fixed_point(self):
         net, sites = self._trained_state()
         converged = False
         for _ in range(30):
-            rep = one_run(ep_refresh_prior, net, sites)
+            rep = refresh_one_run(net, sites)
             if rep.max_abs_change < 1e-8:
                 converged = True
                 break
         assert converged, "EP refresh failed to reach its fixed point"
-        rep = one_run(ep_refresh_prior, net, sites)
+        rep = refresh_one_run(net, sites)
         assert rep.max_abs_change < 1e-8
 
     def test_single_factor_refresh_is_exact_noop(self):
         net = new_uniform([1, 1])
         net.lam = GammaDist(6.0, 6.0)
         net.gamma = GammaDist(6.0, 6.0)
-        sites = PriorSiteStore.zeros(net)
-        one_run(incorporate_all_prior_factors, net, sites)
+        sites = Sites.zeros(net)
+        incorporate_one_run(net, sites)
         from pbp.posterior import perturb_means
 
         perturb_means(net, np.random.default_rng(0))
         m0 = net.layers[0].means.copy()
         v0 = net.layers[0].variances.copy()
         for _ in range(3):
-            rep = one_run(ep_refresh_prior, net, sites)
+            rep = refresh_one_run(net, sites)
             assert rep.max_abs_change == 0.0
             assert rep.sites_skipped == 0
         assert np.array_equal(net.layers[0].means, m0)
@@ -360,7 +357,7 @@ class TestEpRefreshPrior:
         sites.precision[0][0, 0] = 1.0 / net.layers[0].variances[0, 0] + 5.0
         m = net.layers[0].means[0, 0]
         v = net.layers[0].variances[0, 0]
-        rep = one_run(ep_refresh_prior, net, sites)
+        rep = refresh_one_run(net, sites)
         assert rep.sites_skipped == 1
         assert net.layers[0].means[0, 0] == m
         assert net.layers[0].variances[0, 0] == v
@@ -368,7 +365,7 @@ class TestEpRefreshPrior:
     def test_refresh_keeps_variances_positive_and_shapes_above_one(self):
         net, sites = self._trained_state()
         for _ in range(5):
-            one_run(ep_refresh_prior, net, sites)
+            refresh_one_run(net, sites)
         for layer in net.layers:
             assert np.all(layer.variances > 0.0)
         assert net.lam.shape > 1.0
