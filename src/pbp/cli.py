@@ -50,7 +50,8 @@ def _int_at_least(minimum: int):
     return parse
 
 
-# The flags that count runs or rows take _count; --acquisitions may be 0.
+# The flags that count runs, rows or units take _count; --acquisitions and
+# --epochs may be 0.
 _count = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--hidden",
-            type=int,
+            type=_count,
             nargs="+",
             default=[50],
             metavar="N",
             help="hidden layer sizes (repeatable, default 50)",
         )
-        p.add_argument("--epochs", type=int, default=40)
+        p.add_argument("--epochs", type=_nonnegative, default=40)
         p.add_argument("--seed", type=int, default=1)
 
     p_train = sub.add_parser("train", help="fit one model and save it")

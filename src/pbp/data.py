@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .posterior import (
+    HYPERPRIOR,
     GammaDist,
     LayerPosterior,
     NetworkPosterior,
@@ -22,6 +23,13 @@ from .posterior import (
 # ignores: prediction reads only the weight marginals and the noise Gamma.
 MODEL_FORMAT_VERSION = 2
 READABLE_FORMAT_VERSIONS = (1, 2)
+# The fixed hyperprior, under the config keys model files give it.
+_HYPERPRIOR_CONFIG = {
+    "prior_shape_lambda": HYPERPRIOR[0],
+    "prior_rate_lambda": HYPERPRIOR[1],
+    "prior_shape_gamma": HYPERPRIOR[0],
+    "prior_rate_gamma": HYPERPRIOR[1],
+}
 
 
 class DataError(Exception):
@@ -285,10 +293,7 @@ def save_model(model, path) -> None:
         "config": {
             "hidden_layer_sizes": list(model.config.hidden_layer_sizes),
             "epochs": model.config.epochs,
-            "prior_shape_lambda": model.config.prior_shape_lambda,
-            "prior_rate_lambda": model.config.prior_rate_lambda,
-            "prior_shape_gamma": model.config.prior_shape_gamma,
-            "prior_rate_gamma": model.config.prior_rate_gamma,
+            **_HYPERPRIOR_CONFIG,
             "seed": model.config.seed,
         },
         "network": _net_to_dict(model.net),
@@ -307,7 +312,7 @@ def save_model(model, path) -> None:
 def load_model(path):
     """The TrainedModel a model file of a readable format holds. Raises
     DataError when the file cannot be read or parsed, is of another format, or
-    holds an unusable posterior (see _model_problem)."""
+    holds an unusable model (see _model_problem)."""
     from .prediction import TrainedModel
 
     try:
@@ -330,12 +335,9 @@ def load_model(path):
         config = PbpConfig(
             hidden_layer_sizes=tuple(cfg["hidden_layer_sizes"]),
             epochs=cfg["epochs"],
-            prior_shape_lambda=cfg["prior_shape_lambda"],
-            prior_rate_lambda=cfg["prior_rate_lambda"],
-            prior_shape_gamma=cfg["prior_shape_gamma"],
-            prior_rate_gamma=cfg["prior_rate_gamma"],
             seed=cfg["seed"],
         )
+        hyperprior = {key: cfg[key] for key in _HYPERPRIOR_CONFIG}
         net = _net_from_dict(doc["network"])
         nm = doc["normalization"]
         norm = NormStats(
@@ -346,21 +348,32 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
-    problem = _model_problem(net, norm)
+    problem = _model_problem(config, hyperprior, net, norm)
     if problem:
         raise DataError(f"corrupt model file {path}: {problem}")
     return TrainedModel(net=net, norm=norm, config=config)
 
 
-def _model_problem(net: NetworkPosterior, norm: NormStats) -> str | None:
-    """What makes a loaded posterior unusable, or None when it is sound.
+def _model_problem(
+    config: PbpConfig, hyperprior: dict, net: NetworkPosterior, norm: NormStats
+) -> str | None:
+    """What makes a loaded model unusable, or None when it is sound.
 
-    Shapes must follow layer_sizes, every number must be finite, weight
-    variances, Gamma parameters and normalization scales positive.
+    The config must give the fixed hyperprior and the network's hidden layer
+    sizes. Shapes must follow layer_sizes, every number must be finite, weight
+    variances, Gamma parameters and normalization scales positive, and the
+    noise Gamma shape above 1, as prediction needs.
     """
+    if hyperprior != _HYPERPRIOR_CONFIG:
+        return f"config hyperprior {hyperprior} is not the fixed {_HYPERPRIOR_CONFIG}"
     sizes = net.layer_sizes
     if len(sizes) < 2 or sizes[-1] != 1 or len(net.layers) != len(sizes) - 1:
         return f"layer_sizes {sizes} do not describe {len(net.layers)} layers with one output"
+    if list(config.hidden_layer_sizes) != sizes[1:-1]:
+        return (
+            f"config hidden_layer_sizes {list(config.hidden_layer_sizes)} "
+            f"disagree with layer_sizes {sizes}"
+        )
     for l, layer in enumerate(net.layers):
         expected = (sizes[l + 1], sizes[l] + 1)
         for name, arr in (("means", layer.means), ("variances", layer.variances)):
@@ -373,6 +386,8 @@ def _model_problem(net: NetworkPosterior, norm: NormStats) -> str | None:
     for name, g in (("gamma", net.gamma), ("lambda", net.lam)):
         if not (0.0 < g.shape < math.inf and 0.0 < g.rate < math.inf):
             return f"{name} shape and rate must be positive and finite, got {g.shape}, {g.rate}"
+    if net.gamma.shape <= 1.0:
+        return f"noise gamma shape {net.gamma.shape} <= 1: posterior not trained"
     for name in ("feature_mean", "feature_std"):
         arr = getattr(norm, name)
         if arr.shape != (sizes[0],):

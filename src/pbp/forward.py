@@ -90,12 +90,11 @@ class ReluAux:
 @dataclass
 class LayerTrace:
     """One layer's forward record: bias-extended input and pre-activation
-    moments, the rectifier's output moments and intermediates (the output
-    layer has neither), and the squared weight means the backward pass reuses."""
+    moments, the rectifier's intermediates (the output layer has none), and
+    the squared weight means the backward pass reuses."""
 
     z_in: MomentVector
     pre: MomentVector | None
-    post: MomentVector | None
     relu: ReluAux | None
     means_sq: np.ndarray
 
@@ -117,10 +116,10 @@ class Workspace:
     means, the gradients of log Z (filled by the backward pass, flat with
     per-layer views), every layer's bias-extended input, into which the
     previous rectifier writes, and the trace records, which hold each layer's
-    input buffer, the rectifier's output buffer and the squared means. A
-    PosteriorStack keeps its own in `workspace`, built by its first
-    forward_trace, so a training step allocates none of them; each
-    forward_trace overwrites the last one's trace.
+    input buffer and its squared means. A PosteriorStack keeps its own in
+    `workspace`, built by its first forward_trace, so a training step
+    allocates none of them; each forward_trace overwrites the last one's
+    trace.
     """
 
     def __init__(self, means, variances, layer_sizes):
@@ -134,11 +133,7 @@ class Workspace:
         self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], means.shape[:-1] + (1,))
         means_sq = layer_views(self.means_sq, layer_sizes)
         self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
-        last = len(layers) - 1
-        records = [
-            LayerTrace(z, None, self.outputs[l + 1] if l < last else None, None, msq)
-            for l, (z, msq) in enumerate(zip(self.inputs, means_sq))
-        ]
+        records = [LayerTrace(z, None, None, msq) for z, msq in zip(self.inputs, means_sq)]
         self.trace = ForwardTrace(records, None, None)
 
 

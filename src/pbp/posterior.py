@@ -77,14 +77,6 @@ class NetworkPosterior:
     lam: GammaDist
     layer_sizes: list[int]
 
-    def flat_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of all weight means and variances, layer after layer and
-        row-major within a layer."""
-        return tuple(
-            np.concatenate([getattr(layer, name).ravel() for layer in self.layers])
-            for name in ("means", "variances")
-        )
-
 
 class PosteriorStack:
     """R independent posteriors of one architecture, updated in lockstep.
@@ -109,10 +101,15 @@ class PosteriorStack:
     @classmethod
     def of(cls, nets: list[NetworkPosterior]) -> PosteriorStack:
         """Stack copies of networks that share one architecture."""
-        means, variances = zip(*(net.flat_weights() for net in nets))
+        means, variances = (
+            np.stack(
+                [np.concatenate([getattr(layer, name).ravel() for layer in net.layers]) for net in nets]
+            )
+            for name in ("means", "variances")
+        )
         return cls(
-            np.stack(means),
-            np.stack(variances),
+            means,
+            variances,
             [net.gamma for net in nets],
             [net.lam for net in nets],
             list(nets[0].layer_sizes),
@@ -157,17 +154,18 @@ def layer_views(flat: np.ndarray, layer_sizes: list[int]) -> list[np.ndarray]:
     return views
 
 
+# (shape, rate) of the Gamma hyperprior on both the noise precision and the
+# weight-prior precision, as in the paper: twelve pseudo-observations of unit
+# empirical variance.
+HYPERPRIOR = (6.0, 6.0)
+
+
 @dataclass
 class PbpConfig:
-    """Training configuration. Hyperprior defaults correspond to twelve
-    pseudo-observations of unit empirical variance."""
+    """Training configuration."""
 
     hidden_layer_sizes: tuple[int, ...] = (50,)
     epochs: int = 40
-    prior_shape_lambda: float = 6.0
-    prior_rate_lambda: float = 6.0
-    prior_shape_gamma: float = 6.0
-    prior_rate_gamma: float = 6.0
     seed: int = 0
 
     def __post_init__(self):
@@ -175,17 +173,6 @@ class PbpConfig:
             raise ValueError("epochs must be nonnegative")
         if any(h <= 0 for h in self.hidden_layer_sizes):
             raise ValueError("hidden layer sizes must be positive")
-        # The Gaussian collapse of a Gamma(a, b) precision has variance
-        # b / (a - 1): it needs a finite shape above 1 and a finite rate above 0.
-        for name, low in (
-            ("prior_shape_lambda", 1.0),
-            ("prior_rate_lambda", 0.0),
-            ("prior_shape_gamma", 1.0),
-            ("prior_rate_gamma", 0.0),
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > low):
-                raise ValueError(f"{name} must be finite and > {low:g}, got {value}")
 
 
 def new_uniform(layer_sizes: list[int]) -> NetworkPosterior:

@@ -33,18 +33,16 @@ def noise_floor(net: NetworkPosterior) -> float:
 
 def predict_batch(
     net: NetworkPosterior, norm: NormStats, X_raw: np.ndarray
-) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Predictive means and variances in original target units.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive means and variances in original target units, one per row
+    of raw inputs X_raw, shape (n, d).
 
-    X_raw holds raw inputs as rows, shape (n, d); one input of shape (d,)
-    gives floats. Raises NumericError naming the first row, counted from 1,
-    whose mean or variance is not finite (inputs or weights too large for the
-    arithmetic).
+    Raises NumericError naming the first row, counted from 1, whose mean or
+    variance is not finite (inputs or weights too large for the arithmetic).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         X = norm.apply_features(np.asarray(X_raw, dtype=float))
-        single = X.ndim == 1
-        mz, vz = forward_output_moments(net, X[None, :] if single else X)
+        mz, vz = forward_output_moments(net, X)
         means = mz * norm.target_std + norm.target_mean
         variances = (noise_floor(net) + vz) * norm.target_std**2
     bad = ~(np.isfinite(means) & np.isfinite(variances))
@@ -54,8 +52,6 @@ def predict_batch(
             f"input row {i + 1}: predictive mean {float(means[i])!r} and variance "
             f"{float(variances[i])!r} are not both finite"
         )
-    if single:
-        return float(means[0]), float(variances[0])
     return means, variances
 
 

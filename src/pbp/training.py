@@ -17,6 +17,7 @@ import numpy as np
 from .data import Dataset
 from .forward import forward_output_moments
 from .posterior import (
+    HYPERPRIOR,
     GammaDist,
     NetworkPosterior,
     PbpConfig,
@@ -95,8 +96,8 @@ def train_runs(
     layer_sizes = [datasets[0].features.shape[1], *config.hidden_layer_sizes, 1]
     net = new_uniform(layer_sizes)
     # Hyperprior factors match the posterior family; absorbing them is exact.
-    net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
-    net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
+    net.gamma = GammaDist(*HYPERPRIOR)
+    net.lam = GammaDist(*HYPERPRIOR)
     stack = PosteriorStack.of([net] * runs)
     sites = incorporate_all_prior_factors(stack)
     for r, rng in enumerate(rngs):

@@ -72,34 +72,6 @@ def _gamma_moments(a, b, log_z, log_z1, log_z2):
     return shape_new, rate_new
 
 
-def _log_z_triple(x, mean, v, shape, rate):
-    """log N(x | mean, rate/(shape+k-1) + v) for k = 0, 1, 2 on floats.
-
-    The Gaussian collapse of the Student's t left by marginalizing a Gamma
-    precision, at the three shapes _gamma_moments needs: the likelihood
-    log-normalizer of a target x against output moments (mean, v), and the
-    prior one of a weight x of variance v against mean 0 (which _refresh_run
-    writes out). Raises ValueError for a shape at or below 1 or a
-    non-positive variance.
-    """
-    if shape <= 1.0:
-        raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
-    var0 = rate / (shape - 1.0) + v
-    if var0 <= 0.0:
-        raise ValueError(f"variance must be positive, got {var0}")
-    sq = (x - mean) ** 2
-    log_z = -0.5 * (LOG_2PI + math.log(var0) + sq / var0)
-    var1 = rate / (shape + 1.0 - 1.0) + v
-    if var1 <= 0.0:
-        raise ValueError(f"variance must be positive, got {var1}")
-    log_z1 = -0.5 * (LOG_2PI + math.log(var1) + sq / var1)
-    var2 = rate / (shape + 2.0 - 1.0) + v
-    if var2 <= 0.0:
-        raise ValueError(f"variance must be positive, got {var2}")
-    log_z2 = -0.5 * (LOG_2PI + math.log(var2) + sq / var2)
-    return log_z, log_z1, log_z2
-
-
 def incorporate_all_prior_factors(stack: PosteriorStack) -> np.ndarray:
     """ADF-incorporate every weight's prior factor into a stack in the uniform
     start, in place, and return the prior sites of every run.
@@ -256,15 +228,34 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
 
 
 def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
-    """The likelihood log-Z triple of one example, or None when it is unusable
-    (invalid arguments, a squared residual that overflows, or a non-finite
-    value): the example is then skipped."""
-    if vz < 0.0:
+    """log N(y | mz, rate/(shape+k-1) + vz) for k = 0, 1, 2 on floats, or None
+    when the example is unusable and is skipped.
+
+    The likelihood log-normalizers of a target y against output moments
+    (mz, vz) at the three shapes _gamma_moments needs: the Gaussian collapse
+    of the Student's t left by marginalizing the noise-precision
+    Gamma(shape, rate). None for a shape at or below 1, a negative output
+    variance, a collapsed variance that is not positive, a squared residual
+    that overflows, or a non-finite value.
+    """
+    shape, rate = gam.shape, gam.rate
+    if shape <= 1.0 or vz < 0.0:
+        return None
+    var0 = rate / (shape - 1.0) + vz
+    var1 = rate / (shape + 1.0 - 1.0) + vz
+    var2 = rate / (shape + 2.0 - 1.0) + vz
+    if not (var0 > 0.0 and var1 > 0.0 and var2 > 0.0):
         return None
     try:
-        triple = _log_z_triple(y, mz, vz, gam.shape, gam.rate)
-    except (ValueError, OverflowError):
+        sq = (y - mz) ** 2
+    except OverflowError:
         return None
+    log = math.log
+    triple = (
+        -0.5 * (LOG_2PI + log(var0) + sq / var0),
+        -0.5 * (LOG_2PI + log(var1) + sq / var1),
+        -0.5 * (LOG_2PI + log(var2) + sq / var2),
+    )
     return triple if all(map(math.isfinite, triple)) else None
 
 
@@ -454,10 +445,12 @@ def _refresh_run(a, b, cavities, means, variances, site_shape, site_rate):
             means[k], variances[k] = m_new, v_new
             if not gamma_ok:
                 continue
-            # _log_z_triple(m, 0.0, v, a_fit, b_fit) written out, as the call
-            # costs a sixth of a site; its checks cannot fail for a_fit > 1,
-            # b_fit > 0 and v > 0. total is its first variance, and the square
-            # stays libm's pow, which differs from m * m in the last bit.
+            # The prior log-normalizers log N(m | 0, b/(a+k-1) + v), k = 0, 1, 2:
+            # _likelihood_triple's formula for a target m against moments
+            # (0, v), written out, as the call costs a sixth of a site and none
+            # of its checks can fail for a_fit > 1, b_fit > 0 and v > 0. total
+            # is its first variance, and the square stays libm's pow, which
+            # differs from m * m in the last bit.
             sq = (m - 0.0) ** 2
             var1 = b_fit / (a_fit + 1.0 - 1.0) + v
             var2 = b_fit / (a_fit + 2.0 - 1.0) + v

@@ -21,7 +21,7 @@ from conftest import random_net, toy_cubic_dataset
 from pbp.data import Dataset, normalize, split
 from reference_forward import forward_output_moments_batch
 from reference_update import GradientStore, incorporate_likelihood_factor
-from pbp.posterior import GammaDist, PbpConfig, PosteriorStack, new_uniform, perturb_means
+from pbp.posterior import HYPERPRIOR, GammaDist, PbpConfig, PosteriorStack, new_uniform, perturb_means
 from pbp.training import SkipRateError, TrainReport, train, train_runs
 from pbp.updates import incorporate_likelihood_factors
 from reference_prior import Sites, ep_refresh_prior, incorporate_all_prior_factors
@@ -32,8 +32,8 @@ def reference_train(dataset, config, rng):
     n = len(dataset.targets)
     layer_sizes = [dataset.features.shape[1], *config.hidden_layer_sizes, 1]
     net = new_uniform(layer_sizes)
-    net.gamma = GammaDist(config.prior_shape_gamma, config.prior_rate_gamma)
-    net.lam = GammaDist(config.prior_shape_lambda, config.prior_rate_lambda)
+    net.gamma = GammaDist(*HYPERPRIOR)
+    net.lam = GammaDist(*HYPERPRIOR)
 
     sites = Sites.zeros(net)
     incorporate_all_prior_factors(net, sites)

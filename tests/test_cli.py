@@ -193,6 +193,12 @@ class TestPredictCommand:
                          id="prior-rate-infinite"),
             pytest.param(lambda d: d["config"].__setitem__("prior_rate_lambda", 10**400),
                          id="prior-rate-beyond-float"),
+            pytest.param(lambda d: d["config"].__setitem__("prior_shape_gamma", 5.0),
+                         id="prior-shape-not-the-fixed-one"),
+            pytest.param(lambda d: d["config"].__setitem__("hidden_layer_sizes", [7, 3]),
+                         id="hidden-sizes-disagree"),
+            pytest.param(lambda d: d["network"]["gamma"].__setitem__("shape", 1.0),
+                         id="noise-shape-one"),
         ],
     )
     def test_hostile_model_file_is_a_data_error(self, toy_csv, tmp_path, capsys, corrupt):
@@ -508,6 +514,9 @@ class TestUsageErrors:
             ("active", "--jobs", "-1"),
             ("active", "--test-size", "0"),
             ("active", "--test-size", "-5"),
+            ("train", "--hidden", "0"),
+            ("benchmark", "--hidden", "0"),
+            ("active", "--hidden", "-3"),
         ],
     )
     def test_count_below_one_is_a_usage_error(self, toy_csv, tmp_path, capsys, command, flag, value):
@@ -518,14 +527,22 @@ class TestUsageErrors:
         assert flag in err and "at least 1" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
 
-    @pytest.mark.parametrize("value", ["-1", "-2"])
-    def test_negative_acquisitions_is_a_usage_error(self, toy_csv, tmp_path, capsys, value):
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("active", "--acquisitions", "-1"),
+            ("active", "--acquisitions", "-2"),
+            ("train", "--epochs", "-1"),
+            ("benchmark", "--epochs", "-1"),
+            ("active", "--epochs", "-3"),
+        ],
+    )
+    def test_negative_count_is_a_usage_error(self, toy_csv, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
-        code = main(["active", "--data", str(toy_csv), "--acquisitions", value, "--out", str(out)])
-        assert code == EXIT_USAGE
+        assert main([command, "--data", str(toy_csv), flag, value, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error:")
-        assert "--acquisitions" in err and "at least 0" in err
+        assert flag in err and "at least 0" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
 
     def test_zero_acquisitions_gives_a_one_row_curve(self, toy_csv, tmp_path):

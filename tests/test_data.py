@@ -300,7 +300,7 @@ class TestModelFile:
         p = tmp_path / "m.json"
         save_model(model, p)
         loaded = load_model(p)
-        x = np.array([0.37])
+        x = np.array([[0.37]])
         a_mean, a_variance = predict_batch(model.net, model.norm, x)
         b_mean, b_variance = predict_batch(loaded.net, loaded.norm, x)
         assert a_mean == b_mean

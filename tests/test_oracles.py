@@ -7,6 +7,7 @@ from conftest import random_net
 from oracles import (
     OracleError,
     _sample_network_output,
+    _sample_network_output_by_weights,
     gamma_tilted_moments_quadrature,
     mc_forward_moments,
 )
@@ -87,6 +88,27 @@ class TestMcForwardMoments:
         assert est.variance == pytest.approx(out.var(ddof=1), rel=1e-12)
         assert est.mean_se == pytest.approx(math.sqrt(m2 / out.size), rel=1e-12)
         assert est.variance_se == pytest.approx(math.sqrt((m4 - m2 * m2) / out.size), rel=1e-12)
+
+    def test_local_reparameterization_matches_weight_sampling(self):
+        # The sampler behind mc_forward_moments draws each layer's
+        # pre-activations given its input; the cross-check draws every
+        # weight. Both must give the same output distribution, checked by
+        # mean and variance within 3 standard errors of the difference, on a
+        # net deep enough that the hidden layers' outputs are not Gaussian.
+        net = random_net(
+            [3, 6, 5, 1], np.random.default_rng(13), mean_scale=0.8, var_low=0.02, var_high=0.5
+        )
+        x = np.array([0.5, -1.0, 0.3])
+        n = 200_000
+        stats = []
+        for sample in (_sample_network_output, _sample_network_output_by_weights):
+            out = sample(net, x, n, np.random.default_rng(14))
+            d = out - out.mean()
+            m2, m4 = np.mean(d**2), np.mean(d**4)
+            stats.append((out.mean(), out.var(ddof=1), m2 / n, (m4 - m2 * m2) / n))
+        (mean_a, var_a, mse_a, vse_a), (mean_b, var_b, mse_b, vse_b) = stats
+        assert abs(mean_a - mean_b) < 3 * math.sqrt(mse_a + mse_b)
+        assert abs(var_a - var_b) < 3 * math.sqrt(vse_a + vse_b)
 
     def test_too_few_samples_rejected(self):
         net = random_net([2, 3, 1], np.random.default_rng(1))

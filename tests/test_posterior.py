@@ -1,10 +1,10 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from pbp.posterior import (
+    HYPERPRIOR,
     GammaDist,
     PbpConfig,
     new_uniform,
@@ -73,8 +73,7 @@ class TestGammaDist:
 def test_config_defaults_match_protocol():
     cfg = PbpConfig()
     assert cfg.epochs == 40
-    assert cfg.prior_shape_lambda == 6.0 == cfg.prior_rate_lambda
-    assert cfg.prior_shape_gamma == 6.0 == cfg.prior_rate_gamma
+    assert HYPERPRIOR == (6.0, 6.0)
 
 
 def test_config_has_no_refresh_setting():
@@ -83,30 +82,7 @@ def test_config_has_no_refresh_setting():
     assert [f.name for f in dataclasses.fields(PbpConfig)] == [
         "hidden_layer_sizes",
         "epochs",
-        "prior_shape_lambda",
-        "prior_rate_lambda",
-        "prior_shape_gamma",
-        "prior_rate_gamma",
         "seed",
     ]
     with pytest.raises(TypeError):
         PbpConfig(refresh_every_n_examples=5)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("prior_shape_lambda", 0.5),   # a negative prior variance
-        ("prior_shape_lambda", 1.0),   # b / (a - 1) divides by zero
-        ("prior_rate_lambda", 0.0),    # a zero prior variance
-        ("prior_rate_lambda", math.inf),
-        ("prior_shape_gamma", 1.0),    # every example skipped
-        ("prior_shape_gamma", math.nan),
-        ("prior_rate_gamma", -1.0),
-        ("prior_shape_lambda", math.inf),
-    ],
-)
-def test_config_rejects_priors_the_gaussian_collapse_cannot_use(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite and > "):
-        PbpConfig(**{field: value})
-

@@ -29,18 +29,18 @@ class TestPredict:
         net = random_net([2, 4, 1], rng)
         x = np.array([0.3, -0.8])
         mz, vz = output_moments(net, x)
-        mean, variance = predict_batch(net, identity_stats(2), x)
-        assert type(mean) is float and type(variance) is float
-        assert mean == mz
-        assert variance == noise_floor(net) + vz
+        mean, variance = predict_batch(net, identity_stats(2), x[None, :])
+        assert mean.shape == variance.shape == (1,)
+        assert mean[0] == mz
+        assert variance[0] == noise_floor(net) + vz
 
     def test_deterministic_net_gives_noise_floor_only(self):
         rng = np.random.default_rng(4)
         net = random_net([2, 3, 1], rng)
         for layer in net.layers:
             layer.variances[...] = 0.0
-        _, variance = predict_batch(net, identity_stats(2), np.array([0.5, 0.5]))
-        assert variance == pytest.approx(noise_floor(net), rel=1e-15)
+        _, variance = predict_batch(net, identity_stats(2), np.array([[0.5, 0.5]]))
+        assert variance[0] == pytest.approx(noise_floor(net), rel=1e-15)
 
     def test_denormalization_identity(self):
         # Scaling stats must map the normalized-space computation through
@@ -52,9 +52,9 @@ class TestPredict:
         stats.target_std = 2.5
         x = rng.normal(size=3)
         mz, vz = output_moments(net, x)
-        mean, variance = predict_batch(net, stats, x)
-        assert mean == pytest.approx(mz * 2.5 + 11.0, rel=1e-15)
-        assert variance == pytest.approx((noise_floor(net) + vz) * 6.25, rel=1e-15)
+        mean, variance = predict_batch(net, stats, x[None, :])
+        assert mean[0] == pytest.approx(mz * 2.5 + 11.0, rel=1e-15)
+        assert variance[0] == pytest.approx((noise_floor(net) + vz) * 6.25, rel=1e-15)
 
     def test_feature_normalization_applied(self):
         rng = np.random.default_rng(8)
@@ -62,15 +62,17 @@ class TestPredict:
         stats = identity_stats(1)
         stats.feature_mean = np.array([2.0])
         stats.feature_std = np.array([4.0])
-        raw = np.array([6.0])  # normalizes to 1.0
-        direct_mean, _ = predict_batch(net, identity_stats(1), np.array([1.0]))
+        raw = np.array([[6.0]])  # normalizes to 1.0
+        direct_mean, _ = predict_batch(net, identity_stats(1), np.array([[1.0]]))
         via_stats_mean, _ = predict_batch(net, stats, raw)
         assert via_stats_mean == direct_mean
 
     def test_dimension_mismatch(self):
         net = random_net([2, 3, 1], np.random.default_rng(0))
         with pytest.raises(ValueError):
-            predict_batch(net, identity_stats(2), np.zeros(3))
+            predict_batch(net, identity_stats(2), np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            predict_batch(net, identity_stats(2), np.zeros(2))  # one row needs shape (1, d)
 
     @pytest.mark.parametrize(
         "rows, first", [((0.5, 1e300, 0.5), 2), ((1e160, -1e300), 1), ((-1e300,), 1)]

@@ -10,7 +10,6 @@ from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.updates import (
     _gamma_moments,
     _likelihood_triple,
-    _log_z_triple,
     incorporate_likelihood_factors,
 )
 from reference_prior import (
@@ -143,44 +142,45 @@ class TestGammaRefine:
 
 
 class TestLogZPriorFactor:
-    """The prior factor's log-normalizers: _log_z_triple of a weight (m, v)
-    against mean 0."""
+    """The prior factor's log-normalizers, which _refresh_run writes out:
+    _likelihood_triple's formula for a weight mean as the target against
+    moments (0, v)."""
 
     def test_frozen_value(self):
         # log N(0 | 0, 6/5 + 1) with the Gaussian collapse of the t density.
-        val = _log_z_triple(0.0, 0.0, 1.0, 6.0, 6.0)[0]
+        val = _likelihood_triple(0.0, 0.0, 1.0, GammaDist(6.0, 6.0))[0]
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * 2.2), abs=1e-13)
         assert val == pytest.approx(-1.3131672133868078, abs=1e-12)
 
     def test_shift_shrinks_collapse_variance(self):
-        v0, v1, _ = _log_z_triple(0.0, 0.0, 0.5, 6.0, 6.0)
+        v0, v1, _ = _likelihood_triple(0.0, 0.0, 0.5, GammaDist(6.0, 6.0))
         # 6/5 -> 6/6: smaller total variance, higher peak density at 0.
         assert v1 > v0
 
     def test_shape_guard(self):
-        with pytest.raises(ValueError):
-            _log_z_triple(0.0, 0.0, 1.0, 1.0, 1.0)
+        assert _likelihood_triple(0.0, 0.0, 1.0, GammaDist(1.0, 1.0)) is None
 
-    def test_infinite_variance_gives_minus_inf(self):
-        val = _log_z_triple(0.0, 0.0, math.inf, 6.0, 6.0)[0]
-        assert val == -math.inf
+    def test_infinite_variance_is_unusable(self):
+        # log Z is -inf, which is not finite: the factor is skipped.
+        assert _likelihood_triple(0.0, 0.0, math.inf, GammaDist(6.0, 6.0)) is None
 
 
 class TestLogZLikelihood:
-    """The likelihood factor's log-normalizers: _log_z_triple of a target
-    against the output moments, guarded by _likelihood_triple."""
+    """The likelihood factor's log-normalizers: _likelihood_triple of a target
+    against the output moments."""
 
     def test_frozen_value(self):
-        val = _log_z_triple(0.0, 0.0, 1.0, 6.0, 6.0)[0]
+        val = _likelihood_triple(0.0, 0.0, 1.0, GammaDist(6.0, 6.0))[0]
         assert val == pytest.approx(-1.3131672133868078, abs=1e-12)
 
     def test_peak_value_deterministic_output(self):
         # vz = 0, noise variance = 6/5: peak density of N(y | y, 1.2).
-        val = _log_z_triple(2.0, 2.0, 0.0, 6.0, 6.0)[0]
+        val = _likelihood_triple(2.0, 2.0, 0.0, GammaDist(6.0, 6.0))[0]
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * 1.2), abs=1e-13)
 
     def test_monotone_in_output_variance_at_peak(self):
-        vals = [_log_z_triple(1.0, 1.0, vz, 6.0, 6.0)[0] for vz in (0.0, 0.5, 1.0, 4.0)]
+        g = GammaDist(6.0, 6.0)
+        vals = [_likelihood_triple(1.0, 1.0, vz, g)[0] for vz in (0.0, 0.5, 1.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_negative_output_variance_rejected(self):
