@@ -50,8 +50,8 @@ def _int_at_least(minimum: int):
     return parse
 
 
-# The flags that count runs, rows or units take _count; --acquisitions and
-# --epochs may be 0.
+# The flags that count runs, rows or units take _count; --acquisitions,
+# --epochs and --seed may be 0.
 _count = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="hidden layer sizes (repeatable, default 50)",
         )
         p.add_argument("--epochs", type=_nonnegative, default=40)
-        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--seed", type=_nonnegative, default=1)
 
     p_train = sub.add_parser("train", help="fit one model and save it")
     common(p_train)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .gauss import LOG_2PI
+from .kernel import NoiseStep
 from .posterior import (
     LayerPosterior,
     NetworkPosterior,
@@ -115,14 +116,15 @@ class Workspace:
     Built on flat (*runs, W) weight buffers and their layer views: the squared
     means, the gradients of log Z (filled by the backward pass, flat with
     per-layer views), every layer's bias-extended input, into which the
-    previous rectifier writes, and the trace records, which hold each layer's
-    input buffer and its squared means. A PosteriorStack keeps its own in
-    `workspace`, built by its first forward_trace, so a training step
-    allocates none of them; each forward_trace overwrites the last one's
+    previous rectifier writes, the trace records, which hold each layer's
+    input buffer and its squared means, and the compiled noise-Gamma step
+    bound to the stack's (2, R) noise Gammas `gamma`. A PosteriorStack keeps
+    its own in `workspace`, built by its first forward_trace, so a training
+    step allocates none of them; each forward_trace overwrites the last one's
     trace.
     """
 
-    def __init__(self, means, variances, layer_sizes):
+    def __init__(self, means, variances, gamma, layer_sizes):
         self.means = means
         self.layers = layers = flat_layers(means, variances, layer_sizes)
         self.means_sq = np.empty_like(means)
@@ -135,6 +137,7 @@ class Workspace:
         self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
         records = [LayerTrace(z, None, None, msq) for z, msq in zip(self.inputs, means_sq)]
         self.trace = ForwardTrace(records, None, None)
+        self.noise = NoiseStep(gamma)
 
 
 def _bias_buffers(widths, rows_shape):
@@ -299,7 +302,7 @@ def forward_trace(stack: PosteriorStack, x: np.ndarray) -> ForwardTrace:
     if x.shape != expected:
         raise ValueError(f"input has shape {x.shape}, expected {expected}")
     if stack.workspace is None:
-        stack.workspace = Workspace(stack.means, stack.variances, stack.layer_sizes)
+        stack.workspace = Workspace(stack.means, stack.variances, stack.gamma, stack.layer_sizes)
     ws = stack.workspace
     np.multiply(ws.means, ws.means, out=ws.means_sq)
     trace = ws.trace

@@ -84,19 +84,23 @@ class PosteriorStack:
     Every run's weight means, layer after layer and row-major within a layer,
     fill one row of the (R, W) buffer `means`, and likewise the variances;
     each layer holds (R, rows, cols) views into the two buffers, so training
-    updates them in place. Each run keeps its own two Gamma factors.
-    `workspace` holds the buffers of one update step; the stack's first
-    forward_trace builds it, and only the stack refers to it.
+    updates them in place. Each run keeps its own two Gamma factors: `gamma`
+    (noise precision) and `lam` (prior precision) are (2, R) buffers of
+    shapes and rates, also updated in place. `workspace` holds the buffers of
+    one update step; the stack's first forward_trace builds it, and only the
+    stack refers to it. `refresh` is the compiled EP refresh bound to the
+    stack and the sites it last refreshed.
     """
 
-    def __init__(self, means, variances, gammas, lams, layer_sizes):
+    def __init__(self, means, variances, gamma, lam, layer_sizes):
         self.means = means
         self.variances = variances
-        self.gammas = gammas
-        self.lams = lams
+        self.gamma = gamma
+        self.lam = lam
         self.layer_sizes = layer_sizes
         self.layers = flat_layers(means, variances, layer_sizes)
         self.workspace = None
+        self.refresh = None
 
     @classmethod
     def of(cls, nets: list[NetworkPosterior]) -> PosteriorStack:
@@ -107,13 +111,11 @@ class PosteriorStack:
             )
             for name in ("means", "variances")
         )
-        return cls(
-            means,
-            variances,
-            [net.gamma for net in nets],
-            [net.lam for net in nets],
-            list(nets[0].layer_sizes),
+        gamma, lam = (
+            np.array([[g.shape for g in gammas], [g.rate for g in gammas]], dtype=float)
+            for gammas in ([net.gamma for net in nets], [net.lam for net in nets])
         )
+        return cls(means, variances, gamma, lam, list(nets[0].layer_sizes))
 
     def n_weights(self) -> int:
         """Weights per run."""
@@ -127,8 +129,8 @@ class PosteriorStack:
         """
         return NetworkPosterior(
             layers=[LayerPosterior(layer.means[r], layer.variances[r]) for layer in self.layers],
-            gamma=self.gammas[r],
-            lam=self.lams[r],
+            gamma=GammaDist(*self.gamma[:, r].tolist()),
+            lam=GammaDist(*self.lam[:, r].tolist()),
             layer_sizes=list(self.layer_sizes),
         )
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import ForwardTrace, MomentVector, ReluAux, forward_trace
-from .gauss import LOG_2PI
-from .posterior import GammaDist, LayerPosterior, NumericError, PosteriorStack
+from .kernel import Refresh
+from .posterior import LayerPosterior, PosteriorStack
 
 
 @dataclass
@@ -45,33 +45,6 @@ class UpdateOutcome:
     weight_updates: np.ndarray
 
 
-def _gamma_moments(a, b, log_z, log_z1, log_z2):
-    """Match the first two tilted moments of a Gamma(a, b) precision.
-
-    With Z_k the normalizer at shape+k, the tilted moments are
-    E[x]   = (Z1/Z)  * a/b
-    E[x^2] = (Z2/Z)  * a*(a+1)/b^2
-    and the matched Gamma follows from mean and variance. Returns the matched
-    (shape, rate) on floats, or None when the result is invalid (non-positive
-    or non-finite parameters): the update is then rejected.
-    """
-    try:
-        r_z2 = math.exp(log_z + log_z2 - 2.0 * log_z1)
-        r_21 = math.exp(log_z2 - log_z1)
-        r_10 = math.exp(log_z1 - log_z)
-    except OverflowError:
-        return None
-    denom_shape = r_z2 * (a + 1.0) / a - 1.0
-    denom_rate = r_21 * (a + 1.0) / b - r_10 * a / b
-    if denom_shape <= 0.0 or denom_rate <= 0.0:
-        return None
-    shape_new = 1.0 / denom_shape
-    rate_new = 1.0 / denom_rate
-    if not (math.isfinite(shape_new) and math.isfinite(rate_new)):
-        return None
-    return shape_new, rate_new
-
-
 def incorporate_all_prior_factors(stack: PosteriorStack) -> np.ndarray:
     """ADF-incorporate every weight's prior factor into a stack in the uniform
     start, in place, and return the prior sites of every run.
@@ -85,19 +58,23 @@ def incorporate_all_prior_factors(stack: PosteriorStack) -> np.ndarray:
     the collapsed Gaussian prior, mean 0, variance b/(a-1) of the run's
     prior-precision Gamma(a, b); its site is that prior in natural
     parameters; and the Gamma is untouched (all Z ratios -> 1). Raises
-    ValueError on any other state.
+    ValueError on any other state, and ZeroDivisionError, having written
+    nothing, where a Gamma shape of 1 or a prior variance of 0 divides by 0.
     """
     if not np.isinf(stack.variances).all():
         raise ValueError("the prior factors are incorporated once, into the uniform state")
-    sites = np.empty((4, *stack.means.shape))
-    for r, lam in enumerate(stack.lams):
-        a, b = lam.shape, lam.rate
+    a, b = stack.lam
+    with np.errstate(all="ignore"):
         sigma2 = b / (a - 1.0)
         mean = sigma2 * 0.0
-        site = [1.0 / sigma2 - 0.0, mean / sigma2 - 0.0, a - a, b - b]
-        stack.means[r] = mean
-        stack.variances[r] = sigma2
-        sites[:, r] = np.array(site)[:, None]
+        site = (1.0 / sigma2 - 0.0, mean / sigma2 - 0.0, a - a, b - b)
+    if not ((a - 1.0).all() and sigma2.all()):
+        raise ZeroDivisionError("float division by zero")
+    sites = np.empty((4, *stack.means.shape))
+    for rows, value in zip(sites, site):
+        rows[...] = value[:, None]
+    stack.means[...] = mean[:, None]
+    stack.variances[...] = sigma2[:, None]
     return sites
 
 
@@ -112,7 +89,7 @@ def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray
     d_variances, with per-layer (R, rows, cols) views.
     """
     ws = stack.workspace
-    noise = np.array([g.rate / (g.shape - 1.0) for g in stack.gammas])
+    noise = stack.gamma[1] / (stack.gamma[0] - 1.0)
     total = noise + trace.output_variance
     diff = y - trace.output_mean
     # Shape (runs, 1 row, 1 output unit), as the forward pass's moments.
@@ -227,38 +204,6 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     return dma, dva
 
 
-def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
-    """log N(y | mz, rate/(shape+k-1) + vz) for k = 0, 1, 2 on floats, or None
-    when the example is unusable and is skipped.
-
-    The likelihood log-normalizers of a target y against output moments
-    (mz, vz) at the three shapes _gamma_moments needs: the Gaussian collapse
-    of the Student's t left by marginalizing the noise-precision
-    Gamma(shape, rate). None for a shape at or below 1, a negative output
-    variance, a collapsed variance that is not positive, a squared residual
-    that overflows, or a non-finite value.
-    """
-    shape, rate = gam.shape, gam.rate
-    if shape <= 1.0 or vz < 0.0:
-        return None
-    var0 = rate / (shape - 1.0) + vz
-    var1 = rate / (shape + 1.0 - 1.0) + vz
-    var2 = rate / (shape + 2.0 - 1.0) + vz
-    if not (var0 > 0.0 and var1 > 0.0 and var2 > 0.0):
-        return None
-    try:
-        sq = (y - mz) ** 2
-    except OverflowError:
-        return None
-    log = math.log
-    triple = (
-        -0.5 * (LOG_2PI + log(var0) + sq / var0),
-        -0.5 * (LOG_2PI + log(var1) + sq / var1),
-        -0.5 * (LOG_2PI + log(var2) + sq / var2),
-    )
-    return triple if all(map(math.isfinite, triple)) else None
-
-
 def incorporate_likelihood_factors(
     stack: PosteriorStack, x: np.ndarray, y: np.ndarray
 ) -> UpdateOutcome:
@@ -270,21 +215,24 @@ def incorporate_likelihood_factors(
     variance would be invalid are rolled back individually; a run whose log Z
     is not finite skips the example and keeps its weights. A run's arithmetic
     is that of a stack of that run alone, bit for bit.
+
+    The log Z and Gamma step is kernel.c's noise_step, before the gradient
+    sweep, whose noise variances come from the Gammas before the update. It
+    raises ZeroDivisionError, having written nothing, where the sweep or the
+    Gamma match would divide by 0 (a Gamma shape of 1 or a rate of 0).
     """
-    gammas = stack.gammas
     trace = forward_trace(stack, x)
-    triples = [
-        _likelihood_triple(*args)
-        for args in zip(
-            np.ravel(y).tolist(), trace.output_mean.tolist(), trace.output_variance.tolist(), gammas
-        )
-    ]
-    skipped = np.array([t is None for t in triples])
-    if skipped.all():
-        none = np.zeros(len(gammas), dtype=int)
+    noise = stack.workspace.noise
+    noise.y[...] = y
+    noise.mz[...] = trace.output_mean
+    noise.vz[...] = trace.output_variance
+    skips = noise()
+    skipped = noise.skipped.copy()
+    if skips == len(skipped):
+        none = np.zeros(len(skipped), dtype=int)
         return UpdateOutcome(skipped, none, none.copy())
 
-    hold = skipped.any()
+    hold = skips > 0
     if hold:
         # The skipping runs' gradients are discarded; a zero residual keeps
         # them finite where an overflowing one would fill them with inf and NaN.
@@ -318,11 +266,7 @@ def incorporate_likelihood_factors(
         np.copyto(m, m_new, where=keep)
         np.copyto(v, v_new, where=keep)
 
-    for r, triple in enumerate(triples):
-        if triple is not None:
-            refined = _gamma_moments(gammas[r].shape, gammas[r].rate, *triple)
-            if refined is not None:
-                gammas[r] = GammaDist(*refined)
+    np.copyto(stack.gamma, noise.gamma_next)
     return UpdateOutcome(
         skipped=skipped,
         undo_count=np.where(skipped, 0, undo),
@@ -342,132 +286,19 @@ def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:
     cavities whose shape would not support the Gaussian collapse leave the
     precision factor untouched.
 
-    Only the running prior-precision Gamma makes a run's sweep sequential.
-    The cavities and the write-back are numpy over all runs and weights, and
-    one loop per run on Python floats does the rest (_refresh_run), because
-    numpy's exp and log differ from math's in the last bit where its + - * /
-    do not. Each run's result is bit for bit that of the per-weight loop. A
-    zero weight variance raises NumericError; nothing is written when
-    anything raises.
+    The running prior-precision Gamma makes a run's sweep sequential; the
+    sweep is kernel.c's ep_refresh, bound to the stack and sites on the first
+    call with them. A zero weight variance, or a zero prior variance at a flat
+    site, raises NumericError; nothing is written when anything raises.
     """
-    m, v = stack.means, stack.variances
-    if not v.all():
-        raise NumericError("zero weight variance: its prior-site cavity is undefined")
-    p_site, eta_site, a_site, b_site = sites
-    # Python floats give the same infs and NaNs without a warning. Where they
-    # raise on a division by zero, NumericError is raised instead, here for a
-    # zero weight variance and in _refresh_run for a zero prior variance; the
-    # 1/0 cavity variance of a flat site goes unused.
-    with np.errstate(all="ignore"):
-        p_cav = 1.0 / v - p_site
-        eta_cav = m / v - eta_site
-        v_cav = 1.0 / p_cav
-        m_cav = eta_cav * v_cav
-        cavities = [p_cav, m_cav, v_cav, m_cav * m_cav, v_cav * v_cav, eta_cav]
-    cavities = [x.tolist() for x in cavities]
-    outputs = [x.tolist() for x in (m, v, a_site, b_site)]
-    lams, skipped, max_delta = [], [], []
-    for r, lam in enumerate(stack.lams):
-        a, b, skips, delta = _refresh_run(
-            lam.shape, lam.rate, zip(*(x[r] for x in cavities)), *(x[r] for x in outputs)
-        )
-        lams.append(GammaDist(a, b))
-        skipped.append(skips)
-        max_delta.append(delta)
-
-    m_new, v_new, a_new, b_new = map(np.array, outputs)
-    keep = np.ones(m.shape, dtype=bool)
-    for r, skips in enumerate(skipped):
-        keep[r, skips] = False
-    with np.errstate(all="ignore"):
-        np.copyto(p_site, 1.0 / v_new - p_cav, where=keep)
-        np.copyto(eta_site, m_new / v_new - eta_cav, where=keep)
-        change = np.fmax(np.abs(m_new - m), np.abs(v_new - v))
-    # fmax skips NaN as Python's max does when it follows the running value;
-    # the weights left as they were add changes of 0 or NaN.
-    max_change = np.fmax.reduce(change, axis=-1, initial=0.0).tolist()
-    np.copyto(m, m_new)
-    np.copyto(v, v_new)
-    np.copyto(a_site, a_new)
-    np.copyto(b_site, b_new)
-    stack.lams[:] = lams
-
-    runs = [(len(s), max(c, d)) for s, c, d in zip(skipped, max_change, max_delta)]
+    refresh = stack.refresh
+    if refresh is None or refresh.sites is not sites:
+        refresh = stack.refresh = Refresh(stack.means, stack.variances, stack.lam, sites)
+    refresh()
+    skipped, change = refresh.skipped.tolist(), refresh.change.tolist()
     return RefreshReport(
-        sites_visited=m.size,
-        sites_skipped=sum(n for n, _ in runs),
-        max_abs_change=max(c for _, c in runs),
-        runs=runs,
+        sites_visited=stack.means.size,
+        sites_skipped=sum(skipped),
+        max_abs_change=max(change),
+        runs=list(zip(skipped, change)),
     )
-
-
-def _refresh_run(a, b, cavities, means, variances, site_shape, site_rate):
-    """The sequential part of ep_refresh_prior for one run, on Python floats:
-    every step that depends on the running prior-precision Gamma(a, b).
-
-    cavities yields, per weight in order, the cavity's (precision, mean,
-    variance, mean*mean, variance*variance, natural mean). The other lists
-    hold, per weight, its mean and variance and its site's Gamma part (shape,
-    rate), and take what the sweep changes. Returns the final (a, b), the
-    indices of the sites skipped, and the largest change of the Gamma.
-    """
-    log, inf = math.log, math.inf
-    skipped = []
-    max_delta = 0.0
-    for k, (p, m, v, m_sq, v_sq, eta) in enumerate(cavities):
-        if p < 0.0:
-            skipped.append(k)
-            continue
-        a_cav = a - site_shape[k]
-        b_cav = b - site_rate[k]
-        gamma_ok = a_cav > 1.0 and b_cav > 0.0
-        a_fit, b_fit = (a_cav, b_cav) if gamma_ok else (a, b)
-        prior_var = b_fit / (a_fit - 1.0)
-        if p == 0.0:
-            # The limit of the refinement for a flat cavity: the weight
-            # collapses onto the collapsed prior keeping the natural mean eta,
-            # and the Gamma stays at its cavity (all Z ratios -> 1).
-            if prior_var == 0.0:
-                raise NumericError("prior variance underflows to 0 at a flat prior site")
-            means[k], variances[k] = prior_var * eta, prior_var
-            a_new, b_new = a_fit, b_fit
-        else:
-            # The Gaussian refinement with d log Z / dm and d log Z / dv of
-            # log N(m | 0, b/(a-1) + v); m_sq and v_sq are m*m and v*v.
-            total = prior_var + v
-            dm = -m / total
-            dv = 0.5 * (m_sq / (total * total) - 1.0 / total)
-            m_new = m + v * dm
-            v_new = v - v_sq * (dm * dm - 2.0 * dv)
-            if not (0.0 < v_new < inf and -inf < m_new < inf):
-                skipped.append(k)
-                continue
-            means[k], variances[k] = m_new, v_new
-            if not gamma_ok:
-                continue
-            # The prior log-normalizers log N(m | 0, b/(a+k-1) + v), k = 0, 1, 2:
-            # _likelihood_triple's formula for a target m against moments
-            # (0, v), written out, as the call costs a sixth of a site and none
-            # of its checks can fail for a_fit > 1, b_fit > 0 and v > 0. total
-            # is its first variance, and the square stays libm's pow, which
-            # differs from m * m in the last bit.
-            sq = (m - 0.0) ** 2
-            var1 = b_fit / (a_fit + 1.0 - 1.0) + v
-            var2 = b_fit / (a_fit + 2.0 - 1.0) + v
-            refined = _gamma_moments(
-                a_fit,
-                b_fit,
-                -0.5 * (LOG_2PI + log(total) + sq / total),
-                -0.5 * (LOG_2PI + log(var1) + sq / var1),
-                -0.5 * (LOG_2PI + log(var2) + sq / var2),
-            )
-            a_new, b_new = refined or (a_fit, b_fit)
-        if gamma_ok:
-            site_shape[k] = a_new - a_cav
-            site_rate[k] = b_new - b_cav
-            # A NaN change is skipped, as Python's max does after the running value.
-            delta = max(abs(a_new - a), abs(b_new - b))
-            if delta > max_delta:
-                max_delta = delta
-            a, b = a_new, b_new
-    return a, b, skipped, max_delta

@@ -8,6 +8,7 @@ import pytest
 
 from pbp.data import Dataset, NormStats
 from pbp.forward import forward_output_moments, forward_trace
+from pbp.kernel import NoiseStep
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.updates import backward_gradients, ep_refresh_prior, incorporate_all_prior_factors
 from reference_update import GradientStore
@@ -88,7 +89,7 @@ def _one_run(net, kernel):
     for layer, run_layer in zip(net.layers, stack.layers):
         layer.means[...] = run_layer.means[0]
         layer.variances[...] = run_layer.variances[0]
-    net.lam = stack.lams[0]
+    net.lam = stack.run(0).lam
     return result
 
 
@@ -108,3 +109,21 @@ def incorporate_one_run(net, sites):
         sites.flat[...] = incorporate_all_prior_factors(stack)[:, 0]
 
     _one_run(net, incorporate)
+
+
+def likelihood_step(cases) -> NoiseStep:
+    """kernel.c's noise_step on one (y, mz, vz, (shape, rate)) case per run,
+    bound to Gammas of its own: the NoiseStep, its buffers filled."""
+    y, mz, vz, gammas = zip(*cases)
+    step = NoiseStep(np.array(gammas, dtype=float).T.copy())
+    step.moments[...] = (y, mz, vz)
+    step()
+    return step
+
+
+def log_z_triple(y, mz, vz, gam: GammaDist):
+    """The kernel's likelihood log-normalizers of target y against output
+    moments (mz, vz) under the noise Gamma gam, at shape + 0, 1, 2, or None
+    when it skips the example."""
+    step = likelihood_step([(y, mz, vz, (gam.shape, gam.rate))])
+    return None if step.skipped[0] else tuple(step.log_z[:, 0].tolist())

@@ -20,7 +20,8 @@ from scipy.special import log_ndtr
 from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
 from pbp.gauss import LOG_2PI
 from pbp.posterior import GammaDist, LayerPosterior, NetworkPosterior
-from pbp.updates import UpdateOutcome, _gamma_moments, _likelihood_triple
+from pbp.updates import UpdateOutcome
+from reference_prior import _gamma_moments, _likelihood_triple
 
 
 @dataclass

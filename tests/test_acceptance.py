@@ -26,8 +26,7 @@ from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import TrainedModel, predict_batch, rmse
 from pbp.prediction import test_log_likelihood as avg_log_likelihood
 from pbp.training import train
-from pbp.updates import _gamma_moments
-from reference_prior import gaussian_refine
+from reference_prior import _gamma_moments, gaussian_refine
 
 BENCH_CONFIG = dict(hidden_layer_sizes=(50,), epochs=40)
 SPLITS = 20

@@ -535,6 +535,9 @@ class TestUsageErrors:
             ("train", "--epochs", "-1"),
             ("benchmark", "--epochs", "-1"),
             ("active", "--epochs", "-3"),
+            ("train", "--seed", "-1"),
+            ("benchmark", "--seed", "-1"),
+            ("active", "--seed", "-2"),
         ],
     )
     def test_negative_count_is_a_usage_error(self, toy_csv, tmp_path, capsys, command, flag, value):

@@ -7,8 +7,8 @@ posteriors and on hand-built cases that reach every branch, for a lone run
 and for each run of a stack whose runs take different branches. Deliberate
 differences, each pinned below:
 
-* where the reference `_likelihood_triple` raises OverflowError on a squared
-  residual that overflows, the kernel skips the example;
+* where the reference `likelihood_log_z_triple` raises OverflowError on a
+  squared residual that overflows, the kernel skips the example;
 * the first incorporation is the closed form of the uniform start, and
   raises ValueError on any other state;
 * where the reference raises ZeroDivisionError on a zero weight variance or
@@ -23,10 +23,11 @@ import struct
 import numpy as np
 import pytest
 
+import pbp.kernel as kernel
 import pbp.training as training
 import pbp.updates as updates
 import reference_prior as ref
-from conftest import incorporate_one_run, refresh_one_run, toy_cubic_dataset
+from conftest import incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset
 from pbp.data import normalize, split
 from pbp.gauss import LOG_2PI
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
@@ -230,7 +231,7 @@ def three_run_stack():
     hand = np.array(EVERY_BRANCH).T
     stack.means[0, :10], stack.variances[0, :10] = hand[:2]
     stack_sites[:, 0, :10] = hand[2:]
-    stack.lams[0] = GammaDist(6.0, 6.0)
+    stack.lam[:, 0] = 6.0
     return stack, stack_sites
 
 
@@ -269,7 +270,7 @@ def test_squared_cavity_mean_is_a_python_power():
         var = 6.0 / (6.0 + k - 1.0) + 1.0
         return -0.5 * (LOG_2PI + math.log(var) + (m * m) / var)
 
-    with_product = updates._gamma_moments(6.0, 6.0, log_z(0.0), log_z(1.0), log_z(2.0))
+    with_product = ref._gamma_moments(6.0, 6.0, log_z(0.0), log_z(1.0), log_z(2.0))
     assert sites.lam_shape[0][0, 0] != with_product[0] - 6.0
 
 
@@ -335,25 +336,28 @@ def likelihood_cases():
 
 
 def test_likelihood_triple_and_gamma_refine_match():
-    for y, mz, vz, (a, b) in likelihood_cases():
+    cases = likelihood_cases()
+    step = likelihood_step(cases)
+    for r, (y, mz, vz, (a, b)) in enumerate(cases):
         g = GammaDist(a, b)
+        got_g = _bits(float(step.gamma_next[0, r])) + _bits(float(step.gamma_next[1, r]))
         try:
-            want = ref._likelihood_triple(y, mz, vz, g)
+            want = ref.likelihood_log_z_triple(y, mz, vz, g)
         except OverflowError:
             # The reference aborts on an overflowing squared residual; the
             # kernel skips the example instead.
-            assert updates._likelihood_triple(y, mz, vz, g) is None
-            continue
-        got = updates._likelihood_triple(y, mz, vz, g)
+            want = None
         if want is None:
-            assert got is None
+            assert step.skipped[r]
+            assert got_g == _bits(a) + _bits(b)
             continue
+        assert not step.skipped[r]
+        got = step.log_z[:, r].tolist()
         assert [_bits(x) for x in got] == [_bits(x) for x in (want.log_z, want.log_z1, want.log_z2)]
         want_g = ref.gamma_refine(g, want)
-        refined = updates._gamma_moments(a, b, *got)
-        assert (refined is None) == (want_g is g)
-        got_a, got_b = refined or (a, b)
-        assert _bits(got_a) + _bits(got_b) == _bits(want_g.shape) + _bits(want_g.rate)
+        # A rejected match is the one that leaves the Gamma as it was.
+        assert (got_g == _bits(a) + _bits(b)) == (want_g is g)
+        assert got_g == _bits(want_g.shape) + _bits(want_g.rate)
 
 
 @pytest.mark.parametrize(
@@ -363,7 +367,7 @@ def test_likelihood_triple_and_gamma_refine_match():
 def test_gamma_refine_matches_on_its_branches(logz):
     g = GammaDist(6.0, 6.0)
     want = ref.gamma_refine(g, ref.LogZTriple(*logz))
-    got = updates._gamma_moments(g.shape, g.rate, *logz)
+    got = ref._gamma_moments(g.shape, g.rate, *logz)
     assert (got is None) == (want is g)
     assert (got or (g.shape, g.rate)) == (want.shape, want.rate)
 
@@ -375,10 +379,10 @@ def per_run(reference, stack, sites):
     """A reference prior loop applied to each run of a stack in turn, on the
     stack's (4, R, W) sites, as train_runs did before the stacked kernel."""
     reports = []
-    for r in range(len(stack.lams)):
+    for r in range(stack.lam.shape[1]):
         net = stack.run(r)
         reports.append(reference(net, Sites(sites[:, r], stack.layer_sizes)))
-        stack.lams[r] = net.lam
+        stack.lam[:, r] = (net.lam.shape, net.lam.rate)
     return reports
 
 
@@ -398,23 +402,27 @@ def per_run_refresh(stack, sites):
     )
 
 
+def reference_noise_step(step):
+    """kernel.NoiseStep's call through the reference likelihood triple and
+    Gamma match."""
+    skips = 0
+    for r in range(len(step.skipped)):
+        g = GammaDist(*step.gamma[:, r].tolist())
+        t = ref.likelihood_log_z_triple(*step.moments[:, r].tolist(), g)
+        step.skipped[r] = t is None
+        skips += t is None
+        refined = g if t is None else ref.gamma_refine(g, t)
+        step.gamma_next[:, r] = (refined.shape, refined.rate)
+        step.log_z[:, r] = math.nan if t is None else (t.log_z, t.log_z1, t.log_z2)
+    return skips
+
+
 def reference_tail(monkeypatch):
     """Route training through the reference prior, EP, likelihood-triple and
-    Gamma code (adapted to the kernel's float tuples)."""
-
-    def likelihood_triple(y, mz, vz, gam):
-        t = ref._likelihood_triple(y, mz, vz, gam)
-        return None if t is None else (t.log_z, t.log_z1, t.log_z2)
-
-    def gamma_moments(a, b, *logz):
-        g = GammaDist(a, b)
-        out = ref.gamma_refine(g, ref.LogZTriple(*logz))
-        return None if out is g else (out.shape, out.rate)
-
+    Gamma code in place of the kernel's."""
     monkeypatch.setattr(training, "incorporate_all_prior_factors", per_run_incorporate)
     monkeypatch.setattr(training, "ep_refresh_prior", per_run_refresh)
-    monkeypatch.setattr(updates, "_likelihood_triple", likelihood_triple)
-    monkeypatch.setattr(updates, "_gamma_moments", gamma_moments)
+    monkeypatch.setattr(kernel.NoiseStep, "__call__", reference_noise_step)
 
 
 @pytest.mark.parametrize("hidden", [(4,), (3, 3)])

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 import pbp.updates as updates
-from conftest import incorporate_one_run, output_moments, random_net, refresh_one_run
+from conftest import incorporate_one_run, log_z_triple, output_moments, random_net, refresh_one_run
 from oracles import gamma_tilted_moments_quadrature
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
-from pbp.updates import (
-    _gamma_moments,
-    _likelihood_triple,
-    incorporate_likelihood_factors,
-)
+from pbp.updates import incorporate_likelihood_factors
 from reference_prior import (
     NegativeVarianceError,
     Sites,
+    _gamma_moments,
     gaussian_log_density,
     gaussian_refine,
     incorporate_prior_factor,
@@ -142,51 +139,51 @@ class TestGammaRefine:
 
 
 class TestLogZPriorFactor:
-    """The prior factor's log-normalizers, which _refresh_run writes out:
-    _likelihood_triple's formula for a weight mean as the target against
-    moments (0, v)."""
+    """The prior factor's log-normalizers, which the kernel's EP refresh
+    takes from the likelihood's log-normalizer: a weight mean as the target
+    against moments (0, v)."""
 
     def test_frozen_value(self):
         # log N(0 | 0, 6/5 + 1) with the Gaussian collapse of the t density.
-        val = _likelihood_triple(0.0, 0.0, 1.0, GammaDist(6.0, 6.0))[0]
+        val = log_z_triple(0.0, 0.0, 1.0, GammaDist(6.0, 6.0))[0]
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * 2.2), abs=1e-13)
         assert val == pytest.approx(-1.3131672133868078, abs=1e-12)
 
     def test_shift_shrinks_collapse_variance(self):
-        v0, v1, _ = _likelihood_triple(0.0, 0.0, 0.5, GammaDist(6.0, 6.0))
+        v0, v1, _ = log_z_triple(0.0, 0.0, 0.5, GammaDist(6.0, 6.0))
         # 6/5 -> 6/6: smaller total variance, higher peak density at 0.
         assert v1 > v0
 
     def test_shape_guard(self):
-        assert _likelihood_triple(0.0, 0.0, 1.0, GammaDist(1.0, 1.0)) is None
+        assert log_z_triple(0.0, 0.0, 1.0, GammaDist(1.0, 1.0)) is None
 
     def test_infinite_variance_is_unusable(self):
         # log Z is -inf, which is not finite: the factor is skipped.
-        assert _likelihood_triple(0.0, 0.0, math.inf, GammaDist(6.0, 6.0)) is None
+        assert log_z_triple(0.0, 0.0, math.inf, GammaDist(6.0, 6.0)) is None
 
 
 class TestLogZLikelihood:
-    """The likelihood factor's log-normalizers: _likelihood_triple of a target
+    """The likelihood factor's log-normalizers: the kernel's, of a target
     against the output moments."""
 
     def test_frozen_value(self):
-        val = _likelihood_triple(0.0, 0.0, 1.0, GammaDist(6.0, 6.0))[0]
+        val = log_z_triple(0.0, 0.0, 1.0, GammaDist(6.0, 6.0))[0]
         assert val == pytest.approx(-1.3131672133868078, abs=1e-12)
 
     def test_peak_value_deterministic_output(self):
         # vz = 0, noise variance = 6/5: peak density of N(y | y, 1.2).
-        val = _likelihood_triple(2.0, 2.0, 0.0, GammaDist(6.0, 6.0))[0]
+        val = log_z_triple(2.0, 2.0, 0.0, GammaDist(6.0, 6.0))[0]
         assert val == pytest.approx(-0.5 * math.log(2 * math.pi * 1.2), abs=1e-13)
 
     def test_monotone_in_output_variance_at_peak(self):
         g = GammaDist(6.0, 6.0)
-        vals = [_likelihood_triple(1.0, 1.0, vz, g)[0] for vz in (0.0, 0.5, 1.0, 4.0)]
+        vals = [log_z_triple(1.0, 1.0, vz, g)[0] for vz in (0.0, 0.5, 1.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_negative_output_variance_rejected(self):
         # The example is skipped, as it is when the squared residual overflows.
-        assert _likelihood_triple(0.0, 0.0, -0.1, GammaDist(6.0, 6.0)) is None
-        assert _likelihood_triple(1e160, 0.0, 1.0, GammaDist(6.0, 6.0)) is None
+        assert log_z_triple(0.0, 0.0, -0.1, GammaDist(6.0, 6.0)) is None
+        assert log_z_triple(1e160, 0.0, 1.0, GammaDist(6.0, 6.0)) is None
 
 
 class TestIncorporatePriorFactor:
@@ -286,7 +283,7 @@ class TestIncorporateLikelihoodFactor:
         net = random_net([1, 2, 1], rng, var_low=0.01, var_high=0.05)
         stack = PosteriorStack.of([net])
         one_run_step(stack, np.array([0.1]), 50.0)
-        g = stack.gammas[0]
+        g = stack.run(0).gamma
         assert g.shape / g.rate < net.gamma.shape / net.gamma.rate
 
     def test_gamma_update_matches_quadrature_direction_and_size(self):
@@ -303,7 +300,7 @@ class TestIncorporateLikelihoodFactor:
         one_run_step(stack, x, y)
         # The collapsed-Gaussian Z triple is an approximation; the matched mean
         # must land close to the exact tilted mean.
-        g = stack.gammas[0]
+        g = stack.run(0).gamma
         assert g.shape / g.rate == pytest.approx(e1, rel=0.05)
 
 
