@@ -283,7 +283,8 @@ def main(argv=None) -> int:
     except dio.DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericError, OverflowError, SkipRateError) as exc:
+    # ArithmeticError: the ZeroDivisionError and OverflowError of the kernels.
+    except (NumericError, ArithmeticError, SkipRateError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -5,6 +5,10 @@ random too. Every intermediate distribution is collapsed to independent
 Gaussians by matching marginal means and variances; the rectifier output is a
 mixture of a point mass at 0 and a truncated Gaussian, whose first two moments
 have closed forms.
+
+The elementwise arithmetic runs in kernel.c (see kernel.LinearForward and
+kernel.Rectifier); numpy runs the matmuls, scipy's log_ndtr and numpy's exp,
+and in the rectifier's far tail numpy's power.
 """
 
 from __future__ import annotations
@@ -18,12 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .gauss import LOG_2PI
-from .kernel import NoiseStep
+from .kernel import (
+    LinearBackward,
+    LinearForward,
+    NoiseStep,
+    OutputGradients,
+    Rectifier,
+    Refine,
+    Square,
+    squared,
+)
 from .posterior import (
     LayerPosterior,
     NetworkPosterior,
-    NumericError,
     PosteriorStack,
     flat_layers,
     layer_views,
@@ -66,12 +77,13 @@ class MomentVector:
 
 @dataclass
 class ReluAux:
-    """Per-unit intermediates of relu_moments, reused by the backward pass.
+    """Per-unit intermediates of relu_moments: views into the buffers of its
+    kernel.Rectifier, valid until that rectifier's next call.
 
-    A mask is None when no unit takes its branch; v_safe is then v itself.
+    A mask is None when no unit takes its branch.
     """
 
-    alpha: np.ndarray        # m / sqrt(v)
+    alpha: np.ndarray        # m / sqrt(v_safe)
     ratio: np.ndarray        # phi(alpha) / Phi(alpha), series in the far tail
     vprime: np.ndarray       # conditional mean of the positive branch
     cdf: np.ndarray          # Phi(alpha)
@@ -79,11 +91,7 @@ class ReluAux:
     pdf: np.ndarray          # phi(alpha)
     sqrt_v: np.ndarray       # sqrt(v_safe)
     v_safe: np.ndarray       # v, with 1 in place of deterministic units' variance
-    ratio_alpha: np.ndarray  # ratio + alpha
-    u: np.ndarray            # 1 - ratio * (ratio + alpha)
-    cdf_v: np.ndarray        # cdf * v_safe
     mean_pos: np.ndarray     # cdf * vprime, before the deterministic override
-    mean_vprime: np.ndarray  # mean_pos * vprime
     deterministic: np.ndarray | None  # variance below the exact-limit cutoff
     series: np.ndarray | None         # asymptotic-series branch used
 
@@ -111,33 +119,70 @@ class ForwardTrace:
 
 
 class Workspace:
-    """The buffers of a stack's forward_trace and of its backward pass.
+    """The buffers of a stack's forward_trace and of its backward pass, and
+    the kernels bound to them.
 
     Built on flat (*runs, W) weight buffers and their layer views: the squared
     means, the gradients of log Z (filled by the backward pass, flat with
     per-layer views), every layer's bias-extended input, into which the
     previous rectifier writes, the trace records, which hold each layer's
     input buffer and its squared means, and the compiled noise-Gamma step
-    bound to the stack's (2, R) noise Gammas `gamma`. A PosteriorStack keeps
-    its own in `workspace`, built by its first forward_trace, so a training
-    step allocates none of them; each forward_trace overwrites the last one's
+    bound to the stack's (2, R) noise Gammas `gamma`, whose output moments are
+    the output layer's. Per layer: the forward kernels (`linear`, and for a
+    hidden layer `rectifiers`), the gradients w.r.t. its pre-activation
+    moments (`d_pre`, (2, *runs, 1, units)) and its reverse sweep
+    (`linear_backward`); then `output_gradients`, which seeds the sweep, and
+    `refine`, which updates the weights. A PosteriorStack keeps its own in
+    `workspace`, built by its first forward_trace, so a training step
+    allocates none of them; each forward_trace overwrites the last one's
     trace.
     """
 
     def __init__(self, means, variances, gamma, layer_sizes):
-        self.means = means
         self.layers = layers = flat_layers(means, variances, layer_sizes)
         self.means_sq = np.empty_like(means)
+        self.square_means = Square(means, self.means_sq)
         self.d_means = np.empty_like(means)
         self.d_variances = np.empty_like(means)
         self.d_mean_views = layer_views(self.d_means, layer_sizes)
         self.d_variance_views = layer_views(self.d_variances, layer_sizes)
-        self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], means.shape[:-1] + (1,))
+        rows = means.shape[:-1] + (1,)
+        self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], rows)
         means_sq = layer_views(self.means_sq, layer_sizes)
         self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
         records = [LayerTrace(z, None, None, msq) for z, msq in zip(self.inputs, means_sq)]
         self.trace = ForwardTrace(records, None, None)
-        self.noise = NoiseStep(gamma)
+        self.noise = noise = NoiseStep(gamma)
+
+        last = len(layers) - 1
+        self.output = MomentVector(noise.mz.reshape(rows + (1,)), noise.vz.reshape(rows + (1,)))
+        self.linear = [
+            LinearForward(z.mean, layer.rows, None if l < last else (self.output.mean, self.output.variance))
+            for l, (z, layer) in enumerate(zip(self.inputs, layers))
+        ]
+        self.rectifiers = []
+        for linear, out in zip(self.linear, self.outputs[1:]):
+            pre_mean, pre_variance = linear.out
+            rectifier = Rectifier(pre_mean.shape[-1], pre_mean.size, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
+            rectifier.bind(pre_mean, pre_variance, out.mean, out.variance)
+            self.rectifiers.append(rectifier)
+
+        self.d_pre = [np.empty((2, *rows, units)) for units in layer_sizes[1:]]
+        self.output_gradients = OutputGradients(gamma, noise.targets, noise.mz, noise.vz, *self.d_pre[last])
+        self.linear_backward = [
+            LinearBackward(
+                layer.means, layer.variances, msq, dm, dv, z.mean, z.variance, *d_pre, inputs=l > 0
+            )
+            for l, (layer, msq, dm, dv, z, d_pre) in enumerate(
+                zip(layers, means_sq, self.d_mean_views, self.d_variance_views, self.inputs, self.d_pre)
+            )
+        ]
+        for l, rectifier in enumerate(self.rectifiers):
+            # The next layer's input gradients without the bias slot, whose
+            # moments are constants.
+            dmz, dvz = self.linear_backward[l + 1].d_inputs
+            rectifier.bind_gradients(dmz[..., :-1], dvz[..., :-1], *self.d_pre[l])
+        self.refine = Refine(means, variances, self.d_means, self.d_variances, noise)
 
 
 def _bias_buffers(widths, rows_shape):
@@ -159,23 +204,36 @@ def forward_linear(
     layer: LayerPosterior,
     z: MomentVector,
     transposed: tuple[np.ndarray, np.ndarray, np.ndarray],
+    kernel: LinearForward | None = None,
 ) -> MomentVector:
-    """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent.
+    """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent:
+
+      mean = (z.mean @ M^T) / sqrt(cols)
+      variance = (z.variance @ (M*M)^T + (z.mean * z.mean) @ V^T + z.variance @ V^T) / cols
 
     The 1/sqrt(cols) factor keeps each unit's input scale independent of its
     fan-in. z holds rows of inputs, (*runs, rows, cols) when the layer carries
     a leading runs axis. transposed is _transposed of the layer, which the
-    caller keeps.
+    caller keeps. kernel, when given, is a kernel.LinearForward bound to
+    z.mean, whose output buffers the moments go to (a Workspace keeps one per
+    layer); otherwise one is bound for this call.
     """
     cols = layer.cols
     if len(z) != cols:
         raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
+    if kernel is None:
+        kernel = LinearForward(np.ascontiguousarray(z.mean, dtype=float), layer.rows)
     # One row is the BLAS gemv of W z; n rows are one gemm, which rounds
     # differently from n gemv calls, so the rows axis is never folded away.
     m_t, v_t, means_sq_t = transposed
-    mean = (z.mean @ m_t) / math.sqrt(cols)
-    variance = (z.variance @ means_sq_t + (z.mean * z.mean) @ v_t + z.variance @ v_t) / cols
-    return MomentVector(mean, variance)
+    products = kernel.products
+    kernel.square()
+    np.matmul(z.mean, m_t, out=products[0])
+    np.matmul(z.variance, means_sq_t, out=products[1])
+    np.matmul(kernel.zm_sq, v_t, out=products[2])
+    np.matmul(z.variance, v_t, out=products[3])
+    kernel.moments()
+    return MomentVector(*kernel.out)
 
 
 def _transposed(layer: LayerPosterior, means_sq: np.ndarray):
@@ -188,61 +246,42 @@ def _transposed(layer: LayerPosterior, means_sq: np.ndarray):
     )
 
 
-def relu_moments(a: MomentVector, out: MomentVector | None = None) -> tuple[MomentVector, ReluAux]:
+def relu_moments(
+    a: MomentVector, out: MomentVector | None = None, rectifier: Rectifier | None = None
+) -> tuple[MomentVector, ReluAux]:
     """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit.
 
-    out, when given, receives the moments (the unit slots of the next layer's
-    bias-extended input, say) and is returned.
+    out, when given, receives the moments and is returned; its rows of units
+    must be evenly spaced, as in the unit slots of the next layer's
+    bias-extended input. rectifier, when given, is a kernel.Rectifier large
+    enough for a, whose buffers the intermediates go to (a Workspace keeps
+    one per hidden layer, and a chunked rows pass one for its chunks);
+    otherwise one is made for this call.
 
-    Each branch test is one NaN-ignoring reduction; a branch's mask, and the
-    arrays it needs, are built only when some unit takes it.
+    kernel.c does the arithmetic; numpy runs log_ndtr on (alpha, -alpha) in
+    one call, exp on (log Phi(alpha), log Phi(-alpha), log phi(alpha), log
+    phi(alpha) - log Phi(alpha)) in one call and, where some unit takes the
+    far-tail series, alpha ** 3.
     """
-    m, v = a.mean, a.variance
-    v_min = np.fmin.reduce(v, axis=None, initial=math.inf)
-    if v_min < 0.0:
-        raise NumericError("negative pre-activation variance (upstream bug)")
-
-    det = None
-    v_safe = v
-    if v_min < DETERMINISTIC_VARIANCE:
-        det = v < DETERMINISTIC_VARIANCE
-        v_safe = np.where(det, 1.0, v)
-    sqrt_v = np.sqrt(v_safe)
-    alpha = m / sqrt_v
-
-    log_cdf = log_ndtr(alpha)
-    cdf = np.exp(log_cdf)
-    cdf_neg = np.exp(log_ndtr(-alpha))
-    log_pdf = -0.5 * (alpha * alpha + LOG_2PI)
-    pdf = np.exp(log_pdf)
-
-    series = None
-    ratio = np.exp(log_pdf - log_cdf)
-    del log_cdf, log_pdf  # unused from here on; a rows pass frees them early
-    if np.fmin.reduce(alpha, axis=None, initial=math.inf) < SERIES_THRESHOLD:
-        series = alpha < SERIES_THRESHOLD
-        alpha_s = np.where(series, alpha, -1.0)  # keeps the unused branch finite
-        ratio = np.where(series, -alpha_s - 1.0 / alpha_s + 2.0 / alpha_s**3, ratio)
-
+    m = np.ascontiguousarray(a.mean, dtype=float)
+    v = np.ascontiguousarray(a.variance, dtype=float)
+    if rectifier is None:
+        rectifier = Rectifier(m.shape[-1], m.size, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
     if out is None:
         out = MomentVector(np.empty_like(m), np.empty_like(m))
-    vprime = m + sqrt_v * ratio
-    mean_b = np.multiply(cdf, vprime, out=out.mean)
-    mean_vprime = mean_b * vprime
-    cdf_v = cdf * v_safe
-    ratio_alpha = ratio + alpha
-    u = 1.0 - ratio * ratio_alpha
-    np.maximum(mean_vprime * cdf_neg + cdf_v * u, 0.0, out=out.variance)
-
-    mean_pos = mean_b
-    if det is not None:
-        mean_pos = mean_b.copy()
-        np.copyto(out.mean, np.maximum(m, 0.0), where=det)
-        out.variance[det] = 0.0
-
+    rectifier.bind(m, v, out.mean, out.variance)
+    rectifier.pre()
+    log_ndtr(rectifier.log_ndtr_args, out=rectifier.log_ndtr_values)
+    rectifier.mid()
+    if rectifier.n_series:
+        np.copyto(rectifier.series_powers()[0], rectifier.alpha_s**3)
+    np.exp(rectifier.exp_args, out=rectifier.exp_values)
+    rectifier.post()
     aux = ReluAux(
-        alpha, ratio, vprime, cdf, cdf_neg, pdf, sqrt_v, v_safe,
-        ratio_alpha, u, cdf_v, mean_pos, mean_vprime, det, series,
+        rectifier.alpha, rectifier.ratio, rectifier.vprime, rectifier.cdf, rectifier.cdf_neg,
+        rectifier.pdf, rectifier.sqrt_v, rectifier.v_safe, rectifier.mean_pos,
+        rectifier.deterministic if rectifier.n_deterministic else None,
+        rectifier.series if rectifier.n_series else None,
     )
     return out, aux
 
@@ -273,7 +312,7 @@ def forward_output_moments(
         raise ValueError(f"input has shape {x.shape}, expected {runs + ('n', d)}")
 
     n = x.shape[-2]
-    transposed = [_transposed(layer, layer.means * layer.means) for layer in net.layers]
+    transposed = [_transposed(layer, squared(layer.means)) for layer in net.layers]
     out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
 
     def forward_item(item):
@@ -304,10 +343,14 @@ def forward_trace(stack: PosteriorStack, x: np.ndarray) -> ForwardTrace:
     if stack.workspace is None:
         stack.workspace = Workspace(stack.means, stack.variances, stack.gamma, stack.layer_sizes)
     ws = stack.workspace
-    np.multiply(ws.means, ws.means, out=ws.means_sq)
+    ws.square_means()
+    a = _propagate(ws.layers, ws.inputs, ws.outputs, x[:, None, :], ws.transposed, ws)
+    # The output moments are the noise step's (see Workspace).
+    for moments, buffer in zip((a.mean, a.variance), (ws.output.mean, ws.output.variance)):
+        if moments is not buffer:
+            np.copyto(buffer, moments)
     trace = ws.trace
-    a = _propagate(ws.layers, ws.inputs, ws.outputs, x[:, None, :], ws.transposed, trace.records)
-    trace.output_mean, trace.output_variance = a.mean[:, 0, 0], a.variance[:, 0, 0]
+    trace.output_mean, trace.output_variance = ws.noise.mz, ws.noise.vz
     return trace
 
 
@@ -380,22 +423,24 @@ def _run_items(work, items: list, parallel: bool) -> None:
         raise errors[0]
 
 
-def _propagate(layers, inputs, outputs, x, transposed, records=None) -> MomentVector:
+def _propagate(layers, inputs, outputs, x, transposed, ws=None) -> MomentVector:
     """The output layer's pre-activation moments for rows x, through the
     bias-extended input buffers of _bias_buffers and each layer's transposed
     means, variances and squared means.
 
-    With records (forward_trace), each layer's pre-activation and rectifier
-    intermediates go on them; without, the rectifier runs in chunks.
+    With a Workspace ws (forward_trace), the pass runs on its kernels and
+    each layer's pre-activation and rectifier intermediates go on its trace
+    records; without, the rectifier runs in chunks.
     """
     np.copyto(outputs[0].mean, x)
     last = len(layers) - 1
     for l, layer in enumerate(layers):
-        a = forward_linear(layer, inputs[l], transposed[l])
-        if records is not None:
-            records[l].pre = a
+        a = forward_linear(layer, inputs[l], transposed[l], None if ws is None else ws.linear[l])
+        if ws is not None:
+            record = ws.trace.records[l]
+            record.pre = a
             if l < last:
-                records[l].relu = relu_moments(a, outputs[l + 1])[1]
+                record.relu = relu_moments(a, outputs[l + 1], ws.rectifiers[l])[1]
         elif l < last:
             _relu_in_chunks(a, outputs[l + 1])
     return a
@@ -405,8 +450,8 @@ def _relu_in_chunks(a: MomentVector, out: MomentVector) -> None:
     """relu_moments of a into out, over chunks of their (rows, units) views,
     runs and rows flattened into one axis: chunks of about RELU_CHUNK
     elements, the last taking the remainder, so a chunk's intermediates stay
-    in cache and are freed before the next one. Each element is computed
-    alone, so the chunks give the bits of one call."""
+    in cache; one Rectifier serves them all. Each element is computed alone,
+    so the chunks give the bits of one call."""
     units = a.mean.shape[-1]
     rows, step = a.mean.size // units, max(1, RELU_CHUNK // units)
     if rows < 2 * step:
@@ -416,6 +461,7 @@ def _relu_in_chunks(a: MomentVector, out: MomentVector) -> None:
         arr.reshape(rows, units, copy=False) for arr in (a.mean, a.variance, out.mean, out.variance)
     )
     starts = range(0, rows - step + 1, step)
+    rectifier = Rectifier(units, (rows - starts[-1]) * units, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
     for start, stop in zip(starts, [*starts[1:], rows]):
         chunk = slice(start, stop)
-        relu_moments(MomentVector(m[chunk], v[chunk]), MomentVector(out_m[chunk], out_v[chunk]))
+        relu_moments(MomentVector(m[chunk], v[chunk]), MomentVector(out_m[chunk], out_v[chunk]), rectifier)

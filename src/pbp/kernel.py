@@ -1,22 +1,32 @@
-"""The compiled Gamma chains of kernel.c: build, cache and bind.
+"""The compiled arithmetic of kernel.c: build, cache and bind.
 
-kernel.c holds the two loops whose every step depends on the last: the EP
-refresh of a stack's prior sites, which carries each run's prior-precision
-Gamma from weight to weight, and the noise-precision Gamma step of a
-likelihood update. It is compiled with gcc and FLAGS on first import and
-loaded with ctypes. The build is cached under $XDG_CACHE_HOME/pbp (by default
+kernel.c holds the two loops whose every step depends on the last, the EP
+refresh of a stack's prior sites (which carries each run's prior-precision
+Gamma from weight to weight) and the noise-precision Gamma step of a
+likelihood update, and the elementwise arithmetic of a likelihood step and
+of the rows passes: the linear layer's moments around its matmuls, the
+rectifier around log_ndtr and exp, their reverse sweep and the refinement of
+every weight. Three kinds of operation stay with numpy and scipy, whose bits
+come from outside this package: the matmuls (BLAS), scipy's log_ndtr, and
+numpy's exp and power (SIMD code that rounds differently from libm's exp and
+pow on some arguments; power only in the rectifier's far-tail series).
+
+kernel.c is compiled with gcc and FLAGS on first import and loaded with
+ctypes. The build is cached under $XDG_CACHE_HOME/pbp (by default
 ~/.cache/pbp, or the temp dir when that cannot be written), named by a hash of
 the source and the flags and one of `gcc --version`: a changed source or
 compiler builds afresh, and a cached build loads where no compiler is found.
 
-Each entry point takes one struct of buffer addresses, bound once per stack
-(NoiseStep, Refresh), so a call converts no array.
+Each entry point takes one struct of buffer addresses, bound once (per stack
+for a step's kernels, see forward.Workspace; per call or per chunk in a rows
+pass), so a call converts no array.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -31,8 +41,10 @@ from .posterior import NumericError
 SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = "gcc"
 # No fused multiply-add, and pow, exp and log left to the process's libm:
-# the bits of the Python floats the kernel replaces.
-FLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
+# the bits of the Python floats and numpy arrays the kernel replaces. -O3
+# and -fno-math-errno let gcc vectorize loops (sqrt included), which rounds
+# every operation as the scalar code does.
+FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 120
 
 
@@ -116,6 +128,7 @@ class _NoiseArgs(ctypes.Structure):
         ("gamma_next", ctypes.c_void_p),
         ("log_z", ctypes.c_void_p),
         ("skipped", ctypes.c_void_p),
+        ("targets", ctypes.c_void_p),
         ("log_2pi", ctypes.c_double),
     ]
 
@@ -135,13 +148,89 @@ class _RefreshArgs(ctypes.Structure):
     ]
 
 
+def _layout(ints=(), pointers=(), doubles=()):
+    """The _fields_ of a C struct of int64s, then pointers, then doubles."""
+    return (
+        [(name, ctypes.c_int64) for name in ints]
+        + [(name, ctypes.c_void_p) for name in pointers]
+        + [(name, ctypes.c_double) for name in doubles]
+    )
+
+
+class _SquareArgs(ctypes.Structure):
+    _fields_ = _layout(["n"], ["x", "out"])
+
+
+class _LinearArgs(ctypes.Structure):
+    _fields_ = _layout(["n"], ["p0", "p1", "p2", "p3", "mean", "variance"], ["sqrt_cols", "cols"])
+
+
+# The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
+# "alpha" to the two from "log_cdf", and exp the four from "log_cdf" to the
+# four from "cdf".
+_RELU_ROWS = (
+    "alpha", "neg_alpha",
+    "log_cdf", "log_cdf_neg", "log_pdf", "log_ratio",
+    "cdf", "cdf_neg", "pdf", "ratio",
+    "sqrt_v", "v_safe", "vprime", "mean_pos", "alpha_s",
+)
+_RELU_ROW = {name: k for k, name in enumerate(_RELU_ROWS)}
+
+
+class _ReluArgs(ctypes.Structure):
+    _fields_ = (
+        _layout(["rows", "units", "out_stride"], ["m", "v", *_RELU_ROWS, "cube", "out_m", "out_v",
+                                                  "deterministic", "series"])
+        + _layout(["n_deterministic", "n_series"],
+                  doubles=["deterministic_variance", "series_threshold", "log_2pi"])
+    )
+
+
+class _ReluGradArgs(ctypes.Structure):
+    _fields_ = _layout(["in_stride"], ["dmb", "dvb", "inv_square", "inv_fourth", "dma", "dva"])
+
+
+class _OutputGradArgs(ctypes.Structure):
+    _fields_ = _layout(["runs"], ["gamma", "y", "mean", "variance", "dma", "dva"])
+
+
+class _LinearGradArgs(ctypes.Structure):
+    _fields_ = _layout(
+        ["runs", "rows", "cols", "run_stride"],
+        ["m", "v", "m_sq", "dm", "dv", "zm", "zv", "dma", "dva", "operand", "products",
+         "dmz", "dvz"],
+        ["inv_c", "inv_s", "two_inv_c"],
+    )
+
+
+class _RefineArgs(ctypes.Structure):
+    _fields_ = _layout(
+        ["runs", "weights"],
+        ["m", "v", "dm", "dv", "skipped", "undo", "updates", "gamma", "gamma_next"],
+    )
+
+
 def load(path: Path) -> ctypes.CDLL:
     """The library at path, its entry points declared."""
     lib = ctypes.CDLL(str(path))
-    lib.noise_step.argtypes = [ctypes.POINTER(_NoiseArgs)]
-    lib.noise_step.restype = ctypes.c_int64
-    lib.ep_refresh.argtypes = [ctypes.POINTER(_RefreshArgs)]
-    lib.ep_refresh.restype = ctypes.c_int
+    for name, args, restype in [
+        ("noise_step", _NoiseArgs, ctypes.c_int64),
+        ("ep_refresh", _RefreshArgs, ctypes.c_int),
+        ("square", _SquareArgs, None),
+        ("linear_moments", _LinearArgs, None),
+        ("relu_pre", _ReluArgs, ctypes.c_int),
+        ("relu_mid", _ReluArgs, None),
+        ("relu_post", _ReluArgs, None),
+        ("output_gradients", _OutputGradArgs, None),
+        ("linear_backward_weights", _LinearGradArgs, None),
+        ("linear_backward_inputs", _LinearGradArgs, None),
+        ("refine", _RefineArgs, None),
+    ]:
+        entry = getattr(lib, name)
+        entry.argtypes = [ctypes.POINTER(args)]
+        entry.restype = restype
+    lib.relu_backward.argtypes = [ctypes.POINTER(_ReluArgs), ctypes.POINTER(_ReluGradArgs)]
+    lib.relu_backward.restype = None
     return lib
 
 
@@ -170,6 +259,7 @@ _ERRORS = {
     -2: (OverflowError, "a squared value overflows"),
     -3: (NumericError, "zero weight variance: its prior-site cavity is undefined"),
     -4: (NumericError, "prior variance underflows to 0 at a flat prior site"),
+    -5: (NumericError, "negative pre-activation variance (upstream bug)"),
 }
 
 
@@ -178,15 +268,51 @@ def _raise(status: int):
     raise error(message)
 
 
-def _address(array: np.ndarray, shape: tuple[int, ...]) -> int:
-    """The address of a C-contiguous float array of shape; ValueError for any
-    other array."""
-    if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
+def _data(array: np.ndarray) -> int:
+    """The address of array's first element: through the buffer protocol
+    (faster) where array is C-contiguous, writable and not empty."""
+    flags = array.flags
+    if flags.c_contiguous and flags.writeable and array.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
+
+
+def _address(array: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...] | None = None) -> int:
+    """The address of a float array of shape, C-contiguous or with strides
+    (in elements); ValueError for any other array."""
+    if strides is None:
+        laid_out = array.flags.c_contiguous
+    else:  # the stride of an axis of length 1 is never taken
+        laid_out = all(n == 1 or s == 8 * e for n, s, e in zip(shape, array.strides, strides))
+    if array.shape != shape or array.dtype != np.float64 or not laid_out:
+        layout = "C-contiguous" if strides is None else f"strides {strides} (in elements),"
         raise ValueError(
-            f"expected a C-contiguous float64 array of shape {shape}, "
+            f"expected a {layout} float64 array of shape {shape}, "
             f"got {array.dtype} {array.shape}"
         )
-    return array.ctypes.data
+    return _data(array)
+
+
+def _row_stride(array: np.ndarray, units: int) -> int | None:
+    """The distance, in elements, between the rows of units (the last axis)
+    of a float array whose leading axes flatten into one axis of evenly
+    spaced rows; None for any other array. An axis of length 1 takes no
+    step, so its stride does not count."""
+    shape, strides = array.shape, array.strides
+    if array.dtype != np.float64 or shape[-1:] != (units,) or (units > 1 and strides[-1] != 8):
+        return None
+    row_bytes = expected = None
+    for n, step in zip(reversed(shape[:-1]), reversed(strides[:-1])):
+        if n == 1:
+            continue
+        if row_bytes is None:
+            row_bytes = step
+        elif step != expected:
+            return None
+        expected = step * n
+    if row_bytes is None:
+        return units
+    return row_bytes // 8 if row_bytes % 8 == 0 else None
 
 
 class NoiseStep:
@@ -194,8 +320,9 @@ class NoiseStep:
 
     Each call reads the targets y and output moments mz, vz of one example per
     run, and writes each run's skip flag, its log-normalisers of the Gaussian
-    collapse at shape + 0, 1, 2 (NaN where skipped) and its moment-matched
-    Gamma into gamma_next, leaving gamma itself to the caller.
+    collapse at shape + 0, 1, 2 (NaN where skipped), its moment-matched Gamma
+    into gamma_next, leaving gamma itself to the caller, and the targets of
+    its gradients: y, or mz where the run skips.
     """
 
     def __init__(self, gamma: np.ndarray):
@@ -204,6 +331,7 @@ class NoiseStep:
         self.y, self.mz, self.vz = self.moments
         self.log_z = np.empty((3, runs))
         self.skipped = np.empty(runs, dtype=bool)
+        self.targets = np.empty(runs)
         self.gamma_next = np.empty((2, runs))
         self.gamma = gamma  # kept alive while the kernel holds its address
         self._args = _NoiseArgs(
@@ -213,6 +341,7 @@ class NoiseStep:
             self.gamma_next.ctypes.data,
             self.log_z.ctypes.data,
             self.skipped.ctypes.data,
+            self.targets.ctypes.data,
             LOG_2PI,
         )
         self._ref = ctypes.byref(self._args)
@@ -261,3 +390,264 @@ class Refresh:
         status = self._call(self._ref)
         if status < 0:
             _raise(status)
+
+
+class Square:
+    """square bound to a C-contiguous array x and out, of its shape: out = x * x."""
+
+    def __init__(self, x: np.ndarray, out: np.ndarray):
+        self._buffers = (x, out)
+        self._args = _SquareArgs(x.size, _address(x, x.shape), _address(out, x.shape))
+        self._ref = ctypes.byref(self._args)
+
+    def __call__(self) -> None:
+        LIB.square(self._ref)
+
+
+def squared(x: np.ndarray) -> np.ndarray:
+    """x * x, a new C-contiguous array."""
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty_like(x)
+    Square(x, out)()
+    return out
+
+
+class LinearForward:
+    """A layer's moments around its four matmuls, bound to its input means zm
+    (*rows, cols), C-contiguous, for a layer of `units` output units.
+
+    `zm_sq` (zm * zm, from square()) and the four (*rows, units) `products`
+    hold an operand and the results of the matmuls (see
+    forward.forward_linear); moments() writes `out` from the products. out
+    is a pair of given C-contiguous (*rows, units) arrays, or new ones.
+    """
+
+    def __init__(self, zm: np.ndarray, units: int, out: tuple[np.ndarray, np.ndarray] | None = None):
+        cols = zm.shape[-1]
+        shape = zm.shape[:-1] + (units,)
+        self.zm_sq = np.empty_like(zm)
+        self.products = [np.empty(shape) for _ in range(4)]
+        self.out = out if out is not None else (np.empty(shape), np.empty(shape))
+        self.square = Square(zm, self.zm_sq)
+        self._args = _LinearArgs(
+            math.prod(shape),
+            *(_data(p) for p in self.products),
+            _address(self.out[0], shape),
+            _address(self.out[1], shape),
+            math.sqrt(cols),
+            cols,
+        )
+        self._ref = ctypes.byref(self._args)
+
+    def moments(self) -> None:
+        LIB.linear_moments(self._ref)
+
+
+def _rows_of(first: np.ndarray, second: np.ndarray, shape: tuple[int, ...]) -> int:
+    """The row stride shared by two arrays of shape whose rows of units (the
+    last axis) are evenly spaced; ValueError for any other pair."""
+    stride = _row_stride(first, shape[-1])
+    if stride is None or _row_stride(second, shape[-1]) != stride or first.shape != shape:
+        raise ValueError(f"expected two arrays of shape {shape} with evenly spaced rows of units")
+    return stride
+
+
+class Rectifier:
+    """The rectifier's arithmetic on buffers for up to `capacity` elements of
+    pre-activation moments, rows of `units`.
+
+    bind() points it at C-contiguous pre-activation moments m, v and at
+    output arrays out_m, out_v of their shape whose rows of units are evenly
+    spaced (_row_stride). pre() checks the variances and forms alpha and the
+    other arguments of log_ndtr and exp; the caller maps `log_ndtr_args` to
+    `log_ndtr_values`, and after mid() `exp_args` to `exp_values`; post()
+    writes the moments. Each row of `buf` (see _RELU_ROWS) is an attribute of
+    m's shape, valid until the next call, and `deterministic` and `series`
+    flag the units that take those branches, which pre() counts. Where a unit
+    takes the series branch, post() and backward() read powers of alpha_s
+    from series_powers().
+    """
+
+    def __init__(self, units: int, capacity: int, deterministic_variance: float, series_threshold: float):
+        self.units, self.capacity = units, capacity
+        self.buf = np.empty((len(_RELU_ROWS), capacity))
+        self._flags = np.zeros((2, capacity), dtype=np.uint8)
+        self._powers = None
+        base, flags = _data(self.buf), _data(self._flags)
+        self._args = _ReluArgs(
+            0, units, 0, None, None,
+            *(base + k * 8 * capacity for k in range(len(_RELU_ROWS))),
+            None, None, None, flags, flags + capacity,
+            0, 0,
+            deterministic_variance, series_threshold, LOG_2PI,
+        )
+        self._ref = ctypes.byref(self._args)
+        self._grad_args = None
+        self.bound = (None, None, None, None)
+        self.shape = None
+
+    def bind(self, m: np.ndarray, v: np.ndarray, out_m: np.ndarray, out_v: np.ndarray) -> None:
+        """Point the rectifier at m, v, out_m and out_v (see the class), unless
+        it points at them already."""
+        arrays = (m, v, out_m, out_v)
+        if all(a is b for a, b in zip(arrays, self.bound)):
+            return
+        shape = m.shape
+        if shape[-1] != self.units or m.size > self.capacity:
+            raise ValueError(f"{shape} does not fit a rectifier of {self.capacity} elements of {self.units} units")
+        stride = _rows_of(out_m, out_v, shape)
+        addresses = (_address(m, shape), _address(v, shape), _data(out_m), _data(out_v))
+        args = self._args
+        args.m, args.v, args.out_m, args.out_v = addresses
+        args.rows, args.out_stride = m.size // self.units, stride
+        self.bound = arrays
+        if shape != self.shape:
+            self.shape, n = shape, m.size
+            rows = self.buf[:, :n].reshape((len(_RELU_ROWS), *shape))
+            self.__dict__.update(zip(_RELU_ROWS, rows))
+            row = _RELU_ROW
+            self.log_ndtr_args = rows[row["alpha"] : row["alpha"] + 2]
+            self.log_ndtr_values = rows[row["log_cdf"] : row["log_cdf"] + 2]
+            self.exp_args = rows[row["log_cdf"] : row["log_cdf"] + 4]
+            self.exp_values = rows[row["cdf"] : row["cdf"] + 4]
+            self.deterministic, self.series = self._flags[:, :n].view(bool).reshape((2, *shape))
+
+    @property
+    def n_deterministic(self) -> int:
+        return self._args.n_deterministic
+
+    @property
+    def n_series(self) -> int:
+        return self._args.n_series
+
+    def pre(self) -> None:
+        status = LIB.relu_pre(self._ref)
+        if status < 0:
+            _raise(status)
+
+    def mid(self) -> None:
+        LIB.relu_mid(self._ref)
+
+    def post(self) -> None:
+        LIB.relu_post(self._ref)
+
+    def series_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The buffers, of m's shape and kept for the next calls, from which
+        post() reads alpha_s ** 3 and backward() alpha_s ** -2 and ** -4
+        where some unit takes the series branch."""
+        if self._powers is None:
+            self._powers = np.empty((3, self.capacity))
+            cube, inv_square, inv_fourth = (_data(row) for row in self._powers)
+            self._args.cube = cube
+            self._power_addresses = (inv_square, inv_fourth)
+            if self._grad_args is not None:
+                self._grad_args.inv_square, self._grad_args.inv_fourth = self._power_addresses
+        n = math.prod(self.shape)
+        return tuple(row.reshape(self.shape) for row in self._powers[:, :n])
+
+    def bind_gradients(self, dmb: np.ndarray, dvb: np.ndarray, dma: np.ndarray, dva: np.ndarray) -> None:
+        """Bind backward() to the gradients w.r.t. the output moments of the
+        bound shape, dmb and dvb (evenly spaced rows of units), and to those
+        w.r.t. the pre-activation moments that it writes, dma and dva
+        (C-contiguous)."""
+        shape = self.shape
+        self._gradients = (dmb, dvb, dma, dva)
+        powers = (None, None) if self._powers is None else self._power_addresses
+        self._grad_args = _ReluGradArgs(
+            _rows_of(dmb, dvb, shape), _data(dmb), _data(dvb), *powers,
+            _address(dma, shape), _address(dva, shape),
+        )
+        self._grad_ref = ctypes.byref(self._grad_args)
+
+    def backward(self) -> None:
+        LIB.relu_backward(self._ref, self._grad_ref)
+
+
+class OutputGradients:
+    """output_gradients bound to a stack's (2, R) noise Gammas, the targets y
+    and output moments (mean, variance) of one example per run, and the
+    (R,) gradients of log Z w.r.t. the output moments it writes."""
+
+    def __init__(self, gamma, y, mean, variance, dma, dva):
+        runs = gamma.shape[-1]
+        arrays = (gamma, y, mean, variance, dma, dva)
+        self._buffers = arrays
+        self._args = _OutputGradArgs(
+            runs, _address(gamma, (2, runs)), *(_address(a.reshape(-1), (runs,)) for a in arrays[1:])
+        )
+        self._ref = ctypes.byref(self._args)
+
+    def __call__(self) -> None:
+        LIB.output_gradients(self._ref)
+
+
+class LinearBackward:
+    """The reverse sweep through one layer of a stack, bound to its (R, rows,
+    cols) views of the flat (R, W) means, variances, squared means and
+    gradient buffers, to its (R, 1, cols) input moments zm, zv and to the
+    (R, 1, rows) gradients dma, dva w.r.t. its output moments.
+
+    weights() writes the weight gradients and, for a layer with inputs, the
+    (R, rows, cols) `operand` M*M + V; the caller then fills `products` (3,
+    R, 1, cols) with dma @ M, dva @ V and dva @ operand, and inputs() writes
+    the gradients w.r.t. the input moments, `d_inputs` (2, R, 1, cols).
+    """
+
+    def __init__(self, means, variances, means_sq, d_means, d_variances, zm, zv, dma, dva, inputs):
+        runs, rows, cols = means.shape
+        run_stride = means.strides[0] // 8
+        layer = (runs, rows, cols)
+        strided = (run_stride, cols, 1)
+        self.operand = np.empty(layer) if inputs else None
+        self.products = np.empty((3, runs, 1, cols))
+        self.d_inputs = np.empty((2, runs, 1, cols))
+        self._buffers = (means, variances, means_sq, d_means, d_variances, zm, zv, dma, dva)
+        self._args = _LinearGradArgs(
+            runs, rows, cols, run_stride,
+            *(_address(a, layer, strided) for a in (means, variances, means_sq, d_means, d_variances)),
+            _address(zm, (runs, 1, cols)),
+            _address(zv, (runs, 1, cols)),
+            _address(dma, (runs, 1, rows)),
+            _address(dva, (runs, 1, rows)),
+            None if self.operand is None else _data(self.operand),
+            _data(self.products),
+            _data(self.d_inputs),
+            _data(self.d_inputs[1]),
+            1.0 / cols,
+            1.0 / math.sqrt(cols),
+            2.0 * (1.0 / cols),
+        )
+        self._ref = ctypes.byref(self._args)
+
+    def weights(self) -> None:
+        LIB.linear_backward_weights(self._ref)
+
+    def inputs(self) -> None:
+        LIB.linear_backward_inputs(self._ref)
+
+
+class Refine:
+    """refine bound to a stack's (R, W) means, variances and their gradients,
+    the (R,) skip flags and (2, R) matched Gammas of a NoiseStep, and the
+    stack's (2, R) noise Gammas. Each call writes `undo` (weights rolled
+    back) and `updates` (weights refined, 0 for a skipped run) per run."""
+
+    def __init__(self, means, variances, d_means, d_variances, noise: NoiseStep):
+        runs, weights = means.shape
+        self.undo = np.empty(runs, dtype=np.int64)
+        self.updates = np.empty(runs, dtype=np.int64)
+        flat = (runs, weights)
+        self._buffers = (means, variances, d_means, d_variances, noise)
+        self._args = _RefineArgs(
+            runs, weights,
+            *(_address(a, flat) for a in (means, variances, d_means, d_variances)),
+            _data(noise.skipped),
+            _data(self.undo),
+            _data(self.updates),
+            _address(noise.gamma, (2, runs)),
+            _data(noise.gamma_next),
+        )
+        self._ref = ctypes.byref(self._args)
+
+    def __call__(self) -> None:
+        LIB.refine(self._ref)

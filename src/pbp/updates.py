@@ -10,18 +10,21 @@ the tilted distribution (factor x current posterior, normalized by Z):
 All Z bookkeeping stays in log space. Gradients of the likelihood log-Z with
 respect to every weight mean and variance come from a hand-written
 reverse-mode sweep over the moment maps of the forward pass.
+
+A likelihood step's elementwise arithmetic, the Gamma chains included, runs
+in kernel.c, bound to the stack's Workspace; numpy runs the matmuls of the
+sweep (and, in the rectifier's far tail, powers).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardTrace, MomentVector, ReluAux, forward_trace
-from .kernel import Refresh
-from .posterior import LayerPosterior, PosteriorStack
+from .forward import ForwardTrace, forward_trace
+from .kernel import LinearBackward, Rectifier, Refresh
+from .posterior import PosteriorStack
 
 
 @dataclass
@@ -89,119 +92,47 @@ def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray
     d_variances, with per-layer (R, rows, cols) views.
     """
     ws = stack.workspace
-    noise = stack.gamma[1] / (stack.gamma[0] - 1.0)
-    total = noise + trace.output_variance
-    diff = y - trace.output_mean
-    # Shape (runs, 1 row, 1 output unit), as the forward pass's moments.
-    dma = (diff / total)[:, None, None]
-    dva = (0.5 * (diff * diff / (total * total) - 1.0 / total))[:, None, None]
-
+    np.copyto(ws.noise.targets, y)
+    ws.output_gradients()
     for l in range(len(stack.layers) - 1, -1, -1):
-        rec = trace.records[l]
-        d_inputs = _linear_backward(
-            stack.layers[l], rec.z_in, dma, dva, rec.means_sq,
-            ws.d_mean_views[l], ws.d_variance_views[l], inputs=l > 0,
-        )
+        _linear_backward(ws.linear_backward[l], stack.layers[l], ws.d_pre[l], inputs=l > 0)
         if l > 0:
-            # Drop the appended bias slot; its moments are constants.
-            dmz, dvz = d_inputs
-            prev = trace.records[l - 1]
-            dma, dva = _relu_backward(prev.pre, prev.relu, dmz[..., :-1], dvz[..., :-1])
+            _relu_backward(ws.rectifiers[l - 1])
 
 
-def _linear_backward(
-    layer: LayerPosterior, z: MomentVector, dma, dva, means_sq, dM, dV, inputs=True
-):
+def _linear_backward(kernel: LinearBackward, layer, d_pre, inputs=True) -> None:
     """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c.
 
-    z and the output gradients hold one row (per run); means_sq is M*M as the
-    forward pass computed it. The weight gradients are written into dM and dV;
-    the input gradients (dmz, dvz) are returned when inputs is true, and
-    otherwise not computed (the input layer's would go unused).
+    kernel is bound to the layer, its input moments (one row per run), the
+    gradients d_pre = (dma, dva) w.r.t. its output moments, and the weight
+    gradients it writes. The input gradients (kernel.d_inputs) are formed
+    when inputs is true, and otherwise not (the input layer's would go
+    unused).
     """
-    c = layer.cols
-    inv_c = 1.0 / c
-    inv_s = 1.0 / math.sqrt(c)
-    m, v = layer.means, layer.variances
-    mz, vz = z.mean, z.variance
-    dma_col, dva_col = dma.swapaxes(-1, -2), dva.swapaxes(-1, -2)
-
-    np.add(dma_col * mz * inv_s, 2.0 * inv_c * m * (dva_col * vz), out=dM)
-    np.multiply(inv_c, dva_col * (mz * mz + vz), out=dV)
+    kernel.weights()
     if not inputs:
-        return None
-    dmz = inv_s * (dma @ m) + 2.0 * inv_c * mz * (dva @ v)
-    dvz = inv_c * (dva @ (means_sq + v))
-    return dmz, dvz
+        return
+    dma, dva = d_pre
+    products = kernel.products
+    np.matmul(dma, layer.means, out=products[0])
+    np.matmul(dva, layer.variances, out=products[1])
+    np.matmul(dva, kernel.operand, out=products[2])
+    kernel.inputs()
 
 
-def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
+def _relu_backward(rectifier: Rectifier) -> None:
     """Backward through the rectifier moment map, branch for branch.
 
     Differentiates the forward expressions exactly, including through the
     asymptotic series for the pdf/cdf ratio where that branch was taken, so
     finite differences of the implemented forward pass agree everywhere. The
-    intermediates the forward pass already formed come from aux.
+    intermediates the forward pass formed are in the rectifier's buffers.
     """
-    v_safe = aux.v_safe
-    s = aux.sqrt_v
-    alpha = aux.alpha
-    g = aux.ratio
-    cdf, cdf_neg, pdf = aux.cdf, aux.cdf_neg, aux.pdf
-    vp = aux.vprime
-
-    dg_dalpha = -g * aux.ratio_alpha
-    if aux.series is not None:
-        alpha_s = np.where(aux.series, alpha, -1.0)
-        dg_dalpha = np.where(
-            aux.series, -1.0 + alpha_s**-2 - 6.0 * alpha_s**-4, dg_dalpha
-        )
-
-    dalpha_dm = 1.0 / s
-    dalpha_dv = -alpha / (2.0 * v_safe)
-    ds_dv = 1.0 / (2.0 * s)
-
-    dvp_dm = 1.0 + dg_dalpha
-    dvp_dv = ds_dv * g + s * dg_dalpha * dalpha_dv
-
-    dcdf_dm = pdf * dalpha_dm
-    dcdf_dv = pdf * dalpha_dv
-
-    mb = aux.mean_pos
-    dmb_dm = dcdf_dm * vp + cdf * dvp_dm
-    dmb_dv = dcdf_dv * vp + cdf * dvp_dv
-
-    u = aux.u
-    du_dalpha = -dg_dalpha * (2.0 * g + alpha) - g
-
-    # vb = mb * vp * Phi(-alpha) + Phi(alpha) * v * u
-    mb_vp_pdf = aux.mean_vprime * pdf
-    cdf_v_du = aux.cdf_v * du_dalpha
-    dvb_dm = (
-        dmb_dm * vp * cdf_neg
-        + mb * dvp_dm * cdf_neg
-        - mb_vp_pdf * dalpha_dm
-        + dcdf_dm * v_safe * u
-        + cdf_v_du * dalpha_dm
-    )
-    dvb_dv = (
-        dmb_dv * vp * cdf_neg
-        + mb * dvp_dv * cdf_neg
-        - mb_vp_pdf * dalpha_dv
-        + dcdf_dv * v_safe * u
-        + cdf * u
-        + cdf_v_du * dalpha_dv
-    )
-
-    dma = dmb * dmb_dm + dvb * dvb_dm
-    dva = dmb * dmb_dv + dvb * dvb_dv
-
-    det = aux.deterministic
-    if det is not None:
-        # Deterministic units: mb = max(0, m), vb = 0.
-        dma = np.where(det, dmb * (pre.mean > 0.0), dma)
-        dva = np.where(det, 0.0, dva)
-    return dma, dva
+    if rectifier.n_series:
+        _, inv_square, inv_fourth = rectifier.series_powers()
+        np.copyto(inv_square, rectifier.alpha_s**-2)
+        np.copyto(inv_fourth, rectifier.alpha_s**-4)
+    rectifier.backward()
 
 
 def incorporate_likelihood_factors(
@@ -224,54 +155,18 @@ def incorporate_likelihood_factors(
     trace = forward_trace(stack, x)
     noise = stack.workspace.noise
     noise.y[...] = y
-    noise.mz[...] = trace.output_mean
-    noise.vz[...] = trace.output_variance
     skips = noise()
     skipped = noise.skipped.copy()
     if skips == len(skipped):
         none = np.zeros(len(skipped), dtype=int)
         return UpdateOutcome(skipped, none, none.copy())
 
-    hold = skips > 0
-    if hold:
-        # The skipping runs' gradients are discarded; a zero residual keeps
-        # them finite where an overflowing one would fill them with inf and NaN.
-        y = np.where(skipped, trace.output_mean, y)
-    backward_gradients(stack, trace, y)
-
-    # One pass over all weights of all runs. The validity check is four
-    # reductions; the mask of weights to roll back, and its per-run counts,
-    # are formed only when it fails or some run keeps its weights.
-    ws = stack.workspace
-    m, v, dM, dV = stack.means, stack.variances, ws.d_means, ws.d_variances
-    m_new = m + v * dM
-    v_new = v - v * v * (dM * dM - 2.0 * dV)
-    minimum, maximum = np.minimum.reduce, np.maximum.reduce
-    if (
-        not hold
-        and minimum(v_new, axis=None) > 0.0
-        and maximum(v_new, axis=None) < math.inf
-        and minimum(m_new, axis=None) > -math.inf
-        and maximum(m_new, axis=None) < math.inf
-    ):
-        np.copyto(m, m_new)
-        np.copyto(v, v_new)
-        undo = 0
-    else:
-        bad = ~(v_new > 0.0) | ~np.isfinite(v_new) | ~np.isfinite(m_new)
-        undo = bad.sum(axis=-1)
-        if hold:
-            bad |= skipped[:, None]
-        keep = ~bad
-        np.copyto(m, m_new, where=keep)
-        np.copyto(v, v_new, where=keep)
-
-    np.copyto(stack.gamma, noise.gamma_next)
-    return UpdateOutcome(
-        skipped=skipped,
-        undo_count=np.where(skipped, 0, undo),
-        weight_updates=np.where(skipped, 0, stack.n_weights()),
-    )
+    # The skipping runs' gradients are discarded; their targets are their
+    # output means, whose zero residual keeps them finite.
+    backward_gradients(stack, trace, noise.targets)
+    refine = stack.workspace.refine
+    refine()
+    return UpdateOutcome(skipped, refine.undo.copy(), refine.updates.copy())
 
 
 def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:

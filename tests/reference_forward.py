@@ -3,15 +3,18 @@ runs shared `forward_output_moments`, kept verbatim as a reference.
 
 `forward_output_moments` on rows must reproduce it bit for bit, and
 `test_batched_engine.reference_train` uses it for the epoch RMSE of the
-per-example schedule.
+per-example schedule. Its rectifier is the frozen numpy one of
+`reference_update`, so the compiled rectifier is compared with an
+independent copy.
 """
 
 import math
 
 import numpy as np
 
-from pbp.forward import MomentVector, relu_moments
+from pbp.forward import MomentVector
 from pbp.posterior import NetworkPosterior
+from reference_update import relu_moments
 
 
 def forward_output_moments_batch(

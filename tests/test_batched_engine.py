@@ -9,11 +9,13 @@ arithmetic of a run.
 
 import copy
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 
+import pbp.forward as forward
 import pbp.training as training
 import pbp.updates as updates
 import reference_update
@@ -322,6 +324,103 @@ def test_step_with_a_nan_target_in_one_run_of_three_matches_the_reference():
     stack, outcome = assert_step_matches_reference(nets, rng.normal(size=(3, 3)), ys)
     assert outcome.skipped.tolist() == [False, True, False]
     assert _bits(stack.means[1]) == _bits(PosteriorStack.of([nets[1]]).means[0])
+
+
+# The pre-activations a fuzzed step may force on one hidden unit: means of
+# +0.0 and -0.0, negative and positive, at a variance of 0 or below the
+# deterministic cutoff.
+FORCED_UNITS = [(0.0, 0.0), (-0.0, 0.0), (-0.7, 0.0), (1.3, 0.0), (-2e-20, 1e-40), (3e-20, 1e-31)]
+
+
+def fuzz_step_case(rng):
+    """A seeded lockstep step: nets of 1-3 hidden layers of 1-60 units, 1-6
+    runs with their own noise Gammas, inputs and targets. Some runs get a
+    unit in the deterministic branch (zero or sub-cutoff variance), one in
+    the far-tail series branch, inflated variances (which undo weights), a
+    NaN target or one whose squared residual overflows."""
+    features = int(rng.integers(1, 9))
+    hidden = rng.integers(1, 61, size=int(rng.integers(1, 4))).tolist()
+    runs = int(rng.integers(1, 7))
+    scale = float(rng.choice([0.3, 1.0, 2.0]))
+    nets = [random_net([features, *hidden, 1], rng, mean_scale=scale) for _ in range(runs)]
+    xs = rng.normal(size=(runs, features))
+    ys = rng.normal(0.0, 2.0, size=runs)
+    for r, net in enumerate(nets):
+        net.gamma = GammaDist(float(rng.uniform(1.5, 20.0)), float(rng.uniform(0.1, 20.0)))
+        l = int(rng.integers(len(hidden)))
+        unit, layer = int(rng.integers(hidden[l])), net.layers[l]
+        kind = rng.random()
+        if kind < 0.15:
+            # Zero variance: deterministic, with the input layer's mean x . m,
+            # and a mean of 0 in a deeper layer, whose inputs are random.
+            layer.variances[unit] = 0.0
+            if l > 0:
+                layer.means[unit] = 0.0
+        elif kind < 0.25:
+            layer.means[unit] = rng.normal(0.0, 1e-20, layer.cols)
+            layer.variances[unit] = 1e-40
+        elif kind < 0.35:
+            # alpha <= -40 (sum |x| + 1) / sqrt(sum x^2 v) <= -40, v <= 1.
+            first = net.layers[0]
+            first.means[unit % hidden[0], :-1] = -40.0 * np.sign(xs[r])
+            first.means[unit % hidden[0], -1] = -40.0
+        elif kind < 0.45:
+            layer.variances[unit] *= 1e4
+        elif kind < 0.52:
+            ys[r] = np.nan
+        elif kind < 0.59:
+            ys[r] = 1e160
+    return nets, xs, ys
+
+
+def force_unit(real, layers, hidden_layer, unit, mean, variance):
+    """real (a forward_linear), writing (mean, variance) into the output
+    moments of one unit of one hidden layer; a pass calls it once per layer,
+    in order."""
+    calls = itertools.count()
+
+    def forward_linear(*args, **kwargs):
+        a = real(*args, **kwargs)
+        if next(calls) % layers == hidden_layer:
+            a.mean[..., unit] = mean
+            a.variance[..., unit] = variance
+        return a
+
+    return forward_linear
+
+
+def test_fuzzed_steps_match_the_reference(monkeypatch):
+    # Every tenth case also forces an undo in every run (see sabotage), and
+    # every seventh forces one hidden unit's pre-activation (FORCED_UNITS).
+    rng = np.random.default_rng(1400)
+    seen = {"deterministic": 0, "series": 0, "skipped": 0, "undone": 0}
+    for case in range(500):
+        nets, xs, ys = fuzz_step_case(rng)
+        with monkeypatch.context() as m:
+            if case % 10 == 9:
+                first = nets[0].layers[0]
+                index = (..., int(rng.integers(first.rows)), int(rng.integers(first.cols)))
+                for module in (updates, reference_update):
+                    m.setattr(module, "backward_gradients", sabotage(module.backward_gradients, index))
+            if case % 7 == 6:
+                layers = len(nets[0].layers)
+                l = int(rng.integers(layers - 1))
+                unit = int(rng.integers(nets[0].layers[l].rows))
+                pre = FORCED_UNITS[(case // 7) % len(FORCED_UNITS)]
+                for module in (forward, reference_update):
+                    m.setattr(
+                        module, "forward_linear", force_unit(module.forward_linear, layers, l, unit, *pre)
+                    )
+            stack, outcome = assert_step_matches_reference(nets, xs, ys)
+        if outcome.skipped.all():
+            seen["skipped"] += 1
+            continue
+        relu = [record.relu for record in stack.workspace.trace.records[:-1]]
+        seen["deterministic"] += any(aux.deterministic is not None for aux in relu)
+        seen["series"] += any(aux.series is not None for aux in relu)
+        seen["skipped"] += bool(outcome.skipped.any())
+        seen["undone"] += bool(outcome.undo_count.any())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_stack_layers_and_runs_are_views_of_one_buffer():

@@ -302,6 +302,33 @@ class TestNumericFailures:
         assert "numeric failure: math range error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "benchmark", "active"])
+    def test_division_by_zero_in_the_noise_gamma_step(
+        self, toy_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        # A noise Gamma rate of exactly 0 divides by 0 in the moment match of
+        # the first likelihood step (kernel.c's noise_step), which raises
+        # ZeroDivisionError.
+        real = training.incorporate_all_prior_factors
+
+        def zero_noise_rate(stack):
+            sites = real(stack)
+            stack.gamma[1] = 0.0
+            return sites
+
+        monkeypatch.setattr(training, "incorporate_all_prior_factors", zero_noise_rate)
+        common = ["--data", str(toy_csv), "--hidden", "3", "--epochs", "1",
+                  "--out", str(tmp_path / "out")]
+        extra = {
+            "train": [],
+            "benchmark": ["--splits", "2"],
+            "active": ["--initial-train", "8", "--test-size", "10", "--acquisitions", "2",
+                       "--repetitions", "2"],
+        }[command]
+        assert main([command, *common, *extra]) == EXIT_NUMERIC
+        assert "numeric failure: float division by zero" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
     def _predict(self, model, tmp_path, features):
         feats = tmp_path / "f.csv"
         feats.write_text(features)

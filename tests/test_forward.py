@@ -12,6 +12,7 @@ from conftest import output_moments, random_net
 from pbp import forward
 from pbp.forward import (
     BLOCK_ROWS,
+    RELU_CHUNK,
     MomentVector,
     forward_linear,
     forward_output_moments,
@@ -573,6 +574,69 @@ class TestParallelPass:
         m, v = forward_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+
+class TestRectifierChunks:
+    """A rows pass runs the rectifier in chunks of about RELU_CHUNK elements
+    (see _relu_in_chunks), serially and, from 2 * BLOCK_ROWS rows on, on
+    helper threads. Around every chunk boundary it must give the bits of the
+    frozen rectifier of reference_forward, its deterministic and far-tail
+    branches included."""
+
+    @staticmethod
+    def net_and_rows(n, units, step, rng):
+        """A [6, units, 1] net whose hidden unit 0 has alpha = -x0 / |x1| (see
+        _branch_net_and_rows), and n rows: around each chunk boundary of a
+        pass whose items of BLOCK_ROWS rows take chunks of step rows, the
+        rows take the deterministic (x1 = 0) and far-tail (x1 = 1e-3)
+        branches."""
+        net = random_net([6, units, 1], rng, mean_scale=0.5)
+        unit = net.layers[0]
+        unit.means[0] = 0.0
+        unit.means[0, 0] = -1.0
+        unit.variances[0] = 0.0
+        unit.variances[0, 1] = 1.0
+        X = rng.normal(size=(n, 6))
+        X[:, 0] = rng.uniform(-1.0, 1.0, n)
+        X[:, 1] = rng.uniform(1.0, 2.0, n)
+        starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
+        ends = [*starts[1:], n]
+        boundaries = [b for start, end in zip(starts, ends) for b in range(start, end + 1, step)]
+        for b in boundaries:
+            rows = [r for r in range(b - 2, b + 2) if 0 <= r < n]
+            X[rows, 0] = [1.0, 1.0, -1.0, 0.5][: len(rows)]
+            X[rows, 1] = [0.0, 1e-3, 0.0, 1e-3][: len(rows)]
+        return net, X
+
+    def assert_matches_the_reference(self, monkeypatch, n, units):
+        real, branched = forward.relu_moments, []
+
+        def relu_moments(*args, **kwargs):
+            out, aux = real(*args, **kwargs)
+            branched.append(aux.deterministic is not None and aux.series is not None)
+            return out, aux
+
+        monkeypatch.setattr(forward, "relu_moments", relu_moments)
+        step = max(1, RELU_CHUNK // units)
+        net, X = self.net_and_rows(n, units, step, np.random.default_rng(n + units))
+        m, v = forward_output_moments(net, X)
+        ref_m, ref_v = forward_output_moments_batch(net, X)
+        assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes(), (n, units)
+        assert all(branched), (n, units)
+        return len(branched)
+
+    @pytest.mark.parametrize("units", [9, 50, 64])
+    def test_serial_chunks_match_the_reference(self, monkeypatch, units):
+        _force_cpus(monkeypatch, 1)
+        step = RELU_CHUNK // units
+        for n in (2 * step - 1, 2 * step, 2 * step + 1, 3 * step + 5):
+            calls = self.assert_matches_the_reference(monkeypatch, n, units)
+            assert calls == max(1, n // step), (n, units)
+
+    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
+    def test_threaded_chunks_match_the_reference(self, monkeypatch, n):
+        _force_cpus(monkeypatch, 2)
+        self.assert_matches_the_reference(monkeypatch, n, 50)
 
 
 def _forward_peak_bytes(net, X) -> int:

@@ -32,6 +32,7 @@ from pbp.data import normalize
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack
 from pbp.training import train_runs
 from pbp.updates import ep_refresh_prior, incorporate_likelihood_factors
+from test_batched_engine import fuzz_step_case
 from test_prior_kernel import (
     LIKELIHOOD_CASES,
     _bits,
@@ -168,17 +169,35 @@ def has_fma() -> bool:
     return cpuinfo.exists() and "fma" in cpuinfo.read_text().split()
 
 
+def stepped(cases) -> list[bytes]:
+    """The bits of each case's weights, Gammas and undo counts after one
+    likelihood step on a stack of copies of its nets."""
+    out = []
+    for nets, xs, ys in cases:
+        stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+        outcome = incorporate_likelihood_factors(stack, xs, ys)
+        arrays = (stack.means, stack.variances, stack.gamma, outcome.undo_count)
+        out.append(b"".join(np.asarray(a).tobytes() for a in arrays))
+    return out
+
+
 @pytest.mark.skipif(not has_fma(), reason="the CPU has no fused multiply-add")
 def test_pinned_flags_keep_products_unfused(monkeypatch):
     # A build that contracts a * b + c into fused multiply-adds moves the
-    # bits of a refresh, which the build as pinned keeps (see above).
+    # bits of a refresh and of likelihood steps (the fuzzed cases of
+    # test_batched_engine), which the build as pinned keeps (see above and
+    # there).
     stack, sites = trained_stack(6, (10,), 5)
     fused_stack, fused_sites = stack_of([stack.run(r) for r in range(3)], list(sites.swapaxes(0, 1)))
     ep_refresh_prior(stack, sites)
+    rng = np.random.default_rng(1401)
+    cases = [fuzz_step_case(rng) for _ in range(20)]
+    pinned = stepped(cases)
     fused = tuple(f.replace("-ffp-contract=off", "-ffp-contract=fast") for f in kernel.FLAGS)
     monkeypatch.setattr(kernel, "LIB", kernel.load(kernel.build((*fused, "-mfma"))))
     ep_refresh_prior(fused_stack, fused_sites)
     assert _bits(fused_stack.means) + _bits(fused_sites) != _bits(stack.means) + _bits(sites)
+    assert any(a != b for a, b in zip(pinned, stepped(cases)))
 
 
 def python(args, tmp_path, path_env):

@@ -404,12 +404,13 @@ def per_run_refresh(stack, sites):
 
 def reference_noise_step(step):
     """kernel.NoiseStep's call through the reference likelihood triple and
-    Gamma match."""
+    Gamma match; a skipped run's gradient target is its output mean."""
     skips = 0
     for r in range(len(step.skipped)):
         g = GammaDist(*step.gamma[:, r].tolist())
         t = ref.likelihood_log_z_triple(*step.moments[:, r].tolist(), g)
         step.skipped[r] = t is None
+        step.targets[r] = step.mz[r] if t is None else step.y[r]
         skips += t is None
         refined = g if t is None else ref.gamma_refine(g, t)
         step.gamma_next[:, r] = (refined.shape, refined.rate)
