@@ -20,7 +20,6 @@ from .data import (
     split,
 )
 from .forward import (
-    ForwardTrace,
     MomentVector,
     forward_linear,
     forward_output_moments,

@@ -75,49 +75,6 @@ class MomentVector:
         return self.mean.shape[-1]
 
 
-@dataclass
-class ReluAux:
-    """Per-unit intermediates of relu_moments: views into the buffers of its
-    kernel.Rectifier, valid until that rectifier's next call.
-
-    A mask is None when no unit takes its branch.
-    """
-
-    alpha: np.ndarray        # m / sqrt(v_safe)
-    ratio: np.ndarray        # phi(alpha) / Phi(alpha), series in the far tail
-    vprime: np.ndarray       # conditional mean of the positive branch
-    cdf: np.ndarray          # Phi(alpha)
-    cdf_neg: np.ndarray      # Phi(-alpha)
-    pdf: np.ndarray          # phi(alpha)
-    sqrt_v: np.ndarray       # sqrt(v_safe)
-    v_safe: np.ndarray       # v, with 1 in place of deterministic units' variance
-    mean_pos: np.ndarray     # cdf * vprime, before the deterministic override
-    deterministic: np.ndarray | None  # variance below the exact-limit cutoff
-    series: np.ndarray | None         # asymptotic-series branch used
-
-
-@dataclass
-class LayerTrace:
-    """One layer's forward record: bias-extended input and pre-activation
-    moments, the rectifier's intermediates (the output layer has none), and
-    the squared weight means the backward pass reuses."""
-
-    z_in: MomentVector
-    pre: MomentVector | None
-    relu: ReluAux | None
-    means_sq: np.ndarray
-
-
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs, exactly as used going forward: one
-    record per layer and the output moments, one per run of the stack."""
-
-    records: list[LayerTrace]
-    output_mean: np.ndarray | None
-    output_variance: np.ndarray | None
-
-
 class Workspace:
     """The buffers of a stack's forward_trace and of its backward pass, and
     the kernels bound to them.
@@ -125,17 +82,16 @@ class Workspace:
     Built on flat (*runs, W) weight buffers and their layer views: the squared
     means, the gradients of log Z (filled by the backward pass, flat with
     per-layer views), every layer's bias-extended input, into which the
-    previous rectifier writes, the trace records, which hold each layer's
-    input buffer and its squared means, and the compiled noise-Gamma step
-    bound to the stack's (2, R) noise Gammas `gamma`, whose output moments are
-    the output layer's. Per layer: the forward kernels (`linear`, and for a
-    hidden layer `rectifiers`), the gradients w.r.t. its pre-activation
-    moments (`d_pre`, (2, *runs, 1, units)) and its reverse sweep
-    (`linear_backward`); then `output_gradients`, which seeds the sweep, and
-    `refine`, which updates the weights. A PosteriorStack keeps its own in
-    `workspace`, built by its first forward_trace, so a training step
-    allocates none of them; each forward_trace overwrites the last one's
-    trace.
+    previous rectifier writes, and the compiled noise-Gamma step bound to the
+    stack's (2, R) noise Gammas `gamma`, whose output moments are the output
+    layer's. Per layer: the forward kernels (`linear`, and for a hidden layer
+    `rectifiers`), the gradients w.r.t. its pre-activation moments (`d_pre`,
+    (2, *runs, 1, units)) and its reverse sweep (`linear_backward`); then
+    `output_gradients`, which seeds the sweep, and `refine`, which updates
+    the weights. A PosteriorStack keeps its own in `workspace`, built by its
+    first forward_trace, so a training step allocates none of them. The
+    buffers are the trace of the last forward_trace: the backward pass reads
+    every intermediate from them.
     """
 
     def __init__(self, means, variances, gamma, layer_sizes):
@@ -150,14 +106,12 @@ class Workspace:
         self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], rows)
         means_sq = layer_views(self.means_sq, layer_sizes)
         self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
-        records = [LayerTrace(z, None, None, msq) for z, msq in zip(self.inputs, means_sq)]
-        self.trace = ForwardTrace(records, None, None)
         self.noise = noise = NoiseStep(gamma)
 
         last = len(layers) - 1
-        self.output = MomentVector(noise.mz.reshape(rows + (1,)), noise.vz.reshape(rows + (1,)))
+        output = (noise.mz.reshape(rows + (1,)), noise.vz.reshape(rows + (1,)))
         self.linear = [
-            LinearForward(z.mean, layer.rows, None if l < last else (self.output.mean, self.output.variance))
+            LinearForward(z.mean, layer.rows, None if l < last else output)
             for l, (z, layer) in enumerate(zip(self.inputs, layers))
         ]
         self.rectifiers = []
@@ -170,9 +124,7 @@ class Workspace:
         self.d_pre = [np.empty((2, *rows, units)) for units in layer_sizes[1:]]
         self.output_gradients = OutputGradients(gamma, noise.targets, noise.mz, noise.vz, *self.d_pre[last])
         self.linear_backward = [
-            LinearBackward(
-                layer.means, layer.variances, msq, dm, dv, z.mean, z.variance, *d_pre, inputs=l > 0
-            )
+            LinearBackward(layer.means, layer.variances, msq, dm, dv, z.mean, z.variance, *d_pre, inputs=l > 0)
             for l, (layer, msq, dm, dv, z, d_pre) in enumerate(
                 zip(layers, means_sq, self.d_mean_views, self.d_variance_views, self.inputs, self.d_pre)
             )
@@ -248,15 +200,17 @@ def _transposed(layer: LayerPosterior, means_sq: np.ndarray):
 
 def relu_moments(
     a: MomentVector, out: MomentVector | None = None, rectifier: Rectifier | None = None
-) -> tuple[MomentVector, ReluAux]:
-    """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit.
+) -> tuple[MomentVector, Rectifier]:
+    """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit,
+    and the rectifier whose buffers hold the intermediates.
 
     out, when given, receives the moments and is returned; its rows of units
     must be evenly spaced, as in the unit slots of the next layer's
     bias-extended input. rectifier, when given, is a kernel.Rectifier large
     enough for a, whose buffers the intermediates go to (a Workspace keeps
     one per hidden layer, and a chunked rows pass one for its chunks);
-    otherwise one is made for this call.
+    otherwise one is made for this call. The intermediates stay valid until
+    the rectifier's next call.
 
     kernel.c does the arithmetic; numpy runs log_ndtr on (alpha, -alpha) in
     one call, exp on (log Phi(alpha), log Phi(-alpha), log phi(alpha), log
@@ -277,13 +231,7 @@ def relu_moments(
         np.copyto(rectifier.series_powers()[0], rectifier.alpha_s**3)
     np.exp(rectifier.exp_args, out=rectifier.exp_values)
     rectifier.post()
-    aux = ReluAux(
-        rectifier.alpha, rectifier.ratio, rectifier.vprime, rectifier.cdf, rectifier.cdf_neg,
-        rectifier.pdf, rectifier.sqrt_v, rectifier.v_safe, rectifier.mean_pos,
-        rectifier.deterministic if rectifier.n_deterministic else None,
-        rectifier.series if rectifier.n_series else None,
-    )
-    return out, aux
+    return out, rectifier
 
 
 def forward_output_moments(
@@ -329,12 +277,13 @@ def forward_output_moments(
     return out_mean, out_var
 
 
-def forward_trace(stack: PosteriorStack, x: np.ndarray) -> ForwardTrace:
-    """The forward pass of one input row per run, x of shape (R, d), with the
-    trace the backward pass needs; its output moments have shape (R,).
+def forward_trace(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward pass of one input row per run, x of shape (R, d), whose
+    intermediates the backward pass reads; its (R,) output means and
+    variances, which are the noise step's mz and vz.
 
     It runs in the stack's workspace, which the first call builds, and its
-    trace stays valid until the stack's next forward_trace.
+    intermediates stay there until the stack's next forward_trace.
     """
     x = np.asarray(x, dtype=float)
     expected = stack.means.shape[:-1] + (stack.layer_sizes[0],)
@@ -344,14 +293,8 @@ def forward_trace(stack: PosteriorStack, x: np.ndarray) -> ForwardTrace:
         stack.workspace = Workspace(stack.means, stack.variances, stack.gamma, stack.layer_sizes)
     ws = stack.workspace
     ws.square_means()
-    a = _propagate(ws.layers, ws.inputs, ws.outputs, x[:, None, :], ws.transposed, ws)
-    # The output moments are the noise step's (see Workspace).
-    for moments, buffer in zip((a.mean, a.variance), (ws.output.mean, ws.output.variance)):
-        if moments is not buffer:
-            np.copyto(buffer, moments)
-    trace = ws.trace
-    trace.output_mean, trace.output_variance = ws.noise.mz, ws.noise.vz
-    return trace
+    _propagate(ws.layers, ws.inputs, ws.outputs, x[:, None, :], ws.transposed, ws)
+    return ws.noise.mz, ws.noise.vz
 
 
 def _work_items(runs: tuple[int, ...], n: int) -> list[tuple[tuple, slice]]:
@@ -428,19 +371,15 @@ def _propagate(layers, inputs, outputs, x, transposed, ws=None) -> MomentVector:
     bias-extended input buffers of _bias_buffers and each layer's transposed
     means, variances and squared means.
 
-    With a Workspace ws (forward_trace), the pass runs on its kernels and
-    each layer's pre-activation and rectifier intermediates go on its trace
-    records; without, the rectifier runs in chunks.
+    With a Workspace ws (forward_trace), the pass runs on its kernels, whose
+    buffers keep every intermediate; without, the rectifier runs in chunks.
     """
     np.copyto(outputs[0].mean, x)
     last = len(layers) - 1
     for l, layer in enumerate(layers):
         a = forward_linear(layer, inputs[l], transposed[l], None if ws is None else ws.linear[l])
-        if ws is not None:
-            record = ws.trace.records[l]
-            record.pre = a
-            if l < last:
-                record.relu = relu_moments(a, outputs[l + 1], ws.rectifiers[l])[1]
+        if ws is not None and l < last:
+            relu_moments(a, outputs[l + 1], ws.rectifiers[l])
         elif l < last:
             _relu_in_chunks(a, outputs[l + 1])
     return a

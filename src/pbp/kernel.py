@@ -120,40 +120,26 @@ def build(flags: tuple[str, ...] = FLAGS) -> Path:
     raise CompilerError(f"no cache directory for the kernel build can be written: {_cache_dirs()}")
 
 
-class _NoiseArgs(ctypes.Structure):
-    _fields_ = [
-        ("runs", ctypes.c_int64),
-        ("moments", ctypes.c_void_p),
-        ("gamma", ctypes.c_void_p),
-        ("gamma_next", ctypes.c_void_p),
-        ("log_z", ctypes.c_void_p),
-        ("skipped", ctypes.c_void_p),
-        ("targets", ctypes.c_void_p),
-        ("log_2pi", ctypes.c_double),
-    ]
-
-
-class _RefreshArgs(ctypes.Structure):
-    _fields_ = [
-        ("runs", ctypes.c_int64),
-        ("weights", ctypes.c_int64),
-        ("means", ctypes.c_void_p),
-        ("variances", ctypes.c_void_p),
-        ("sites", ctypes.c_void_p),
-        ("lam", ctypes.c_void_p),
-        ("skipped", ctypes.c_void_p),
-        ("change", ctypes.c_void_p),
-        ("backup", ctypes.c_void_p),
-        ("log_2pi", ctypes.c_double),
-    ]
-
-
 def _layout(ints=(), pointers=(), doubles=()):
     """The _fields_ of a C struct of int64s, then pointers, then doubles."""
     return (
         [(name, ctypes.c_int64) for name in ints]
         + [(name, ctypes.c_void_p) for name in pointers]
         + [(name, ctypes.c_double) for name in doubles]
+    )
+
+
+class _NoiseArgs(ctypes.Structure):
+    _fields_ = _layout(
+        ["runs"], ["moments", "gamma", "gamma_next", "log_z", "skipped", "targets"], ["log_2pi"]
+    )
+
+
+class _RefreshArgs(ctypes.Structure):
+    _fields_ = _layout(
+        ["runs", "weights"],
+        ["means", "variances", "sites", "lam", "skipped", "change", "backup"],
+        ["log_2pi"],
     )
 
 
@@ -583,14 +569,15 @@ class OutputGradients:
 
 class LinearBackward:
     """The reverse sweep through one layer of a stack, bound to its (R, rows,
-    cols) views of the flat (R, W) means, variances, squared means and
+    cols) views of the flat (R, W) `means`, `variances`, squared means and
     gradient buffers, to its (R, 1, cols) input moments zm, zv and to the
-    (R, 1, rows) gradients dma, dva w.r.t. its output moments.
+    (R, 1, rows) gradients `dma`, `dva` w.r.t. its output moments.
 
     weights() writes the weight gradients and, for a layer with inputs, the
-    (R, rows, cols) `operand` M*M + V; the caller then fills `products` (3,
-    R, 1, cols) with dma @ M, dva @ V and dva @ operand, and inputs() writes
-    the gradients w.r.t. the input moments, `d_inputs` (2, R, 1, cols).
+    (R, rows, cols) `operand` M*M + V (None for the input layer); the caller
+    then fills `products` (3, R, 1, cols) with dma @ M, dva @ V and dva @
+    operand, and inputs() writes the gradients w.r.t. the input moments,
+    `d_inputs` (2, R, 1, cols).
     """
 
     def __init__(self, means, variances, means_sq, d_means, d_variances, zm, zv, dma, dva, inputs):
@@ -601,7 +588,8 @@ class LinearBackward:
         self.operand = np.empty(layer) if inputs else None
         self.products = np.empty((3, runs, 1, cols))
         self.d_inputs = np.empty((2, runs, 1, cols))
-        self._buffers = (means, variances, means_sq, d_means, d_variances, zm, zv, dma, dva)
+        self.means, self.variances, self.dma, self.dva = means, variances, dma, dva
+        self._buffers = (means_sq, d_means, d_variances, zm, zv)
         self._args = _LinearGradArgs(
             runs, rows, cols, run_stride,
             *(_address(a, layer, strided) for a in (means, variances, means_sq, d_means, d_variances)),

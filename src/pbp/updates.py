@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardTrace, forward_trace
+from .forward import forward_trace
 from .kernel import LinearBackward, Rectifier, Refresh
-from .posterior import PosteriorStack
+from .posterior import NumericError, PosteriorStack
 
 
 @dataclass
@@ -55,68 +55,65 @@ def incorporate_all_prior_factors(stack: PosteriorStack) -> np.ndarray:
     The sites are one (4, R, W) array: per weight, in PosteriorStack order,
     the site's precision and precision x mean (a Gaussian in natural
     parameters, so the cavity is a subtraction) and its additive Gamma
-    contribution to the prior precision (shape, rate). Every marginal is flat
-    (infinite variance), so each factor takes the closed-form limit of the
-    refinement, the same for every weight of a run: the weight collapses onto
+    contribution to the prior precision (shape, rate). The incorporation is
+    an EP sweep (ep_refresh_prior) over empty sites with every mean at 0:
+    each cavity is flat, so each factor takes the flat limit of the
+    refinement, the same for every weight of a run. The weight collapses onto
     the collapsed Gaussian prior, mean 0, variance b/(a-1) of the run's
     prior-precision Gamma(a, b); its site is that prior in natural
-    parameters; and the Gamma is untouched (all Z ratios -> 1). Raises
-    ValueError on any other state, and ZeroDivisionError, having written
-    nothing, where a Gamma shape of 1 or a prior variance of 0 divides by 0.
+    parameters; and the Gamma is untouched (all Z ratios -> 1). The sweep's
+    refresh stays bound to the sites returned. Raises ValueError on any other
+    state; ZeroDivisionError where a Gamma shape of 1 divides by 0, and
+    NumericError where the prior variance is 0, having written nothing.
     """
     if not np.isinf(stack.variances).all():
         raise ValueError("the prior factors are incorporated once, into the uniform state")
-    a, b = stack.lam
-    with np.errstate(all="ignore"):
-        sigma2 = b / (a - 1.0)
-        mean = sigma2 * 0.0
-        site = (1.0 / sigma2 - 0.0, mean / sigma2 - 0.0, a - a, b - b)
-    if not ((a - 1.0).all() and sigma2.all()):
-        raise ZeroDivisionError("float division by zero")
-    sites = np.empty((4, *stack.means.shape))
-    for rows, value in zip(sites, site):
-        rows[...] = value[:, None]
-    stack.means[...] = mean[:, None]
-    stack.variances[...] = sigma2[:, None]
+    means = stack.means.copy()
+    stack.means[...] = 0.0
+    sites = np.zeros((4, *stack.means.shape))
+    try:
+        ep_refresh_prior(stack, sites)
+    except (ArithmeticError, NumericError):
+        stack.means[...] = means
+        raise
     return sites
 
 
-def backward_gradients(stack: PosteriorStack, trace: ForwardTrace, y: np.ndarray) -> None:
+def backward_gradients(stack: PosteriorStack, y: np.ndarray) -> None:
     """Gradients of the likelihood log Z w.r.t. every weight mean and variance.
 
-    Seeds with d log Z / d(output moments) and walks the trace in reverse,
+    Seeds with d log Z / d(output moments) and walks the layers in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
-    maps as implemented in the forward pass. The trace is the stack's last
-    forward_trace and y holds one target per run. The gradients go
-    into the stack's workspace: flat over all weights in d_means and
+    maps as implemented in the forward pass, whose intermediates the stack's
+    last forward_trace left in its workspace; y holds one target per run. The
+    gradients go into the workspace: flat over all weights in d_means and
     d_variances, with per-layer (R, rows, cols) views.
     """
     ws = stack.workspace
     np.copyto(ws.noise.targets, y)
     ws.output_gradients()
     for l in range(len(stack.layers) - 1, -1, -1):
-        _linear_backward(ws.linear_backward[l], stack.layers[l], ws.d_pre[l], inputs=l > 0)
+        _linear_backward(ws.linear_backward[l])
         if l > 0:
             _relu_backward(ws.rectifiers[l - 1])
 
 
-def _linear_backward(kernel: LinearBackward, layer, d_pre, inputs=True) -> None:
+def _linear_backward(kernel: LinearBackward) -> None:
     """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c.
 
-    kernel is bound to the layer, its input moments (one row per run), the
-    gradients d_pre = (dma, dva) w.r.t. its output moments, and the weight
+    kernel is bound to the layer's weights, its input moments (one row per
+    run), the gradients (dma, dva) w.r.t. its output moments, and the weight
     gradients it writes. The input gradients (kernel.d_inputs) are formed
-    when inputs is true, and otherwise not (the input layer's would go
-    unused).
+    for a layer with inputs, and not for the input layer (whose would go
+    unused), which has no operand.
     """
     kernel.weights()
-    if not inputs:
+    if kernel.operand is None:
         return
-    dma, dva = d_pre
     products = kernel.products
-    np.matmul(dma, layer.means, out=products[0])
-    np.matmul(dva, layer.variances, out=products[1])
-    np.matmul(dva, kernel.operand, out=products[2])
+    np.matmul(kernel.dma, kernel.means, out=products[0])
+    np.matmul(kernel.dva, kernel.variances, out=products[1])
+    np.matmul(kernel.dva, kernel.operand, out=products[2])
     kernel.inputs()
 
 
@@ -152,7 +149,7 @@ def incorporate_likelihood_factors(
     raises ZeroDivisionError, having written nothing, where the sweep or the
     Gamma match would divide by 0 (a Gamma shape of 1 or a rate of 0).
     """
-    trace = forward_trace(stack, x)
+    forward_trace(stack, x)
     noise = stack.workspace.noise
     noise.y[...] = y
     skips = noise()
@@ -163,7 +160,7 @@ def incorporate_likelihood_factors(
 
     # The skipping runs' gradients are discarded; their targets are their
     # output means, whose zero residual keeps them finite.
-    backward_gradients(stack, trace, noise.targets)
+    backward_gradients(stack, noise.targets)
     refine = stack.workspace.refine
     refine()
     return UpdateOutcome(skipped, refine.undo.copy(), refine.updates.copy())

@@ -73,8 +73,8 @@ def one_run_gradients(net, x, y) -> GradientStore:
     through a one-run stack of a copy of net; per-layer arrays without the
     runs axis."""
     stack = PosteriorStack.of([net])
-    trace = forward_trace(stack, np.asarray(x, dtype=float)[None, :])
-    backward_gradients(stack, trace, np.array([y]))
+    forward_trace(stack, np.asarray(x, dtype=float)[None, :])
+    backward_gradients(stack, np.array([y]))
     ws = stack.workspace
     return GradientStore(
         [g[0].copy() for g in ws.d_mean_views], [g[0].copy() for g in ws.d_variance_views]

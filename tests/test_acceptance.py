@@ -6,7 +6,6 @@ reason instead of silently passing. Everything else runs self-contained.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from oracles import (
     gamma_tilted_moments_quadrature,
     mc_forward_moments,
 )
-from pbp.active import ActiveConfig, run_active_experiments
+from pbp.active import POLICIES, ActiveConfig, run_active_experiments
 from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
 from pbp.data import Dataset, load_csv, normalize, split
@@ -25,7 +24,7 @@ from pbp.forward import MomentVector, relu_moments
 from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import TrainedModel, predict_batch, rmse
 from pbp.prediction import test_log_likelihood as avg_log_likelihood
-from pbp.training import train
+from pbp.training import train, train_runs
 from reference_prior import _gamma_moments, gaussian_refine
 
 BENCH_CONFIG = dict(hidden_layer_sizes=(50,), epochs=40)
@@ -158,35 +157,31 @@ class TestCriterion1UnitOracles:
 # ------------------------------------------------------- criteria 2, 3, 4
 
 
-def _benchmark_split(payload):
-    features, targets, seed, hidden, epochs = payload
-    dataset = Dataset(features, targets)
-    rng = np.random.default_rng(seed)
-    train_set, test_set = split(dataset, 0.1, rng)
-    train_norm, stats = normalize(train_set)
-    config = PbpConfig(hidden_layer_sizes=hidden, epochs=epochs, seed=seed)
-    net, _, report = train(train_norm, config, rng)
-    model = TrainedModel(net=net, norm=stats, config=config)
-    negative = sum(int((l.variances <= 0).sum()) for l in net.layers)
-    return (
-        rmse(model, test_set),
-        avg_log_likelihood(model, test_set),
-        report.undo_events,
-        report.weight_updates,
-        report.examples_skipped,
-        report.epochs_run * len(train_norm),
-        negative,
-    )
-
-
-def run_benchmark(dataset, splits=SPLITS, jobs=2, **config):
-    cfg = {**BENCH_CONFIG, **config}
-    payloads = [
-        (dataset.features, dataset.targets, BASE_SEED + s, cfg["hidden_layer_sizes"], cfg["epochs"])
-        for s in range(splits)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_benchmark_split, payloads))
+def run_benchmark(dataset, splits=SPLITS, **config):
+    """Every split in one lockstep batch, as `pbp benchmark` trains them:
+    split s draws its split and its training from BASE_SEED + s. One row of
+    results per split."""
+    config = PbpConfig(**{**BENCH_CONFIG, **config})
+    rngs = [np.random.default_rng(BASE_SEED + s) for s in range(splits)]
+    train_sets, evaluations = [], []
+    for rng in rngs:
+        train_set, test_set = split(dataset, 0.1, rng)
+        train_norm, stats = normalize(train_set)
+        train_sets.append(train_norm)
+        evaluations.append((stats, test_set))
+    results = []
+    for (net, _, report), (stats, test_set) in zip(train_runs(train_sets, config, rngs), evaluations):
+        model = TrainedModel(net=net, norm=stats, config=config)
+        negative = sum(int((l.variances <= 0).sum()) for l in net.layers)
+        results.append((
+            rmse(model, test_set),
+            avg_log_likelihood(model, test_set),
+            report.undo_events,
+            report.weight_updates,
+            report.examples_skipped,
+            report.epochs_run * len(train_sets[0]),
+            negative,
+        ))
     return np.array(results)
 
 
@@ -276,28 +271,19 @@ class TestCriterion5ToyCubic:
 # ---------------------------------------------------------------- criterion 6
 
 
-def _active_pair(payload):
-    features, targets, rep_seed = payload
-    dataset = Dataset(features, targets)
-    config = PbpConfig(hidden_layer_sizes=(10,), epochs=40, seed=rep_seed)
-    knobs = ActiveConfig(initial_train=20, test_size=100, acquisitions=9)
-    finals = []
-    for policy in ("active", "random"):
-        [state] = run_active_experiments(
-            dataset, [policy], config, [np.random.default_rng(rep_seed)], knobs
-        )
-        finals.append(state.rmse_history[-1])
-    return finals
-
-
-def run_active_benchmark(dataset, repetitions=40, jobs=2):
-    payloads = [
-        (dataset.features, dataset.targets, BASE_SEED + rep)
-        for rep in range(repetitions)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        finals = np.array(list(pool.map(_active_pair, payloads)))
-    return finals[:, 0], finals[:, 1]  # active, random
+def run_active_benchmark(dataset, repetitions=40):
+    """Every repetition of both arms in one lockstep batch, as `pbp active`
+    runs them: repetition r of either arm starts from BASE_SEED + r."""
+    runs = [(policy, rep) for policy in POLICIES for rep in range(repetitions)]
+    states = run_active_experiments(
+        dataset,
+        [policy for policy, _ in runs],
+        PbpConfig(hidden_layer_sizes=(10,), epochs=40),
+        [np.random.default_rng(BASE_SEED + rep) for _, rep in runs],
+        ActiveConfig(initial_train=20, test_size=100, acquisitions=9),
+    )
+    finals = np.array([state.rmse_history[-1] for state in states]).reshape(len(POLICIES), repetitions)
+    return finals[POLICIES.index("active")], finals[POLICIES.index("random")]
 
 
 def assert_active_beats_random(active, random_arm, name):

@@ -146,8 +146,8 @@ def sabotage(real_backward, index=(..., 1, 1)):
     reference returns its gradients; pbp.updates leaves them in the stack's
     workspace."""
 
-    def sabotaged(net, trace, y):
-        grads = real_backward(net, trace, y) or GradientStore(
+    def sabotaged(net, *args):
+        grads = real_backward(net, *args) or GradientStore(
             net.workspace.d_mean_views, net.workspace.d_variance_views
         )
         grads.d_means[0][index] = 1e6
@@ -264,8 +264,8 @@ def test_step_on_the_all_valid_path_matches_the_reference():
     stack, outcome = assert_step_matches_reference(
         nets, rng.normal(size=(3, 3)), rng.normal(size=3)
     )
-    relu = [rec.relu for rec in stack.workspace.trace.records[:-1]]
-    assert all(aux.deterministic is None and aux.series is None for aux in relu)
+    relu = stack.workspace.rectifiers
+    assert all(aux.n_deterministic == 0 and aux.n_series == 0 for aux in relu)
     assert outcome.undo_count.tolist() == [0, 0, 0]
 
 
@@ -275,7 +275,7 @@ def test_step_with_a_deterministic_unit_in_one_run_matches_the_reference():
     nets, rng = step_nets([3, 5, 4, 1], 3, 41)
     nets[0].layers[0].variances[0] = 1e-40
     stack, _ = assert_step_matches_reference(nets, rng.normal(size=(3, 3)), rng.normal(size=3))
-    det = stack.workspace.trace.records[0].relu.deterministic
+    det = stack.workspace.rectifiers[0].deterministic
     assert det[:, 0, 0].tolist() == [True, False, False]
     assert not det[..., 1:].any()
 
@@ -287,7 +287,7 @@ def test_step_with_a_far_tail_unit_in_one_run_matches_the_reference():
     nets[2].layers[0].means[0] = -40.0
     xs = rng.uniform(0.5, 1.5, size=(3, 3))
     stack, _ = assert_step_matches_reference(nets, xs, rng.normal(size=3))
-    series = stack.workspace.trace.records[0].relu.series
+    series = stack.workspace.rectifiers[0].series
     assert series[:, 0, 0].tolist() == [False, False, True]
     assert not series[..., 1:].any()
 
@@ -415,9 +415,9 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
         if outcome.skipped.all():
             seen["skipped"] += 1
             continue
-        relu = [record.relu for record in stack.workspace.trace.records[:-1]]
-        seen["deterministic"] += any(aux.deterministic is not None for aux in relu)
-        seen["series"] += any(aux.series is not None for aux in relu)
+        relu = stack.workspace.rectifiers
+        seen["deterministic"] += any(aux.n_deterministic > 0 for aux in relu)
+        seen["series"] += any(aux.n_series > 0 for aux in relu)
         seen["skipped"] += bool(outcome.skipped.any())
         seen["undone"] += bool(outcome.undo_count.any())
     assert min(seen.values()) >= 20, seen

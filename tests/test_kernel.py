@@ -31,7 +31,7 @@ from conftest import incorporate_one_run, likelihood_step, refresh_one_run, toy_
 from pbp.data import normalize
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack
 from pbp.training import train_runs
-from pbp.updates import ep_refresh_prior, incorporate_likelihood_factors
+from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors, incorporate_likelihood_factors
 from test_batched_engine import fuzz_step_case
 from test_prior_kernel import (
     LIKELIHOOD_CASES,
@@ -346,3 +346,17 @@ def test_first_incorporation_with_a_gamma_shape_of_one_raises_zero_division():
     assert_refused(incorporate_one_run, ZeroDivisionError, net, sites)
     with pytest.raises(ZeroDivisionError):
         ref.incorporate_all_prior_factors(copy.deepcopy(net), copy.deepcopy(sites))
+
+
+def test_first_incorporation_with_a_zero_prior_rate_raises_numeric_error():
+    # The prior variance b / (a - 1) is 0 in run 1, and the flat limit of the
+    # sweep refuses it; run 0, incorporated first, is put back, and so are
+    # the means the sweep set to 0.
+    net, _ = uniform([2, 3, 1], (6.0, 6.0))
+    stack = PosteriorStack.of([net, net])
+    stack.lam[1, 1] = 0.0
+    stack.means[0] = -0.7
+    before = snapshot(stack)
+    with pytest.raises(NumericError, match="prior variance underflows to 0 at a flat prior site"):
+        incorporate_all_prior_factors(stack)
+    assert snapshot(stack) == before

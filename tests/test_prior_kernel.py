@@ -9,8 +9,8 @@ differences, each pinned below:
 
 * where the reference `likelihood_log_z_triple` raises OverflowError on a
   squared residual that overflows, the kernel skips the example;
-* the first incorporation is the closed form of the uniform start, and
-  raises ValueError on any other state;
+* the first incorporation is an EP sweep over empty sites from the uniform
+  start, and raises ValueError on any other state;
 * where the reference raises ZeroDivisionError on a zero weight variance or
   a flat site whose prior variance underflows to 0, the kernel raises
   NumericError; and whatever the kernel raises, it has written nothing.
@@ -193,10 +193,10 @@ def test_ep_refresh_reaches_every_branch():
 )
 def test_first_incorporation_reaches_every_branch(lam, weights):
     # The weights the per-weight reference refined from a finite variance are
-    # refused; from the uniform state the closed form matches the reference
-    # under the same prior Gamma. (Under a shape below 1, which PbpConfig
-    # rejects, the prior variance is negative, and the closed form's mean
-    # sigma2 * 0.0 is -0.0 where the reference writes 0.0.)
+    # refused; from the uniform state the sweep's flat limit matches the
+    # reference under the same prior Gamma. (Under a shape below 1, which
+    # PbpConfig rejects, the prior variance is negative, and the flat limit's
+    # mean prior_var * 0.0 is -0.0 where the reference writes 0.0.)
     net, sites = one_layer([(m, v, 0.0, 0.0, 0.0, 0.0) for m, v in weights])
     net.lam = GammaDist(*lam)
     assert_refused(incorporate_one_run, ValueError, net, sites)

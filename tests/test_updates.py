@@ -261,8 +261,8 @@ class TestIncorporateLikelihoodFactor:
         layer = stack.layers[0]
         real_backward = updates.backward_gradients
 
-        def sabotaged(stack, trace, y):
-            real_backward(stack, trace, y)
+        def sabotaged(stack, y):
+            real_backward(stack, y)
             # Force a guaranteed-negative refined variance for one weight.
             stack.workspace.d_mean_views[0][0, 1, 2] = 1e6
             stack.workspace.d_variance_views[0][0, 1, 2] = 0.0
