@@ -40,8 +40,7 @@ from .prediction import (
     TrainedModel,
     noise_floor,
     predict_batch,
-    rmse,
-    test_log_likelihood,
+    test_metrics,
 )
 from .training import SkipRateError, TrainReport, train, train_runs
 from .updates import (

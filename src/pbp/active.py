@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, normalize
-from .posterior import PbpConfig
-from .prediction import TrainedModel, predict_batch, rmse
+from .data import Dataset, NormStats, normalize
+from .posterior import NetworkPosterior, PbpConfig, PosteriorStack
+from .prediction import predict_batch, test_metrics
 from .training import train_runs
 
 
@@ -63,14 +63,14 @@ class ActiveState:
     rmse_history: list[float] = field(default_factory=list)
 
 
-def acquire_next(model: TrainedModel, pool_features: np.ndarray) -> int:
-    """Index of the pool point with the highest predictive variance.
+def acquire_next(variances: np.ndarray) -> int:
+    """Index of the pool point with the highest predictive variance, given
+    one run's predictive variances of its pool.
 
     Ties break toward the lowest index (first argmax), for reproducibility.
     """
-    if pool_features.shape[0] == 0:
+    if variances.shape[0] == 0:
         raise ValueError("empty pool")
-    _, variances = predict_batch(model.net, model.norm, pool_features)
     return int(np.argmax(variances))
 
 
@@ -100,13 +100,17 @@ def _fit(
     config: PbpConfig,
     rngs: list[np.random.Generator],
     labels: list[str] | None,
-) -> list[TrainedModel]:
+) -> tuple[list[NetworkPosterior], list[NormStats]]:
+    """Train every repetition on its training set and append its test RMSE to
+    its history, from one prediction of every test set; the posteriors and
+    their normalization statistics."""
     normalized = [normalize(state.train) for state in states]
     runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
-    return [
-        TrainedModel(net=net, norm=stats, config=config)
-        for (net, _, _), (_, stats) in zip(runs, normalized)
-    ]
+    nets, norms = [net for net, _, _ in runs], [stats for _, stats in normalized]
+    rmses, _ = test_metrics(PosteriorStack.of(nets), norms, [state.test for state in states])
+    for state, value in zip(states, rmses.tolist()):
+        state.rmse_history.append(value)
+    return nets, norms
 
 
 def run_active_experiments(
@@ -121,8 +125,9 @@ def run_active_experiments(
     policies[r] and generator rngs[r].
 
     Each repetition splits the data, trains from scratch, then acquires a
-    point and retrains, acquisitions times. Test RMSE is recorded before each
-    acquisition and once more at the end, giving acquisitions+1 evaluations.
+    point and retrains, acquisitions times. Test RMSE is recorded after each
+    training, giving acquisitions+1 evaluations. Each step predicts twice:
+    every repetition's test set in one pass, the active ones' pools in another.
     A split depends only on its rng's state at entry, so active and random
     arms started from the same seed share it.
 
@@ -139,15 +144,21 @@ def run_active_experiments(
     cfg = active_cfg or ActiveConfig()
     states = [_initial_split(dataset, cfg, rng, p) for rng, p in zip(rngs, policies)]
 
-    models = _fit(states, config, rngs, labels)
+    active = [r for r, state in enumerate(states) if state.policy == "active"]
+    nets, norms = _fit(states, config, rngs, labels)
     for _step in range(cfg.acquisitions):
-        for state, model, rng in zip(states, models, rngs):
-            state.rmse_history.append(rmse(model, state.test))
+        picks = {}
+        if active:
+            # Every repetition has as many pool points left as the others.
+            _, variances = predict_batch(
+                PosteriorStack.of([nets[r] for r in active]),
+                [norms[r] for r in active],
+                np.stack([states[r].pool_features[states[r].pool_remaining] for r in active]),
+            )
+            picks = {r: acquire_next(row) for r, row in zip(active, variances)}
+        for r, (state, rng) in enumerate(zip(states, rngs)):
             remaining = state.pool_remaining
-            if state.policy == "active":
-                pick = acquire_next(model, state.pool_features[remaining])
-            else:
-                pick = int(rng.integers(remaining.shape[0]))
+            pick = picks[r] if r in picks else int(rng.integers(remaining.shape[0]))
             original = int(remaining[pick])
             x_new = state.pool_features[original]
             y_new = state.pool_targets.reveal(original)
@@ -159,8 +170,5 @@ def run_active_experiments(
             )
             state.pool_remaining = np.delete(remaining, pick)
 
-        models = _fit(states, config, rngs, labels)
-
-    for state, model in zip(states, models):
-        state.rmse_history.append(rmse(model, state.test))
+        nets, norms = _fit(states, config, rngs, labels)
     return states

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data as dio
 from .active import POLICIES, ActiveConfig, run_active_experiments
-from .posterior import NumericError, PbpConfig
-from .prediction import TrainedModel, predict_batch, rmse, test_log_likelihood
+from .posterior import NumericError, PbpConfig, PosteriorStack
+from .prediction import TrainedModel, predict_batch, test_metrics
 from .training import SkipRateError, train, train_runs
 
 EXIT_OK = 0
@@ -171,8 +171,9 @@ def cmd_train(args) -> int:
     if report.epoch_rmse:
         print(f"final_train_rmse_normalized: {_fmt(report.epoch_rmse[-1])}")
     if len(test_set):
-        print(f"test_rmse: {_fmt(rmse(model, test_set))}")
-        print(f"test_log_likelihood: {_fmt(test_log_likelihood(model, test_set))}")
+        [test_rmse], [test_ll] = test_metrics(PosteriorStack.of([net]), [stats], [test_set])
+        print(f"test_rmse: {_fmt(test_rmse)}")
+        print(f"test_log_likelihood: {_fmt(test_ll)}")
     return EXIT_OK
 
 
@@ -184,7 +185,7 @@ def cmd_predict(args) -> int:
         raise dio.DataError(
             f"{args.data}: {features.shape[1]} feature columns, model expects {expected}"
         )
-    means, variances = predict_batch(model.net, model.norm, features)
+    [means], [variances] = predict_batch(PosteriorStack.of([model.net]), [model.norm], features[None])
     with _output(args.out) as fh:
         fh.write(_prediction_csv(means, variances))
     return EXIT_OK
@@ -195,22 +196,18 @@ def cmd_benchmark(args) -> int:
     config = _pbp_config(args)
     # Split i draws its split and its training from seed + i; all splits
     # train in lockstep as one batch.
-    rngs, train_sets, evaluations = [], [], []
+    rngs, train_sets, norms, test_sets = [], [], [], []
     for i in range(args.splits):
         rng = np.random.default_rng(config.seed + i)
         train_set, test_set = dio.split(dataset, args.test_fraction, rng)
         train_norm, stats = dio.normalize(train_set)
         rngs.append(rng)
         train_sets.append(train_norm)
-        evaluations.append((stats, test_set))
+        norms.append(stats)
+        test_sets.append(test_set)
     runs = train_runs(train_sets, config, rngs, [f"split {i}" for i in range(args.splits)])
-    rmses, lls = [], []
-    for (net, _, _), (stats, test_set) in zip(runs, evaluations):
-        model = TrainedModel(net=net, norm=stats, config=config)
-        rmses.append(rmse(model, test_set))
-        lls.append(test_log_likelihood(model, test_set))
+    rmses, lls = test_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets)
 
-    rmses, lls = np.array(rmses), np.array(lls)
     s = args.splits
     rows = [
         [str(i), _fmt(rmses[i]), "", _fmt(lls[i]), ""] for i in range(s)

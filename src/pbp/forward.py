@@ -14,7 +14,6 @@ and in the rectifier's far tail numpy's power.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -32,13 +31,7 @@ from .kernel import (
     Square,
     squared,
 )
-from .posterior import (
-    LayerPosterior,
-    NetworkPosterior,
-    PosteriorStack,
-    flat_layers,
-    layer_views,
-)
+from .posterior import LayerPosterior, PosteriorStack, flat_layers, layer_views
 
 # Below this pre-activation variance the unit is treated as deterministic:
 # the moment formulas divide by sqrt(v) and this is their exact limit.
@@ -234,46 +227,42 @@ def relu_moments(
     return out, rectifier
 
 
-def forward_output_moments(
-    net: NetworkPosterior | PosteriorStack, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the moments of rows of inputs through every layer.
+def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the moments of rows of inputs through every layer of every
+    run of a stack.
 
-    x has shape (*runs, rows, d): (n, d) for one network and (R, n, d) for a
-    PosteriorStack of R runs; the output mean and variance have shape
-    (*runs, rows). No trace is kept; an update takes forward_trace.
+    x has shape (R, n, d) for a PosteriorStack of R runs: n rows per run; the
+    output mean and variance have shape (R, n). No trace is kept; an update
+    takes forward_trace.
 
-    The rows go through in work items (see _work_items) of one row block and,
-    for a stack, a group of runs, so the working set is bounded by one item
-    whatever the row count. From 2 * BLOCK_ROWS rows on, the blocks start at
-    multiples of BLOCK_ROWS and the last takes the remainder: every gemm sees
-    at least BLOCK_ROWS rows and every row keeps its offset mod 4, which keeps
-    the kernels, and so the bits, of an unblocked pass. No item reads
-    another's rows or runs, so from 2 * BLOCK_ROWS rows over all runs on, the
-    items run on every usable CPU (see _run_items), bit for bit as in a
-    serial pass.
+    The rows go through in work items (see _work_items) of one row block and
+    a group of runs, so the working set is bounded by one item whatever the
+    row count. From 2 * BLOCK_ROWS rows on, the blocks start at multiples of
+    BLOCK_ROWS and the last takes the remainder: every gemm sees at least
+    BLOCK_ROWS rows and every row keeps its offset mod 4, which keeps the
+    kernels, and so the bits, of an unblocked pass. No item reads another's
+    rows or runs, so from 2 * BLOCK_ROWS rows over all runs on, the items run
+    on every usable CPU (see _run_items), bit for bit as in a serial pass.
     """
     x = np.asarray(x, dtype=float)
-    runs = net.layers[0].means.shape[:-2]
-    d = net.layer_sizes[0]
-    if x.ndim != len(runs) + 2 or x.shape[:-2] != runs or x.shape[-1] != d:
-        raise ValueError(f"input has shape {x.shape}, expected {runs + ('n', d)}")
+    runs, d = stack.means.shape[0], stack.layer_sizes[0]
+    if x.ndim != 3 or x.shape[0] != runs or x.shape[-1] != d:
+        raise ValueError(f"input has shape {x.shape}, expected {(runs, 'n', d)}")
 
-    n = x.shape[-2]
-    transposed = [_transposed(layer, squared(layer.means)) for layer in net.layers]
-    out_mean, out_var = np.empty(runs + (n,)), np.empty(runs + (n,))
+    n = x.shape[1]
+    transposed = [_transposed(layer, squared(layer.means)) for layer in stack.layers]
+    out_mean, out_var = np.empty((runs, n)), np.empty((runs, n))
 
     def forward_item(item):
-        runs_index, rows = item
-        block = x[runs_index + (rows,)]
-        inputs, outputs = _bias_buffers(net.layer_sizes[:-1], block.shape[:-1])
-        item_transposed = [(m[runs_index], v[runs_index], s[runs_index]) for m, v, s in transposed]
-        a = _propagate(net.layers, inputs, outputs, block, item_transposed)
-        out_mean[runs_index + (rows,)] = a.mean[..., 0]
-        out_var[runs_index + (rows,)] = a.variance[..., 0]
+        group, rows = item
+        block = x[group, rows]
+        inputs, outputs = _bias_buffers(stack.layer_sizes[:-1], block.shape[:-1])
+        item_transposed = [(m[group], v[group], s[group]) for m, v, s in transposed]
+        a = _propagate(stack.layers, inputs, outputs, block, item_transposed)
+        out_mean[group, rows] = a.mean[..., 0]
+        out_var[group, rows] = a.variance[..., 0]
 
-    parallel = math.prod(runs) * n >= 2 * BLOCK_ROWS
-    _run_items(forward_item, _work_items(runs, n), parallel)
+    _run_items(forward_item, _work_items(runs, n), runs * n >= 2 * BLOCK_ROWS)
     return out_mean, out_var
 
 
@@ -297,16 +286,14 @@ def forward_trace(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.
     return ws.noise.mz, ws.noise.vz
 
 
-def _work_items(runs: tuple[int, ...], n: int) -> list[tuple[tuple, slice]]:
-    """The (runs index, rows) items of a pass of n rows per run: the row
-    blocks of forward_output_moments and, for a stack, contiguous groups of
-    runs of about BLOCK_ROWS rows between them."""
+def _work_items(runs: int, n: int) -> list[tuple[slice, slice]]:
+    """The (runs, rows) slices of the items of a pass of n rows per run: the
+    row blocks of forward_output_moments, and contiguous groups of runs of
+    about BLOCK_ROWS rows between them."""
     starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
     blocks = [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]
-    if not runs:
-        return [((), rows) for rows in blocks]
     group = max(1, BLOCK_ROWS // max(blocks[0].stop, 1))
-    return [((slice(r, r + group),), rows) for r in range(0, runs[0], group) for rows in blocks]
+    return [(slice(r, r + group), rows) for r in range(0, runs, group) for rows in blocks]
 
 
 def usable_cpus() -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Uniform-state sentinel for "no information yet": exact, cannot overflow, and
-# the first prior-factor incorporation resolves it through a closed-form limit.
+# resolved by the first prior incorporation, in refresh_run's flat-cavity branch.
 INFINITE_VARIANCE = math.inf
 
 

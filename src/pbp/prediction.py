@@ -1,4 +1,5 @@
-"""Gaussian predictive distributions and test metrics in original units."""
+"""Gaussian predictive distributions and test metrics in original units, of
+every run of a PosteriorStack at once; a lone model is a stack of one."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 from .data import Dataset, NormStats
 from .forward import forward_output_moments
 from .gauss import LOG_2PI
-from .posterior import NetworkPosterior, NumericError, PbpConfig
+from .posterior import NetworkPosterior, NumericError, PbpConfig, PosteriorStack
 
 
 @dataclass
@@ -21,52 +22,59 @@ class TrainedModel:
     config: PbpConfig
 
 
-def noise_floor(net: NetworkPosterior) -> float:
-    """Observation-noise variance implied by the Gamma posterior (normalized
-    target units): rate / (shape - 1), the Gaussian-collapse variance."""
-    if net.gamma.shape <= 1.0:
-        raise ValueError(
-            f"noise Gamma shape {net.gamma.shape} <= 1: posterior not trained"
-        )
-    return net.gamma.rate / (net.gamma.shape - 1.0)
+def noise_floor(stack: PosteriorStack) -> np.ndarray:
+    """Each run's observation-noise variance implied by its Gamma posterior
+    (normalized target units): rate / (shape - 1), the Gaussian-collapse
+    variance; shape (R,)."""
+    shape, rate = stack.gamma
+    if (shape <= 1.0).any():
+        raise ValueError(f"noise Gamma shape {shape.min()} <= 1: posterior not trained")
+    return rate / (shape - 1.0)
 
 
 def predict_batch(
-    net: NetworkPosterior, norm: NormStats, X_raw: np.ndarray
+    stack: PosteriorStack, norms: list[NormStats], X_raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive means and variances in original target units, one per row
-    of raw inputs X_raw, shape (n, d).
+    """Predictive means and variances in original target units, shape (R, n):
+    run r's for its n rows of raw inputs X_raw[r], X_raw of shape (R, n, d),
+    normalized with norms[r].
 
     Raises NumericError naming the first row, counted from 1, whose mean or
-    variance is not finite (inputs or weights too large for the arithmetic).
+    variance is not finite (inputs or weights too large for the arithmetic),
+    and, when the stack holds more than one run, its run, counted from 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        X = norm.apply_features(np.asarray(X_raw, dtype=float))
-        mz, vz = forward_output_moments(net, X)
-        means = mz * norm.target_std + norm.target_mean
-        variances = (noise_floor(net) + vz) * norm.target_std**2
+        X_raw = np.asarray(X_raw, dtype=float)
+        X = np.stack([norm.apply_features(x) for norm, x in zip(norms, X_raw, strict=True)])
+        mz, vz = forward_output_moments(stack, X)
+        # Each run's scalars as a lone run computes them: target_std ** 2 is
+        # a Python float power, which need not round as numpy's square does.
+        std = np.array([[norm.target_std] for norm in norms])
+        mean = np.array([[norm.target_mean] for norm in norms])
+        std_sq = np.array([[norm.target_std**2] for norm in norms])
+        means = mz * std + mean
+        variances = (noise_floor(stack)[:, None] + vz) * std_sq
     bad = ~(np.isfinite(means) & np.isfinite(variances))
     if bad.any():
-        i = int(np.argmax(bad))
+        r, i = np.unravel_index(np.argmax(bad), bad.shape)
+        row = f"input row {i + 1}" if len(norms) == 1 else f"run {r}, input row {i + 1}"
         raise NumericError(
-            f"input row {i + 1}: predictive mean {float(means[i])!r} and variance "
-            f"{float(variances[i])!r} are not both finite"
+            f"{row}: predictive mean {float(means[r, i])!r} and variance "
+            f"{float(variances[r, i])!r} are not both finite"
         )
     return means, variances
 
 
-def rmse(model: TrainedModel, test: Dataset) -> float:
-    """Root mean squared error of the predictive means, original units."""
-    if len(test) == 0:
+def test_metrics(
+    stack: PosteriorStack, norms: list[NormStats], tests: list[Dataset]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's test RMSE of the predictive means and average log-density
+    of the true targets under the predictive Gaussians, original units, both
+    (R,) from one prediction: run r's on its test set tests[r], normalized
+    with norms[r]. The test sets must have equal sizes."""
+    if any(len(test) == 0 for test in tests):
         raise ValueError("empty test set")
-    means, _ = predict_batch(model.net, model.norm, test.features)
-    return float(np.sqrt(np.mean((means - test.targets) ** 2)))
-
-
-def test_log_likelihood(model: TrainedModel, test: Dataset) -> float:
-    """Average log-density of the true targets under the predictive Gaussians."""
-    if len(test) == 0:
-        raise ValueError("empty test set")
-    means, variances = predict_batch(model.net, model.norm, test.features)
-    logp = -0.5 * (LOG_2PI + np.log(variances) + (test.targets - means) ** 2 / variances)
-    return float(np.mean(logp))
+    means, variances = predict_batch(stack, norms, np.stack([test.features for test in tests]))
+    targets = np.stack([test.targets for test in tests])
+    logp = -0.5 * (LOG_2PI + np.log(variances) + (targets - means) ** 2 / variances)
+    return np.sqrt(np.mean((means - targets) ** 2, axis=-1)), np.mean(logp, axis=-1)

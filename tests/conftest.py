@@ -10,6 +10,7 @@ from pbp.data import Dataset, NormStats
 from pbp.forward import forward_output_moments, forward_trace
 from pbp.kernel import NoiseStep
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
+from pbp.prediction import predict_batch
 from pbp.updates import backward_gradients, ep_refresh_prior, incorporate_all_prior_factors
 from reference_update import GradientStore
 
@@ -49,10 +50,24 @@ def random_net(layer_sizes, rng, mean_scale=1.0, var_low=0.05, var_high=1.0):
     return net
 
 
+def lone_output_moments(net, X):
+    """forward_output_moments of rows X, shape (n, d), through a stack of one
+    copy of net: (n,) means and variances."""
+    m, v = forward_output_moments(PosteriorStack.of([net]), np.asarray(X, dtype=float)[None])
+    return m[0], v[0]
+
+
 def output_moments(net, x):
     """The output mean and variance of one input row x, as two floats."""
-    m, v = forward_output_moments(net, np.asarray(x, dtype=float)[None, :])
+    m, v = lone_output_moments(net, np.asarray(x, dtype=float)[None, :])
     return float(m[0]), float(v[0])
+
+
+def predict_alone(net, norm, X_raw):
+    """predict_batch of raw rows X_raw, shape (n, d), through a stack of one
+    copy of net normalized with norm: (n,) means and variances."""
+    means, variances = predict_batch(PosteriorStack.of([net]), [norm], np.asarray(X_raw, dtype=float)[None])
+    return means[0], variances[0]
 
 
 def identity_stats(n_features: int) -> NormStats:

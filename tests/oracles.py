@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from pbp.forward import forward_output_moments
 from pbp.gauss import LOG_2PI
-from pbp.posterior import GammaDist, NetworkPosterior
+from pbp.posterior import GammaDist, NetworkPosterior, PosteriorStack
 from reference_update import GradientStore
 
 
@@ -176,8 +176,8 @@ def fd_logz_gradients(
 
     def logz(n: NetworkPosterior) -> float:
         # log N(y | mz, noise + vz), the noise precision's Gamma collapsed.
-        mz, vz = forward_output_moments(n, x[None, :])
-        mz, vz = mz[0], vz[0]
+        mz, vz = forward_output_moments(PosteriorStack.of([n]), x[None, None, :])
+        mz, vz = mz[0, 0], vz[0, 0]
         var = n.gamma.rate / (n.gamma.shape - 1.0) + vz
         return -0.5 * (LOG_2PI + math.log(var) + (y - mz) ** 2 / var)
 

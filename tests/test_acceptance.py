@@ -10,7 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_run_gradients, output_moments, random_net, require_uci, toy_cubic_dataset
+from conftest import (
+    one_run_gradients,
+    output_moments,
+    predict_alone,
+    random_net,
+    require_uci,
+    toy_cubic_dataset,
+)
 from oracles import (
     fd_logz_gradients,
     gamma_tilted_moments_quadrature,
@@ -21,9 +28,8 @@ from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
 from pbp.data import Dataset, load_csv, normalize, split
 from pbp.forward import MomentVector, relu_moments
-from pbp.posterior import GammaDist, PbpConfig
-from pbp.prediction import TrainedModel, predict_batch, rmse
-from pbp.prediction import test_log_likelihood as avg_log_likelihood
+from pbp.posterior import GammaDist, PbpConfig, PosteriorStack
+from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train, train_runs
 from reference_prior import _gamma_moments, gaussian_refine
 
@@ -163,19 +169,21 @@ def run_benchmark(dataset, splits=SPLITS, **config):
     results per split."""
     config = PbpConfig(**{**BENCH_CONFIG, **config})
     rngs = [np.random.default_rng(BASE_SEED + s) for s in range(splits)]
-    train_sets, evaluations = [], []
+    train_sets, norms, test_sets = [], [], []
     for rng in rngs:
         train_set, test_set = split(dataset, 0.1, rng)
         train_norm, stats = normalize(train_set)
         train_sets.append(train_norm)
-        evaluations.append((stats, test_set))
+        norms.append(stats)
+        test_sets.append(test_set)
+    runs = train_runs(train_sets, config, rngs)
+    rmses, lls = stacked_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets)
     results = []
-    for (net, _, report), (stats, test_set) in zip(train_runs(train_sets, config, rngs), evaluations):
-        model = TrainedModel(net=net, norm=stats, config=config)
+    for (net, _, report), rmse, ll in zip(runs, rmses, lls):
         negative = sum(int((l.variances <= 0).sum()) for l in net.layers)
         results.append((
-            rmse(model, test_set),
-            avg_log_likelihood(model, test_set),
+            rmse,
+            ll,
             report.undo_events,
             report.weight_updates,
             report.examples_skipped,
@@ -245,23 +253,21 @@ class TestCriterion5ToyCubic:
         norm, stats = normalize(ds)
         cfg = PbpConfig(hidden_layer_sizes=(100,), epochs=40, seed=7)
         net, _, _ = train(norm, cfg, np.random.default_rng(7))
-        model = TrainedModel(net=net, norm=stats, config=cfg)
-
         holdout_rng = np.random.default_rng(70)
         x_hold = holdout_rng.uniform(-4.0, 4.0, 100)
         y_hold = x_hold**3 + holdout_rng.normal(0.0, 3.0, 100)
-        means, variances = predict_batch(net, stats, x_hold[:, None])
+        means, variances = predict_alone(net, stats, x_hold[:, None])
         inside = np.abs(y_hold - means) <= 3.0 * np.sqrt(variances)
         coverage = inside.mean()
         assert coverage >= 0.95, f"coverage {coverage:.2f}"
 
         grid = np.linspace(-3.5, 3.5, 200)
-        grid_means, _ = predict_batch(net, stats, grid[:, None])
+        grid_means, _ = predict_alone(net, stats, grid[:, None])
         curve_rmse = float(np.sqrt(np.mean((grid_means - grid**3) ** 2)))
         assert curve_rmse < 10.0, f"curve RMSE {curve_rmse:.2f}"
 
         # Calibration sanity at the cubic's zero crossing.
-        m0, v0 = predict_batch(net, stats, np.array([[0.0]]))
+        m0, v0 = predict_alone(net, stats, np.array([[0.0]]))
         assert abs(m0[0]) <= 3.0 * math.sqrt(v0[0])
         announce(
             "5", f"toy coverage {coverage:.0%} >= 95%, curve rmse {curve_rmse:.2f} < 10"

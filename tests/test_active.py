@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import identity_stats, random_net, toy_cubic_dataset
+from conftest import identity_stats, predict_alone, random_net, toy_cubic_dataset
 from pbp.active import ActiveConfig, acquire_next, run_active_experiments
 from pbp.data import Dataset, normalize
 from pbp.posterior import PbpConfig
@@ -17,6 +17,11 @@ def model_from_net(net):
     )
 
 
+def acquire(model, pool):
+    """acquire_next of the model's predictive variances of pool."""
+    return acquire_next(predict_alone(model.net, model.norm, pool)[1])
+
+
 def run_active_experiment(dataset, policy, config, rng, active_cfg):
     """One repetition of run_active_experiments."""
     [state] = run_active_experiments(dataset, [policy], config, [rng], active_cfg)
@@ -30,7 +35,7 @@ KNOBS = ActiveConfig(initial_train=8, test_size=10, acquisitions=4)
 class TestAcquireNext:
     def test_single_point_pool(self):
         model = model_from_net(random_net([2, 3, 1], np.random.default_rng(0)))
-        assert acquire_next(model, np.array([[0.1, 0.2]])) == 0
+        assert acquire(model, np.array([[0.1, 0.2]])) == 0
 
     def test_deterministic_model_ties_break_low(self):
         net = random_net([2, 3, 1], np.random.default_rng(1))
@@ -39,12 +44,12 @@ class TestAcquireNext:
         model = model_from_net(net)
         pool = np.random.default_rng(2).normal(size=(6, 2))
         # All predictive variances equal the noise floor; first index wins.
-        assert acquire_next(model, pool) == 0
+        assert acquire(model, pool) == 0
 
     def test_empty_pool_rejected(self):
         model = model_from_net(random_net([2, 3, 1], np.random.default_rng(0)))
         with pytest.raises(ValueError):
-            acquire_next(model, np.zeros((0, 2)))
+            acquire(model, np.zeros((0, 2)))
 
     def test_far_point_has_higher_variance_on_toy_model(self):
         ds = toy_cubic_dataset(20, seed=3)
@@ -54,7 +59,7 @@ class TestAcquireNext:
         model = TrainedModel(net=net, norm=stats, config=cfg)
         # One interpolation point, one extrapolation point far outside [-4, 4].
         pool = np.array([[0.1], [9.0]])
-        assert acquire_next(model, pool) == 1
+        assert acquire(model, pool) == 1
 
 
 class TestRunActiveExperiment:

@@ -8,14 +8,13 @@ from multiprocessing.process import BaseProcess
 import numpy as np
 import pytest
 
-from conftest import toy_cubic_dataset
+from conftest import predict_alone, toy_cubic_dataset
 import pbp.forward as forward
 import pbp.training as training
 from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _prediction_csv, main
 from pbp.data import load_csv, load_model, normalize, read_csv_matrix, split
 from pbp.forward import MomentVector
-from pbp.posterior import NumericError, PbpConfig
-from pbp.prediction import predict_batch
+from pbp.posterior import NumericError, PbpConfig, PosteriorStack
 from pbp.training import train
 
 
@@ -172,7 +171,7 @@ class TestPredictCommand:
         from pbp.prediction import noise_floor
 
         model = load_model(model_path)
-        floor = noise_floor(model.net) * model.norm.target_std**2
+        floor = noise_floor(PosteriorStack.of([model.net]))[0] * model.norm.target_std**2
         for row in read_rows(out)[1:]:
             assert float(row[1]) >= floor * (1 - 1e-12)
 
@@ -237,7 +236,7 @@ class TestPredictCommand:
         got = capsys.readouterr().out.encode() if to_stdout else out.read_bytes()
 
         model = load_model(model_path)
-        means, variances = predict_batch(model.net, model.norm, read_csv_matrix(feats)[0])
+        means, variances = predict_alone(model.net, model.norm, read_csv_matrix(feats)[0])
         assert got == csv_writer_output(means, variances).encode()
 
 

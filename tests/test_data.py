@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import predict_alone
 from pbp.cli import EXIT_DATA, EXIT_OK, main
 from pbp.data import (
     DataError,
@@ -18,7 +19,7 @@ from pbp.data import (
     split,
 )
 from pbp.posterior import PbpConfig
-from pbp.prediction import TrainedModel, predict_batch
+from pbp.prediction import TrainedModel
 from pbp.training import train
 from reference_data import read_csv_matrix as reference_read_csv_matrix
 
@@ -301,8 +302,8 @@ class TestModelFile:
         save_model(model, p)
         loaded = load_model(p)
         x = np.array([[0.37]])
-        a_mean, a_variance = predict_batch(model.net, model.norm, x)
-        b_mean, b_variance = predict_batch(loaded.net, loaded.norm, x)
+        a_mean, a_variance = predict_alone(model.net, model.norm, x)
+        b_mean, b_variance = predict_alone(loaded.net, loaded.norm, x)
         assert a_mean == b_mean
         assert a_variance == b_variance
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import output_moments, random_net
+from conftest import lone_output_moments, output_moments, random_net
 from pbp import forward
 from pbp.forward import (
     BLOCK_ROWS,
@@ -255,13 +255,13 @@ class TestForwardOutputMoments:
     def test_dimension_mismatch(self):
         net = new_uniform([3, 2, 1])
         with pytest.raises(ValueError):
-            forward_output_moments(net, np.zeros((1, 4)))
+            lone_output_moments(net, np.zeros((1, 4)))
 
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(2)
         net = random_net([3, 5, 1], rng)
         X = rng.normal(size=(11, 3))
-        bm, bv = forward_output_moments(net, X)
+        bm, bv = lone_output_moments(net, X)
         for i in range(11):
             m, v = output_moments(net, X[i])
             assert bm[i] == pytest.approx(m, rel=1e-12)
@@ -282,7 +282,7 @@ class TestShapeContract:
         rng = np.random.default_rng(n)
         net = random_net(sizes, rng)
         X = rng.normal(size=(n, sizes[0]))
-        m, v = forward_output_moments(net, X)
+        m, v = lone_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert m.shape == v.shape == (n,)
         assert _bits(m) == _bits(ref_m)
@@ -296,7 +296,7 @@ class TestShapeContract:
         m, v = forward_output_moments(PosteriorStack.of(nets), X)
         assert m.shape == v.shape == (3, n)
         for r, net in enumerate(nets):
-            alone_m, alone_v = forward_output_moments(net, X[r])
+            alone_m, alone_v = lone_output_moments(net, X[r])
             assert _bits(m[r]) == _bits(alone_m)
             assert _bits(v[r]) == _bits(alone_v)
 
@@ -310,7 +310,7 @@ class TestShapeContract:
         rng = np.random.default_rng(4)
         net = random_net([3, 5, 1], rng)
         with pytest.raises(ValueError, match="expected"):
-            forward_output_moments(net, rng.normal(size=3))
+            lone_output_moments(net, rng.normal(size=3))
 
     def test_trace_gives_the_bits_of_the_rows_pass(self):
         # The update's one-row trace and the rows pass are separate entry
@@ -326,7 +326,7 @@ class TestShapeContract:
         assert _bits(trace_m) == _bits(m[:, 0])
         assert _bits(trace_v) == _bits(v[:, 0])
         for r, net in enumerate(nets):
-            alone_m, alone_v = forward_output_moments(net, x[r][None, :])
+            alone_m, alone_v = lone_output_moments(net, x[r][None, :])
             assert _bits(alone_m) == _bits(m[r]) and _bits(alone_v) == _bits(v[r])
 
     def test_trace_shape_checked(self):
@@ -376,7 +376,7 @@ class TestBlockedRows:
         net = random_net(sizes, rng, mean_scale=0.5)
         for n in _row_counts(block):
             X = rng.normal(size=(n, sizes[0]))
-            m, v = forward_output_moments(net, X)
+            m, v = lone_output_moments(net, X)
             ref_m, ref_v = forward_output_moments_batch(net, X)
             assert m.shape == v.shape == (n,)
             assert np.array_equal(m, ref_m), n
@@ -403,7 +403,7 @@ class TestBlockedRows:
         for flags in (aux.deterministic[:, 0], aux.series[:, 0]):
             assert flags[block : 2 * block].any()
             assert not flags[:block].any() and not flags[2 * block :].any()
-        m, v = forward_output_moments(net, X)
+        m, v = lone_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m)
         assert np.array_equal(v, ref_v)
@@ -455,7 +455,7 @@ class TestParallelPass:
         net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
         for n in _row_counts(block):
             X = rng.normal(size=(n, 11))
-            m, v = forward_output_moments(net, X)
+            m, v = lone_output_moments(net, X)
             ref_m, ref_v = forward_output_moments_batch(net, X)
             assert np.array_equal(m, ref_m), n
             assert np.array_equal(v, ref_v), n
@@ -493,7 +493,7 @@ class TestParallelPass:
         for attempt in range(50):
             rows = np.roll(X, -64 * (attempt % 2), axis=0)
             calls.clear()
-            m, v = forward_output_moments(net, rows)
+            m, v = lone_output_moments(net, rows)
             ref_m, ref_v = forward_output_moments_batch(net, rows)
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
             branched = [t for t, deterministic, _ in calls if deterministic]
@@ -516,7 +516,7 @@ class TestParallelPass:
         X = np.random.default_rng(19).normal(size=(40 * 64, 6))
         threads = threading.active_count()
         with pytest.raises(NumericError, match="raised in a helper"):
-            forward_output_moments(net, X)
+            lone_output_moments(net, X)
         assert threading.active_count() == threads
         # The caller finished the item it had; nobody took another of the 40.
         assert len(calls) <= 2
@@ -530,7 +530,7 @@ class TestParallelPass:
         X = np.random.default_rng(21).normal(size=(4 * 64, 6))
         with np.errstate(all="ignore"):
             expected = np.geterr()
-            forward_output_moments(net, X)
+            lone_output_moments(net, X)
         assert seen and all(state == expected for state in seen)
         assert expected != np.geterr()
         assert len(calls) == 4
@@ -553,7 +553,7 @@ class TestParallelPass:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            m, v = forward_output_moments(net, X)
+            m, v = lone_output_moments(net, X)
         finally:
             sys.setswitchinterval(interval)
         ref_m, ref_v = forward_output_moments_batch(net, X)
@@ -571,7 +571,7 @@ class TestParallelPass:
         rng = np.random.default_rng(22)
         net = random_net([6, 10, 1], rng)
         X = rng.normal(size=(5 * 64, 6))
-        m, v = forward_output_moments(net, X)
+        m, v = lone_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
@@ -619,7 +619,7 @@ class TestRectifierChunks:
         monkeypatch.setattr(forward, "relu_moments", relu_moments)
         step = max(1, RELU_CHUNK // units)
         net, X = self.net_and_rows(n, units, step, np.random.default_rng(n + units))
-        m, v = forward_output_moments(net, X)
+        m, v = lone_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes(), (n, units)
         assert all(branched), (n, units)
@@ -639,10 +639,10 @@ class TestRectifierChunks:
         self.assert_matches_the_reference(monkeypatch, n, 50)
 
 
-def _forward_peak_bytes(net, X) -> int:
+def _forward_peak_bytes(stack, X) -> int:
     tracemalloc.start()
     try:
-        forward_output_moments(net, X)
+        forward_output_moments(stack, X)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -653,10 +653,10 @@ def test_forward_memory_is_bounded_by_one_block(monkeypatch):
     # working thread holds one block, so the thread count is fixed.
     _force_cpus(monkeypatch, 2)
     rng = np.random.default_rng(14)
-    net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
-    X20, X40 = rng.normal(size=(20_000, 11)), rng.normal(size=(40_000, 11))
-    peak20 = _forward_peak_bytes(net, X20)
-    peak40 = _forward_peak_bytes(net, X40)
+    stack = PosteriorStack.of([random_net([11, 50, 50, 1], rng, mean_scale=0.5)])
+    X20, X40 = rng.normal(size=(1, 20_000, 11)), rng.normal(size=(1, 40_000, 11))
+    peak20 = _forward_peak_bytes(stack, X20)
+    peak40 = _forward_peak_bytes(stack, X40)
     assert peak20 < 40e6
     assert peak40 < 1.5 * peak20
 

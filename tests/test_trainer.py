@@ -4,7 +4,7 @@ import pytest
 import pbp.training as training
 from conftest import toy_cubic_dataset
 from pbp.data import normalize
-from pbp.posterior import PbpConfig
+from pbp.posterior import PbpConfig, PosteriorStack
 from pbp.training import SkipRateError, train, train_runs
 from pbp.updates import UpdateOutcome
 
@@ -175,7 +175,7 @@ class TestProgress:
         norm, stats = normalize(Dataset(x[:, None], y))
         cfg = PbpConfig(hidden_layer_sizes=(20,), epochs=20, seed=42)
         net, _, _ = train(norm, cfg, np.random.default_rng(42))
-        learned = noise_floor(net) * stats.target_std**2
+        learned = noise_floor(PosteriorStack.of([net]))[0] * stats.target_std**2
         assert learned == pytest.approx(1.0, rel=0.15)
 
 
