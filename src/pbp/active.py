@@ -99,7 +99,7 @@ def _fit(
     states: list[ActiveState],
     config: PbpConfig,
     rngs: list[np.random.Generator],
-    labels: list[str] | None,
+    labels: list[str],
 ) -> tuple[list[NetworkPosterior], list[NormStats]]:
     """Train every repetition on its training set and append its test RMSE to
     its history, from one prediction of every test set; the posteriors and
@@ -107,7 +107,7 @@ def _fit(
     normalized = [normalize(state.train) for state in states]
     runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
     nets, norms = [net for net, _, _ in runs], [stats for _, stats in normalized]
-    rmses, _ = test_metrics(PosteriorStack.of(nets), norms, [state.test for state in states])
+    rmses, _ = test_metrics(PosteriorStack.of(nets), norms, [state.test for state in states], labels)
     for state, value in zip(states, rmses.tolist()):
         state.rmse_history.append(value)
     return nets, norms
@@ -134,7 +134,7 @@ def run_active_experiments(
     Every repetition, of either policy, has the same training-set size at each
     step, so each step's trainings run in lockstep; each repetition's results
     are those of running it alone. labels name the repetitions in a
-    SkipRateError.
+    SkipRateError and a non-finite prediction (default "run <r>").
     """
     if len(policies) != len(rngs):
         raise ValueError(f"{len(policies)} policies for {len(rngs)} rngs")
@@ -142,6 +142,7 @@ def run_active_experiments(
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
     cfg = active_cfg or ActiveConfig()
+    labels = labels or [f"run {r}" for r in range(len(rngs))]
     states = [_initial_split(dataset, cfg, rng, p) for rng, p in zip(rngs, policies)]
 
     active = [r for r, state in enumerate(states) if state.policy == "active"]
@@ -154,6 +155,7 @@ def run_active_experiments(
                 PosteriorStack.of([nets[r] for r in active]),
                 [norms[r] for r in active],
                 np.stack([states[r].pool_features[states[r].pool_remaining] for r in active]),
+                [labels[r] for r in active],
             )
             picks = {r: acquire_next(row) for r, row in zip(active, variances)}
         for r, (state, rng) in enumerate(zip(states, rngs)):

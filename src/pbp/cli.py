@@ -205,8 +205,9 @@ def cmd_benchmark(args) -> int:
         train_sets.append(train_norm)
         norms.append(stats)
         test_sets.append(test_set)
-    runs = train_runs(train_sets, config, rngs, [f"split {i}" for i in range(args.splits)])
-    rmses, lls = test_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets)
+    labels = [f"split {i}" for i in range(args.splits)]
+    runs = train_runs(train_sets, config, rngs, labels)
+    rmses, lls = test_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets, labels)
 
     s = args.splits
     rows = [

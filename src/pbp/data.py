@@ -360,20 +360,22 @@ def _model_problem(
     """What makes a loaded model unusable, or None when it is sound.
 
     The config must give the fixed hyperprior and the network's hidden layer
-    sizes. Shapes must follow layer_sizes, every number must be finite, weight
-    variances, Gamma parameters and normalization scales positive, and the
-    noise Gamma shape above 1, as prediction needs.
+    sizes, and every layer size must be an int. Shapes must follow
+    layer_sizes, every number must be finite, weight variances, Gamma
+    parameters and normalization scales positive, and the noise Gamma shape
+    above 1, as prediction needs.
     """
     if hyperprior != _HYPERPRIOR_CONFIG:
         return f"config hyperprior {hyperprior} is not the fixed {_HYPERPRIOR_CONFIG}"
     sizes = net.layer_sizes
+    hidden = list(config.hidden_layer_sizes)
+    # A bool is an int, and 3.0 == 3 and True == 1: the types are checked.
+    if not all(type(size) is int for size in [*sizes, *hidden]):
+        return f"layer_sizes {sizes} and config hidden_layer_sizes {hidden} must hold integers"
     if len(sizes) < 2 or sizes[-1] != 1 or len(net.layers) != len(sizes) - 1:
         return f"layer_sizes {sizes} do not describe {len(net.layers)} layers with one output"
-    if list(config.hidden_layer_sizes) != sizes[1:-1]:
-        return (
-            f"config hidden_layer_sizes {list(config.hidden_layer_sizes)} "
-            f"disagree with layer_sizes {sizes}"
-        )
+    if hidden != sizes[1:-1]:
+        return f"config hidden_layer_sizes {hidden} disagree with layer_sizes {sizes}"
     for l, layer in enumerate(net.layers):
         expected = (sizes[l + 1], sizes[l] + 1)
         for name, arr in (("means", layer.means), ("variances", layer.variances)):

@@ -42,11 +42,7 @@ DETERMINISTIC_VARIANCE = 1e-30
 SERIES_THRESHOLD = -30.0
 
 # Rows per block of a large forward pass (see forward_output_moments).
-BLOCK_ROWS = 1024
-
-# Elements per rectifier chunk of a rows pass: the dozen intermediates of one
-# chunk stay in a core's cache (see _relu_in_chunks).
-RELU_CHUNK = 4096
+BLOCK_ROWS = 512
 
 
 @dataclass
@@ -107,12 +103,9 @@ class Workspace:
             LinearForward(z.mean, layer.rows, None if l < last else output)
             for l, (z, layer) in enumerate(zip(self.inputs, layers))
         ]
-        self.rectifiers = []
-        for linear, out in zip(self.linear, self.outputs[1:]):
-            pre_mean, pre_variance = linear.out
-            rectifier = Rectifier(pre_mean.shape[-1], pre_mean.size, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
-            rectifier.bind(pre_mean, pre_variance, out.mean, out.variance)
-            self.rectifiers.append(rectifier)
+        self.rectifiers = [
+            _rectifier(MomentVector(*linear.out), out) for linear, out in zip(self.linear, self.outputs[1:])
+        ]
 
         self.d_pre = [np.empty((2, *rows, units)) for units in layer_sizes[1:]]
         self.output_gradients = OutputGradients(gamma, noise.targets, noise.mz, noise.vz, *self.d_pre[last])
@@ -199,32 +192,37 @@ def relu_moments(
 
     out, when given, receives the moments and is returned; its rows of units
     must be evenly spaced, as in the unit slots of the next layer's
-    bias-extended input. rectifier, when given, is a kernel.Rectifier large
-    enough for a, whose buffers the intermediates go to (a Workspace keeps
-    one per hidden layer, and a chunked rows pass one for its chunks);
-    otherwise one is made for this call. The intermediates stay valid until
-    the rectifier's next call.
+    bias-extended input. rectifier, when given, is a kernel.Rectifier bound
+    to a and out, whose buffers the intermediates go to (a Workspace keeps
+    one per hidden layer); otherwise one is bound for this call, as a rows
+    pass does for each item. The intermediates stay valid until the
+    rectifier's next call.
 
     kernel.c does the arithmetic; numpy runs log_ndtr on (alpha, -alpha) in
     one call, exp on (log Phi(alpha), log Phi(-alpha), log phi(alpha), log
     phi(alpha) - log Phi(alpha)) in one call and, where some unit takes the
     far-tail series, alpha ** 3.
     """
-    m = np.ascontiguousarray(a.mean, dtype=float)
-    v = np.ascontiguousarray(a.variance, dtype=float)
-    if rectifier is None:
-        rectifier = Rectifier(m.shape[-1], m.size, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
     if out is None:
-        out = MomentVector(np.empty_like(m), np.empty_like(m))
-    rectifier.bind(m, v, out.mean, out.variance)
+        out = MomentVector(np.empty(a.mean.shape), np.empty(a.mean.shape))
+    if rectifier is None:
+        rectifier = _rectifier(a, out)
     rectifier.pre()
     log_ndtr(rectifier.log_ndtr_args, out=rectifier.log_ndtr_values)
     rectifier.mid()
     if rectifier.n_series:
-        np.copyto(rectifier.series_powers()[0], rectifier.alpha_s**3)
+        np.copyto(rectifier.cube, rectifier.alpha_s**3)
     np.exp(rectifier.exp_args, out=rectifier.exp_values)
     rectifier.post()
     return out, rectifier
+
+
+def _rectifier(a: MomentVector, out: MomentVector) -> Rectifier:
+    """A kernel.Rectifier bound to a's moments, made C-contiguous floats, and
+    to out."""
+    m = np.ascontiguousarray(a.mean, dtype=float)
+    v = np.ascontiguousarray(a.variance, dtype=float)
+    return Rectifier(m, v, out.mean, out.variance, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
 
 
 def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,35 +357,14 @@ def _propagate(layers, inputs, outputs, x, transposed, ws=None) -> MomentVector:
     means, variances and squared means.
 
     With a Workspace ws (forward_trace), the pass runs on its kernels, whose
-    buffers keep every intermediate; without, the rectifier runs in chunks.
+    buffers keep every intermediate; without, each layer binds its own, each
+    rectifier to the whole of its pass.
     """
     np.copyto(outputs[0].mean, x)
     last = len(layers) - 1
     for l, layer in enumerate(layers):
         a = forward_linear(layer, inputs[l], transposed[l], None if ws is None else ws.linear[l])
-        if ws is not None and l < last:
-            relu_moments(a, outputs[l + 1], ws.rectifiers[l])
-        elif l < last:
-            _relu_in_chunks(a, outputs[l + 1])
+        if l < last:
+            relu_moments(a, outputs[l + 1], None if ws is None else ws.rectifiers[l])
     return a
 
-
-def _relu_in_chunks(a: MomentVector, out: MomentVector) -> None:
-    """relu_moments of a into out, over chunks of their (rows, units) views,
-    runs and rows flattened into one axis: chunks of about RELU_CHUNK
-    elements, the last taking the remainder, so a chunk's intermediates stay
-    in cache; one Rectifier serves them all. Each element is computed alone,
-    so the chunks give the bits of one call."""
-    units = a.mean.shape[-1]
-    rows, step = a.mean.size // units, max(1, RELU_CHUNK // units)
-    if rows < 2 * step:
-        relu_moments(a, out)
-        return
-    m, v, out_m, out_v = (
-        arr.reshape(rows, units, copy=False) for arr in (a.mean, a.variance, out.mean, out.variance)
-    )
-    starts = range(0, rows - step + 1, step)
-    rectifier = Rectifier(units, (rows - starts[-1]) * units, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
-    for start, stop in zip(starts, [*starts[1:], rows]):
-        chunk = slice(start, stop)
-        relu_moments(MomentVector(m[chunk], v[chunk]), MomentVector(out_m[chunk], out_v[chunk]), rectifier)

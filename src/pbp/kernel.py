@@ -18,7 +18,7 @@ the source and the flags and one of `gcc --version`: a changed source or
 compiler builds afresh, and a cached build loads where no compiler is found.
 
 Each entry point takes one struct of buffer addresses, bound once (per stack
-for a step's kernels, see forward.Workspace; per call or per chunk in a rows
+for a step's kernels, see forward.Workspace; per layer of each item in a rows
 pass), so a call converts no array.
 """
 
@@ -153,19 +153,23 @@ class _LinearArgs(ctypes.Structure):
 
 # The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
 # "alpha" to the two from "log_cdf", and exp the four from "log_cdf" to the
-# four from "cdf".
+# four from "cdf". The last three hold powers of alpha_s, read where a unit
+# takes the series: ** 3 by relu_post and ** -2 and ** -4 by relu_backward,
+# whose struct points at those two; relu_args points at the others.
 _RELU_ROWS = (
     "alpha", "neg_alpha",
     "log_cdf", "log_cdf_neg", "log_pdf", "log_ratio",
     "cdf", "cdf_neg", "pdf", "ratio",
     "sqrt_v", "v_safe", "vprime", "mean_pos", "alpha_s",
+    "cube", "inv_square", "inv_fourth",
 )
 _RELU_ROW = {name: k for k, name in enumerate(_RELU_ROWS)}
+_RELU_ARG_ROWS = _RELU_ROWS[: _RELU_ROW["inv_square"]]
 
 
 class _ReluArgs(ctypes.Structure):
     _fields_ = (
-        _layout(["rows", "units", "out_stride"], ["m", "v", *_RELU_ROWS, "cube", "out_m", "out_v",
+        _layout(["rows", "units", "out_stride"], ["m", "v", *_RELU_ARG_ROWS, "out_m", "out_v",
                                                   "deterministic", "series"])
         + _layout(["n_deterministic", "n_series"],
                   doubles=["deterministic_variance", "series_threshold", "log_2pi"])
@@ -439,64 +443,53 @@ def _rows_of(first: np.ndarray, second: np.ndarray, shape: tuple[int, ...]) -> i
 
 
 class Rectifier:
-    """The rectifier's arithmetic on buffers for up to `capacity` elements of
-    pre-activation moments, rows of `units`.
+    """The rectifier's arithmetic, bound to C-contiguous pre-activation moments
+    m, v of one shape, rows of units (the last axis), and to output arrays
+    out_m, out_v of that shape whose rows of units are evenly spaced
+    (_row_stride).
 
-    bind() points it at C-contiguous pre-activation moments m, v and at
-    output arrays out_m, out_v of their shape whose rows of units are evenly
-    spaced (_row_stride). pre() checks the variances and forms alpha and the
-    other arguments of log_ndtr and exp; the caller maps `log_ndtr_args` to
-    `log_ndtr_values`, and after mid() `exp_args` to `exp_values`; post()
-    writes the moments. Each row of `buf` (see _RELU_ROWS) is an attribute of
-    m's shape, valid until the next call, and `deterministic` and `series`
-    flag the units that take those branches, which pre() counts. Where a unit
-    takes the series branch, post() and backward() read powers of alpha_s
-    from series_powers().
+    pre() checks the variances and forms alpha and the other arguments of
+    log_ndtr and exp; the caller maps `log_ndtr_args` to `log_ndtr_values`,
+    and after mid() `exp_args` to `exp_values`; post() writes the moments.
+    Each row of `buf` (see _RELU_ROWS) is an attribute of m's shape, valid
+    until the next call, and `deterministic` and `series` flag the units that
+    take those branches, which pre() counts. Where a unit takes the series
+    branch, the caller fills `cube` before post() and `inv_square` and
+    `inv_fourth` before backward().
     """
 
-    def __init__(self, units: int, capacity: int, deterministic_variance: float, series_threshold: float):
-        self.units, self.capacity = units, capacity
-        self.buf = np.empty((len(_RELU_ROWS), capacity))
-        self._flags = np.zeros((2, capacity), dtype=np.uint8)
-        self._powers = None
+    def __init__(
+        self,
+        m: np.ndarray,
+        v: np.ndarray,
+        out_m: np.ndarray,
+        out_v: np.ndarray,
+        deterministic_variance: float,
+        series_threshold: float,
+    ):
+        shape, n = m.shape, m.size
+        self.shape = shape
+        self.buf = np.empty((len(_RELU_ROWS), n))
+        self._flags = np.zeros((2, n), dtype=np.uint8)
+        rows = self.buf.reshape((len(_RELU_ROWS), *shape))
+        self.__dict__.update(zip(_RELU_ROWS, rows))
+        row = _RELU_ROW
+        self.log_ndtr_args = rows[row["alpha"] : row["alpha"] + 2]
+        self.log_ndtr_values = rows[row["log_cdf"] : row["log_cdf"] + 2]
+        self.exp_args = rows[row["log_cdf"] : row["log_cdf"] + 4]
+        self.exp_values = rows[row["cdf"] : row["cdf"] + 4]
+        self.deterministic, self.series = self._flags.view(bool).reshape((2, *shape))
+        self._buffers = (m, v, out_m, out_v)
         base, flags = _data(self.buf), _data(self._flags)
         self._args = _ReluArgs(
-            0, units, 0, None, None,
-            *(base + k * 8 * capacity for k in range(len(_RELU_ROWS))),
-            None, None, None, flags, flags + capacity,
+            n // shape[-1], shape[-1], _rows_of(out_m, out_v, shape),
+            _address(m, shape), _address(v, shape),
+            *(base + k * 8 * n for k in range(len(_RELU_ARG_ROWS))),
+            _data(out_m), _data(out_v), flags, flags + n,
             0, 0,
             deterministic_variance, series_threshold, LOG_2PI,
         )
         self._ref = ctypes.byref(self._args)
-        self._grad_args = None
-        self.bound = (None, None, None, None)
-        self.shape = None
-
-    def bind(self, m: np.ndarray, v: np.ndarray, out_m: np.ndarray, out_v: np.ndarray) -> None:
-        """Point the rectifier at m, v, out_m and out_v (see the class), unless
-        it points at them already."""
-        arrays = (m, v, out_m, out_v)
-        if all(a is b for a, b in zip(arrays, self.bound)):
-            return
-        shape = m.shape
-        if shape[-1] != self.units or m.size > self.capacity:
-            raise ValueError(f"{shape} does not fit a rectifier of {self.capacity} elements of {self.units} units")
-        stride = _rows_of(out_m, out_v, shape)
-        addresses = (_address(m, shape), _address(v, shape), _data(out_m), _data(out_v))
-        args = self._args
-        args.m, args.v, args.out_m, args.out_v = addresses
-        args.rows, args.out_stride = m.size // self.units, stride
-        self.bound = arrays
-        if shape != self.shape:
-            self.shape, n = shape, m.size
-            rows = self.buf[:, :n].reshape((len(_RELU_ROWS), *shape))
-            self.__dict__.update(zip(_RELU_ROWS, rows))
-            row = _RELU_ROW
-            self.log_ndtr_args = rows[row["alpha"] : row["alpha"] + 2]
-            self.log_ndtr_values = rows[row["log_cdf"] : row["log_cdf"] + 2]
-            self.exp_args = rows[row["log_cdf"] : row["log_cdf"] + 4]
-            self.exp_values = rows[row["cdf"] : row["cdf"] + 4]
-            self.deterministic, self.series = self._flags[:, :n].view(bool).reshape((2, *shape))
 
     @property
     def n_deterministic(self) -> int:
@@ -517,30 +510,16 @@ class Rectifier:
     def post(self) -> None:
         LIB.relu_post(self._ref)
 
-    def series_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The buffers, of m's shape and kept for the next calls, from which
-        post() reads alpha_s ** 3 and backward() alpha_s ** -2 and ** -4
-        where some unit takes the series branch."""
-        if self._powers is None:
-            self._powers = np.empty((3, self.capacity))
-            cube, inv_square, inv_fourth = (_data(row) for row in self._powers)
-            self._args.cube = cube
-            self._power_addresses = (inv_square, inv_fourth)
-            if self._grad_args is not None:
-                self._grad_args.inv_square, self._grad_args.inv_fourth = self._power_addresses
-        n = math.prod(self.shape)
-        return tuple(row.reshape(self.shape) for row in self._powers[:, :n])
-
     def bind_gradients(self, dmb: np.ndarray, dvb: np.ndarray, dma: np.ndarray, dva: np.ndarray) -> None:
-        """Bind backward() to the gradients w.r.t. the output moments of the
-        bound shape, dmb and dvb (evenly spaced rows of units), and to those
-        w.r.t. the pre-activation moments that it writes, dma and dva
-        (C-contiguous)."""
+        """Bind backward() to the gradients w.r.t. the output moments, dmb and
+        dvb (evenly spaced rows of units), and to those w.r.t. the
+        pre-activation moments that it writes, dma and dva (C-contiguous),
+        all of m's shape."""
         shape = self.shape
         self._gradients = (dmb, dvb, dma, dva)
-        powers = (None, None) if self._powers is None else self._power_addresses
         self._grad_args = _ReluGradArgs(
-            _rows_of(dmb, dvb, shape), _data(dmb), _data(dvb), *powers,
+            _rows_of(dmb, dvb, shape), _data(dmb), _data(dvb),
+            _data(self.inv_square), _data(self.inv_fourth),
             _address(dma, shape), _address(dva, shape),
         )
         self._grad_ref = ctypes.byref(self._grad_args)

@@ -126,9 +126,8 @@ def _relu_backward(rectifier: Rectifier) -> None:
     intermediates the forward pass formed are in the rectifier's buffers.
     """
     if rectifier.n_series:
-        _, inv_square, inv_fourth = rectifier.series_powers()
-        np.copyto(inv_square, rectifier.alpha_s**-2)
-        np.copyto(inv_fourth, rectifier.alpha_s**-4)
+        np.copyto(rectifier.inv_square, rectifier.alpha_s**-2)
+        np.copyto(rectifier.inv_fourth, rectifier.alpha_s**-4)
     rectifier.backward()
 
 

@@ -3,12 +3,17 @@ import io
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from multiprocessing.process import BaseProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import predict_alone, toy_cubic_dataset
+import pbp
 import pbp.forward as forward
 import pbp.training as training
 from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _prediction_csv, main
@@ -198,6 +203,13 @@ class TestPredictCommand:
                          id="hidden-sizes-disagree"),
             pytest.param(lambda d: d["network"]["gamma"].__setitem__("shape", 1.0),
                          id="noise-shape-one"),
+            pytest.param(lambda d: d["network"].__setitem__("layer_sizes", [1.0, 4, 1]),
+                         id="float-input-size"),
+            pytest.param(lambda d: (d["network"].__setitem__("layer_sizes", [1, 4.0, 1]),
+                                    d["config"].__setitem__("hidden_layer_sizes", [4.0])),
+                         id="float-hidden-size"),
+            pytest.param(lambda d: d["network"].__setitem__("layer_sizes", [1, 4, True]),
+                         id="bool-output-size"),
         ],
     )
     def test_hostile_model_file_is_a_data_error(self, toy_csv, tmp_path, capsys, corrupt):
@@ -212,6 +224,7 @@ class TestPredictCommand:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"corrupt model file {model}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_dimension_mismatch(self, toy_csv, tmp_path, capsys):
@@ -352,6 +365,33 @@ class TestNumericFailures:
         assert self._predict(model, tmp_path, "0.5\n") == EXIT_NUMERIC
         assert "numeric failure: input row 1: predictive mean nan" in capsys.readouterr().err
 
+    @pytest.fixture
+    def one_huge_feature(self, tmp_path):
+        """200 rows of two features and a target, one feature of row 8 at
+        1e154: normalized with the statistics of a training set without it,
+        it takes a prediction's variance to inf."""
+        values = np.random.default_rng(0).normal(size=(200, 3))
+        values[7, 0] = 1e154
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        return path
+
+    def test_a_non_finite_prediction_names_the_split(self, one_huge_feature, tmp_path, capsys):
+        args = ["benchmark", "--data", str(one_huge_feature), "--splits", "5", "--epochs", "1",
+                "--out", str(tmp_path / "bench.csv")]
+        assert main(args) == EXIT_NUMERIC
+        assert "numeric failure: split 2, input row 13: predictive mean" in capsys.readouterr().err
+
+    def test_a_non_finite_prediction_names_the_repetition(self, one_huge_feature, tmp_path, capsys):
+        # A test set of 20 rows: row 56 is a pool row, of the pass over the
+        # active repetitions' pools.
+        args = ["active", "--data", str(one_huge_feature), "--policy", "both", "--repetitions", "3",
+                "--epochs", "1", "--test-size", "20", "--acquisitions", "3",
+                "--out", str(tmp_path / "curve")]
+        assert main(args) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: active repetition 1, input row 56: predictive mean" in err
+
 
 class TestBenchmarkCommand:
     def test_schema_and_determinism(self, toy_csv, tmp_path):
@@ -445,6 +485,34 @@ class TestCpuCount:
         two = self._outputs(monkeypatch, 2, args, tmp_path / "two.csv")
         assert two[1]
         assert one[0] == two[0]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """pbp train and then pbp predict, in a fresh process (BLAS reads its
+    thread count when numpy loads), write the same bytes with one BLAS thread
+    and with two. Hidden layers of 100 units put the training steps' gemvs
+    and the rows passes' gemms above the sizes from which OpenBLAS splits
+    them over its threads."""
+    rng = np.random.default_rng(3)
+    rows = np.column_stack([rng.normal(size=(200, 4)), rng.normal(size=200)])
+    data, features = tmp_path / "data.csv", tmp_path / "features.csv"
+    data.write_text("a,b,c,d,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+    grid = rng.normal(size=(2048, 4)).tolist()
+    features.write_text("".join(",".join(map(repr, row)) + "\n" for row in grid))
+    path = os.pathsep.join(filter(None, [str(Path(pbp.__file__).parent.parent), os.environ.get("PYTHONPATH")]))
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        model, predictions = tmp_path / f"model-{threads}.json", tmp_path / f"pred-{threads}.csv"
+        commands = [
+            ["train", "--data", str(data), "--hidden", "100", "100", "--epochs", "1", "--out", str(model)],
+            ["predict", "--model", str(model), "--data", str(features), "--out", str(predictions)],
+        ]
+        script = f"import sys; from pbp.cli import main; sys.exit(any(main(args) for args in {commands!r}))"
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        written.append((model.read_bytes(), predictions.read_bytes()))
+    assert written[0] == written[1]
 
 
 class TestActiveCommand:

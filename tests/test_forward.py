@@ -12,7 +12,6 @@ from conftest import lone_output_moments, output_moments, random_net
 from pbp import forward
 from pbp.forward import (
     BLOCK_ROWS,
-    RELU_CHUNK,
     MomentVector,
     forward_linear,
     forward_output_moments,
@@ -576,67 +575,77 @@ class TestParallelPass:
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
 
-class TestRectifierChunks:
-    """A rows pass runs the rectifier in chunks of about RELU_CHUNK elements
-    (see _relu_in_chunks), serially and, from 2 * BLOCK_ROWS rows on, on
-    helper threads. Around every chunk boundary it must give the bits of the
-    frozen rectifier of reference_forward, its deterministic and far-tail
-    branches included."""
+class TestOneRectifierCallPerItem:
+    """A rows pass rectifies each of its work items (see _work_items) in one
+    relu_moments call per hidden layer, serially and, from 2 * BLOCK_ROWS
+    rows over all runs on, on helper threads. On both sides of every item
+    boundary it must give the bits of the frozen rectifier of
+    reference_forward, its deterministic and far-tail branches included."""
 
     @staticmethod
-    def net_and_rows(n, units, step, rng):
-        """A [6, units, 1] net whose hidden unit 0 has alpha = -x0 / |x1| (see
-        _branch_net_and_rows), and n rows: around each chunk boundary of a
-        pass whose items of BLOCK_ROWS rows take chunks of step rows, the
-        rows take the deterministic (x1 = 0) and far-tail (x1 = 1e-3)
-        branches."""
-        net = random_net([6, units, 1], rng, mean_scale=0.5)
-        unit = net.layers[0]
-        unit.means[0] = 0.0
-        unit.means[0, 0] = -1.0
-        unit.variances[0] = 0.0
-        unit.variances[0, 1] = 1.0
-        X = rng.normal(size=(n, 6))
-        X[:, 0] = rng.uniform(-1.0, 1.0, n)
-        X[:, 1] = rng.uniform(1.0, 2.0, n)
-        starts = range(0, max(n - BLOCK_ROWS, 0) + 1, BLOCK_ROWS)
-        ends = [*starts[1:], n]
-        boundaries = [b for start, end in zip(starts, ends) for b in range(start, end + 1, step)]
-        for b in boundaries:
-            rows = [r for r in range(b - 2, b + 2) if 0 <= r < n]
-            X[rows, 0] = [1.0, 1.0, -1.0, 0.5][: len(rows)]
-            X[rows, 1] = [0.0, 1e-3, 0.0, 1e-3][: len(rows)]
-        return net, X
+    def nets_and_rows(runs, n, units, rng):
+        """runs [6, units, 7, 1] nets whose hidden unit 0 has alpha = -x0 /
+        |x1| (see _branch_net_and_rows), and (runs, n, 6) rows: in every run,
+        the two rows on each side of every row-block boundary, the first and
+        last rows included, take the deterministic (x1 = 0) and far-tail
+        (x1 = 1e-3) branches."""
+        nets = [random_net([6, units, 7, 1], rng, mean_scale=0.5) for _ in range(runs)]
+        for net in nets:
+            unit = net.layers[0]
+            unit.means[0] = 0.0
+            unit.means[0, 0] = -1.0
+            unit.variances[0] = 0.0
+            unit.variances[0, 1] = 1.0
+        X = rng.normal(size=(runs, n, 6))
+        X[..., 0] = rng.uniform(-1.0, 1.0, (runs, n))
+        X[..., 1] = rng.uniform(1.0, 2.0, (runs, n))
+        for _, rows in forward._work_items(1, n):
+            for b in (rows.start, rows.stop):
+                near = [r for r in range(b - 2, b + 2) if 0 <= r < n]
+                X[:, near, 0] = [[1.0, 1.0, -1.0, 0.5][r - b + 2] for r in near]
+                X[:, near, 1] = [[0.0, 1e-3, 0.0, 1e-3][r - b + 2] for r in near]
+        return nets, X
 
-    def assert_matches_the_reference(self, monkeypatch, n, units):
-        real, branched = forward.relu_moments, []
+    @pytest.mark.parametrize("units", [9, 50])
+    @pytest.mark.parametrize(
+        "runs, n",
+        [
+            (1, 2 * BLOCK_ROWS - 1),
+            (1, 2 * BLOCK_ROWS),
+            (1, 3 * BLOCK_ROWS + 7),
+            (3, 2 * BLOCK_ROWS // 3),
+            (3, 2 * BLOCK_ROWS // 3 + 1),
+            (5, 100),
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "threaded"])
+    def test_items_match_the_reference(self, monkeypatch, cpus, runs, n, units):
+        _force_cpus(monkeypatch, cpus)
+        real_relu, real_run_items, calls, parallel = forward.relu_moments, forward._run_items, [], []
 
         def relu_moments(*args, **kwargs):
-            out, aux = real(*args, **kwargs)
-            branched.append(aux.n_deterministic > 0 and aux.n_series > 0)
-            return out, aux
+            out, rectifier = real_relu(*args, **kwargs)
+            calls.append((rectifier.shape, rectifier.n_deterministic, rectifier.n_series))
+            return out, rectifier
+
+        def run_items(work, items, is_parallel):
+            parallel.append(is_parallel)
+            return real_run_items(work, items, is_parallel)
 
         monkeypatch.setattr(forward, "relu_moments", relu_moments)
-        step = max(1, RELU_CHUNK // units)
-        net, X = self.net_and_rows(n, units, step, np.random.default_rng(n + units))
-        m, v = lone_output_moments(net, X)
-        ref_m, ref_v = forward_output_moments_batch(net, X)
-        assert m.tobytes() == ref_m.tobytes() and v.tobytes() == ref_v.tobytes(), (n, units)
-        assert all(branched), (n, units)
-        return len(branched)
+        monkeypatch.setattr(forward, "_run_items", run_items)
+        nets, X = self.nets_and_rows(runs, n, units, np.random.default_rng(runs * n + units))
+        m, v = forward_output_moments(PosteriorStack.of(nets), X)
+        for r, net in enumerate(nets):
+            ref_m, ref_v = forward_output_moments_batch(net, X[r])
+            assert m[r].tobytes() == ref_m.tobytes() and v[r].tobytes() == ref_v.tobytes(), r
+        assert parallel == [runs * n >= 2 * BLOCK_ROWS]
 
-    @pytest.mark.parametrize("units", [9, 50, 64])
-    def test_serial_chunks_match_the_reference(self, monkeypatch, units):
-        _force_cpus(monkeypatch, 1)
-        step = RELU_CHUNK // units
-        for n in (2 * step - 1, 2 * step, 2 * step + 1, 3 * step + 5):
-            calls = self.assert_matches_the_reference(monkeypatch, n, units)
-            assert calls == max(1, n // step), (n, units)
-
-    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7])
-    def test_threaded_chunks_match_the_reference(self, monkeypatch, n):
-        _force_cpus(monkeypatch, 2)
-        self.assert_matches_the_reference(monkeypatch, n, 50)
+        items = sorted(X[group, rows].shape[:-1] for group, rows in forward._work_items(runs, n))
+        first = [call for call in calls if call[0][-1] == units]
+        assert len(calls) == 2 * len(items)
+        assert sorted(shape[:-1] for shape, _, _ in first) == items
+        assert all(deterministic > 0 and series > 0 for _, deterministic, series in first)
 
 
 def _forward_peak_bytes(stack, X) -> int:
@@ -649,8 +658,9 @@ def _forward_peak_bytes(stack, X) -> int:
 
 
 def test_forward_memory_is_bounded_by_one_block(monkeypatch):
-    # Unblocked, a 20k-row forward through 11-50-50-1 peaked at 210 MB. Each
-    # working thread holds one block, so the thread count is fixed.
+    # Unblocked, a 20k-row forward through 11-50-50-1 peaked at 210 MB; in
+    # blocks of 512 rows it takes 10.9 MB at 20k rows and 11.5 MB at 40k.
+    # Each working thread holds one block, so the thread count is fixed.
     _force_cpus(monkeypatch, 2)
     rng = np.random.default_rng(14)
     stack = PosteriorStack.of([random_net([11, 50, 50, 1], rng, mean_scale=0.5)])
@@ -665,8 +675,8 @@ def test_forward_memory_is_bounded_by_one_block(monkeypatch):
 def test_stack_memory_is_bounded_by_its_items(monkeypatch, cpus):
     # The epoch-RMSE pass of 20 Boston-shaped runs peaked at 64.5 MB while the
     # rectifier ran over all runs at once and kept every intermediate alive;
-    # in items of a few runs and cache-sized chunks it takes 2.5 MB on one
-    # thread and 4.7 MB on two.
+    # in items of one run, each rectified in one call, it takes 4.4 MB on one
+    # thread and 8.6 MB on two.
     _force_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(23)
     stack = PosteriorStack.of([random_net([13, 50, 1], rng) for _ in range(20)])

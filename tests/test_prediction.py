@@ -221,8 +221,8 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("n", [5, 2 * BLOCK_ROWS // 3 + 1], ids=["serial", "threaded"])
     def test_each_run_matches_its_stack_of_one(self, monkeypatch, n):
-        # 3 * n rows: 15 stay on the calling thread; 3 * 683 = 2049 reach
-        # 2 * BLOCK_ROWS, and the pass runs on a helper thread too.
+        # 3 * n rows: 15 stay on the calling thread; 3 * (2 * BLOCK_ROWS // 3
+        # + 1) reach 2 * BLOCK_ROWS, and the pass runs on a helper thread too.
         monkeypatch.setattr(forward, "usable_cpus", lambda: 2)
         runs = self.runs(n, np.random.default_rng(n))
         nets, norms, tests = (list(column) for column in zip(*runs))
