@@ -51,7 +51,8 @@ class ActiveState:
 
     The pool arrays are fixed; pool_remaining holds the indices still
     unacquired, in their original order. Targets sit behind HiddenTargets so
-    the reveal log spans the entire run.
+    the reveal log spans the entire run. test_rows and pool_rows are the
+    test and pool points' places in the data set, counted from 1.
     """
 
     train: Dataset
@@ -60,6 +61,8 @@ class ActiveState:
     pool_remaining: np.ndarray
     test: Dataset
     policy: str
+    test_rows: np.ndarray
+    pool_rows: np.ndarray
     rmse_history: list[float] = field(default_factory=list)
 
 
@@ -92,6 +95,8 @@ def _initial_split(
         pool_remaining=np.arange(pool.shape[0]),
         test=Dataset(dataset.features[te], dataset.targets[te], dataset.columns),
         policy=policy,
+        test_rows=te + 1,
+        pool_rows=pool + 1,
     )
 
 
@@ -107,7 +112,13 @@ def _fit(
     normalized = [normalize(state.train) for state in states]
     runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
     nets, norms = [net for net, _, _ in runs], [stats for _, stats in normalized]
-    rmses, _ = test_metrics(PosteriorStack.of(nets), norms, [state.test for state in states], labels)
+    rmses, _ = test_metrics(
+        PosteriorStack.of(nets),
+        norms,
+        [state.test for state in states],
+        [f"{label}, test set" for label in labels],
+        np.stack([state.test_rows for state in states]),
+    )
     for state, value in zip(states, rmses.tolist()):
         state.rmse_history.append(value)
     return nets, norms
@@ -134,7 +145,8 @@ def run_active_experiments(
     Every repetition, of either policy, has the same training-set size at each
     step, so each step's trainings run in lockstep; each repetition's results
     are those of running it alone. labels name the repetitions in a
-    SkipRateError and a non-finite prediction (default "run <r>").
+    SkipRateError and a non-finite prediction (default "run <r>"), which also
+    names its pass, "test set" or "pool", and its row of the data set.
     """
     if len(policies) != len(rngs):
         raise ValueError(f"{len(policies)} policies for {len(rngs)} rngs")
@@ -155,7 +167,8 @@ def run_active_experiments(
                 PosteriorStack.of([nets[r] for r in active]),
                 [norms[r] for r in active],
                 np.stack([states[r].pool_features[states[r].pool_remaining] for r in active]),
-                [labels[r] for r in active],
+                [f"{labels[r]}, pool" for r in active],
+                np.stack([states[r].pool_rows[states[r].pool_remaining] for r in active]),
             )
             picks = {r: acquire_next(row) for r, row in zip(active, variances)}
         for r, (state, rng) in enumerate(zip(states, rngs)):

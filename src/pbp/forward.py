@@ -6,9 +6,13 @@ Gaussians by matching marginal means and variances; the rectifier output is a
 mixture of a point mass at 0 and a truncated Gaussian, whose first two moments
 have closed forms.
 
-The elementwise arithmetic runs in kernel.c (see kernel.LinearForward and
-kernel.Rectifier); numpy runs the matmuls, scipy's log_ndtr and numpy's exp,
-and in the rectifier's far tail numpy's power.
+A rows pass (forward_output_moments) runs its elementwise arithmetic in
+kernel.c (see kernel.LinearForward and kernel.Rectifier) around numpy's
+matmuls, scipy's log_ndtr and numpy's exp and, in the rectifier's far tail,
+numpy's power. The update's one-row pass (forward_trace) runs in kernel.c
+with its matmuls and log_ndtr, which call numpy's BLAS and scipy's log_ndtr
+from there (see kernel.Step): one call per layer, with numpy's exp and power
+between two.
 """
 
 from __future__ import annotations
@@ -21,17 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .kernel import (
-    LinearBackward,
-    LinearForward,
-    NoiseStep,
-    OutputGradients,
-    Rectifier,
-    Refine,
-    Square,
-    squared,
-)
-from .posterior import LayerPosterior, PosteriorStack, flat_layers, layer_views
+from .kernel import LinearForward, Rectifier, Step, bias_extended, squared
+from .posterior import LayerPosterior, PosteriorStack
 
 # Below this pre-activation variance the unit is treated as deterministic:
 # the moment formulas divide by sqrt(v) and this is their exact limit.
@@ -64,65 +59,6 @@ class MomentVector:
         return self.mean.shape[-1]
 
 
-class Workspace:
-    """The buffers of a stack's forward_trace and of its backward pass, and
-    the kernels bound to them.
-
-    Built on flat (*runs, W) weight buffers and their layer views: the squared
-    means, the gradients of log Z (filled by the backward pass, flat with
-    per-layer views), every layer's bias-extended input, into which the
-    previous rectifier writes, and the compiled noise-Gamma step bound to the
-    stack's (2, R) noise Gammas `gamma`, whose output moments are the output
-    layer's. Per layer: the forward kernels (`linear`, and for a hidden layer
-    `rectifiers`), the gradients w.r.t. its pre-activation moments (`d_pre`,
-    (2, *runs, 1, units)) and its reverse sweep (`linear_backward`); then
-    `output_gradients`, which seeds the sweep, and `refine`, which updates
-    the weights. A PosteriorStack keeps its own in `workspace`, built by its
-    first forward_trace, so a training step allocates none of them. The
-    buffers are the trace of the last forward_trace: the backward pass reads
-    every intermediate from them.
-    """
-
-    def __init__(self, means, variances, gamma, layer_sizes):
-        self.layers = layers = flat_layers(means, variances, layer_sizes)
-        self.means_sq = np.empty_like(means)
-        self.square_means = Square(means, self.means_sq)
-        self.d_means = np.empty_like(means)
-        self.d_variances = np.empty_like(means)
-        self.d_mean_views = layer_views(self.d_means, layer_sizes)
-        self.d_variance_views = layer_views(self.d_variances, layer_sizes)
-        rows = means.shape[:-1] + (1,)
-        self.inputs, self.outputs = _bias_buffers(layer_sizes[:-1], rows)
-        means_sq = layer_views(self.means_sq, layer_sizes)
-        self.transposed = [_transposed(layer, msq) for layer, msq in zip(layers, means_sq)]
-        self.noise = noise = NoiseStep(gamma)
-
-        last = len(layers) - 1
-        output = (noise.mz.reshape(rows + (1,)), noise.vz.reshape(rows + (1,)))
-        self.linear = [
-            LinearForward(z.mean, layer.rows, None if l < last else output)
-            for l, (z, layer) in enumerate(zip(self.inputs, layers))
-        ]
-        self.rectifiers = [
-            _rectifier(MomentVector(*linear.out), out) for linear, out in zip(self.linear, self.outputs[1:])
-        ]
-
-        self.d_pre = [np.empty((2, *rows, units)) for units in layer_sizes[1:]]
-        self.output_gradients = OutputGradients(gamma, noise.targets, noise.mz, noise.vz, *self.d_pre[last])
-        self.linear_backward = [
-            LinearBackward(layer.means, layer.variances, msq, dm, dv, z.mean, z.variance, *d_pre, inputs=l > 0)
-            for l, (layer, msq, dm, dv, z, d_pre) in enumerate(
-                zip(layers, means_sq, self.d_mean_views, self.d_variance_views, self.inputs, self.d_pre)
-            )
-        ]
-        for l, rectifier in enumerate(self.rectifiers):
-            # The next layer's input gradients without the bias slot, whose
-            # moments are constants.
-            dmz, dvz = self.linear_backward[l + 1].d_inputs
-            rectifier.bind_gradients(dmz[..., :-1], dvz[..., :-1], *self.d_pre[l])
-        self.refine = Refine(means, variances, self.d_means, self.d_variances, noise)
-
-
 def _bias_buffers(widths, rows_shape):
     """Bias-extended input moments of widths units for rows of rows_shape, with
     the bias unit (mean 1, variance 0) in place, and views of their unit slots:
@@ -130,19 +66,14 @@ def _bias_buffers(widths, rows_shape):
     output of layer l - 1."""
     inputs, outputs = [], []
     for units in widths:
-        shape = rows_shape + (units + 1,)
-        mean, variance = np.empty(shape), np.zeros(shape)
-        mean[..., -1] = 1.0
-        inputs.append(MomentVector(mean, variance))
-        outputs.append(MomentVector(mean[..., :-1], variance[..., :-1]))
+        z = bias_extended(rows_shape, units)
+        inputs.append(MomentVector(*z))
+        outputs.append(MomentVector(*z[..., :-1]))
     return inputs, outputs
 
 
 def forward_linear(
-    layer: LayerPosterior,
-    z: MomentVector,
-    transposed: tuple[np.ndarray, np.ndarray, np.ndarray],
-    kernel: LinearForward | None = None,
+    layer: LayerPosterior, z: MomentVector, transposed: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> MomentVector:
     """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent:
 
@@ -152,15 +83,13 @@ def forward_linear(
     The 1/sqrt(cols) factor keeps each unit's input scale independent of its
     fan-in. z holds rows of inputs, (*runs, rows, cols) when the layer carries
     a leading runs axis. transposed is _transposed of the layer, which the
-    caller keeps. kernel, when given, is a kernel.LinearForward bound to
-    z.mean, whose output buffers the moments go to (a Workspace keeps one per
-    layer); otherwise one is bound for this call.
+    caller keeps. The moments go to new arrays, through a
+    kernel.LinearForward bound for this call.
     """
     cols = layer.cols
     if len(z) != cols:
         raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
-    if kernel is None:
-        kernel = LinearForward(np.ascontiguousarray(z.mean, dtype=float), layer.rows)
+    kernel = LinearForward(np.ascontiguousarray(z.mean, dtype=float), layer.rows)
     # One row is the BLAS gemv of W z; n rows are one gemm, which rounds
     # differently from n gemv calls, so the rows axis is never folded away.
     m_t, v_t, means_sq_t = transposed
@@ -184,45 +113,43 @@ def _transposed(layer: LayerPosterior, means_sq: np.ndarray):
     )
 
 
-def relu_moments(
-    a: MomentVector, out: MomentVector | None = None, rectifier: Rectifier | None = None
-) -> tuple[MomentVector, Rectifier]:
+def relu_moments(a: MomentVector, out: MomentVector | None = None) -> tuple[MomentVector, Rectifier]:
     """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit,
     and the rectifier whose buffers hold the intermediates.
 
     out, when given, receives the moments and is returned; its rows of units
     must be evenly spaced, as in the unit slots of the next layer's
-    bias-extended input. rectifier, when given, is a kernel.Rectifier bound
-    to a and out, whose buffers the intermediates go to (a Workspace keeps
-    one per hidden layer); otherwise one is bound for this call, as a rows
-    pass does for each item. The intermediates stay valid until the
-    rectifier's next call.
+    bias-extended input. The intermediates go to the buffers of a
+    kernel.Rectifier bound to a's moments, made C-contiguous floats, and out
+    for this call, as a rows pass binds one for each item.
 
     kernel.c does the arithmetic; numpy runs log_ndtr on (alpha, -alpha) in
-    one call, exp on (log Phi(alpha), log Phi(-alpha), log phi(alpha), log
-    phi(alpha) - log Phi(alpha)) in one call and, where some unit takes the
-    far-tail series, alpha ** 3.
+    one call, and then _exp_and_powers.
     """
     if out is None:
         out = MomentVector(np.empty(a.mean.shape), np.empty(a.mean.shape))
-    if rectifier is None:
-        rectifier = _rectifier(a, out)
+    m = np.ascontiguousarray(a.mean, dtype=float)
+    v = np.ascontiguousarray(a.variance, dtype=float)
+    rectifier = Rectifier(m, v, out.mean, out.variance, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
     rectifier.pre()
     log_ndtr(rectifier.log_ndtr_args, out=rectifier.log_ndtr_values)
     rectifier.mid()
-    if rectifier.n_series:
-        np.copyto(rectifier.cube, rectifier.alpha_s**3)
-    np.exp(rectifier.exp_args, out=rectifier.exp_values)
+    _exp_and_powers(rectifier)
     rectifier.post()
     return out, rectifier
 
 
-def _rectifier(a: MomentVector, out: MomentVector) -> Rectifier:
-    """A kernel.Rectifier bound to a's moments, made C-contiguous floats, and
-    to out."""
-    m = np.ascontiguousarray(a.mean, dtype=float)
-    v = np.ascontiguousarray(a.variance, dtype=float)
-    return Rectifier(m, v, out.mean, out.variance, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
+def _exp_and_powers(rectifier: Rectifier) -> None:
+    """numpy's part of a rectifier between its mid() and post(): exp on (log
+    Phi(alpha), log Phi(-alpha), log phi(alpha), log phi(alpha) - log
+    Phi(alpha)) in one call and, where some unit takes the far-tail series,
+    alpha_s ** 3 for post() and ** -2 and ** -4 for a step's reverse sweep."""
+    if rectifier.n_series:
+        alpha_s = rectifier.alpha_s
+        np.copyto(rectifier.cube, alpha_s**3)
+        np.copyto(rectifier.inv_square, alpha_s**-2)
+        np.copyto(rectifier.inv_fourth, alpha_s**-4)
+    np.exp(rectifier.exp_args, out=rectifier.exp_values)
 
 
 def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,19 +196,27 @@ def forward_trace(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.
     intermediates the backward pass reads; its (R,) output means and
     variances, which are the noise step's mz and vz.
 
-    It runs in the stack's workspace, which the first call builds, and its
-    intermediates stay there until the stack's next forward_trace.
+    It runs in the stack's workspace, a kernel.Step that the first call
+    builds, and its intermediates stay there until the stack's next
+    forward_trace: one kernel.c call per layer, with _exp_and_powers between
+    two.
     """
     x = np.asarray(x, dtype=float)
     expected = stack.means.shape[:-1] + (stack.layer_sizes[0],)
     if x.shape != expected:
         raise ValueError(f"input has shape {x.shape}, expected {expected}")
     if stack.workspace is None:
-        stack.workspace = Workspace(stack.means, stack.variances, stack.gamma, stack.layer_sizes)
-    ws = stack.workspace
-    ws.square_means()
-    _propagate(ws.layers, ws.inputs, ws.outputs, x[:, None, :], ws.transposed, ws)
-    return ws.noise.mz, ws.noise.vz
+        stack.workspace = Step(
+            stack.means, stack.variances, stack.gamma, stack.layer_sizes,
+            DETERMINISTIC_VARIANCE, SERIES_THRESHOLD,
+        )
+    step = stack.workspace
+    np.copyto(step.x, x[:, None, :])
+    for l, rectifier in enumerate(step.rectifiers):
+        step.forward(l)
+        _exp_and_powers(rectifier)
+    step.forward(len(step.rectifiers))
+    return step.noise.mz, step.noise.vz
 
 
 def _work_items(runs: int, n: int) -> list[tuple[slice, slice]]:
@@ -351,20 +286,15 @@ def _run_items(work, items: list, parallel: bool) -> None:
         raise errors[0]
 
 
-def _propagate(layers, inputs, outputs, x, transposed, ws=None) -> MomentVector:
+def _propagate(layers, inputs, outputs, x, transposed) -> MomentVector:
     """The output layer's pre-activation moments for rows x, through the
     bias-extended input buffers of _bias_buffers and each layer's transposed
-    means, variances and squared means.
-
-    With a Workspace ws (forward_trace), the pass runs on its kernels, whose
-    buffers keep every intermediate; without, each layer binds its own, each
-    rectifier to the whole of its pass.
-    """
+    means, variances and squared means; each layer binds its own kernels,
+    each rectifier to the whole of its pass."""
     np.copyto(outputs[0].mean, x)
     last = len(layers) - 1
     for l, layer in enumerate(layers):
-        a = forward_linear(layer, inputs[l], transposed[l], None if ws is None else ws.linear[l])
+        a = forward_linear(layer, inputs[l], transposed[l])
         if l < last:
-            relu_moments(a, outputs[l + 1], None if ws is None else ws.rectifiers[l])
+            relu_moments(a, outputs[l + 1])
     return a
-

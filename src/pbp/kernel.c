@@ -1,27 +1,32 @@
 /* The arithmetic of PBP training and prediction that Python floats or numpy
- * would run as many small calls, on doubles: the two sequential Gamma chains
- * and the elementwise maps of a likelihood update step and of a rows pass.
+ * would run as many small calls, on doubles: the two sequential Gamma chains,
+ * the likelihood update step and the elementwise maps of a rows pass.
  *
  * ep_refresh: one EP sweep over the stored prior sites of every run of a
  * stack, carrying each run's prior-precision Gamma from weight to weight.
  * noise_step: each run's likelihood log-normalisers, skip flag and noise-
  * precision Gamma moment match for one training example.
  * The moment maps (below the Gamma chains): the linear layer's moments
- * around its matmuls, the rectifier around log_ndtr and exp, the reverse
- * sweep of both, and the refinement of every weight.
+ * around its matmuls and the rectifier around log_ndtr and exp, which a
+ * rows pass calls one by one, and the likelihood step, which runs them with
+ * the matmuls and log_ndtr, the reverse sweep and the refinement of every
+ * weight in step_forward (one call per layer), step_backward and
+ * step_refine.
  *
  * Every expression is the one the Python floats or numpy arrays of pbp
  * evaluated before, in the same order and association, so the results are
  * the same bits: built with -ffp-contract=off (no fused multiply-add) and
  * -fno-builtin (pow, exp and log stay calls into the process's libm, which
- * Python's math module and float power also call). Where Python raised, the
- * entry points return a negative status instead (see kernel.py) and leave
- * every buffer the caller reads as it was.
+ * Python's math module and float power also call). The matmuls call numpy's
+ * BLAS as np.matmul does, and log_ndtr scipy's own function. Where Python
+ * raised, the entry points return a negative status instead (see kernel.py)
+ * and leave every buffer the caller reads as it was.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 enum {
     ZERO_DIVISION = -1,       /* ZeroDivisionError: a float division by zero */
@@ -40,6 +45,7 @@ struct noise_args {
     uint8_t *skipped;      /* (R,) */
     double *targets;       /* (R,): the target, or the output mean where skipped */
     double log_2pi;
+    int64_t failed_run;    /* the run whose arithmetic failed, with a status */
 };
 
 struct refresh_args {
@@ -51,6 +57,7 @@ struct refresh_args {
     double *change;            /* (R,): largest change per run */
     double *backup;            /* 6 R W + 2 R */
     double log_2pi;
+    int64_t failed_run;        /* the run whose arithmetic failed, with a status */
 };
 
 /* x ** 2 as Python's float power computes it: the base's sign dropped
@@ -136,7 +143,7 @@ static int gamma_moments(double a, double b, const double lz[3], double out[2])
 }
 
 /* Returns the number of runs whose example is skipped, or a status. */
-int64_t noise_step(const struct noise_args *s)
+int64_t noise_step(struct noise_args *s)
 {
     const int64_t R = s->runs;
     const double *y = s->moments, *mz = y + R, *vz = y + 2 * R;
@@ -149,8 +156,10 @@ int64_t noise_step(const struct noise_args *s)
         if (usable) {
             /* A rejected match leaves refined as it was. */
             int status = gamma_moments(shape[r], rate[r], lz, refined);
-            if (status < 0)
+            if (status < 0) {
+                s->failed_run = r;
                 return status;
+            }
         }
         for (int k = 0; k < 3; k++)
             s->log_z[k * R + r] = usable ? lz[k] : NAN;
@@ -164,8 +173,10 @@ int64_t noise_step(const struct noise_args *s)
     /* The backward pass divides by every run's shape - 1. */
     if (skips < R)
         for (int64_t r = 0; r < R; r++)
-            if (shape[r] - 1.0 == 0.0)
+            if (shape[r] - 1.0 == 0.0) {
+                s->failed_run = r;
                 return ZERO_DIVISION;
+            }
     return skips;
 }
 
@@ -269,12 +280,14 @@ static int refresh_run(const struct refresh_args *s, int64_t r)
 }
 
 /* Returns 0, or a status with every buffer as it was before the call. */
-int ep_refresh(const struct refresh_args *s)
+int ep_refresh(struct refresh_args *s)
 {
     const int64_t R = s->runs, n = R * s->weights;
     for (int64_t i = 0; i < n; i++)
-        if (s->variances[i] == 0.0)
+        if (s->variances[i] == 0.0) {
+            s->failed_run = i / s->weights;
             return ZERO_WEIGHT_VARIANCE;
+        }
     double *saved[] = {s->means, s->variances, s->sites, s->lam};
     const int64_t sizes[] = {n, n, 4 * n, 2 * R};
     double *backup = s->backup;
@@ -290,6 +303,7 @@ int ep_refresh(const struct refresh_args *s)
                 memcpy(saved[i], backup, sizes[i] * sizeof(double));
                 backup += sizes[i];
             }
+            s->failed_run = r;
             return status;
         }
     }
@@ -298,15 +312,62 @@ int ep_refresh(const struct refresh_args *s)
 
 /* ------------------------------------------------ the moment maps of a step
  *
- * Between these calls run the operations whose bits come from outside this
- * file: the matmuls (BLAS), scipy's log_ndtr, and numpy's exp and power
- * (SIMD code that differs from libm's exp and pow on some arguments). Only
- * +, -, *, /, sqrt (correctly rounded, as numpy's) and comparisons happen
- * here, each in the association of the numpy expression it replaces, which
- * the comment of each map quotes. The branch-free loops read their buffers
- * through restrict locals, so that gcc vectorizes them; a vectorized IEEE
- * operation rounds as the scalar one.
+ * Three kinds of operation take their bits from outside this file: the
+ * matmuls from numpy's BLAS and log_ndtr from scipy, both called through the
+ * pointers of struct externals, which kernel.py checks against np.matmul
+ * and scipy.special.log_ndtr; and numpy's exp and power (SIMD code that
+ * differs from libm's exp and pow on some arguments), which the caller runs
+ * between two calls. Besides, only +, -, *, /, sqrt (correctly rounded, as
+ * numpy's) and comparisons happen here, each in the association of the
+ * numpy expression it replaces, which the comment of each map quotes. The
+ * branch-free loops read their buffers through restrict locals, so that gcc
+ * vectorizes them; a vectorized IEEE operation rounds as the scalar one.
  */
+
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
+
+/* numpy's bundled OpenBLAS (ILP64: 64-bit integers) and the double
+ * log_ndtr of scipy.special.cython_special. */
+struct externals {
+    void (*dgemv)(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
+                  int64_t lda, const double *x, int64_t incx, double beta, double *y, int64_t incy);
+    double (*ddot)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
+    double (*log_ndtr)(double x, int skip_dispatch);
+};
+
+/* out = x @ M^T (transposed) or x @ M for each run, M (rows, cols), as
+ * np.matmul computes a row times a matrix, with numpy's arguments: where the
+ * output has one element one cblas_ddot added to 0.0, where the row has one
+ * element numpy's own loop, which adds each product to 0.0, and one gemv
+ * otherwise. */
+void matvec(const struct externals *e, int64_t transposed, int64_t runs, int64_t rows,
+            int64_t cols, int64_t run_stride, const double *m, const double *x, double *out)
+{
+    const int64_t n_in = transposed ? cols : rows, n_out = transposed ? rows : cols;
+    for (int64_t r = 0; r < runs; r++) {
+        const double *a = m + r * run_stride, *z = x + r * n_in;
+        double *y = out + r * n_out;
+        if (n_out == 1) {
+            double sum = 0.0;
+            sum += e->ddot(n_in, z, 1, a, 1);
+            *y = sum;
+        } else if (n_in == 1) {
+            for (int64_t j = 0; j < n_out; j++)
+                y[j] = 0.0 + z[0] * a[j];
+        } else if (transposed) {
+            e->dgemv(COL_MAJOR, TRANS, cols, rows, 1.0, a, cols, z, 1, 0.0, y, 1);
+        } else {
+            e->dgemv(ROW_MAJOR, TRANS, rows, cols, 1.0, a, cols, z, 1, 0.0, y, 1);
+        }
+    }
+}
+
+/* out = log_ndtr(x), n values */
+void log_ndtr_n(const struct externals *e, int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = e->log_ndtr(x[i], 0);
+}
 
 /* np.maximum(x, 0.0): NaN propagates, and -0.0 gives +0.0. */
 static inline double maximum0(double x)
@@ -355,7 +416,7 @@ void linear_moments(const struct linear_args *s)
 
 /* The rectifier max(0, x), x ~ N(m, v), per unit, in three parts around
  * log_ndtr of (alpha, -alpha) and exp of (log_cdf, log_cdf_neg, log_pdf,
- * log_ratio), which the caller runs on adjacent rows of its buffer. */
+ * log_ratio), which run on adjacent rows of one buffer. */
 struct relu_args {
     int64_t rows, units, out_stride; /* out_stride: doubles between rows of out_m, out_v */
     const double *m, *v;             /* (rows, units) pre-activation moments */
@@ -363,7 +424,8 @@ struct relu_args {
     double *log_cdf, *log_cdf_neg, *log_pdf, *log_ratio;
     double *cdf, *cdf_neg, *pdf, *ratio;
     double *sqrt_v, *v_safe, *vprime, *mean_pos, *alpha_s;
-    const double *cube;              /* alpha_s ** 3, read where a unit takes the series */
+    /* alpha_s ** 3, ** -2 and ** -4, read where a unit takes the series */
+    const double *cube, *inv_square, *inv_fourth;
     double *out_m, *out_v;
     uint8_t *deterministic, *series;
     int64_t n_deterministic, n_series;
@@ -444,34 +506,29 @@ void relu_post(const struct relu_args *s)
     }
 }
 
-/* The gradients of log Z w.r.t. the rectifier's input moments (dma, dva)
- * from those w.r.t. its output moments (dmb, dvb), branch for branch. */
-struct relu_grad_args {
-    int64_t in_stride;        /* doubles between rows of dmb, dvb */
-    const double *dmb, *dvb;
-    const double *inv_square, *inv_fourth; /* alpha_s ** -2, ** -4, read where a unit takes the series */
-    double *dma, *dva;        /* (rows, units) */
-};
-
-void relu_backward(const struct relu_args *f, const struct relu_grad_args *s)
+/* The gradients of log Z w.r.t. the rectifier's input moments (dma, dva,
+ * (rows, units)) from those w.r.t. its output moments (dmb, dvb, whose rows
+ * are in_stride doubles apart), branch for branch. */
+static void relu_backward(const struct relu_args *f, int64_t in_stride, const double *dmb_in,
+                          const double *dvb_in, double *dma, double *dva)
 {
     for (int64_t r = 0; r < f->rows; r++) {
         for (int64_t j = 0; j < f->units; j++) {
-            int64_t i = r * f->units + j, k = r * s->in_stride + j;
+            int64_t i = r * f->units + j, k = r * in_stride + j;
             double v_safe = f->v_safe[i], sq = f->sqrt_v[i], alpha = f->alpha[i];
             double g = f->ratio[i], cdf = f->cdf[i], cdf_neg = f->cdf_neg[i], pdf = f->pdf[i];
             double vp = f->vprime[i], mb = f->mean_pos[i];
-            double dmb = s->dmb[k], dvb = s->dvb[k];
+            double dmb = dmb_in[k], dvb = dvb_in[k];
             if (f->deterministic[i]) {
                 /* mb = max(0, m), vb = 0: dma = dmb * (m > 0.0), dva = 0.0 */
-                s->dma[i] = dmb * (f->m[i] > 0.0 ? 1.0 : 0.0);
-                s->dva[i] = 0.0;
+                dma[i] = dmb * (f->m[i] > 0.0 ? 1.0 : 0.0);
+                dva[i] = 0.0;
                 continue;
             }
             double ratio_alpha = g + alpha;
             /* dg_dalpha = -g * (ratio + alpha), or in the series branch
              * -1.0 + alpha_s**-2 - 6.0 * alpha_s**-4 */
-            double dg = f->series[i] ? -1.0 + s->inv_square[i] - 6.0 * s->inv_fourth[i]
+            double dg = f->series[i] ? -1.0 + f->inv_square[i] - 6.0 * f->inv_fourth[i]
                                      : -g * ratio_alpha;
             double dalpha_dm = 1.0 / sq;
             double dalpha_dv = -alpha / (2.0 * v_safe);
@@ -491,114 +548,176 @@ void relu_backward(const struct relu_args *f, const struct relu_grad_args *s)
                             + dcdf_dm * v_safe * u + cdf_v_du * dalpha_dm;
             double dvb_dv = dmb_dv * vp * cdf_neg + mb * dvp_dv * cdf_neg - mb_vp_pdf * dalpha_dv
                             + dcdf_dv * v_safe * u + cdf * u + cdf_v_du * dalpha_dv;
-            s->dma[i] = dmb * dmb_dm + dvb * dvb_dm;
-            s->dva[i] = dmb * dmb_dv + dvb * dvb_dv;
+            dma[i] = dmb * dmb_dm + dvb * dvb_dm;
+            dva[i] = dmb * dmb_dv + dvb * dvb_dv;
         }
     }
 }
 
-/* d log Z / d(output moments) of each run:
- * total = rate / (shape - 1.0) + variance; diff = y - mean
- * dma = diff / total; dva = 0.5 * (diff * diff / (total * total) - 1.0 / total) */
-struct output_grad_args {
-    int64_t runs;
-    const double *gamma;           /* (2, R): noise Gamma shapes, rates */
-    const double *y, *mean, *variance;
-    double *dma, *dva;
+/* ------------------------------------------------------- the likelihood step
+ *
+ * A step over one input row per run of a stack, in the calls its numpy
+ * operations leave: step_forward once per layer, input layer first, with
+ * numpy's exp (and, where a unit takes the far-tail series, its powers)
+ * after that of each hidden layer; noise_step (above); step_backward; and
+ * step_refine. */
+
+/* One layer, (rows, cols) weights per run from offset on in the flat (R, W)
+ * buffers of the step, and the buffers of its pass, one row per run. */
+struct step_layer {
+    int64_t rows, cols, offset;
+    const double *zm, *zv;   /* (R, cols): the bias-extended input moments */
+    double *scratch;         /* (R, cols) zm * zm, then (4, R, rows) the matmuls of its moments */
+    double *mean, *variance; /* (R, rows): the pre-activation moments */
+    struct relu_args *relu;  /* the rectifier of mean, variance; NULL for the output layer */
+    double *dma, *dva;       /* (R, rows): d log Z / d(mean, variance) */
+    double *operand;         /* (R, rows, cols): M*M + V; NULL for the input layer */
+    double *back;            /* (3, R, cols): dma @ M, dva @ V, dva @ (M*M + V) */
+    double *dmz, *dvz;       /* (R, cols): d log Z / d(zm, zv) */
 };
 
-void output_gradients(const struct output_grad_args *s)
+struct step_args {
+    int64_t runs, weights, n_layers;
+    struct step_layer *layers;
+    const struct externals *externals;
+    double *means, *variances, *means_sq, *d_means, *d_variances; /* (R, W) */
+    double *gamma;              /* (2, R): the stack's noise Gamma shapes, rates */
+    const double *targets;      /* (R,): the noise step's targets of the gradients, */
+    const uint8_t *skipped;     /* skip flags */
+    const double *gamma_next;   /* and matched Gammas */
+    int64_t *undo, *updates;    /* (R,) */
+    /* NULL, or n_layers + 2 nanosecond totals: each layer's step_forward,
+     * then step_backward and step_refine. */
+    int64_t *phase_ns;
+};
+
+static int64_t now_ns(void)
 {
-    const int64_t R = s->runs;
-    for (int64_t r = 0; r < R; r++) {
-        double total = s->gamma[R + r] / (s->gamma[r] - 1.0) + s->variance[r];
-        double diff = s->y[r] - s->mean[r];
-        s->dma[r] = diff / total;
-        s->dva[r] = 0.5 * (diff * diff / (total * total) - 1.0 / total);
-    }
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
-/* The reverse sweep through a layer's moments (see linear_moments), c its
+/* Layer l's forward pass: the previous rectifier's post, then the layer's
+ * moments and, for a hidden layer, its rectifier up to the exp. Returns 0
+ * or NEGATIVE_VARIANCE. */
+int step_forward(const struct step_args *s, int64_t l)
+{
+    int64_t start = s->phase_ns ? now_ns() : 0;
+    const struct step_layer *L = s->layers + l;
+    const int64_t R = s->runs, W = s->weights, rows = L->rows, cols = L->cols, n = R * rows;
+    const double *m = s->means + L->offset, *v = s->variances + L->offset;
+    double *m_sq = s->means_sq + L->offset, *zm_sq = L->scratch, *p = zm_sq + R * cols;
+    if (l > 0)
+        relu_post(L[-1].relu);
+    for (int64_t r = 0; r < R; r++)
+        square(&(struct square_args){rows * cols, m + r * W, m_sq + r * W});
+    square(&(struct square_args){R * cols, L->zm, zm_sq});
+    matvec(s->externals, 1, R, rows, cols, W, m, L->zm, p);
+    matvec(s->externals, 1, R, rows, cols, W, m_sq, L->zv, p + n);
+    matvec(s->externals, 1, R, rows, cols, W, v, zm_sq, p + 2 * n);
+    matvec(s->externals, 1, R, rows, cols, W, v, L->zv, p + 3 * n);
+    linear_moments(&(struct linear_args){n, p, p + n, p + 2 * n, p + 3 * n, L->mean, L->variance,
+                                         __builtin_sqrt((double)cols), (double)cols});
+    int status = L->relu ? relu_pre(L->relu) : 0;
+    if (L->relu && status == 0) {
+        /* (alpha, -alpha) and (log_cdf, log_cdf_neg) are adjacent rows. */
+        log_ndtr_n(s->externals, 2 * n, L->relu->alpha, L->relu->log_cdf);
+        relu_mid(L->relu);
+    }
+    if (s->phase_ns)
+        s->phase_ns[l] += now_ns() - start;
+    return status;
+}
+
+/* The reverse sweep through layer L's moments (see linear_moments), c its
  * columns, one input row per run: the weight gradients
  * dM = dma_col * mz * inv_s + 2.0 * inv_c * M * (dva_col * vz)
  * dV = inv_c * (dva_col * (mz * mz + vz))
- * and, for a layer with inputs, the operand M*M + V of a matmul and then,
- * from the products dma @ M, dva @ V and dva @ (M*M + V), the input gradients
+ * and, for a layer with inputs, the operand M*M + V and then the input
+ * gradients
  * dmz = inv_s * (dma @ M) + 2.0 * inv_c * mz * (dva @ V)
  * dvz = inv_c * (dva @ (M*M + V)) */
-struct linear_grad_args {
-    int64_t runs, rows, cols, run_stride; /* run_stride: doubles between runs' weights */
-    const double *m, *v, *m_sq;           /* (R, rows, cols), runs run_stride apart */
-    double *dm, *dv;                      /* likewise */
-    const double *zm, *zv;                /* (R, cols) */
-    const double *dma, *dva;              /* (R, rows) */
-    double *operand;                      /* (R, rows, cols), or NULL for the input layer */
-    const double *products;               /* (3, R, cols) */
-    double *dmz, *dvz;                    /* (R, cols) */
-    double inv_c, inv_s, two_inv_c;
-};
-
-void linear_backward_weights(const struct linear_grad_args *s)
+static void linear_backward(const struct step_args *s, const struct step_layer *L)
 {
-    const int64_t rows = s->rows, cols = s->cols;
-    const double inv_c = s->inv_c, inv_s = s->inv_s, two_inv_c = s->two_inv_c;
-    for (int64_t r = 0; r < s->runs; r++) {
-        const double *restrict zm = s->zm + r * cols, *restrict zv = s->zv + r * cols;
+    const int64_t R = s->runs, rows = L->rows, cols = L->cols, W = s->weights;
+    const double inv_c = 1.0 / (double)cols, inv_s = 1.0 / __builtin_sqrt((double)cols);
+    const double two_inv_c = 2.0 * inv_c;
+    for (int64_t r = 0; r < R; r++) {
+        const double *restrict zm = L->zm + r * cols, *restrict zv = L->zv + r * cols;
         for (int64_t i = 0; i < rows; i++) {
-            const int64_t w = r * s->run_stride + i * cols;
-            const double dma = s->dma[r * rows + i], dva = s->dva[r * rows + i];
-            const double *restrict m = s->m + w;
-            double *restrict dm = s->dm + w, *restrict dv = s->dv + w;
+            const int64_t w = L->offset + r * W + i * cols;
+            const double dma = L->dma[r * rows + i], dva = L->dva[r * rows + i];
+            const double *restrict m = s->means + w;
+            double *restrict dm = s->d_means + w, *restrict dv = s->d_variances + w;
             for (int64_t j = 0; j < cols; j++) {
                 dm[j] = dma * zm[j] * inv_s + two_inv_c * m[j] * (dva * zv[j]);
                 dv[j] = inv_c * (dva * (zm[j] * zm[j] + zv[j]));
             }
-            if (s->operand) {
-                const double *restrict m_sq = s->m_sq + w, *restrict v = s->v + w;
-                double *restrict operand = s->operand + (r * rows + i) * cols;
+            if (L->operand) {
+                const double *restrict m_sq = s->means_sq + w, *restrict v = s->variances + w;
+                double *restrict operand = L->operand + (r * rows + i) * cols;
                 for (int64_t j = 0; j < cols; j++)
                     operand[j] = m_sq[j] + v[j];
             }
         }
     }
-}
-
-void linear_backward_inputs(const struct linear_grad_args *s)
-{
-    const int64_t n = s->runs * s->cols;
-    const double *restrict p_m = s->products, *restrict p_v = p_m + n, *restrict p_op = p_v + n;
-    const double *restrict zm = s->zm;
-    double *restrict dmz = s->dmz, *restrict dvz = s->dvz;
-    const double inv_c = s->inv_c, inv_s = s->inv_s, two_inv_c = s->two_inv_c;
+    if (!L->operand)
+        return;
+    const int64_t n = R * cols;
+    double *restrict p_m = L->back, *restrict p_v = p_m + n, *restrict p_op = p_v + n;
+    matvec(s->externals, 0, R, rows, cols, W, s->means + L->offset, L->dma, p_m);
+    matvec(s->externals, 0, R, rows, cols, W, s->variances + L->offset, L->dva, p_v);
+    matvec(s->externals, 0, R, rows, cols, rows * cols, L->operand, L->dva, p_op);
+    const double *restrict zm = L->zm;
+    double *restrict dmz = L->dmz, *restrict dvz = L->dvz;
     for (int64_t k = 0; k < n; k++) {
         dmz[k] = inv_s * p_m[k] + two_inv_c * zm[k] * p_v[k];
         dvz[k] = inv_c * p_op[k];
     }
 }
 
+/* The gradients of log Z w.r.t. every weight mean and variance, seeded with
+ * those w.r.t. each run's output moments:
+ * total = rate / (shape - 1.0) + variance; diff = target - mean
+ * dma = diff / total; dva = 0.5 * (diff * diff / (total * total) - 1.0 / total) */
+void step_backward(const struct step_args *s)
+{
+    int64_t start = s->phase_ns ? now_ns() : 0;
+    const int64_t R = s->runs, last = s->n_layers - 1;
+    const struct step_layer *out = s->layers + last;
+    for (int64_t r = 0; r < R; r++) {
+        double total = s->gamma[R + r] / (s->gamma[r] - 1.0) + out->variance[r];
+        double diff = s->targets[r] - out->mean[r];
+        out->dma[r] = diff / total;
+        out->dva[r] = 0.5 * (diff * diff / (total * total) - 1.0 / total);
+    }
+    for (int64_t l = last; l >= 0; l--) {
+        const struct step_layer *L = s->layers + l;
+        linear_backward(s, L);
+        /* The input gradients without the bias slot, whose moments are
+         * constants. */
+        if (l > 0)
+            relu_backward(L[-1].relu, L->cols, L->dmz, L->dvz, L[-1].dma, L[-1].dva);
+    }
+    if (s->phase_ns)
+        s->phase_ns[s->n_layers] += now_ns() - start;
+}
+
 /* The Gaussian refinement of every weight of every run that keeps its
  * example, in place: m_new = m + v * dM, v_new = v - v * v * (dM * dM -
  * 2.0 * dV), kept where v_new is positive and both are finite and counted
  * in undo otherwise; a skipped run keeps its weights (undo and updates 0).
- * Then the noise Gammas take gamma_next. */
-struct refine_args {
-    int64_t runs, weights;
-    double *m, *v;                /* (R, W) */
-    const double *dm, *dv;        /* (R, W) */
-    const uint8_t *skipped;       /* (R,) */
-    int64_t *undo, *updates;      /* (R,) */
-    double *gamma;                /* (2, R) */
-    const double *gamma_next;     /* (2, R) */
-};
-
-void refine(const struct refine_args *s)
+ * Then the noise Gammas take the matched ones. */
+void step_refine(const struct step_args *s)
 {
+    int64_t start = s->phase_ns ? now_ns() : 0;
     const int64_t W = s->weights;
     for (int64_t r = 0; r < s->runs; r++) {
         int64_t undo = 0;
         if (!s->skipped[r]) {
-            double *m = s->m + r * W, *v = s->v + r * W;
-            const double *dm = s->dm + r * W, *dv = s->dv + r * W;
+            double *m = s->means + r * W, *v = s->variances + r * W;
+            const double *dm = s->d_means + r * W, *dv = s->d_variances + r * W;
             for (int64_t w = 0; w < W; w++) {
                 double m_new = m[w] + v[w] * dm[w];
                 double v_new = v[w] - v[w] * v[w] * (dm[w] * dm[w] - 2.0 * dv[w]);
@@ -614,4 +733,6 @@ void refine(const struct refine_args *s)
         s->updates[r] = s->skipped[r] ? 0 : W;
     }
     memcpy(s->gamma, s->gamma_next, 2 * s->runs * sizeof(double));
+    if (s->phase_ns)
+        s->phase_ns[s->n_layers + 1] += now_ns() - start;
 }

@@ -3,23 +3,31 @@
 kernel.c holds the two loops whose every step depends on the last, the EP
 refresh of a stack's prior sites (which carries each run's prior-precision
 Gamma from weight to weight) and the noise-precision Gamma step of a
-likelihood update, and the elementwise arithmetic of a likelihood step and
-of the rows passes: the linear layer's moments around its matmuls, the
-rectifier around log_ndtr and exp, their reverse sweep and the refinement of
-every weight. Three kinds of operation stay with numpy and scipy, whose bits
-come from outside this package: the matmuls (BLAS), scipy's log_ndtr, and
-numpy's exp and power (SIMD code that rounds differently from libm's exp and
-pow on some arguments; power only in the rectifier's far-tail series).
+likelihood update; the likelihood step (Step): each layer's moments, the
+rectifier, the reverse sweep and the refinement of every weight; and the
+elementwise arithmetic of a rows pass, around its matmuls, log_ndtr and exp.
+
+Some bits come from outside this package. The step's matmuls call numpy's
+bundled OpenBLAS (BLAS_SYMBOLS) as np.matmul does for one row, and its
+log_ndtr scipy's (LOG_NDTR_CAPSULE): both are resolved once, at import, and
+checked against np.matmul and scipy.special.log_ndtr (check_externals); a
+missing symbol or a differing bit fails the import with one line, an
+ExternalError, and there is no other path. numpy's exp and power (SIMD code
+that rounds differently from libm's exp and pow on some arguments; power only
+in the rectifier's far-tail series) run in Python between two calls, and a
+rows pass keeps numpy's matmuls (gemm for its rows) and scipy's log_ndtr.
 
 kernel.c is compiled with gcc and FLAGS on first import and loaded with
 ctypes. The build is cached under $XDG_CACHE_HOME/pbp (by default
 ~/.cache/pbp, or the temp dir when that cannot be written), named by a hash of
 the source and the flags and one of `gcc --version`: a changed source or
 compiler builds afresh, and a cached build loads where no compiler is found.
+kernel.c links against nothing but libm; the external functions reach it as
+pointers.
 
 Each entry point takes one struct of buffer addresses, bound once (per stack
-for a step's kernels, see forward.Workspace; per layer of each item in a rows
-pass), so a call converts no array.
+for a step, see Step; per layer of each item in a rows pass), so a call
+converts no array.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .gauss import LOG_2PI
-from .posterior import NumericError
+from .posterior import NumericError, layer_views
 
 SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = "gcc"
@@ -132,7 +140,7 @@ def _layout(ints=(), pointers=(), doubles=()):
 class _NoiseArgs(ctypes.Structure):
     _fields_ = _layout(
         ["runs"], ["moments", "gamma", "gamma_next", "log_z", "skipped", "targets"], ["log_2pi"]
-    )
+    ) + _layout(["failed_run"])
 
 
 class _RefreshArgs(ctypes.Structure):
@@ -140,7 +148,7 @@ class _RefreshArgs(ctypes.Structure):
         ["runs", "weights"],
         ["means", "variances", "sites", "lam", "skipped", "change", "backup"],
         ["log_2pi"],
-    )
+    ) + _layout(["failed_run"])
 
 
 class _SquareArgs(ctypes.Structure):
@@ -154,8 +162,8 @@ class _LinearArgs(ctypes.Structure):
 # The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
 # "alpha" to the two from "log_cdf", and exp the four from "log_cdf" to the
 # four from "cdf". The last three hold powers of alpha_s, read where a unit
-# takes the series: ** 3 by relu_post and ** -2 and ** -4 by relu_backward,
-# whose struct points at those two; relu_args points at the others.
+# takes the series: ** 3 by relu_post, ** -2 and ** -4 by the step's
+# reverse sweep.
 _RELU_ROWS = (
     "alpha", "neg_alpha",
     "log_cdf", "log_cdf_neg", "log_pdf", "log_ratio",
@@ -164,39 +172,34 @@ _RELU_ROWS = (
     "cube", "inv_square", "inv_fourth",
 )
 _RELU_ROW = {name: k for k, name in enumerate(_RELU_ROWS)}
-_RELU_ARG_ROWS = _RELU_ROWS[: _RELU_ROW["inv_square"]]
 
 
 class _ReluArgs(ctypes.Structure):
     _fields_ = (
-        _layout(["rows", "units", "out_stride"], ["m", "v", *_RELU_ARG_ROWS, "out_m", "out_v",
+        _layout(["rows", "units", "out_stride"], ["m", "v", *_RELU_ROWS, "out_m", "out_v",
                                                   "deterministic", "series"])
         + _layout(["n_deterministic", "n_series"],
                   doubles=["deterministic_variance", "series_threshold", "log_2pi"])
     )
 
 
-class _ReluGradArgs(ctypes.Structure):
-    _fields_ = _layout(["in_stride"], ["dmb", "dvb", "inv_square", "inv_fourth", "dma", "dva"])
+class _Externals(ctypes.Structure):
+    _fields_ = _layout(pointers=["dgemv", "ddot", "log_ndtr"])
 
 
-class _OutputGradArgs(ctypes.Structure):
-    _fields_ = _layout(["runs"], ["gamma", "y", "mean", "variance", "dma", "dva"])
-
-
-class _LinearGradArgs(ctypes.Structure):
+class _LayerArgs(ctypes.Structure):
     _fields_ = _layout(
-        ["runs", "rows", "cols", "run_stride"],
-        ["m", "v", "m_sq", "dm", "dv", "zm", "zv", "dma", "dva", "operand", "products",
+        ["rows", "cols", "offset"],
+        ["zm", "zv", "scratch", "mean", "variance", "relu", "dma", "dva", "operand", "back",
          "dmz", "dvz"],
-        ["inv_c", "inv_s", "two_inv_c"],
     )
 
 
-class _RefineArgs(ctypes.Structure):
+class _StepArgs(ctypes.Structure):
     _fields_ = _layout(
-        ["runs", "weights"],
-        ["m", "v", "dm", "dv", "skipped", "undo", "updates", "gamma", "gamma_next"],
+        ["runs", "weights", "n_layers"],
+        ["layers", "externals", "means", "variances", "means_sq", "d_means", "d_variances",
+         "gamma", "targets", "skipped", "gamma_next", "undo", "updates", "phase_ns"],
     )
 
 
@@ -211,16 +214,18 @@ def load(path: Path) -> ctypes.CDLL:
         ("relu_pre", _ReluArgs, ctypes.c_int),
         ("relu_mid", _ReluArgs, None),
         ("relu_post", _ReluArgs, None),
-        ("output_gradients", _OutputGradArgs, None),
-        ("linear_backward_weights", _LinearGradArgs, None),
-        ("linear_backward_inputs", _LinearGradArgs, None),
-        ("refine", _RefineArgs, None),
+        ("step_backward", _StepArgs, None),
+        ("step_refine", _StepArgs, None),
     ]:
         entry = getattr(lib, name)
         entry.argtypes = [ctypes.POINTER(args)]
         entry.restype = restype
-    lib.relu_backward.argtypes = [ctypes.POINTER(_ReluArgs), ctypes.POINTER(_ReluGradArgs)]
-    lib.relu_backward.restype = None
+    externals, integer, address = ctypes.POINTER(_Externals), ctypes.c_int64, ctypes.c_void_p
+    lib.step_forward.argtypes = [ctypes.POINTER(_StepArgs), integer]
+    lib.step_forward.restype = ctypes.c_int
+    lib.matvec.argtypes = [externals, *[integer] * 5, *[address] * 3]
+    lib.log_ndtr_n.argtypes = [externals, integer, address, address]
+    lib.matvec.restype = lib.log_ndtr_n.restype = None
     return lib
 
 
@@ -237,11 +242,73 @@ def _report_in_one_line(previous=sys.excepthook):
     sys.excepthook = hook
 
 
-try:
-    LIB = load(build())
-except CompilerError:
-    _report_in_one_line()
-    raise
+class ExternalError(CompilerError):
+    """numpy's BLAS or scipy's log_ndtr cannot be called from kernel.c, or
+    does not give the bits of np.matmul or scipy.special.log_ndtr there."""
+
+
+# The functions kernel.c calls for the bits of np.matmul (numpy's bundled
+# OpenBLAS, whose 64-bit-integer CBLAS carries this prefix and suffix) and
+# of scipy.special.log_ndtr (its double version in cython_special).
+BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+LOG_NDTR_CAPSULE = "__pyx_fuse_1log_ndtr"
+
+
+def resolve_externals() -> _Externals:
+    """The function pointers of BLAS_SYMBOLS, looked up in the BLAS that
+    numpy's multiarray module loaded, and of scipy's log_ndtr; ExternalError
+    when one is missing."""
+    from numpy._core import _multiarray_umath
+    from scipy.special import cython_special
+
+    blas = ctypes.CDLL(_multiarray_umath.__file__)
+    pointers = []
+    for name in BLAS_SYMBOLS:
+        try:
+            pointers.append(ctypes.cast(getattr(blas, name), ctypes.c_void_p).value)
+        except AttributeError:
+            raise ExternalError(f"numpy's BLAS has no {name}, which kernel.c calls") from None
+    capsule = cython_special.__pyx_capi__.get(LOG_NDTR_CAPSULE)
+    if capsule is None:
+        raise ExternalError(f"scipy.special.cython_special has no {LOG_NDTR_CAPSULE}")
+    api, capsule_t = ctypes.pythonapi, ctypes.py_object
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, capsule_t)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, capsule_t, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return _Externals(*pointers, pointer(capsule, name(capsule)))
+
+
+def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
+    """ExternalError unless kernel.c's matvec and log_ndtr_n, through
+    externals, give the bits of np.matmul and scipy.special.log_ndtr on a few
+    seeded cases: each branch of matvec, with rows of zeros, whose products
+    are signed zeros, and log_ndtr at infinities, NaN, signed zeros and the
+    edges of its branches."""
+    from scipy.special import log_ndtr
+
+    rng = np.random.default_rng(18)
+    ref = ctypes.byref(externals)
+    for transposed, rows, cols in [(1, 1, 5), (1, 7, 4), (0, 1, 6), (0, 6, 3)]:
+        m = rng.normal(size=(3, rows, cols))
+        x = rng.normal(size=(3, cols if transposed else rows))
+        x[1] = 0.0
+        want = x[:, None, :] @ (m.swapaxes(-1, -2) if transposed else m)
+        got = np.empty(want.shape)
+        lib.matvec(ref, transposed, 3, rows, cols, rows * cols, _data(m), _data(x), _data(got))
+        if got.tobytes() != want.tobytes():
+            raise ExternalError(
+                f"numpy's {' and '.join(BLAS_SYMBOLS)} called from kernel.c do not give the "
+                f"bits of np.matmul on a {x.shape[1:]} x {m.shape[1:]} product"
+            )
+    x = np.array([-np.inf, -1e300, -40.0, -20.0, -5.0, -0.0, 0.0, 5.0, 20.0, 40.0, np.inf, np.nan])
+    x = np.concatenate([x, rng.normal(0.0, 10.0, 20)])
+    got = np.empty_like(x)
+    lib.log_ndtr_n(ref, x.size, _data(x), _data(got))
+    if got.tobytes() != log_ndtr(x).tobytes():
+        raise ExternalError(
+            f"scipy's {LOG_NDTR_CAPSULE} called from kernel.c does not give the bits of "
+            "scipy.special.log_ndtr"
+        )
+
 
 # kernel.c's statuses, as what the Python floats it replaces raised.
 _ERRORS = {
@@ -253,9 +320,13 @@ _ERRORS = {
 }
 
 
-def _raise(status: int):
-    error, message = _ERRORS[status]
-    raise error(message)
+def _raise(status: int, run: int | None = None):
+    """Raise the error of status; `run` names the run of a stack it arose in,
+    when the kernel knows it, as the error's attribute of that name."""
+    kind, message = _ERRORS[status]
+    error = kind(message)
+    error.run = run
+    raise error
 
 
 def _data(array: np.ndarray) -> int:
@@ -267,17 +338,12 @@ def _data(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-def _address(array: np.ndarray, shape: tuple[int, ...], strides: tuple[int, ...] | None = None) -> int:
-    """The address of a float array of shape, C-contiguous or with strides
-    (in elements); ValueError for any other array."""
-    if strides is None:
-        laid_out = array.flags.c_contiguous
-    else:  # the stride of an axis of length 1 is never taken
-        laid_out = all(n == 1 or s == 8 * e for n, s, e in zip(shape, array.strides, strides))
-    if array.shape != shape or array.dtype != np.float64 or not laid_out:
-        layout = "C-contiguous" if strides is None else f"strides {strides} (in elements),"
+def _address(array: np.ndarray, shape: tuple[int, ...]) -> int:
+    """The address of a C-contiguous float array of shape; ValueError for any
+    other array."""
+    if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
         raise ValueError(
-            f"expected a {layout} float64 array of shape {shape}, "
+            f"expected a C-contiguous float64 array of shape {shape}, "
             f"got {array.dtype} {array.shape}"
         )
     return _data(array)
@@ -303,6 +369,15 @@ def _row_stride(array: np.ndarray, units: int) -> int | None:
     if row_bytes is None:
         return units
     return row_bytes // 8 if row_bytes % 8 == 0 else None
+
+
+try:
+    LIB = load(build())
+    EXTERNALS = resolve_externals()
+    check_externals(LIB, EXTERNALS)
+except CompilerError:
+    _report_in_one_line()
+    raise
 
 
 class NoiseStep:
@@ -333,6 +408,7 @@ class NoiseStep:
             self.skipped.ctypes.data,
             self.targets.ctypes.data,
             LOG_2PI,
+            -1,
         )
         self._ref = ctypes.byref(self._args)
         self._call = LIB.noise_step
@@ -341,7 +417,7 @@ class NoiseStep:
         """The number of runs whose example is skipped."""
         status = self._call(self._ref)
         if status < 0:
-            _raise(status)
+            _raise(status, self._args.failed_run)
         return status
 
 
@@ -372,6 +448,7 @@ class Refresh:
             self.change.ctypes.data,
             backup.ctypes.data,
             LOG_2PI,
+            -1,
         )
         self._ref = ctypes.byref(self._args)
         self._call = LIB.ep_refresh
@@ -379,7 +456,7 @@ class Refresh:
     def __call__(self) -> None:
         status = self._call(self._ref)
         if status < 0:
-            _raise(status)
+            _raise(status, self._args.failed_run)
 
 
 class Square:
@@ -408,16 +485,16 @@ class LinearForward:
 
     `zm_sq` (zm * zm, from square()) and the four (*rows, units) `products`
     hold an operand and the results of the matmuls (see
-    forward.forward_linear); moments() writes `out` from the products. out
-    is a pair of given C-contiguous (*rows, units) arrays, or new ones.
+    forward.forward_linear); moments() writes the pair `out` of new
+    (*rows, units) arrays from the products.
     """
 
-    def __init__(self, zm: np.ndarray, units: int, out: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, zm: np.ndarray, units: int):
         cols = zm.shape[-1]
         shape = zm.shape[:-1] + (units,)
         self.zm_sq = np.empty_like(zm)
         self.products = [np.empty(shape) for _ in range(4)]
-        self.out = out if out is not None else (np.empty(shape), np.empty(shape))
+        self.out = (np.empty(shape), np.empty(shape))
         self.square = Square(zm, self.zm_sq)
         self._args = _LinearArgs(
             math.prod(shape),
@@ -431,6 +508,16 @@ class LinearForward:
 
     def moments(self) -> None:
         LIB.linear_moments(self._ref)
+
+
+def bias_extended(rows: tuple[int, ...], units: int) -> np.ndarray:
+    """Moments (mean, variance), (2, *rows, units + 1), of rows of units and
+    a bias unit of mean 1 and variance 0 after them, the units' variances 0
+    and their means left to the caller."""
+    z = np.empty((2, *rows, units + 1))
+    z[1] = 0.0
+    z[0, ..., -1] = 1.0
+    return z
 
 
 def _rows_of(first: np.ndarray, second: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -454,8 +541,8 @@ class Rectifier:
     Each row of `buf` (see _RELU_ROWS) is an attribute of m's shape, valid
     until the next call, and `deterministic` and `series` flag the units that
     take those branches, which pre() counts. Where a unit takes the series
-    branch, the caller fills `cube` before post() and `inv_square` and
-    `inv_fourth` before backward().
+    branch, the caller fills `cube` before post() and, in a Step,
+    `inv_square` and `inv_fourth` before its backward().
     """
 
     def __init__(
@@ -484,7 +571,7 @@ class Rectifier:
         self._args = _ReluArgs(
             n // shape[-1], shape[-1], _rows_of(out_m, out_v, shape),
             _address(m, shape), _address(v, shape),
-            *(base + k * 8 * n for k in range(len(_RELU_ARG_ROWS))),
+            *(base + k * 8 * n for k in range(len(_RELU_ROWS))),
             _data(out_m), _data(out_v), flags, flags + n,
             0, 0,
             deterministic_variance, series_threshold, LOG_2PI,
@@ -510,111 +597,93 @@ class Rectifier:
     def post(self) -> None:
         LIB.relu_post(self._ref)
 
-    def bind_gradients(self, dmb: np.ndarray, dvb: np.ndarray, dma: np.ndarray, dva: np.ndarray) -> None:
-        """Bind backward() to the gradients w.r.t. the output moments, dmb and
-        dvb (evenly spaced rows of units), and to those w.r.t. the
-        pre-activation moments that it writes, dma and dva (C-contiguous),
-        all of m's shape."""
-        shape = self.shape
-        self._gradients = (dmb, dvb, dma, dva)
-        self._grad_args = _ReluGradArgs(
-            _rows_of(dmb, dvb, shape), _data(dmb), _data(dvb),
-            _data(self.inv_square), _data(self.inv_fourth),
-            _address(dma, shape), _address(dva, shape),
-        )
-        self._grad_ref = ctypes.byref(self._grad_args)
 
-    def backward(self) -> None:
-        LIB.relu_backward(self._ref, self._grad_ref)
+class Step:
+    """A stack's likelihood step, in kernel.c's step_forward, step_backward
+    and step_refine, with the buffers it works in: bound to the stack's flat
+    (R, W) weight means and variances, layer after layer as in layer_sizes,
+    and (2, R) noise Gammas gamma.
 
+    Per layer, one row per run: the bias-extended input moments, whose unit
+    slots `x` take the inputs and the others the previous rectifier's
+    output; and for a hidden layer the pre-activation moments and the
+    Rectifier bound to them (`rectifiers`), whose buffers keep its
+    intermediates. The output layer's moments are the output moments mz, vz
+    of the NoiseStep `noise`.
 
-class OutputGradients:
-    """output_gradients bound to a stack's (2, R) noise Gammas, the targets y
-    and output moments (mean, variance) of one example per run, and the
-    (R,) gradients of log Z w.r.t. the output moments it writes."""
-
-    def __init__(self, gamma, y, mean, variance, dma, dva):
-        runs = gamma.shape[-1]
-        arrays = (gamma, y, mean, variance, dma, dva)
-        self._buffers = arrays
-        self._args = _OutputGradArgs(
-            runs, _address(gamma, (2, runs)), *(_address(a.reshape(-1), (runs,)) for a in arrays[1:])
-        )
-        self._ref = ctypes.byref(self._args)
-
-    def __call__(self) -> None:
-        LIB.output_gradients(self._ref)
-
-
-class LinearBackward:
-    """The reverse sweep through one layer of a stack, bound to its (R, rows,
-    cols) views of the flat (R, W) `means`, `variances`, squared means and
-    gradient buffers, to its (R, 1, cols) input moments zm, zv and to the
-    (R, 1, rows) gradients `dma`, `dva` w.r.t. its output moments.
-
-    weights() writes the weight gradients and, for a layer with inputs, the
-    (R, rows, cols) `operand` M*M + V (None for the input layer); the caller
-    then fills `products` (3, R, 1, cols) with dma @ M, dva @ V and dva @
-    operand, and inputs() writes the gradients w.r.t. the input moments,
-    `d_inputs` (2, R, 1, cols).
+    forward(l) runs layer l (see step_forward): the previous rectifier's
+    post, the layer's moments through its matmuls and, for a hidden layer,
+    its rectifier up to exp, which the caller runs with the series powers
+    before the next layer. backward() writes the gradients of log Z w.r.t.
+    every weight mean and variance into `d_means` and `d_variances`, (R, W)
+    with per-layer (R, rows, cols) views `d_mean_views` and
+    `d_variance_views`, from the targets in noise.targets; refine() refines
+    every weight of the runs the noise step kept, writing `undo` and
+    `updates` per run, and moves the matched noise Gammas into gamma.
     """
 
-    def __init__(self, means, variances, means_sq, d_means, d_variances, zm, zv, dma, dva, inputs):
-        runs, rows, cols = means.shape
-        run_stride = means.strides[0] // 8
-        layer = (runs, rows, cols)
-        strided = (run_stride, cols, 1)
-        self.operand = np.empty(layer) if inputs else None
-        self.products = np.empty((3, runs, 1, cols))
-        self.d_inputs = np.empty((2, runs, 1, cols))
-        self.means, self.variances, self.dma, self.dva = means, variances, dma, dva
-        self._buffers = (means_sq, d_means, d_variances, zm, zv)
-        self._args = _LinearGradArgs(
-            runs, rows, cols, run_stride,
-            *(_address(a, layer, strided) for a in (means, variances, means_sq, d_means, d_variances)),
-            _address(zm, (runs, 1, cols)),
-            _address(zv, (runs, 1, cols)),
-            _address(dma, (runs, 1, rows)),
-            _address(dva, (runs, 1, rows)),
-            None if self.operand is None else _data(self.operand),
-            _data(self.products),
-            _data(self.d_inputs),
-            _data(self.d_inputs[1]),
-            1.0 / cols,
-            1.0 / math.sqrt(cols),
-            2.0 * (1.0 / cols),
-        )
-        self._ref = ctypes.byref(self._args)
-
-    def weights(self) -> None:
-        LIB.linear_backward_weights(self._ref)
-
-    def inputs(self) -> None:
-        LIB.linear_backward_inputs(self._ref)
-
-
-class Refine:
-    """refine bound to a stack's (R, W) means, variances and their gradients,
-    the (R,) skip flags and (2, R) matched Gammas of a NoiseStep, and the
-    stack's (2, R) noise Gammas. Each call writes `undo` (weights rolled
-    back) and `updates` (weights refined, 0 for a skipped run) per run."""
-
-    def __init__(self, means, variances, d_means, d_variances, noise: NoiseStep):
+    def __init__(self, means, variances, gamma, layer_sizes, deterministic_variance, series_threshold):
         runs, weights = means.shape
-        self.undo = np.empty(runs, dtype=np.int64)
-        self.updates = np.empty(runs, dtype=np.int64)
-        flat = (runs, weights)
-        self._buffers = (means, variances, d_means, d_variances, noise)
-        self._args = _RefineArgs(
-            runs, weights,
-            *(_address(a, flat) for a in (means, variances, d_means, d_variances)),
-            _data(noise.skipped),
-            _data(self.undo),
-            _data(self.updates),
-            _address(noise.gamma, (2, runs)),
-            _data(noise.gamma_next),
+        self.noise = noise = NoiseStep(gamma)
+        self.d_means, self.d_variances, means_sq = (np.empty_like(means) for _ in range(3))
+        self.d_mean_views = layer_views(self.d_means, layer_sizes)
+        self.d_variance_views = layer_views(self.d_variances, layer_sizes)
+        self.undo, self.updates = np.empty((2, runs), dtype=np.int64)
+        self.phase_ns = None
+        self.rectifiers = []
+        self._layers = layers = (_LayerArgs * (len(layer_sizes) - 1))()
+        self._buffers = [means, variances, means_sq]
+        z = bias_extended((runs, 1), layer_sizes[0])
+        self.x = z[0, :, :, :-1]
+        offset = 0
+        for l, rows in enumerate(layer_sizes[1:]):
+            cols = layer_sizes[l] + 1
+            if l < len(layer_sizes) - 2:
+                pre, below, z = np.empty((2, runs, 1, rows)), z, bias_extended((runs, 1), rows)
+                self.rectifiers.append(
+                    Rectifier(*pre, *z[:, :, :, :-1], deterministic_variance, series_threshold)
+                )
+            else:
+                pre, below = noise.moments[1:, :, None, None], z
+            scratch, d_pre = np.empty(runs * (cols + 4 * rows)), np.empty((2, runs, rows))
+            back, d_inputs = np.empty((3, runs, cols)), np.empty((2, runs, cols))
+            operand = np.empty((runs, rows, cols)) if l > 0 else None
+            self._buffers += [below, pre, scratch, d_pre, back, d_inputs, operand]
+            layers[l] = _LayerArgs(
+                rows, cols, offset,
+                *(_address(a, (runs, 1, cols)) for a in below), _data(scratch),
+                *(_address(a, (runs, 1, rows)) for a in pre),
+                ctypes.addressof(self.rectifiers[l]._args) if l < len(self.rectifiers) else None,
+                _data(d_pre), _data(d_pre[1]), None if operand is None else _data(operand),
+                _data(back), _data(d_inputs), _data(d_inputs[1]),
+            )
+            offset += rows * cols
+        flat = (means, variances, means_sq, self.d_means, self.d_variances)
+        self._args = _StepArgs(
+            runs, weights, len(layers),
+            ctypes.addressof(layers), ctypes.addressof(EXTERNALS),
+            *(_address(a, (runs, weights)) for a in flat),
+            _address(gamma, (2, runs)), _data(noise.targets), _data(noise.skipped),
+            _data(noise.gamma_next), _data(self.undo), _data(self.updates), None,
         )
         self._ref = ctypes.byref(self._args)
+        self._forward = LIB.step_forward
 
-    def __call__(self) -> None:
-        LIB.refine(self._ref)
+    def forward(self, layer: int) -> None:
+        status = self._forward(self._ref, layer)
+        if status < 0:
+            _raise(status)
+
+    def backward(self) -> None:
+        LIB.step_backward(self._ref)
+
+    def refine(self) -> None:
+        LIB.step_refine(self._ref)
+
+    def count_phases(self) -> np.ndarray:
+        """Have each call add its nanoseconds into a new int64 array, which is
+        returned: one total per layer's forward call, then the backward pass,
+        then the refinement."""
+        self.phase_ns = np.zeros(self._args.n_layers + 2, dtype=np.int64)
+        self._args.phase_ns = _data(self.phase_ns)
+        return self.phase_ns

@@ -10,6 +10,7 @@ it alone; `train` is the one-run case.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .posterior import (
     HYPERPRIOR,
     GammaDist,
     NetworkPosterior,
+    NumericError,
     PbpConfig,
     PosteriorStack,
     new_uniform,
@@ -53,6 +55,32 @@ class TrainReport:
     refreshes: list[tuple[int, float]] = field(default_factory=list)
 
 
+@contextmanager
+def _naming_the_run(labels: list[str]):
+    """Re-raise an error of the kernel that names the run of the stack it
+    arose in (kernel.c's noise step and EP refresh do) with that run's label
+    in front: `split 2: float division by zero`."""
+    try:
+        yield
+    except (ArithmeticError, NumericError) as error:
+        run = getattr(error, "run", None)
+        if run is None:
+            raise
+        raise type(error)(f"{labels[run]}: {error}") from None
+
+
+def check_variances(stack: PosteriorStack, labels: list[str], epoch: int) -> None:
+    """NumericError naming the first run, by its label, whose weight
+    variances are not all finite and positive, and the epoch."""
+    valid = (stack.variances > 0.0) & (stack.variances < np.inf)
+    if not valid.all():
+        r = int(np.argmin(valid.all(axis=-1)))
+        raise NumericError(
+            f"{labels[r]}: {np.count_nonzero(~valid[r])} weight variances not finite and "
+            f"positive after epoch {epoch}"
+        )
+
+
 def train(
     dataset: Dataset, config: PbpConfig, rng: np.random.Generator
 ) -> tuple[NetworkPosterior, np.ndarray, TrainReport]:
@@ -80,7 +108,9 @@ def train_runs(
 
     The datasets must have equal sizes. Run r draws only from rngs[r], in the
     order a lone run would: the mean perturbation, then one permutation per
-    epoch. labels name the runs in a SkipRateError (default "run <r>").
+    epoch. labels name the runs (default "run <r>") in a SkipRateError, in
+    the NumericError of check_variances, which runs at the end of every
+    epoch, and in front of an error of the kernel that names its run.
     """
     start = time.perf_counter()
     n = len(datasets[0].targets)
@@ -99,10 +129,6 @@ def train_runs(
     net.gamma = GammaDist(*HYPERPRIOR)
     net.lam = GammaDist(*HYPERPRIOR)
     stack = PosteriorStack.of([net] * runs)
-    sites = incorporate_all_prior_factors(stack)
-    for r, rng in enumerate(rngs):
-        perturb_means(stack.run(r), rng)
-
     reports = [TrainReport() for _ in range(runs)]
     undo = np.zeros(runs, dtype=int)
     updates = np.zeros(runs, dtype=int)
@@ -110,32 +136,38 @@ def train_runs(
     targets = np.stack([ds.targets for ds in datasets])
     run_index = np.arange(runs)[:, None]
 
-    for epoch in range(1, config.epochs + 1):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        # Step-major copies: row t holds every run's t-th example.
-        xs = np.ascontiguousarray(features[run_index, order].swapaxes(0, 1))
-        ys = np.ascontiguousarray(targets[run_index, order].T)
-        skipped = np.zeros(runs, dtype=int)
-        for t in range(n):
-            outcome = incorporate_likelihood_factors(stack, xs[t], ys[t])
-            skipped += outcome.skipped
-            undo += outcome.undo_count
-            updates += outcome.weight_updates
-        refresh = ep_refresh_prior(stack, sites)
-        for report, run_refresh in zip(reports, refresh.runs):
-            report.refreshes.append(run_refresh)
+    with _naming_the_run(labels):
+        sites = incorporate_all_prior_factors(stack)
+        for r, rng in enumerate(rngs):
+            perturb_means(stack.run(r), rng)
 
-        means, _ = forward_output_moments(stack, features)
-        epoch_rmse = np.sqrt(np.mean((means - targets) ** 2, axis=-1))
-        for r, report in enumerate(reports):
-            report.examples_skipped += int(skipped[r])
-            report.epochs_run += 1
-            report.epoch_rmse.append(float(epoch_rmse[r]))
-        for r in range(runs):
-            if skipped[r] > MAX_SKIP_RATE * n:
-                raise SkipRateError(
-                    f"{labels[r]}: {skipped[r]}/{n} examples skipped in epoch {epoch}"
-                )
+        for epoch in range(1, config.epochs + 1):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            # Step-major copies: row t holds every run's t-th example.
+            xs = np.ascontiguousarray(features[run_index, order].swapaxes(0, 1))
+            ys = np.ascontiguousarray(targets[run_index, order].T)
+            skipped = np.zeros(runs, dtype=int)
+            for t in range(n):
+                outcome = incorporate_likelihood_factors(stack, xs[t], ys[t])
+                skipped += outcome.skipped
+                undo += outcome.undo_count
+                updates += outcome.weight_updates
+            refresh = ep_refresh_prior(stack, sites)
+            check_variances(stack, labels, epoch)
+            for report, run_refresh in zip(reports, refresh.runs):
+                report.refreshes.append(run_refresh)
+
+            means, _ = forward_output_moments(stack, features)
+            epoch_rmse = np.sqrt(np.mean((means - targets) ** 2, axis=-1))
+            for r, report in enumerate(reports):
+                report.examples_skipped += int(skipped[r])
+                report.epochs_run += 1
+                report.epoch_rmse.append(float(epoch_rmse[r]))
+            for r in range(runs):
+                if skipped[r] > MAX_SKIP_RATE * n:
+                    raise SkipRateError(
+                        f"{labels[r]}: {skipped[r]}/{n} examples skipped in epoch {epoch}"
+                    )
 
     seconds = time.perf_counter() - start
     results = []

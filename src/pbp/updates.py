@@ -11,9 +11,11 @@ All Z bookkeeping stays in log space. Gradients of the likelihood log-Z with
 respect to every weight mean and variance come from a hand-written
 reverse-mode sweep over the moment maps of the forward pass.
 
-A likelihood step's elementwise arithmetic, the Gamma chains included, runs
-in kernel.c, bound to the stack's Workspace; numpy runs the matmuls of the
-sweep (and, in the rectifier's far tail, powers).
+A likelihood step runs in kernel.c, bound to the stack's workspace (a
+kernel.Step): the forward pass one call per layer, then the noise-Gamma
+step, the reverse sweep and the refinement one call each. Its matmuls and
+log_ndtr call numpy's BLAS and scipy's log_ndtr from there; only numpy's exp
+(and, in the rectifier's far tail, its powers) runs between two calls.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import forward_trace
-from .kernel import LinearBackward, Rectifier, Refresh
+from .kernel import Refresh
 from .posterior import NumericError, PosteriorStack
 
 
@@ -85,50 +87,17 @@ def backward_gradients(stack: PosteriorStack, y: np.ndarray) -> None:
     Seeds with d log Z / d(output moments) and walks the layers in reverse,
     applying the exact partial derivatives of the linear and rectifier moment
     maps as implemented in the forward pass, whose intermediates the stack's
-    last forward_trace left in its workspace; y holds one target per run. The
-    gradients go into the workspace: flat over all weights in d_means and
-    d_variances, with per-layer (R, rows, cols) views.
-    """
-    ws = stack.workspace
-    np.copyto(ws.noise.targets, y)
-    ws.output_gradients()
-    for l in range(len(stack.layers) - 1, -1, -1):
-        _linear_backward(ws.linear_backward[l])
-        if l > 0:
-            _relu_backward(ws.rectifiers[l - 1])
-
-
-def _linear_backward(kernel: LinearBackward) -> None:
-    """Backward through ma = M mz / sqrt(c), va = [(M*M) vz + V (mz^2 + vz)] / c.
-
-    kernel is bound to the layer's weights, its input moments (one row per
-    run), the gradients (dma, dva) w.r.t. its output moments, and the weight
-    gradients it writes. The input gradients (kernel.d_inputs) are formed
-    for a layer with inputs, and not for the input layer (whose would go
-    unused), which has no operand.
-    """
-    kernel.weights()
-    if kernel.operand is None:
-        return
-    products = kernel.products
-    np.matmul(kernel.dma, kernel.means, out=products[0])
-    np.matmul(kernel.dva, kernel.variances, out=products[1])
-    np.matmul(kernel.dva, kernel.operand, out=products[2])
-    kernel.inputs()
-
-
-def _relu_backward(rectifier: Rectifier) -> None:
-    """Backward through the rectifier moment map, branch for branch.
-
-    Differentiates the forward expressions exactly, including through the
+    last forward_trace left in its workspace; y holds one target per run.
+    The rectifier is differentiated branch for branch, through the
     asymptotic series for the pdf/cdf ratio where that branch was taken, so
     finite differences of the implemented forward pass agree everywhere. The
-    intermediates the forward pass formed are in the rectifier's buffers.
+    gradients go into the workspace: flat over all weights in d_means and
+    d_variances, with per-layer (R, rows, cols) views d_mean_views and
+    d_variance_views.
     """
-    if rectifier.n_series:
-        np.copyto(rectifier.inv_square, rectifier.alpha_s**-2)
-        np.copyto(rectifier.inv_fourth, rectifier.alpha_s**-4)
-    rectifier.backward()
+    step = stack.workspace
+    np.copyto(step.noise.targets, y)
+    step.backward()
 
 
 def incorporate_likelihood_factors(
@@ -160,9 +129,9 @@ def incorporate_likelihood_factors(
     # The skipping runs' gradients are discarded; their targets are their
     # output means, whose zero residual keeps them finite.
     backward_gradients(stack, noise.targets)
-    refine = stack.workspace.refine
-    refine()
-    return UpdateOutcome(skipped, refine.undo.copy(), refine.updates.copy())
+    step = stack.workspace
+    step.refine()
+    return UpdateOutcome(skipped, step.undo.copy(), step.updates.copy())
 
 
 def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:

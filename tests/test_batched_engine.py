@@ -9,7 +9,7 @@ arithmetic of a run.
 
 import copy
 import gc
-import itertools
+import math
 import weakref
 
 import numpy as np
@@ -21,9 +21,12 @@ import pbp.updates as updates
 import reference_update
 from conftest import random_net, toy_cubic_dataset
 from pbp.data import Dataset, normalize, split
+from pbp.forward import MomentVector
 from reference_forward import forward_output_moments_batch
 from reference_update import GradientStore, incorporate_likelihood_factor
-from pbp.posterior import HYPERPRIOR, GammaDist, PbpConfig, PosteriorStack, new_uniform, perturb_means
+from pbp.posterior import (
+    HYPERPRIOR, GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform, perturb_means,
+)
 from pbp.training import SkipRateError, TrainReport, train, train_runs
 from pbp.updates import incorporate_likelihood_factors
 from reference_prior import Sites, ep_refresh_prior, incorporate_all_prior_factors
@@ -318,6 +321,18 @@ def test_step_with_an_undone_weight_in_one_run_matches_the_reference(monkeypatch
     assert stack.layers[0].means[1, 2, 3] == nets[1].layers[0].means[2, 3]
 
 
+def test_step_with_a_negative_pre_activation_variance_raises_before_any_write():
+    # Negative weight variances give run 1's first hidden unit a negative
+    # pre-activation variance, which the step's forward call refuses.
+    nets, rng = step_nets([3, 5, 4, 1], 3, 47)
+    nets[1].layers[0].variances[0] = -5.0
+    stack = PosteriorStack.of(nets)
+    before = [_bits(a) for a in (stack.means, stack.variances, stack.gamma)]
+    with pytest.raises(NumericError, match="^negative pre-activation variance"):
+        incorporate_likelihood_factors(stack, rng.normal(size=(3, 3)), rng.normal(size=3))
+    assert [_bits(a) for a in (stack.means, stack.variances, stack.gamma)] == before
+
+
 def test_step_with_a_nan_target_in_one_run_of_three_matches_the_reference():
     nets, rng = step_nets([3, 5, 4, 1], 3, 44)
     ys = np.array([0.3, np.nan, -0.2])
@@ -328,7 +343,9 @@ def test_step_with_a_nan_target_in_one_run_of_three_matches_the_reference():
 
 # The pre-activations a fuzzed step may force on one hidden unit: means of
 # +0.0 and -0.0, negative and positive, at a variance of 0 or below the
-# deterministic cutoff.
+# deterministic cutoff. force_unit reaches them through the unit's weights,
+# where a mean of -0.0 gives +0.0; the rectifier's -0.0 is checked alone
+# (test_a_signed_zero_pre_activation_rectifies_as_the_reference).
 FORCED_UNITS = [(0.0, 0.0), (-0.0, 0.0), (-0.7, 0.0), (1.3, 0.0), (-2e-20, 1e-40), (3e-20, 1e-31)]
 
 
@@ -373,20 +390,17 @@ def fuzz_step_case(rng):
     return nets, xs, ys
 
 
-def force_unit(real, layers, hidden_layer, unit, mean, variance):
-    """real (a forward_linear), writing (mean, variance) into the output
-    moments of one unit of one hidden layer; a pass calls it once per layer,
-    in order."""
-    calls = itertools.count()
-
-    def forward_linear(*args, **kwargs):
-        a = real(*args, **kwargs)
-        if next(calls) % layers == hidden_layer:
-            a.mean[..., unit] = mean
-            a.variance[..., unit] = variance
-        return a
-
-    return forward_linear
+def force_unit(nets, hidden_layer, unit, mean, variance):
+    """Give one unit of one hidden layer of every net the pre-activation
+    moments (mean, variance), up to rounding, whatever its inputs: zero
+    weight means but the bias's, mean * sqrt(cols), and zero weight
+    variances but the bias's, variance * cols."""
+    for net in nets:
+        layer = net.layers[hidden_layer]
+        layer.means[unit] = 0.0
+        layer.means[unit, -1] = mean * math.sqrt(layer.cols)
+        layer.variances[unit] = 0.0
+        layer.variances[unit, -1] = variance * layer.cols
 
 
 def test_fuzzed_steps_match_the_reference(monkeypatch):
@@ -406,11 +420,7 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
                 layers = len(nets[0].layers)
                 l = int(rng.integers(layers - 1))
                 unit = int(rng.integers(nets[0].layers[l].rows))
-                pre = FORCED_UNITS[(case // 7) % len(FORCED_UNITS)]
-                for module in (forward, reference_update):
-                    m.setattr(
-                        module, "forward_linear", force_unit(module.forward_linear, layers, l, unit, *pre)
-                    )
+                force_unit(nets, l, unit, *FORCED_UNITS[(case // 7) % len(FORCED_UNITS)])
             stack, outcome = assert_step_matches_reference(nets, xs, ys)
         if outcome.skipped.all():
             seen["skipped"] += 1
@@ -421,6 +431,39 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
         seen["skipped"] += bool(outcome.skipped.any())
         seen["undone"] += bool(outcome.undo_count.any())
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("variance", [0.0, 1e-40, 0.5])
+def test_a_signed_zero_pre_activation_rectifies_as_the_reference(variance):
+    # np.matmul gives +0.0 where every product is a signed zero, so no step
+    # forms a pre-activation mean of -0.0 (see force_unit). The rectifier
+    # that a step and a rows pass share gives it, and +0.0, the bits of the
+    # numpy rectifier of reference_forward, intermediates included.
+    for mean in (-0.0, 0.0):
+        a = MomentVector(np.array([[mean, 1.0]]), np.array([[variance, 0.3]]))
+        got, rectifier = forward.relu_moments(a)
+        want, aux = reference_update.relu_moments(a)
+        assert _bits(got.mean) == _bits(want.mean), mean
+        assert _bits(got.variance) == _bits(want.variance), mean
+        for name in ("alpha", "ratio", "vprime", "cdf", "cdf_neg", "pdf", "sqrt_v", "deterministic"):
+            assert _bits(getattr(rectifier, name)) == _bits(getattr(aux, name)), (mean, name)
+
+
+def test_phase_counters_time_every_call_and_move_no_bit():
+    # Two steps on each of two stacks of the same nets; one counts the
+    # nanoseconds of its second step's calls: forward 0, forward 1, forward
+    # out, backward, refine.
+    nets, rng = step_nets([3, 5, 4, 1], 3, 46)
+    xs, ys = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3))
+    plain, counted = (PosteriorStack.of([copy.deepcopy(net) for net in nets]) for _ in range(2))
+    for stack in (plain, counted):
+        incorporate_likelihood_factors(stack, xs[0], ys[0])
+    phases = counted.workspace.count_phases()
+    for stack in (plain, counted):
+        incorporate_likelihood_factors(stack, xs[1], ys[1])
+    assert phases.shape == (5,) and (phases > 0).all()
+    for name in ("means", "variances", "gamma"):
+        assert _bits(getattr(counted, name)) == _bits(getattr(plain, name)), name
 
 
 def test_stack_layers_and_runs_are_views_of_one_buffer():

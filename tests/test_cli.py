@@ -320,12 +320,12 @@ class TestNumericFailures:
     ):
         # A noise Gamma rate of exactly 0 divides by 0 in the moment match of
         # the first likelihood step (kernel.c's noise_step), which raises
-        # ZeroDivisionError.
+        # ZeroDivisionError naming the run: here the last of the stack.
         real = training.incorporate_all_prior_factors
 
         def zero_noise_rate(stack):
             sites = real(stack)
-            stack.gamma[1] = 0.0
+            stack.gamma[1, -1] = 0.0
             return sites
 
         monkeypatch.setattr(training, "incorporate_all_prior_factors", zero_noise_rate)
@@ -338,7 +338,8 @@ class TestNumericFailures:
                        "--repetitions", "2"],
         }[command]
         assert main([command, *common, *extra]) == EXIT_NUMERIC
-        assert "numeric failure: float division by zero" in capsys.readouterr().err
+        label = {"train": "run 0", "benchmark": "split 1", "active": "random repetition 1"}[command]
+        assert f"numeric failure: {label}: float division by zero" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
     def _predict(self, model, tmp_path, features):
@@ -383,14 +384,26 @@ class TestNumericFailures:
         assert "numeric failure: split 2, input row 13: predictive mean" in capsys.readouterr().err
 
     def test_a_non_finite_prediction_names_the_repetition(self, one_huge_feature, tmp_path, capsys):
-        # A test set of 20 rows: row 56 is a pool row, of the pass over the
+        # A test set of 20 rows: the huge feature's row 8 of the CSV is a
+        # pool point of active repetition 1, the 56th of the pass over the
         # active repetitions' pools.
         args = ["active", "--data", str(one_huge_feature), "--policy", "both", "--repetitions", "3",
                 "--epochs", "1", "--test-size", "20", "--acquisitions", "3",
                 "--out", str(tmp_path / "curve")]
         assert main(args) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numeric failure: active repetition 1, input row 56: predictive mean" in err
+        assert "numeric failure: active repetition 1, pool, data row 8: predictive mean" in err
+
+
+    def test_a_non_finite_prediction_names_the_test_set(self, one_huge_feature, tmp_path, capsys):
+        # With 100 test rows, the huge feature's row 8 of the CSV is a test
+        # point of active repetition 1.
+        args = ["active", "--data", str(one_huge_feature), "--policy", "both", "--repetitions", "3",
+                "--epochs", "1", "--test-size", "100", "--acquisitions", "3",
+                "--out", str(tmp_path / "curve")]
+        assert main(args) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: active repetition 1, test set, data row 8: predictive mean" in err
 
 
 class TestBenchmarkCommand:

@@ -1,0 +1,57 @@
+"""The import-time check of the functions kernel.c calls for numpy's and
+scipy's bits (kernel.resolve_externals and check_externals): a missing
+symbol or a differing bit stops `import pbp` with one line, and nothing runs
+in their place."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pbp
+
+# Code run before pbp is imported, and the line the import fails with: the
+# BLAS lookup misses ddot, or the log_ndtr capsule holds scipy's ndtr, which
+# kernel.c then calls in its place.
+SABOTAGED_EXTERNALS = {
+    "ddot-missing": (
+        "import ctypes\n"
+        "real = ctypes.CDLL.__getattr__\n"
+        "def lookup(lib, name):\n"
+        "    if name == 'scipy_cblas_ddot64_':\n"
+        "        raise AttributeError(name)\n"
+        "    return real(lib, name)\n"
+        "ctypes.CDLL.__getattr__ = lookup\n",
+        "ExternalError: numpy's BLAS has no scipy_cblas_ddot64_",
+    ),
+    "log-ndtr-bits-differ": (
+        "from scipy.special import cython_special as cs\n"
+        "cs.__pyx_capi__['__pyx_fuse_1log_ndtr'] = cs.__pyx_capi__['__pyx_fuse_1ndtr']\n",
+        "ExternalError: scipy's __pyx_fuse_1log_ndtr called from kernel.c does not give",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SABOTAGED_EXTERNALS)
+def test_externals_missing_or_off_by_a_bit_fail_the_import_in_one_line(tmp_path, case):
+    sabotage, message = SABOTAGED_EXTERNALS[case]
+    (tmp_path / "toy.csv").write_text("x,y\n" + "".join(f"{i / 10},{i % 3}\n" for i in range(20)))
+    train = (
+        "import runpy, sys\n"
+        "sys.argv = ['pbp', 'train', '--data', 'toy.csv', '--out', 'm.json']\n"
+        "runpy.run_module('pbp.cli', run_name='__main__')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pbp.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", sabotage + train], env=env, cwd=tmp_path, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert done.returncode != 0
+    # One line, and no traceback.
+    assert done.stderr.startswith(message)
+    assert len(done.stderr.strip().splitlines()) == 1
+    # Nothing trained: no numpy path stands in for the kernel's externals.
+    assert done.stdout == ""
+    assert not (tmp_path / "m.json").exists()

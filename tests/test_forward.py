@@ -321,7 +321,7 @@ class TestShapeContract:
         trace_m, trace_v = forward_trace(stack, x)
         m, v = forward_output_moments(stack, x[:, None, :])
         assert trace_m.shape == trace_v.shape == (2,)
-        assert len(stack.workspace.linear) == 3
+        assert len(stack.workspace.rectifiers) == 2
         assert _bits(trace_m) == _bits(m[:, 0])
         assert _bits(trace_v) == _bits(v[:, 0])
         for r, net in enumerate(nets):

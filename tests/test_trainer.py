@@ -4,7 +4,7 @@ import pytest
 import pbp.training as training
 from conftest import toy_cubic_dataset
 from pbp.data import normalize
-from pbp.posterior import PbpConfig, PosteriorStack
+from pbp.posterior import NumericError, PbpConfig, PosteriorStack
 from pbp.training import SkipRateError, train, train_runs
 from pbp.updates import UpdateOutcome
 
@@ -190,6 +190,30 @@ class TestSkipRateAbort:
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=1, seed=0)
         with pytest.raises(SkipRateError):
             train(norm, cfg, np.random.default_rng(0))
+
+
+class TestEpochEndCheck:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_a_variance_not_finite_and_positive_names_the_run_and_epoch(self, monkeypatch, bad):
+        # A refresh that leaves one weight variance of run 1 unusable at the
+        # end of epoch 2: the check after it names the run by its label.
+        real, refreshes = training.ep_refresh_prior, []
+
+        def spoiling(stack, sites):
+            report = real(stack, sites)
+            refreshes.append(report)
+            if len(refreshes) == 2:
+                stack.variances[1, 4] = bad
+            return report
+
+        monkeypatch.setattr(training, "ep_refresh_prior", spoiling)
+        datasets = [normalized_toy(n=10, seed=s)[0] for s in (1, 2, 3)]
+        cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=0)
+        rngs = [np.random.default_rng(r) for r in range(3)]
+        message = r"^split 1: 1 weight variances not finite and positive after epoch 2$"
+        with pytest.raises(NumericError, match=message):
+            train_runs(datasets, cfg, rngs, ["split 0", "split 1", "split 2"])
+        assert len(refreshes) == 2
 
 
 def test_empty_training_set_rejected():
