@@ -6,13 +6,17 @@
 TREE is a checkout of this repository: pbp is imported from its `src`, with
 BLAS pinned to one thread as in perfbench. For each stack (runs x layer
 sizes) a fresh stack is built as training builds it (hyperprior Gammas, the
-prior factors, perturbed means), takes 200 warm-up steps and then N timed
-steps of `incorporate_likelihood_factors` on seeded inputs and targets; the
-line gives the median microseconds per step over K such repeats, and their
-range. A tree whose step keeps per-phase counters (kernel.Step.count_phases)
-also gets the microseconds per step of each phase, from one more repeat
-with the counters on: each layer's forward call (with the numpy work after
-it not included), the backward pass and the refinement. --json prints one
+prior factors, perturbed means), takes an epoch of 200 warm-up steps and
+then a timed epoch of N steps on seeded inputs and targets, each through
+what `train_runs` calls on that tree: one `incorporate_likelihood_factors`
+call for the epoch where it takes (N, R, d) inputs (kernel.Step has
+`epoch`), N calls of one step each where it takes (R, d). The line gives the
+median microseconds per step over K such repeats, and their range. A tree
+whose step keeps per-phase counters (kernel.Step.count_phases) also gets the
+microseconds per step of each phase, from one more repeat with the counters
+on: each layer's forward pass (on trees whose step leaves numpy's exp
+between two calls, without it), the backward pass and the refinement. The
+header gives the number of CPUs the process may run on. --json prints one
 JSON object instead of the table.
 """
 
@@ -54,23 +58,40 @@ def fresh_stack(runs, sizes, seed):
     return stack
 
 
+def epoch_call():
+    """epoch(stack, xs, ys): what train_runs calls on this tree for an epoch
+    of xs (n, R, d) and ys (n, R)."""
+    import pbp.kernel
+    from pbp.updates import incorporate_likelihood_factors
+
+    if hasattr(getattr(pbp.kernel, "Step", None), "epoch"):
+        return incorporate_likelihood_factors
+
+    def per_example(stack, xs, ys):
+        for x, y in zip(xs, ys):
+            incorporate_likelihood_factors(stack, x, y)
+
+    return per_example
+
+
 def timed_steps(runs, sizes, steps, seed, count_phases=False):
     """(seconds per step, per-phase seconds per step or None) of one repeat."""
     import numpy as np
-    from pbp.updates import incorporate_likelihood_factors
 
+    epoch = epoch_call()
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(WARM_UP + steps, runs, sizes[0]))
     ys = np.sin(xs.sum(axis=-1)) + 0.1 * rng.normal(size=(WARM_UP + steps, runs))
+    # train_runs passes each epoch's examples as C-contiguous copies.
+    warm_up = [np.ascontiguousarray(a[:WARM_UP]) for a in (xs, ys)]
+    timed = [np.ascontiguousarray(a[WARM_UP:]) for a in (xs, ys)]
     stack = fresh_stack(runs, sizes, seed)
-    for t in range(WARM_UP):
-        incorporate_likelihood_factors(stack, xs[t], ys[t])
+    epoch(stack, *warm_up)
     phases = None
     if count_phases:
         phases = stack.workspace.count_phases()
     start = time.perf_counter()
-    for t in range(WARM_UP, WARM_UP + steps):
-        incorporate_likelihood_factors(stack, xs[t], ys[t])
+    epoch(stack, *timed)
     seconds = (time.perf_counter() - start) / steps
     return seconds, None if phases is None else phases / 1e9 / steps
 
@@ -92,6 +113,11 @@ def main(argv):
     import pbp.kernel
 
     counters = hasattr(getattr(pbp.kernel, "Step", None), "count_phases")
+    folded = hasattr(getattr(pbp.kernel, "Step", None), "epoch")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if "json" not in options:
+        calls = "one call per epoch" if folded else "one call per step"
+        print(f"{tree}: {cpus} usable CPUs, BLAS on 1 thread, {calls}", flush=True)
     results = []
     for runs, sizes in STACKS:
         name = f"{runs} x {'-'.join(map(str, sizes))}"
@@ -114,7 +140,10 @@ def main(argv):
                 line += "  " + ", ".join(f"{k} {v:.1f}" for k, v in row["phases_us"].items())
             print(line, flush=True)
     if "json" in options:
-        print(json.dumps({"tree": str(tree), "phase_counters": counters, "stacks": results}))
+        print(json.dumps({
+            "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
+            "phase_counters": counters, "stacks": results,
+        }))
     return 0
 
 

@@ -214,7 +214,9 @@ def normalize(train: Dataset) -> tuple[Dataset, NormStats]:
     """Zero-mean unit-variance stats from the training set only.
 
     Raises DataError naming the column when a mean or standard deviation is
-    not finite (values so large that the sums overflow).
+    not finite (values so large that the sums overflow), and when the
+    targets' standard deviation underflows to 0 although they differ (values
+    so small that their squares do).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         f_mean = train.features.mean(axis=0)
@@ -228,6 +230,12 @@ def normalize(train: Dataset) -> tuple[Dataset, NormStats]:
     f_mean = np.where(constant, train.features[0], f_mean)
     f_std = np.where(constant, 1.0, f_std)
     if t_std <= 0.0:
+        if (train.targets != train.targets[0]).any():
+            what = f"target column {train.columns[-1]!r}" if train.columns else "target column"
+            raise DataError(
+                f"{what}: the values differ but their standard deviation underflows to 0; "
+                "the values are too small to normalize"
+            )
         t_std = 1.0
     stats = NormStats(f_mean, f_std, t_mean, t_std)
     return stats.apply(train), stats

@@ -7,12 +7,12 @@ mixture of a point mass at 0 and a truncated Gaussian, whose first two moments
 have closed forms.
 
 A rows pass (forward_output_moments) runs its elementwise arithmetic in
-kernel.c (see kernel.LinearForward and kernel.Rectifier) around numpy's
-matmuls, scipy's log_ndtr and numpy's exp and, in the rectifier's far tail,
-numpy's power. The update's one-row pass (forward_trace) runs in kernel.c
-with its matmuls and log_ndtr, which call numpy's BLAS and scipy's log_ndtr
-from there (see kernel.Step): one call per layer, with numpy's exp and power
-between two.
+kernel.c around numpy's matmuls: a layer's moments (kernel.LinearForward)
+and its whole rectifier in one call (kernel.Rectifier), which calls scipy's
+log_ndtr and numpy's exp and power loops from there. The update's one-row
+pass runs in kernel.c with its matmuls too (see kernel.Step): forward_trace
+is one call for every layer, and training folds a whole epoch of examples
+into one call (updates.incorporate_likelihood_factors).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .kernel import LinearForward, Rectifier, Step, bias_extended, squared
 from .posterior import LayerPosterior, PosteriorStack
@@ -123,33 +122,15 @@ def relu_moments(a: MomentVector, out: MomentVector | None = None) -> tuple[Mome
     kernel.Rectifier bound to a's moments, made C-contiguous floats, and out
     for this call, as a rows pass binds one for each item.
 
-    kernel.c does the arithmetic; numpy runs log_ndtr on (alpha, -alpha) in
-    one call, and then _exp_and_powers.
+    kernel.c does the arithmetic, in one call.
     """
     if out is None:
         out = MomentVector(np.empty(a.mean.shape), np.empty(a.mean.shape))
     m = np.ascontiguousarray(a.mean, dtype=float)
     v = np.ascontiguousarray(a.variance, dtype=float)
     rectifier = Rectifier(m, v, out.mean, out.variance, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
-    rectifier.pre()
-    log_ndtr(rectifier.log_ndtr_args, out=rectifier.log_ndtr_values)
-    rectifier.mid()
-    _exp_and_powers(rectifier)
-    rectifier.post()
+    rectifier()
     return out, rectifier
-
-
-def _exp_and_powers(rectifier: Rectifier) -> None:
-    """numpy's part of a rectifier between its mid() and post(): exp on (log
-    Phi(alpha), log Phi(-alpha), log phi(alpha), log phi(alpha) - log
-    Phi(alpha)) in one call and, where some unit takes the far-tail series,
-    alpha_s ** 3 for post() and ** -2 and ** -4 for a step's reverse sweep."""
-    if rectifier.n_series:
-        alpha_s = rectifier.alpha_s
-        np.copyto(rectifier.cube, alpha_s**3)
-        np.copyto(rectifier.inv_square, alpha_s**-2)
-        np.copyto(rectifier.inv_fourth, alpha_s**-4)
-    np.exp(rectifier.exp_args, out=rectifier.exp_values)
 
 
 def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,27 +177,28 @@ def forward_trace(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.
     intermediates the backward pass reads; its (R,) output means and
     variances, which are the noise step's mz and vz.
 
-    It runs in the stack's workspace, a kernel.Step that the first call
-    builds, and its intermediates stay there until the stack's next
-    forward_trace: one kernel.c call per layer, with _exp_and_powers between
-    two.
+    It runs in the stack's workspace (see workspace) in one kernel.c call,
+    and its intermediates stay there until the stack's next step.
     """
     x = np.asarray(x, dtype=float)
     expected = stack.means.shape[:-1] + (stack.layer_sizes[0],)
     if x.shape != expected:
         raise ValueError(f"input has shape {x.shape}, expected {expected}")
+    step = workspace(stack)
+    np.copyto(step.x, x[:, None, :])
+    step.forward()
+    return step.noise.mz, step.noise.vz
+
+
+def workspace(stack: PosteriorStack) -> Step:
+    """The stack's likelihood step, a kernel.Step that the first call builds
+    and keeps on the stack."""
     if stack.workspace is None:
         stack.workspace = Step(
             stack.means, stack.variances, stack.gamma, stack.layer_sizes,
             DETERMINISTIC_VARIANCE, SERIES_THRESHOLD,
         )
-    step = stack.workspace
-    np.copyto(step.x, x[:, None, :])
-    for l, rectifier in enumerate(step.rectifiers):
-        step.forward(l)
-        _exp_and_powers(rectifier)
-    step.forward(len(step.rectifiers))
-    return step.noise.mz, step.noise.vz
+    return stack.workspace
 
 
 def _work_items(runs: int, n: int) -> list[tuple[slice, slice]]:

@@ -7,20 +7,21 @@
  * noise_step: each run's likelihood log-normalisers, skip flag and noise-
  * precision Gamma moment match for one training example.
  * The moment maps (below the Gamma chains): the linear layer's moments
- * around its matmuls and the rectifier around log_ndtr and exp, which a
- * rows pass calls one by one, and the likelihood step, which runs them with
- * the matmuls and log_ndtr, the reverse sweep and the refinement of every
- * weight in step_forward (one call per layer), step_backward and
- * step_refine.
+ * around its matmuls and the rectifier (rectify), which a rows pass calls
+ * once per layer of each item, and the likelihood step: step_epoch folds n
+ * examples per run of a stack in sequence, each through the forward pass
+ * (step_forward), noise_step, the reverse sweep (step_backward) and the
+ * refinement of every weight (step_refine).
  *
  * Every expression is the one the Python floats or numpy arrays of pbp
  * evaluated before, in the same order and association, so the results are
  * the same bits: built with -ffp-contract=off (no fused multiply-add) and
  * -fno-builtin (pow, exp and log stay calls into the process's libm, which
  * Python's math module and float power also call). The matmuls call numpy's
- * BLAS as np.matmul does, and log_ndtr scipy's own function. Where Python
- * raised, the entry points return a negative status instead (see kernel.py)
- * and leave every buffer the caller reads as it was.
+ * BLAS as np.matmul does, log_ndtr scipy's own function, and the rectifier's
+ * exp and powers numpy's own ufunc loops. Where Python raised, the entry
+ * points return a negative status instead (see kernel.py) and leave every
+ * buffer the caller reads as it was.
  */
 
 #include <math.h>
@@ -38,7 +39,7 @@ enum {
 
 struct noise_args {
     int64_t runs;
-    const double *moments; /* (3, R): targets, output means, output variances */
+    double *moments;       /* (3, R): targets, output means, output variances */
     const double *gamma;   /* (2, R): noise Gamma shapes, rates */
     double *gamma_next;    /* (2, R): the matched Gammas */
     double *log_z;         /* (3, R): log-normalisers at shape + 0, 1, 2 */
@@ -214,6 +215,11 @@ static int refresh_run(const struct refresh_args *s, int64_t r)
                 return ZERO_PRIOR_VARIANCE;
             m_new = prior_var * eta;
             v_new = prior_var;
+            /* A prior shape fallen to 1 or below gives no variance. */
+            if (!(0.0 < v_new && v_new < INFINITY)) {
+                skipped++;
+                continue;
+            }
         } else {
             /* The Gaussian refinement with d log Z / dm and d log Z / dv of
              * log N(m | 0, b/(a-1) + v) at the cavity (m, v). */
@@ -312,27 +318,35 @@ int ep_refresh(struct refresh_args *s)
 
 /* ------------------------------------------------ the moment maps of a step
  *
- * Three kinds of operation take their bits from outside this file: the
- * matmuls from numpy's BLAS and log_ndtr from scipy, both called through the
- * pointers of struct externals, which kernel.py checks against np.matmul
- * and scipy.special.log_ndtr; and numpy's exp and power (SIMD code that
- * differs from libm's exp and pow on some arguments), which the caller runs
- * between two calls. Besides, only +, -, *, /, sqrt (correctly rounded, as
- * numpy's) and comparisons happen here, each in the association of the
- * numpy expression it replaces, which the comment of each map quotes. The
- * branch-free loops read their buffers through restrict locals, so that gcc
- * vectorizes them; a vectorized IEEE operation rounds as the scalar one.
+ * Three kinds of operation take their bits from outside this file, called
+ * through the pointers of struct externals, which kernel.py checks against
+ * np.matmul, scipy.special.log_ndtr, np.exp and np.power: the matmuls from
+ * numpy's BLAS, log_ndtr from scipy, and exp and power from numpy's own ufunc
+ * loops (SIMD code that differs from libm's exp and pow on some arguments).
+ * Besides, only +, -, *, /, sqrt (correctly rounded, as numpy's) and
+ * comparisons happen here, each in the association of the numpy expression
+ * it replaces, which the comment of each map quotes. The branch-free loops
+ * read their buffers through restrict locals, so that gcc vectorizes them; a
+ * vectorized IEEE operation rounds as the scalar one.
  */
 
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
 
-/* numpy's bundled OpenBLAS (ILP64: 64-bit integers) and the double
- * log_ndtr of scipy.special.cython_special. */
+/* A one-dimensional inner loop of a numpy ufunc (PyUFuncGenericFunction):
+ * args, dimensions and steps (in bytes) of its operands, and its data. */
+typedef void (*ufunc_loop)(char **args, const intptr_t *dimensions, const intptr_t *steps,
+                           void *data);
+
+/* numpy's bundled OpenBLAS (ILP64: 64-bit integers), the double log_ndtr of
+ * scipy.special.cython_special, and the 'd->d' loop of np.exp and the
+ * 'dd->d' loop of np.power with their data. */
 struct externals {
     void (*dgemv)(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
                   int64_t lda, const double *x, int64_t incx, double beta, double *y, int64_t incy);
     double (*ddot)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
     double (*log_ndtr)(double x, int skip_dispatch);
+    ufunc_loop exp, power;
+    void *exp_data, *power_data;
 };
 
 /* out = x @ M^T (transposed) or x @ M for each run, M (rows, cols), as
@@ -367,6 +381,23 @@ void log_ndtr_n(const struct externals *e, int64_t n, const double *x, double *o
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = e->log_ndtr(x[i], 0);
+}
+
+/* out = np.exp(x), n contiguous values, as np.exp passes them to its loop. */
+void exp_n(const struct externals *e, int64_t n, const double *x, double *out)
+{
+    char *args[] = {(char *)x, (char *)out};
+    const intptr_t dimensions[] = {n}, steps[] = {sizeof(double), sizeof(double)};
+    e->exp(args, dimensions, steps, e->exp_data);
+}
+
+/* out = x ** exponent, n contiguous values: np.power with a scalar exponent,
+ * which it broadcasts as an operand of stride 0. */
+void power_n(const struct externals *e, int64_t n, const double *x, double exponent, double *out)
+{
+    char *args[] = {(char *)x, (char *)&exponent, (char *)out};
+    const intptr_t dimensions[] = {n}, steps[] = {sizeof(double), 0, sizeof(double)};
+    e->power(args, dimensions, steps, e->power_data);
 }
 
 /* np.maximum(x, 0.0): NaN propagates, and -0.0 gives +0.0. */
@@ -416,7 +447,7 @@ void linear_moments(const struct linear_args *s)
 
 /* The rectifier max(0, x), x ~ N(m, v), per unit, in three parts around
  * log_ndtr of (alpha, -alpha) and exp of (log_cdf, log_cdf_neg, log_pdf,
- * log_ratio), which run on adjacent rows of one buffer. */
+ * log_ratio), which run on adjacent rows of one buffer (see rectify). */
 struct relu_args {
     int64_t rows, units, out_stride; /* out_stride: doubles between rows of out_m, out_v */
     const double *m, *v;             /* (rows, units) pre-activation moments */
@@ -425,7 +456,7 @@ struct relu_args {
     double *cdf, *cdf_neg, *pdf, *ratio;
     double *sqrt_v, *v_safe, *vprime, *mean_pos, *alpha_s;
     /* alpha_s ** 3, ** -2 and ** -4, read where a unit takes the series */
-    const double *cube, *inv_square, *inv_fourth;
+    double *cube, *inv_square, *inv_fourth;
     double *out_m, *out_v;
     uint8_t *deterministic, *series;
     int64_t n_deterministic, n_series;
@@ -436,7 +467,7 @@ struct relu_args {
  * alpha = m / sqrt_v; log_pdf = -0.5 * (alpha * alpha + LOG_2PI);
  * series = alpha < threshold; alpha_s = where(series, alpha, -1.0).
  * NEGATIVE_VARIANCE where some v < 0 (a NaN is not). */
-int relu_pre(struct relu_args *s)
+static int relu_pre(struct relu_args *s)
 {
     const int64_t n = s->rows * s->units;
     int64_t n_det = 0, n_series = 0;
@@ -466,7 +497,7 @@ int relu_pre(struct relu_args *s)
 }
 
 /* log_ratio = log_pdf - log_cdf */
-void relu_mid(const struct relu_args *s)
+static void relu_mid(const struct relu_args *s)
 {
     const int64_t n = s->rows * s->units;
     const double *restrict log_pdf = s->log_pdf, *restrict log_cdf = s->log_cdf;
@@ -479,7 +510,7 @@ void relu_mid(const struct relu_args *s)
  * vprime = m + sqrt_v * ratio; mean_pos = cdf * vprime
  * out_v = maximum(mean_pos * vprime * cdf_neg + cdf * v_safe * (1.0 - ratio * (ratio + alpha)), 0.0)
  * and where det: out_m = maximum(m, 0.0), out_v = 0.0. */
-void relu_post(const struct relu_args *s)
+static void relu_post(const struct relu_args *s)
 {
     for (int64_t r = 0; r < s->rows; r++) {
         for (int64_t j = 0; j < s->units; j++) {
@@ -504,6 +535,29 @@ void relu_post(const struct relu_args *s)
             }
         }
     }
+}
+
+/* The whole rectifier of s: relu_pre; log_ndtr; relu_mid; where some unit
+ * takes the series, alpha_s ** 3 for relu_post and ** -2 and ** -4 for
+ * relu_backward; exp; relu_post. Returns 0 or NEGATIVE_VARIANCE. */
+int rectify(const struct externals *e, struct relu_args *s)
+{
+    int status = relu_pre(s);
+    if (status)
+        return status;
+    const int64_t n = s->rows * s->units;
+    /* (alpha, -alpha) and (log_cdf, log_cdf_neg) are adjacent rows, and so
+     * are the four from log_cdf and the four from cdf. */
+    log_ndtr_n(e, 2 * n, s->alpha, s->log_cdf);
+    relu_mid(s);
+    if (s->n_series) {
+        power_n(e, n, s->alpha_s, 3.0, s->cube);
+        power_n(e, n, s->alpha_s, -2.0, s->inv_square);
+        power_n(e, n, s->alpha_s, -4.0, s->inv_fourth);
+    }
+    exp_n(e, 4 * n, s->log_cdf, s->cdf);
+    relu_post(s);
+    return 0;
 }
 
 /* The gradients of log Z w.r.t. the rectifier's input moments (dma, dva,
@@ -556,17 +610,16 @@ static void relu_backward(const struct relu_args *f, int64_t in_stride, const do
 
 /* ------------------------------------------------------- the likelihood step
  *
- * A step over one input row per run of a stack, in the calls its numpy
- * operations leave: step_forward once per layer, input layer first, with
- * numpy's exp (and, where a unit takes the far-tail series, its powers)
- * after that of each hidden layer; noise_step (above); step_backward; and
- * step_refine. */
+ * A step over one input row per run of a stack: step_forward, noise_step
+ * (above), step_backward and step_refine, and step_epoch runs n steps in
+ * sequence. Each phase is an entry point of its own too, through which
+ * forward_trace and the tests run a step one phase at a time. */
 
 /* One layer, (rows, cols) weights per run from offset on in the flat (R, W)
  * buffers of the step, and the buffers of its pass, one row per run. */
 struct step_layer {
     int64_t rows, cols, offset;
-    const double *zm, *zv;   /* (R, cols): the bias-extended input moments */
+    double *zm, *zv;         /* (R, cols): the bias-extended input moments */
     double *scratch;         /* (R, cols) zm * zm, then (4, R, rows) the matmuls of its moments */
     double *mean, *variance; /* (R, rows): the pre-activation moments */
     struct relu_args *relu;  /* the rectifier of mean, variance; NULL for the output layer */
@@ -582,11 +635,11 @@ struct step_args {
     const struct externals *externals;
     double *means, *variances, *means_sq, *d_means, *d_variances; /* (R, W) */
     double *gamma;              /* (2, R): the stack's noise Gamma shapes, rates */
-    const double *targets;      /* (R,): the noise step's targets of the gradients, */
-    const uint8_t *skipped;     /* skip flags */
-    const double *gamma_next;   /* and matched Gammas */
+    /* The noise step, whose output moments are the output layer's mean and
+     * variance: its targets of the gradients, skip flags and matched Gammas. */
+    struct noise_args *noise;
     int64_t *undo, *updates;    /* (R,) */
-    /* NULL, or n_layers + 2 nanosecond totals: each layer's step_forward,
+    /* NULL, or n_layers + 2 nanosecond totals: each layer's forward pass,
      * then step_backward and step_refine. */
     int64_t *phase_ns;
 };
@@ -598,18 +651,16 @@ static int64_t now_ns(void)
     return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
-/* Layer l's forward pass: the previous rectifier's post, then the layer's
- * moments and, for a hidden layer, its rectifier up to the exp. Returns 0
- * or NEGATIVE_VARIANCE. */
-int step_forward(const struct step_args *s, int64_t l)
+/* Layer l's forward pass: the layer's moments and, for a hidden layer, its
+ * rectifier, whose output moments are the next layer's inputs. Returns 0 or
+ * NEGATIVE_VARIANCE. */
+static int forward_layer(const struct step_args *s, int64_t l)
 {
     int64_t start = s->phase_ns ? now_ns() : 0;
     const struct step_layer *L = s->layers + l;
     const int64_t R = s->runs, W = s->weights, rows = L->rows, cols = L->cols, n = R * rows;
     const double *m = s->means + L->offset, *v = s->variances + L->offset;
     double *m_sq = s->means_sq + L->offset, *zm_sq = L->scratch, *p = zm_sq + R * cols;
-    if (l > 0)
-        relu_post(L[-1].relu);
     for (int64_t r = 0; r < R; r++)
         square(&(struct square_args){rows * cols, m + r * W, m_sq + r * W});
     square(&(struct square_args){R * cols, L->zm, zm_sq});
@@ -619,15 +670,23 @@ int step_forward(const struct step_args *s, int64_t l)
     matvec(s->externals, 1, R, rows, cols, W, v, L->zv, p + 3 * n);
     linear_moments(&(struct linear_args){n, p, p + n, p + 2 * n, p + 3 * n, L->mean, L->variance,
                                          __builtin_sqrt((double)cols), (double)cols});
-    int status = L->relu ? relu_pre(L->relu) : 0;
-    if (L->relu && status == 0) {
-        /* (alpha, -alpha) and (log_cdf, log_cdf_neg) are adjacent rows. */
-        log_ndtr_n(s->externals, 2 * n, L->relu->alpha, L->relu->log_cdf);
-        relu_mid(L->relu);
-    }
+    int status = L->relu ? rectify(s->externals, L->relu) : 0;
     if (s->phase_ns)
         s->phase_ns[l] += now_ns() - start;
     return status;
+}
+
+/* The forward pass of the inputs in the input layer's unit slots, layer
+ * after layer, which leaves the output moments in the noise step's. Returns
+ * 0 or NEGATIVE_VARIANCE. */
+int step_forward(const struct step_args *s)
+{
+    for (int64_t l = 0; l < s->n_layers; l++) {
+        int status = forward_layer(s, l);
+        if (status)
+            return status;
+    }
+    return 0;
 }
 
 /* The reverse sweep through layer L's moments (see linear_moments), c its
@@ -688,7 +747,7 @@ void step_backward(const struct step_args *s)
     const struct step_layer *out = s->layers + last;
     for (int64_t r = 0; r < R; r++) {
         double total = s->gamma[R + r] / (s->gamma[r] - 1.0) + out->variance[r];
-        double diff = s->targets[r] - out->mean[r];
+        double diff = s->noise->targets[r] - out->mean[r];
         out->dma[r] = diff / total;
         out->dva[r] = 0.5 * (diff * diff / (total * total) - 1.0 / total);
     }
@@ -715,7 +774,7 @@ void step_refine(const struct step_args *s)
     const int64_t W = s->weights;
     for (int64_t r = 0; r < s->runs; r++) {
         int64_t undo = 0;
-        if (!s->skipped[r]) {
+        if (!s->noise->skipped[r]) {
             double *m = s->means + r * W, *v = s->variances + r * W;
             const double *dm = s->d_means + r * W, *dv = s->d_variances + r * W;
             for (int64_t w = 0; w < W; w++) {
@@ -730,9 +789,54 @@ void step_refine(const struct step_args *s)
             }
         }
         s->undo[r] = undo;
-        s->updates[r] = s->skipped[r] ? 0 : W;
+        s->updates[r] = s->noise->skipped[r] ? 0 : W;
     }
-    memcpy(s->gamma, s->gamma_next, 2 * s->runs * sizeof(double));
+    memcpy(s->gamma, s->noise->gamma_next, 2 * s->runs * sizeof(double));
     if (s->phase_ns)
         s->phase_ns[s->n_layers + 1] += now_ns() - start;
+}
+
+/* n examples per run of a stack, in sequence, each one step: the inputs
+ * xs[t] in the input layer's unit slots and the targets ys[t] in the noise
+ * step's; step_forward; noise_step; and, unless every run skips the
+ * example, step_backward and step_refine. */
+struct epoch_args {
+    int64_t n, inputs;
+    const double *xs, *ys;             /* (n, R, inputs), (n, R) */
+    int64_t *skipped, *undo, *updates; /* (R,): each run's sums over the examples */
+    int64_t failed_run;                /* the run whose noise step failed, with a status */
+};
+
+/* Returns 0 or the status of the first example that fails, after the
+ * examples before it. */
+int step_epoch(const struct step_args *s, struct epoch_args *e)
+{
+    const int64_t R = s->runs, d = e->inputs, cols = s->layers[0].cols;
+    double *x = s->layers[0].zm, *y = s->noise->moments;
+    for (int64_t r = 0; r < R; r++)
+        e->skipped[r] = e->undo[r] = e->updates[r] = 0;
+    for (int64_t t = 0; t < e->n; t++) {
+        for (int64_t r = 0; r < R; r++)
+            memcpy(x + r * cols, e->xs + (t * R + r) * d, d * sizeof(double));
+        memcpy(y, e->ys + t * R, R * sizeof(double));
+        int status = step_forward(s);
+        if (status)
+            return status;
+        int64_t skips = noise_step(s->noise);
+        if (skips < 0) {
+            e->failed_run = s->noise->failed_run;
+            return (int)skips;
+        }
+        for (int64_t r = 0; r < R; r++)
+            e->skipped[r] += s->noise->skipped[r];
+        if (skips == R)
+            continue;
+        step_backward(s);
+        step_refine(s);
+        for (int64_t r = 0; r < R; r++) {
+            e->undo[r] += s->undo[r];
+            e->updates[r] += s->updates[r];
+        }
+    }
+    return 0;
 }

@@ -3,19 +3,22 @@
 kernel.c holds the two loops whose every step depends on the last, the EP
 refresh of a stack's prior sites (which carries each run's prior-precision
 Gamma from weight to weight) and the noise-precision Gamma step of a
-likelihood update; the likelihood step (Step): each layer's moments, the
-rectifier, the reverse sweep and the refinement of every weight; and the
-elementwise arithmetic of a rows pass, around its matmuls, log_ndtr and exp.
+likelihood update; the likelihood step (Step), whose epoch() folds n
+examples per run in sequence, each through every layer's moments and
+rectifier, the noise step, the reverse sweep and the refinement of every
+weight; and the elementwise arithmetic of a rows pass around its matmuls: a
+layer's moments (LinearForward) and its whole rectifier (Rectifier).
 
 Some bits come from outside this package. The step's matmuls call numpy's
-bundled OpenBLAS (BLAS_SYMBOLS) as np.matmul does for one row, and its
-log_ndtr scipy's (LOG_NDTR_CAPSULE): both are resolved once, at import, and
-checked against np.matmul and scipy.special.log_ndtr (check_externals); a
-missing symbol or a differing bit fails the import with one line, an
-ExternalError, and there is no other path. numpy's exp and power (SIMD code
-that rounds differently from libm's exp and pow on some arguments; power only
-in the rectifier's far-tail series) run in Python between two calls, and a
-rows pass keeps numpy's matmuls (gemm for its rows) and scipy's log_ndtr.
+bundled OpenBLAS (BLAS_SYMBOLS) as np.matmul does for one row, every
+rectifier's log_ndtr scipy's (LOG_NDTR_CAPSULE), and its exp and far-tail
+powers the 'd->d' loop of np.exp and the 'dd->d' loop of np.power (SIMD code
+that rounds differently from libm's exp and pow on some arguments), read
+from the ufunc objects. All are resolved once, at import, and checked
+against np.matmul, scipy.special.log_ndtr, np.exp and np.power
+(check_externals); a missing symbol or loop or a differing bit fails the
+import with one line, an ExternalError, and there is no other path. A rows
+pass keeps numpy's matmuls (gemm for its rows).
 
 kernel.c is compiled with gcc and FLAGS on first import and loaded with
 ctypes. The build is cached under $XDG_CACHE_HOME/pbp (by default
@@ -27,7 +30,7 @@ pointers.
 
 Each entry point takes one struct of buffer addresses, bound once (per stack
 for a step, see Step; per layer of each item in a rows pass), so a call
-converts no array.
+converts no array; an epoch binds its examples per call.
 """
 
 from __future__ import annotations
@@ -161,8 +164,8 @@ class _LinearArgs(ctypes.Structure):
 
 # The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
 # "alpha" to the two from "log_cdf", and exp the four from "log_cdf" to the
-# four from "cdf". The last three hold powers of alpha_s, read where a unit
-# takes the series: ** 3 by relu_post, ** -2 and ** -4 by the step's
+# four from "cdf". The last three hold powers of alpha_s, written where a
+# unit takes the series: ** 3 for relu_post, ** -2 and ** -4 for the step's
 # reverse sweep.
 _RELU_ROWS = (
     "alpha", "neg_alpha",
@@ -171,7 +174,6 @@ _RELU_ROWS = (
     "sqrt_v", "v_safe", "vprime", "mean_pos", "alpha_s",
     "cube", "inv_square", "inv_fourth",
 )
-_RELU_ROW = {name: k for k, name in enumerate(_RELU_ROWS)}
 
 
 class _ReluArgs(ctypes.Structure):
@@ -184,7 +186,9 @@ class _ReluArgs(ctypes.Structure):
 
 
 class _Externals(ctypes.Structure):
-    _fields_ = _layout(pointers=["dgemv", "ddot", "log_ndtr"])
+    _fields_ = _layout(
+        pointers=["dgemv", "ddot", "log_ndtr", "exp", "power", "exp_data", "power_data"]
+    )
 
 
 class _LayerArgs(ctypes.Structure):
@@ -199,8 +203,14 @@ class _StepArgs(ctypes.Structure):
     _fields_ = _layout(
         ["runs", "weights", "n_layers"],
         ["layers", "externals", "means", "variances", "means_sq", "d_means", "d_variances",
-         "gamma", "targets", "skipped", "gamma_next", "undo", "updates", "phase_ns"],
+         "gamma", "noise", "undo", "updates", "phase_ns"],
     )
+
+
+class _EpochArgs(ctypes.Structure):
+    _fields_ = _layout(
+        ["n", "inputs"], ["xs", "ys", "skipped", "undo", "updates"]
+    ) + _layout(["failed_run"])
 
 
 def load(path: Path) -> ctypes.CDLL:
@@ -211,9 +221,7 @@ def load(path: Path) -> ctypes.CDLL:
         ("ep_refresh", _RefreshArgs, ctypes.c_int),
         ("square", _SquareArgs, None),
         ("linear_moments", _LinearArgs, None),
-        ("relu_pre", _ReluArgs, ctypes.c_int),
-        ("relu_mid", _ReluArgs, None),
-        ("relu_post", _ReluArgs, None),
+        ("step_forward", _StepArgs, ctypes.c_int),
         ("step_backward", _StepArgs, None),
         ("step_refine", _StepArgs, None),
     ]:
@@ -221,11 +229,13 @@ def load(path: Path) -> ctypes.CDLL:
         entry.argtypes = [ctypes.POINTER(args)]
         entry.restype = restype
     externals, integer, address = ctypes.POINTER(_Externals), ctypes.c_int64, ctypes.c_void_p
-    lib.step_forward.argtypes = [ctypes.POINTER(_StepArgs), integer]
-    lib.step_forward.restype = ctypes.c_int
+    lib.step_epoch.argtypes = [ctypes.POINTER(_StepArgs), ctypes.POINTER(_EpochArgs)]
+    lib.rectify.argtypes = [externals, ctypes.POINTER(_ReluArgs)]
+    lib.step_epoch.restype = lib.rectify.restype = ctypes.c_int
     lib.matvec.argtypes = [externals, *[integer] * 5, *[address] * 3]
-    lib.log_ndtr_n.argtypes = [externals, integer, address, address]
-    lib.matvec.restype = lib.log_ndtr_n.restype = None
+    lib.log_ndtr_n.argtypes = lib.exp_n.argtypes = [externals, integer, address, address]
+    lib.power_n.argtypes = [externals, integer, address, ctypes.c_double, address]
+    lib.matvec.restype = lib.log_ndtr_n.restype = lib.exp_n.restype = lib.power_n.restype = None
     return lib
 
 
@@ -243,20 +253,54 @@ def _report_in_one_line(previous=sys.excepthook):
 
 
 class ExternalError(CompilerError):
-    """numpy's BLAS or scipy's log_ndtr cannot be called from kernel.c, or
-    does not give the bits of np.matmul or scipy.special.log_ndtr there."""
+    """numpy's BLAS, exp or power or scipy's log_ndtr cannot be called from
+    kernel.c, or does not give the bits of np.matmul, np.exp, np.power or
+    scipy.special.log_ndtr there."""
 
 
 # The functions kernel.c calls for the bits of np.matmul (numpy's bundled
-# OpenBLAS, whose 64-bit-integer CBLAS carries this prefix and suffix) and
-# of scipy.special.log_ndtr (its double version in cython_special).
+# OpenBLAS, whose 64-bit-integer CBLAS carries this prefix and suffix), of
+# scipy.special.log_ndtr (its double version in cython_special), and of
+# np.exp and np.power (the loops on doubles of the ufuncs of these names in
+# numpy's _multiarray_umath).
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 LOG_NDTR_CAPSULE = "__pyx_fuse_1log_ndtr"
+UFUNCS = {"exp": 1, "power": 2}  # and their numbers of inputs
+
+
+class _UFuncHead(ctypes.Structure):
+    """The head of numpy's PyUFuncObject (numpy/ufuncobject.h), up to the
+    type numbers of its loops."""
+
+    _fields_ = (
+        [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p)]
+        + [(name, ctypes.c_int) for name in ("nin", "nout", "nargs", "identity")]
+        + [("functions", ctypes.POINTER(ctypes.c_void_p)), ("data", ctypes.POINTER(ctypes.c_void_p))]
+        + [("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int), ("name", ctypes.c_char_p)]
+        + [("types", ctypes.POINTER(ctypes.c_char))]
+    )
+
+
+def _double_loop(name: str) -> tuple[int, int | None]:
+    """The inner loop on doubles alone ('d->d', 'dd->d') of the ufunc of
+    UFUNCS called name in numpy's _multiarray_umath, and its data;
+    ExternalError when it has none."""
+    from numpy._core import _multiarray_umath
+
+    ufunc, nin = getattr(_multiarray_umath, name), UFUNCS[name]
+    head = _UFuncHead.from_address(id(ufunc)) if isinstance(ufunc, np.ufunc) else None
+    if head is not None and (head.nin, head.nout) == (nin, 1):
+        doubles = bytes([np.dtype(np.float64).num]) * (nin + 1)
+        for k in range(head.ntypes):
+            if head.types[k * (nin + 1) : (k + 1) * (nin + 1)] == doubles and head.functions[k]:
+                return head.functions[k], head.data[k]
+    raise ExternalError(f"numpy's {name} has no {'d' * nin}->d loop, which kernel.c calls")
 
 
 def resolve_externals() -> _Externals:
     """The function pointers of BLAS_SYMBOLS, looked up in the BLAS that
-    numpy's multiarray module loaded, and of scipy's log_ndtr; ExternalError
+    numpy's multiarray module loaded, of scipy's log_ndtr, and of the loops
+    on doubles of UFUNCS, read from numpy's ufunc objects; ExternalError
     when one is missing."""
     from numpy._core import _multiarray_umath
     from scipy.special import cython_special
@@ -274,15 +318,19 @@ def resolve_externals() -> _Externals:
     api, capsule_t = ctypes.pythonapi, ctypes.py_object
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, capsule_t)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, capsule_t, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    return _Externals(*pointers, pointer(capsule, name(capsule)))
+    (exp, exp_data), (power, power_data) = (_double_loop(ufunc) for ufunc in UFUNCS)
+    return _Externals(*pointers, pointer(capsule, name(capsule)), exp, power, exp_data, power_data)
 
 
 def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
-    """ExternalError unless kernel.c's matvec and log_ndtr_n, through
-    externals, give the bits of np.matmul and scipy.special.log_ndtr on a few
-    seeded cases: each branch of matvec, with rows of zeros, whose products
-    are signed zeros, and log_ndtr at infinities, NaN, signed zeros and the
-    edges of its branches."""
+    """ExternalError unless kernel.c's matvec, log_ndtr_n, exp_n and power_n,
+    through externals, give the bits of np.matmul, scipy.special.log_ndtr,
+    np.exp and the powers x ** 3, ** -2 and ** -4 on a few seeded cases:
+    each branch of matvec, with rows of zeros, whose products are signed
+    zeros; log_ndtr at infinities, NaN, signed zeros and the edges of its
+    branches; and exp and the powers at infinities, NaN, signed zeros and
+    exp's underflow and overflow edges, on slices of several starts and
+    lengths."""
     from scipy.special import log_ndtr
 
     rng = np.random.default_rng(18)
@@ -308,6 +356,35 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
             f"scipy's {LOG_NDTR_CAPSULE} called from kernel.c does not give the bits of "
             "scipy.special.log_ndtr"
         )
+    # Around exp's smallest subnormal, smallest normal and largest finite
+    # results; then alpha_s as the rectifier's far-tail series sees it, where
+    # libm's pow, 80 ns a value, differs from numpy's power on a few values
+    # in a thousand. (exp's SIMD loop takes arguments that overflow or
+    # underflow one by one, slowly, so few of them do.)
+    edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, -745.14, -745.1332191019412,
+             -745.13, -708.3964185322641, -708.39, 709.782712893384, 709.7827128933841, 710.0]
+    x = np.concatenate([edges, rng.normal(0.0, 30.0, 1000)])
+    x_pow = np.concatenate([edges, rng.normal(0.0, 300.0, 100), rng.uniform(-1e3, -30.0, 300)])
+    # Slices of several starts, and lengths that are not multiples of 8.
+    slices = [slice(0, None), slice(1, 14), slice(3, 10), slice(5, 6)]
+    with np.errstate(all="ignore"):
+        for part in (x[k] for k in slices):
+            got = np.empty_like(part)
+            lib.exp_n(ref, part.size, _data(part), _data(got))
+            if got.tobytes() != np.exp(part).tobytes():
+                raise ExternalError(
+                    "numpy's exp loop called from kernel.c does not give the bits of np.exp "
+                    f"on {part.size} values"
+                )
+        for part in (x_pow[k] for k in slices):
+            got = np.empty_like(part)
+            for exponent in (3, -2, -4):
+                lib.power_n(ref, part.size, _data(part), float(exponent), _data(got))
+                if got.tobytes() != (part**exponent).tobytes():
+                    raise ExternalError(
+                        "numpy's power loop called from kernel.c does not give the bits of "
+                        f"x ** {exponent} on {part.size} values"
+                    )
 
 
 # kernel.c's statuses, as what the Python floats it replaces raised.
@@ -530,19 +607,16 @@ def _rows_of(first: np.ndarray, second: np.ndarray, shape: tuple[int, ...]) -> i
 
 
 class Rectifier:
-    """The rectifier's arithmetic, bound to C-contiguous pre-activation moments
-    m, v of one shape, rows of units (the last axis), and to output arrays
-    out_m, out_v of that shape whose rows of units are evenly spaced
-    (_row_stride).
+    """The rectifier (kernel.c's rectify), bound to C-contiguous
+    pre-activation moments m, v of one shape, rows of units (the last axis),
+    and to output arrays out_m, out_v of that shape whose rows of units are
+    evenly spaced (_row_stride).
 
-    pre() checks the variances and forms alpha and the other arguments of
-    log_ndtr and exp; the caller maps `log_ndtr_args` to `log_ndtr_values`,
-    and after mid() `exp_args` to `exp_values`; post() writes the moments.
-    Each row of `buf` (see _RELU_ROWS) is an attribute of m's shape, valid
-    until the next call, and `deterministic` and `series` flag the units that
-    take those branches, which pre() counts. Where a unit takes the series
-    branch, the caller fills `cube` before post() and, in a Step,
-    `inv_square` and `inv_fourth` before its backward().
+    Each call checks the variances and writes the moments, log_ndtr, exp
+    and, where some unit takes the far-tail series, the powers of alpha_s
+    included. Each row of `buf` (see _RELU_ROWS) is an attribute of m's
+    shape, valid until the next call, and `deterministic` and `series` flag
+    the units that take those branches, which each call counts.
     """
 
     def __init__(
@@ -558,13 +632,7 @@ class Rectifier:
         self.shape = shape
         self.buf = np.empty((len(_RELU_ROWS), n))
         self._flags = np.zeros((2, n), dtype=np.uint8)
-        rows = self.buf.reshape((len(_RELU_ROWS), *shape))
-        self.__dict__.update(zip(_RELU_ROWS, rows))
-        row = _RELU_ROW
-        self.log_ndtr_args = rows[row["alpha"] : row["alpha"] + 2]
-        self.log_ndtr_values = rows[row["log_cdf"] : row["log_cdf"] + 2]
-        self.exp_args = rows[row["log_cdf"] : row["log_cdf"] + 4]
-        self.exp_values = rows[row["cdf"] : row["cdf"] + 4]
+        self.__dict__.update(zip(_RELU_ROWS, self.buf.reshape((len(_RELU_ROWS), *shape))))
         self.deterministic, self.series = self._flags.view(bool).reshape((2, *shape))
         self._buffers = (m, v, out_m, out_v)
         base, flags = _data(self.buf), _data(self._flags)
@@ -586,23 +654,17 @@ class Rectifier:
     def n_series(self) -> int:
         return self._args.n_series
 
-    def pre(self) -> None:
-        status = LIB.relu_pre(self._ref)
+    def __call__(self) -> None:
+        status = LIB.rectify(EXTERNALS, self._ref)
         if status < 0:
             _raise(status)
 
-    def mid(self) -> None:
-        LIB.relu_mid(self._ref)
-
-    def post(self) -> None:
-        LIB.relu_post(self._ref)
-
 
 class Step:
-    """A stack's likelihood step, in kernel.c's step_forward, step_backward
-    and step_refine, with the buffers it works in: bound to the stack's flat
-    (R, W) weight means and variances, layer after layer as in layer_sizes,
-    and (2, R) noise Gammas gamma.
+    """A stack's likelihood step, in kernel.c's step_epoch, with the buffers
+    it works in: bound to the stack's flat (R, W) weight means and
+    variances, layer after layer as in layer_sizes, and (2, R) noise Gammas
+    gamma.
 
     Per layer, one row per run: the bias-extended input moments, whose unit
     slots `x` take the inputs and the others the previous rectifier's
@@ -611,15 +673,15 @@ class Step:
     intermediates. The output layer's moments are the output moments mz, vz
     of the NoiseStep `noise`.
 
-    forward(l) runs layer l (see step_forward): the previous rectifier's
-    post, the layer's moments through its matmuls and, for a hidden layer,
-    its rectifier up to exp, which the caller runs with the series powers
-    before the next layer. backward() writes the gradients of log Z w.r.t.
-    every weight mean and variance into `d_means` and `d_variances`, (R, W)
-    with per-layer (R, rows, cols) views `d_mean_views` and
-    `d_variance_views`, from the targets in noise.targets; refine() refines
-    every weight of the runs the noise step kept, writing `undo` and
-    `updates` per run, and moves the matched noise Gammas into gamma.
+    epoch(xs, ys) folds n examples per run into the stack in sequence. Its
+    phases are entry points of their own, which the tests drive one at a
+    time: forward() runs the inputs in `x` through every layer (see
+    step_forward); backward() writes the gradients of log Z w.r.t. every
+    weight mean and variance into `d_means` and `d_variances`, (R, W) with
+    per-layer (R, rows, cols) views `d_mean_views` and `d_variance_views`,
+    from the targets in noise.targets; refine() refines every weight of the
+    runs the noise step kept, writing `undo` and `updates` per run, and
+    moves the matched noise Gammas into gamma.
     """
 
     def __init__(self, means, variances, gamma, layer_sizes, deterministic_variance, series_threshold):
@@ -663,14 +725,33 @@ class Step:
             runs, weights, len(layers),
             ctypes.addressof(layers), ctypes.addressof(EXTERNALS),
             *(_address(a, (runs, weights)) for a in flat),
-            _address(gamma, (2, runs)), _data(noise.targets), _data(noise.skipped),
-            _data(noise.gamma_next), _data(self.undo), _data(self.updates), None,
+            _address(gamma, (2, runs)), ctypes.addressof(noise._args),
+            _data(self.undo), _data(self.updates), None,
         )
         self._ref = ctypes.byref(self._args)
-        self._forward = LIB.step_forward
 
-    def forward(self, layer: int) -> None:
-        status = self._forward(self._ref, layer)
+    def epoch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Fold n examples per run into the stack, in sequence: run r takes
+        (xs[t, r], ys[t, r]) in step t, xs (n, R, d) and ys (n, R) C-contiguous
+        floats. Each step runs the forward pass, the noise step and, unless
+        every run skips the example, the reverse sweep and the refinement.
+        Returns (3, R) int64 counts per run, summed over the examples:
+        examples skipped, weights undone and weight updates. An error raised
+        at step t leaves the steps before it done."""
+        n, runs = ys.shape
+        counts = np.empty((3, runs), dtype=np.int64)
+        args = _EpochArgs(
+            n, self.x.shape[-1],
+            _address(xs, (n, runs, self.x.shape[-1])), _address(ys, (n, runs)),
+            *(_data(row) for row in counts), -1,
+        )
+        status = LIB.step_epoch(self._ref, ctypes.byref(args))
+        if status < 0:
+            _raise(status, args.failed_run if args.failed_run >= 0 else None)
+        return counts
+
+    def forward(self) -> None:
+        status = LIB.step_forward(self._ref)
         if status < 0:
             _raise(status)
 
@@ -681,9 +762,9 @@ class Step:
         LIB.step_refine(self._ref)
 
     def count_phases(self) -> np.ndarray:
-        """Have each call add its nanoseconds into a new int64 array, which is
-        returned: one total per layer's forward call, then the backward pass,
-        then the refinement."""
+        """Have each step add its nanoseconds into a new int64 array, which
+        is returned: one total per layer's forward pass, then the backward
+        pass, then the refinement."""
         self.phase_ns = np.zeros(self._args.n_layers + 2, dtype=np.int64)
         self._args.phase_ns = _data(self.phase_ns)
         return self.phase_ns

@@ -87,8 +87,8 @@ class PosteriorStack:
     updates them in place. Each run keeps its own two Gamma factors: `gamma`
     (noise precision) and `lam` (prior precision) are (2, R) buffers of
     shapes and rates, also updated in place. `workspace` holds the buffers of
-    one update step; the stack's first forward_trace builds it, and only the
-    stack refers to it. `refresh` is the compiled EP refresh bound to the
+    the update steps (a kernel.Step); the stack's first step builds it (see
+    forward.workspace), and only the stack refers to it. `refresh` is the compiled EP refresh bound to the
     stack and the sites it last refreshed.
     """
 

@@ -146,12 +146,10 @@ def train_runs(
             # Step-major copies: row t holds every run's t-th example.
             xs = np.ascontiguousarray(features[run_index, order].swapaxes(0, 1))
             ys = np.ascontiguousarray(targets[run_index, order].T)
-            skipped = np.zeros(runs, dtype=int)
-            for t in range(n):
-                outcome = incorporate_likelihood_factors(stack, xs[t], ys[t])
-                skipped += outcome.skipped
-                undo += outcome.undo_count
-                updates += outcome.weight_updates
+            outcome = incorporate_likelihood_factors(stack, xs, ys)
+            skipped = outcome.skipped
+            undo += outcome.undo_count
+            updates += outcome.weight_updates
             refresh = ep_refresh_prior(stack, sites)
             check_variances(stack, labels, epoch)
             for report, run_refresh in zip(reports, refresh.runs):

@@ -11,11 +11,11 @@ All Z bookkeeping stays in log space. Gradients of the likelihood log-Z with
 respect to every weight mean and variance come from a hand-written
 reverse-mode sweep over the moment maps of the forward pass.
 
-A likelihood step runs in kernel.c, bound to the stack's workspace (a
-kernel.Step): the forward pass one call per layer, then the noise-Gamma
-step, the reverse sweep and the refinement one call each. Its matmuls and
-log_ndtr call numpy's BLAS and scipy's log_ndtr from there; only numpy's exp
-(and, in the rectifier's far tail, its powers) runs between two calls.
+The likelihood steps of an epoch run in kernel.c, bound to the stack's
+workspace (a kernel.Step), in one call: per example the forward pass, the
+noise-Gamma step, the reverse sweep and the refinement. Its matmuls,
+log_ndtr, exp and powers call numpy's BLAS, scipy's log_ndtr and numpy's
+ufunc loops from there; no Python runs between two examples.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import forward_trace
+from .forward import workspace
 from .kernel import Refresh
 from .posterior import NumericError, PosteriorStack
 
@@ -42,8 +42,8 @@ class RefreshReport:
 
 @dataclass
 class UpdateOutcome:
-    """Outcome of incorporating one likelihood factor per run of a stack:
-    each field is an array with one entry per run."""
+    """Outcome of incorporating likelihood factors into a stack: each field
+    is an array with one count per run, summed over the examples."""
 
     skipped: np.ndarray
     undo_count: np.ndarray
@@ -101,37 +101,36 @@ def backward_gradients(stack: PosteriorStack, y: np.ndarray) -> None:
 
 
 def incorporate_likelihood_factors(
-    stack: PosteriorStack, x: np.ndarray, y: np.ndarray
+    stack: PosteriorStack, xs: np.ndarray, ys: np.ndarray
 ) -> UpdateOutcome:
-    """Fold one observation per run into a stack: run r takes (x[r], y[r]).
+    """Fold n observations per run into a stack, in sequence: in step t, run
+    r takes (xs[t, r], ys[t, r]); xs has shape (n, R, d) and ys (n, R).
 
-    One probabilistic forward pass, one reverse gradient sweep, then the
-    Gaussian refinement of every weight, in place, and the tilted-moment
-    update of each run's noise-precision Gamma. Weights whose refined
-    variance would be invalid are rolled back individually; a run whose log Z
-    is not finite skips the example and keeps its weights. A run's arithmetic
-    is that of a stack of that run alone, bit for bit.
+    Each step is one probabilistic forward pass, one reverse gradient sweep,
+    then the Gaussian refinement of every weight, in place, and the
+    tilted-moment update of each run's noise-precision Gamma. Weights whose
+    refined variance would be invalid are rolled back individually; a run
+    whose log Z is not finite skips the example and keeps its weights. A
+    run's arithmetic is that of a stack of that run alone, bit for bit. The
+    outcome counts each run's skipped examples, undone weights and weight
+    updates.
 
     The log Z and Gamma step is kernel.c's noise_step, before the gradient
     sweep, whose noise variances come from the Gammas before the update. It
-    raises ZeroDivisionError, having written nothing, where the sweep or the
-    Gamma match would divide by 0 (a Gamma shape of 1 or a rate of 0).
+    raises ZeroDivisionError, having written nothing in that step, where the
+    sweep or the Gamma match would divide by 0 (a Gamma shape of 1 or a rate
+    of 0); the steps before it stay done.
     """
-    forward_trace(stack, x)
-    noise = stack.workspace.noise
-    noise.y[...] = y
-    skips = noise()
-    skipped = noise.skipped.copy()
-    if skips == len(skipped):
-        none = np.zeros(len(skipped), dtype=int)
-        return UpdateOutcome(skipped, none, none.copy())
-
-    # The skipping runs' gradients are discarded; their targets are their
-    # output means, whose zero residual keeps them finite.
-    backward_gradients(stack, noise.targets)
-    step = stack.workspace
-    step.refine()
-    return UpdateOutcome(skipped, step.undo.copy(), step.updates.copy())
+    xs = np.ascontiguousarray(xs, dtype=float)
+    ys = np.ascontiguousarray(ys, dtype=float)
+    runs, d = stack.means.shape[0], stack.layer_sizes[0]
+    if xs.ndim != 3 or xs.shape[1:] != (runs, d) or ys.shape != xs.shape[:2]:
+        raise ValueError(
+            f"inputs of shape {xs.shape} and targets of shape {ys.shape}, expected "
+            f"{('n', runs, d)} and {('n', runs)}"
+        )
+    skipped, undo, updates = workspace(stack).epoch(xs, ys)
+    return UpdateOutcome(skipped, undo, updates)
 
 
 def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:

@@ -6,12 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pbp.updates as updates
 from pbp.data import Dataset, NormStats
 from pbp.forward import forward_output_moments, forward_trace
 from pbp.kernel import NoiseStep
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.prediction import predict_batch
-from pbp.updates import backward_gradients, ep_refresh_prior, incorporate_all_prior_factors
+from pbp.updates import (
+    UpdateOutcome,
+    backward_gradients,
+    ep_refresh_prior,
+    incorporate_all_prior_factors,
+    incorporate_likelihood_factors,
+)
 from reference_update import GradientStore
 
 # Prepared benchmark CSVs live here (see scripts/fetch_datasets.py); tests that
@@ -142,3 +149,39 @@ def log_z_triple(y, mz, vz, gam: GammaDist):
     when it skips the example."""
     step = likelihood_step([(y, mz, vz, (gam.shape, gam.rate))])
     return None if step.skipped[0] else tuple(step.log_z[:, 0].tolist())
+
+
+def one_step(stack, x, y) -> UpdateOutcome:
+    """incorporate_likelihood_factors of one example per run, x (R, d) and
+    y (R,): kernel.c's step_epoch over an epoch of one step."""
+    return incorporate_likelihood_factors(stack, np.asarray(x)[None], np.asarray(y)[None])
+
+
+def step_by_phases(stack, x, y) -> UpdateOutcome:
+    """One likelihood step of one example per run, x (R, d) and y (R,),
+    driven from Python one phase at a time: forward_trace, the workspace's
+    NoiseStep, pbp.updates.backward_gradients (looked up at each call, so a
+    test may patch it) and Step.refine. The outcome counts 0 or 1 per run."""
+    forward_trace(stack, np.asarray(x, dtype=float))
+    step = stack.workspace
+    step.noise.y[...] = y
+    skips = step.noise()
+    skipped = step.noise.skipped.astype(np.int64)
+    if skips == len(skipped):
+        return UpdateOutcome(skipped, np.zeros_like(skipped), np.zeros_like(skipped))
+    # The skipping runs' gradients are discarded; their targets are their
+    # output means, whose zero residual keeps them finite.
+    updates.backward_gradients(stack, step.noise.targets)
+    step.refine()
+    return UpdateOutcome(skipped, step.undo.copy(), step.updates.copy())
+
+
+def epoch_by_phases(stack, xs, ys) -> UpdateOutcome:
+    """incorporate_likelihood_factors of xs (n, R, d) and ys (n, R), one
+    step_by_phases per example: the per-example driver through whose seams
+    a test patches a phase of training."""
+    counts = np.zeros((3, stack.means.shape[0]), dtype=np.int64)
+    for x, y in zip(xs, ys):
+        outcome = step_by_phases(stack, x, y)
+        counts += (outcome.skipped, outcome.undo_count, outcome.weight_updates)
+    return UpdateOutcome(*counts)

@@ -267,6 +267,11 @@ def ep_refresh_prior(net: NetworkPosterior, sites: Sites) -> RefreshReport:
                     # Flat cavity: the limit of the refinement keeps the
                     # cavity's natural mean and collapses onto the prior.
                     sigma2 = lam_cav.rate / (lam_cav.shape - 1.0)
+                    if sigma2 != 0.0 and not 0.0 < sigma2 < math.inf:
+                        # A prior shape fallen to 1 or below gives no
+                        # variance (a zero one raises below).
+                        skipped += 1
+                        continue
                     m_new, v_new = sigma2 * eta_cav, sigma2
                     lam_new = lam_cav
                     m_cav_over_v = eta_cav
@@ -488,7 +493,12 @@ def _refresh_run(a, b, cavities, means, variances, site_shape, site_rate):
             # and the Gamma stays at its cavity (all Z ratios -> 1).
             if prior_var == 0.0:
                 raise NumericError("prior variance underflows to 0 at a flat prior site")
-            means[k], variances[k] = prior_var * eta, prior_var
+            m_new, v_new = prior_var * eta, prior_var
+            # A prior shape fallen to 1 or below gives no variance.
+            if not 0.0 < v_new < inf:
+                skipped.append(k)
+                continue
+            means[k], variances[k] = m_new, v_new
             a_new, b_new = a_fit, b_fit
         else:
             # The Gaussian refinement with d log Z / dm and d log Z / dv of

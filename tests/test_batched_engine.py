@@ -19,7 +19,7 @@ import pbp.forward as forward
 import pbp.training as training
 import pbp.updates as updates
 import reference_update
-from conftest import random_net, toy_cubic_dataset
+from conftest import epoch_by_phases, one_step, random_net, step_by_phases, toy_cubic_dataset
 from pbp.data import Dataset, normalize, split
 from pbp.forward import MomentVector
 from reference_forward import forward_output_moments_batch
@@ -162,7 +162,9 @@ def sabotage(real_backward, index=(..., 1, 1)):
 
 def test_forced_undo_matches(monkeypatch):
     # The engine's gradients are views into the stack's flat buffer: writes
-    # through them reach the refinement.
+    # through them reach the refinement. Training takes its examples through
+    # the per-example driver, whose gradients come from the patched seam.
+    monkeypatch.setattr(training, "incorporate_likelihood_factors", epoch_by_phases)
     monkeypatch.setattr(updates, "backward_gradients", sabotage(updates.backward_gradients))
     monkeypatch.setattr(
         reference_update, "backward_gradients", sabotage(reference_update.backward_gradients)
@@ -233,12 +235,12 @@ def step_nets(sizes, runs, seed):
     return [random_net(sizes, rng, mean_scale=0.5) for _ in range(runs)], rng
 
 
-def assert_step_matches_reference(nets, xs, ys):
-    """One lockstep step on a stack of copies of nets against the frozen
-    per-network step on each net alone, gradients included; returns the stack
-    and its outcome."""
+def assert_step_matches_reference(nets, xs, ys, step=one_step):
+    """One lockstep step (by default step_epoch's, or step_by_phases) on a
+    stack of copies of nets against the frozen per-network step on each net
+    alone, gradients included; returns the stack and its outcome."""
     stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
-    outcome = incorporate_likelihood_factors(stack, xs, ys)
+    outcome = step(stack, xs, ys)
     ws = stack.workspace
     for r, net in enumerate(nets):
         if not outcome.skipped[r]:
@@ -310,7 +312,7 @@ def test_step_with_an_undone_weight_in_one_run_matches_the_reference(monkeypatch
         updates, "backward_gradients", sabotage(updates.backward_gradients, (1, 2, 3))
     )
     stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
-    outcome = incorporate_likelihood_factors(stack, xs, ys)
+    outcome = step_by_phases(stack, xs, ys)
 
     assert outcome.undo_count.tolist() == [want.undo_count for want in wants] == [0, 1, 0]
     for r, ref in enumerate(refs):
@@ -329,7 +331,7 @@ def test_step_with_a_negative_pre_activation_variance_raises_before_any_write():
     stack = PosteriorStack.of(nets)
     before = [_bits(a) for a in (stack.means, stack.variances, stack.gamma)]
     with pytest.raises(NumericError, match="^negative pre-activation variance"):
-        incorporate_likelihood_factors(stack, rng.normal(size=(3, 3)), rng.normal(size=3))
+        one_step(stack, rng.normal(size=(3, 3)), rng.normal(size=3))
     assert [_bits(a) for a in (stack.means, stack.variances, stack.gamma)] == before
 
 
@@ -410,18 +412,20 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
     seen = {"deterministic": 0, "series": 0, "skipped": 0, "undone": 0}
     for case in range(500):
         nets, xs, ys = fuzz_step_case(rng)
+        step = one_step
         with monkeypatch.context() as m:
             if case % 10 == 9:
                 first = nets[0].layers[0]
                 index = (..., int(rng.integers(first.rows)), int(rng.integers(first.cols)))
                 for module in (updates, reference_update):
                     m.setattr(module, "backward_gradients", sabotage(module.backward_gradients, index))
+                step = step_by_phases
             if case % 7 == 6:
                 layers = len(nets[0].layers)
                 l = int(rng.integers(layers - 1))
                 unit = int(rng.integers(nets[0].layers[l].rows))
                 force_unit(nets, l, unit, *FORCED_UNITS[(case // 7) % len(FORCED_UNITS)])
-            stack, outcome = assert_step_matches_reference(nets, xs, ys)
+            stack, outcome = assert_step_matches_reference(nets, xs, ys, step)
         if outcome.skipped.all():
             seen["skipped"] += 1
             continue
@@ -430,6 +434,61 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
         seen["series"] += any(aux.n_series > 0 for aux in relu)
         seen["skipped"] += bool(outcome.skipped.any())
         seen["undone"] += bool(outcome.undo_count.any())
+    assert min(seen.values()) >= 20, seen
+
+
+def fuzz_epoch_case(rng):
+    """A seeded epoch of 1-8 examples per run on the nets of fuzz_step_case,
+    whose first example it is. The later inputs keep the first one's signs,
+    which keeps a far-tail unit in the series branch; about a twentieth of
+    the targets are NaN or overflow their squared residual (skips); and some
+    runs get one weight variance of 1e155, whose square overflows in the
+    refinement (an undo that comes from the data, with no patched seam)."""
+    nets, x, y = fuzz_step_case(rng)
+    n, (runs, features) = int(rng.integers(1, 9)), x.shape
+    xs = x * rng.uniform(0.5, 2.0, size=(n, runs, features))
+    xs[0] = x
+    ys = rng.normal(0.0, 2.0, size=(n, runs))
+    ys[0] = y
+    edge = rng.random((n, runs)) < 0.05
+    ys[edge] = rng.choice([np.nan, 1e160], edge.sum())
+    for net in nets:
+        if rng.random() < 0.2:
+            layer = net.layers[int(rng.integers(len(net.layers)))]
+            layer.variances[int(rng.integers(layer.rows)), int(rng.integers(layer.cols))] = 1e155
+    return nets, xs, ys
+
+
+def test_the_per_example_driver_matches_step_epoch_on_fuzzed_stacks():
+    # step_epoch folds an epoch into a stack in one call; the tests' driver
+    # (epoch_by_phases) runs the same steps one phase at a time, through the
+    # seams that other tests patch. Both must leave the same bits.
+    rng = np.random.default_rng(1900)
+    seen = {"deterministic": 0, "series": 0, "skipped": 0, "undone": 0}
+    for case in range(200):
+        nets, xs, ys = fuzz_epoch_case(rng)
+        folded, driven = (PosteriorStack.of([copy.deepcopy(net) for net in nets]) for _ in range(2))
+        outcome = incorporate_likelihood_factors(folded, xs, ys)
+        counts = np.zeros((3, len(nets)), dtype=np.int64)
+        branches = set()
+        for x, y in zip(xs, ys):
+            step = step_by_phases(driven, x, y)
+            counts += (step.skipped, step.undo_count, step.weight_updates)
+            relu = driven.workspace.rectifiers
+            branches |= {"deterministic"} if any(aux.n_deterministic for aux in relu) else set()
+            branches |= {"series"} if any(aux.n_series for aux in relu) else set()
+            branches |= {"skipped"} if step.skipped.any() else set()
+            branches |= {"undone"} if step.undo_count.any() else set()
+        for name in branches:
+            seen[name] += 1
+        got = (outcome.skipped, outcome.undo_count, outcome.weight_updates)
+        assert [a.tolist() for a in got] == counts.tolist(), case
+        for name in ("means", "variances", "gamma"):
+            assert _bits(getattr(folded, name)) == _bits(getattr(driven, name)), (case, name)
+        # The last gradients, where some example was not skipped by every run.
+        for name in ("d_means", "d_variances") if (counts[0] < len(xs)).any() else ():
+            got, want = (getattr(stack.workspace, name) for stack in (folded, driven))
+            assert _bits(got) == _bits(want), (case, name)
     assert min(seen.values()) >= 20, seen
 
 
@@ -457,13 +516,26 @@ def test_phase_counters_time_every_call_and_move_no_bit():
     xs, ys = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3))
     plain, counted = (PosteriorStack.of([copy.deepcopy(net) for net in nets]) for _ in range(2))
     for stack in (plain, counted):
-        incorporate_likelihood_factors(stack, xs[0], ys[0])
+        one_step(stack, xs[0], ys[0])
     phases = counted.workspace.count_phases()
     for stack in (plain, counted):
-        incorporate_likelihood_factors(stack, xs[1], ys[1])
+        one_step(stack, xs[1], ys[1])
     assert phases.shape == (5,) and (phases > 0).all()
     for name in ("means", "variances", "gamma"):
         assert _bits(getattr(counted, name)) == _bits(getattr(plain, name)), name
+
+
+@pytest.mark.parametrize(
+    "xs_shape, ys_shape",
+    [((4, 3, 3), (4, 2)), ((4, 2, 3), (4, 2)), ((4, 3, 2), (4, 3)), ((3, 3), (3,))],
+    ids=["targets-per-run", "runs", "features", "no-examples-axis"],
+)
+def test_an_epoch_of_the_wrong_shape_is_refused(xs_shape, ys_shape):
+    nets, _ = step_nets([3, 4, 1], 3, 48)
+    stack = PosteriorStack.of(nets)
+    with pytest.raises(ValueError, match="expected"):
+        incorporate_likelihood_factors(stack, np.zeros(xs_shape), np.zeros(ys_shape))
+    assert stack.workspace is None
 
 
 def test_stack_layers_and_runs_are_views_of_one_buffer():
@@ -483,7 +555,7 @@ def test_stack_layers_and_runs_are_views_of_one_buffer():
     assert stack.variances[2, 3 * 4 + 1] == 5.0
     assert run.layers[0].variances[3, 1] != 5.0
     means, variances = stack.means, stack.variances
-    incorporate_likelihood_factors(stack, np.ones((3, 3)), np.zeros(3))
+    one_step(stack, np.ones((3, 3)), np.zeros(3))
     assert stack.means is means and stack.variances is variances
     assert np.shares_memory(run.layers[0].means, stack.means)
     assert run.layers[1].means[0, 2] == stack.means[1, 16 + 2] != 7.0
@@ -503,9 +575,9 @@ def test_no_workspace_outlives_its_train_runs_call(monkeypatch):
     datasets, states = split_runs(2)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
     results = train_runs(datasets, cfg, [rng_at(s) for s in states])
-    # One workspace served every step, and it went with its stack, without
-    # waiting for the cycle collector.
-    assert len(refs) == 2 * len(datasets[0].targets) and len(ids) == 1
+    # One call per epoch, one workspace served every step, and it went with
+    # its stack, without waiting for the cycle collector.
+    assert len(refs) == 2 and len(ids) == 1
     assert refs[0]() is None
     gc.collect()
     assert refs[0]() is None

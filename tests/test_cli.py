@@ -702,3 +702,60 @@ class TestHostileTrainingSets:
         table = read_rows(bench)
         assert len(table) == 1 + 3 + 1
         assert all(math.isfinite(float(cell)) for row in table[1:] for cell in row[1:] if cell)
+
+    def test_one_row_trains_at_the_default_width(self, tmp_path, capsys):
+        # Its one row normalizes to inputs of 0: every input weight's EP
+        # cavity is flat, and where the running prior shape has fallen to 1
+        # or below, the refresh skips the site rather than write b / (a - 1),
+        # which was negative.
+        data = write_csv(tmp_path / "two.csv", [(0.5, 1.5), (-1.0, 4.0)])
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--epochs", "3", "--test-fraction", "0.5",
+                     "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert np.isfinite(load_model(out).net.layers[0].variances).all()
+
+    def test_a_constant_feature_column_trains_and_benchmarks(self, tmp_path, capsys):
+        # The constant column normalizes to 0, so its weights' cavities are
+        # flat (see above).
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(60, 2))
+        features[:, 1] = 7.0
+        targets = features.sum(axis=1) + rng.normal(size=60)
+        data = tmp_path / "constant.csv"
+        with open(data, "w") as fh:
+            fh.write("a,b,y\n")
+            for (a, b), y in zip(features.tolist(), targets.tolist()):
+                fh.write(f"{a!r},{b!r},{y!r}\n")
+        bench = tmp_path / "b.csv"
+        code = main(["benchmark", "--data", str(data), "--epochs", "3", "--splits", "3",
+                     "--out", str(bench)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        table = read_rows(bench)
+        assert all(math.isfinite(float(cell)) for row in table[1:] for cell in row[1:] if cell)
+
+
+class TestTinyTargets:
+    def test_targets_whose_spread_underflows_are_a_data_error(self, tmp_path, capsys):
+        # Their standard deviation underflows to 0; pinning it to 1 would
+        # train on targets of 0.
+        rng = np.random.default_rng(3)
+        rows = zip(rng.normal(size=30).tolist(), (1e-301 * rng.normal(size=30)).tolist())
+        data = write_csv(tmp_path / "tiny.csv", rows)
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--hidden", "4", "--epochs", "1",
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: target column 'y': the values differ but their ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_equal_targets_still_train(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        data = write_csv(tmp_path / "equal.csv", [(x, 1e-301) for x in rng.normal(size=30).tolist()])
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--hidden", "4", "--epochs", "1",
+                     "--out", str(out)])
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert out.exists()

@@ -8,13 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pbp
 
 # Code run before pbp is imported, and the line the import fails with: the
 # BLAS lookup misses ddot, or the log_ndtr capsule holds scipy's ndtr, which
-# kernel.c then calls in its place.
+# kernel.c then calls in its place; numpy's ufunc of the name that pbp reads
+# its exp or power loop from has no loop on doubles alone (logical_not,
+# logical_and), or is one whose loop gives other bits (exp2, and
+# float_power, which calls libm's pow: it differs from np.power on a few
+# arguments in a thousand).
 SABOTAGED_EXTERNALS = {
     "ddot-missing": (
         "import ctypes\n"
@@ -31,12 +36,36 @@ SABOTAGED_EXTERNALS = {
         "cs.__pyx_capi__['__pyx_fuse_1log_ndtr'] = cs.__pyx_capi__['__pyx_fuse_1ndtr']\n",
         "ExternalError: scipy's __pyx_fuse_1log_ndtr called from kernel.c does not give",
     ),
+    "exp-missing": (
+        "from numpy._core import _multiarray_umath as umath\n"
+        "umath.exp = umath.logical_not\n",
+        "ExternalError: numpy's exp has no d->d loop, which kernel.c calls",
+    ),
+    "exp-bits-differ": (
+        "from numpy._core import _multiarray_umath as umath\n"
+        "umath.exp = umath.exp2\n",
+        "ExternalError: numpy's exp loop called from kernel.c does not give the bits of np.exp",
+    ),
+    "power-missing": (
+        "from numpy._core import _multiarray_umath as umath\n"
+        "umath.power = umath.logical_and\n",
+        "ExternalError: numpy's power has no dd->d loop, which kernel.c calls",
+    ),
+    "power-bits-differ": (
+        "from numpy._core import _multiarray_umath as umath\n"
+        "umath.power = umath.float_power\n",
+        "ExternalError: numpy's power loop called from kernel.c does not give the bits of x ** ",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", SABOTAGED_EXTERNALS)
 def test_externals_missing_or_off_by_a_bit_fail_the_import_in_one_line(tmp_path, case):
     sabotage, message = SABOTAGED_EXTERNALS[case]
+    if case == "power-bits-differ":
+        x = np.random.default_rng(0).uniform(-1e3, -30.0, 4000)
+        if all((x**e).tobytes() == np.float_power(x, float(e)).tobytes() for e in (3, -2, -4)):
+            pytest.skip("numpy's power gives the bits of libm's pow here, as float_power does")
     (tmp_path / "toy.csv").write_text("x,y\n" + "".join(f"{i / 10},{i % 3}\n" for i in range(20)))
     train = (
         "import runpy, sys\n"

@@ -27,11 +27,11 @@ import pytest
 import pbp
 import pbp.kernel as kernel
 import reference_prior as ref
-from conftest import incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset
+from conftest import incorporate_one_run, likelihood_step, one_step, refresh_one_run, toy_cubic_dataset
 from pbp.data import normalize
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack
 from pbp.training import train_runs
-from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors, incorporate_likelihood_factors
+from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors
 from test_batched_engine import fuzz_step_case
 from test_prior_kernel import (
     LIKELIHOOD_CASES,
@@ -175,7 +175,7 @@ def stepped(cases) -> list[bytes]:
     out = []
     for nets, xs, ys in cases:
         stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
-        outcome = incorporate_likelihood_factors(stack, xs, ys)
+        outcome = one_step(stack, xs, ys)
         arrays = (stack.means, stack.variances, stack.gamma, outcome.undo_count)
         out.append(b"".join(np.asarray(a).tobytes() for a in arrays))
     return out
@@ -323,7 +323,7 @@ def test_likelihood_step_dividing_by_zero_raises_before_any_write(gammas):
     y = np.full(len(gammas), 0.3)
     before = snapshot(stack)
     with pytest.raises(ZeroDivisionError):
-        incorporate_likelihood_factors(stack, x, y)
+        one_step(stack, x, y)
     assert snapshot(stack) == before
     if gammas[1][1] == 0.0:
         triple = ref._likelihood_triple(0.3, 0.1, 0.5, GammaDist(*gammas[1]))
@@ -336,7 +336,7 @@ def test_likelihood_step_with_only_unusable_runs_skips_them():
     # backward pass, and nothing divides by shape - 1.
     stack = step_stack([(1.0, 6.0)])
     before = snapshot(stack)
-    outcome = incorporate_likelihood_factors(stack, np.full((1, 1), 0.4), np.full(1, 0.3))
+    outcome = one_step(stack, np.full((1, 1), 0.4), np.full(1, 0.3))
     assert outcome.skipped.tolist() == [True]
     assert snapshot(stack) == before
 

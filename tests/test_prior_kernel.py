@@ -27,7 +27,9 @@ import pbp.kernel as kernel
 import pbp.training as training
 import pbp.updates as updates
 import reference_prior as ref
-from conftest import incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset
+from conftest import (
+    epoch_by_phases, incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset,
+)
 from pbp.data import normalize, split
 from pbp.gauss import LOG_2PI
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
@@ -178,6 +180,23 @@ def test_ep_refresh_reaches_every_branch():
     assert net.lam.shape == 1e20
     # A second sweep starts from the sites and Gamma the first one stored.
     assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0 - 2.0**-52])
+def test_flat_site_under_a_prior_shape_at_or_below_one_is_skipped(shape):
+    # A flat cavity (a weight on an input column that normalizes to 0, which
+    # the likelihood never moves) under a running prior shape of 1 or below,
+    # with no Gamma cavity to fall back on, has no prior variance b / (a - 1):
+    # the site is skipped and counted, and the weight keeps its moments.
+    net, sites = one_layer([
+        (0.0, 0.8, 1.0 / 0.8, 0.0, 0.0, 0.0),
+        (0.2, 1.5, 1.0 / 1.5, 0.1, 0.0, 0.0),
+        (0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+    ])
+    net.lam = GammaDist(shape, 6.0)
+    report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
+    assert report.sites_skipped == 2
+    assert net.layers[0].variances[0, :2].tolist() == [0.8, 1.5]
 
 
 @pytest.mark.parametrize(
@@ -420,9 +439,11 @@ def reference_noise_step(step):
 
 def reference_tail(monkeypatch):
     """Route training through the reference prior, EP, likelihood-triple and
-    Gamma code in place of the kernel's."""
+    Gamma code in place of the kernel's: its examples go through the
+    per-example driver, whose noise step is the NoiseStep's call."""
     monkeypatch.setattr(training, "incorporate_all_prior_factors", per_run_incorporate)
     monkeypatch.setattr(training, "ep_refresh_prior", per_run_refresh)
+    monkeypatch.setattr(training, "incorporate_likelihood_factors", epoch_by_phases)
     monkeypatch.setattr(kernel.NoiseStep, "__call__", reference_noise_step)
 
 

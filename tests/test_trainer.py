@@ -28,16 +28,20 @@ class TestSchedule:
 
     def test_each_example_incorporated_once_per_epoch(self, monkeypatch):
         norm, _ = normalized_toy(n=13)
-        seen = []
+        seen, calls = [], []
 
-        def spy(stack, x, y):
-            # One row of x per run; train is the one-run case.
-            seen.extend(x[:, 0].tolist())
-            return UpdateOutcome(skipped=False, undo_count=0, weight_updates=0)
+        def spy(stack, xs, ys):
+            # One call per epoch, its examples (n, R, d), one row per run of
+            # each; train is the one-run case.
+            calls.append(xs.shape)
+            seen.extend(xs[:, 0, 0].tolist())
+            none = np.zeros(1, dtype=int)
+            return UpdateOutcome(skipped=none, undo_count=none, weight_updates=none)
 
         monkeypatch.setattr(training, "incorporate_likelihood_factors", spy)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=4, seed=5)
         train(norm, cfg, np.random.default_rng(5))
+        assert calls == [(13, 1, 1)] * 4
         assert len(seen) == 13 * 4
         per_epoch = [sorted(seen[i * 13 : (i + 1) * 13]) for i in range(4)]
         expected = sorted(norm.features[:, 0].tolist())
@@ -66,8 +70,8 @@ class TestSchedule:
         assert counts["refresh"] == 5
 
     def test_refresh_follows_the_last_example_of_each_epoch(self, monkeypatch):
-        # Per epoch: every example once, then one EP refresh, then the
-        # epoch-RMSE pass on the refreshed posterior.
+        # Per epoch: every example once, in one call, then one EP refresh,
+        # then the epoch-RMSE pass on the refreshed posterior.
         datasets = [normalized_toy(n=4, seed=s)[0] for s in (1, 2, 3)]
         events = []
 
@@ -83,7 +87,7 @@ class TestSchedule:
         spy("rmse", training.forward_output_moments)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=4)
         results = train_runs(datasets, cfg, [np.random.default_rng(s) for s in (4, 5, 6)])
-        assert events == (["example"] * 4 + ["refresh", "rmse"]) * 3
+        assert events == ["example", "refresh", "rmse"] * 3
         assert all(len(report.refreshes) == 3 for _, _, report in results)
 
     def test_each_run_keeps_its_own_refresh_outcomes(self, monkeypatch):
@@ -183,8 +187,10 @@ class TestSkipRateAbort:
     def test_abort_when_skip_rate_exceeds_threshold(self, monkeypatch):
         norm, _ = normalized_toy(n=10)
 
-        def always_skip(net, x, y):
-            return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
+        def always_skip(stack, xs, ys):
+            # Every run skips every example of the epoch.
+            none = np.zeros(ys.shape[1], dtype=int)
+            return UpdateOutcome(skipped=none + len(ys), undo_count=none, weight_updates=none)
 
         monkeypatch.setattr(training, "incorporate_likelihood_factors", always_skip)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=1, seed=0)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import pbp.updates as updates
-from conftest import incorporate_one_run, log_z_triple, output_moments, random_net, refresh_one_run
+from conftest import (
+    incorporate_one_run, log_z_triple, one_step, output_moments, random_net, refresh_one_run,
+    step_by_phases,
+)
 from oracles import gamma_tilted_moments_quadrature
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
-from pbp.updates import incorporate_likelihood_factors
 from reference_prior import (
     NegativeVarianceError,
     Sites,
@@ -238,7 +240,7 @@ class TestIncorporatePriorFactor:
 
 def one_run_step(stack, x, y):
     """incorporate_likelihood_factors on a one-run stack."""
-    return incorporate_likelihood_factors(stack, np.asarray(x)[None, :], np.array([y]))
+    return one_step(stack, np.asarray(x)[None, :], np.array([y]))
 
 
 class TestIncorporateLikelihoodFactor:
@@ -271,7 +273,9 @@ class TestIncorporateLikelihoodFactor:
         m_before = layer.means[0, 1, 2]
         v_before = layer.variances[0, 1, 2]
         other_before = layer.means[0, 0, 0]
-        outcome = one_run_step(stack, np.array([0.5, -0.2]), 0.1)
+        # Through the per-example driver, whose gradients come from the
+        # patched seam.
+        outcome = step_by_phases(stack, np.array([[0.5, -0.2]]), np.array([0.1]))
         assert not outcome.skipped[0]
         assert outcome.undo_count[0] == 1
         assert layer.means[0, 1, 2] == m_before
