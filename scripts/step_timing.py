@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the likelihood step of pbp, in process, on a few stack shapes.
 
-    python scripts/step_timing.py TREE [--steps N] [--repeats K] [--json]
+    python scripts/step_timing.py TREE [--steps=N] [--repeats=K] [--json]
 
 TREE is a checkout of this repository: pbp is imported from its `src`, with
 BLAS pinned to one thread as in perfbench. For each stack (runs x layer

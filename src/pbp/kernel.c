@@ -17,11 +17,13 @@
  * evaluated before, in the same order and association, so the results are
  * the same bits: built with -ffp-contract=off (no fused multiply-add) and
  * -fno-builtin (pow, exp and log stay calls into the process's libm, which
- * Python's math module and float power also call). The matmuls call numpy's
- * BLAS as np.matmul does, log_ndtr scipy's own function, and the rectifier's
- * exp and powers numpy's own ufunc loops. Where Python raised, the entry
- * points return a negative status instead (see kernel.py) and leave every
- * buffer the caller reads as it was.
+ * Python's math module and float power also call), for this CPU
+ * (-march=native), whose vector add, multiply, divide and sqrt round as the
+ * scalar ones. The matmuls call numpy's BLAS as np.matmul does, log_ndtr
+ * scipy's own function, and the rectifier's exp and powers numpy's own
+ * ufunc loops. Where Python raised, the entry points return a negative
+ * status instead (see kernel.py) and leave every buffer the caller reads as
+ * it was.
  */
 
 #include <math.h>
@@ -325,9 +327,12 @@ int ep_refresh(struct refresh_args *s)
  * loops (SIMD code that differs from libm's exp and pow on some arguments).
  * Besides, only +, -, *, /, sqrt (correctly rounded, as numpy's) and
  * comparisons happen here, each in the association of the numpy expression
- * it replaces, which the comment of each map quotes. The branch-free loops
- * read their buffers through restrict locals, so that gcc vectorizes them; a
- * vectorized IEEE operation rounds as the scalar one.
+ * it replaces, which the comment of each map quotes. The loops have no
+ * branches (where numpy's expression has np.where, both sides are computed
+ * and one selected), read their buffers through restrict locals and, where
+ * gcc cannot tell that those do not overlap, carry `#pragma GCC ivdep`, so
+ * that gcc vectorizes them; a vectorized IEEE operation rounds as the scalar
+ * one.
  */
 
 enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
@@ -400,10 +405,11 @@ void power_n(const struct externals *e, int64_t n, const double *x, double expon
     e->power(args, dimensions, steps, e->power_data);
 }
 
-/* np.maximum(x, 0.0): NaN propagates, and -0.0 gives +0.0. */
+/* np.maximum(x, 0.0): NaN propagates, and -0.0 gives +0.0. A select, which
+ * a vectorized loop keeps branch-free. */
 static inline double maximum0(double x)
 {
-    return isnan(x) ? x : x > 0.0 ? x : 0.0;
+    return x > 0.0 || isnan(x) ? x : 0.0;
 }
 
 struct square_args {
@@ -447,7 +453,10 @@ void linear_moments(const struct linear_args *s)
 
 /* The rectifier max(0, x), x ~ N(m, v), per unit, in three parts around
  * log_ndtr of (alpha, -alpha) and exp of (log_cdf, log_cdf_neg, log_pdf,
- * log_ratio), which run on adjacent rows of one buffer (see rectify). */
+ * log_ratio), which run on adjacent rows of one buffer (see rectify). Each
+ * part computes both branches of every unit and selects, so that its loop
+ * has no branch and vectorizes; the branch flags are double masks, 1.0 where
+ * the unit takes the branch and 0.0 elsewhere, beside the other doubles. */
 struct relu_args {
     int64_t rows, units, out_stride; /* out_stride: doubles between rows of out_m, out_v */
     const double *m, *v;             /* (rows, units) pre-activation moments */
@@ -455,41 +464,61 @@ struct relu_args {
     double *log_cdf, *log_cdf_neg, *log_pdf, *log_ratio;
     double *cdf, *cdf_neg, *pdf, *ratio;
     double *sqrt_v, *v_safe, *vprime, *mean_pos, *alpha_s;
-    /* alpha_s ** 3, ** -2 and ** -4, read where a unit takes the series */
+    /* alpha_s ** 3, ** -2 and ** -4 of every unit: of alpha for the units
+     * that take the series, exactly -1.0, 1.0 and 1.0 (the powers of -1.0)
+     * for the others */
     double *cube, *inv_square, *inv_fourth;
     double *out_m, *out_v;
-    uint8_t *deterministic, *series;
+    double *deterministic, *series;  /* the masks */
     int64_t n_deterministic, n_series;
     double deterministic_variance, series_threshold, log_2pi;
 };
 
 /* det = v < cutoff; v_safe = where(det, 1.0, v); sqrt_v = sqrt(v_safe);
  * alpha = m / sqrt_v; log_pdf = -0.5 * (alpha * alpha + LOG_2PI);
- * series = alpha < threshold; alpha_s = where(series, alpha, -1.0).
- * NEGATIVE_VARIANCE where some v < 0 (a NaN is not). */
+ * series = alpha < threshold; alpha_s = where(series, alpha, -1.0); the
+ * powers of -1.0 in cube, inv_square and inv_fourth; and the two counts.
+ * NEGATIVE_VARIANCE, before any write, where some v < 0 (a NaN is not). */
 static int relu_pre(struct relu_args *s)
 {
     const int64_t n = s->rows * s->units;
+    const double *restrict m = s->m, *restrict v = s->v;
+    int64_t negative = 0;
+    for (int64_t i = 0; i < n; i++)
+        negative += v[i] < 0.0;
+    if (negative)
+        return NEGATIVE_VARIANCE;
+    double *restrict alpha = s->alpha, *restrict neg_alpha = s->neg_alpha;
+    double *restrict log_pdf = s->log_pdf, *restrict alpha_s = s->alpha_s;
+    double *restrict sqrt_v = s->sqrt_v, *restrict v_safe = s->v_safe;
+    double *restrict cube = s->cube, *restrict inv_square = s->inv_square;
+    double *restrict inv_fourth = s->inv_fourth;
+    double *restrict deterministic = s->deterministic, *restrict series = s->series;
+    const double cutoff = s->deterministic_variance, threshold = s->series_threshold;
+    const double log_2pi = s->log_2pi;
+    #pragma GCC ivdep
+    for (int64_t i = 0; i < n; i++) {
+        int det = v[i] < cutoff;
+        double safe = det ? 1.0 : v[i];
+        double root = __builtin_sqrt(safe);
+        double a = m[i] / root;
+        int tail = a < threshold;
+        v_safe[i] = safe;
+        sqrt_v[i] = root;
+        alpha[i] = a;
+        neg_alpha[i] = -a;
+        log_pdf[i] = -0.5 * (a * a + log_2pi);
+        alpha_s[i] = tail ? a : -1.0; /* keeps the unused branch finite */
+        cube[i] = -1.0;
+        inv_square[i] = 1.0;
+        inv_fourth[i] = 1.0;
+        deterministic[i] = det ? 1.0 : 0.0;
+        series[i] = tail ? 1.0 : 0.0;
+    }
     int64_t n_det = 0, n_series = 0;
     for (int64_t i = 0; i < n; i++) {
-        double v = s->v[i];
-        if (v < 0.0)
-            return NEGATIVE_VARIANCE;
-        int det = v < s->deterministic_variance;
-        double v_safe = det ? 1.0 : v;
-        double sqrt_v = __builtin_sqrt(v_safe);
-        double alpha = s->m[i] / sqrt_v;
-        int series = alpha < s->series_threshold;
-        s->v_safe[i] = v_safe;
-        s->sqrt_v[i] = sqrt_v;
-        s->alpha[i] = alpha;
-        s->neg_alpha[i] = -alpha;
-        s->log_pdf[i] = -0.5 * (alpha * alpha + s->log_2pi);
-        s->alpha_s[i] = series ? alpha : -1.0; /* keeps the unused branch finite */
-        s->deterministic[i] = det;
-        s->series[i] = series;
-        n_det += det;
-        n_series += series;
+        n_det += deterministic[i] != 0.0;
+        n_series += series[i] != 0.0;
     }
     s->n_deterministic = n_det;
     s->n_series = n_series;
@@ -506,40 +535,68 @@ static void relu_mid(const struct relu_args *s)
         log_ratio[i] = log_pdf[i] - log_cdf[i];
 }
 
+/* alpha_s ** 3, ** -2 and ** -4 of the units that take the series, through
+ * numpy's power loop on those alone: gathered into vprime and raised into
+ * mean_pos (rows that relu_post writes afterwards), then scattered. */
+static void series_powers(const struct externals *e, const struct relu_args *s)
+{
+    const int64_t n = s->rows * s->units;
+    const double *series = s->series;
+    double *gathered = s->vprime, *raised = s->mean_pos;
+    double *powers[] = {s->cube, s->inv_square, s->inv_fourth};
+    const double exponents[] = {3.0, -2.0, -4.0};
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (series[i] != 0.0)
+            gathered[k++] = s->alpha_s[i];
+    for (int p = 0; p < 3; p++) {
+        power_n(e, k, gathered, exponents[p], raised);
+        for (int64_t i = 0, j = 0; i < n; i++)
+            if (series[i] != 0.0)
+                powers[p][i] = raised[j++];
+    }
+}
+
 /* ratio = where(series, -alpha_s - 1.0 / alpha_s + 2.0 / alpha_s**3, ratio)
  * vprime = m + sqrt_v * ratio; mean_pos = cdf * vprime
  * out_v = maximum(mean_pos * vprime * cdf_neg + cdf * v_safe * (1.0 - ratio * (ratio + alpha)), 0.0)
  * and where det: out_m = maximum(m, 0.0), out_v = 0.0. */
 static void relu_post(const struct relu_args *s)
 {
+    const int64_t units = s->units;
     for (int64_t r = 0; r < s->rows; r++) {
-        for (int64_t j = 0; j < s->units; j++) {
-            int64_t i = r * s->units + j, o = r * s->out_stride + j;
-            double alpha_s = s->alpha_s[i];
-            double ratio = s->series[i] ? -alpha_s - 1.0 / alpha_s + 2.0 / s->cube[i] : s->ratio[i];
-            double vprime = s->m[i] + s->sqrt_v[i] * ratio;
-            double mean_pos = s->cdf[i] * vprime;
-            double mean_vprime = mean_pos * vprime;
-            double cdf_v = s->cdf[i] * s->v_safe[i];
-            double u = 1.0 - ratio * (ratio + s->alpha[i]);
-            double variance = maximum0(mean_vprime * s->cdf_neg[i] + cdf_v * u);
-            s->ratio[i] = ratio;
-            s->vprime[i] = vprime;
-            s->mean_pos[i] = mean_pos;
-            if (s->deterministic[i]) {
-                s->out_m[o] = maximum0(s->m[i]);
-                s->out_v[o] = 0.0;
-            } else {
-                s->out_m[o] = mean_pos;
-                s->out_v[o] = variance;
-            }
+        const int64_t b = r * units, o = r * s->out_stride;
+        const double *restrict m = s->m + b, *restrict alpha = s->alpha + b;
+        const double *restrict alpha_s = s->alpha_s + b, *restrict cube = s->cube + b;
+        const double *restrict cdf = s->cdf + b, *restrict cdf_neg = s->cdf_neg + b;
+        const double *restrict sqrt_v = s->sqrt_v + b, *restrict v_safe = s->v_safe + b;
+        const double *restrict deterministic = s->deterministic + b, *restrict series = s->series + b;
+        double *restrict ratio = s->ratio + b, *restrict vprime = s->vprime + b;
+        double *restrict mean_pos = s->mean_pos + b;
+        double *restrict out_m = s->out_m + o, *restrict out_v = s->out_v + o;
+        #pragma GCC ivdep
+        for (int64_t j = 0; j < units; j++) {
+            double tail = -alpha_s[j] - 1.0 / alpha_s[j] + 2.0 / cube[j];
+            double g = series[j] != 0.0 ? tail : ratio[j];
+            double vp = m[j] + sqrt_v[j] * g;
+            double mp = cdf[j] * vp;
+            double mean_vprime = mp * vp;
+            double cdf_v = cdf[j] * v_safe[j];
+            double u = 1.0 - g * (g + alpha[j]);
+            double variance = maximum0(mean_vprime * cdf_neg[j] + cdf_v * u);
+            int det = deterministic[j] != 0.0;
+            ratio[j] = g;
+            vprime[j] = vp;
+            mean_pos[j] = mp;
+            out_m[j] = det ? maximum0(m[j]) : mp;
+            out_v[j] = det ? 0.0 : variance;
         }
     }
 }
 
 /* The whole rectifier of s: relu_pre; log_ndtr; relu_mid; where some unit
- * takes the series, alpha_s ** 3 for relu_post and ** -2 and ** -4 for
- * relu_backward; exp; relu_post. Returns 0 or NEGATIVE_VARIANCE. */
+ * takes the series, series_powers (alpha_s ** 3 for relu_post and ** -2 and
+ * ** -4 for relu_backward); exp; relu_post. Returns 0 or NEGATIVE_VARIANCE. */
 int rectify(const struct externals *e, struct relu_args *s)
 {
     int status = relu_pre(s);
@@ -550,11 +607,8 @@ int rectify(const struct externals *e, struct relu_args *s)
      * are the four from log_cdf and the four from cdf. */
     log_ndtr_n(e, 2 * n, s->alpha, s->log_cdf);
     relu_mid(s);
-    if (s->n_series) {
-        power_n(e, n, s->alpha_s, 3.0, s->cube);
-        power_n(e, n, s->alpha_s, -2.0, s->inv_square);
-        power_n(e, n, s->alpha_s, -4.0, s->inv_fourth);
-    }
+    if (s->n_series)
+        series_powers(e, s);
     exp_n(e, 4 * n, s->log_cdf, s->cdf);
     relu_post(s);
     return 0;
@@ -562,48 +616,56 @@ int rectify(const struct externals *e, struct relu_args *s)
 
 /* The gradients of log Z w.r.t. the rectifier's input moments (dma, dva,
  * (rows, units)) from those w.r.t. its output moments (dmb, dvb, whose rows
- * are in_stride doubles apart), branch for branch. */
+ * are in_stride doubles apart), both branches of every unit and a select. */
 static void relu_backward(const struct relu_args *f, int64_t in_stride, const double *dmb_in,
-                          const double *dvb_in, double *dma, double *dva)
+                          const double *dvb_in, double *dma_out, double *dva_out)
 {
+    const int64_t units = f->units;
     for (int64_t r = 0; r < f->rows; r++) {
-        for (int64_t j = 0; j < f->units; j++) {
-            int64_t i = r * f->units + j, k = r * in_stride + j;
-            double v_safe = f->v_safe[i], sq = f->sqrt_v[i], alpha = f->alpha[i];
-            double g = f->ratio[i], cdf = f->cdf[i], cdf_neg = f->cdf_neg[i], pdf = f->pdf[i];
-            double vp = f->vprime[i], mb = f->mean_pos[i];
-            double dmb = dmb_in[k], dvb = dvb_in[k];
-            if (f->deterministic[i]) {
-                /* mb = max(0, m), vb = 0: dma = dmb * (m > 0.0), dva = 0.0 */
-                dma[i] = dmb * (f->m[i] > 0.0 ? 1.0 : 0.0);
-                dva[i] = 0.0;
-                continue;
-            }
-            double ratio_alpha = g + alpha;
+        const int64_t b = r * units, k = r * in_stride;
+        const double *restrict m = f->m + b, *restrict v_safe = f->v_safe + b;
+        const double *restrict sqrt_v = f->sqrt_v + b, *restrict alpha = f->alpha + b;
+        const double *restrict ratio = f->ratio + b, *restrict cdf = f->cdf + b;
+        const double *restrict cdf_neg = f->cdf_neg + b, *restrict pdf = f->pdf + b;
+        const double *restrict vprime = f->vprime + b, *restrict mean_pos = f->mean_pos + b;
+        const double *restrict inv_square = f->inv_square + b;
+        const double *restrict inv_fourth = f->inv_fourth + b;
+        const double *restrict deterministic = f->deterministic + b, *restrict series = f->series + b;
+        const double *restrict dmb_row = dmb_in + k, *restrict dvb_row = dvb_in + k;
+        double *restrict dma = dma_out + b, *restrict dva = dva_out + b;
+        #pragma GCC ivdep
+        for (int64_t j = 0; j < units; j++) {
+            double vs = v_safe[j], sq = sqrt_v[j], a = alpha[j], g = ratio[j];
+            double vp = vprime[j], mb = mean_pos[j], dmb = dmb_row[j], dvb = dvb_row[j];
+            double ratio_alpha = g + a;
             /* dg_dalpha = -g * (ratio + alpha), or in the series branch
              * -1.0 + alpha_s**-2 - 6.0 * alpha_s**-4 */
-            double dg = f->series[i] ? -1.0 + f->inv_square[i] - 6.0 * f->inv_fourth[i]
-                                     : -g * ratio_alpha;
+            double dg = series[j] != 0.0 ? -1.0 + inv_square[j] - 6.0 * inv_fourth[j]
+                                         : -g * ratio_alpha;
             double dalpha_dm = 1.0 / sq;
-            double dalpha_dv = -alpha / (2.0 * v_safe);
+            double dalpha_dv = -a / (2.0 * vs);
             double ds_dv = 1.0 / (2.0 * sq);
             double dvp_dm = 1.0 + dg;
             double dvp_dv = ds_dv * g + sq * dg * dalpha_dv;
-            double dcdf_dm = pdf * dalpha_dm;
-            double dcdf_dv = pdf * dalpha_dv;
-            double dmb_dm = dcdf_dm * vp + cdf * dvp_dm;
-            double dmb_dv = dcdf_dv * vp + cdf * dvp_dv;
+            double dcdf_dm = pdf[j] * dalpha_dm;
+            double dcdf_dv = pdf[j] * dalpha_dv;
+            double dmb_dm = dcdf_dm * vp + cdf[j] * dvp_dm;
+            double dmb_dv = dcdf_dv * vp + cdf[j] * dvp_dv;
             double u = 1.0 - g * ratio_alpha;
-            double du_dalpha = -dg * (2.0 * g + alpha) - g;
+            double du_dalpha = -dg * (2.0 * g + a) - g;
             /* vb = mb * vp * Phi(-alpha) + Phi(alpha) * v * u */
-            double mb_vp_pdf = mb * vp * pdf;
-            double cdf_v_du = cdf * v_safe * du_dalpha;
-            double dvb_dm = dmb_dm * vp * cdf_neg + mb * dvp_dm * cdf_neg - mb_vp_pdf * dalpha_dm
-                            + dcdf_dm * v_safe * u + cdf_v_du * dalpha_dm;
-            double dvb_dv = dmb_dv * vp * cdf_neg + mb * dvp_dv * cdf_neg - mb_vp_pdf * dalpha_dv
-                            + dcdf_dv * v_safe * u + cdf * u + cdf_v_du * dalpha_dv;
-            dma[i] = dmb * dmb_dm + dvb * dvb_dm;
-            dva[i] = dmb * dmb_dv + dvb * dvb_dv;
+            double mb_vp_pdf = mb * vp * pdf[j];
+            double cdf_v_du = cdf[j] * vs * du_dalpha;
+            double dvb_dm = dmb_dm * vp * cdf_neg[j] + mb * dvp_dm * cdf_neg[j]
+                            - mb_vp_pdf * dalpha_dm + dcdf_dm * vs * u + cdf_v_du * dalpha_dm;
+            double dvb_dv = dmb_dv * vp * cdf_neg[j] + mb * dvp_dv * cdf_neg[j]
+                            - mb_vp_pdf * dalpha_dv + dcdf_dv * vs * u + cdf[j] * u
+                            + cdf_v_du * dalpha_dv;
+            /* A deterministic unit: mb = max(0, m), vb = 0, so
+             * dma = dmb * (m > 0.0) and dva = 0.0. */
+            int det = deterministic[j] != 0.0;
+            dma[j] = det ? dmb * (m[j] > 0.0 ? 1.0 : 0.0) : dmb * dmb_dm + dvb * dvb_dm;
+            dva[j] = det ? 0.0 : dmb * dmb_dv + dvb * dvb_dv;
         }
     }
 }
@@ -766,7 +828,8 @@ void step_backward(const struct step_args *s)
 /* The Gaussian refinement of every weight of every run that keeps its
  * example, in place: m_new = m + v * dM, v_new = v - v * v * (dM * dM -
  * 2.0 * dV), kept where v_new is positive and both are finite and counted
- * in undo otherwise; a skipped run keeps its weights (undo and updates 0).
+ * in undo otherwise (a select, which keeps the loop vectorized); a skipped
+ * run keeps its weights (undo and updates 0).
  * Then the noise Gammas take the matched ones. */
 void step_refine(const struct step_args *s)
 {
@@ -775,17 +838,15 @@ void step_refine(const struct step_args *s)
     for (int64_t r = 0; r < s->runs; r++) {
         int64_t undo = 0;
         if (!s->noise->skipped[r]) {
-            double *m = s->means + r * W, *v = s->variances + r * W;
-            const double *dm = s->d_means + r * W, *dv = s->d_variances + r * W;
+            double *restrict m = s->means + r * W, *restrict v = s->variances + r * W;
+            const double *restrict dm = s->d_means + r * W, *restrict dv = s->d_variances + r * W;
             for (int64_t w = 0; w < W; w++) {
                 double m_new = m[w] + v[w] * dm[w];
                 double v_new = v[w] - v[w] * v[w] * (dm[w] * dm[w] - 2.0 * dv[w]);
-                if (v_new > 0.0 && isfinite(v_new) && isfinite(m_new)) {
-                    m[w] = m_new;
-                    v[w] = v_new;
-                } else {
-                    undo++;
-                }
+                int ok = v_new > 0.0 && isfinite(v_new) && isfinite(m_new);
+                m[w] = ok ? m_new : m[w];
+                v[w] = ok ? v_new : v[w];
+                undo += 1 - ok;
             }
         }
         s->undo[r] = undo;

@@ -20,13 +20,16 @@ against np.matmul, scipy.special.log_ndtr, np.exp and np.power
 import with one line, an ExternalError, and there is no other path. A rows
 pass keeps numpy's matmuls (gemm for its rows).
 
-kernel.c is compiled with gcc and FLAGS on first import and loaded with
-ctypes. The build is cached under $XDG_CACHE_HOME/pbp (by default
-~/.cache/pbp, or the temp dir when that cannot be written), named by a hash of
-the source and the flags and one of `gcc --version`: a changed source or
-compiler builds afresh, and a cached build loads where no compiler is found.
-kernel.c links against nothing but libm; the external functions reach it as
-pointers.
+kernel.c is compiled with gcc and FLAGS, for this CPU (-march=native), on
+first import and loaded with ctypes. The build is cached under
+$XDG_CACHE_HOME/pbp (by default ~/.cache/pbp, or the temp dir when that
+cannot be written), named by a hash of the source, the flags and the CPU's
+instruction-set features (host_features, read from /proc/cpuinfo) and one of
+`gcc --version`: a changed source, CPU or compiler builds afresh, and a
+cached build for this CPU loads where no compiler is found. A build for
+another CPU never loads, as it could hold instructions this one lacks
+(SIGILL). kernel.c links against nothing but libm; the external functions
+reach it as pointers.
 
 Each entry point takes one struct of buffer addresses, bound once (per stack
 for a step, see Step; per layer of each item in a rows pass), so a call
@@ -53,9 +56,16 @@ SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = "gcc"
 # No fused multiply-add, and pow, exp and log left to the process's libm:
 # the bits of the Python floats and numpy arrays the kernel replaces. -O3
-# and -fno-math-errno let gcc vectorize loops (sqrt included), which rounds
-# every operation as the scalar code does.
-FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC")
+# and -fno-math-errno let gcc vectorize loops (sqrt included), and
+# -march=native with every vector instruction this CPU has; a vectorized
+# IEEE add, multiply, divide or sqrt rounds as the scalar one, and
+# -ffp-contract=off keeps every a * b + c two roundings on any target. The
+# build is for this CPU alone, so its cache key holds the CPU's features
+# (host_features).
+FLAGS = (
+    "-O3", "-march=native", "-fno-math-errno", "-ffp-contract=off", "-fno-builtin",
+    "-shared", "-fPIC",
+)
 BUILD_TIMEOUT_S = 120
 
 
@@ -86,11 +96,31 @@ def _compiler_version() -> str | None:
     return done.stdout if done.returncode == 0 else None
 
 
+def host_features() -> str:
+    """The instruction-set features of the CPU this process runs on, as the
+    kernel lists them: the `flags` line (x86) or `Features` line (arm) of
+    /proc/cpuinfo, read without a compiler; where there is none, the
+    machine's hardware name, which does not tell two CPUs of one
+    architecture apart."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                key, _, value = line.partition(":")
+                if key.strip() in ("flags", "Features"):
+                    return " ".join(sorted(value.split()))
+    except OSError:
+        pass
+    return os.uname().machine
+
+
 def build(flags: tuple[str, ...] = FLAGS) -> Path:
-    """The shared library of kernel.c built with flags: cached, or compiled
-    into the first cache directory that can be written. Raises CompilerError
-    when there is neither."""
-    stem = "kernel-" + _digest(SOURCE.read_bytes(), flags)
+    """The shared library of kernel.c built with flags for this CPU: cached,
+    or compiled into the first cache directory that can be written. Raises
+    CompilerError when there is neither. A build is named by the source, the
+    flags and the CPU's features, then the compiler's version; one for other
+    features is never loaded, even without a compiler, as it could hold
+    instructions this CPU lacks."""
+    stem = "kernel-" + _digest(SOURCE.read_bytes(), flags, host_features())
     version = _compiler_version()
     if version is None:
         for directory in _cache_dirs():
@@ -164,9 +194,9 @@ class _LinearArgs(ctypes.Structure):
 
 # The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
 # "alpha" to the two from "log_cdf", and exp the four from "log_cdf" to the
-# four from "cdf". The last three hold powers of alpha_s, written where a
-# unit takes the series: ** 3 for relu_post, ** -2 and ** -4 for the step's
-# reverse sweep.
+# four from "cdf". The last three hold the powers of alpha_s of every unit,
+# raised for the units that take the series and those of -1.0 elsewhere:
+# ** 3 for relu_post, ** -2 and ** -4 for the step's reverse sweep.
 _RELU_ROWS = (
     "alpha", "neg_alpha",
     "log_cdf", "log_cdf_neg", "log_pdf", "log_ratio",
@@ -330,7 +360,8 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
     zeros; log_ndtr at infinities, NaN, signed zeros and the edges of its
     branches; and exp and the powers at infinities, NaN, signed zeros and
     exp's underflow and overflow edges, on slices of several starts and
-    lengths."""
+    lengths and on a gather, each value against its bits in the whole
+    array; and that numpy's powers of -1.0 are exactly -1.0, 1.0 and 1.0."""
     from scipy.special import log_ndtr
 
     rng = np.random.default_rng(18)
@@ -365,26 +396,36 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
              -745.13, -708.3964185322641, -708.39, 709.782712893384, 709.7827128933841, 710.0]
     x = np.concatenate([edges, rng.normal(0.0, 30.0, 1000)])
     x_pow = np.concatenate([edges, rng.normal(0.0, 300.0, 100), rng.uniform(-1e3, -30.0, 300)])
-    # Slices of several starts, and lengths that are not multiples of 8.
-    slices = [slice(0, None), slice(1, 14), slice(3, 10), slice(5, 6)]
+    # Slices of several starts, lengths that are not multiples of 8 and a
+    # gather of every third value: each value must take the bits it takes
+    # in the whole array, whatever its neighbours and offset, as kernel.c
+    # raises the far-tail units of a layer alone (series_powers) where numpy
+    # raised the whole layer.
+    parts = [slice(0, None), slice(1, 14), slice(3, 10), slice(5, 6), slice(2, None, 3)]
     with np.errstate(all="ignore"):
-        for part in (x[k] for k in slices):
+        whole = np.exp(x)
+        for part, want in ((np.ascontiguousarray(x[k]), whole[k]) for k in parts):
             got = np.empty_like(part)
             lib.exp_n(ref, part.size, _data(part), _data(got))
-            if got.tobytes() != np.exp(part).tobytes():
+            if got.tobytes() != want.tobytes():
                 raise ExternalError(
                     "numpy's exp loop called from kernel.c does not give the bits of np.exp "
                     f"on {part.size} values"
                 )
-        for part in (x_pow[k] for k in slices):
-            got = np.empty_like(part)
-            for exponent in (3, -2, -4):
+        for exponent in (3, -2, -4):
+            whole = x_pow**exponent
+            for part, want in ((np.ascontiguousarray(x_pow[k]), whole[k]) for k in parts):
+                got = np.empty_like(part)
                 lib.power_n(ref, part.size, _data(part), float(exponent), _data(got))
-                if got.tobytes() != (part**exponent).tobytes():
+                if got.tobytes() != want.tobytes():
                     raise ExternalError(
                         "numpy's power loop called from kernel.c does not give the bits of "
                         f"x ** {exponent} on {part.size} values"
                     )
+        # The units off the series take the powers of -1.0 as constants.
+        for exponent, power in [(3, -1.0), (-2, 1.0), (-4, 1.0)]:
+            if (np.full(9, -1.0) ** exponent).tobytes() != np.full(9, power).tobytes():
+                raise ExternalError(f"numpy's power does not give (-1.0) ** {exponent} == {power}")
 
 
 # kernel.c's statuses, as what the Python floats it replaces raised.
@@ -613,10 +654,11 @@ class Rectifier:
     evenly spaced (_row_stride).
 
     Each call checks the variances and writes the moments, log_ndtr, exp
-    and, where some unit takes the far-tail series, the powers of alpha_s
-    included. Each row of `buf` (see _RELU_ROWS) is an attribute of m's
-    shape, valid until the next call, and `deterministic` and `series` flag
-    the units that take those branches, which each call counts.
+    and the powers of alpha_s included (raised by numpy's power only for the
+    units that take the far-tail series). Each row of `buf` (see _RELU_ROWS) is an attribute of m's
+    shape, valid until the next call, and `deterministic` and `series` (new
+    bool arrays of that shape, from kernel.c's masks) flag the units that
+    take those branches, which each call counts.
     """
 
     def __init__(
@@ -631,20 +673,27 @@ class Rectifier:
         shape, n = m.shape, m.size
         self.shape = shape
         self.buf = np.empty((len(_RELU_ROWS), n))
-        self._flags = np.zeros((2, n), dtype=np.uint8)
+        self._masks = np.zeros((2, *shape))
         self.__dict__.update(zip(_RELU_ROWS, self.buf.reshape((len(_RELU_ROWS), *shape))))
-        self.deterministic, self.series = self._flags.view(bool).reshape((2, *shape))
         self._buffers = (m, v, out_m, out_v)
-        base, flags = _data(self.buf), _data(self._flags)
+        base, masks = _data(self.buf), _data(self._masks)
         self._args = _ReluArgs(
             n // shape[-1], shape[-1], _rows_of(out_m, out_v, shape),
             _address(m, shape), _address(v, shape),
             *(base + k * 8 * n for k in range(len(_RELU_ROWS))),
-            _data(out_m), _data(out_v), flags, flags + n,
+            _data(out_m), _data(out_v), masks, masks + 8 * n,
             0, 0,
             deterministic_variance, series_threshold, LOG_2PI,
         )
         self._ref = ctypes.byref(self._args)
+
+    @property
+    def deterministic(self) -> np.ndarray:
+        return self._masks[0] != 0.0
+
+    @property
+    def series(self) -> np.ndarray:
+        return self._masks[1] != 0.0
 
     @property
     def n_deterministic(self) -> int:

@@ -258,6 +258,19 @@ def _relu_backward(pre: MomentVector, aux: ReluAux, dmb, dvb):
     return dma, dva
 
 
+def refine(m, v, dM, dV):
+    """The Gaussian refinement of a layer's weights (m, v), (*runs, rows,
+    cols), by the gradients of log Z (dM, dV): the new means and variances,
+    each weight kept where its new variance is not positive or either is not
+    finite, and the number of weights kept so per run."""
+    m_new = m + v * dM
+    v_new = v - v * v * (dM * dM - 2.0 * dV)
+    bad = ~(v_new > 0.0) | ~np.isfinite(v_new) | ~np.isfinite(m_new)
+    if bad.any():
+        return np.where(bad, m, m_new), np.where(bad, v, v_new), bad.sum(axis=(-2, -1))
+    return m_new, v_new, bad.sum(axis=(-2, -1))
+
+
 def _incorporate(net: NetworkPosterior, x, y, gammas: list[GammaDist]):
     mz, vz, trace = forward_trace(net, x)
     triples = [
@@ -272,16 +285,8 @@ def _incorporate(net: NetworkPosterior, x, y, gammas: list[GammaDist]):
 
     undo = 0
     for layer, dM, dV in zip(net.layers, grads.d_means, grads.d_variances):
-        m, v = layer.means, layer.variances
-        m_new = m + v * dM
-        v_new = v - v * v * (dM * dM - 2.0 * dV)
-        bad = ~(v_new > 0.0) | ~np.isfinite(v_new) | ~np.isfinite(m_new)
-        undo = undo + bad.sum(axis=(-2, -1))
-        if bad.any():
-            layer.means = np.where(bad, m, m_new)
-            layer.variances = np.where(bad, v, v_new)
-        else:
-            layer.means, layer.variances = m_new, v_new
+        layer.means, layer.variances, bad = refine(layer.means, layer.variances, dM, dV)
+        undo = undo + bad
 
     for r, triple in enumerate(triples):
         if triple is not None:

@@ -19,20 +19,27 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pbp
+import pbp.forward as forward
 import pbp.kernel as kernel
 import reference_prior as ref
-from conftest import incorporate_one_run, likelihood_step, one_step, refresh_one_run, toy_cubic_dataset
+import reference_update
+import test_forward
+from conftest import (
+    incorporate_one_run, likelihood_step, one_step, random_net, refresh_one_run, toy_cubic_dataset,
+)
 from pbp.data import normalize
-from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack
+from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
+from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, layer_views
 from pbp.training import train_runs
 from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors
-from test_batched_engine import fuzz_step_case
+from test_batched_engine import assert_step_matches_reference, fuzz_step_case
 from test_prior_kernel import (
     LIKELIHOOD_CASES,
     _bits,
@@ -170,13 +177,14 @@ def has_fma() -> bool:
 
 
 def stepped(cases) -> list[bytes]:
-    """The bits of each case's weights, Gammas and undo counts after one
-    likelihood step on a stack of copies of its nets."""
+    """The bits of each case's weights, Gammas and counts (skipped, undone,
+    updated) after one likelihood step on a stack of copies of its nets."""
     out = []
     for nets, xs, ys in cases:
         stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
         outcome = one_step(stack, xs, ys)
-        arrays = (stack.means, stack.variances, stack.gamma, outcome.undo_count)
+        counts = (outcome.skipped, outcome.undo_count, outcome.weight_updates)
+        arrays = (stack.means, stack.variances, stack.gamma, *counts)
         out.append(b"".join(np.asarray(a).tobytes() for a in arrays))
     return out
 
@@ -198,6 +206,62 @@ def test_pinned_flags_keep_products_unfused(monkeypatch):
     ep_refresh_prior(fused_stack, fused_sites)
     assert _bits(fused_stack.means) + _bits(fused_sites) != _bits(stack.means) + _bits(sites)
     assert any(a != b for a, b in zip(pinned, stepped(cases)))
+
+
+def kernel_bits(rows_pass) -> list[bytes]:
+    """The bits of what kernel.c computes through the build kernel.LIB holds:
+    50 fuzzed likelihood steps; a stack's training and an EP refresh of its
+    fuzzed sites; and the output moments of rows_pass, a (nets, rows) pair."""
+    rng = np.random.default_rng(2002)
+    out = stepped([fuzz_step_case(rng) for _ in range(50)])
+    stack, sites = trained_stack(6, (10,), 5)
+    fuzz_sites(stack, sites, rng)
+    report = ep_refresh_prior(stack, sites)
+    out += [_bits(a) for a in (stack.means, stack.variances, stack.lam, sites)]
+    out.append(repr(report).encode())
+    nets, X = rows_pass
+    out += [a.tobytes() for a in forward.forward_output_moments(PosteriorStack.of(nets), X)]
+    return out
+
+
+def test_host_tuned_build_gives_the_bits_of_the_baseline_build(monkeypatch):
+    # The kernel as built for this CPU against a build for the baseline
+    # target of the compiler: vector instructions round as the scalar ones,
+    # and products stay unfused.
+    assert "-march=native" in kernel.FLAGS
+    monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+    rng = np.random.default_rng(2003)
+    # Hidden unit 0 takes the deterministic and far-tail branches on both
+    # sides of every item boundary (see test_forward), unit 1 is
+    # deterministic with a mean of +-0 and unit 2 has alpha +-0.
+    nets, X = test_forward.TestOneRectifierCallPerItem.nets_and_rows(2, 3 * 64 + 7, 50, rng)
+    for net in nets:
+        hidden = net.layers[0]
+        hidden.means[1], hidden.variances[1], hidden.means[2] = 0.0, 0.0, -0.0
+    tuned = kernel_bits((nets, X))
+    baseline = tuple(flag for flag in kernel.FLAGS if flag != "-march=native")
+    monkeypatch.setattr(kernel, "LIB", kernel.load(kernel.build(baseline)))
+    assert kernel_bits((nets, X)) == tuned
+
+
+def test_a_build_for_other_cpu_features_is_neither_loaded_nor_globbed(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    features = kernel.host_features()
+    monkeypatch.setattr(kernel, "host_features", lambda: "other " + features)
+    elsewhere = kernel.build()
+    monkeypatch.setattr(kernel, "host_features", lambda: features)
+    # With a compiler, this CPU gets a build of its own ...
+    here = kernel.build()
+    assert here != elsewhere and here.parent == elsewhere.parent
+    assert here.exists() and elsewhere.exists()
+    # ... and without one it loads that build, or none.
+    monkeypatch.setattr(kernel, "COMPILER", "no-such-compiler")
+    assert kernel.build() == here
+    here.unlink()
+    with pytest.raises(kernel.CompilerError, match="nor a cached build"):
+        kernel.build()
 
 
 def python(args, tmp_path, path_env):
@@ -360,3 +424,156 @@ def test_first_incorporation_with_a_zero_prior_rate_raises_numeric_error():
     with pytest.raises(NumericError, match="prior variance underflows to 0 at a flat prior site"):
         incorporate_all_prior_factors(stack)
     assert snapshot(stack) == before
+
+
+# ------------------------------------------------- the branch-free loops
+#
+# kernel.c's rectifier and refinement compute both sides of each branch and
+# select. At the edges of the branches they must still give the bits of the
+# frozen numpy code of reference_update.
+
+T, D = SERIES_THRESHOLD, DETERMINISTIC_VARIANCE
+EDGE_MEANS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -1.0, 3.0, T, np.nextafter(T, -np.inf),
+    np.nextafter(T, 0.0), 2.0 * T, -40.0, -1e3, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan,
+]
+EDGE_VARIANCES = [
+    0.0, -0.0, 5e-324, 1e-310, np.nextafter(D, 0.0), D, np.nextafter(D, 1.0), 0.25, 1.0, 4.0,
+    1e300, np.inf, np.nan,
+]
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bit equality, except that any NaN matches any NaN: the sign and
+    payload of a NaN made from a NaN or from infinities follow the order of
+    the operands the compiler picks, in kernel.c as in numpy's loops."""
+    nan = np.isnan(want)
+    return (np.isnan(got) == nan).all() and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_rectifier_at_edge_values_matches_the_reference():
+    # Every pair of an edge mean and an edge variance: signed zeros,
+    # subnormals, the deterministic cutoff and alpha at the series threshold
+    # (T with variance 1 and 2T with variance 4) on both sides, far tails,
+    # infinities and NaNs, in a pass over rows of units.
+    m, v = np.meshgrid(EDGE_MEANS, EDGE_VARIANCES)
+    out, rectifier = forward.relu_moments(MomentVector(m, v))
+    with np.errstate(all="ignore"):
+        want, aux = reference_update.relu_moments(MomentVector(m, v))
+    assert same_bits(out.mean, want.mean) and same_bits(out.variance, want.variance)
+    for name in ("alpha", "ratio", "vprime", "cdf", "cdf_neg", "pdf", "sqrt_v"):
+        assert same_bits(getattr(rectifier, name), getattr(aux, name)), name
+    # The far-tail powers as the reference raises them: every unit of the
+    # layer, -1.0 off the series.
+    alpha_s = np.where(aux.series, aux.alpha, -1.0)
+    assert rectifier.alpha_s.tobytes() == alpha_s.tobytes()
+    for name, exponent in [("cube", 3), ("inv_square", -2), ("inv_fourth", -4)]:
+        with np.errstate(over="ignore"):
+            want_power = alpha_s**exponent
+        assert getattr(rectifier, name).tobytes() == want_power.tobytes(), name
+    assert (rectifier.deterministic == aux.deterministic).all()
+    assert (rectifier.series == aux.series).all()
+    assert rectifier.n_deterministic == aux.deterministic.sum() > 0
+    assert rectifier.n_series == aux.series.sum() > 0
+    # The edges the selects must keep: np.maximum(-0.0, 0.0) is +0.0 and
+    # np.maximum(nan, 0.0) NaN, in both the deterministic mean and the
+    # variance; alpha exactly at the threshold is not in the series.
+    det = aux.deterministic
+    assert np.isnan(out.mean[det]).any() and np.isnan(out.variance[~det]).any()
+    assert not np.signbit(out.mean[det & (m == 0.0)]).any()
+    assert not aux.series[(m == T) & (v == 1.0)].any()
+    assert aux.series[(m == np.nextafter(T, -np.inf)) & (v == 1.0)].all()
+
+
+def test_rectifier_refuses_a_negative_variance_before_any_write():
+    m, v = np.zeros((2, 5)), np.ones((2, 5))
+    v[1, 4] = -5e-324
+    out = MomentVector(np.full((2, 5), 7.0), np.full((2, 5), 7.0))
+    with pytest.raises(NumericError, match="negative pre-activation variance"):
+        forward.relu_moments(MomentVector(m, v), out)
+    assert (out.mean == 7.0).all() and (out.variance == 7.0).all()
+
+
+# Hidden pre-activations (mean, variance) at the edges of the rectifier's
+# branches, which the reverse sweep selects between too.
+EDGE_UNITS = [
+    (0.0, 1.0), (-0.0, 1.0), (5e-324, 1.0), (-1e-310, 2.0), (3.0, 1.0),
+    (1.0, D), (-1.0, D), (1.0, np.nextafter(D, 0.0)), (-1.0, np.nextafter(D, 1.0)),
+    (2.0, 0.0), (-3.0, 0.0), (-0.0, 0.0), (5e-324, 0.0), (0.5, 1e-310),
+    (T, 1.0), (np.nextafter(T, -np.inf), 1.0), (np.nextafter(T, 0.0), 1.0), (-40.0, 1.0),
+    (-1e3, 4.0),
+]
+
+
+def edge_net(rng):
+    """A [3, len(EDGE_UNITS), 1] net whose hidden pre-activations at the
+    input (1, 0, 0) are EDGE_UNITS: with the bias, a unit's mean reads
+    (2 mean + 0 + 0 + 0) / 2 and its variance (4 variance + 0 + 0 + 0) / 4,
+    exact (a zero mean may come out with either sign)."""
+    net = random_net([3, len(EDGE_UNITS), 1], rng)
+    hidden = net.layers[0]
+    for unit, (mean, variance) in enumerate(EDGE_UNITS):
+        hidden.means[unit, [0, 3]] = 2.0 * mean, 0.0
+        hidden.variances[unit, [0, 3]] = 4.0 * variance, 0.0
+    return net
+
+
+def test_step_through_edge_pre_activations_matches_the_reference():
+    rng = np.random.default_rng(2004)
+    nets = [edge_net(rng) for _ in range(2)]
+    xs, ys = np.array([[1.0, 0.0, 0.0]] * 2), np.array([0.3, -1.2])
+    with np.errstate(all="ignore"):  # the reference's exp overflows off the series
+        stack, outcome = assert_step_matches_reference(nets, xs, ys)
+    assert not outcome.skipped.any()
+    [rectifier] = stack.workspace.rectifiers
+    assert rectifier.n_deterministic == 2 * 6 and rectifier.n_series == 2 * 5
+    assert (rectifier.v_safe[0, 0, :] == [v if v >= D else 1.0 for _, v in EDGE_UNITS]).all()
+
+
+# Weights (mean, variance) and their gradients (dM, dV) whose refinement is
+# ordinary, or whose new mean or variance is NaN, +-inf, 0, negative or
+# subnormal; only a positive finite variance with a finite mean is kept.
+EDGE_REFINEMENTS = [
+    (0.5, 0.3, 0.1, -0.2),           # kept
+    (-0.0, 1.0, 0.0, 0.0),           # kept: the mean -0.0 + 0.0
+    (0.5, 5e-324, 0.0, 0.0),         # kept: a subnormal variance
+    (0.5, 1.0, 1.0, 0.0),            # v_new 0
+    (0.5, 0.0, 5.0, 5.0),            # v_new 0 from v 0
+    (0.5, 1.0, 2.0, 0.0),            # v_new negative
+    (0.5, 1.0, 0.0, np.nan),         # v_new NaN, m_new finite
+    (0.5, 1e10, 0.0, 1e308),         # v_new +inf, m_new finite
+    (0.5, 1e-100, 1e200, 0.0),       # v_new -inf, m_new finite
+    (np.nan, 1.0, 0.0, 0.0),         # m_new NaN, v_new finite
+    (np.inf, 1.0, 0.0, 0.0),         # m_new +inf, v_new finite
+    (-np.inf, 1.0, 0.0, 0.0),        # m_new -inf, v_new finite
+    (1.79e308, 1e154, 1e152, 0.5 * 1e152 * 1e152),  # m_new overflows, v_new = v
+    (0.5, 1.0, np.nan, 0.0),         # both NaN
+]
+
+
+def test_refinement_at_edge_values_matches_the_reference():
+    # Two runs of a [3, 8, 1] stack, every weight one of EDGE_REFINEMENTS,
+    # refined through the step's own buffers; run 1 skips its example and
+    # keeps its weights.
+    rng = np.random.default_rng(2005)
+    stack = PosteriorStack.of([random_net([3, 8, 1], rng) for _ in range(2)])
+    step = forward.workspace(stack)
+    step.noise.skipped[:] = (False, True)
+    step.noise.gamma_next[...] = 7.0
+    cases = np.array(EDGE_REFINEMENTS)[np.arange(stack.means.size) % len(EDGE_REFINEMENTS)]
+    buffers = (stack.means, stack.variances, step.d_means, step.d_variances)
+    for buffer, values in zip(buffers, cases.T):
+        buffer[...] = values.reshape(buffer.shape)
+    before = [b.copy() for b in buffers]
+    step.refine()
+    undo, views = 0, [layer_views(b[:1], stack.layer_sizes) for b in before]
+    for l, layer in enumerate(stack.layers):
+        with np.errstate(all="ignore"):
+            m, v, bad = reference_update.refine(*(view[l] for view in views))
+        assert layer.means[0].tobytes() == m[0].tobytes(), l
+        assert layer.variances[0].tobytes() == v[0].tobytes(), l
+        undo += int(bad[0])
+    assert step.undo.tolist() == [undo, 0] and step.updates.tolist() == [stack.means.shape[1], 0]
+    assert 0 < undo < stack.means.shape[1]
+    assert _bits(stack.means[1]) + _bits(stack.variances[1]) == _bits(before[0][1]) + _bits(before[1][1])
+    assert (stack.gamma == 7.0).all()
