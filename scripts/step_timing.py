@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the likelihood step of pbp, in process, on a few stack shapes.
+"""Time the likelihood step and the rows pass of pbp, in process, on a few
+stack shapes.
 
     python scripts/step_timing.py TREE [--steps=N] [--repeats=K] [--json]
 
@@ -16,8 +17,14 @@ whose step keeps per-phase counters (kernel.Step.count_phases) also gets the
 microseconds per step of each phase, from one more repeat with the counters
 on: each layer's forward pass (on trees whose step leaves numpy's exp
 between two calls, without it), the backward pass and the refinement. The
-header gives the number of CPUs the process may run on. --json prints one
-JSON object instead of the table.
+header gives the number of CPUs the process may run on.
+
+A second table times the rows pass (`forward_output_moments`) of a few
+stacks, each at a number of rows per run, on seeded inputs: the median
+microseconds per pass over K repeats, each the mean of enough passes for
+about ROWS_PER_REPEAT rows (at most MAX_PASSES), and their range; the pass
+runs on every usable CPU from its threshold on, as in the CLI. --json prints
+one JSON object instead of the tables.
 """
 
 import json
@@ -39,6 +46,16 @@ STACKS = [
     (1, [90, 100, 1]),
 ]
 WARM_UP = 200
+# (runs, layer sizes, rows per run) of the rows passes timed
+ROWS_PASSES = [
+    (1, [6, 10, 1], 1),
+    (1, [11, 50, 50, 1], 1),
+    (20, [6, 10, 1], 25),
+    (20, [6, 10, 1], 100),
+    (20, [13, 50, 1], 455),
+    (1, [11, 50, 50, 1], 40_000),
+]
+ROWS_PER_REPEAT, MAX_PASSES = 20_000, 1_000
 
 
 def fresh_stack(runs, sizes, seed):
@@ -96,6 +113,22 @@ def timed_steps(runs, sizes, steps, seed, count_phases=False):
     return seconds, None if phases is None else phases / 1e9 / steps
 
 
+def timed_rows_pass(runs, sizes, n, seed):
+    """(seconds per pass, passes) of one repeat of the rows pass of a fresh
+    stack, n rows per run."""
+    import numpy as np
+    from pbp.forward import forward_output_moments
+
+    stack = fresh_stack(runs, sizes, seed)
+    x = np.random.default_rng(seed).normal(size=(runs, n, sizes[0]))
+    passes = max(1, min(MAX_PASSES, ROWS_PER_REPEAT // (runs * n)))
+    forward_output_moments(stack, x)
+    start = time.perf_counter()
+    for _ in range(passes):
+        forward_output_moments(stack, x)
+    return (time.perf_counter() - start) / passes, passes
+
+
 def phase_names(sizes):
     hidden = len(sizes) - 2
     return [f"forward {l}" for l in range(hidden)] + ["forward out", "backward", "refine"]
@@ -139,10 +172,30 @@ def main(argv):
             if counters:
                 line += "  " + ", ".join(f"{k} {v:.1f}" for k, v in row["phases_us"].items())
             print(line, flush=True)
+    rows_passes = []
+    for runs, sizes, n in ROWS_PASSES:
+        name = f"{runs} x {'-'.join(map(str, sizes))}, {n} rows"
+        repeats_done = [timed_rows_pass(runs, sizes, n, seed=k) for k in range(repeats)]
+        times = [seconds * 1e6 for seconds, _ in repeats_done]
+        row = {
+            "stack": name,
+            "us_per_pass": statistics.median(times),
+            "us_min": min(times),
+            "us_max": max(times),
+            "passes": repeats_done[0][1],
+            "repeats": repeats,
+        }
+        rows_passes.append(row)
+        if "json" not in options:
+            print(
+                f"rows pass {name:>26}: {row['us_per_pass']:9.1f} us/pass "
+                f"({row['us_min']:.1f}-{row['us_max']:.1f})",
+                flush=True,
+            )
     if "json" in options:
         print(json.dumps({
             "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
-            "phase_counters": counters, "stacks": results,
+            "phase_counters": counters, "stacks": results, "rows_passes": rows_passes,
         }))
     return 0
 

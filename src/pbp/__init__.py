@@ -19,13 +19,7 @@ from .data import (
     save_model,
     split,
 )
-from .forward import (
-    MomentVector,
-    forward_linear,
-    forward_output_moments,
-    forward_trace,
-    relu_moments,
-)
+from .forward import MomentVector, forward_output_moments
 from .posterior import (
     GammaDist,
     LayerPosterior,
@@ -43,10 +37,6 @@ from .prediction import (
     test_metrics,
 )
 from .training import SkipRateError, TrainReport, train, train_runs
-from .updates import (
-    backward_gradients,
-    ep_refresh_prior,
-    incorporate_likelihood_factors,
-)
+from .updates import ep_refresh_prior, incorporate_likelihood_factors
 
 __version__ = "0.1.0"

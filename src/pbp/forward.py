@@ -6,13 +6,13 @@ Gaussians by matching marginal means and variances; the rectifier output is a
 mixture of a point mass at 0 and a truncated Gaussian, whose first two moments
 have closed forms.
 
-A rows pass (forward_output_moments) runs its elementwise arithmetic in
-kernel.c around numpy's matmuls: a layer's moments (kernel.LinearForward)
-and its whole rectifier in one call (kernel.Rectifier), which calls scipy's
-log_ndtr and numpy's exp and power loops from there. The update's one-row
-pass runs in kernel.c with its matmuls too (see kernel.Step): forward_trace
-is one call for every layer, and training folds a whole epoch of examples
-into one call (updates.incorporate_likelihood_factors).
+The pass runs in kernel.c, whose forward_layer computes a layer's moments
+and rectifier over n input rows per run, calling numpy's BLAS, scipy's
+log_ndtr and numpy's exp and power loops from there. A rows pass
+(forward_output_moments) runs each work item through every layer in one
+call (kernel.RowsPass); the likelihood step runs one row per run through
+it, in the stack's workspace (kernel.Step), and training folds a whole epoch
+of examples into one call (updates.incorporate_likelihood_factors).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import LinearForward, Rectifier, Step, bias_extended, squared
-from .posterior import LayerPosterior, PosteriorStack
+from .kernel import RowsPass, Step
+from .posterior import PosteriorStack
 
 # Below this pre-activation variance the unit is treated as deterministic:
 # the moment formulas divide by sqrt(v) and this is their exact limit.
@@ -58,88 +58,13 @@ class MomentVector:
         return self.mean.shape[-1]
 
 
-def _bias_buffers(widths, rows_shape):
-    """Bias-extended input moments of widths units for rows of rows_shape, with
-    the bias unit (mean 1, variance 0) in place, and views of their unit slots:
-    outputs[0] takes the inputs x (variance 0), outputs[l] the rectifier
-    output of layer l - 1."""
-    inputs, outputs = [], []
-    for units in widths:
-        z = bias_extended(rows_shape, units)
-        inputs.append(MomentVector(*z))
-        outputs.append(MomentVector(*z[..., :-1]))
-    return inputs, outputs
-
-
-def forward_linear(
-    layer: LayerPosterior, z: MomentVector, transposed: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> MomentVector:
-    """Marginal moments of W z / sqrt(cols) with W ~ posterior, z independent:
-
-      mean = (z.mean @ M^T) / sqrt(cols)
-      variance = (z.variance @ (M*M)^T + (z.mean * z.mean) @ V^T + z.variance @ V^T) / cols
-
-    The 1/sqrt(cols) factor keeps each unit's input scale independent of its
-    fan-in. z holds rows of inputs, (*runs, rows, cols) when the layer carries
-    a leading runs axis. transposed is _transposed of the layer, which the
-    caller keeps. The moments go to new arrays, through a
-    kernel.LinearForward bound for this call.
-    """
-    cols = layer.cols
-    if len(z) != cols:
-        raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
-    kernel = LinearForward(np.ascontiguousarray(z.mean, dtype=float), layer.rows)
-    # One row is the BLAS gemv of W z; n rows are one gemm, which rounds
-    # differently from n gemv calls, so the rows axis is never folded away.
-    m_t, v_t, means_sq_t = transposed
-    products = kernel.products
-    kernel.square()
-    np.matmul(z.mean, m_t, out=products[0])
-    np.matmul(z.variance, means_sq_t, out=products[1])
-    np.matmul(kernel.zm_sq, v_t, out=products[2])
-    np.matmul(z.variance, v_t, out=products[3])
-    kernel.moments()
-    return MomentVector(*kernel.out)
-
-
-def _transposed(layer: LayerPosterior, means_sq: np.ndarray):
-    """The layer's means, variances and squared means (means_sq), each as a
-    transposed view, (*runs, cols, rows)."""
-    return (
-        layer.means.swapaxes(-1, -2),
-        layer.variances.swapaxes(-1, -2),
-        means_sq.swapaxes(-1, -2),
-    )
-
-
-def relu_moments(a: MomentVector, out: MomentVector | None = None) -> tuple[MomentVector, Rectifier]:
-    """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit,
-    and the rectifier whose buffers hold the intermediates.
-
-    out, when given, receives the moments and is returned; its rows of units
-    must be evenly spaced, as in the unit slots of the next layer's
-    bias-extended input. The intermediates go to the buffers of a
-    kernel.Rectifier bound to a's moments, made C-contiguous floats, and out
-    for this call, as a rows pass binds one for each item.
-
-    kernel.c does the arithmetic, in one call.
-    """
-    if out is None:
-        out = MomentVector(np.empty(a.mean.shape), np.empty(a.mean.shape))
-    m = np.ascontiguousarray(a.mean, dtype=float)
-    v = np.ascontiguousarray(a.variance, dtype=float)
-    rectifier = Rectifier(m, v, out.mean, out.variance, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
-    rectifier()
-    return out, rectifier
-
-
 def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the moments of rows of inputs through every layer of every
     run of a stack.
 
     x has shape (R, n, d) for a PosteriorStack of R runs: n rows per run; the
     output mean and variance have shape (R, n). No trace is kept; an update
-    takes forward_trace.
+    runs its own pass (see workspace).
 
     The rows go through in work items (see _work_items) of one row block and
     a group of runs, so the working set is bounded by one item whatever the
@@ -149,45 +74,32 @@ def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.nda
     kernels, and so the bits, of an unblocked pass. No item reads another's
     rows or runs, so from 2 * BLOCK_ROWS rows over all runs on, the items run
     on every usable CPU (see _run_items), bit for bit as in a serial pass.
+    Each item is one kernel.c call, through a kernel.RowsPass that each
+    thread binds on its first item, with buffers for the largest item.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     runs, d = stack.means.shape[0], stack.layer_sizes[0]
     if x.ndim != 3 or x.shape[0] != runs or x.shape[-1] != d:
         raise ValueError(f"input has shape {x.shape}, expected {(runs, 'n', d)}")
 
     n = x.shape[1]
-    transposed = [_transposed(layer, squared(layer.means)) for layer in stack.layers]
     out_mean, out_var = np.empty((runs, n)), np.empty((runs, n))
+    items = _work_items(runs, n)
+    sizes = [(len(range(runs)[group]), rows.stop - rows.start) for group, rows in items]
+    largest = max(group for group, _ in sizes), max(group * rows for group, rows in sizes)
+    bound = threading.local()
 
     def forward_item(item):
-        group, rows = item
-        block = x[group, rows]
-        inputs, outputs = _bias_buffers(stack.layer_sizes[:-1], block.shape[:-1])
-        item_transposed = [(m[group], v[group], s[group]) for m, v, s in transposed]
-        a = _propagate(stack.layers, inputs, outputs, block, item_transposed)
-        out_mean[group, rows] = a.mean[..., 0]
-        out_var[group, rows] = a.variance[..., 0]
+        rows_pass = getattr(bound, "rows_pass", None)
+        if rows_pass is None:
+            rows_pass = bound.rows_pass = RowsPass(
+                stack.means, stack.variances, stack.layer_sizes, x, out_mean, out_var, *largest,
+                DETERMINISTIC_VARIANCE, SERIES_THRESHOLD,
+            )
+        rows_pass(*item)
 
-    _run_items(forward_item, _work_items(runs, n), runs * n >= 2 * BLOCK_ROWS)
+    _run_items(forward_item, items, runs * n >= 2 * BLOCK_ROWS)
     return out_mean, out_var
-
-
-def forward_trace(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward pass of one input row per run, x of shape (R, d), whose
-    intermediates the backward pass reads; its (R,) output means and
-    variances, which are the noise step's mz and vz.
-
-    It runs in the stack's workspace (see workspace) in one kernel.c call,
-    and its intermediates stay there until the stack's next step.
-    """
-    x = np.asarray(x, dtype=float)
-    expected = stack.means.shape[:-1] + (stack.layer_sizes[0],)
-    if x.shape != expected:
-        raise ValueError(f"input has shape {x.shape}, expected {expected}")
-    step = workspace(stack)
-    np.copyto(step.x, x[:, None, :])
-    step.forward()
-    return step.noise.mz, step.noise.vz
 
 
 def workspace(stack: PosteriorStack) -> Step:
@@ -266,17 +178,3 @@ def _run_items(work, items: list, parallel: bool) -> None:
             thread.join()
     if errors:
         raise errors[0]
-
-
-def _propagate(layers, inputs, outputs, x, transposed) -> MomentVector:
-    """The output layer's pre-activation moments for rows x, through the
-    bias-extended input buffers of _bias_buffers and each layer's transposed
-    means, variances and squared means; each layer binds its own kernels,
-    each rectifier to the whole of its pass."""
-    np.copyto(outputs[0].mean, x)
-    last = len(layers) - 1
-    for l, layer in enumerate(layers):
-        a = forward_linear(layer, inputs[l], transposed[l])
-        if l < last:
-            relu_moments(a, outputs[l + 1])
-    return a

@@ -1,17 +1,19 @@
 /* The arithmetic of PBP training and prediction that Python floats or numpy
- * would run as many small calls, on doubles: the two sequential Gamma chains,
- * the likelihood update step and the elementwise maps of a rows pass.
+ * would run as many small calls, on doubles: the two sequential Gamma chains
+ * and the forward pass, which the likelihood update step and a rows pass
+ * share.
  *
  * ep_refresh: one EP sweep over the stored prior sites of every run of a
  * stack, carrying each run's prior-precision Gamma from weight to weight.
  * noise_step: each run's likelihood log-normalisers, skip flag and noise-
  * precision Gamma moment match for one training example.
- * The moment maps (below the Gamma chains): the linear layer's moments
- * around its matmuls and the rectifier (rectify), which a rows pass calls
- * once per layer of each item, and the likelihood step: step_epoch folds n
- * examples per run of a stack in sequence, each through the forward pass
- * (step_forward), noise_step, the reverse sweep (step_backward) and the
- * refinement of every weight (step_refine).
+ * The moment maps (below the Gamma chains): a layer's forward pass
+ * (forward_layer: its moments and, for a hidden layer, the rectifier) over n
+ * input rows per run; a rows pass runs it for every layer of one work item
+ * in one call (forward_rows), and the likelihood step over one row per run:
+ * step_epoch folds n examples per run of a stack in sequence, each through
+ * the forward pass (step_forward), noise_step, the reverse sweep
+ * (step_backward) and the refinement of every weight (step_refine).
  *
  * Every expression is the one the Python floats or numpy arrays of pbp
  * evaluated before, in the same order and association, so the results are
@@ -318,7 +320,7 @@ int ep_refresh(struct refresh_args *s)
     return 0;
 }
 
-/* ------------------------------------------------ the moment maps of a step
+/* ------------------------------------------------------------ the moment maps
  *
  * Three kinds of operation take their bits from outside this file, called
  * through the pointers of struct externals, which kernel.py checks against
@@ -335,7 +337,7 @@ int ep_refresh(struct refresh_args *s)
  * one.
  */
 
-enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
 
 /* A one-dimensional inner loop of a numpy ufunc (PyUFuncGenericFunction):
  * args, dimensions and steps (in bytes) of its operands, and its data. */
@@ -349,34 +351,55 @@ struct externals {
     void (*dgemv)(int order, int trans, int64_t m, int64_t n, double alpha, const double *a,
                   int64_t lda, const double *x, int64_t incx, double beta, double *y, int64_t incy);
     double (*ddot)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
+    void (*dgemm)(int order, int trans_a, int trans_b, int64_t m, int64_t n, int64_t k,
+                  double alpha, const double *a, int64_t lda, const double *b, int64_t ldb,
+                  double beta, double *c, int64_t ldc);
     double (*log_ndtr)(double x, int skip_dispatch);
     ufunc_loop exp, power;
     void *exp_data, *power_data;
 };
 
-/* out = x @ M^T (transposed) or x @ M for each run, M (rows, cols), as
- * np.matmul computes a row times a matrix, with numpy's arguments: where the
- * output has one element one cblas_ddot added to 0.0, where the row has one
- * element numpy's own loop, which adds each product to 0.0, and one gemv
- * otherwise. */
-void matvec(const struct externals *e, int64_t transposed, int64_t runs, int64_t rows,
-            int64_t cols, int64_t run_stride, const double *m, const double *x, double *out)
+/* out = x @ M for each run, one row x of rows and M (rows, cols) run_stride
+ * apart, cols > 1, as np.matmul computes a row times a matrix, with numpy's
+ * arguments: where the row has one element numpy's own loop, which adds
+ * each product to 0.0, and one gemv otherwise. */
+void matvec(const struct externals *e, int64_t runs, int64_t rows, int64_t cols,
+            int64_t run_stride, const double *m, const double *x, double *out)
 {
-    const int64_t n_in = transposed ? cols : rows, n_out = transposed ? rows : cols;
     for (int64_t r = 0; r < runs; r++) {
-        const double *a = m + r * run_stride, *z = x + r * n_in;
-        double *y = out + r * n_out;
-        if (n_out == 1) {
-            double sum = 0.0;
-            sum += e->ddot(n_in, z, 1, a, 1);
-            *y = sum;
-        } else if (n_in == 1) {
-            for (int64_t j = 0; j < n_out; j++)
+        const double *a = m + r * run_stride, *z = x + r * rows;
+        double *y = out + r * cols;
+        if (rows == 1)
+            for (int64_t j = 0; j < cols; j++)
                 y[j] = 0.0 + z[0] * a[j];
-        } else if (transposed) {
-            e->dgemv(COL_MAJOR, TRANS, cols, rows, 1.0, a, cols, z, 1, 0.0, y, 1);
-        } else {
+        else
             e->dgemv(ROW_MAJOR, TRANS, rows, cols, 1.0, a, cols, z, 1, 0.0, y, 1);
+    }
+}
+
+/* out = z @ M^T for each run, n rows z (n, cols) per run and M (rows, cols)
+ * run_stride apart, cols > 1, as np.matmul computes it on stacked inputs,
+ * with numpy's arguments: for one row and one output unit one cblas_ddot
+ * added to 0.0, for one row or one output unit one gemv, and one gemm
+ * otherwise. */
+void forward_products(const struct externals *e, int64_t runs, int64_t n, int64_t rows,
+                      int64_t cols, int64_t run_stride, const double *m, const double *z,
+                      double *out)
+{
+    for (int64_t r = 0; r < runs; r++) {
+        const double *a = m + r * run_stride, *x = z + r * n * cols;
+        double *y = out + r * n * rows;
+        if (n == 1 && rows == 1) {
+            double sum = 0.0;
+            sum += e->ddot(cols, x, 1, a, 1);
+            *y = sum;
+        } else if (n == 1) {
+            e->dgemv(COL_MAJOR, TRANS, cols, rows, 1.0, a, cols, x, 1, 0.0, y, 1);
+        } else if (rows == 1) {
+            e->dgemv(COL_MAJOR, TRANS, cols, n, 1.0, x, cols, a, 1, 0.0, y, 1);
+        } else {
+            e->dgemm(ROW_MAJOR, NO_TRANS, TRANS, n, rows, cols, 1.0, x, cols, a, cols, 0.0, y,
+                     rows);
         }
     }
 }
@@ -412,42 +435,26 @@ static inline double maximum0(double x)
     return x > 0.0 || isnan(x) ? x : 0.0;
 }
 
-struct square_args {
-    int64_t n;
-    const double *x;
-    double *out;
-};
-
-/* out = x * x */
-void square(const struct square_args *s)
+/* out = x * x, n values */
+static void square(int64_t n, const double *restrict x, double *restrict out)
 {
-    const int64_t n = s->n;
-    const double *restrict x = s->x;
-    double *restrict out = s->out;
     for (int64_t i = 0; i < n; i++)
         out[i] = x[i] * x[i];
 }
 
-/* A layer's moments from the products of its four matmuls, n rows of units:
+/* A layer's moments from the products p of its four matmuls, (4, n), n rows
+ * x units:
  * mean = (zm @ M^T) / sqrt(cols)
  * variance = (zv @ (M*M)^T + (zm*zm) @ V^T + zv @ V^T) / cols */
-struct linear_args {
-    int64_t n;                     /* rows x units */
-    const double *p0, *p1, *p2, *p3; /* (n): the four matmuls, in that order */
-    double *mean, *variance;       /* (n) */
-    double sqrt_cols, cols;
-};
-
-void linear_moments(const struct linear_args *s)
+static void linear_moments(int64_t n, const double *p, int64_t cols, double *restrict mean,
+                           double *restrict variance)
 {
-    const int64_t n = s->n;
-    const double *restrict p0 = s->p0, *restrict p1 = s->p1;
-    const double *restrict p2 = s->p2, *restrict p3 = s->p3;
-    double *restrict mean = s->mean, *restrict variance = s->variance;
-    const double sqrt_cols = s->sqrt_cols, cols = s->cols;
+    const double *restrict p0 = p, *restrict p1 = p + n, *restrict p2 = p + 2 * n;
+    const double *restrict p3 = p + 3 * n;
+    const double sqrt_cols = __builtin_sqrt((double)cols), c = (double)cols;
     for (int64_t i = 0; i < n; i++) {
         mean[i] = p0[i] / sqrt_cols;
-        variance[i] = (p1[i] + p2[i] + p3[i]) / cols;
+        variance[i] = (p1[i] + p2[i] + p3[i]) / c;
     }
 }
 
@@ -457,19 +464,27 @@ void linear_moments(const struct linear_args *s)
  * part computes both branches of every unit and selects, so that its loop
  * has no branch and vectorizes; the branch flags are double masks, 1.0 where
  * the unit takes the branch and 0.0 elsewhere, beside the other doubles. */
-struct relu_args {
-    int64_t rows, units, out_stride; /* out_stride: doubles between rows of out_m, out_v */
-    const double *m, *v;             /* (rows, units) pre-activation moments */
-    double *alpha, *neg_alpha;
-    double *log_cdf, *log_cdf_neg, *log_pdf, *log_ratio;
-    double *cdf, *cdf_neg, *pdf, *ratio;
-    double *sqrt_v, *v_safe, *vprime, *mean_pos, *alpha_s;
+enum {
+    ALPHA, NEG_ALPHA,
+    LOG_CDF, LOG_CDF_NEG, LOG_PDF, LOG_RATIO,
+    CDF, CDF_NEG, PDF, RATIO,
+    SQRT_V, V_SAFE, VPRIME, MEAN_POS, ALPHA_S,
     /* alpha_s ** 3, ** -2 and ** -4 of every unit: of alpha for the units
      * that take the series, exactly -1.0, 1.0 and 1.0 (the powers of -1.0)
      * for the others */
-    double *cube, *inv_square, *inv_fourth;
+    CUBE, INV_SQUARE, INV_FOURTH,
+    DETERMINISTIC, SERIES, /* the masks */
+    RELU_ROWS
+};
+
+struct relu_args {
+    int64_t rows, units, out_stride; /* out_stride: doubles between rows of out_m, out_v */
+    const double *m, *v;             /* (rows, units) pre-activation moments */
+    /* RELU_ROWS rows of rows x units, in the order above: row k at buf + k *
+     * rows * units, so that one buffer serves calls of up to as many rows as
+     * it was made for */
+    double *buf;
     double *out_m, *out_v;
-    double *deterministic, *series;  /* the masks */
     int64_t n_deterministic, n_series;
     double deterministic_variance, series_threshold, log_2pi;
 };
@@ -488,12 +503,14 @@ static int relu_pre(struct relu_args *s)
         negative += v[i] < 0.0;
     if (negative)
         return NEGATIVE_VARIANCE;
-    double *restrict alpha = s->alpha, *restrict neg_alpha = s->neg_alpha;
-    double *restrict log_pdf = s->log_pdf, *restrict alpha_s = s->alpha_s;
-    double *restrict sqrt_v = s->sqrt_v, *restrict v_safe = s->v_safe;
-    double *restrict cube = s->cube, *restrict inv_square = s->inv_square;
-    double *restrict inv_fourth = s->inv_fourth;
-    double *restrict deterministic = s->deterministic, *restrict series = s->series;
+    double *buf = s->buf;
+    double *restrict alpha = buf + ALPHA * n, *restrict neg_alpha = buf + NEG_ALPHA * n;
+    double *restrict log_pdf = buf + LOG_PDF * n, *restrict alpha_s = buf + ALPHA_S * n;
+    double *restrict sqrt_v = buf + SQRT_V * n, *restrict v_safe = buf + V_SAFE * n;
+    double *restrict cube = buf + CUBE * n, *restrict inv_square = buf + INV_SQUARE * n;
+    double *restrict inv_fourth = buf + INV_FOURTH * n;
+    double *restrict deterministic = buf + DETERMINISTIC * n;
+    double *restrict series = buf + SERIES * n;
     const double cutoff = s->deterministic_variance, threshold = s->series_threshold;
     const double log_2pi = s->log_2pi;
     #pragma GCC ivdep
@@ -529,8 +546,9 @@ static int relu_pre(struct relu_args *s)
 static void relu_mid(const struct relu_args *s)
 {
     const int64_t n = s->rows * s->units;
-    const double *restrict log_pdf = s->log_pdf, *restrict log_cdf = s->log_cdf;
-    double *restrict log_ratio = s->log_ratio;
+    double *buf = s->buf;
+    const double *restrict log_pdf = buf + LOG_PDF * n, *restrict log_cdf = buf + LOG_CDF * n;
+    double *restrict log_ratio = buf + LOG_RATIO * n;
     for (int64_t i = 0; i < n; i++)
         log_ratio[i] = log_pdf[i] - log_cdf[i];
 }
@@ -541,14 +559,15 @@ static void relu_mid(const struct relu_args *s)
 static void series_powers(const struct externals *e, const struct relu_args *s)
 {
     const int64_t n = s->rows * s->units;
-    const double *series = s->series;
-    double *gathered = s->vprime, *raised = s->mean_pos;
-    double *powers[] = {s->cube, s->inv_square, s->inv_fourth};
+    double *buf = s->buf;
+    const double *series = buf + SERIES * n, *alpha_s = buf + ALPHA_S * n;
+    double *gathered = buf + VPRIME * n, *raised = buf + MEAN_POS * n;
+    double *powers[] = {buf + CUBE * n, buf + INV_SQUARE * n, buf + INV_FOURTH * n};
     const double exponents[] = {3.0, -2.0, -4.0};
     int64_t k = 0;
     for (int64_t i = 0; i < n; i++)
         if (series[i] != 0.0)
-            gathered[k++] = s->alpha_s[i];
+            gathered[k++] = alpha_s[i];
     for (int p = 0; p < 3; p++) {
         power_n(e, k, gathered, exponents[p], raised);
         for (int64_t i = 0, j = 0; i < n; i++)
@@ -563,16 +582,18 @@ static void series_powers(const struct externals *e, const struct relu_args *s)
  * and where det: out_m = maximum(m, 0.0), out_v = 0.0. */
 static void relu_post(const struct relu_args *s)
 {
-    const int64_t units = s->units;
+    const int64_t units = s->units, n = s->rows * units;
     for (int64_t r = 0; r < s->rows; r++) {
         const int64_t b = r * units, o = r * s->out_stride;
-        const double *restrict m = s->m + b, *restrict alpha = s->alpha + b;
-        const double *restrict alpha_s = s->alpha_s + b, *restrict cube = s->cube + b;
-        const double *restrict cdf = s->cdf + b, *restrict cdf_neg = s->cdf_neg + b;
-        const double *restrict sqrt_v = s->sqrt_v + b, *restrict v_safe = s->v_safe + b;
-        const double *restrict deterministic = s->deterministic + b, *restrict series = s->series + b;
-        double *restrict ratio = s->ratio + b, *restrict vprime = s->vprime + b;
-        double *restrict mean_pos = s->mean_pos + b;
+        double *row = s->buf + b; /* row r of buffer row 0 */
+        const double *restrict m = s->m + b, *restrict alpha = row + ALPHA * n;
+        const double *restrict alpha_s = row + ALPHA_S * n, *restrict cube = row + CUBE * n;
+        const double *restrict cdf = row + CDF * n, *restrict cdf_neg = row + CDF_NEG * n;
+        const double *restrict sqrt_v = row + SQRT_V * n, *restrict v_safe = row + V_SAFE * n;
+        const double *restrict deterministic = row + DETERMINISTIC * n;
+        const double *restrict series = row + SERIES * n;
+        double *restrict ratio = row + RATIO * n, *restrict vprime = row + VPRIME * n;
+        double *restrict mean_pos = row + MEAN_POS * n;
         double *restrict out_m = s->out_m + o, *restrict out_v = s->out_v + o;
         #pragma GCC ivdep
         for (int64_t j = 0; j < units; j++) {
@@ -603,13 +624,14 @@ int rectify(const struct externals *e, struct relu_args *s)
     if (status)
         return status;
     const int64_t n = s->rows * s->units;
+    double *buf = s->buf;
     /* (alpha, -alpha) and (log_cdf, log_cdf_neg) are adjacent rows, and so
      * are the four from log_cdf and the four from cdf. */
-    log_ndtr_n(e, 2 * n, s->alpha, s->log_cdf);
+    log_ndtr_n(e, 2 * n, buf + ALPHA * n, buf + LOG_CDF * n);
     relu_mid(s);
     if (s->n_series)
         series_powers(e, s);
-    exp_n(e, 4 * n, s->log_cdf, s->cdf);
+    exp_n(e, 4 * n, buf + LOG_CDF * n, buf + CDF * n);
     relu_post(s);
     return 0;
 }
@@ -620,17 +642,19 @@ int rectify(const struct externals *e, struct relu_args *s)
 static void relu_backward(const struct relu_args *f, int64_t in_stride, const double *dmb_in,
                           const double *dvb_in, double *dma_out, double *dva_out)
 {
-    const int64_t units = f->units;
+    const int64_t units = f->units, n = f->rows * units;
     for (int64_t r = 0; r < f->rows; r++) {
         const int64_t b = r * units, k = r * in_stride;
-        const double *restrict m = f->m + b, *restrict v_safe = f->v_safe + b;
-        const double *restrict sqrt_v = f->sqrt_v + b, *restrict alpha = f->alpha + b;
-        const double *restrict ratio = f->ratio + b, *restrict cdf = f->cdf + b;
-        const double *restrict cdf_neg = f->cdf_neg + b, *restrict pdf = f->pdf + b;
-        const double *restrict vprime = f->vprime + b, *restrict mean_pos = f->mean_pos + b;
-        const double *restrict inv_square = f->inv_square + b;
-        const double *restrict inv_fourth = f->inv_fourth + b;
-        const double *restrict deterministic = f->deterministic + b, *restrict series = f->series + b;
+        const double *row = f->buf + b; /* row r of buffer row 0 */
+        const double *restrict m = f->m + b, *restrict v_safe = row + V_SAFE * n;
+        const double *restrict sqrt_v = row + SQRT_V * n, *restrict alpha = row + ALPHA * n;
+        const double *restrict ratio = row + RATIO * n, *restrict cdf = row + CDF * n;
+        const double *restrict cdf_neg = row + CDF_NEG * n, *restrict pdf = row + PDF * n;
+        const double *restrict vprime = row + VPRIME * n, *restrict mean_pos = row + MEAN_POS * n;
+        const double *restrict inv_square = row + INV_SQUARE * n;
+        const double *restrict inv_fourth = row + INV_FOURTH * n;
+        const double *restrict deterministic = row + DETERMINISTIC * n;
+        const double *restrict series = row + SERIES * n;
         const double *restrict dmb_row = dmb_in + k, *restrict dvb_row = dvb_in + k;
         double *restrict dma = dma_out + b, *restrict dva = dva_out + b;
         #pragma GCC ivdep
@@ -670,20 +694,23 @@ static void relu_backward(const struct relu_args *f, int64_t in_stride, const do
     }
 }
 
-/* ------------------------------------------------------- the likelihood step
+/* ---------------------------------------------- the forward pass and the step
  *
- * A step over one input row per run of a stack: step_forward, noise_step
- * (above), step_backward and step_refine, and step_epoch runs n steps in
- * sequence. Each phase is an entry point of its own too, through which
- * forward_trace and the tests run a step one phase at a time. */
+ * The forward pass of n input rows per run through a stack's layers
+ * (forward_layer), which a rows pass runs for every layer of one work item
+ * in one call (forward_rows). A step over one input row per run:
+ * step_forward, noise_step (above), step_backward and step_refine, and
+ * step_epoch runs n steps in sequence. Each phase is an entry point of its
+ * own too, through which the tests run a step one phase at a time. */
 
 /* One layer, (rows, cols) weights per run from offset on in the flat (R, W)
- * buffers of the step, and the buffers of its pass, one row per run. */
+ * buffers of the stack, and the buffers of its pass, n rows per run (one
+ * for a step); the backward pass's are a step's alone. */
 struct step_layer {
     int64_t rows, cols, offset;
-    double *zm, *zv;         /* (R, cols): the bias-extended input moments */
-    double *scratch;         /* (R, cols) zm * zm, then (4, R, rows) the matmuls of its moments */
-    double *mean, *variance; /* (R, rows): the pre-activation moments */
+    double *zm, *zv;         /* (R, n, cols): the bias-extended input moments */
+    double *scratch;         /* zm * zm, then (4, R, n, rows) the products of its moments */
+    double *mean, *variance; /* (R, n, rows): the pre-activation moments */
     struct relu_args *relu;  /* the rectifier of mean, variance; NULL for the output layer */
     double *dma, *dva;       /* (R, rows): d log Z / d(mean, variance) */
     double *operand;         /* (R, rows, cols): M*M + V; NULL for the input layer */
@@ -713,38 +740,82 @@ static int64_t now_ns(void)
     return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
-/* Layer l's forward pass: the layer's moments and, for a hidden layer, its
- * rectifier, whose output moments are the next layer's inputs. Returns 0 or
- * NEGATIVE_VARIANCE. */
-static int forward_layer(const struct step_args *s, int64_t l)
+/* Layer l's forward pass of n rows per run: the layer's moments and, for a
+ * hidden layer, its rectifier, whose output moments are the next layer's
+ * inputs. Returns 0 or NEGATIVE_VARIANCE. */
+static int forward_layer(const struct step_args *s, int64_t l, int64_t n)
 {
     int64_t start = s->phase_ns ? now_ns() : 0;
     const struct step_layer *L = s->layers + l;
-    const int64_t R = s->runs, W = s->weights, rows = L->rows, cols = L->cols, n = R * rows;
+    const int64_t R = s->runs, W = s->weights, rows = L->rows, cols = L->cols, k = R * n * rows;
     const double *m = s->means + L->offset, *v = s->variances + L->offset;
-    double *m_sq = s->means_sq + L->offset, *zm_sq = L->scratch, *p = zm_sq + R * cols;
+    double *m_sq = s->means_sq + L->offset, *zm_sq = L->scratch, *p = zm_sq + R * n * cols;
+    const struct externals *e = s->externals;
     for (int64_t r = 0; r < R; r++)
-        square(&(struct square_args){rows * cols, m + r * W, m_sq + r * W});
-    square(&(struct square_args){R * cols, L->zm, zm_sq});
-    matvec(s->externals, 1, R, rows, cols, W, m, L->zm, p);
-    matvec(s->externals, 1, R, rows, cols, W, m_sq, L->zv, p + n);
-    matvec(s->externals, 1, R, rows, cols, W, v, zm_sq, p + 2 * n);
-    matvec(s->externals, 1, R, rows, cols, W, v, L->zv, p + 3 * n);
-    linear_moments(&(struct linear_args){n, p, p + n, p + 2 * n, p + 3 * n, L->mean, L->variance,
-                                         __builtin_sqrt((double)cols), (double)cols});
-    int status = L->relu ? rectify(s->externals, L->relu) : 0;
+        square(rows * cols, m + r * W, m_sq + r * W);
+    square(R * n * cols, L->zm, zm_sq);
+    forward_products(e, R, n, rows, cols, W, m, L->zm, p);
+    forward_products(e, R, n, rows, cols, W, m_sq, L->zv, p + k);
+    forward_products(e, R, n, rows, cols, W, v, zm_sq, p + 2 * k);
+    forward_products(e, R, n, rows, cols, W, v, L->zv, p + 3 * k);
+    linear_moments(k, p, cols, L->mean, L->variance);
+    int status = 0;
+    if (L->relu) {
+        L->relu->rows = R * n;
+        status = rectify(e, L->relu);
+    }
     if (s->phase_ns)
         s->phase_ns[l] += now_ns() - start;
     return status;
 }
 
+/* A work item of a rows pass: rows [row, row + rows) of runs [run, run +
+ * runs) of the inputs x, through every layer. */
+struct rows_args {
+    int64_t n, inputs;               /* rows per run and inputs per row of x */
+    const double *x;                 /* (R, n, inputs) */
+    double *out_mean, *out_variance; /* (R, n): the output moments */
+};
+
+/* s is bound to a stack's means and variances, and to buffers for at least
+ * the item's rows over all its runs; its runs field is not read. Returns 0
+ * or NEGATIVE_VARIANCE, having written no output. */
+int forward_rows(const struct step_args *s, const struct rows_args *a, int64_t run, int64_t runs,
+                 int64_t row, int64_t rows)
+{
+    struct step_args item = *s;
+    const int64_t W = s->weights, d = a->inputs, cols = s->layers[0].cols;
+    const struct step_layer *out = s->layers + s->n_layers - 1;
+    if (runs * rows == 0)
+        return 0;
+    item.runs = runs;
+    item.means += run * W;
+    item.variances += run * W;
+    for (int64_t r = 0; r < runs; r++)
+        for (int64_t i = 0; i < rows; i++)
+            memcpy(s->layers[0].zm + (r * rows + i) * cols, a->x + ((run + r) * a->n + row + i) * d,
+                   d * sizeof(double));
+    for (int64_t l = 0; l < s->n_layers; l++) {
+        int status = forward_layer(&item, l, rows);
+        if (status)
+            return status;
+    }
+    for (int64_t r = 0; r < runs; r++)
+        for (int64_t i = 0; i < rows; i++) {
+            const int64_t j = (run + r) * a->n + row + i, k = (r * rows + i) * out->rows;
+            a->out_mean[j] = out->mean[k];
+            a->out_variance[j] = out->variance[k];
+        }
+    return 0;
+}
+
 /* The forward pass of the inputs in the input layer's unit slots, layer
- * after layer, which leaves the output moments in the noise step's. Returns
- * 0 or NEGATIVE_VARIANCE. */
+ * after layer, one row per run, which leaves the output moments in the noise
+ * step's. Returns 0 or NEGATIVE_VARIANCE. */
 int step_forward(const struct step_args *s)
 {
     for (int64_t l = 0; l < s->n_layers; l++) {
-        int status = forward_layer(s, l);
+        int status = forward_layer(s, l, 1);
         if (status)
             return status;
     }
@@ -787,9 +858,9 @@ static void linear_backward(const struct step_args *s, const struct step_layer *
         return;
     const int64_t n = R * cols;
     double *restrict p_m = L->back, *restrict p_v = p_m + n, *restrict p_op = p_v + n;
-    matvec(s->externals, 0, R, rows, cols, W, s->means + L->offset, L->dma, p_m);
-    matvec(s->externals, 0, R, rows, cols, W, s->variances + L->offset, L->dva, p_v);
-    matvec(s->externals, 0, R, rows, cols, rows * cols, L->operand, L->dva, p_op);
+    matvec(s->externals, R, rows, cols, W, s->means + L->offset, L->dma, p_m);
+    matvec(s->externals, R, rows, cols, W, s->variances + L->offset, L->dva, p_v);
+    matvec(s->externals, R, rows, cols, rows * cols, L->operand, L->dva, p_op);
     const double *restrict zm = L->zm;
     double *restrict dmz = L->dmz, *restrict dvz = L->dvz;
     for (int64_t k = 0; k < n; k++) {

@@ -3,22 +3,23 @@
 kernel.c holds the two loops whose every step depends on the last, the EP
 refresh of a stack's prior sites (which carries each run's prior-precision
 Gamma from weight to weight) and the noise-precision Gamma step of a
-likelihood update; the likelihood step (Step), whose epoch() folds n
-examples per run in sequence, each through every layer's moments and
-rectifier, the noise step, the reverse sweep and the refinement of every
-weight; and the elementwise arithmetic of a rows pass around its matmuls: a
-layer's moments (LinearForward) and its whole rectifier (Rectifier).
+likelihood update; and the forward pass, each layer's moments and
+rectifier (Rectifier) over n input rows per run, which two entry points
+share: a rows pass runs one work item through every layer in one call
+(RowsPass), and the likelihood step (Step), whose epoch() folds n examples
+per run in sequence, runs one row per run through every layer, then the
+noise step, the reverse sweep and the refinement of every weight.
 
-Some bits come from outside this package. The step's matmuls call numpy's
-bundled OpenBLAS (BLAS_SYMBOLS) as np.matmul does for one row, every
-rectifier's log_ndtr scipy's (LOG_NDTR_CAPSULE), and its exp and far-tail
-powers the 'd->d' loop of np.exp and the 'dd->d' loop of np.power (SIMD code
-that rounds differently from libm's exp and pow on some arguments), read
-from the ufunc objects. All are resolved once, at import, and checked
-against np.matmul, scipy.special.log_ndtr, np.exp and np.power
-(check_externals); a missing symbol or loop or a differing bit fails the
-import with one line, an ExternalError, and there is no other path. A rows
-pass keeps numpy's matmuls (gemm for its rows).
+Some bits come from outside this package. The matmuls call numpy's bundled
+OpenBLAS (BLAS_SYMBOLS) as np.matmul does on stacked inputs (gemv or dot
+for one row, gemv for one output unit, gemm otherwise), every rectifier's
+log_ndtr scipy's (LOG_NDTR_CAPSULE), and its exp and far-tail powers the
+'d->d' loop of np.exp and the 'dd->d' loop of np.power (SIMD code that
+rounds differently from libm's exp and pow on some arguments), read from
+the ufunc objects. All are resolved once, at import, and checked against
+np.matmul, scipy.special.log_ndtr, np.exp and np.power (check_externals); a
+missing symbol or loop or a differing bit fails the import with one line,
+an ExternalError, and there is no other path.
 
 kernel.c is compiled with gcc and FLAGS, for this CPU (-march=native), on
 first import and loaded with ctypes. The build is cached under
@@ -32,7 +33,7 @@ another CPU never loads, as it could hold instructions this one lacks
 reach it as pointers.
 
 Each entry point takes one struct of buffer addresses, bound once (per stack
-for a step, see Step; per layer of each item in a rows pass), so a call
+for a step, see Step; per thread of a rows pass, see RowsPass), so a call
 converts no array; an epoch binds its examples per call.
 """
 
@@ -49,8 +50,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .gauss import LOG_2PI
 from .posterior import NumericError, layer_views
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = "gcc"
@@ -184,19 +186,12 @@ class _RefreshArgs(ctypes.Structure):
     ) + _layout(["failed_run"])
 
 
-class _SquareArgs(ctypes.Structure):
-    _fields_ = _layout(["n"], ["x", "out"])
-
-
-class _LinearArgs(ctypes.Structure):
-    _fields_ = _layout(["n"], ["p0", "p1", "p2", "p3", "mean", "variance"], ["sqrt_cols", "cols"])
-
-
 # The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
 # "alpha" to the two from "log_cdf", and exp the four from "log_cdf" to the
 # four from "cdf". The last three hold the powers of alpha_s of every unit,
 # raised for the units that take the series and those of -1.0 elsewhere:
-# ** 3 for relu_post, ** -2 and ** -4 for the step's reverse sweep.
+# ** 3 for relu_post, ** -2 and ** -4 for the step's reverse sweep. Two
+# masks follow them (deterministic, series).
 _RELU_ROWS = (
     "alpha", "neg_alpha",
     "log_cdf", "log_cdf_neg", "log_pdf", "log_ratio",
@@ -208,8 +203,7 @@ _RELU_ROWS = (
 
 class _ReluArgs(ctypes.Structure):
     _fields_ = (
-        _layout(["rows", "units", "out_stride"], ["m", "v", *_RELU_ROWS, "out_m", "out_v",
-                                                  "deterministic", "series"])
+        _layout(["rows", "units", "out_stride"], ["m", "v", "buf", "out_m", "out_v"])
         + _layout(["n_deterministic", "n_series"],
                   doubles=["deterministic_variance", "series_threshold", "log_2pi"])
     )
@@ -217,7 +211,7 @@ class _ReluArgs(ctypes.Structure):
 
 class _Externals(ctypes.Structure):
     _fields_ = _layout(
-        pointers=["dgemv", "ddot", "log_ndtr", "exp", "power", "exp_data", "power_data"]
+        pointers=["dgemv", "ddot", "dgemm", "log_ndtr", "exp", "power", "exp_data", "power_data"]
     )
 
 
@@ -243,14 +237,16 @@ class _EpochArgs(ctypes.Structure):
     ) + _layout(["failed_run"])
 
 
+class _RowsArgs(ctypes.Structure):
+    _fields_ = _layout(["n", "inputs"], ["x", "out_mean", "out_variance"])
+
+
 def load(path: Path) -> ctypes.CDLL:
     """The library at path, its entry points declared."""
     lib = ctypes.CDLL(str(path))
     for name, args, restype in [
         ("noise_step", _NoiseArgs, ctypes.c_int64),
         ("ep_refresh", _RefreshArgs, ctypes.c_int),
-        ("square", _SquareArgs, None),
-        ("linear_moments", _LinearArgs, None),
         ("step_forward", _StepArgs, ctypes.c_int),
         ("step_backward", _StepArgs, None),
         ("step_refine", _StepArgs, None),
@@ -260,12 +256,17 @@ def load(path: Path) -> ctypes.CDLL:
         entry.restype = restype
     externals, integer, address = ctypes.POINTER(_Externals), ctypes.c_int64, ctypes.c_void_p
     lib.step_epoch.argtypes = [ctypes.POINTER(_StepArgs), ctypes.POINTER(_EpochArgs)]
+    lib.forward_rows.argtypes = [
+        ctypes.POINTER(_StepArgs), ctypes.POINTER(_RowsArgs), *[integer] * 4
+    ]
     lib.rectify.argtypes = [externals, ctypes.POINTER(_ReluArgs)]
-    lib.step_epoch.restype = lib.rectify.restype = ctypes.c_int
-    lib.matvec.argtypes = [externals, *[integer] * 5, *[address] * 3]
+    lib.step_epoch.restype = lib.forward_rows.restype = lib.rectify.restype = ctypes.c_int
+    lib.matvec.argtypes = [externals, *[integer] * 4, *[address] * 3]
+    lib.forward_products.argtypes = [externals, *[integer] * 5, *[address] * 3]
     lib.log_ndtr_n.argtypes = lib.exp_n.argtypes = [externals, integer, address, address]
     lib.power_n.argtypes = [externals, integer, address, ctypes.c_double, address]
-    lib.matvec.restype = lib.log_ndtr_n.restype = lib.exp_n.restype = lib.power_n.restype = None
+    for entry in (lib.matvec, lib.forward_products, lib.log_ndtr_n, lib.exp_n, lib.power_n):
+        entry.restype = None
     return lib
 
 
@@ -293,7 +294,7 @@ class ExternalError(CompilerError):
 # scipy.special.log_ndtr (its double version in cython_special), and of
 # np.exp and np.power (the loops on doubles of the ufuncs of these names in
 # numpy's _multiarray_umath).
-BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_", "scipy_cblas_dgemm64_")
 LOG_NDTR_CAPSULE = "__pyx_fuse_1log_ndtr"
 UFUNCS = {"exp": 1, "power": 2}  # and their numbers of inputs
 
@@ -353,10 +354,13 @@ def resolve_externals() -> _Externals:
 
 
 def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
-    """ExternalError unless kernel.c's matvec, log_ndtr_n, exp_n and power_n,
-    through externals, give the bits of np.matmul, scipy.special.log_ndtr,
-    np.exp and the powers x ** 3, ** -2 and ** -4 on a few seeded cases:
-    each branch of matvec, with rows of zeros, whose products are signed
+    """ExternalError unless kernel.c's forward_products, matvec, log_ndtr_n,
+    exp_n and power_n, through externals, give the bits of np.matmul,
+    scipy.special.log_ndtr, np.exp and the powers x ** 3, ** -2 and ** -4 on
+    a few seeded cases: each branch of forward_products on stacked inputs,
+    whose matrices lie apart as a stack's do (one row, one output unit,
+    both, and rows up to the largest block of a rows pass), and of matvec's
+    reverse products, each with a row of zeros, whose products are signed
     zeros; log_ndtr at infinities, NaN, signed zeros and the edges of its
     branches; and exp and the powers at infinities, NaN, signed zeros and
     exp's underflow and overflow edges, on slices of several starts and
@@ -366,17 +370,33 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
 
     rng = np.random.default_rng(18)
     ref = ctypes.byref(externals)
-    for transposed, rows, cols in [(1, 1, 5), (1, 7, 4), (0, 1, 6), (0, 6, 3)]:
-        m = rng.normal(size=(3, rows, cols))
-        x = rng.normal(size=(3, cols if transposed else rows))
-        x[1] = 0.0
-        want = x[:, None, :] @ (m.swapaxes(-1, -2) if transposed else m)
+    blas = " and ".join(BLAS_SYMBOLS)
+    for n, rows, cols in [(1, 1, 5), (1, 7, 4), (6, 1, 5), (9, 4, 3), (512, 50, 51),
+                          (1023, 50, 51), (700, 1, 51)]:
+        flat = rng.normal(size=(2, rows * cols + 3))
+        z = rng.normal(size=(2, n, cols))
+        z[1, n // 2] = 0.0
+        want = z @ flat[:, 3:].reshape(2, rows, cols).swapaxes(-1, -2)
         got = np.empty(want.shape)
-        lib.matvec(ref, transposed, 3, rows, cols, rows * cols, _data(m), _data(x), _data(got))
+        lib.forward_products(
+            ref, 2, n, rows, cols, rows * cols + 3, _data(flat) + 3 * 8, _data(z), _data(got)
+        )
         if got.tobytes() != want.tobytes():
             raise ExternalError(
-                f"numpy's {' and '.join(BLAS_SYMBOLS)} called from kernel.c do not give the "
-                f"bits of np.matmul on a {x.shape[1:]} x {m.shape[1:]} product"
+                f"numpy's {blas} called from kernel.c do not give the bits of np.matmul on "
+                f"{z.shape[1:]} x {(cols, rows)} products"
+            )
+    for rows, cols in [(1, 6), (6, 3)]:
+        m = rng.normal(size=(3, rows, cols))
+        x = rng.normal(size=(3, rows))
+        x[1] = 0.0
+        want = x[:, None, :] @ m
+        got = np.empty(want.shape)
+        lib.matvec(ref, 3, rows, cols, rows * cols, _data(m), _data(x), _data(got))
+        if got.tobytes() != want.tobytes():
+            raise ExternalError(
+                f"numpy's {blas} called from kernel.c do not give the bits of np.matmul on "
+                f"{x.shape[1:]} x {m.shape[1:]} products"
             )
     x = np.array([-np.inf, -1e300, -40.0, -20.0, -5.0, -0.0, 0.0, 5.0, 20.0, 40.0, np.inf, np.nan])
     x = np.concatenate([x, rng.normal(0.0, 10.0, 20)])
@@ -450,10 +470,10 @@ def _raise(status: int, run: int | None = None):
 def _data(array: np.ndarray) -> int:
     """The address of array's first element: through the buffer protocol
     (faster) where array is C-contiguous, writable and not empty."""
-    flags = array.flags
-    if flags.c_contiguous and flags.writeable and array.size:
+    try:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    return array.ctypes.data
+    except (TypeError, ValueError):  # not C-contiguous, not writable or empty
+        return array.ctypes.data
 
 
 def _address(array: np.ndarray, shape: tuple[int, ...]) -> int:
@@ -465,28 +485,6 @@ def _address(array: np.ndarray, shape: tuple[int, ...]) -> int:
             f"got {array.dtype} {array.shape}"
         )
     return _data(array)
-
-
-def _row_stride(array: np.ndarray, units: int) -> int | None:
-    """The distance, in elements, between the rows of units (the last axis)
-    of a float array whose leading axes flatten into one axis of evenly
-    spaced rows; None for any other array. An axis of length 1 takes no
-    step, so its stride does not count."""
-    shape, strides = array.shape, array.strides
-    if array.dtype != np.float64 or shape[-1:] != (units,) or (units > 1 and strides[-1] != 8):
-        return None
-    row_bytes = expected = None
-    for n, step in zip(reversed(shape[:-1]), reversed(strides[:-1])):
-        if n == 1:
-            continue
-        if row_bytes is None:
-            row_bytes = step
-        elif step != expected:
-            return None
-        expected = step * n
-    if row_bytes is None:
-        return units
-    return row_bytes // 8 if row_bytes % 8 == 0 else None
 
 
 try:
@@ -577,57 +575,6 @@ class Refresh:
             _raise(status, self._args.failed_run)
 
 
-class Square:
-    """square bound to a C-contiguous array x and out, of its shape: out = x * x."""
-
-    def __init__(self, x: np.ndarray, out: np.ndarray):
-        self._buffers = (x, out)
-        self._args = _SquareArgs(x.size, _address(x, x.shape), _address(out, x.shape))
-        self._ref = ctypes.byref(self._args)
-
-    def __call__(self) -> None:
-        LIB.square(self._ref)
-
-
-def squared(x: np.ndarray) -> np.ndarray:
-    """x * x, a new C-contiguous array."""
-    x = np.ascontiguousarray(x, dtype=float)
-    out = np.empty_like(x)
-    Square(x, out)()
-    return out
-
-
-class LinearForward:
-    """A layer's moments around its four matmuls, bound to its input means zm
-    (*rows, cols), C-contiguous, for a layer of `units` output units.
-
-    `zm_sq` (zm * zm, from square()) and the four (*rows, units) `products`
-    hold an operand and the results of the matmuls (see
-    forward.forward_linear); moments() writes the pair `out` of new
-    (*rows, units) arrays from the products.
-    """
-
-    def __init__(self, zm: np.ndarray, units: int):
-        cols = zm.shape[-1]
-        shape = zm.shape[:-1] + (units,)
-        self.zm_sq = np.empty_like(zm)
-        self.products = [np.empty(shape) for _ in range(4)]
-        self.out = (np.empty(shape), np.empty(shape))
-        self.square = Square(zm, self.zm_sq)
-        self._args = _LinearArgs(
-            math.prod(shape),
-            *(_data(p) for p in self.products),
-            _address(self.out[0], shape),
-            _address(self.out[1], shape),
-            math.sqrt(cols),
-            cols,
-        )
-        self._ref = ctypes.byref(self._args)
-
-    def moments(self) -> None:
-        LIB.linear_moments(self._ref)
-
-
 def bias_extended(rows: tuple[int, ...], units: int) -> np.ndarray:
     """Moments (mean, variance), (2, *rows, units + 1), of rows of units and
     a bias unit of mean 1 and variance 0 after them, the units' variances 0
@@ -638,62 +585,67 @@ def bias_extended(rows: tuple[int, ...], units: int) -> np.ndarray:
     return z
 
 
-def _rows_of(first: np.ndarray, second: np.ndarray, shape: tuple[int, ...]) -> int:
-    """The row stride shared by two arrays of shape whose rows of units (the
-    last axis) are evenly spaced; ValueError for any other pair."""
-    stride = _row_stride(first, shape[-1])
-    if stride is None or _row_stride(second, shape[-1]) != stride or first.shape != shape:
-        raise ValueError(f"expected two arrays of shape {shape} with evenly spaced rows of units")
-    return stride
-
-
 class Rectifier:
     """The rectifier (kernel.c's rectify), bound to C-contiguous
     pre-activation moments m, v of one shape, rows of units (the last axis),
-    and to output arrays out_m, out_v of that shape whose rows of units are
-    evenly spaced (_row_stride).
+    and to a C-contiguous output `out`, (2, *rows, width) with width at least
+    units: the first units of each row of out[0] take the means and of
+    out[1] the variances.
 
     Each call checks the variances and writes the moments, log_ndtr, exp
     and the powers of alpha_s included (raised by numpy's power only for the
-    units that take the far-tail series). Each row of `buf` (see _RELU_ROWS) is an attribute of m's
-    shape, valid until the next call, and `deterministic` and `series` (new
-    bool arrays of that shape, from kernel.c's masks) flag the units that
-    take those branches, which each call counts.
+    units that take the far-tail series). Each row of `buf` (see _RELU_ROWS)
+    is an attribute of m's shape, valid until the next call, and
+    `deterministic` and `series` (new bool arrays of that shape, from
+    kernel.c's masks) flag the units that take those branches, which each
+    call counts. `buf`, when given, is a 1-d float buffer of at least the
+    size of those rows, which rectifiers whose calls never overlap may
+    share. A rows pass rectifies fewer rows than m has where its item is
+    smaller (see RowsPass): `shape` gives the (rows, units) of the last
+    call, and the rows of buf then lie closer together.
     """
 
     def __init__(
         self,
         m: np.ndarray,
         v: np.ndarray,
-        out_m: np.ndarray,
-        out_v: np.ndarray,
+        out: np.ndarray,
         deterministic_variance: float,
         series_threshold: float,
+        buf: np.ndarray | None = None,
     ):
-        shape, n = m.shape, m.size
-        self.shape = shape
-        self.buf = np.empty((len(_RELU_ROWS), n))
-        self._masks = np.zeros((2, *shape))
-        self.__dict__.update(zip(_RELU_ROWS, self.buf.reshape((len(_RELU_ROWS), *shape))))
-        self._buffers = (m, v, out_m, out_v)
-        base, masks = _data(self.buf), _data(self._masks)
+        shape = self._m_shape = m.shape
+        if out.shape[:-1] != (2, *shape[:-1]) or out.shape[-1] < shape[-1]:
+            raise ValueError(f"an output of shape {out.shape} for moments of shape {shape}")
+        rows = (len(_RELU_ROWS) + 2, m.size)
+        buf = np.empty(rows) if buf is None else buf[: math.prod(rows)].reshape(rows)
+        self.buf, self._buffers = buf, (m, v, out)
+        out_m = _address(out, out.shape)
         self._args = _ReluArgs(
-            n // shape[-1], shape[-1], _rows_of(out_m, out_v, shape),
-            _address(m, shape), _address(v, shape),
-            *(base + k * 8 * n for k in range(len(_RELU_ROWS))),
-            _data(out_m), _data(out_v), masks, masks + 8 * n,
+            m.size // shape[-1], shape[-1], out.shape[-1],
+            _address(m, shape), _address(v, shape), _address(buf, rows),
+            out_m, out_m + 8 * out[0].size,
             0, 0,
             deterministic_variance, series_threshold, LOG_2PI,
         )
         self._ref = ctypes.byref(self._args)
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in _RELU_ROWS:
+            raise AttributeError(name)
+        return self.buf[_RELU_ROWS.index(name)].reshape(self._m_shape)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._args.rows, self._args.units
+
     @property
     def deterministic(self) -> np.ndarray:
-        return self._masks[0] != 0.0
+        return self.buf[-2].reshape(self._m_shape) != 0.0
 
     @property
     def series(self) -> np.ndarray:
-        return self._masks[1] != 0.0
+        return self.buf[-1].reshape(self._m_shape) != 0.0
 
     @property
     def n_deterministic(self) -> int:
@@ -709,18 +661,102 @@ class Rectifier:
             _raise(status)
 
 
-class Step:
+class _Forward:
+    """The layers of kernel.c's forward pass (forward_layer), layer after
+    layer as in layer_sizes, for `shape` rows over all runs: a _LayerArgs
+    array whose forward fields are bound, per layer, to its bias-extended
+    input moments (`inputs`, (2, *shape, cols)), whose first layer's unit
+    slots take the inputs, and to its pre-activation moments: for a hidden
+    layer with their Rectifier (`rectifiers`) into the next layer's input,
+    and `output`, (2, *shape, 1), for the output layer. The layers share one
+    scratch buffer, and, where relu_buf is given, the rectifiers share that
+    one (in a pass that keeps no intermediates).
+    """
+
+    def __init__(self, layer_sizes, shape, output, deterministic_variance, series_threshold,
+                 relu_buf=None):
+        count, self.inputs, self.rectifiers = math.prod(shape), [], []
+        self._layers = layers = (_LayerArgs * (len(layer_sizes) - 1))()
+        pairs = zip(layer_sizes[:-1], layer_sizes[1:])
+        scratch = np.empty(count * max(units + 1 + 4 * rows for units, rows in pairs))
+        self._buffers, address = [output, scratch], _data(scratch)
+        z, offset = bias_extended(shape, layer_sizes[0]), 0
+        for l, rows in enumerate(layer_sizes[1:]):
+            cols = layer_sizes[l] + 1
+            self.inputs.append(z)
+            if l < len(layers) - 1:
+                pre, z = np.empty((2, *shape, rows)), bias_extended(shape, rows)
+                self.rectifiers.append(
+                    Rectifier(*pre, z, deterministic_variance, series_threshold, relu_buf)
+                )
+            else:
+                pre = output
+            self._buffers.append(pre)
+            zm, mean = _data(self.inputs[l]), _address(pre, (2, *shape, rows))
+            layers[l] = _LayerArgs(
+                rows, cols, offset, zm, zm + 8 * count * cols, address,
+                mean, mean + 8 * count * rows,
+                ctypes.addressof(self.rectifiers[l]._args) if l < len(self.rectifiers) else None,
+            )
+            offset += rows * cols
+
+
+class RowsPass(_Forward):
+    """The work items of a rows pass (kernel.c's forward_rows) over a stack's
+    flat (R, W) means and variances, layer after layer as in layer_sizes:
+    rows of the inputs x, (R, n, d), whose output moments go to out_mean
+    and out_variance, (R, n), all C-contiguous floats. Its buffers, bound
+    once, take items of up to `runs` runs and `rows` rows over all of them.
+
+    Each call runs one item, the rows of the slice `rows` of the runs of the
+    slice `runs`, through every layer in one kernel.c call, and leaves each
+    hidden layer's branch counts in its Rectifier (`rectifiers`).
+    """
+
+    def __init__(self, means, variances, layer_sizes, x, out_mean, out_variance, runs, rows,
+                 deterministic_variance, series_threshold):
+        stack_runs, weights = means.shape
+        n, d = x.shape[1:]
+        relu_buf = np.empty((len(_RELU_ROWS) + 2) * rows * max(layer_sizes[1:-1], default=0))
+        super().__init__(
+            layer_sizes, (rows,), np.empty((2, rows, 1)), deterministic_variance, series_threshold,
+            relu_buf,
+        )
+        self.shape, self.capacity = (stack_runs, n), (runs, rows)
+        means_sq = np.empty((runs, weights))
+        self._buffers += [means, variances, means_sq, x, out_mean, out_variance]
+        self._args = _StepArgs(
+            runs, weights, len(self._layers),
+            ctypes.addressof(self._layers), ctypes.addressof(EXTERNALS),
+            *(_address(a, (stack_runs, weights)) for a in (means, variances)), _data(means_sq),
+        )
+        self._rows = _RowsArgs(
+            n, d, _address(x, (stack_runs, n, d)),
+            *(_address(a, (stack_runs, n)) for a in (out_mean, out_variance)),
+        )
+        self._refs = (ctypes.byref(self._args), ctypes.byref(self._rows))
+        self._call = LIB.forward_rows
+
+    def __call__(self, runs: slice, rows: slice) -> None:
+        group, block = range(self.shape[0])[runs], range(self.shape[1])[rows]
+        if len(group) > self.capacity[0] or len(group) * len(block) > self.capacity[1]:
+            raise ValueError(f"an item of {len(group)} x {len(block)} rows exceeds {self.capacity}")
+        status = self._call(*self._refs, group.start, len(group), block.start, len(block))
+        if status < 0:
+            _raise(status)
+
+
+class Step(_Forward):
     """A stack's likelihood step, in kernel.c's step_epoch, with the buffers
     it works in: bound to the stack's flat (R, W) weight means and
     variances, layer after layer as in layer_sizes, and (2, R) noise Gammas
     gamma.
 
-    Per layer, one row per run: the bias-extended input moments, whose unit
-    slots `x` take the inputs and the others the previous rectifier's
-    output; and for a hidden layer the pre-activation moments and the
-    Rectifier bound to them (`rectifiers`), whose buffers keep its
-    intermediates. The output layer's moments are the output moments mz, vz
-    of the NoiseStep `noise`.
+    Per layer, one row per run: the bias-extended input moments (`inputs`),
+    whose unit slots `x` in the first layer take the inputs; and for a
+    hidden layer the pre-activation moments and the Rectifier bound to them
+    (`rectifiers`), whose buffers keep its intermediates. The output layer's
+    moments are the output moments mz, vz of the NoiseStep `noise`.
 
     epoch(xs, ys) folds n examples per run into the stack in sequence. Its
     phases are entry points of their own, which the tests drive one at a
@@ -736,43 +772,29 @@ class Step:
     def __init__(self, means, variances, gamma, layer_sizes, deterministic_variance, series_threshold):
         runs, weights = means.shape
         self.noise = noise = NoiseStep(gamma)
+        super().__init__(
+            layer_sizes, (runs, 1), noise.moments[1:, :, None, None],
+            deterministic_variance, series_threshold,
+        )
+        self.x = self.inputs[0][0, ..., :-1]
         self.d_means, self.d_variances, means_sq = (np.empty_like(means) for _ in range(3))
         self.d_mean_views = layer_views(self.d_means, layer_sizes)
         self.d_variance_views = layer_views(self.d_variances, layer_sizes)
         self.undo, self.updates = np.empty((2, runs), dtype=np.int64)
         self.phase_ns = None
-        self.rectifiers = []
-        self._layers = layers = (_LayerArgs * (len(layer_sizes) - 1))()
-        self._buffers = [means, variances, means_sq]
-        z = bias_extended((runs, 1), layer_sizes[0])
-        self.x = z[0, :, :, :-1]
-        offset = 0
-        for l, rows in enumerate(layer_sizes[1:]):
-            cols = layer_sizes[l] + 1
-            if l < len(layer_sizes) - 2:
-                pre, below, z = np.empty((2, runs, 1, rows)), z, bias_extended((runs, 1), rows)
-                self.rectifiers.append(
-                    Rectifier(*pre, *z[:, :, :, :-1], deterministic_variance, series_threshold)
-                )
-            else:
-                pre, below = noise.moments[1:, :, None, None], z
-            scratch, d_pre = np.empty(runs * (cols + 4 * rows)), np.empty((2, runs, rows))
-            back, d_inputs = np.empty((3, runs, cols)), np.empty((2, runs, cols))
-            operand = np.empty((runs, rows, cols)) if l > 0 else None
-            self._buffers += [below, pre, scratch, d_pre, back, d_inputs, operand]
-            layers[l] = _LayerArgs(
-                rows, cols, offset,
-                *(_address(a, (runs, 1, cols)) for a in below), _data(scratch),
-                *(_address(a, (runs, 1, rows)) for a in pre),
-                ctypes.addressof(self.rectifiers[l]._args) if l < len(self.rectifiers) else None,
-                _data(d_pre), _data(d_pre[1]), None if operand is None else _data(operand),
-                _data(back), _data(d_inputs), _data(d_inputs[1]),
-            )
-            offset += rows * cols
+        self._buffers += [means, variances, means_sq]
+        for l, layer in enumerate(self._layers):
+            d_pre = np.empty((2, runs, layer.rows))
+            back, d_inputs = np.empty((3, runs, layer.cols)), np.empty((2, runs, layer.cols))
+            operand = np.empty((runs, layer.rows, layer.cols)) if l > 0 else None
+            self._buffers += [d_pre, back, d_inputs, operand]
+            layer.dma, layer.dva = _data(d_pre), _data(d_pre[1])
+            layer.operand = None if operand is None else _data(operand)
+            layer.back, layer.dmz, layer.dvz = _data(back), _data(d_inputs), _data(d_inputs[1])
         flat = (means, variances, means_sq, self.d_means, self.d_variances)
         self._args = _StepArgs(
-            runs, weights, len(layers),
-            ctypes.addressof(layers), ctypes.addressof(EXTERNALS),
+            runs, weights, len(self._layers),
+            ctypes.addressof(self._layers), ctypes.addressof(EXTERNALS),
             *(_address(a, (runs, weights)) for a in flat),
             _address(gamma, (2, runs)), ctypes.addressof(noise._args),
             _data(self.undo), _data(self.updates), None,

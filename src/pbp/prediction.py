@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset, NormStats
 from .forward import forward_output_moments
-from .gauss import LOG_2PI
+from .kernel import LOG_2PI
 from .posterior import NetworkPosterior, NumericError, PbpConfig, PosteriorStack
 
 

@@ -81,25 +81,6 @@ def incorporate_all_prior_factors(stack: PosteriorStack) -> np.ndarray:
     return sites
 
 
-def backward_gradients(stack: PosteriorStack, y: np.ndarray) -> None:
-    """Gradients of the likelihood log Z w.r.t. every weight mean and variance.
-
-    Seeds with d log Z / d(output moments) and walks the layers in reverse,
-    applying the exact partial derivatives of the linear and rectifier moment
-    maps as implemented in the forward pass, whose intermediates the stack's
-    last forward_trace left in its workspace; y holds one target per run.
-    The rectifier is differentiated branch for branch, through the
-    asymptotic series for the pdf/cdf ratio where that branch was taken, so
-    finite differences of the implemented forward pass agree everywhere. The
-    gradients go into the workspace: flat over all weights in d_means and
-    d_variances, with per-layer (R, rows, cols) views d_mean_views and
-    d_variance_views.
-    """
-    step = stack.workspace
-    np.copyto(step.noise.targets, y)
-    step.backward()
-
-
 def incorporate_likelihood_factors(
     stack: PosteriorStack, xs: np.ndarray, ys: np.ndarray
 ) -> UpdateOutcome:

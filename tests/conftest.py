@@ -6,15 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pbp.updates as updates
 from pbp.data import Dataset, NormStats
-from pbp.forward import forward_output_moments, forward_trace
-from pbp.kernel import NoiseStep
+from pbp.forward import (
+    DETERMINISTIC_VARIANCE,
+    SERIES_THRESHOLD,
+    MomentVector,
+    forward_output_moments,
+    workspace,
+)
+from pbp.kernel import NoiseStep, Rectifier
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.prediction import predict_batch
 from pbp.updates import (
     UpdateOutcome,
-    backward_gradients,
     ep_refresh_prior,
     incorporate_all_prior_factors,
     incorporate_likelihood_factors,
@@ -75,6 +79,46 @@ def predict_alone(net, norm, X_raw):
     copy of net normalized with norm: (n,) means and variances."""
     means, variances = predict_batch(PosteriorStack.of([net]), [norm], np.asarray(X_raw, dtype=float)[None])
     return means[0], variances[0]
+
+
+def relu_moments(a: MomentVector, out: np.ndarray | None = None) -> tuple[MomentVector, Rectifier]:
+    """Mean and variance of max(0, x) for x ~ N(a.mean, a.variance), per unit,
+    through the package's rectifier (kernel.Rectifier, bound to a's moments
+    as C-contiguous floats), and the rectifier, whose buffers hold the
+    intermediates. out, (2, *a.mean.shape), when given, takes the moments."""
+    m = np.ascontiguousarray(a.mean, dtype=float)
+    v = np.ascontiguousarray(a.variance, dtype=float)
+    out = np.empty((2, *m.shape)) if out is None else out
+    rectifier = Rectifier(m, v, out, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
+    rectifier()
+    return MomentVector(*out), rectifier
+
+
+def forward_trace(stack, x):
+    """The forward pass of one input row per run, x of shape (R, d), in the
+    stack's likelihood step (pbp.forward.workspace), whose intermediates the
+    backward pass reads until the stack's next step: its (R,) output means
+    and variances, the noise step's mz and vz."""
+    x = np.asarray(x, dtype=float)
+    expected = stack.means.shape[:-1] + (stack.layer_sizes[0],)
+    if x.shape != expected:
+        raise ValueError(f"input has shape {x.shape}, expected {expected}")
+    step = workspace(stack)
+    np.copyto(step.x, x[:, None, :])
+    step.forward()
+    return step.noise.mz, step.noise.vz
+
+
+def backward_gradients(stack, y) -> None:
+    """Gradients of the likelihood log Z w.r.t. every weight mean and
+    variance, through the stack's likelihood step, whose intermediates the
+    stack's last forward_trace left: y holds one target per run. They go
+    into the step's buffers: flat over all weights in d_means and
+    d_variances, with per-layer (R, rows, cols) views d_mean_views and
+    d_variance_views."""
+    step = stack.workspace
+    np.copyto(step.noise.targets, y)
+    step.backward()
 
 
 def identity_stats(n_features: int) -> NormStats:
@@ -160,8 +204,9 @@ def one_step(stack, x, y) -> UpdateOutcome:
 def step_by_phases(stack, x, y) -> UpdateOutcome:
     """One likelihood step of one example per run, x (R, d) and y (R,),
     driven from Python one phase at a time: forward_trace, the workspace's
-    NoiseStep, pbp.updates.backward_gradients (looked up at each call, so a
-    test may patch it) and Step.refine. The outcome counts 0 or 1 per run."""
+    NoiseStep, backward_gradients (looked up in this module at each call, so
+    a test may patch it) and Step.refine. The outcome counts 0 or 1 per
+    run."""
     forward_trace(stack, np.asarray(x, dtype=float))
     step = stack.workspace
     step.noise.y[...] = y
@@ -171,7 +216,7 @@ def step_by_phases(stack, x, y) -> UpdateOutcome:
         return UpdateOutcome(skipped, np.zeros_like(skipped), np.zeros_like(skipped))
     # The skipping runs' gradients are discarded; their targets are their
     # output means, whose zero residual keeps them finite.
-    updates.backward_gradients(stack, step.noise.targets)
+    backward_gradients(stack, step.noise.targets)
     step.refine()
     return UpdateOutcome(skipped, step.undo.copy(), step.updates.copy())
 

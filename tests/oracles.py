@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from pbp.forward import forward_output_moments
-from pbp.gauss import LOG_2PI
+from pbp.kernel import LOG_2PI
 from pbp.posterior import GammaDist, NetworkPosterior, PosteriorStack
 from reference_update import GradientStore
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pbp.gauss import LOG_2PI
+from pbp.kernel import LOG_2PI
 from pbp.posterior import GammaDist, NetworkPosterior, NumericError, PosteriorStack, layer_views
 from pbp.updates import RefreshReport
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
-from pbp.gauss import LOG_2PI
+from pbp.kernel import LOG_2PI
 from pbp.posterior import GammaDist, LayerPosterior, NetworkPosterior
 from pbp.updates import UpdateOutcome
 from reference_prior import _gamma_moments, _likelihood_triple

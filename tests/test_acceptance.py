@@ -15,6 +15,7 @@ from conftest import (
     output_moments,
     predict_alone,
     random_net,
+    relu_moments,
     require_uci,
     toy_cubic_dataset,
 )
@@ -27,7 +28,7 @@ from pbp.active import POLICIES, ActiveConfig, run_active_experiments
 from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
 from pbp.data import Dataset, load_csv, normalize, split
-from pbp.forward import MomentVector, relu_moments
+from pbp.forward import MomentVector
 from pbp.posterior import GammaDist, PbpConfig, PosteriorStack
 from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train, train_runs

@@ -15,11 +15,12 @@ import weakref
 import numpy as np
 import pytest
 
-import pbp.forward as forward
+import conftest
 import pbp.training as training
-import pbp.updates as updates
 import reference_update
-from conftest import epoch_by_phases, one_step, random_net, step_by_phases, toy_cubic_dataset
+from conftest import (
+    epoch_by_phases, one_step, random_net, relu_moments, step_by_phases, toy_cubic_dataset,
+)
 from pbp.data import Dataset, normalize, split
 from pbp.forward import MomentVector
 from reference_forward import forward_output_moments_batch
@@ -146,8 +147,8 @@ def test_run_alone_equals_run_inside_a_batch():
 def sabotage(real_backward, index=(..., 1, 1)):
     """real_backward, forcing a guaranteed-negative refined variance for the
     input-layer weight at index (by default weight (1, 1) of every run). The
-    reference returns its gradients; pbp.updates leaves them in the stack's
-    workspace."""
+    reference returns its gradients; conftest.backward_gradients leaves them
+    in the stack's workspace."""
 
     def sabotaged(net, *args):
         grads = real_backward(net, *args) or GradientStore(
@@ -165,7 +166,7 @@ def test_forced_undo_matches(monkeypatch):
     # through them reach the refinement. Training takes its examples through
     # the per-example driver, whose gradients come from the patched seam.
     monkeypatch.setattr(training, "incorporate_likelihood_factors", epoch_by_phases)
-    monkeypatch.setattr(updates, "backward_gradients", sabotage(updates.backward_gradients))
+    monkeypatch.setattr(conftest, "backward_gradients", sabotage(conftest.backward_gradients))
     monkeypatch.setattr(
         reference_update, "backward_gradients", sabotage(reference_update.backward_gradients)
     )
@@ -309,7 +310,7 @@ def test_step_with_an_undone_weight_in_one_run_matches_the_reference(monkeypatch
     )
     wants.insert(1, incorporate_likelihood_factor(refs[1], xs[1], float(ys[1])))
     monkeypatch.setattr(
-        updates, "backward_gradients", sabotage(updates.backward_gradients, (1, 2, 3))
+        conftest, "backward_gradients", sabotage(conftest.backward_gradients, (1, 2, 3))
     )
     stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
     outcome = step_by_phases(stack, xs, ys)
@@ -417,7 +418,7 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
             if case % 10 == 9:
                 first = nets[0].layers[0]
                 index = (..., int(rng.integers(first.rows)), int(rng.integers(first.cols)))
-                for module in (updates, reference_update):
+                for module in (conftest, reference_update):
                     m.setattr(module, "backward_gradients", sabotage(module.backward_gradients, index))
                 step = step_by_phases
             if case % 7 == 6:
@@ -500,7 +501,7 @@ def test_a_signed_zero_pre_activation_rectifies_as_the_reference(variance):
     # numpy rectifier of reference_forward, intermediates included.
     for mean in (-0.0, 0.0):
         a = MomentVector(np.array([[mean, 1.0]]), np.array([[variance, 0.3]]))
-        got, rectifier = forward.relu_moments(a)
+        got, rectifier = relu_moments(a)
         want, aux = reference_update.relu_moments(a)
         assert _bits(got.mean) == _bits(want.mean), mean
         assert _bits(got.variance) == _bits(want.variance), mean

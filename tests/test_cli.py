@@ -15,10 +15,10 @@ import pytest
 from conftest import predict_alone, toy_cubic_dataset
 import pbp
 import pbp.forward as forward
+import pbp.kernel as kernel
 import pbp.training as training
 from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _prediction_csv, main
 from pbp.data import load_csv, load_model, normalize, read_csv_matrix, split
-from pbp.forward import MomentVector
 from pbp.posterior import NumericError, PbpConfig, PosteriorStack
 from pbp.training import train
 
@@ -280,13 +280,9 @@ class TestNumericFailures:
         return code, out
 
     def test_negative_preactivation_variance(self, toy_csv, tmp_path, monkeypatch, capsys):
-        real = forward.forward_linear
-
-        def negative(*args, **kwargs):
-            a = real(*args, **kwargs)
-            return MomentVector(a.mean, -1.0 - a.variance)
-
-        monkeypatch.setattr(forward, "forward_linear", negative)
+        # Every work item of a rows pass (the epoch-end one, here) returns
+        # kernel.c's NEGATIVE_VARIANCE status.
+        monkeypatch.setattr(kernel.LIB, "forward_rows", lambda *args: -5)
         code, out = self._train(toy_csv, tmp_path)
         assert code == EXIT_NUMERIC
         assert "numeric failure: negative pre-activation variance" in capsys.readouterr().err

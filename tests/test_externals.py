@@ -14,22 +14,33 @@ import pytest
 import pbp
 
 # Code run before pbp is imported, and the line the import fails with: the
-# BLAS lookup misses ddot, or the log_ndtr capsule holds scipy's ndtr, which
+# BLAS lookup misses ddot or dgemm, or the log_ndtr capsule holds scipy's ndtr, which
 # kernel.c then calls in its place; numpy's ufunc of the name that pbp reads
 # its exp or power loop from has no loop on doubles alone (logical_not,
 # logical_and), or is one whose loop gives other bits (exp2, and
 # float_power, which calls libm's pow: it differs from np.power on a few
 # arguments in a thousand).
-SABOTAGED_EXTERNALS = {
-    "ddot-missing": (
+def _missing(symbol: str) -> str:
+    """Code that has every ctypes lookup of symbol fail."""
+    return (
         "import ctypes\n"
         "real = ctypes.CDLL.__getattr__\n"
         "def lookup(lib, name):\n"
-        "    if name == 'scipy_cblas_ddot64_':\n"
+        f"    if name == {symbol!r}:\n"
         "        raise AttributeError(name)\n"
         "    return real(lib, name)\n"
-        "ctypes.CDLL.__getattr__ = lookup\n",
+        "ctypes.CDLL.__getattr__ = lookup\n"
+    )
+
+
+SABOTAGED_EXTERNALS = {
+    "ddot-missing": (
+        _missing("scipy_cblas_ddot64_"),
         "ExternalError: numpy's BLAS has no scipy_cblas_ddot64_",
+    ),
+    "dgemm-missing": (
+        _missing("scipy_cblas_dgemm64_"),
+        "ExternalError: numpy's BLAS has no scipy_cblas_dgemm64_",
     ),
     "log-ndtr-bits-differ": (
         "from scipy.special import cython_special as cs\n"

@@ -8,60 +8,61 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import lone_output_moments, output_moments, random_net
-from pbp import forward
-from pbp.forward import (
-    BLOCK_ROWS,
-    MomentVector,
-    forward_linear,
-    forward_output_moments,
-    forward_trace,
-    relu_moments,
-)
+from conftest import forward_trace, lone_output_moments, output_moments, random_net, relu_moments
+from pbp import forward, kernel
+from pbp.forward import BLOCK_ROWS, MomentVector, forward_output_moments
 from oracles import mc_forward_moments
 from pbp.posterior import LayerPosterior, NumericError, PosteriorStack, new_uniform
 from reference_forward import forward_output_moments_batch
-from reference_update import append_bias
+from reference_update import append_bias, forward_linear
 
 
 def mv(mean, var):
     return MomentVector(np.asarray(mean, dtype=float), np.asarray(var, dtype=float))
 
 
-def linear(layer, z):
-    """forward_linear of z through layer, with the transposed weights that the
-    forward pass keeps per layer."""
-    return forward_linear(layer, z, forward._transposed(layer, layer.means * layer.means))
+def linear(layer, x):
+    """The moments of layer's units at the input row x, the bias unit (mean
+    1, variance 0) after it: each unit through forward_output_moments of a
+    one-layer net of that unit alone."""
+    moments = []
+    for unit in range(layer.rows):
+        net = new_uniform([layer.cols - 1, 1])
+        net.layers[0].means[...] = layer.means[unit]
+        net.layers[0].variances[...] = layer.variances[unit]
+        moments.append(output_moments(net, x))
+    return mv(*zip(*moments))
 
 
 class TestForwardLinear:
     def test_deterministic_weights_and_inputs(self):
         layer = LayerPosterior(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
-        out = linear(layer, mv([3.0, 1.0], [0.0, 0.0]))
+        out = linear(layer, [3.0])
         assert out.mean[0] == pytest.approx(4.0 / math.sqrt(2.0), abs=1e-15)
         assert out.variance[0] == 0.0
 
     def test_pure_weight_variance(self):
         layer = LayerPosterior(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
-        out = linear(layer, mv([1.0, 1.0], [0.0, 0.0]))
+        out = linear(layer, [1.0])
         assert out.mean[0] == 0.0
         assert out.variance[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_all_deterministic_gives_zero_variance(self):
         layer = LayerPosterior(np.array([[2.0, -1.0, 0.5]]), np.zeros((1, 3)))
-        out = linear(layer, mv([0.3, 0.7, 1.0], [0.0, 0.0, 0.0]))
+        out = linear(layer, [0.3, 0.7])
         assert out.variance[0] == 0.0
 
     def test_dimension_mismatch(self):
         layer = LayerPosterior(np.zeros((2, 3)), np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            linear(layer, mv([1.0, 2.0], [0.0, 0.0]))
+        with pytest.raises(ValueError, match="expected"):
+            linear(layer, [1.0])
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(8)
         layer = LayerPosterior(rng.normal(size=(2, 3)), rng.uniform(0.1, 1.0, (2, 3)))
         z_mean = rng.normal(size=3)
-        out = linear(layer, mv(z_mean, np.zeros(3)))
+        z_mean[-1] = 1.0  # the bias unit
+        out = linear(layer, z_mean[:-1])
         n = 400_000
         w = layer.means + np.sqrt(layer.variances) * rng.standard_normal((n, 2, 3))
         samples = np.einsum("nrc,c->nr", w, z_mean) / math.sqrt(3)
@@ -398,7 +399,7 @@ class TestBlockedRows:
         rng = np.random.default_rng(13)
         n = 3 * block + 5
         net, X = _branch_net_and_rows(n, block, rng)
-        _, aux = relu_moments(linear(net.layers[0], append_bias(mv(X, np.zeros_like(X)))))
+        _, aux = relu_moments(forward_linear(net.layers[0], append_bias(mv(X, np.zeros_like(X)))))
         for flags in (aux.deterministic[:, 0], aux.series[:, 0]):
             assert flags[block : 2 * block].any()
             assert not flags[:block].any() and not flags[2 * block :].any()
@@ -418,26 +419,39 @@ def _force_cpus(monkeypatch, count):
     monkeypatch.setattr(forward, "usable_cpus", lambda: count)
 
 
-def _on_helpers(monkeypatch, on_helper=lambda: None):
-    """Route relu_moments through a wrapper that runs on_helper on helper
-    threads, and holds the calling thread's first call until a helper has
-    made one, so some helper surely takes an item. Returns the
-    (thread, aux) of every call."""
-    real, calls, entered = forward.relu_moments, [], threading.Event()
-    main = threading.current_thread()
+def _spy_items(monkeypatch, before=lambda: None):
+    """Route every work item of a rows pass (kernel.RowsPass.__call__)
+    through a wrapper that calls before() first. Returns, for every item
+    done, (thread, (runs, rows) of the item, (shape, deterministic and
+    series counts) of each hidden layer's rectifier)."""
+    real, calls = kernel.RowsPass.__call__, []
 
-    def relu_moments(*args, **kwargs):
+    def call(self, runs, rows):
+        before()
+        real(self, runs, rows)
+        item = len(range(self.shape[0])[runs]), len(range(self.shape[1])[rows])
+        relus = [(r.shape, r.n_deterministic, r.n_series) for r in self.rectifiers]
+        calls.append((threading.current_thread(), item, relus))
+
+    monkeypatch.setattr(kernel.RowsPass, "__call__", call)
+    return calls
+
+
+def _on_helpers(monkeypatch, on_helper=lambda: None):
+    """Route every work item through a wrapper that runs on_helper on helper
+    threads, and holds the calling thread's first item until a helper has
+    started one, so some helper surely takes an item. Returns the items
+    done, as _spy_items does."""
+    entered, main = threading.Event(), threading.current_thread()
+
+    def before():
         if threading.current_thread() is main:
             entered.wait(timeout=10)
         else:
             entered.set()
             on_helper()
-        out, aux = real(*args, **kwargs)
-        calls.append((threading.current_thread(), aux))
-        return out, aux
 
-    monkeypatch.setattr(forward, "relu_moments", relu_moments)
-    return calls
+    return _spy_items(monkeypatch, before)
 
 
 class TestParallelPass:
@@ -480,14 +494,7 @@ class TestParallelPass:
         # it must match the reference every time.
         _force_cpus(monkeypatch, 2)
         monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
-        real, calls = forward.relu_moments, []
-
-        def relu_moments(*args, **kwargs):
-            out, aux = real(*args, **kwargs)
-            calls.append((threading.current_thread(), aux.n_deterministic, aux.n_series))
-            return out, aux
-
-        monkeypatch.setattr(forward, "relu_moments", relu_moments)
+        calls = _spy_items(monkeypatch)
         net, X = _branch_net_and_rows(3 * 64 + 5, 64, np.random.default_rng(17))
         for attempt in range(50):
             rows = np.roll(X, -64 * (attempt % 2), axis=0)
@@ -495,8 +502,8 @@ class TestParallelPass:
             m, v = lone_output_moments(net, rows)
             ref_m, ref_v = forward_output_moments_batch(net, rows)
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
-            branched = [t for t, deterministic, _ in calls if deterministic]
-            assert branched == [t for t, _, series in calls if series]
+            branched = [t for t, _, [(_, deterministic, _)] in calls if deterministic]
+            assert branched == [t for t, _, [(_, _, series)] in calls if series]
             assert len(branched) == 1
             if branched[0] is not threading.current_thread():
                 break
@@ -539,13 +546,7 @@ class TestParallelPass:
         # doubled hand-out of an item would show in the count or the bits.
         _force_cpus(monkeypatch, 8)
         monkeypatch.setattr(forward, "BLOCK_ROWS", 16)
-        real, calls = forward.relu_moments, []
-
-        def relu_moments(*args, **kwargs):
-            calls.append(threading.current_thread())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(forward, "relu_moments", relu_moments)
+        calls = _spy_items(monkeypatch)
         rng = np.random.default_rng(24)
         net = random_net([6, 10, 1], rng)
         X = rng.normal(size=(60 * 16, 6))
@@ -576,11 +577,12 @@ class TestParallelPass:
 
 
 class TestOneRectifierCallPerItem:
-    """A rows pass rectifies each of its work items (see _work_items) in one
-    relu_moments call per hidden layer, serially and, from 2 * BLOCK_ROWS
-    rows over all runs on, on helper threads. On both sides of every item
-    boundary it must give the bits of the frozen rectifier of
-    reference_forward, its deterministic and far-tail branches included."""
+    """A rows pass runs each of its work items (see _work_items) in one
+    kernel.c call, which rectifies the item's rows in one rectify call per
+    hidden layer, serially and, from 2 * BLOCK_ROWS rows over all runs on,
+    on helper threads. On both sides of every item boundary it must give the
+    bits of the frozen rectifier of reference_forward, its deterministic and
+    far-tail branches included."""
 
     @staticmethod
     def nets_and_rows(runs, n, units, rng):
@@ -621,18 +623,13 @@ class TestOneRectifierCallPerItem:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "threaded"])
     def test_items_match_the_reference(self, monkeypatch, cpus, runs, n, units):
         _force_cpus(monkeypatch, cpus)
-        real_relu, real_run_items, calls, parallel = forward.relu_moments, forward._run_items, [], []
-
-        def relu_moments(*args, **kwargs):
-            out, rectifier = real_relu(*args, **kwargs)
-            calls.append((rectifier.shape, rectifier.n_deterministic, rectifier.n_series))
-            return out, rectifier
+        real_run_items, parallel = forward._run_items, []
+        calls = _spy_items(monkeypatch)
 
         def run_items(work, items, is_parallel):
             parallel.append(is_parallel)
             return real_run_items(work, items, is_parallel)
 
-        monkeypatch.setattr(forward, "relu_moments", relu_moments)
         monkeypatch.setattr(forward, "_run_items", run_items)
         nets, X = self.nets_and_rows(runs, n, units, np.random.default_rng(runs * n + units))
         m, v = forward_output_moments(PosteriorStack.of(nets), X)
@@ -642,10 +639,35 @@ class TestOneRectifierCallPerItem:
         assert parallel == [runs * n >= 2 * BLOCK_ROWS]
 
         items = sorted(X[group, rows].shape[:-1] for group, rows in forward._work_items(runs, n))
-        first = [call for call in calls if call[0][-1] == units]
-        assert len(calls) == 2 * len(items)
-        assert sorted(shape[:-1] for shape, _, _ in first) == items
+        assert len(calls) == len(items)
+        assert sorted(item for _, item, _ in calls) == items
+        for _, (group, block), relus in calls:
+            assert [shape for shape, _, _ in relus] == [(group * block, units), (group * block, 7)]
+        first = [relus[0] for _, _, relus in calls]
         assert all(deterministic > 0 and series > 0 for _, deterministic, series in first)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "threaded"])
+def test_a_threads_buffers_serve_items_of_every_shape_in_a_pass(monkeypatch, block, cpus):
+    # Each thread binds its buffers on its first item of a pass, sized for
+    # the pass's largest item, whichever it takes first: full row blocks
+    # then a last block of 2 * block - 1 rows (one run, and three), or
+    # groups of two runs then a short last group of one.
+    _force_cpus(monkeypatch, cpus)
+    calls = _spy_items(monkeypatch)
+    rng = np.random.default_rng(25)
+    for runs, n in [(1, 4 * block - 1), (3, 4 * block - 1), (5, block // 2)]:
+        nets = [random_net([6, 10, 7, 1], rng, mean_scale=0.5) for _ in range(runs)]
+        X = rng.normal(size=(runs, n, 6))
+        calls.clear()
+        m, v = forward_output_moments(PosteriorStack.of(nets), X)
+        for r, net in enumerate(nets):
+            ref_m, ref_v = forward_output_moments_batch(net, X[r])
+            assert m[r].tobytes() == ref_m.tobytes() and v[r].tobytes() == ref_v.tobytes(), (n, r)
+        items = {item for _, item, _ in calls}
+        assert len(items) == 2 and max(items) in [(1, 2 * block - 1), (2, block // 2)]
+        if cpus == 1:
+            assert {thread for thread, _, _ in calls} == {threading.current_thread()}
 
 
 def _forward_peak_bytes(stack, X) -> int:

@@ -11,9 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_run_gradients, output_moments, random_net
+from conftest import forward_trace, one_run_gradients, output_moments, random_net
 from oracles import fd_logz_gradients
-from pbp.forward import forward_trace
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 
 GRAD_FLOOR = 1e-5

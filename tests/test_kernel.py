@@ -32,7 +32,8 @@ import reference_prior as ref
 import reference_update
 import test_forward
 from conftest import (
-    incorporate_one_run, likelihood_step, one_step, random_net, refresh_one_run, toy_cubic_dataset,
+    incorporate_one_run, likelihood_step, one_step, random_net, refresh_one_run, relu_moments,
+    toy_cubic_dataset,
 )
 from pbp.data import normalize
 from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
@@ -457,7 +458,7 @@ def test_rectifier_at_edge_values_matches_the_reference():
     # (T with variance 1 and 2T with variance 4) on both sides, far tails,
     # infinities and NaNs, in a pass over rows of units.
     m, v = np.meshgrid(EDGE_MEANS, EDGE_VARIANCES)
-    out, rectifier = forward.relu_moments(MomentVector(m, v))
+    out, rectifier = relu_moments(MomentVector(m, v))
     with np.errstate(all="ignore"):
         want, aux = reference_update.relu_moments(MomentVector(m, v))
     assert same_bits(out.mean, want.mean) and same_bits(out.variance, want.variance)
@@ -488,10 +489,10 @@ def test_rectifier_at_edge_values_matches_the_reference():
 def test_rectifier_refuses_a_negative_variance_before_any_write():
     m, v = np.zeros((2, 5)), np.ones((2, 5))
     v[1, 4] = -5e-324
-    out = MomentVector(np.full((2, 5), 7.0), np.full((2, 5), 7.0))
+    out = np.full((2, 2, 5), 7.0)
     with pytest.raises(NumericError, match="negative pre-activation variance"):
-        forward.relu_moments(MomentVector(m, v), out)
-    assert (out.mean == 7.0).all() and (out.variance == 7.0).all()
+        relu_moments(MomentVector(m, v), out)
+    assert (out[0] == 7.0).all() and (out[1] == 7.0).all()
 
 
 # Hidden pre-activations (mean, variance) at the edges of the rectifier's

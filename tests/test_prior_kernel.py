@@ -31,7 +31,7 @@ from conftest import (
     epoch_by_phases, incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset,
 )
 from pbp.data import normalize, split
-from pbp.gauss import LOG_2PI
+from pbp.kernel import LOG_2PI
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
 from pbp.training import train, train_runs
 from pbp.updates import RefreshReport

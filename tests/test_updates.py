@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import pbp.updates as updates
+import conftest
 from conftest import (
     incorporate_one_run, log_z_triple, one_step, output_moments, random_net, refresh_one_run,
     step_by_phases,
@@ -261,7 +261,7 @@ class TestIncorporateLikelihoodFactor:
         rng = np.random.default_rng(9)
         stack = PosteriorStack.of([random_net([2, 3, 1], rng)])
         layer = stack.layers[0]
-        real_backward = updates.backward_gradients
+        real_backward = conftest.backward_gradients
 
         def sabotaged(stack, y):
             real_backward(stack, y)
@@ -269,7 +269,7 @@ class TestIncorporateLikelihoodFactor:
             stack.workspace.d_mean_views[0][0, 1, 2] = 1e6
             stack.workspace.d_variance_views[0][0, 1, 2] = 0.0
 
-        monkeypatch.setattr(updates, "backward_gradients", sabotaged)
+        monkeypatch.setattr(conftest, "backward_gradients", sabotaged)
         m_before = layer.means[0, 1, 2]
         v_before = layer.variances[0, 1, 2]
         other_before = layer.means[0, 0, 0]
