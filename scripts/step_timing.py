@@ -23,10 +23,17 @@ A second table times the rows pass (`forward_output_moments`) of a few
 stacks, each at a number of rows per run, on seeded inputs: the median
 microseconds per pass over K repeats, each the mean of enough passes for
 about ROWS_PER_REPEAT rows (at most MAX_PASSES), and their range; the pass
-runs on every usable CPU from its threshold on, as in the CLI. --json prints
-one JSON object instead of the tables.
+runs on every usable CPU from its threshold on, as in the CLI.
+
+A third table times `train_runs` of TRAINING_EPOCHS epochs on a few stacks,
+each on seeded normalized training sets of a number of rows per run: the
+median milliseconds per call over K repeats, and their range, with the
+epoch-end training-RMSE pass (the default) and, on trees whose `train_runs`
+takes `epoch_rmse`, without it, the two alternated in each repeat. --json
+prints one JSON object instead of the tables.
 """
 
+import inspect
 import json
 import os
 import statistics
@@ -56,6 +63,14 @@ ROWS_PASSES = [
     (1, [11, 50, 50, 1], 40_000),
 ]
 ROWS_PER_REPEAT, MAX_PASSES = 20_000, 1_000
+# (runs, layer sizes, training rows per run) of the train_runs calls timed:
+# the perfbench workloads' trainings
+TRAININGS = [
+    (20, [13, 50, 1], 455),
+    (20, [6, 10, 1], 277),
+    (1, [11, 50, 50, 1], 1_439),
+]
+TRAINING_EPOCHS = 2
 
 
 def fresh_stack(runs, sizes, seed):
@@ -129,6 +144,31 @@ def timed_rows_pass(runs, sizes, n, seed):
     return (time.perf_counter() - start) / passes, passes
 
 
+def timed_trainings(runs, sizes, n, seed, epoch_rmse_modes):
+    """{mode: seconds} of one train_runs call per mode of epoch_rmse_modes,
+    in that order (None calls it without the keyword), on the same seeded
+    training sets."""
+    import numpy as np
+    from pbp.data import Dataset, normalize
+    from pbp.posterior import PbpConfig
+    from pbp.training import train_runs
+
+    rng = np.random.default_rng(seed)
+    datasets = []
+    for _ in range(runs):
+        x = rng.normal(size=(n, sizes[0]))
+        datasets.append(normalize(Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.normal(size=n)))[0])
+    config = PbpConfig(hidden_layer_sizes=tuple(sizes[1:-1]), epochs=TRAINING_EPOCHS, seed=seed)
+    seconds = {}
+    for mode in epoch_rmse_modes:
+        keywords = {} if mode is None else {"epoch_rmse": mode}
+        rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
+        start = time.perf_counter()
+        train_runs(datasets, config, rngs, **keywords)
+        seconds[mode] = time.perf_counter() - start
+    return seconds
+
+
 def phase_names(sizes):
     hidden = len(sizes) - 2
     return [f"forward {l}" for l in range(hidden)] + ["forward out", "backward", "refine"]
@@ -192,10 +232,32 @@ def main(argv):
                 f"({row['us_min']:.1f}-{row['us_max']:.1f})",
                 flush=True,
             )
+    from pbp.training import train_runs
+
+    modes = [True, False] if "epoch_rmse" in inspect.signature(train_runs).parameters else [None]
+    trainings = []
+    for runs, sizes, n in TRAININGS:
+        name = f"{runs} x {'-'.join(map(str, sizes))}, {n} rows"
+        timed_trainings(runs, sizes, n, 0, modes)
+        times = [timed_trainings(runs, sizes, n, k, modes if k % 2 == 0 else modes[::-1]) for k in range(repeats)]
+        row = {"stack": name, "epochs": TRAINING_EPOCHS, "repeats": repeats}
+        for mode in modes:
+            ms = [t[mode] * 1e3 for t in times]
+            key = "without_epoch_rmse" if mode is False else "with_epoch_rmse"
+            row[key] = {"ms_per_call": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms)}
+        trainings.append(row)
+        if "json" not in options:
+            cells = [
+                f"{row[key]['ms_per_call']:.1f} ms {key.replace('_', ' ')} "
+                f"({row[key]['ms_min']:.1f}-{row[key]['ms_max']:.1f})"
+                for key in ("with_epoch_rmse", "without_epoch_rmse") if key in row
+            ]
+            print(f"train_runs {name:>26}, {TRAINING_EPOCHS} epochs: " + ", ".join(cells), flush=True)
     if "json" in options:
         print(json.dumps({
             "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
             "phase_counters": counters, "stacks": results, "rows_passes": rows_passes,
+            "trainings": trainings,
         }))
     return 0
 

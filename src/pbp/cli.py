@@ -18,7 +18,7 @@ from . import data as dio
 from .active import POLICIES, ActiveConfig, run_active_experiments
 from .posterior import NumericError, PbpConfig, PosteriorStack
 from .prediction import TrainedModel, predict_batch, test_metrics
-from .training import SkipRateError, train, train_runs
+from .training import SkipRateError, train, train_runs, training_rmse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,7 +158,13 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     train_set, test_set = dio.split(dataset, args.test_fraction, rng)
     train_norm, stats = dio.normalize(train_set)
-    net, _, report = train(train_norm, config, rng)
+    net, _, report = train(train_norm, config, rng, epoch_rmse=False)
+    stack = PosteriorStack.of([net])
+    # The one training RMSE printed, taken before the model is saved: a
+    # numeric failure in its rows pass leaves no model file.
+    train_rmse = None
+    if report.epochs_run:
+        [train_rmse] = training_rmse(stack, train_norm.features[None], train_norm.targets[None])
     model = TrainedModel(net=net, norm=stats, config=config)
     dio.save_model(model, args.out)
 
@@ -168,10 +174,10 @@ def cmd_train(args) -> int:
     print(f"undo_events: {report.undo_events}")
     print(f"weight_updates: {report.weight_updates}")
     print(f"seconds: {report.seconds:.3f}")
-    if report.epoch_rmse:
-        print(f"final_train_rmse_normalized: {_fmt(report.epoch_rmse[-1])}")
+    if train_rmse is not None:
+        print(f"final_train_rmse_normalized: {_fmt(train_rmse)}")
     if len(test_set):
-        [test_rmse], [test_ll] = test_metrics(PosteriorStack.of([net]), [stats], [test_set])
+        [test_rmse], [test_ll] = test_metrics(stack, [stats], [test_set])
         print(f"test_rmse: {_fmt(test_rmse)}")
         print(f"test_log_likelihood: {_fmt(test_ll)}")
     return EXIT_OK
@@ -206,7 +212,7 @@ def cmd_benchmark(args) -> int:
         norms.append(stats)
         test_sets.append(test_set)
     labels = [f"split {i}" for i in range(args.splits)]
-    runs = train_runs(train_sets, config, rngs, labels)
+    runs = train_runs(train_sets, config, rngs, labels, epoch_rmse=False)
     rmses, lls = test_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets, labels)
 
     s = args.splits

@@ -75,7 +75,9 @@ def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.nda
     rows or runs, so from 2 * BLOCK_ROWS rows over all runs on, the items run
     on every usable CPU (see _run_items), bit for bit as in a serial pass.
     Each item is one kernel.c call, through a kernel.RowsPass that each
-    thread binds on its first item, with buffers for the largest item.
+    thread binds on its first item, with buffers for that item, and binds
+    again on an item that does not fit them: a thread's buffers are sized
+    for the items it takes, not for the pass's largest.
     """
     x = np.ascontiguousarray(x, dtype=float)
     runs, d = stack.means.shape[0], stack.layer_sizes[0]
@@ -85,18 +87,20 @@ def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.nda
     n = x.shape[1]
     out_mean, out_var = np.empty((runs, n)), np.empty((runs, n))
     items = _work_items(runs, n)
-    sizes = [(len(range(runs)[group]), rows.stop - rows.start) for group, rows in items]
-    largest = max(group for group, _ in sizes), max(group * rows for group, rows in sizes)
     bound = threading.local()
 
     def forward_item(item):
-        rows_pass = getattr(bound, "rows_pass", None)
-        if rows_pass is None:
-            rows_pass = bound.rows_pass = RowsPass(
-                stack.means, stack.variances, stack.layer_sizes, x, out_mean, out_var, *largest,
+        group = len(range(runs)[item[0]])
+        held = getattr(bound, "rows_pass", None)
+        have = (0, 0) if held is None else held.capacity
+        need = max(have[0], group), max(have[1], group * (item[1].stop - item[1].start))
+        if need != have:
+            bound.rows_pass = held = None  # the old buffers go before the new ones come
+            held = bound.rows_pass = RowsPass(
+                stack.means, stack.variances, stack.layer_sizes, x, out_mean, out_var, *need,
                 DETERMINISTIC_VARIANCE, SERIES_THRESHOLD,
             )
-        rows_pass(*item)
+        held(*item)
 
     _run_items(forward_item, items, runs * n >= 2 * BLOCK_ROWS)
     return out_mean, out_var

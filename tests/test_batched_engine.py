@@ -8,8 +8,10 @@ arithmetic of a run.
 """
 
 import copy
+import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -210,6 +212,31 @@ def test_run_whose_squared_residual_overflows_skips_the_example(monkeypatch):
     assert_same_run(batch[0], alone)
     assert batch[1][2].examples_skipped == cfg.epochs
     assert batch[1][2].epoch_rmse == [np.inf] * cfg.epochs
+
+
+def test_without_the_epoch_rmse_every_run_keeps_its_bits(monkeypatch):
+    # epoch_rmse=False drops the epoch-end rows pass and nothing else: the
+    # posteriors, Gammas, sites, counters and refreshes keep their bits, and
+    # run 1, whose 1e160 target the default pass squares to inf, raises no
+    # overflow warning.
+    monkeypatch.setattr(training, "MAX_SKIP_RATE", 1.0)
+    datasets, states = split_runs(3)
+    targets = datasets[1].targets.copy()
+    targets[4] = 1e160
+    datasets[1] = Dataset(datasets[1].features, targets)
+    cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        full = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bare = train_runs(datasets, cfg, [rng_at(s) for s in states], epoch_rmse=False)
+    for (net, sites, report), want in zip(bare, full, strict=True):
+        assert report.epoch_rmse == []
+        assert_same_run(
+            (net, sites, dataclasses.replace(report, epoch_rmse=want[2].epoch_rmse)), want
+        )
+        assert report.refreshes == want[2].refreshes
+    assert bare[1][2].examples_skipped == cfg.epochs
 
 
 def test_skip_rate_error_names_the_run_and_epoch(monkeypatch):

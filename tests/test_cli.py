@@ -280,8 +280,9 @@ class TestNumericFailures:
         return code, out
 
     def test_negative_preactivation_variance(self, toy_csv, tmp_path, monkeypatch, capsys):
-        # Every work item of a rows pass (the epoch-end one, here) returns
-        # kernel.c's NEGATIVE_VARIANCE status.
+        # Every work item of a rows pass (the training-RMSE one, here, which
+        # runs before the model is saved) returns kernel.c's NEGATIVE_VARIANCE
+        # status.
         monkeypatch.setattr(kernel.LIB, "forward_rows", lambda *args: -5)
         code, out = self._train(toy_csv, tmp_path)
         assert code == EXIT_NUMERIC
@@ -484,16 +485,73 @@ class TestCpuCount:
         assert one[0] == two[0]
 
     def test_benchmark(self, toy_csv, tmp_path, monkeypatch):
-        # Three splits of 54 training rows: each epoch-RMSE pass of the stack
-        # covers 162 rows.
+        # Five splits of 30 test rows: the test-set pass of the stack covers
+        # 150 rows.
         args = [
-            "benchmark", "--data", str(toy_csv), "--hidden", "3",
-            "--epochs", "2", "--splits", "3", "--seed", "5",
+            "benchmark", "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
+            "--splits", "5", "--test-fraction", "0.5", "--seed", "5",
         ]
         one = self._outputs(monkeypatch, 1, args, tmp_path / "one.csv")
         two = self._outputs(monkeypatch, 2, args, tmp_path / "two.csv")
         assert two[1]
         assert one[0] == two[0]
+
+
+class TestTrainingSetPasses:
+    """A rows pass over a training set runs only where a command prints the
+    training RMSE: once in train, never in benchmark or active. The toy set
+    has 60 rows, and each command's arguments give its training sets a row
+    count that no other pass of it has."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch, tmp_path):
+        """The rows per run of every rows pass, each with the names of the
+        files in tmp_path when it started."""
+        seen = []
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "pbp"]:
+            real = getattr(module, "forward_output_moments", None)
+            if real is None:
+                continue
+
+            def spy(stack, x, real=real):
+                seen.append((np.shape(x)[1], sorted(path.name for path in tmp_path.iterdir())))
+                return real(stack, x)
+
+            monkeypatch.setattr(module, "forward_output_moments", spy)
+        return seen
+
+    @pytest.mark.parametrize("epochs", [2, 0])
+    def test_train_takes_the_training_rmse_once_before_saving(
+        self, toy_csv, tmp_path, capsys, passes, epochs
+    ):
+        assert main(["train", "--data", str(toy_csv), "--hidden", "4", "--epochs", str(epochs),
+                     "--seed", "3", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+        printed = summary(capsys.readouterr().out)
+        # 54 training rows and 6 test rows; the model file is written between.
+        test_pass = (6, ["m.json", "toy.csv"])
+        assert passes == ([(54, ["toy.csv"]), test_pass] if epochs else [test_pass])
+        rng = np.random.default_rng(3)
+        train_set, _ = split(load_csv(toy_csv), 0.1, rng)
+        config = PbpConfig(hidden_layer_sizes=(4,), epochs=epochs, seed=3)
+        _, _, report = train(normalize(train_set)[0], config, rng)
+        if epochs:
+            assert printed["final_train_rmse_normalized"] == repr(report.epoch_rmse[-1])
+        else:
+            assert "final_train_rmse_normalized" not in printed
+
+    def test_benchmark_runs_none(self, toy_csv, tmp_path, passes):
+        # 54 training rows and 6 test rows per split.
+        assert main(["benchmark", "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
+                     "--splits", "3", "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        assert passes == [(6, ["toy.csv"])]
+
+    def test_active_runs_none(self, toy_csv, tmp_path, passes):
+        # Training sets of 5, 6 and 7 rows, test sets of 20 and pools of 35
+        # and 34.
+        assert main(["active", "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
+                     "--initial-train", "5", "--test-size", "20", "--acquisitions", "2",
+                     "--repetitions", "2", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert sorted({n for n, _ in passes}) == [20, 34, 35]
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -69,9 +69,17 @@ class TestSchedule:
         assert counts["prior"] == 1
         assert counts["refresh"] == 5
 
-    def test_refresh_follows_the_last_example_of_each_epoch(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "epoch_rmse, epoch_events",
+        [(True, ["example", "refresh", "rmse"]), (False, ["example", "refresh"])],
+        ids=["epoch-rmse", "no-epoch-rmse"],
+    )
+    def test_refresh_follows_the_last_example_of_each_epoch(
+        self, monkeypatch, epoch_rmse, epoch_events
+    ):
         # Per epoch: every example once, in one call, then one EP refresh,
-        # then the epoch-RMSE pass on the refreshed posterior.
+        # then, with epoch_rmse, the epoch-RMSE pass on the refreshed
+        # posterior.
         datasets = [normalized_toy(n=4, seed=s)[0] for s in (1, 2, 3)]
         events = []
 
@@ -86,8 +94,9 @@ class TestSchedule:
         spy("refresh", training.ep_refresh_prior)
         spy("rmse", training.forward_output_moments)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=4)
-        results = train_runs(datasets, cfg, [np.random.default_rng(s) for s in (4, 5, 6)])
-        assert events == ["example", "refresh", "rmse"] * 3
+        rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
+        results = train_runs(datasets, cfg, rngs, epoch_rmse=epoch_rmse)
+        assert events == epoch_events * 3
         assert all(len(report.refreshes) == 3 for _, _, report in results)
 
     def test_each_run_keeps_its_own_refresh_outcomes(self, monkeypatch):
