@@ -27,13 +27,15 @@ runs on every usable CPU from its threshold on, as in the CLI.
 
 A third table times `train_runs` of TRAINING_EPOCHS epochs on a few stacks,
 each on seeded normalized training sets of a number of rows per run: the
-median milliseconds per call over K repeats, and their range, with the
-epoch-end training-RMSE pass (the default) and, on trees whose `train_runs`
-takes `epoch_rmse`, without it, the two alternated in each repeat. --json
-prints one JSON object instead of the tables.
+median milliseconds per call over K repeats, and their range, with a
+training-RMSE rows pass over every run's training set at the end of each
+epoch and, on trees whose `train_runs` runs no such pass (TrainReport has no
+`epoch_rmse`), without it, the two alternated in each repeat. On those trees
+the pass is `prediction.training_rmse`, run where `check_variances` runs, as
+the trees that fill `epoch_rmse` run it. --json prints one JSON object
+instead of the tables.
 """
 
-import inspect
 import json
 import os
 import statistics
@@ -71,6 +73,8 @@ TRAININGS = [
     (1, [11, 50, 50, 1], 1_439),
 ]
 TRAINING_EPOCHS = 2
+# the two modes of the train_runs table, and their JSON keys
+WITH, WITHOUT = "with_epoch_rmse", "without_epoch_rmse"
 
 
 def fresh_stack(runs, sizes, seed):
@@ -144,14 +148,15 @@ def timed_rows_pass(runs, sizes, n, seed):
     return (time.perf_counter() - start) / passes, passes
 
 
-def timed_trainings(runs, sizes, n, seed, epoch_rmse_modes):
-    """{mode: seconds} of one train_runs call per mode of epoch_rmse_modes,
-    in that order (None calls it without the keyword), on the same seeded
-    training sets."""
+def timed_trainings(runs, sizes, n, seed, modes):
+    """{mode: seconds} of one train_runs call per mode of modes, in that
+    order, on the same seeded training sets: WITH or WITHOUT the epoch-end
+    training-RMSE pass, which a train_runs that fills TrainReport.epoch_rmse
+    runs itself."""
     import numpy as np
+    import pbp.training as training
     from pbp.data import Dataset, normalize
     from pbp.posterior import PbpConfig
-    from pbp.training import train_runs
 
     rng = np.random.default_rng(seed)
     datasets = []
@@ -159,14 +164,34 @@ def timed_trainings(runs, sizes, n, seed, epoch_rmse_modes):
         x = rng.normal(size=(n, sizes[0]))
         datasets.append(normalize(Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.normal(size=n)))[0])
     config = PbpConfig(hidden_layer_sizes=tuple(sizes[1:-1]), epochs=TRAINING_EPOCHS, seed=seed)
+    features = np.stack([ds.features for ds in datasets])
+    targets = np.stack([ds.targets for ds in datasets])
+    check_variances = training.check_variances
+
+    def check_and_pass(stack, labels, epoch):
+        from pbp.prediction import training_rmse
+
+        check_variances(stack, labels, epoch)
+        training_rmse(stack, features, targets)
+
     seconds = {}
-    for mode in epoch_rmse_modes:
-        keywords = {} if mode is None else {"epoch_rmse": mode}
+    for mode in modes:
+        if mode == WITH and not runs_the_pass(training):
+            training.check_variances = check_and_pass
         rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
-        start = time.perf_counter()
-        train_runs(datasets, config, rngs, **keywords)
-        seconds[mode] = time.perf_counter() - start
+        try:
+            start = time.perf_counter()
+            training.train_runs(datasets, config, rngs)
+            seconds[mode] = time.perf_counter() - start
+        finally:
+            training.check_variances = check_variances
     return seconds
+
+
+def runs_the_pass(training):
+    """Whether the tree's train_runs ends each epoch with the training-RMSE
+    pass itself."""
+    return "epoch_rmse" in training.TrainReport.__dataclass_fields__
 
 
 def phase_names(sizes):
@@ -232,9 +257,9 @@ def main(argv):
                 f"({row['us_min']:.1f}-{row['us_max']:.1f})",
                 flush=True,
             )
-    from pbp.training import train_runs
+    import pbp.training
 
-    modes = [True, False] if "epoch_rmse" in inspect.signature(train_runs).parameters else [None]
+    modes = [WITH] if runs_the_pass(pbp.training) else [WITH, WITHOUT]
     trainings = []
     for runs, sizes, n in TRAININGS:
         name = f"{runs} x {'-'.join(map(str, sizes))}, {n} rows"
@@ -243,14 +268,13 @@ def main(argv):
         row = {"stack": name, "epochs": TRAINING_EPOCHS, "repeats": repeats}
         for mode in modes:
             ms = [t[mode] * 1e3 for t in times]
-            key = "without_epoch_rmse" if mode is False else "with_epoch_rmse"
-            row[key] = {"ms_per_call": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms)}
+            row[mode] = {"ms_per_call": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms)}
         trainings.append(row)
         if "json" not in options:
             cells = [
                 f"{row[key]['ms_per_call']:.1f} ms {key.replace('_', ' ')} "
                 f"({row[key]['ms_min']:.1f}-{row[key]['ms_max']:.1f})"
-                for key in ("with_epoch_rmse", "without_epoch_rmse") if key in row
+                for key in modes
             ]
             print(f"train_runs {name:>26}, {TRAINING_EPOCHS} epochs: " + ", ".join(cells), flush=True)
     if "json" in options:

@@ -110,9 +110,7 @@ def _fit(
     its history, from one prediction of every test set; the posteriors and
     their normalization statistics."""
     normalized = [normalize(state.train) for state in states]
-    runs = train_runs(
-        [train_norm for train_norm, _ in normalized], config, rngs, labels, epoch_rmse=False
-    )
+    runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
     nets, norms = [net for net, _, _ in runs], [stats for _, stats in normalized]
     rmses, _ = test_metrics(
         PosteriorStack.of(nets),

@@ -17,8 +17,8 @@ import numpy as np
 from . import data as dio
 from .active import POLICIES, ActiveConfig, run_active_experiments
 from .posterior import NumericError, PbpConfig, PosteriorStack
-from .prediction import TrainedModel, predict_batch, test_metrics
-from .training import SkipRateError, train, train_runs, training_rmse
+from .prediction import TrainedModel, predict_batch, test_metrics, training_rmse
+from .training import SkipRateError, train, train_runs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     train_set, test_set = dio.split(dataset, args.test_fraction, rng)
     train_norm, stats = dio.normalize(train_set)
-    net, _, report = train(train_norm, config, rng, epoch_rmse=False)
+    net, _, report = train(train_norm, config, rng)
     stack = PosteriorStack.of([net])
     # The one training RMSE printed, taken before the model is saved: a
     # numeric failure in its rows pass leaves no model file.
@@ -212,7 +212,7 @@ def cmd_benchmark(args) -> int:
         norms.append(stats)
         test_sets.append(test_set)
     labels = [f"split {i}" for i in range(args.splits)]
-    runs = train_runs(train_sets, config, rngs, labels, epoch_rmse=False)
+    runs = train_runs(train_sets, config, rngs, labels)
     rmses, lls = test_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets, labels)
 
     s = args.splits

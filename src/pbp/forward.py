@@ -75,9 +75,9 @@ def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.nda
     rows or runs, so from 2 * BLOCK_ROWS rows over all runs on, the items run
     on every usable CPU (see _run_items), bit for bit as in a serial pass.
     Each item is one kernel.c call, through a kernel.RowsPass that each
-    thread binds on its first item, with buffers for that item, and binds
-    again on an item that does not fit them: a thread's buffers are sized
-    for the items it takes, not for the pass's largest.
+    thread binds on its first item and binds again, dropping the old buffers
+    first, on an item that does not fit them: a thread's capacity is the
+    running maximum of the items it has taken.
     """
     x = np.ascontiguousarray(x, dtype=float)
     runs, d = stack.means.shape[0], stack.layer_sizes[0]

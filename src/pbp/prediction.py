@@ -92,4 +92,19 @@ def test_metrics(
     means, variances = predict_batch(stack, norms, X_raw, labels, rows)
     targets = np.stack([test.targets for test in tests])
     logp = -0.5 * (LOG_2PI + np.log(variances) + (targets - means) ** 2 / variances)
-    return np.sqrt(np.mean((means - targets) ** 2, axis=-1)), np.mean(logp, axis=-1)
+    return rmse(means, targets), np.mean(logp, axis=-1)
+
+
+def training_rmse(
+    stack: PosteriorStack, features: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Each run's RMSE of its predictive means on normalized features,
+    (R, n, d), against normalized targets, (R, n): one rows pass over the
+    stack, (R,)."""
+    means, _ = forward_output_moments(stack, features)
+    return rmse(means, targets)
+
+
+def rmse(means: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Root mean squared error over the last axis."""
+    return np.sqrt(np.mean((means - targets) ** 2, axis=-1))

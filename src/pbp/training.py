@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .forward import forward_output_moments
 from .posterior import (
     HYPERPRIOR,
     GammaDist,
@@ -43,18 +42,12 @@ class SkipRateError(Exception):
 
 @dataclass
 class TrainReport:
-    """Counters and per-epoch diagnostics from one training run.
-
-    epoch_rmse holds the run's training RMSE after each epoch
-    (training_rmse) where it was trained with epoch_rmse=True, the default
-    of train and train_runs, and is empty where it was trained without.
-    """
+    """Counters and per-epoch diagnostics from one training run."""
 
     epochs_run: int = 0
     examples_skipped: int = 0
     undo_events: int = 0
     weight_updates: int = 0
-    epoch_rmse: list[float] = field(default_factory=list)
     seconds: float = 0.0  # wall time of the batch the run was trained in
     # One (sites skipped, max abs change) per EP refresh of the prior sites.
     refreshes: list[tuple[int, float]] = field(default_factory=list)
@@ -86,31 +79,20 @@ def check_variances(stack: PosteriorStack, labels: list[str], epoch: int) -> Non
         )
 
 
-def training_rmse(
-    stack: PosteriorStack, features: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Each run's RMSE of its predictive means on features, (R, n, d),
-    against targets, (R, n): one rows pass over the stack."""
-    means, _ = forward_output_moments(stack, features)
-    return np.sqrt(np.mean((means - targets) ** 2, axis=-1))
-
-
 def train(
-    dataset: Dataset, config: PbpConfig, rng: np.random.Generator, *, epoch_rmse: bool = True
+    dataset: Dataset, config: PbpConfig, rng: np.random.Generator
 ) -> tuple[NetworkPosterior, np.ndarray, TrainReport]:
     """Run the full sequential-update schedule on a normalized training set.
 
     Schedule: absorb the Gamma hyperpriors exactly, ADF-incorporate every
     weight-prior factor once, perturb the means to break symmetry, then for
     each epoch shuffle the examples, incorporate each likelihood factor once,
-    and refresh the stored prior sites after the last. With epoch_rmse,
-    the report's epoch_rmse gets the RMSE of the predictive means on the
-    (normalized) training targets after each epoch (training_rmse, a rows
-    pass over the training set); without it, that pass never runs and
-    epoch_rmse stays empty. Returns the posterior, its (4, W) prior sites
-    (see incorporate_all_prior_factors) and the report.
+    and refresh the stored prior sites after the last. No rows pass runs:
+    a caller that wants the training RMSE takes it from the posterior
+    (prediction.training_rmse). Returns the posterior, its (4, W) prior
+    sites (see incorporate_all_prior_factors) and the report.
     """
-    [(net, sites, report)] = train_runs([dataset], config, [rng], epoch_rmse=epoch_rmse)
+    [(net, sites, report)] = train_runs([dataset], config, [rng])
     return net, sites, report
 
 
@@ -119,12 +101,8 @@ def train_runs(
     config: PbpConfig,
     rngs: list[np.random.Generator],
     labels: list[str] | None = None,
-    *,
-    epoch_rmse: bool = True,
 ) -> list[tuple[NetworkPosterior, np.ndarray, TrainReport]]:
-    """Train one posterior per dataset, all in lockstep; see `train`, also
-    for epoch_rmse: with it, each epoch ends with one rows pass over every
-    run's training set.
+    """Train one posterior per dataset, all in lockstep; see `train`.
 
     The datasets must have equal sizes. Run r draws only from rngs[r], in the
     order a lone run would: the mean perturbation, then one permutation per
@@ -175,13 +153,9 @@ def train_runs(
             for report, run_refresh in zip(reports, refresh.runs):
                 report.refreshes.append(run_refresh)
 
-            if epoch_rmse:
-                rmse = training_rmse(stack, features, targets).tolist()
             for r, report in enumerate(reports):
                 report.examples_skipped += int(skipped[r])
                 report.epochs_run += 1
-                if epoch_rmse:
-                    report.epoch_rmse.append(rmse[r])
             for r in range(runs):
                 if skipped[r] > MAX_SKIP_RATE * n:
                     raise SkipRateError(

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pbp.training as training
 from pbp.data import Dataset, NormStats
 from pbp.forward import (
     DETERMINISTIC_VARIANCE,
@@ -16,7 +17,7 @@ from pbp.forward import (
 )
 from pbp.kernel import NoiseStep, Rectifier
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
-from pbp.prediction import predict_batch
+from pbp.prediction import predict_batch, training_rmse
 from pbp.updates import (
     UpdateOutcome,
     ep_refresh_prior,
@@ -79,6 +80,27 @@ def predict_alone(net, norm, X_raw):
     copy of net normalized with norm: (n,) means and variances."""
     means, variances = predict_batch(PosteriorStack.of([net]), [norm], np.asarray(X_raw, dtype=float)[None])
     return means[0], variances[0]
+
+
+def train_runs_tracing_rmse(monkeypatch, datasets, config, rngs, labels=None):
+    """train_runs, each run's result with its training RMSE after every epoch
+    appended: (posterior, sites, report, [rmse per epoch]). The RMSE is
+    training_rmse of the refreshed posterior, taken where check_variances
+    runs at the end of each epoch; the pass moves no bit of training."""
+    features = np.stack([ds.features for ds in datasets])
+    targets = np.stack([ds.targets for ds in datasets])
+    traces = [[] for _ in datasets]
+    check_variances = training.check_variances
+
+    def check_and_trace(stack, run_labels, epoch):
+        check_variances(stack, run_labels, epoch)
+        for trace, rmse in zip(traces, training_rmse(stack, features, targets).tolist()):
+            trace.append(rmse)
+
+    with monkeypatch.context() as m:
+        m.setattr(training, "check_variances", check_and_trace)
+        results = training.train_runs(datasets, config, rngs, labels)
+    return [(*result, trace) for result, trace in zip(results, traces, strict=True)]
 
 
 def relu_moments(a: MomentVector, out: np.ndarray | None = None) -> tuple[MomentVector, Rectifier]:

@@ -8,7 +8,6 @@ arithmetic of a run.
 """
 
 import copy
-import dataclasses
 import gc
 import math
 import warnings
@@ -22,6 +21,7 @@ import pbp.training as training
 import reference_update
 from conftest import (
     epoch_by_phases, one_step, random_net, relu_moments, step_by_phases, toy_cubic_dataset,
+    train_runs_tracing_rmse,
 )
 from pbp.data import Dataset, normalize, split
 from pbp.forward import MomentVector
@@ -36,7 +36,9 @@ from reference_prior import Sites, ep_refresh_prior, incorporate_all_prior_facto
 
 
 def reference_train(dataset, config, rng):
-    """One run, one example at a time: the schedule of `train`, unbatched."""
+    """One run, one example at a time: the schedule of `train`, unbatched,
+    with the training RMSE after each epoch as train_runs_tracing_rmse takes
+    it."""
     n = len(dataset.targets)
     layer_sizes = [dataset.features.shape[1], *config.hidden_layer_sizes, 1]
     net = new_uniform(layer_sizes)
@@ -47,7 +49,7 @@ def reference_train(dataset, config, rng):
     incorporate_all_prior_factors(net, sites)
     perturb_means(net, rng)
 
-    report = TrainReport()
+    report, rmse = TrainReport(), []
     for _epoch in range(config.epochs):
         skipped_this_epoch = 0
         for idx in rng.permutation(n):
@@ -63,10 +65,10 @@ def reference_train(dataset, config, rng):
         report.examples_skipped += skipped_this_epoch
         report.epochs_run += 1
         means, _ = forward_output_moments_batch(net, dataset.features)
-        report.epoch_rmse.append(float(np.sqrt(np.mean((means - dataset.targets) ** 2))))
+        rmse.append(float(np.sqrt(np.mean((means - dataset.targets) ** 2))))
         if skipped_this_epoch > training.MAX_SKIP_RATE * n:
             raise SkipRateError(f"{skipped_this_epoch}/{n} examples skipped")
-    return net, sites.flat, report
+    return net, sites.flat, report, rmse
 
 
 def _bits(values) -> bytes:
@@ -75,7 +77,7 @@ def _bits(values) -> bytes:
 
 def assert_same_run(got, want):
     """Bit equality of posterior, Gammas, prior sites, RMSE trace and counters."""
-    (net, sites, report), (ref_net, ref_sites, ref_report) = got, want
+    (net, sites, report, rmse), (ref_net, ref_sites, ref_report, ref_rmse) = got, want
     for layer, ref_layer in zip(net.layers, ref_net.layers, strict=True):
         assert _bits(layer.means) == _bits(ref_layer.means)
         assert _bits(layer.variances) == _bits(ref_layer.variances)
@@ -83,7 +85,7 @@ def assert_same_run(got, want):
     assert net.lam == ref_net.lam
     assert sites.shape == ref_sites.shape
     assert _bits(sites) == _bits(ref_sites)
-    assert _bits(report.epoch_rmse) == _bits(ref_report.epoch_rmse)
+    assert _bits(rmse) == _bits(ref_rmse)
     assert report.epochs_run == ref_report.epochs_run
     assert report.undo_events == ref_report.undo_events
     assert report.examples_skipped == ref_report.examples_skipped
@@ -111,38 +113,41 @@ def rng_at(state):
 
 @pytest.mark.parametrize("hidden", [(4,), (3, 3)])
 @pytest.mark.parametrize("runs", [1, 3])
-def test_every_run_matches_the_per_example_loop(runs, hidden):
+def test_every_run_matches_the_per_example_loop(monkeypatch, runs, hidden):
     datasets, states = split_runs(runs)
     cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=3)
-    batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    batch = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
     for got, ds, state in zip(batch, datasets, states, strict=True):
         assert_same_run(got, reference_train(ds, cfg, rng_at(state)))
 
 
 @pytest.mark.parametrize("runs", [1, 3])
-def test_one_row_training_sets_match_the_per_example_loop(runs):
-    # One example per run: each epoch is one step, one EP refresh and an
-    # epoch-RMSE pass of one row per run.
+def test_one_row_training_sets_match_the_per_example_loop(monkeypatch, runs):
+    # One example per run: each epoch is one step and one EP refresh, traced
+    # by a training-RMSE pass of one row per run.
     rng = np.random.default_rng(31)
     datasets = [Dataset(rng.normal(size=(1, 2)), rng.normal(size=1)) for _ in range(runs)]
     states = [np.random.default_rng(60 + r).bit_generator.state for r in range(runs)]
     cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=4)
-    batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    batch = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
     for got, ds, state in zip(batch, datasets, states, strict=True):
         assert_same_run(got, reference_train(ds, cfg, rng_at(state)))
 
 
-def test_train_is_the_one_run_case():
+def test_train_is_the_one_run_case(monkeypatch):
     [ds], [state] = split_runs(1)
     cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=2)
-    assert_same_run(train(ds, cfg, rng_at(state)), reference_train(ds, cfg, rng_at(state)))
+    [traced] = train_runs_tracing_rmse(monkeypatch, [ds], cfg, [rng_at(state)])
+    want = reference_train(ds, cfg, rng_at(state))
+    assert_same_run(traced, want)
+    assert_same_run((*train(ds, cfg, rng_at(state)), traced[3]), want)
 
 
-def test_run_alone_equals_run_inside_a_batch():
+def test_run_alone_equals_run_inside_a_batch(monkeypatch):
     datasets, states = split_runs(3)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
-    batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
-    [alone] = train_runs([datasets[1]], cfg, [rng_at(states[1])])
+    batch = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
+    [alone] = train_runs_tracing_rmse(monkeypatch, [datasets[1]], cfg, [rng_at(states[1])])
     assert_same_run(batch[1], alone)
 
 
@@ -174,7 +179,7 @@ def test_forced_undo_matches(monkeypatch):
     )
     datasets, states = split_runs(3)
     cfg = PbpConfig(hidden_layer_sizes=(3, 3), epochs=2)
-    batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    batch = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
     for got, ds, state in zip(batch, datasets, states):
         want = reference_train(ds, cfg, rng_at(state))
         assert want[2].undo_events == cfg.epochs * len(ds)
@@ -190,10 +195,10 @@ def test_run_that_skips_an_example_leaves_the_others_untouched(monkeypatch):
     targets[4] = np.nan
     datasets[1] = Dataset(datasets[1].features, targets)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
-    batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    batch = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
     for got, ds, state in zip(batch, datasets, states):
         assert_same_run(got, reference_train(ds, cfg, rng_at(state)))
-    assert [report.examples_skipped for _, _, report in batch] == [0, 2, 0]
+    assert [report.examples_skipped for _, _, report, _ in batch] == [0, 2, 0]
 
 
 def test_run_whose_squared_residual_overflows_skips_the_example(monkeypatch):
@@ -205,20 +210,20 @@ def test_run_whose_squared_residual_overflows_skips_the_example(monkeypatch):
     targets[4] = 1e160
     datasets[1] = Dataset(datasets[1].features, targets)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
-    # Run 1's epoch RMSE overflows too, to inf.
+    # Run 1's training RMSE overflows too, to inf.
     with pytest.warns(RuntimeWarning, match="overflow"):
-        batch = train_runs(datasets, cfg, [rng_at(s) for s in states])
-    [alone] = train_runs([datasets[0]], cfg, [rng_at(states[0])])
+        batch = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
+    [alone] = train_runs_tracing_rmse(monkeypatch, [datasets[0]], cfg, [rng_at(states[0])])
     assert_same_run(batch[0], alone)
     assert batch[1][2].examples_skipped == cfg.epochs
-    assert batch[1][2].epoch_rmse == [np.inf] * cfg.epochs
+    assert batch[1][3] == [np.inf] * cfg.epochs
 
 
 def test_without_the_epoch_rmse_every_run_keeps_its_bits(monkeypatch):
-    # epoch_rmse=False drops the epoch-end rows pass and nothing else: the
-    # posteriors, Gammas, sites, counters and refreshes keep their bits, and
-    # run 1, whose 1e160 target the default pass squares to inf, raises no
-    # overflow warning.
+    # train_runs runs no training-RMSE pass, and tracing one moves no bit:
+    # the posteriors, Gammas, sites, counters and refreshes are those of the
+    # traced training, and run 1, whose 1e160 target the traced pass squares
+    # to inf, raises no overflow warning.
     monkeypatch.setattr(training, "MAX_SKIP_RATE", 1.0)
     datasets, states = split_runs(3)
     targets = datasets[1].targets.copy()
@@ -226,16 +231,13 @@ def test_without_the_epoch_rmse_every_run_keeps_its_bits(monkeypatch):
     datasets[1] = Dataset(datasets[1].features, targets)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=3)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        full = train_runs(datasets, cfg, [rng_at(s) for s in states])
+        traced = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bare = train_runs(datasets, cfg, [rng_at(s) for s in states], epoch_rmse=False)
-    for (net, sites, report), want in zip(bare, full, strict=True):
-        assert report.epoch_rmse == []
-        assert_same_run(
-            (net, sites, dataclasses.replace(report, epoch_rmse=want[2].epoch_rmse)), want
-        )
-        assert report.refreshes == want[2].refreshes
+        bare = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    for run, want in zip(bare, traced, strict=True):
+        assert_same_run((*run, want[3]), want)
+        assert run[2].refreshes == want[2].refreshes
     assert bare[1][2].examples_skipped == cfg.epochs
 
 

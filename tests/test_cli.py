@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import predict_alone, toy_cubic_dataset
+from conftest import predict_alone, toy_cubic_dataset, train_runs_tracing_rmse
 import pbp
 import pbp.forward as forward
 import pbp.kernel as kernel
@@ -522,7 +522,7 @@ class TestTrainingSetPasses:
 
     @pytest.mark.parametrize("epochs", [2, 0])
     def test_train_takes_the_training_rmse_once_before_saving(
-        self, toy_csv, tmp_path, capsys, passes, epochs
+        self, toy_csv, tmp_path, capsys, monkeypatch, passes, epochs
     ):
         assert main(["train", "--data", str(toy_csv), "--hidden", "4", "--epochs", str(epochs),
                      "--seed", "3", "--out", str(tmp_path / "m.json")]) == EXIT_OK
@@ -533,9 +533,11 @@ class TestTrainingSetPasses:
         rng = np.random.default_rng(3)
         train_set, _ = split(load_csv(toy_csv), 0.1, rng)
         config = PbpConfig(hidden_layer_sizes=(4,), epochs=epochs, seed=3)
-        _, _, report = train(normalize(train_set)[0], config, rng)
+        [(_, _, _, rmse)] = train_runs_tracing_rmse(
+            monkeypatch, [normalize(train_set)[0]], config, [rng]
+        )
         if epochs:
-            assert printed["final_train_rmse_normalized"] == repr(report.epoch_rmse[-1])
+            assert printed["final_train_rmse_normalized"] == repr(rmse[-1])
         else:
             assert "final_train_rmse_normalized" not in printed
 

@@ -673,11 +673,10 @@ def test_a_threads_buffers_serve_items_of_every_shape_in_a_pass(monkeypatch, blo
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "threaded"])
 def test_a_threads_buffers_fit_the_items_it_takes(monkeypatch, block, cpus):
     # A Wine-shaped training-set pass: 1,439 rows through 1 x 11-50-50-1,
-    # items of 512 and 927 rows at the default block. A thread binds its
-    # buffers for its first item and again, dropping the old ones first, for
-    # an item that does not fit them. Bound for the pass's largest item
-    # whichever they took, two threads peaked at 25.0 MB; now 19.4 MB, and
-    # 12.5 MB on one thread.
+    # items of 512 and 927 rows at the default block. A thread's capacity is
+    # the running maximum of the items it has taken, and its old buffers are
+    # dropped before new ones are bound: the peak stays under 14 MB on one
+    # thread and 22 MB on two.
     _force_cpus(monkeypatch, cpus)
     real, seen = kernel.RowsPass.__call__, []
 

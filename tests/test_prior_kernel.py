@@ -29,11 +29,12 @@ import pbp.updates as updates
 import reference_prior as ref
 from conftest import (
     epoch_by_phases, incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset,
+    train_runs_tracing_rmse,
 )
 from pbp.data import normalize, split
 from pbp.kernel import LOG_2PI
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
-from pbp.training import train, train_runs
+from pbp.training import train
 from pbp.updates import RefreshReport
 from reference_prior import Sites
 
@@ -463,13 +464,15 @@ def test_training_matches_the_reference_tail(monkeypatch, hidden):
         return out
 
     cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=3)
-    got = train_runs(datasets, cfg, rngs())
+    got = train_runs_tracing_rmse(monkeypatch, datasets, cfg, rngs())
     with monkeypatch.context() as m:
         reference_tail(m)
-        want = train_runs(datasets, cfg, rngs())
-    for (net, sites, report), (ref_net, ref_sites, ref_report) in zip(got, want, strict=True):
+        want = train_runs_tracing_rmse(m, datasets, cfg, rngs())
+    for (net, sites, report, rmse), (ref_net, ref_sites, ref_report, ref_rmse) in zip(
+        got, want, strict=True
+    ):
         assert state(net, sites) == state(ref_net, ref_sites)
-        assert _bits(report.epoch_rmse) == _bits(ref_report.epoch_rmse)
+        assert _bits(rmse) == _bits(ref_rmse)
         assert (report.undo_events, report.examples_skipped) == (
             ref_report.undo_events, ref_report.examples_skipped
         )

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import pbp.prediction as prediction
 import pbp.training as training
-from conftest import toy_cubic_dataset
+from conftest import toy_cubic_dataset, train_runs_tracing_rmse
 from pbp.data import normalize
 from pbp.posterior import NumericError, PbpConfig, PosteriorStack
 from pbp.training import SkipRateError, train, train_runs
@@ -13,6 +14,12 @@ def normalized_toy(n=20, seed=11):
     ds = toy_cubic_dataset(n, seed)
     norm, stats = normalize(ds)
     return norm, stats
+
+
+def traced_train(monkeypatch, norm, cfg, seed):
+    """The one run of train, as train_runs_tracing_rmse returns it: with its
+    training RMSE after every epoch."""
+    return train_runs_tracing_rmse(monkeypatch, [norm], cfg, [np.random.default_rng(seed)])
 
 
 class TestSchedule:
@@ -70,34 +77,37 @@ class TestSchedule:
         assert counts["refresh"] == 5
 
     @pytest.mark.parametrize(
-        "epoch_rmse, epoch_events",
+        "traced, epoch_events",
         [(True, ["example", "refresh", "rmse"]), (False, ["example", "refresh"])],
         ids=["epoch-rmse", "no-epoch-rmse"],
     )
     def test_refresh_follows_the_last_example_of_each_epoch(
-        self, monkeypatch, epoch_rmse, epoch_events
+        self, monkeypatch, traced, epoch_events
     ):
-        # Per epoch: every example once, in one call, then one EP refresh,
-        # then, with epoch_rmse, the epoch-RMSE pass on the refreshed
-        # posterior.
+        # Per epoch: every example once, in one call, then one EP refresh.
+        # train_runs runs no rows pass; a traced training RMSE is taken on
+        # the refreshed posterior.
         datasets = [normalized_toy(n=4, seed=s)[0] for s in (1, 2, 3)]
         events = []
 
-        def spy(name, real):
+        def spy(name, module, real):
             def record(*args):
                 events.append(name)
                 return real(*args)
 
-            monkeypatch.setattr(training, real.__name__, record)
+            monkeypatch.setattr(module, real.__name__, record)
 
-        spy("example", training.incorporate_likelihood_factors)
-        spy("refresh", training.ep_refresh_prior)
-        spy("rmse", training.forward_output_moments)
+        spy("example", training, training.incorporate_likelihood_factors)
+        spy("refresh", training, training.ep_refresh_prior)
+        spy("rmse", prediction, prediction.forward_output_moments)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=4)
         rngs = [np.random.default_rng(s) for s in (4, 5, 6)]
-        results = train_runs(datasets, cfg, rngs, epoch_rmse=epoch_rmse)
+        if traced:
+            results = train_runs_tracing_rmse(monkeypatch, datasets, cfg, rngs)
+        else:
+            results = train_runs(datasets, cfg, rngs)
         assert events == epoch_events * 3
-        assert all(len(report.refreshes) == 3 for _, _, report in results)
+        assert all(len(result[2].refreshes) == 3 for result in results)
 
     def test_each_run_keeps_its_own_refresh_outcomes(self, monkeypatch):
         norm, _ = normalized_toy(n=10)
@@ -131,30 +141,30 @@ class TestSchedule:
 
 
 class TestDeterminism:
-    def test_fixed_seed_reproduces_everything(self):
+    def test_fixed_seed_reproduces_everything(self, monkeypatch):
         norm, _ = normalized_toy()
         cfg = PbpConfig(hidden_layer_sizes=(10,), epochs=3, seed=7)
-        net_a, _, rep_a = train(norm, cfg, np.random.default_rng(7))
-        net_b, _, rep_b = train(norm, cfg, np.random.default_rng(7))
+        [(net_a, _, rep_a, rmse_a)] = traced_train(monkeypatch, norm, cfg, 7)
+        [(net_b, _, rep_b, rmse_b)] = traced_train(monkeypatch, norm, cfg, 7)
         for la, lb in zip(net_a.layers, net_b.layers):
             assert np.array_equal(la.means, lb.means)
             assert np.array_equal(la.variances, lb.variances)
         assert net_a.gamma == net_b.gamma
-        assert rep_a.epoch_rmse == rep_b.epoch_rmse
+        assert rmse_a == rmse_b
         assert rep_a.undo_events == rep_b.undo_events
 
 
 class TestProgress:
-    def test_toy_cubic_rmse_trend(self):
+    def test_toy_cubic_rmse_trend(self, monkeypatch):
         norm, _ = normalized_toy()
         cfg = PbpConfig(hidden_layer_sizes=(100,), epochs=40, seed=11)
-        _, _, report = train(norm, cfg, np.random.default_rng(11))
+        [(_, _, report, rmse)] = traced_train(monkeypatch, norm, cfg, 11)
         assert report.epochs_run == 40
         # Early-window average must comfortably exceed the late-window one.
-        early = np.mean(report.epoch_rmse[:5])
-        late = np.mean(report.epoch_rmse[-5:])
+        early = np.mean(rmse[:5])
+        late = np.mean(rmse[-5:])
         assert late < early
-        assert report.epoch_rmse[-1] < report.epoch_rmse[0]
+        assert rmse[-1] < rmse[0]
 
     def test_posterior_is_finite_and_positive_after_training(self):
         norm, _ = normalized_toy()
@@ -167,12 +177,12 @@ class TestProgress:
         assert net.gamma.shape > 1.0
         assert net.lam.shape > 1.0
 
-    def test_two_hidden_layer_training(self):
+    def test_two_hidden_layer_training(self, monkeypatch):
         norm, _ = normalized_toy(n=30)
         cfg = PbpConfig(hidden_layer_sizes=(8, 6), epochs=15, seed=6)
-        net, _, report = train(norm, cfg, np.random.default_rng(6))
+        [(net, _, _, rmse)] = traced_train(monkeypatch, norm, cfg, 6)
         assert [l.means.shape for l in net.layers] == [(8, 2), (6, 9), (1, 7)]
-        assert report.epoch_rmse[-1] < report.epoch_rmse[0]
+        assert rmse[-1] < rmse[0]
         for layer in net.layers:
             assert np.all(layer.variances > 0.0)
 
