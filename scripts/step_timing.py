@@ -32,10 +32,16 @@ training-RMSE rows pass over every run's training set at the end of each
 epoch and, on trees whose `train_runs` runs no such pass (TrainReport has no
 `epoch_rmse`), without it, the two alternated in each repeat. On those trees
 the pass is `prediction.training_rmse`, run where `check_variances` runs, as
-the trees that fill `epoch_rmse` run it. --json prints one JSON object
-instead of the tables.
+the trees that fill `epoch_rmse` run it.
+
+A fourth table times `run_active_experiments` at the yacht_active shape
+(ACTIVE): its repetitions of each policy in one call, as `pbp active
+--policy both` runs them, on a seeded Yacht-shaped data set: the median
+milliseconds per call over K repeats, and their range. --json prints one
+JSON object instead of the tables.
 """
 
+import inspect
 import json
 import os
 import statistics
@@ -75,6 +81,11 @@ TRAININGS = [
 TRAINING_EPOCHS = 2
 # the two modes of the train_runs table, and their JSON keys
 WITH, WITHOUT = "with_epoch_rmse", "without_epoch_rmse"
+# The active-learning experiment timed: yacht_active's `pbp active`, its
+# data set's rows and features, its hidden layer, epochs, repetitions per
+# policy and ActiveConfig.
+ACTIVE = dict(rows=308, features=6, hidden=(10,), epochs=4, repetitions=10,
+              initial_train=20, test_size=100, acquisitions=9)
 
 
 def fresh_stack(runs, sizes, seed):
@@ -89,8 +100,11 @@ def fresh_stack(runs, sizes, seed):
     stack = PosteriorStack.of([net] * runs)
     incorporate_all_prior_factors(stack)
     rng = np.random.default_rng(seed)
-    for r in range(runs):
-        perturb_means(stack.run(r), rng)
+    if "stack" in inspect.signature(perturb_means).parameters:
+        perturb_means(stack, [rng] * runs)
+    else:
+        for r in range(runs):
+            perturb_means(stack.run(r), rng)
     return stack
 
 
@@ -166,6 +180,10 @@ def timed_trainings(runs, sizes, n, seed, modes):
     config = PbpConfig(hidden_layer_sizes=tuple(sizes[1:-1]), epochs=TRAINING_EPOCHS, seed=seed)
     features = np.stack([ds.features for ds in datasets])
     targets = np.stack([ds.targets for ds in datasets])
+    # Trees whose train_runs takes the stack of training sets, and those
+    # that take the list.
+    stacked = "train" in inspect.signature(training.train_runs).parameters
+    train = Dataset(features, targets) if stacked else datasets
     check_variances = training.check_variances
 
     def check_and_pass(stack, labels, epoch):
@@ -181,11 +199,32 @@ def timed_trainings(runs, sizes, n, seed, modes):
         rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
         try:
             start = time.perf_counter()
-            training.train_runs(datasets, config, rngs)
+            training.train_runs(train, config, rngs)
             seconds[mode] = time.perf_counter() - start
         finally:
             training.check_variances = check_variances
     return seconds
+
+
+def timed_active(seed):
+    """Seconds of one run_active_experiments call at the ACTIVE shape, on a
+    data set drawn from seed; repetition r of either policy starts from
+    seed + r, as in `pbp active`."""
+    import numpy as np
+    from pbp.active import POLICIES, ActiveConfig, run_active_experiments
+    from pbp.data import Dataset
+    from pbp.posterior import PbpConfig
+
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(ACTIVE["rows"], ACTIVE["features"]))
+    dataset = Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.normal(size=ACTIVE["rows"]))
+    runs = [(policy, rep) for policy in POLICIES for rep in range(ACTIVE["repetitions"])]
+    config = PbpConfig(hidden_layer_sizes=ACTIVE["hidden"], epochs=ACTIVE["epochs"], seed=seed)
+    active_cfg = ActiveConfig(ACTIVE["initial_train"], ACTIVE["test_size"], ACTIVE["acquisitions"])
+    rngs = [np.random.default_rng(seed + rep) for _, rep in runs]
+    start = time.perf_counter()
+    run_active_experiments(dataset, [policy for policy, _ in runs], config, rngs, active_cfg)
+    return time.perf_counter() - start
 
 
 def runs_the_pass(training):
@@ -277,11 +316,26 @@ def main(argv):
                 for key in modes
             ]
             print(f"train_runs {name:>26}, {TRAINING_EPOCHS} epochs: " + ", ".join(cells), flush=True)
+    timed_active(0)
+    ms = [timed_active(k) * 1e3 for k in range(repeats)]
+    active = {
+        "experiment": f"{2 * ACTIVE['repetitions']} x "
+        f"{'-'.join(map(str, [ACTIVE['features'], *ACTIVE['hidden'], 1]))}, "
+        f"{ACTIVE['epochs']} epochs, {ACTIVE['acquisitions']} acquisitions",
+        "ms_per_call": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms),
+        "repeats": repeats,
+    }
+    if "json" not in options:
+        print(
+            f"run_active_experiments {active['experiment']}: {active['ms_per_call']:.1f} ms "
+            f"({active['ms_min']:.1f}-{active['ms_max']:.1f})",
+            flush=True,
+        )
     if "json" in options:
         print(json.dumps({
             "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
             "phase_counters": counters, "stacks": results, "rows_passes": rows_passes,
-            "trainings": trainings,
+            "trainings": trainings, "active": active,
         }))
     return 0
 

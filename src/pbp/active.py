@@ -8,12 +8,12 @@ constant. The random policy is the control arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, NormStats, normalize
-from .posterior import NetworkPosterior, PbpConfig, PosteriorStack
+from .posterior import PbpConfig
 from .prediction import predict_batch, test_metrics
 from .training import train_runs
 
@@ -47,12 +47,14 @@ class HiddenTargets:
 
 @dataclass
 class ActiveState:
-    """Bookkeeping for one active-learning repetition.
+    """What one active-learning repetition ends with.
 
-    The pool arrays are fixed; pool_remaining holds the indices still
-    unacquired, in their original order. Targets sit behind HiddenTargets so
-    the reveal log spans the entire run. test_rows and pool_rows are the
-    test and pool points' places in the data set, counted from 1.
+    train is the final training set, the initial points then the acquired
+    ones in order. The pool arrays are fixed; pool_remaining holds the
+    indices still unacquired, in their original order. Targets sit behind
+    HiddenTargets so the reveal log spans the entire run. test_rows and
+    pool_rows are the test and pool points' places in the data set, counted
+    from 1.
     """
 
     train: Dataset
@@ -63,7 +65,7 @@ class ActiveState:
     policy: str
     test_rows: np.ndarray
     pool_rows: np.ndarray
-    rmse_history: list[float] = field(default_factory=list)
+    rmse_history: list[float]
 
 
 def acquire_next(variances: np.ndarray) -> int:
@@ -75,53 +77,6 @@ def acquire_next(variances: np.ndarray) -> int:
     if variances.shape[0] == 0:
         raise ValueError("empty pool")
     return int(np.argmax(variances))
-
-
-def _initial_split(
-    dataset: Dataset, cfg: ActiveConfig, rng: np.random.Generator, policy: str
-) -> ActiveState:
-    n = len(dataset)
-    needed = cfg.initial_train + cfg.test_size + cfg.acquisitions
-    if n < needed:
-        raise ValueError(f"need at least {needed} rows, dataset has {n}")
-    perm = rng.permutation(n)
-    tr = perm[: cfg.initial_train]
-    te = perm[cfg.initial_train : cfg.initial_train + cfg.test_size]
-    pool = perm[cfg.initial_train + cfg.test_size :]
-    return ActiveState(
-        train=Dataset(dataset.features[tr], dataset.targets[tr], dataset.columns),
-        pool_features=dataset.features[pool],
-        pool_targets=HiddenTargets(dataset.targets[pool]),
-        pool_remaining=np.arange(pool.shape[0]),
-        test=Dataset(dataset.features[te], dataset.targets[te], dataset.columns),
-        policy=policy,
-        test_rows=te + 1,
-        pool_rows=pool + 1,
-    )
-
-
-def _fit(
-    states: list[ActiveState],
-    config: PbpConfig,
-    rngs: list[np.random.Generator],
-    labels: list[str],
-) -> tuple[list[NetworkPosterior], list[NormStats]]:
-    """Train every repetition on its training set and append its test RMSE to
-    its history, from one prediction of every test set; the posteriors and
-    their normalization statistics."""
-    normalized = [normalize(state.train) for state in states]
-    runs = train_runs([train_norm for train_norm, _ in normalized], config, rngs, labels)
-    nets, norms = [net for net, _, _ in runs], [stats for _, stats in normalized]
-    rmses, _ = test_metrics(
-        PosteriorStack.of(nets),
-        norms,
-        [state.test for state in states],
-        [f"{label}, test set" for label in labels],
-        np.stack([state.test_rows for state in states]),
-    )
-    for state, value in zip(states, rmses.tolist()):
-        state.rmse_history.append(value)
-    return nets, norms
 
 
 def run_active_experiments(
@@ -137,16 +92,18 @@ def run_active_experiments(
 
     Each repetition splits the data, trains from scratch, then acquires a
     point and retrains, acquisitions times. Test RMSE is recorded after each
-    training, giving acquisitions+1 evaluations. Each step predicts twice:
-    every repetition's test set in one pass, the active ones' pools in another.
-    A split depends only on its rng's state at entry, so active and random
-    arms started from the same seed share it.
+    training, giving acquisitions+1 evaluations. A split depends only on its
+    rng's state at entry, so active and random arms started from the same
+    seed share it.
 
     Every repetition, of either policy, has the same training-set size at each
-    step, so each step's trainings run in lockstep; each repetition's results
-    are those of running it alone. labels name the repetitions in a
-    SkipRateError and a non-finite prediction (default "run <r>"), which also
-    names its pass, "test set" or "pool", and its row of the data set.
+    step, so the repetitions run as one stack: each step normalizes every
+    training set in one call, trains them in lockstep (train_runs) and
+    predicts twice, every repetition's test set in one pass and the active
+    ones' pools in another. Each repetition's results are those of running it
+    alone. labels name the repetitions in a SkipRateError and a non-finite
+    prediction (default "run <r>"), which also names its pass, "test set" or
+    "pool", and its row of the data set.
     """
     if len(policies) != len(rngs):
         raise ValueError(f"{len(policies)} policies for {len(rngs)} rngs")
@@ -155,35 +112,71 @@ def run_active_experiments(
             raise ValueError(f"unknown policy {policy!r}")
     cfg = active_cfg or ActiveConfig()
     labels = labels or [f"run {r}" for r in range(len(rngs))]
-    states = [_initial_split(dataset, cfg, rng, p) for rng, p in zip(rngs, policies)]
+    n = len(dataset)
+    needed = cfg.initial_train + cfg.test_size + cfg.acquisitions
+    if n < needed:
+        raise ValueError(f"need at least {needed} rows, dataset has {n}")
 
-    active = [r for r, state in enumerate(states) if state.policy == "active"]
-    nets, norms = _fit(states, config, rngs, labels)
-    for _step in range(cfg.acquisitions):
-        picks = {}
-        if active:
-            # Every repetition has as many pool points left as the others.
+    # Each repetition's split, one permutation of its rng: its first
+    # initial_train rows train, the next test_size rows test, the rest pool.
+    runs, first = len(rngs), cfg.initial_train
+    perms = np.stack([rng.permutation(n) for rng in rngs])
+    tr, te, pool = np.split(perms, [first, first + cfg.test_size], axis=1)
+    # The training sets, (R, initial_train + acquisitions, d): step k trains
+    # on the first initial_train + k rows of each.
+    train_x = np.empty((runs, first + cfg.acquisitions, dataset.features.shape[1]))
+    train_y = np.empty((runs, first + cfg.acquisitions))
+    train_x[:, :first], train_y[:, :first] = dataset.features[tr], dataset.targets[tr]
+    test = Dataset(dataset.features[te], dataset.targets[te], dataset.columns)
+    pool_x = dataset.features[pool]
+    hidden = [HiddenTargets(dataset.targets[row]) for row in pool]
+    # Each repetition's unacquired pool points, in their original order.
+    remaining = np.tile(np.arange(pool.shape[1]), (runs, 1))
+    active = np.array([r for r, policy in enumerate(policies) if policy == "active"], dtype=int)
+    test_labels = [f"{label}, test set" for label in labels]
+    pool_labels = [f"{labels[r]}, pool" for r in active]
+
+    history = np.empty((runs, cfg.acquisitions + 1))
+    for step in range(cfg.acquisitions + 1):
+        size = first + step
+        train_norm, norm = normalize(Dataset(train_x[:, :size], train_y[:, :size], dataset.columns))
+        stack, _, _ = train_runs(train_norm, config, rngs, labels)
+        rmses, _ = test_metrics(stack, norm, test, test_labels, te + 1)
+        history[:, step] = rmses
+        if step == cfg.acquisitions:
+            break
+        pick = np.array([
+            0 if policy == "active" else int(rng.integers(remaining.shape[1]))
+            for policy, rng in zip(policies, rngs)
+        ])
+        if active.size:
+            left = remaining[active]
             _, variances = predict_batch(
-                PosteriorStack.of([nets[r] for r in active]),
-                [norms[r] for r in active],
-                np.stack([states[r].pool_features[states[r].pool_remaining] for r in active]),
-                [f"{labels[r]}, pool" for r in active],
-                np.stack([states[r].pool_rows[states[r].pool_remaining] for r in active]),
+                stack.take(active),
+                NormStats(
+                    norm.feature_mean[active], norm.feature_std[active],
+                    norm.target_mean[active], norm.target_std[active],
+                ),
+                pool_x[active[:, None], left],
+                pool_labels,
+                pool[active[:, None], left] + 1,
             )
-            picks = {r: acquire_next(row) for r, row in zip(active, variances)}
-        for r, (state, rng) in enumerate(zip(states, rngs)):
-            remaining = state.pool_remaining
-            pick = picks[r] if r in picks else int(rng.integers(remaining.shape[0]))
-            original = int(remaining[pick])
-            x_new = state.pool_features[original]
-            y_new = state.pool_targets.reveal(original)
-
-            state.train = Dataset(
-                np.vstack([state.train.features, x_new[None, :]]),
-                np.append(state.train.targets, y_new),
-                state.train.columns,
-            )
-            state.pool_remaining = np.delete(remaining, pick)
-
-        nets, norms = _fit(states, config, rngs, labels)
-    return states
+            pick[active] = [acquire_next(row) for row in variances]
+        originals = remaining[np.arange(runs), pick]
+        train_x[:, size] = pool_x[np.arange(runs), originals]
+        train_y[:, size] = [targets.reveal(int(o)) for targets, o in zip(hidden, originals)]
+        remaining = remaining[np.arange(remaining.shape[1]) != pick[:, None]].reshape(runs, -1)
+    return [
+        ActiveState(
+            train=Dataset(train_x[r], train_y[r], dataset.columns),
+            pool_features=pool_x[r],
+            pool_targets=hidden[r],
+            pool_remaining=remaining[r],
+            test=Dataset(test.features[r], test.targets[r], dataset.columns),
+            policy=policies[r],
+            test_rows=te[r] + 1,
+            pool_rows=pool[r] + 1,
+            rmse_history=history[r].tolist(),
+        )
+        for r in range(runs)
+    ]

@@ -177,7 +177,7 @@ def cmd_train(args) -> int:
     if train_rmse is not None:
         print(f"final_train_rmse_normalized: {_fmt(train_rmse)}")
     if len(test_set):
-        [test_rmse], [test_ll] = test_metrics(stack, [stats], [test_set])
+        [test_rmse], [test_ll] = test_metrics(stack, stats, dio.Dataset.of([test_set]))
         print(f"test_rmse: {_fmt(test_rmse)}")
         print(f"test_log_likelihood: {_fmt(test_ll)}")
     return EXIT_OK
@@ -191,7 +191,7 @@ def cmd_predict(args) -> int:
         raise dio.DataError(
             f"{args.data}: {features.shape[1]} feature columns, model expects {expected}"
         )
-    [means], [variances] = predict_batch(PosteriorStack.of([model.net]), [model.norm], features[None])
+    [means], [variances] = predict_batch(PosteriorStack.of([model.net]), model.norm, features[None])
     with _output(args.out) as fh:
         fh.write(_prediction_csv(means, variances))
     return EXIT_OK
@@ -202,18 +202,13 @@ def cmd_benchmark(args) -> int:
     config = _pbp_config(args)
     # Split i draws its split and its training from seed + i; all splits
     # train in lockstep as one batch.
-    rngs, train_sets, norms, test_sets = [], [], [], []
-    for i in range(args.splits):
-        rng = np.random.default_rng(config.seed + i)
-        train_set, test_set = dio.split(dataset, args.test_fraction, rng)
-        train_norm, stats = dio.normalize(train_set)
-        rngs.append(rng)
-        train_sets.append(train_norm)
-        norms.append(stats)
-        test_sets.append(test_set)
+    rngs = [np.random.default_rng(config.seed + i) for i in range(args.splits)]
+    splits = [dio.split(dataset, args.test_fraction, rng) for rng in rngs]
+    train_set, test_set = (dio.Dataset.of(sets) for sets in zip(*splits))
+    train_norm, norm = dio.normalize(train_set)
     labels = [f"split {i}" for i in range(args.splits)]
-    runs = train_runs(train_sets, config, rngs, labels)
-    rmses, lls = test_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets, labels)
+    stack, _, _ = train_runs(train_norm, config, rngs, labels)
+    rmses, lls = test_metrics(stack, norm, test_set, labels)
 
     s = args.splits
     rows = [

@@ -38,14 +38,26 @@ class DataError(Exception):
 
 @dataclass
 class Dataset:
-    """Feature matrix plus target vector; column names kept when available."""
+    """Feature matrix plus target vector; column names kept when available.
+
+    A stack of R data sets of n rows each, one per run, holds (R, n, d)
+    features and (R, n) targets; its length is n.
+    """
 
     features: np.ndarray
     targets: np.ndarray
     columns: list[str] | None = None
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.targets.shape[-1]
+
+    @classmethod
+    def of(cls, datasets: list[Dataset]) -> Dataset:
+        """Stack copies of data sets of equal sizes, with the first's columns."""
+        return cls(
+            np.stack([ds.features for ds in datasets]), np.stack([ds.targets for ds in datasets]),
+            datasets[0].columns,
+        )
 
 
 @dataclass
@@ -53,21 +65,26 @@ class NormStats:
     """Training-set normalization statistics (population standard deviations).
 
     Constant columns get a standard deviation of 1, which maps them to all
-    zeros instead of dividing by zero.
+    zeros instead of dividing by zero. The statistics of a stack of runs
+    carry a leading runs axis: (R, d) feature means and standard deviations,
+    (R,) target means and standard deviations; a lone run's target statistics
+    are floats.
     """
 
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    target_mean: float
-    target_std: float
+    target_mean: float | np.ndarray
+    target_std: float | np.ndarray
 
     def apply_features(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.feature_mean) / self.feature_std
+        """Rows x, (n, d), or (R, n, d) for the statistics of R runs."""
+        return (x - self.feature_mean[..., None, :]) / self.feature_std[..., None, :]
 
     def apply(self, dataset: Dataset) -> Dataset:
         return Dataset(
             features=self.apply_features(dataset.features),
-            targets=(dataset.targets - self.target_mean) / self.target_std,
+            targets=(dataset.targets - np.expand_dims(self.target_mean, -1))
+            / np.expand_dims(self.target_std, -1),
             columns=dataset.columns,
         )
 
@@ -217,27 +234,40 @@ def normalize(train: Dataset) -> tuple[Dataset, NormStats]:
     not finite (values so large that the sums overflow), and when the
     targets' standard deviation underflows to 0 although they differ (values
     so small that their squares do).
+
+    A stack of training sets gets each run's statistics, and normalized set,
+    with the bits of normalizing that run alone; the DataError raised is the
+    one the first failing run raises alone.
     """
+    lone = train.targets.ndim == 1
+    x = train.features[None] if lone else train.features
+    y = train.targets[None] if lone else train.targets
     with np.errstate(over="ignore", invalid="ignore"):
-        f_mean = train.features.mean(axis=0)
-        f_std = train.features.std(axis=0)  # population formula
-        t_mean = float(train.targets.mean())
-        t_std = float(train.targets.std())
-    _require_finite_stats(train.columns, f_mean, f_std, t_mean, t_std)
+        f_mean = x.mean(axis=1)
+        f_std = x.std(axis=1)  # population formula
+        t_mean = y.mean(axis=1)
+        t_std = y.std(axis=1)
+    finite = np.isfinite(f_mean) & np.isfinite(f_std)
+    underflow = (t_std <= 0.0) & (y != y[:, :1]).any(axis=1)
+    failing = ~finite.all(axis=1) | ~(np.isfinite(t_mean) & np.isfinite(t_std)) | underflow
+    if failing.any():
+        r = int(np.argmax(failing))
+        _require_finite_stats(train.columns, f_mean[r], f_std[r], float(t_mean[r]), float(t_std[r]))
+        what = f"target column {train.columns[-1]!r}" if train.columns else "target column"
+        raise DataError(
+            f"{what}: the values differ but their standard deviation underflows to 0; "
+            "the values are too small to normalize"
+        )
     # Constant columns (up to float summation noise): pin the mean to the
     # first row so they normalize to exactly zero, and divide by 1.
     constant = f_std <= np.maximum(np.abs(f_mean), 1.0) * 1e-13
-    f_mean = np.where(constant, train.features[0], f_mean)
+    f_mean = np.where(constant, x[:, 0], f_mean)
     f_std = np.where(constant, 1.0, f_std)
-    if t_std <= 0.0:
-        if (train.targets != train.targets[0]).any():
-            what = f"target column {train.columns[-1]!r}" if train.columns else "target column"
-            raise DataError(
-                f"{what}: the values differ but their standard deviation underflows to 0; "
-                "the values are too small to normalize"
-            )
-        t_std = 1.0
-    stats = NormStats(f_mean, f_std, t_mean, t_std)
+    t_std = np.where(t_std <= 0.0, 1.0, t_std)
+    if lone:
+        stats = NormStats(f_mean[0], f_std[0], float(t_mean[0]), float(t_std[0]))
+    else:
+        stats = NormStats(f_mean, f_std, t_mean, t_std)
     return stats.apply(train), stats
 
 
@@ -313,8 +343,7 @@ def save_model(model, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def load_model(path):

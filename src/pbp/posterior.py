@@ -117,6 +117,13 @@ class PosteriorStack:
         )
         return cls(means, variances, gamma, lam, list(nets[0].layer_sizes))
 
+    def take(self, runs: np.ndarray) -> PosteriorStack:
+        """A stack of copies of the given runs, in that order."""
+        return PosteriorStack(
+            self.means[runs], self.variances[runs], self.gamma[:, runs], self.lam[:, runs],
+            self.layer_sizes,
+        )
+
     def n_weights(self) -> int:
         """Weights per run."""
         return self.means.shape[-1]
@@ -207,14 +214,18 @@ def new_uniform(layer_sizes: list[int]) -> NetworkPosterior:
     )
 
 
-def perturb_means(net: NetworkPosterior, rng: np.random.Generator) -> NetworkPosterior:
-    """Replace every weight mean with a draw from N(0, 1/(V_l + 1)).
+def perturb_means(stack: PosteriorStack, rngs: list[np.random.Generator]) -> None:
+    """Replace every weight mean of run r of a stack with a draw from
+    N(0, 1/(V_l + 1)), from rngs[r], in place.
 
     V_l is the layer's output-unit count (row count). Variances are untouched.
     Breaks the symmetry between hidden units before the first data pass; call
-    once, right after the prior factors have been incorporated.
+    once, right after the prior factors have been incorporated. Each run
+    draws its weights in PosteriorStack order, layer after layer, as a lone
+    run does.
     """
-    for layer in net.layers:
-        std = math.sqrt(1.0 / (layer.rows + 1))
-        layer.means[...] = rng.standard_normal(layer.means.shape) * std
-    return net
+    std = np.concatenate([
+        np.full(layer.means[0].size, math.sqrt(1.0 / (layer.rows + 1))) for layer in stack.layers
+    ])
+    for r, rng in enumerate(rngs):
+        stack.means[r] = rng.standard_normal(std.shape[0]) * std

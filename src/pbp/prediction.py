@@ -34,14 +34,15 @@ def noise_floor(stack: PosteriorStack) -> np.ndarray:
 
 def predict_batch(
     stack: PosteriorStack,
-    norms: list[NormStats],
+    norm: NormStats,
     X_raw: np.ndarray,
     labels: list[str] | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Predictive means and variances in original target units, shape (R, n):
     run r's for its n rows of raw inputs X_raw[r], X_raw of shape (R, n, d),
-    normalized with norms[r].
+    normalized with run r's statistics of norm, those of a stack of R runs
+    (see normalize), or one run's for every run.
 
     Raises NumericError naming the first row whose mean or variance is not
     finite (inputs or weights too large for the arithmetic), and its run by
@@ -49,22 +50,22 @@ def predict_batch(
     one goes unnamed. Run r's row i is "data row rows[r, i]" where rows, (R,
     n), gives the rows' places in their data set, else "input row i + 1".
     """
+    runs = stack.means.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        X_raw = np.asarray(X_raw, dtype=float)
-        X = np.stack([norm.apply_features(x) for norm, x in zip(norms, X_raw, strict=True)])
+        X = norm.apply_features(np.asarray(X_raw, dtype=float))
         mz, vz = forward_output_moments(stack, X)
         # Each run's scalars as a lone run computes them: target_std ** 2 is
         # a Python float power, which need not round as numpy's square does.
-        std = np.array([[norm.target_std] for norm in norms])
-        mean = np.array([[norm.target_mean] for norm in norms])
-        std_sq = np.array([[norm.target_std**2] for norm in norms])
+        std = np.reshape(norm.target_std, (-1, 1))
+        mean = np.reshape(norm.target_mean, (-1, 1))
+        std_sq = np.array([[s**2] for s in std[:, 0].tolist()])
         means = mz * std + mean
         variances = (noise_floor(stack)[:, None] + vz) * std_sq
     bad = ~(np.isfinite(means) & np.isfinite(variances))
     if bad.any():
         r, i = np.unravel_index(np.argmax(bad), bad.shape)
-        if labels is None and len(norms) > 1:
-            labels = [f"run {k}" for k in range(len(norms))]
+        if labels is None and runs > 1:
+            labels = [f"run {k}" for k in range(runs)]
         row = f"input row {i + 1}" if rows is None else f"data row {rows[r, i]}"
         row = row if labels is None else f"{labels[r]}, {row}"
         raise NumericError(
@@ -76,23 +77,21 @@ def predict_batch(
 
 def test_metrics(
     stack: PosteriorStack,
-    norms: list[NormStats],
-    tests: list[Dataset],
+    norm: NormStats,
+    test: Dataset,
     labels: list[str] | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each run's test RMSE of the predictive means and average log-density
     of the true targets under the predictive Gaussians, original units, both
-    (R,) from one prediction: run r's on its test set tests[r], normalized
-    with norms[r]. The test sets must have equal sizes; labels and rows name
-    the runs and rows as in predict_batch."""
-    if any(len(test) == 0 for test in tests):
+    (R,) from one prediction: run r's on its test set, of the stack of test
+    sets test ((R, n, d) features, (R, n) targets), normalized as in
+    predict_batch. labels and rows name the runs and rows as there."""
+    if len(test) == 0:
         raise ValueError("empty test set")
-    X_raw = np.stack([test.features for test in tests])
-    means, variances = predict_batch(stack, norms, X_raw, labels, rows)
-    targets = np.stack([test.targets for test in tests])
-    logp = -0.5 * (LOG_2PI + np.log(variances) + (targets - means) ** 2 / variances)
-    return rmse(means, targets), np.mean(logp, axis=-1)
+    means, variances = predict_batch(stack, norm, test.features, labels, rows)
+    logp = -0.5 * (LOG_2PI + np.log(variances) + (test.targets - means) ** 2 / variances)
+    return rmse(means, test.targets), np.mean(logp, axis=-1)
 
 
 def training_rmse(

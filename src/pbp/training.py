@@ -92,36 +92,42 @@ def train(
     (prediction.training_rmse). Returns the posterior, its (4, W) prior
     sites (see incorporate_all_prior_factors) and the report.
     """
-    [(net, sites, report)] = train_runs([dataset], config, [rng])
-    return net, sites, report
+    stack, sites, [report] = train_runs(Dataset.of([dataset]), config, [rng])
+    return stack.run(0), sites[:, 0], report
 
 
 def train_runs(
-    datasets: list[Dataset],
+    train: Dataset,
     config: PbpConfig,
     rngs: list[np.random.Generator],
     labels: list[str] | None = None,
-) -> list[tuple[NetworkPosterior, np.ndarray, TrainReport]]:
-    """Train one posterior per dataset, all in lockstep; see `train`.
+) -> tuple[PosteriorStack, np.ndarray, list[TrainReport]]:
+    """Train one posterior per run of a stack of normalized training sets,
+    (R, n, d) features and (R, n) targets, all in lockstep; see `train`.
+    Returns the trained stack, its (4, R, W) prior sites and each run's
+    report.
 
-    The datasets must have equal sizes. Run r draws only from rngs[r], in the
-    order a lone run would: the mean perturbation, then one permutation per
-    epoch. labels name the runs (default "run <r>") in a SkipRateError, in
-    the NumericError of check_variances, which runs at the end of every
-    epoch, and in front of an error of the kernel that names its run.
+    Run r draws only from rngs[r], in the order a lone run would: the mean
+    perturbation, then one permutation per epoch. labels name the runs
+    (default "run <r>") in a SkipRateError, in the NumericError of
+    check_variances, which runs at the end of every epoch, and in front of
+    an error of the kernel that names its run.
     """
     start = time.perf_counter()
-    n = len(datasets[0].targets)
+    features, targets = train.features, train.targets
+    if features.ndim != 3 or targets.shape != features.shape[:2]:
+        raise ValueError(
+            f"features of shape {features.shape} and targets of shape {targets.shape} are not "
+            "runs of equal training-set sizes, (R, n, d) and (R, n)"
+        )
+    runs, n = targets.shape
     if n == 0:
         raise ValueError("empty training set")
-    if any(len(ds.targets) != n for ds in datasets):
-        raise ValueError("runs trained together need equal training-set sizes")
-    runs = len(datasets)
     if len(rngs) != runs:
         raise ValueError(f"{len(rngs)} rngs for {runs} runs")
     labels = labels or [f"run {r}" for r in range(runs)]
 
-    layer_sizes = [datasets[0].features.shape[1], *config.hidden_layer_sizes, 1]
+    layer_sizes = [features.shape[-1], *config.hidden_layer_sizes, 1]
     net = new_uniform(layer_sizes)
     # Hyperprior factors match the posterior family; absorbing them is exact.
     net.gamma = GammaDist(*HYPERPRIOR)
@@ -130,14 +136,11 @@ def train_runs(
     reports = [TrainReport() for _ in range(runs)]
     undo = np.zeros(runs, dtype=int)
     updates = np.zeros(runs, dtype=int)
-    features = np.stack([ds.features for ds in datasets])
-    targets = np.stack([ds.targets for ds in datasets])
     run_index = np.arange(runs)[:, None]
 
     with _naming_the_run(labels):
         sites = incorporate_all_prior_factors(stack)
-        for r, rng in enumerate(rngs):
-            perturb_means(stack.run(r), rng)
+        perturb_means(stack, rngs)
 
         for epoch in range(1, config.epochs + 1):
             order = np.stack([rng.permutation(n) for rng in rngs])
@@ -163,10 +166,8 @@ def train_runs(
                     )
 
     seconds = time.perf_counter() - start
-    results = []
     for r, report in enumerate(reports):
         report.undo_events = int(undo[r])
         report.weight_updates = int(updates[r])
         report.seconds = seconds
-        results.append((stack.run(r), sites[:, r], report))
-    return results
+    return stack, sites, reports

@@ -78,28 +78,34 @@ def output_moments(net, x):
 def predict_alone(net, norm, X_raw):
     """predict_batch of raw rows X_raw, shape (n, d), through a stack of one
     copy of net normalized with norm: (n,) means and variances."""
-    means, variances = predict_batch(PosteriorStack.of([net]), [norm], np.asarray(X_raw, dtype=float)[None])
+    means, variances = predict_batch(PosteriorStack.of([net]), norm, np.asarray(X_raw, dtype=float)[None])
     return means[0], variances[0]
 
 
+def each_run(trained):
+    """Each run's (posterior, sites, report) of what train_runs returns."""
+    stack, sites, reports = trained
+    return [(stack.run(r), sites[:, r], report) for r, report in enumerate(reports)]
+
+
 def train_runs_tracing_rmse(monkeypatch, datasets, config, rngs, labels=None):
-    """train_runs, each run's result with its training RMSE after every epoch
-    appended: (posterior, sites, report, [rmse per epoch]). The RMSE is
-    training_rmse of the refreshed posterior, taken where check_variances
-    runs at the end of each epoch; the pass moves no bit of training."""
-    features = np.stack([ds.features for ds in datasets])
-    targets = np.stack([ds.targets for ds in datasets])
+    """train_runs of the stack of datasets, each run's result with its
+    training RMSE after every epoch appended: (posterior, sites, report,
+    [rmse per epoch]). The RMSE is training_rmse of the refreshed posterior,
+    taken where check_variances runs at the end of each epoch; the pass
+    moves no bit of training."""
+    train = Dataset.of(datasets)
     traces = [[] for _ in datasets]
     check_variances = training.check_variances
 
     def check_and_trace(stack, run_labels, epoch):
         check_variances(stack, run_labels, epoch)
-        for trace, rmse in zip(traces, training_rmse(stack, features, targets).tolist()):
+        for trace, rmse in zip(traces, training_rmse(stack, train.features, train.targets).tolist()):
             trace.append(rmse)
 
     with monkeypatch.context() as m:
         m.setattr(training, "check_variances", check_and_trace)
-        results = training.train_runs(datasets, config, rngs, labels)
+        results = each_run(training.train_runs(train, config, rngs, labels))
     return [(*result, trace) for result, trace in zip(results, traces, strict=True)]
 
 

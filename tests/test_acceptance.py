@@ -29,7 +29,7 @@ from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
 from pbp.data import Dataset, load_csv, normalize, split
 from pbp.forward import MomentVector
-from pbp.posterior import GammaDist, PbpConfig, PosteriorStack
+from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train, train_runs
 from reference_prior import _gamma_moments, gaussian_refine
@@ -170,25 +170,20 @@ def run_benchmark(dataset, splits=SPLITS, **config):
     results per split."""
     config = PbpConfig(**{**BENCH_CONFIG, **config})
     rngs = [np.random.default_rng(BASE_SEED + s) for s in range(splits)]
-    train_sets, norms, test_sets = [], [], []
-    for rng in rngs:
-        train_set, test_set = split(dataset, 0.1, rng)
-        train_norm, stats = normalize(train_set)
-        train_sets.append(train_norm)
-        norms.append(stats)
-        test_sets.append(test_set)
-    runs = train_runs(train_sets, config, rngs)
-    rmses, lls = stacked_metrics(PosteriorStack.of([net for net, _, _ in runs]), norms, test_sets)
+    train_sets, test_sets = zip(*(split(dataset, 0.1, rng) for rng in rngs))
+    train_norm, norm = normalize(Dataset.of(train_sets))
+    stack, _, reports = train_runs(train_norm, config, rngs)
+    rmses, lls = stacked_metrics(stack, norm, Dataset.of(test_sets))
     results = []
-    for (net, _, report), rmse, ll in zip(runs, rmses, lls):
-        negative = sum(int((l.variances <= 0).sum()) for l in net.layers)
+    for r, (report, rmse, ll) in enumerate(zip(reports, rmses, lls)):
+        negative = sum(int((l.variances <= 0).sum()) for l in stack.run(r).layers)
         results.append((
             rmse,
             ll,
             report.undo_events,
             report.weight_updates,
             report.examples_skipped,
-            report.epochs_run * len(train_sets[0]),
+            report.epochs_run * len(train_norm),
             negative,
         ))
     return np.array(results)

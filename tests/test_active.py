@@ -4,8 +4,9 @@ import pytest
 from conftest import identity_stats, predict_alone, random_net, toy_cubic_dataset
 from pbp.active import ActiveConfig, acquire_next, run_active_experiments
 from pbp.data import Dataset, normalize
-from pbp.posterior import PbpConfig
+from pbp.posterior import PbpConfig, PosteriorStack
 from pbp.prediction import TrainedModel
+from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train
 
 
@@ -30,6 +31,47 @@ def run_active_experiment(dataset, policy, config, rng, active_cfg):
 
 SMALL = PbpConfig(hidden_layer_sizes=(5,), epochs=5, seed=0)
 KNOBS = ActiveConfig(initial_train=8, test_size=10, acquisitions=4)
+
+
+def step_by_step(dataset, policy, config, rng, cfg):
+    """One repetition through the one-run API, a step at a time: normalize
+    and train its training set, evaluate its test set, acquire from its
+    pool, append the point. Its (rmse history, reveal log, final training
+    set, remaining pool)."""
+    perm = rng.permutation(len(dataset))
+    first, pool_start = cfg.initial_train, cfg.initial_train + cfg.test_size
+    tr, te, pool = perm[:first], perm[first:pool_start], perm[pool_start:]
+    train_set = Dataset(dataset.features[tr], dataset.targets[tr])
+    test_set = Dataset(dataset.features[te][None], dataset.targets[te][None])
+    remaining, reveals, history = np.arange(pool.size), [], []
+    for step in range(cfg.acquisitions + 1):
+        train_norm, stats = normalize(train_set)
+        net, _, _ = train(train_norm, config, rng)
+        [rmse], _ = stacked_metrics(PosteriorStack.of([net]), stats, test_set)
+        history.append(float(rmse))
+        if step == cfg.acquisitions:
+            break
+        if policy == "active":
+            pick = acquire_next(predict_alone(net, stats, dataset.features[pool[remaining]])[1])
+        else:
+            pick = int(rng.integers(remaining.size))
+        reveals.append(int(remaining[pick]))
+        row = pool[remaining[pick]]
+        train_set = Dataset(
+            np.vstack([train_set.features, dataset.features[row][None]]),
+            np.append(train_set.targets, dataset.targets[row]),
+        )
+        remaining = np.delete(remaining, pick)
+    return history, reveals, train_set, remaining
+
+
+def assert_same_repetition(state, history, reveals, train_set, remaining):
+    assert np.array(state.rmse_history).tobytes() == np.array(history).tobytes()
+    assert state.pool_targets.reveal_log == reveals
+    assert state.train.features.tobytes() == train_set.features.tobytes()
+    assert state.train.targets.tobytes() == train_set.targets.tobytes()
+    assert state.pool_remaining.dtype == remaining.dtype
+    assert state.pool_remaining.tobytes() == remaining.tobytes()
 
 
 class TestAcquireNext:
@@ -122,6 +164,28 @@ class TestRunActiveExperiment:
             match = np.where((ds.features == row).all(axis=1))[0]
             assert match.size == 1
             assert ds.targets[match[0]] == target
+
+    @pytest.mark.parametrize("policy", ["active", "random"])
+    def test_a_repetition_is_the_step_by_step_loop(self, policy):
+        ds = self._dataset()
+        state = run_active_experiment(ds, policy, SMALL, np.random.default_rng(6), KNOBS)
+        want = step_by_step(ds, policy, SMALL, np.random.default_rng(6), KNOBS)
+        assert_same_repetition(state, *want)
+
+    def test_each_repetition_of_a_batch_is_the_repetition_alone(self):
+        # Two repetitions per policy, the first two sharing a seed and so a
+        # split: every one ends as it does run alone, bit for bit.
+        ds = self._dataset()
+        policies, seeds = ["active", "random", "active", "random"], [3, 3, 4, 5]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        batch = run_active_experiments(ds, policies, SMALL, rngs, KNOBS)
+        for state, policy, seed in zip(batch, policies, seeds, strict=True):
+            alone = run_active_experiment(ds, policy, SMALL, np.random.default_rng(seed), KNOBS)
+            assert state.policy == policy
+            assert_same_repetition(
+                state, alone.rmse_history, alone.pool_targets.reveal_log, alone.train,
+                alone.pool_remaining,
+            )
 
     def test_insufficient_data_rejected(self):
         with pytest.raises(ValueError):

@@ -20,15 +20,15 @@ import conftest
 import pbp.training as training
 import reference_update
 from conftest import (
-    epoch_by_phases, one_step, random_net, relu_moments, step_by_phases, toy_cubic_dataset,
-    train_runs_tracing_rmse,
+    each_run, epoch_by_phases, one_step, random_net, relu_moments, step_by_phases,
+    toy_cubic_dataset, train_runs_tracing_rmse,
 )
 from pbp.data import Dataset, normalize, split
 from pbp.forward import MomentVector
 from reference_forward import forward_output_moments_batch
 from reference_update import GradientStore, incorporate_likelihood_factor
 from pbp.posterior import (
-    HYPERPRIOR, GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform, perturb_means,
+    HYPERPRIOR, GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform,
 )
 from pbp.training import SkipRateError, TrainReport, train, train_runs
 from pbp.updates import incorporate_likelihood_factors
@@ -47,7 +47,10 @@ def reference_train(dataset, config, rng):
 
     sites = Sites.zeros(net)
     incorporate_all_prior_factors(net, sites)
-    perturb_means(net, rng)
+    # The mean perturbation as a lone network draws it: each layer's
+    # (rows, cols) means in turn.
+    for layer in net.layers:
+        layer.means[...] = rng.standard_normal(layer.means.shape) * math.sqrt(1.0 / (layer.rows + 1))
 
     report, rmse = TrainReport(), []
     for _epoch in range(config.epochs):
@@ -234,7 +237,7 @@ def test_without_the_epoch_rmse_every_run_keeps_its_bits(monkeypatch):
         traced = train_runs_tracing_rmse(monkeypatch, datasets, cfg, [rng_at(s) for s in states])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bare = train_runs(datasets, cfg, [rng_at(s) for s in states])
+        bare = each_run(train_runs(Dataset.of(datasets), cfg, [rng_at(s) for s in states]))
     for run, want in zip(bare, traced, strict=True):
         assert_same_run((*run, want[3]), want)
         assert run[2].refreshes == want[2].refreshes
@@ -249,15 +252,17 @@ def test_skip_rate_error_names_the_run_and_epoch(monkeypatch):
     datasets[2] = Dataset(datasets[2].features, targets)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
     with pytest.raises(SkipRateError, match=r"^split 2: 1/36 examples skipped in epoch 1$"):
-        train_runs(datasets, cfg, [rng_at(s) for s in states], ["split 0", "split 1", "split 2"])
+        train_runs(Dataset.of(datasets), cfg, [rng_at(s) for s in states], ["split 0", "split 1", "split 2"])
 
 
 def test_unequal_training_sets_rejected():
-    a, b = toy_cubic_dataset(10, 1), toy_cubic_dataset(11, 2)
+    # A stack holds runs of one size: features of 10 rows per run do not
+    # train with targets of 11.
+    a, b = normalize(toy_cubic_dataset(10, 1))[0], normalize(toy_cubic_dataset(11, 2))[0]
     cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=1)
     rngs = [np.random.default_rng(0), np.random.default_rng(1)]
     with pytest.raises(ValueError, match="equal training-set sizes"):
-        train_runs([normalize(a)[0], normalize(b)[0]], cfg, rngs)
+        train_runs(Dataset(np.stack([a.features] * 2), np.stack([b.targets] * 2)), cfg, rngs)
 
 
 def step_nets(sizes, runs, seed):
@@ -604,7 +609,7 @@ def test_no_workspace_outlives_its_train_runs_call(monkeypatch):
     monkeypatch.setattr(training, "incorporate_likelihood_factors", spy)
     datasets, states = split_runs(2)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
-    results = train_runs(datasets, cfg, [rng_at(s) for s in states])
+    results = each_run(train_runs(Dataset.of(datasets), cfg, [rng_at(s) for s in states]))
     # One call per epoch, one workspace served every step, and it went with
     # its stack, without waiting for the cycle collector.
     assert len(refs) == 2 and len(ids) == 1

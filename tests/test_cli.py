@@ -302,7 +302,7 @@ class TestNumericFailures:
         assert not out.exists()
 
     def test_overflow(self, toy_csv, tmp_path, monkeypatch, capsys):
-        def overflowing(net, rng):
+        def overflowing(stack, rngs):
             raise OverflowError("math range error")
 
         monkeypatch.setattr(training, "perturb_means", overflowing)

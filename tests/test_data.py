@@ -242,6 +242,83 @@ class TestNormalize:
         )
 
 
+def assert_each_run_normalizes_alone(train):
+    """normalize of a stack of training sets gives each run the bits of its
+    lone call: normalized features and targets, and statistics."""
+    norm, stats = normalize(train)
+    for r in range(train.targets.shape[0]):
+        lone_norm, lone = normalize(Dataset(train.features[r], train.targets[r], train.columns))
+        assert norm.features[r].tobytes() == lone_norm.features.tobytes(), r
+        assert norm.targets[r].tobytes() == lone_norm.targets.tobytes(), r
+        assert stats.feature_mean[r].tobytes() == lone.feature_mean.tobytes(), r
+        assert stats.feature_std[r].tobytes() == lone.feature_std.tobytes(), r
+        assert [float(stats.target_mean[r]), float(stats.target_std[r])] == [
+            lone.target_mean, lone.target_std
+        ], r
+
+
+def first_lone_error(train):
+    """The message of the DataError that normalizing the runs of a stack one
+    by one, in order, raises first."""
+    for r in range(train.targets.shape[0]):
+        try:
+            normalize(Dataset(train.features[r], train.targets[r], train.columns))
+        except DataError as error:
+            return str(error)
+    raise AssertionError("no run fails")
+
+
+class TestNormalizeStack:
+    # 50 random shapes at each row count, 300 in all: row counts about the
+    # 128-element blocks of numpy's pairwise sums, and the training-set sizes
+    # of the perfbench workloads.
+    @pytest.mark.parametrize("n", [1, 2, 128, 129, 455, 1_439])
+    def test_each_run_gets_the_bits_of_its_lone_call(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            runs, d = int(rng.integers(1, 6)), int(rng.integers(1, 14))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, d)
+            features = rng.normal(size=(runs, n + 3, d)) * scale + rng.normal(size=d) * scale
+            targets = rng.normal(rng.normal(), 10.0 ** rng.uniform(-3.0, 3.0), size=(runs, n + 3))
+            # A contiguous stack, and the first n rows of each run of a
+            # larger one, as the active-learning steps normalize theirs.
+            assert_each_run_normalizes_alone(Dataset(features[:, 3:].copy(), targets[:, 3:].copy()))
+            assert_each_run_normalizes_alone(Dataset(features[:, :n], targets[:, :n]))
+
+    def test_constant_column(self):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(3, 30, 3))
+        features[1, :, 2] = 4.2
+        features[2, :, 0] = -7.0
+        train = Dataset(features, rng.normal(size=(3, 30)))
+        assert_each_run_normalizes_alone(train)
+        norm, stats = normalize(train)
+        assert stats.feature_std[1, 2] == stats.feature_std[2, 0] == 1.0
+        assert np.all(norm.features[1, :, 2] == 0.0) and np.all(norm.features[2, :, 0] == 0.0)
+        assert (stats.feature_std[0] != 1.0).all()
+
+    @pytest.mark.parametrize("columns", [None, ["a", "b", "c", "y"]])
+    @pytest.mark.parametrize("overflow_first", [True, False])
+    def test_the_error_is_that_of_the_first_failing_run(self, columns, overflow_first):
+        # Run 0 normalizes; one later run overflows feature column 2 and
+        # another's targets differ but their spread underflows to 0.
+        rng = np.random.default_rng(6)
+        features = rng.normal(size=(4, 20, 3))
+        targets = rng.normal(size=(4, 20))
+        overflow, underflow = (1, 2) if overflow_first else (3, 1)
+        features[overflow, :, 1] *= 1e300
+        targets[underflow] *= 1e-301
+        train = Dataset(features, targets, columns)
+        first = first_lone_error(train)
+        if overflow_first:
+            assert first.startswith("feature column 'b': " if columns else "feature column 2: ")
+        else:
+            assert first.startswith("target column 'y': " if columns else "target column: ")
+        with pytest.raises(DataError) as error:
+            normalize(train)
+        assert str(error.value) == first
+
+
 def small_trained_model(tmp_path=None, epochs=2):
     rng = np.random.default_rng(1)
     x = rng.uniform(-2, 2, 25)

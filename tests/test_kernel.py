@@ -35,7 +35,7 @@ from conftest import (
     incorporate_one_run, likelihood_step, one_step, random_net, refresh_one_run, relu_moments,
     toy_cubic_dataset,
 )
-from pbp.data import normalize
+from pbp.data import Dataset, normalize
 from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, layer_views
 from pbp.training import train_runs
@@ -109,8 +109,9 @@ def trained_stack(features, hidden, seed):
         mixed = rng.normal(size=(40, features)) + ds.features
         datasets.append(normalize(type(ds)(mixed, ds.targets))[0])
     cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=3)
-    out = train_runs(datasets, cfg, [np.random.default_rng(seed + 10 + r) for r in range(3)])
-    return stack_of([net for net, _, _ in out], [sites for _, sites, _ in out])
+    rngs = [np.random.default_rng(seed + 10 + r) for r in range(3)]
+    stack, sites, _ = train_runs(Dataset.of(datasets), cfg, rngs)
+    return stack_of([stack.run(r) for r in range(3)], list(sites.swapaxes(0, 1)))
 
 
 def fuzz_sites(stack, sites, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from pbp.posterior import (
     HYPERPRIOR,
     GammaDist,
     PbpConfig,
+    PosteriorStack,
     new_uniform,
     perturb_means,
 )
@@ -38,28 +40,46 @@ class TestNewUniform:
             new_uniform(sizes)
 
 
+def perturbed(sizes, seeds):
+    """A stack of uniform networks of sizes, run r's means perturbed from a
+    generator seeded seeds[r]."""
+    stack = PosteriorStack.of([new_uniform(sizes) for _ in seeds])
+    perturb_means(stack, [np.random.default_rng(seed) for seed in seeds])
+    return stack
+
+
 class TestPerturbMeans:
     def test_deterministic_under_seed(self):
-        a = perturb_means(new_uniform([3, 7, 1]), np.random.default_rng(9))
-        b = perturb_means(new_uniform([3, 7, 1]), np.random.default_rng(9))
+        a = perturbed([3, 7, 1], [9])
+        b = perturbed([3, 7, 1], [9])
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.means, lb.means)
 
     def test_variances_untouched(self):
-        net = new_uniform([3, 7, 1])
-        before = [l.variances.copy() for l in net.layers]
-        perturb_means(net, np.random.default_rng(1))
-        for layer, b in zip(net.layers, before):
+        stack = PosteriorStack.of([new_uniform([3, 7, 1])])
+        before = [l.variances.copy() for l in stack.layers]
+        perturb_means(stack, [np.random.default_rng(1)])
+        for layer, b in zip(stack.layers, before):
             assert np.array_equal(layer.variances, b)
 
     def test_empirical_variance_matches_fan(self):
         # Layer with 50 output units and 10^5 weights: the sample variance of
         # the perturbations must sit within 5% of 1/(50+1).
-        net = new_uniform([1999, 50, 1])
-        perturb_means(net, np.random.default_rng(123))
-        draws = net.layers[0].means.ravel()
+        stack = perturbed([1999, 50, 1], [123])
+        draws = stack.layers[0].means.ravel()
         assert draws.size == 100_000
         assert np.var(draws) == pytest.approx(1.0 / 51.0, rel=0.05)
+
+    def test_each_run_draws_its_layers_in_turn_from_its_own_rng(self):
+        # Run r's means are rngs[r]'s draws of each layer's (rows, cols)
+        # matrix in turn, scaled by sqrt(1 / (rows + 1)), bit for bit.
+        stack = perturbed([4, 6, 3, 1], [5, 6, 7])
+        for r, seed in enumerate([5, 6, 7]):
+            rng = np.random.default_rng(seed)
+            for layer in stack.layers:
+                shape = layer.means.shape[1:]
+                want = rng.standard_normal(shape) * math.sqrt(1.0 / (shape[0] + 1))
+                assert layer.means[r].tobytes() == want.tobytes()
 
 
 class TestGammaDist:

@@ -23,7 +23,7 @@ def model_from_net(net, norm=None):
 def metrics(model, test):
     """The model's test RMSE and average log-likelihood, as floats, from
     stacked_metrics of its stack of one."""
-    [rmse_value], [ll_value] = stacked_metrics(PosteriorStack.of([model.net]), [model.norm], [test])
+    [rmse_value], [ll_value] = stacked_metrics(PosteriorStack.of([model.net]), model.norm, Dataset.of([test]))
     return float(rmse_value), float(ll_value)
 
 
@@ -106,7 +106,7 @@ class TestPredict:
         stack = PosteriorStack.of([random_net([1, 3, 1], rng) for _ in range(2)])
         rows = np.array([[0.5, -1e3, 0.5], [0.5, 1e300, 0.5]])[..., None]
         with pytest.raises(NumericError, match="^run 1, input row 2: predictive mean"):
-            predict_batch(stack, [identity_stats(1)] * 2, rows)
+            predict_batch(stack, identity_stats(1), rows)
 
 
 class TestNoiseFloor:
@@ -227,14 +227,17 @@ class TestStackedEvaluation:
         runs = self.runs(n, np.random.default_rng(n))
         nets, norms, tests = (list(column) for column in zip(*runs))
         stack = PosteriorStack.of(nets)
-        means, variances = predict_batch(stack, norms, np.stack([test.features for test in tests]))
-        rmses, lls = stacked_metrics(stack, norms, tests)
+        norm = NormStats(*(np.array([getattr(stats, name) for stats in norms]) for name in (
+            "feature_mean", "feature_std", "target_mean", "target_std"
+        )))
+        means, variances = predict_batch(stack, norm, np.stack([test.features for test in tests]))
+        rmses, lls = stacked_metrics(stack, norm, Dataset.of(tests))
         assert means.shape == variances.shape == (3, n)
         assert rmses.shape == lls.shape == (3,)
         for r, (net, stats, test) in enumerate(runs):
             alone = PosteriorStack.of([net])
-            [m], [v] = predict_batch(alone, [stats], test.features[None])
-            [rmse_r], [ll_r] = stacked_metrics(alone, [stats], [test])
+            [m], [v] = predict_batch(alone, stats, test.features[None])
+            [rmse_r], [ll_r] = stacked_metrics(alone, stats, Dataset.of([test]))
             assert means[r].tobytes() == m.tobytes(), r
             assert variances[r].tobytes() == v.tobytes(), r
             assert rmses[r].tobytes() == rmse_r.tobytes(), r

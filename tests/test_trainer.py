@@ -3,8 +3,8 @@ import pytest
 
 import pbp.prediction as prediction
 import pbp.training as training
-from conftest import toy_cubic_dataset, train_runs_tracing_rmse
-from pbp.data import normalize
+from conftest import each_run,  toy_cubic_dataset, train_runs_tracing_rmse
+from pbp.data import Dataset, normalize
 from pbp.posterior import NumericError, PbpConfig, PosteriorStack
 from pbp.training import SkipRateError, train, train_runs
 from pbp.updates import UpdateOutcome
@@ -105,7 +105,7 @@ class TestSchedule:
         if traced:
             results = train_runs_tracing_rmse(monkeypatch, datasets, cfg, rngs)
         else:
-            results = train_runs(datasets, cfg, rngs)
+            results = each_run(train_runs(Dataset.of(datasets), cfg, rngs))
         assert events == epoch_events * 3
         assert all(len(result[2].refreshes) == 3 for result in results)
 
@@ -125,7 +125,7 @@ class TestSchedule:
         monkeypatch.setattr(training, "ep_refresh_prior", inflating_spy)
         cfg = PbpConfig(hidden_layer_sizes=(3,), epochs=3, seed=2)
         rngs = [np.random.default_rng(2), np.random.default_rng(3)]
-        results = training.train_runs([norm, norm], cfg, rngs)
+        results = each_run(training.train_runs(Dataset.of([norm, norm]), cfg, rngs))
         skipping, clean = (report.refreshes for _, _, report in results)
         assert [n for n, _ in skipping] == [1, 1, 1]
         assert [n for n, _ in clean] == [0, 0, 0]
@@ -237,7 +237,7 @@ class TestEpochEndCheck:
         rngs = [np.random.default_rng(r) for r in range(3)]
         message = r"^split 1: 1 weight variances not finite and positive after epoch 2$"
         with pytest.raises(NumericError, match=message):
-            train_runs(datasets, cfg, rngs, ["split 0", "split 1", "split 2"])
+            train_runs(Dataset.of(datasets), cfg, rngs, ["split 0", "split 1", "split 2"])
         assert len(refreshes) == 2
 
 

@@ -342,7 +342,9 @@ class TestEpRefreshPrior:
         incorporate_one_run(net, sites)
         from pbp.posterior import perturb_means
 
-        perturb_means(net, np.random.default_rng(0))
+        stack = PosteriorStack.of([net])
+        perturb_means(stack, [np.random.default_rng(0)])
+        net.layers[0].means[...] = stack.layers[0].means[0]
         m0 = net.layers[0].means.copy()
         v0 = net.layers[0].variances.copy()
         for _ in range(3):
