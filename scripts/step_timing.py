@@ -37,8 +37,16 @@ the trees that fill `epoch_rmse` run it.
 A fourth table times `run_active_experiments` at the yacht_active shape
 (ACTIVE): its repetitions of each policy in one call, as `pbp active
 --policy both` runs them, on a seeded Yacht-shaped data set: the median
-milliseconds per call over K repeats, and their range. --json prints one
-JSON object instead of the tables.
+milliseconds per call over K repeats, and their range.
+
+A fifth table times `pbp predict` at the perfbench workloads' shapes
+(PREDICTS): a model saved after one epoch on a seeded training set, and a
+seeded features CSV of 40,000 rows written as perfbench writes its inputs,
+through each phase of `cli.cmd_predict`
+in turn (PREDICT_PHASES): `load_model`, `read_csv_matrix`, the rows pass
+(`predict_batch`), the CSV text (`cli._prediction_csv`) and its write to a
+file. Each phase gives the median milliseconds over K repeats, and their
+range. --json prints one JSON object instead of the tables.
 """
 
 import inspect
@@ -46,6 +54,7 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -86,6 +95,11 @@ WITH, WITHOUT = "with_epoch_rmse", "without_epoch_rmse"
 # policy and ActiveConfig.
 ACTIVE = dict(rows=308, features=6, hidden=(10,), epochs=4, repetitions=10,
               initial_train=20, test_size=100, acquisitions=9)
+# (layer sizes, rows) of the `pbp predict` calls timed: boston_splits',
+# yacht_active's and wine_deep's; and the training rows of their models.
+PREDICTS = [([13, 50, 1], 40_000), ([6, 10, 1], 40_000), ([11, 50, 50, 1], 40_000)]
+PREDICT_TRAINING_ROWS = 200
+PREDICT_PHASES = ("load_model", "read_csv_matrix", "rows_pass", "csv_text", "write")
 
 
 def fresh_stack(runs, sizes, seed):
@@ -227,6 +241,53 @@ def timed_active(seed):
     return time.perf_counter() - start
 
 
+def predict_files(sizes, rows, seed, directory):
+    """(model path, features path) in directory: a model of sizes trained
+    for one epoch on a seeded set, and a CSV of rows seeded feature rows."""
+    import numpy as np
+    from pbp.data import Dataset, normalize, save_model
+    from pbp.posterior import PbpConfig
+    from pbp.prediction import TrainedModel
+    from pbp.training import train
+
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(PREDICT_TRAINING_ROWS, sizes[0]))
+    dataset = Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.normal(size=PREDICT_TRAINING_ROWS))
+    train_norm, stats = normalize(dataset)
+    config = PbpConfig(hidden_layer_sizes=tuple(sizes[1:-1]), epochs=1, seed=seed)
+    net, _, _ = train(train_norm, config, rng)
+    model, features = Path(directory) / "model.json", Path(directory) / "features.csv"
+    save_model(TrainedModel(net=net, norm=stats, config=config), model)
+    # A header and 6 significant digits, as perfbench writes its inputs.
+    lines = [",".join(f"x{i + 1}" for i in range(sizes[0]))]
+    lines += [",".join(format(v, ".6g") for v in row) for row in rng.normal(size=(rows, sizes[0])).tolist()]
+    features.write_text("\n".join(lines) + "\n")
+    return model, features
+
+
+def timed_predict(model, features, out):
+    """{phase: seconds} of one `pbp predict --model model --data features
+    --out out`, phase by phase as cmd_predict runs them (PREDICT_PHASES)."""
+    from pbp import cli
+    from pbp.data import load_model, read_csv_matrix
+    from pbp.posterior import PosteriorStack
+    from pbp.prediction import predict_batch
+
+    times = [time.perf_counter()]
+    loaded = load_model(model)
+    times.append(time.perf_counter())
+    x, _ = read_csv_matrix(features)
+    times.append(time.perf_counter())
+    [means], [variances] = predict_batch(PosteriorStack.of([loaded.net]), loaded.norm, x[None])
+    times.append(time.perf_counter())
+    text = cli._prediction_csv(means, variances)
+    times.append(time.perf_counter())
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    times.append(time.perf_counter())
+    return {phase: end - start for phase, start, end in zip(PREDICT_PHASES, times, times[1:])}
+
+
 def runs_the_pass(training):
     """Whether the tree's train_runs ends each epoch with the training-RMSE
     pass itself."""
@@ -331,11 +392,29 @@ def main(argv):
             f"({active['ms_min']:.1f}-{active['ms_max']:.1f})",
             flush=True,
         )
+    predicts = []
+    for sizes, n in PREDICTS:
+        with tempfile.TemporaryDirectory() as directory:
+            model, features = predict_files(sizes, n, 0, directory)
+            out = Path(directory) / "pred.csv"
+            timed_predict(model, features, out)
+            times = [timed_predict(model, features, out) for _ in range(repeats)]
+        row = {"model": "-".join(map(str, sizes)), "rows": n, "repeats": repeats}
+        for phase in PREDICT_PHASES:
+            ms = [t[phase] * 1e3 for t in times]
+            row[phase] = {"ms": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms)}
+        predicts.append(row)
+        if "json" not in options:
+            cells = [
+                f"{phase} {row[phase]['ms']:.1f} ({row[phase]['ms_min']:.1f}-{row[phase]['ms_max']:.1f})"
+                for phase in PREDICT_PHASES
+            ]
+            print(f"predict {row['model']:>11}, {n} rows, ms: " + ", ".join(cells), flush=True)
     if "json" in options:
         print(json.dumps({
             "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
             "phase_counters": counters, "stacks": results, "rows_passes": rows_passes,
-            "trainings": trainings, "active": active,
+            "trainings": trainings, "active": active, "predict": predicts,
         }))
     return 0
 

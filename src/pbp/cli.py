@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import data as dio
+from . import kernel
 from .active import POLICIES, ActiveConfig, run_active_experiments
 from .posterior import NumericError, PbpConfig, PosteriorStack
 from .prediction import TrainedModel, predict_batch, test_metrics, training_rmse
@@ -142,10 +143,10 @@ def _write_csv(path, header, rows):
 
 
 def _prediction_csv(means: np.ndarray, variances: np.ndarray) -> str:
-    """The mean,variance CSV of predictions, floats as repr: what csv.writer
-    gives for these fields, none of which needs quoting."""
-    rows = [f"{m!r},{v!r}\n" for m, v in zip(means.tolist(), variances.tolist())]
-    return "mean,variance\n" + "".join(rows)
+    """The mean,variance CSV of predictions, floats as repr (written by
+    kernel.c): what csv.writer gives for these fields, none of which needs
+    quoting."""
+    return "mean,variance\n" + kernel.repr_rows(means, variances)
 
 
 def _fmt(x: float) -> str:

@@ -14,6 +14,8 @@
  * step_epoch folds n examples per run of a stack in sequence, each through
  * the forward pass (step_forward), noise_step, the reverse sweep
  * (step_backward) and the refinement of every weight (step_refine).
+ * repr_rows (at the end) writes the CSV rows of predictions, each double as
+ * Python's repr writes it.
  *
  * Every expression is the one the Python floats or numpy arrays of pbp
  * evaluated before, in the same order and association, so the results are
@@ -971,4 +973,210 @@ int step_epoch(const struct step_args *s, struct epoch_args *e)
         }
     }
     return 0;
+}
+
+/* Python's repr of a double, written by Ryu's shortest round-trip conversion
+ * (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018): the fewest
+ * decimal digits that read back as the double, the closest to it among
+ * them, ties to even, which are the digits of CPython's dtoa in mode 0.
+ *
+ * pow5 holds the two tables of 128-bit multipliers, low word first, that
+ * kernel.py builds from exact integers: POW5_COUNT entries floor(5^i /
+ * 2^(len(5^i) - 125)), then 342 entries floor(2^(len(5^i) + 124) / 5^i) + 1,
+ * len the bit length. */
+enum { POW5_COUNT = 326, POW5_BITS = 125 };
+
+/* ceil(log2(5^e)) for 1 <= e <= 3528, and 1 for e = 0. */
+static inline int32_t pow5_bits(int32_t e) { return (int32_t)(((uint32_t)e * 1217359) >> 19) + 1; }
+/* floor(log10(2^e)) and floor(log10(5^e)), for 0 <= e <= 1650. */
+static inline uint32_t log10_pow2(int32_t e) { return ((uint32_t)e * 78913) >> 18; }
+static inline uint32_t log10_pow5(int32_t e) { return ((uint32_t)e * 732923) >> 20; }
+
+static inline int multiple_of_pow5(uint64_t value, uint32_t p)
+{
+    uint32_t count = 0;
+    for (; value % 5 == 0; value /= 5)
+        count++;
+    return count >= p;
+}
+
+/* (m * mul) >> j of a 128-bit mul, for 64 <= j < 128. */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    unsigned __int128 low = (unsigned __int128)m * mul[0], high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+/* The shortest digits of the finite, positive double of the given IEEE
+ * mantissa and biased exponent, as an integer and its power of ten. */
+static uint64_t shortest_digits(const uint64_t *pow5, uint64_t mantissa, uint32_t biased, int32_t *e10)
+{
+    /* The interval of doubles that round to this one, [4 m2 - 1 - mm_shift,
+     * 4 m2 + 2] x 2^e2: two more bits for its bounds. */
+    int32_t e2 = (biased ? (int32_t)biased : 1) - 1023 - 52 - 2;
+    uint64_t m2 = biased ? (UINT64_C(1) << 52) | mantissa : mantissa;
+    int accept_bounds = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = mantissa != 0 || biased <= 1;
+    uint64_t vr, vp, vm;
+    int vm_trailing_zeros = 0, vr_trailing_zeros = 0;
+    if (e2 >= 0) {
+        uint32_t q = log10_pow2(e2) - (e2 > 3);
+        *e10 = (int32_t)q;
+        int32_t j = -e2 + (int32_t)q + POW5_BITS + pow5_bits((int32_t)q) - 1;
+        const uint64_t *mul = pow5 + 2 * (POW5_COUNT + q);
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        /* Whether an end of the interval, or its middle, is exact in
+         * decimal: only one of the three can be a multiple of 5. */
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_trailing_zeros = multiple_of_pow5(mv, q);
+            else if (accept_bounds)
+                vm_trailing_zeros = multiple_of_pow5(mv - 1 - mm_shift, q);
+            else
+                vp -= multiple_of_pow5(mv + 2, q);
+        }
+    } else {
+        uint32_t q = log10_pow5(-e2) - (-e2 > 1);
+        *e10 = (int32_t)q + e2;
+        int32_t i = -e2 - (int32_t)q;
+        int32_t j = (int32_t)q - (pow5_bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * i;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {
+            vr_trailing_zeros = 1;
+            if (accept_bounds)
+                vm_trailing_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_trailing_zeros = (mv & ((UINT64_C(1) << q) - 1)) == 0;
+        }
+    }
+    /* Drop digits while the interval still holds two candidates; round the
+     * last one dropped, to even where it is exactly 5 followed by zeros. */
+    int32_t removed = 0;
+    uint32_t last = 0;
+    uint64_t output;
+    if (vm_trailing_zeros || vr_trailing_zeros) {
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_trailing_zeros &= vm % 10 == 0;
+            vr_trailing_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+        if (vm_trailing_zeros) {
+            for (; vm % 10 == 0; removed++) {
+                vr_trailing_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10, vp /= 10, vm /= 10;
+            }
+        }
+        if (vr_trailing_zeros && last == 5 && vr % 2 == 0)
+            last = 4;
+        output = vr + ((vr == vm && (!accept_bounds || !vm_trailing_zeros)) || last >= 5);
+    } else {
+        int round_up = 0;
+        if (vp / 100 > vm / 100) {
+            round_up = vr % 100 >= 50;
+            vr /= 100, vp /= 100, vm /= 100;
+            removed += 2;
+        }
+        for (; vp / 10 > vm / 10; removed++) {
+            round_up = vr % 10 >= 5;
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+        output = vr + (vr == vm || round_up);
+    }
+    *e10 += removed;
+    return output;
+}
+
+/* repr(x) at out, with no terminator; returns its length, at most 24.
+ * Python's layout: the exponent form where the decimal point would fall
+ * more than 16 digits after the first digit or 4 or more places before it
+ * (decpt > 16 or decpt <= -4), with a sign and at least two exponent
+ * digits; otherwise positional, an integral value ending in ".0". */
+static int64_t repr_double(const uint64_t *pow5, double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t mantissa = bits & ((UINT64_C(1) << 52) - 1);
+    uint32_t biased = (uint32_t)(bits >> 52) & 0x7ff;
+    char *p = out;
+    if (biased == 0x7ff && mantissa) {
+        memcpy(p, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (biased == 0x7ff) {
+        memcpy(p, "inf", 3);
+        return p + 3 - out;
+    }
+    if (biased == 0 && mantissa == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3 - out;
+    }
+    int32_t e10;
+    uint64_t output = shortest_digits(pow5, mantissa, biased, &e10);
+    char digits[20];
+    int32_t n = 0;
+    for (; output; output /= 10)
+        digits[19 - n++] = (char)('0' + output % 10);
+    const char *d = digits + 20 - n;
+    int32_t decpt = n + e10;
+    if (decpt > 16 || decpt <= -4) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        int32_t e = decpt - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (decpt <= 0) {
+        memcpy(p, "0.000", 2 - decpt);
+        p += 2 - decpt;
+        memcpy(p, d, n);
+        p += n;
+    } else if (decpt < n) {
+        memcpy(p, d, decpt);
+        p += decpt;
+        *p++ = '.';
+        memcpy(p, d + decpt, n - decpt);
+        p += n - decpt;
+    } else {
+        memcpy(p, d, n);
+        p += n;
+        memset(p, '0', decpt - n);
+        p += decpt - n;
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p - out;
+}
+
+/* The CSV rows "<repr(a[i])>,<repr(b[i])>\n" of n pairs at out, which holds
+ * at least 50 n bytes; returns the number of bytes written. */
+int64_t repr_rows(const uint64_t *pow5, int64_t n, const double *a, const double *b, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        p += repr_double(pow5, a[i], p);
+        *p++ = ',';
+        p += repr_double(pow5, b[i], p);
+        *p++ = '\n';
+    }
+    return p - out;
 }

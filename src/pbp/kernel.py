@@ -8,7 +8,9 @@ rectifier (Rectifier) over n input rows per run, which two entry points
 share: a rows pass runs one work item through every layer in one call
 (RowsPass), and the likelihood step (Step), whose epoch() folds n examples
 per run in sequence, runs one row per run through every layer, then the
-noise step, the reverse sweep and the refinement of every weight.
+noise step, the reverse sweep and the refinement of every weight. It also
+writes the CSV rows of predictions (repr_rows), each float as Python's repr
+gives it, by Ryu's shortest round-trip conversion.
 
 Some bits come from outside this package. The matmuls call numpy's bundled
 OpenBLAS (BLAS_SYMBOLS) as np.matmul does on stacked inputs (gemv or dot
@@ -19,7 +21,9 @@ rounds differently from libm's exp and pow on some arguments), read from
 the ufunc objects. All are resolved once, at import, and checked against
 np.matmul, scipy.special.log_ndtr, np.exp and np.power (check_externals); a
 missing symbol or loop or a differing bit fails the import with one line,
-an ExternalError, and there is no other path.
+an ExternalError, and there is no other path. So does a formatted float that
+is not its repr (check_repr), as on a Python whose float_repr_style is not
+'short'.
 
 kernel.c is compiled with gcc and FLAGS, for this CPU (-march=native), on
 first import and loaded with ctypes. The build is cached under
@@ -267,6 +271,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.power_n.argtypes = [externals, integer, address, ctypes.c_double, address]
     for entry in (lib.matvec, lib.forward_products, lib.log_ndtr_n, lib.exp_n, lib.power_n):
         entry.restype = None
+    lib.repr_rows.argtypes = [address, integer, address, address, address]
+    lib.repr_rows.restype = ctypes.c_int64
     return lib
 
 
@@ -286,7 +292,8 @@ def _report_in_one_line(previous=sys.excepthook):
 class ExternalError(CompilerError):
     """numpy's BLAS, exp or power or scipy's log_ndtr cannot be called from
     kernel.c, or does not give the bits of np.matmul, np.exp, np.power or
-    scipy.special.log_ndtr there."""
+    scipy.special.log_ndtr there; or kernel.c's formatter does not give
+    Python's repr of a float."""
 
 
 # The functions kernel.c calls for the bits of np.matmul (numpy's bundled
@@ -448,6 +455,58 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
                 raise ExternalError(f"numpy's power does not give (-1.0) ** {exponent} == {power}")
 
 
+def pow5_tables() -> np.ndarray:
+    """The multipliers of kernel.c's Ryu conversion (see repr_rows there),
+    each 128 bits as a (low, high) pair of uint64 words, from exact integers:
+    5 ** i scaled to 125 bits for i < 326, then 2 ** (len(5 ** i) + 124)
+    // 5 ** i + 1 for i < 342, len the bit length."""
+    powers = [5**i for i in range(342)]
+    shifts = [p.bit_length() - 125 for p in powers[:326]]
+    scaled = [p >> s if s >= 0 else p << -s for p, s in zip(powers, shifts)]
+    inverses = [(1 << (p.bit_length() + 124)) // p + 1 for p in powers]
+    low = (1 << 64) - 1
+    return np.array([word for v in scaled + inverses for word in (v & low, v >> 64)], dtype=np.uint64)
+
+
+# The longest row repr_rows writes: two reprs of at most 24 bytes
+# ("-2.2250738585072014e-308"), a comma and a newline.
+ROW_BYTES = 50
+
+
+def _repr_rows(lib: ctypes.CDLL, pow5: np.ndarray, first: np.ndarray, second: np.ndarray) -> str:
+    out = np.empty(ROW_BYTES * first.size, dtype=np.uint8)
+    size = lib.repr_rows(_data(pow5), first.size, _data(first), _data(second), _data(out))
+    return str(out.data[:size], "ascii")
+
+
+def check_repr(lib: ctypes.CDLL, pow5: np.ndarray) -> None:
+    """ExternalError unless kernel.c's repr_rows writes repr of every float
+    of a few dozen: signed zeros, infinities, NaN, the ends of the
+    subnormal and normal ranges, the switches to and from the exponent form,
+    integers near 2 ** 53, a tie to even (2 ** -25), an interval end exact
+    in decimal (3.940649673949184e+37) and a few seeded bit patterns."""
+    values = np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.5e-323,
+        2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+        9999999999999998.0, 1e16, 1.0000000000000002e16, 1e-4, 9.999999999999999e-05, 1e-05,
+        0.001, 0.1, 1.0 / 3.0, 1.0, 2.0, 10.0, 123456.0, 1e15, 1e22, 1e23, 2.0**53,
+        2.0**53 - 1.0, 2.0**54, 2.0**-1022, 2.0**-1074 * 3, 2.0**1023, 0.3, 5e-06, 1.5, -2.5e-8,
+        9007199254740994.0, 1e100, 1e-100, 123456789012345678.0, 2.0**-25,
+        3.940649673949184e+37,
+    ])
+    bits = np.random.default_rng(24).integers(0, 2**64, size=24, dtype=np.uint64)
+    values = np.concatenate([values, bits.view(np.float64)])
+    got = _repr_rows(lib, pow5, values, values[::-1].copy()).splitlines()
+    for row, x, y in zip(got, values.tolist(), values[::-1].tolist()):
+        if row != f"{x!r},{y!r}":
+            raise ExternalError(
+                f"kernel.c's repr_rows writes {row!r} where repr gives {x!r},{y!r} "
+                f"(float_repr_style {sys.float_repr_style!r})"
+            )
+    if len(got) != values.size:
+        raise ExternalError(f"kernel.c's repr_rows writes {len(got)} rows for {values.size}")
+
+
 # kernel.c's statuses, as what the Python floats it replaces raised.
 _ERRORS = {
     -1: (ZeroDivisionError, "float division by zero"),
@@ -491,9 +550,21 @@ try:
     LIB = load(build())
     EXTERNALS = resolve_externals()
     check_externals(LIB, EXTERNALS)
+    POW5 = pow5_tables()
+    check_repr(LIB, POW5)
 except CompilerError:
     _report_in_one_line()
     raise
+
+
+def repr_rows(first: np.ndarray, second: np.ndarray) -> str:
+    """The CSV rows f"{first[i]!r},{second[i]!r}\n" of two float arrays of
+    one length n, each float as Python's repr gives it (kernel.c's
+    repr_rows, in one call)."""
+    first, second = (np.ascontiguousarray(a, dtype=np.float64) for a in (first, second))
+    if first.ndim != 1 or first.shape != second.shape:
+        raise ValueError(f"rows of arrays of shapes {first.shape} and {second.shape}")
+    return _repr_rows(LIB, POW5, first, second)
 
 
 class NoiseStep:

@@ -118,10 +118,11 @@ class PosteriorStack:
         return cls(means, variances, gamma, lam, list(nets[0].layer_sizes))
 
     def take(self, runs: np.ndarray) -> PosteriorStack:
-        """A stack of copies of the given runs, in that order."""
+        """A stack of copies of the given runs, in that order, in C-contiguous
+        buffers as a step binds them."""
         return PosteriorStack(
-            self.means[runs], self.variances[runs], self.gamma[:, runs], self.lam[:, runs],
-            self.layer_sizes,
+            self.means[runs], self.variances[runs], self.gamma.take(runs, axis=1),
+            self.lam.take(runs, axis=1), self.layer_sizes,
         )
 
     def n_weights(self) -> int:

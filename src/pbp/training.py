@@ -132,7 +132,7 @@ def train_runs(
     # Hyperprior factors match the posterior family; absorbing them is exact.
     net.gamma = GammaDist(*HYPERPRIOR)
     net.lam = GammaDist(*HYPERPRIOR)
-    stack = PosteriorStack.of([net] * runs)
+    stack = PosteriorStack.of([net]).take(np.zeros(runs, dtype=np.intp))
     reports = [TrainReport() for _ in range(runs)]
     undo = np.zeros(runs, dtype=int)
     updates = np.zeros(runs, dtype=int)
