@@ -41,15 +41,17 @@ milliseconds per call over K repeats, and their range.
 
 A fifth table times `pbp predict` at the perfbench workloads' shapes
 (PREDICTS): a model saved after one epoch on a seeded training set, and a
-seeded features CSV of 40,000 rows written as perfbench writes its inputs,
-through each phase of `cli.cmd_predict`
-in turn (PREDICT_PHASES): `load_model`, `read_csv_matrix`, the rows pass
+seeded features CSV of 40,000 rows in each form of PREDICT_CELLS (6
+significant digits, as perfbench writes its inputs, and each float's repr,
+up to 17), through each phase of `cli.cmd_predict` in turn
+(PREDICT_PHASES): `load_model`, `read_csv_matrix`, the rows pass
 (`predict_batch`), the CSV text (`cli._prediction_csv`) and its write to a
 file. Each phase gives the median milliseconds over K repeats, and their
 range. --json prints one JSON object instead of the tables.
 """
 
 import inspect
+import itertools
 import json
 import os
 import statistics
@@ -100,6 +102,8 @@ ACTIVE = dict(rows=308, features=6, hidden=(10,), epochs=4, repetitions=10,
 PREDICTS = [([13, 50, 1], 40_000), ([6, 10, 1], 40_000), ([11, 50, 50, 1], 40_000)]
 PREDICT_TRAINING_ROWS = 200
 PREDICT_PHASES = ("load_model", "read_csv_matrix", "rows_pass", "csv_text", "write")
+# The forms of the features CSV's cells: how each writes a float.
+PREDICT_CELLS = {".6g": lambda v: format(v, ".6g"), "repr": repr}
 
 
 def fresh_stack(runs, sizes, seed):
@@ -241,9 +245,10 @@ def timed_active(seed):
     return time.perf_counter() - start
 
 
-def predict_files(sizes, rows, seed, directory):
+def predict_files(sizes, rows, seed, directory, cells):
     """(model path, features path) in directory: a model of sizes trained
-    for one epoch on a seeded set, and a CSV of rows seeded feature rows."""
+    for one epoch on a seeded set, and a CSV of rows seeded feature rows,
+    each float written as PREDICT_CELLS[cells] writes it."""
     import numpy as np
     from pbp.data import Dataset, normalize, save_model
     from pbp.posterior import PbpConfig
@@ -258,9 +263,10 @@ def predict_files(sizes, rows, seed, directory):
     net, _, _ = train(train_norm, config, rng)
     model, features = Path(directory) / "model.json", Path(directory) / "features.csv"
     save_model(TrainedModel(net=net, norm=stats, config=config), model)
-    # A header and 6 significant digits, as perfbench writes its inputs.
+    # A header, as perfbench writes its inputs.
     lines = [",".join(f"x{i + 1}" for i in range(sizes[0]))]
-    lines += [",".join(format(v, ".6g") for v in row) for row in rng.normal(size=(rows, sizes[0])).tolist()]
+    write = PREDICT_CELLS[cells]
+    lines += [",".join(map(write, row)) for row in rng.normal(size=(rows, sizes[0])).tolist()]
     features.write_text("\n".join(lines) + "\n")
     return model, features
 
@@ -393,23 +399,26 @@ def main(argv):
             flush=True,
         )
     predicts = []
-    for sizes, n in PREDICTS:
+    for (sizes, n), cells in itertools.product(PREDICTS, PREDICT_CELLS):
         with tempfile.TemporaryDirectory() as directory:
-            model, features = predict_files(sizes, n, 0, directory)
+            model, features = predict_files(sizes, n, 0, directory, cells)
             out = Path(directory) / "pred.csv"
             timed_predict(model, features, out)
             times = [timed_predict(model, features, out) for _ in range(repeats)]
-        row = {"model": "-".join(map(str, sizes)), "rows": n, "repeats": repeats}
+        row = {"model": "-".join(map(str, sizes)), "rows": n, "cells": cells, "repeats": repeats}
         for phase in PREDICT_PHASES:
             ms = [t[phase] * 1e3 for t in times]
             row[phase] = {"ms": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms)}
         predicts.append(row)
         if "json" not in options:
-            cells = [
+            parts = [
                 f"{phase} {row[phase]['ms']:.1f} ({row[phase]['ms_min']:.1f}-{row[phase]['ms_max']:.1f})"
                 for phase in PREDICT_PHASES
             ]
-            print(f"predict {row['model']:>11}, {n} rows, ms: " + ", ".join(cells), flush=True)
+            print(
+                f"predict {row['model']:>11}, {n} rows of {cells:>4} cells, ms: " + ", ".join(parts),
+                flush=True,
+            )
     if "json" in options:
         print(json.dumps({
             "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,

@@ -6,11 +6,12 @@ import csv
 import io
 import json
 import math
-import warnings
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .posterior import (
     HYPERPRIOR,
     GammaDist,
@@ -99,28 +100,42 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
-# Leading or trailing, these count as whitespace to np.loadtxt but not to float().
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# A line of a CSV's bytes, ended as the csv module, reading a file opened
+# with newline="", finds the end of a line: "\n", "\r\n", "\r" or the end.
+_LINE = re.compile(rb"[^\r\n]+\Z|[^\r\n]*(?:\r\n?|\n)")
 
 
-def _loadtxt(fh, skiprows: int) -> np.ndarray | None:
-    """The lines of fh after the first skiprows as a finite float matrix, or
-    None when np.loadtxt rejects them, warns, or reads a non-finite value, or
-    the text holds a character the two parsers treat differently."""
-    fh.seek(0)
+def _header(first: list[str]) -> list[str] | None:
+    """The header a first row makes: its stripped cells, when any of them
+    fails to parse as a number."""
     try:
-        text = fh.read()
-        if any(c in text for c in _LOADTXT_ONLY_SPACE):
-            return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(
-                io.StringIO(text, newline=""), delimiter=",", comments=None,
-                skiprows=skiprows, ndmin=2,
-            )
-    except (ValueError, Warning):
+        [float(cell) for cell in first]
+    except ValueError:
+        return [cell.strip() for cell in first]
+    return None
+
+
+def _kernel_read(text: bytes) -> tuple[np.ndarray, list[str] | None] | None:
+    """The matrix and header of the CSV bytes text where kernel.read_rows
+    reads its data rows, else None. The header is decided from the first
+    non-empty csv row, whose lines alone are decoded."""
+    end = 0
+
+    def lines():
+        nonlocal end
+        for line in _LINE.finditer(text):
+            end = line.end()
+            yield line.group().decode()
+
+    try:
+        first = next(filter(None, csv.reader(lines())), None)
+    except UnicodeDecodeError:  # the csv-module parser raises it as a text-mode read does
         return None
-    return data if np.isfinite(data).all() else None
+    if first is None:
+        return None
+    header = _header(first)
+    data = kernel.read_rows(text, end if header is not None else 0)
+    return None if data is None else (data, header)
 
 
 def read_csv_matrix(path) -> tuple[np.ndarray, list[str] | None]:
@@ -130,31 +145,31 @@ def read_csv_matrix(path) -> tuple[np.ndarray, list[str] | None]:
     as a number. Ragged rows and non-finite cells are rejected with row/column
     diagnostics (1-based, header included in the numbering).
 
-    The data rows are first handed to numpy's C parser, np.loadtxt, which
-    holds the file's text and the matrix but no Python string per cell. Any
-    file it rejects (quoted cells, a '#' or whitespace-only line, digits that
-    only Python's float reads) or any non-finite value falls back to the exact
-    csv-module parser below, so the values accepted and the diagnostics given
-    are those of that parser alone.
+    The file is read once, as bytes, and its data rows handed to
+    kernel.read_rows, which reads plain decimal cells in one pass and holds
+    no Python string per cell. Any file it refuses (quoted cells, a '#' or
+    whitespace-only line, digits that only Python's float reads, a long
+    cell, a non-ASCII byte) or any non-finite value goes to the exact
+    csv-module parser below, so the values accepted and the diagnostics
+    given are those of that parser alone. A field over the csv module's size
+    limit is a DataError.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            first = next(filter(None, reader), None)
-            if first is None:
-                raise DataError(f"{path}: empty file")
-            header = None
-            try:
-                [float(cell) for cell in first]
-            except ValueError:
-                header = [cell.strip() for cell in first]
-            data = _loadtxt(fh, reader.line_num if header is not None else 0)
-            if data is not None:
-                return data, header
-            fh.seek(0)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        read = _kernel_read(text)
+        if read is not None:
+            return read
+        # The bytes read, decoded as reading the file in text mode decodes it.
+        with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = _header(rows[0])
     if header is not None:
         rows = rows[1:]
         if not rows:

@@ -14,8 +14,9 @@
  * step_epoch folds n examples per run of a stack in sequence, each through
  * the forward pass (step_forward), noise_step, the reverse sweep
  * (step_backward) and the refinement of every weight (step_refine).
- * repr_rows (at the end) writes the CSV rows of predictions, each double as
- * Python's repr writes it.
+ * repr_rows writes the CSV rows of predictions, each double as Python's repr
+ * writes it, and read_rows (at the end) reads the rows of a numeric CSV,
+ * each cell as Python's float() reads it.
  *
  * Every expression is the one the Python floats or numpy arrays of pbp
  * evaluated before, in the same order and association, so the results are
@@ -32,6 +33,7 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
@@ -1179,4 +1181,149 @@ int64_t repr_rows(const uint64_t *pow5, int64_t n, const double *a, const double
         *p++ = '\n';
     }
     return p - out;
+}
+
+/* The rows of a numeric CSV, read in one pass over its bytes, each cell with
+ * the bits of Python's float(). A cell is, in ASCII,
+ * [ \t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \t]*, at most CELL_BYTES long;
+ * cells are split on ',', lines end in "\n", "\r\n" or "\r", empty lines
+ * are skipped and every row has the width of the first. Anything else, or a
+ * value that is not finite, refuses the text.
+ *
+ * A cell of at most 19 significant digits m, m <= 2^53, times 10^e with
+ * -22 <= e <= 22 is m * 10^e or m / 10^-e of two exact doubles: one
+ * correctly rounded operation (W. D. Clinger, "How to read floating point
+ * numbers accurately", PLDI 1990). Every other cell goes to libc's strtod,
+ * which must stop at the cell's last digit; kernel.py checks at import that
+ * it rounds correctly (check_read). */
+enum { CELL_BYTES = 400, READ_DONE = 0, READ_FULL = 1, READ_REFUSED = -1 };
+
+struct read_args {
+    int64_t size;     /* bytes of text */
+    int64_t pos;      /* where the next row starts */
+    int64_t width;    /* cells per row, 0 until the first row is read */
+    int64_t rows;     /* rows written to out */
+    int64_t capacity; /* cells out holds */
+    const char *text;
+    double *out;
+};
+
+static const double exact_pow10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static inline int is_digit(char c) { return (unsigned char)(c - '0') < 10; }
+static inline int is_blank(char c) { return c == ' ' || c == '\t'; }
+
+/* The cell at p, before end, into *value; returns the byte after it (and
+ * its trailing blanks), or NULL where it is not of the grammar, too long or
+ * not finite. */
+static const char *read_cell(const char *p, const char *end, double *value)
+{
+    const char *start = p;
+    while (p < end && is_blank(*p))
+        p++;
+    const char *number = p;
+    int negative = p < end && *p == '-';
+    if (p < end && (*p == '+' || *p == '-'))
+        p++;
+    /* The value is m * 10^(scale + exponent) unless truncated: m holds the
+     * first 19 significant digits and there are more. */
+    uint64_t m = 0;
+    int significant = 0, digits = 0, truncated = 0;
+    int64_t scale = 0, exponent = 0;
+    for (; p < end && is_digit(*p); p++, digits++) {
+        unsigned d = (unsigned)(*p - '0');
+        if (significant == 19)
+            truncated = 1;
+        else if (m | d)
+            m = 10 * m + d, significant++;
+    }
+    if (p < end && *p == '.') {
+        for (p++; p < end && is_digit(*p); p++, digits++) {
+            unsigned d = (unsigned)(*p - '0');
+            if (significant == 19) {
+                truncated = 1;
+            } else {
+                if (m | d)
+                    m = 10 * m + d, significant++;
+                scale--;
+            }
+        }
+    }
+    if (digits == 0)
+        return NULL;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        int negative_exponent = p < end && *p == '-';
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        if (p == end || !is_digit(*p))
+            return NULL;
+        for (; p < end && is_digit(*p); p++)
+            if (exponent < 100000)
+                exponent = 10 * exponent + (*p - '0');
+        if (negative_exponent)
+            exponent = -exponent;
+    }
+    const char *number_end = p;
+    while (p < end && is_blank(*p))
+        p++;
+    if (p - start > CELL_BYTES)
+        return NULL;
+    int64_t e10 = scale + exponent;
+    if (!truncated && m <= (UINT64_C(1) << 53) && e10 >= -22 && e10 <= 22) {
+        double x = e10 >= 0 ? (double)m * exact_pow10[e10] : (double)m / exact_pow10[-e10];
+        *value = negative ? -x : x;
+        return p;
+    }
+    char buf[CELL_BYTES + 1], *stop;
+    size_t n = (size_t)(number_end - number);
+    memcpy(buf, number, n);
+    buf[n] = '\0';
+    double x = strtod(buf, &stop);
+    if (stop != buf + n || !isfinite(x))
+        return NULL;
+    *value = x;
+    return p;
+}
+
+/* Rows of the text from a->pos into a->out, a->width cells each, after the
+ * a->rows written: READ_DONE at the end of the text, where at least one row
+ * is read; READ_FULL where a->out has no room for the next row, whose start
+ * a->pos then holds; READ_REFUSED where the text is not of the grammar. */
+int read_rows(struct read_args *a)
+{
+    const char *text = a->text, *end = text + a->size, *p = text + a->pos;
+    int64_t width = a->width, rows = a->rows;
+    while (p < end) {
+        if (*p == '\n' || *p == '\r') {
+            p++;
+            continue;
+        }
+        const char *row = p;
+        double *out = a->out + rows * width;
+        int64_t cells = 0;
+        for (;;) {
+            if (width && cells == width)
+                return READ_REFUSED;
+            if (rows * width + cells == a->capacity) {
+                a->pos = row - text, a->width = width, a->rows = rows;
+                return READ_FULL;
+            }
+            p = read_cell(p, end, out + cells++);
+            if (!p)
+                return READ_REFUSED;
+            if (p == end || *p != ',')
+                break;
+            p++;
+        }
+        if ((p < end && *p != '\n' && *p != '\r') || (width && cells != width))
+            return READ_REFUSED;
+        width = cells;
+        rows++;
+    }
+    a->pos = a->size, a->width = width, a->rows = rows;
+    return rows ? READ_DONE : READ_REFUSED;
 }

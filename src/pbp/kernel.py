@@ -10,7 +10,8 @@ share: a rows pass runs one work item through every layer in one call
 per run in sequence, runs one row per run through every layer, then the
 noise step, the reverse sweep and the refinement of every weight. It also
 writes the CSV rows of predictions (repr_rows), each float as Python's repr
-gives it, by Ryu's shortest round-trip conversion.
+gives it, by Ryu's shortest round-trip conversion, and reads the rows of a
+numeric CSV (read_rows), each cell as Python's float() reads it.
 
 Some bits come from outside this package. The matmuls call numpy's bundled
 OpenBLAS (BLAS_SYMBOLS) as np.matmul does on stacked inputs (gemv or dot
@@ -23,7 +24,8 @@ np.matmul, scipy.special.log_ndtr, np.exp and np.power (check_externals); a
 missing symbol or loop or a differing bit fails the import with one line,
 an ExternalError, and there is no other path. So does a formatted float that
 is not its repr (check_repr), as on a Python whose float_repr_style is not
-'short'.
+'short', and a cell read with other bits than float()'s (check_read), as
+from a libc whose strtod does not round correctly.
 
 kernel.c is compiled with gcc and FLAGS, for this CPU (-march=native), on
 first import and loaded with ctypes. The build is cached under
@@ -273,6 +275,8 @@ def load(path: Path) -> ctypes.CDLL:
         entry.restype = None
     lib.repr_rows.argtypes = [address, integer, address, address, address]
     lib.repr_rows.restype = ctypes.c_int64
+    lib.read_rows.argtypes = [ctypes.POINTER(_ReadArgs)]
+    lib.read_rows.restype = ctypes.c_int
     return lib
 
 
@@ -293,7 +297,7 @@ class ExternalError(CompilerError):
     """numpy's BLAS, exp or power or scipy's log_ndtr cannot be called from
     kernel.c, or does not give the bits of np.matmul, np.exp, np.power or
     scipy.special.log_ndtr there; or kernel.c's formatter does not give
-    Python's repr of a float."""
+    Python's repr of a float, or its reader float()'s bits."""
 
 
 # The functions kernel.c calls for the bits of np.matmul (numpy's bundled
@@ -507,6 +511,66 @@ def check_repr(lib: ctypes.CDLL, pow5: np.ndarray) -> None:
         raise ExternalError(f"kernel.c's repr_rows writes {len(got)} rows for {values.size}")
 
 
+class _ReadArgs(ctypes.Structure):
+    _fields_ = _layout(["size", "pos", "width", "rows", "capacity"]) + [
+        ("text", ctypes.c_char_p), ("out", ctypes.c_void_p)
+    ]
+
+
+READ_FULL = 1  # read_rows' status where its output has no room for the next row
+
+
+def _read_rows(lib: ctypes.CDLL, text: bytes, start: int) -> np.ndarray | None:
+    # Room for a cell per 8 bytes to start with, doubled while it is full,
+    # and cut to the rows read: no larger buffer is left behind.
+    args = _ReadArgs(len(text), start, text=text)
+    out = np.empty(max((len(text) - start) // 8, 1))
+    while True:
+        args.out, args.capacity = out.ctypes.data, out.size
+        status = lib.read_rows(ctypes.byref(args))
+        if status != READ_FULL:
+            break
+        out.resize(2 * out.size, refcheck=False)
+    if status < 0:
+        return None
+    out.resize(args.rows * args.width, refcheck=False)
+    return out.reshape(args.rows, args.width)
+
+
+# Decimal strings whose float() bits check_read compares with read_rows':
+# both of its conversions (Clinger's exact products and quotients, and
+# strtod beyond them) at their edges.
+READ_CHECK_CELLS = (
+    "0", "-0", "-0.0e0", "007", ".5e1", "5.e-1", "0.1", "0.3", "+2.5e+15", "4.35679e-10",
+    "1e22", "1e23", "1e-22", "1e-23", "9007199254740992", "123456789012345678",
+    "12345678901234567890", "1234567890123456789e-40", "8.98846567431158e307",
+    # the normal and subnormal ends, and halfway to the smallest subnormal
+    "1.7976931348623157e308", "1.7976931348623158e308", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "2.2250738585072014e-308", "4.9406564584124654e-324", "5e-324",
+    "2.4703282292062328e-324", "2.4703282292062327e-324", "1e-400",
+    # halfway between two doubles, ties to even: just below, at and above
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "9007199254740993", "9007199254740995", "9007199254740994.99", "9007199254740995.0",
+    "0.500000000000000166533453693773481063544750213623046875", "3.518437208883201171875e13",
+)
+
+
+def check_read(lib: ctypes.CDLL) -> None:
+    """ExternalError unless kernel.c's read_rows reads each cell of
+    READ_CHECK_CELLS, one a row, with the bits float() gives it."""
+    got = _read_rows(lib, "\n".join(READ_CHECK_CELLS).encode(), 0)
+    if got is None or got.shape != (len(READ_CHECK_CELLS), 1):
+        raise ExternalError(f"kernel.c's read_rows does not read {len(READ_CHECK_CELLS)} decimal rows")
+    for cell, value in zip(READ_CHECK_CELLS, got[:, 0].tolist()):
+        if value.hex() != float(cell).hex():
+            raise ExternalError(
+                f"kernel.c's read_rows reads {cell!r} as {value!r} where float() gives "
+                f"{float(cell)!r}"
+            )
+
+
 # kernel.c's statuses, as what the Python floats it replaces raised.
 _ERRORS = {
     -1: (ZeroDivisionError, "float division by zero"),
@@ -552,6 +616,7 @@ try:
     check_externals(LIB, EXTERNALS)
     POW5 = pow5_tables()
     check_repr(LIB, POW5)
+    check_read(LIB)
 except CompilerError:
     _report_in_one_line()
     raise
@@ -565,6 +630,17 @@ def repr_rows(first: np.ndarray, second: np.ndarray) -> str:
     if first.ndim != 1 or first.shape != second.shape:
         raise ValueError(f"rows of arrays of shapes {first.shape} and {second.shape}")
     return _repr_rows(LIB, POW5, first, second)
+
+
+def read_rows(text: bytes, start: int = 0) -> np.ndarray | None:
+    """The (n, d) float matrix of the CSV rows of text from byte start on, in
+    one kernel.c call over the bytes, each cell with the bits float() gives
+    it; None where read_rows refuses them (see kernel.c): a byte or cell
+    outside its grammar, rows of other widths, a value that is not finite, or
+    no row at all."""
+    if not 0 <= start <= len(text):
+        raise ValueError(f"start {start} outside the {len(text)} bytes of text")
+    return _read_rows(LIB, text, start)
 
 
 class NoiseStep:

@@ -62,6 +62,24 @@ def write_csv(path, rows):
     return path
 
 
+def over_the_field_limit(tmp_path, where, text):
+    """A CSV of text, its header's first cell or its last row's first cell a
+    number of 200,000 digits: a field larger than the csv module's limit."""
+    lines = text.splitlines()
+    k = 0 if where == "header" else len(lines) - 1
+    lines[k] = "1" * 200_000 + lines[k]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def assert_one_line_data_error(code, capsys, path):
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: field larger than field limit")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def summary(text):
     """The train command's summary lines as a dict of strings."""
     return dict(line.split(": ", 1) for line in text.splitlines())
@@ -139,6 +157,12 @@ class TestTrainCommand:
         code = main(["train", "--data", str(missing), "--out", str(tmp_path / "m.json")])
         assert code == EXIT_DATA
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["header", "data"])
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys, where):
+        data = over_the_field_limit(tmp_path, where, "x,y\n1,2\n3,4\n")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
+        assert_one_line_data_error(code, capsys, data)
 
 
 class TestPredictCommand:
@@ -225,6 +249,16 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert f"corrupt model file {model}" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["header", "data"])
+    def test_field_over_the_csv_limit_is_a_data_error(self, toy_csv, tmp_path, capsys, where):
+        model = self._train(toy_csv, tmp_path)
+        capsys.readouterr()
+        feats = over_the_field_limit(tmp_path, where, "x\n0.5\n")
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", str(feats), "--out", str(out)])
+        assert_one_line_data_error(code, capsys, feats)
         assert not out.exists()
 
     def test_dimension_mismatch(self, toy_csv, tmp_path, capsys):

@@ -1,16 +1,18 @@
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pbp.data
 from conftest import predict_alone
+from pbp import kernel
 from pbp.cli import EXIT_DATA, EXIT_OK, main
 from pbp.data import (
     DataError,
     Dataset,
-    _loadtxt,
     load_csv,
     load_model,
     normalize,
@@ -98,6 +100,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="ghost.csv"):
             load_csv(tmp_path / "ghost.csv")
 
+    @pytest.mark.parametrize("cell", ["2", "2_0"], ids=["read-rows", "csv-fallback"])
+    def test_a_pipe_is_read_once(self, cell):
+        read, write = os.pipe()
+        os.write(write, f"a,b\n1,{cell}\n".encode())
+        os.close(write)
+        try:
+            data, header = read_csv_matrix(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert data.tolist() == [[1.0, float(cell)]] and header == ["a", "b"]
+
 
 def _outcome(read, path):
     """What a CSV reader makes of a file: its matrix bytes, shape and header,
@@ -144,11 +157,34 @@ CSV_CASES = [
     (b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n", "invalid-utf8-past-first-chunk"),
     (b"a,b\n" + b"1,2\n" * 3000 + b"3,4\n", "many-rows"),
     (b"a,b\n" + b"1,2\n" * 3000 + b"3,x\n", "bad-cell-past-first-chunk"),
+    # kernel.read_rows' edges: Clinger's exact path (at most 2 ** 53, 10 ** +-22)
+    # and strtod beyond it
+    (b"123456789012345,1234567890123456,12345678901234567,12345678901234567890\n"
+     b"0.123456789012345,1.234567890123456,-12.34567890123456e-3,1234567890.1234567890\n",
+     "mantissas-of-15-16-17-20-digits"),
+    (b"1e22,1e-22,1e23,1e-23\n9.87654321e22,-3e-22,4.5e+23,7E-23\n", "exponents-22-and-23"),
+    (b"x\n9007199254740993\n9007199254740992\n9007199254740995\n", "two-to-the-53-plus-one"),
+    (b"5e-324,2.4703282292062328e-324,2.2250738585072011e-308\n"
+     b"2.4703282292062327e-324,1.7976931348623157e308,1e-400\n", "subnormal-and-normal-ends"),
+    (b"-0,-0.0e0,007,.5e1,5.e-1\n+0,0e999,-00.000,+.5,1.\n", "zero-and-short-forms"),
+    (b"a,b\n\t1\t,\t 2 \t\n 3\t, \t4\n", "tab-padded"),
+    (b"a,b\n1,\x0b2\n3,4\n", "vertical-tab-in-cell"),
+    (b"a,b\n1,2\x0c\n3,4\n", "form-feed-in-cell"),
+    (b"a,b\n1,2\x00\n3,4\n", "nul-in-cell"),
+    (b"a,b\n1,1e\n3,4\n", "exponent-without-digits"),
+    (b"a,b\n1,e5\n3,4\n", "exponent-without-mantissa"),
+    (b"a,b\n1,.\n3,4\n", "lone-point"),
+    (b"a,b\n1,+\n3,4\n", "lone-sign"),
+    (b"a,b\n1,1.2.3\n3,4\n", "two-points"),
+    (b"a,b\n1,0." + b"0" * 500 + b"15\n3,4\n", "cell-longer-than-the-bound"),
+    (b"a,b\n1,2\r3,4\r\n5,6\r7,8\r\n", "mixed-cr-and-crlf"),
+    (b"a\xff,b\n1,2\n", "invalid-utf8-in-header"),
+    (b"\xef\xbb\xbf1,2\n3,4\n", "utf8-bom"),
 ]
 
 
 class TestCsvFastPath:
-    """read_csv_matrix tries np.loadtxt first; every file must still read
+    """read_csv_matrix tries kernel.read_rows first; every file must still read
     exactly as the csv-module parser it falls back to reads it."""
 
     @pytest.mark.parametrize("content", [c for c, _ in CSV_CASES], ids=[i for _, i in CSV_CASES])
@@ -163,12 +199,44 @@ class TestCsvFastPath:
             return
         assert _outcome(read_csv_matrix, p) == want
 
-    def test_plain_file_takes_the_fast_path(self, tmp_path):
+    # Cells float() reads, or refuses, that kernel.read_rows leaves to the fallback.
+    REFUSED = ["1e", "e5", ".", "+", "1.2.3", "\x0b2", "2\x0c", "2\x00", "1_000", "inf", "nan",
+               "0x10", "\xa02", "1e999", '"2"', "2 3", "", "0." + "0" * 400 + "1"]
+
+    def test_plain_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        fallback = _spy_fallback(monkeypatch)
         p = tmp_path / "d.csv"
-        p.write_text("a,b\n1,2\n3,4\n")
-        with open(p, newline="", encoding="utf-8") as fh:
-            data = _loadtxt(fh, 1)
-        assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        p.write_text("a,b\n1,2.5e-3\r\n\n-3,.4\n")
+        data, header = read_csv_matrix(p)
+        assert data.tolist() == [[1.0, 0.0025], [-3.0, 0.4]] and header == ["a", "b"]
+        assert fallback == []
+        assert kernel.read_rows(p.read_bytes(), 4).tolist() == data.tolist()
+
+    @pytest.mark.parametrize("cell", REFUSED)
+    def test_each_refused_form_reaches_the_fallback(self, tmp_path, monkeypatch, cell):
+        text = f"a,b\n1,2\n3,{cell}\n".encode()
+        assert kernel.read_rows(text, 4) is None
+        fallback = _spy_fallback(monkeypatch)
+        p = tmp_path / "d.csv"
+        p.write_bytes(text)
+        try:
+            read_csv_matrix(p)
+        except DataError:
+            pass
+        assert fallback[:3] == ["1", "2", "3"] and len(fallback) == 4
+
+
+def _spy_fallback(monkeypatch) -> list[str]:
+    """The cells the csv-module fallback of read_csv_matrix parses, in order,
+    as they pass."""
+    seen, parse = [], pbp.data._parse_cell
+
+    def spy(cell, row, col):
+        seen.append(cell)
+        return parse(cell, row, col)
+
+    monkeypatch.setattr(pbp.data, "_parse_cell", spy)
+    return seen
 
 
 class TestSplit:
