@@ -3,6 +3,7 @@
 stack shapes.
 
     python scripts/step_timing.py TREE [--steps=N] [--repeats=K] [--json]
+    python scripts/step_timing.py --fresh TREE [TREE ...] [--repeats=K] [--json]
 
 TREE is a checkout of this repository: pbp is imported from its `src`, with
 BLAS pinned to one thread as in perfbench. For each stack (runs x layer
@@ -47,7 +48,24 @@ up to 17), through each phase of `cli.cmd_predict` in turn
 (PREDICT_PHASES): `load_model`, `read_csv_matrix`, the rows pass
 (`predict_batch`), the CSV text (`cli._prediction_csv`) and its write to a
 file. Each phase gives the median milliseconds over K repeats, and their
-range. --json prints one JSON object instead of the tables.
+range.
+
+A sixth table times what a user waits for from a shell, in fresh Python
+processes (FRESH): `import pbp.cli`, timed inside the process, and the whole
+process of a `pbp predict` of FRESH_PREDICT's rows of .6g cells through a
+model trained as the fifth table's, and of a `pbp train` on FRESH_TRAIN's
+seeded rows, each run as the `pbp` script runs main. A round runs each of
+them once; the table gives the median seconds over K rounds and their
+range. It then splits the import, median milliseconds over K more
+processes: the cumulative import of each module of SPLIT_MODULES that the
+process imports (`-X importtime`, `site` being the interpreter's .pth
+imports), and, from processes whose import runs under cProfile, the
+cumulative time of each function of pbp.kernel's import in SPLIT_FUNCTIONS
+(`_compiler_version` is build()'s `gcc --version`). With --fresh only this
+table runs, for each TREE, the trees' processes alternated in each round,
+the first tree first in odd rounds and last in even ones.
+
+--json prints one JSON object instead of the tables.
 """
 
 import inspect
@@ -55,6 +73,7 @@ import itertools
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -104,6 +123,28 @@ PREDICT_TRAINING_ROWS = 200
 PREDICT_PHASES = ("load_model", "read_csv_matrix", "rows_pass", "csv_text", "write")
 # The forms of the features CSV's cells: how each writes a float.
 PREDICT_CELLS = {".6g": lambda v: format(v, ".6g"), "repr": repr}
+# The fresh processes timed, and the code each runs: the import, timed in
+# the process, and the `pbp` script's main on a predict and a train.
+PBP = "import sys; from pbp.cli import main; sys.exit(main(sys.argv[1:]))"
+FRESH = {
+    "import": "import time; t = time.perf_counter(); import pbp.cli; print(time.perf_counter() - t)",
+    "predict": PBP,
+    "train": PBP,
+}
+FRESH_PREDICT = ([6, 10, 1], 40_000)
+FRESH_TRAIN = dict(rows=300, features=6, epochs=10)
+SPLIT_MODULES = ("site", "numpy", "scipy", "scipy.special", "scipy.special.cython_special",
+                 "pbp.kernel", "pbp.cli")
+SPLIT_FUNCTIONS = ("_compiler_version", "resolve_externals", "check_externals", "pow5_tables",
+                   "check_repr", "check_read")
+PROFILED_IMPORT = (
+    "import cProfile, json, pstats\n"
+    "profile = cProfile.Profile()\n"
+    "profile.runcall(__import__, 'pbp.cli')\n"
+    "print(json.dumps({name: seconds for (path, _, name), (_, _, _, seconds, _)\n"
+    "                  in pstats.Stats(profile).stats.items()\n"
+    "                  if path.endswith('pbp/kernel.py')}))\n"
+)
 
 
 def fresh_stack(runs, sizes, seed):
@@ -294,6 +335,97 @@ def timed_predict(model, features, out):
     return {phase: end - start for phase, start, end in zip(PREDICT_PHASES, times, times[1:])}
 
 
+def fresh_files(directory):
+    """{"predict": argv, "train": argv} of the fresh processes' `pbp`
+    commands, on files written into directory."""
+    import numpy as np
+
+    sizes, rows = FRESH_PREDICT
+    model, features = predict_files(sizes, rows, 0, directory, ".6g")
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(FRESH_TRAIN["rows"], FRESH_TRAIN["features"]))
+    y = np.sin(x.sum(axis=1)) + 0.1 * rng.normal(size=FRESH_TRAIN["rows"])
+    data = Path(directory) / "train.csv"
+    data.write_text("".join(",".join(map(repr, [*a, b])) + "\n" for a, b in zip(x.tolist(), y.tolist())))
+    return {
+        "predict": ["predict", "--model", str(model), "--data", str(features),
+                    "--out", str(Path(directory) / "pred.csv")],
+        "train": ["train", "--data", str(data), "--epochs", str(FRESH_TRAIN["epochs"]),
+                  "--out", str(Path(directory) / "trained.json")],
+    }
+
+
+def fresh_process(tree, code, argv=(), flags=()):
+    """(seconds, stdout, stderr) of a new Python process running code with
+    argv, pbp imported from tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if done.returncode != 0:
+        raise RuntimeError(f"{code!r} {list(argv)} exited {done.returncode}: {done.stderr}")
+    return seconds, done.stdout, done.stderr
+
+
+def import_split(tree):
+    """{name: seconds} of one process's import of pbp.cli: the cumulative
+    import of each of SPLIT_MODULES it imports, and, from another process
+    under cProfile, the cumulative time of each of SPLIT_FUNCTIONS."""
+    _, _, log = fresh_process(tree, "import pbp.cli", flags=("-X", "importtime"))
+    split = {}
+    for line in log.splitlines():
+        cells = line.split("|")
+        if len(cells) == 3 and cells[2].strip() in SPLIT_MODULES:
+            split[cells[2].strip()] = int(cells[1]) / 1e6
+    _, out, _ = fresh_process(tree, PROFILED_IMPORT)
+    functions = json.loads(out)
+    split.update((name, functions[name]) for name in SPLIT_FUNCTIONS if name in functions)
+    return split
+
+
+def fresh_table(trees, repeats):
+    """{tree: {"seconds": {process: summary}, "split_ms": {name: summary}}}
+    of the FRESH processes and the import split, rounds alternating the
+    trees."""
+    times = {tree: {name: [] for name in FRESH} for tree in trees}
+    splits = {tree: [] for tree in trees}
+    with tempfile.TemporaryDirectory() as directory:
+        argvs = fresh_files(directory)
+        for k in range(repeats):
+            for tree in trees if k % 2 == 0 else trees[::-1]:
+                for name, code in FRESH.items():
+                    seconds, out, _ = fresh_process(tree, code, argvs.get(name, ()))
+                    times[tree][name].append(float(out) if name == "import" else seconds)
+                splits[tree].append(import_split(tree))
+    table = {}
+    for tree in trees:
+        split = {}
+        for name in (*SPLIT_MODULES, *SPLIT_FUNCTIONS):
+            ms = [run[name] * 1e3 for run in splits[tree] if name in run]
+            if ms:
+                split[name] = {"ms": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms)}
+        table[str(tree)] = {
+            "seconds": {
+                name: {"s": statistics.median(t), "s_min": min(t), "s_max": max(t)}
+                for name, t in times[tree].items()
+            },
+            "split_ms": split,
+            "repeats": repeats,
+        }
+    return table
+
+
+def print_fresh(table):
+    for tree, row in table.items():
+        cells = [f"{name} {t['s']:.3f} ({t['s_min']:.3f}-{t['s_max']:.3f})"
+                 for name, t in row["seconds"].items()]
+        print(f"fresh processes {tree}, s: " + ", ".join(cells), flush=True)
+        cells = [f"{name} {t['ms']:.1f} ({t['ms_min']:.1f}-{t['ms_max']:.1f})"
+                 for name, t in row["split_ms"].items()]
+        print("  import split, ms: " + ", ".join(cells), flush=True)
+
+
 def runs_the_pass(training):
     """Whether the tree's train_runs ends each epoch with the training-RMSE
     pass itself."""
@@ -308,12 +440,23 @@ def phase_names(sizes):
 def main(argv):
     args = [a for a in argv if not a.startswith("--")]
     options = dict(a[2:].split("=", 1) if "=" in a else (a[2:], "1") for a in argv if a.startswith("--"))
-    if len(args) != 1 or not set(options) <= {"steps", "repeats", "json"}:
+    fresh_only = "fresh" in options
+    if (len(args) != 1 and not (fresh_only and args)) or not set(options) <= {
+        "steps", "repeats", "json", "fresh"
+    }:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     steps, repeats = int(options.get("steps", 3000)), int(options.get("repeats", 5))
-    tree = Path(args[0]).resolve()
+    trees = [Path(a).resolve() for a in args]
+    tree = trees[0]
     sys.path.insert(0, str(tree / "src"))
+    if fresh_only:
+        table = fresh_table(trees, repeats)
+        if "json" in options:
+            print(json.dumps({"fresh": table}))
+        else:
+            print_fresh(table)
+        return 0
     import pbp.kernel
 
     counters = hasattr(getattr(pbp.kernel, "Step", None), "count_phases")
@@ -419,12 +562,15 @@ def main(argv):
                 f"predict {row['model']:>11}, {n} rows of {cells:>4} cells, ms: " + ", ".join(parts),
                 flush=True,
             )
+    fresh = fresh_table(trees, repeats)
     if "json" in options:
         print(json.dumps({
             "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
             "phase_counters": counters, "stacks": results, "rows_passes": rows_passes,
-            "trainings": trainings, "active": active, "predict": predicts,
+            "trainings": trainings, "active": active, "predict": predicts, "fresh": fresh,
         }))
+    else:
+        print_fresh(fresh)
     return 0
 
 

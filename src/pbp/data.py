@@ -129,7 +129,7 @@ def _kernel_read(text: bytes) -> tuple[np.ndarray, list[str] | None] | None:
 
     try:
         first = next(filter(None, csv.reader(lines())), None)
-    except UnicodeDecodeError:  # the csv-module parser raises it as a text-mode read does
+    except UnicodeDecodeError:  # the csv-module fallback reports it
         return None
     if first is None:
         return None
@@ -151,8 +151,9 @@ def read_csv_matrix(path) -> tuple[np.ndarray, list[str] | None]:
     whitespace-only line, digits that only Python's float reads, a long
     cell, a non-ASCII byte) or any non-finite value goes to the exact
     csv-module parser below, so the values accepted and the diagnostics
-    given are those of that parser alone. A field over the csv module's size
-    limit is a DataError.
+    given are those of that parser alone, except that a byte that is not
+    UTF-8 is a DataError naming the file, the byte and its offset in the
+    file. A field over the csv module's size limit is a DataError too.
     """
     try:
         with open(path, "rb") as fh:
@@ -160,9 +161,16 @@ def read_csv_matrix(path) -> tuple[np.ndarray, list[str] | None]:
         read = _kernel_read(text)
         if read is not None:
             return read
-        # The bytes read, decoded as reading the file in text mode decodes it.
-        with io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        # The bytes read, decoded whole: the text reading the file in text
+        # mode gives, and an undecodable byte's offset in the file.
+        try:
+            decoded = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: byte 0x{text[exc.start]:02x} at offset {exc.start} is not UTF-8 "
+                f"({exc.reason})"
+            ) from None
+        rows = [row for row in csv.reader(io.StringIO(decoded, newline="")) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:

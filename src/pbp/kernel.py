@@ -25,7 +25,10 @@ missing symbol or loop or a differing bit fails the import with one line,
 an ExternalError, and there is no other path. So does a formatted float that
 is not its repr (check_repr), as on a Python whose float_repr_style is not
 'short', and a cell read with other bits than float()'s (check_read), as
-from a libc whose strtod does not round correctly.
+from a libc whose strtod does not round correctly. Where scipy.special is
+not yet imported, its cython_special and log_ndtr load under a stub
+package, out of sys.modules again once they are loaded, so that the
+package's __init__ (0.2-0.3 s) does not run (_scipy_special).
 
 kernel.c is compiled with gcc and FLAGS, for this CPU (-march=native), on
 first import and loaded with ctypes. The build is cached under
@@ -52,6 +55,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +311,7 @@ class ExternalError(CompilerError):
 # numpy's _multiarray_umath).
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_", "scipy_cblas_dgemm64_")
 LOG_NDTR_CAPSULE = "__pyx_fuse_1log_ndtr"
+SPECIAL = "scipy.special"
 UFUNCS = {"exp": 1, "power": 2}  # and their numbers of inputs
 
 
@@ -339,13 +344,50 @@ def _double_loop(name: str) -> tuple[int, int | None]:
     raise ExternalError(f"numpy's {name} has no {'d' * nin}->d loop, which kernel.c calls")
 
 
-def resolve_externals() -> _Externals:
+def _scipy_special():
+    """scipy.special's cython_special and the log_ndtr ufunc the check compares
+    against. Where scipy.special is not yet imported, both load under a stub
+    package, a bare module whose __path__ is scipy's special directory, held
+    in sys.modules only while they load: the package's __init__ (0.2-0.3 s of
+    array-API backends, array_api_compat and numpy.f2py) does not run, and a
+    later import of scipy.special runs it and finds these modules loaded.
+    The ufunc then comes from _special_ufuncs, the module that defines
+    scipy.special.log_ndtr (the same object in scipy 1.17); a scipy without
+    it there imports the whole package for it. A failed load under the stub
+    is an ExternalError."""
+    if SPECIAL not in sys.modules:
+        import scipy
+
+        stub = types.ModuleType(SPECIAL)
+        stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+        sys.modules[SPECIAL] = stub
+        try:
+            from scipy.special import cython_special
+
+            try:
+                from scipy.special._special_ufuncs import log_ndtr
+            except ImportError:
+                log_ndtr = None
+        except Exception as exc:
+            raise ExternalError(f"scipy.special.cython_special cannot be loaded: {exc}") from None
+        finally:
+            if sys.modules.get(SPECIAL) is stub:
+                del sys.modules[SPECIAL]
+        if log_ndtr is not None:
+            return cython_special, log_ndtr
+    import scipy.special
+    from scipy.special import cython_special
+
+    return cython_special, scipy.special.log_ndtr
+
+
+def resolve_externals() -> tuple[_Externals, np.ufunc]:
     """The function pointers of BLAS_SYMBOLS, looked up in the BLAS that
     numpy's multiarray module loaded, of scipy's log_ndtr, and of the loops
-    on doubles of UFUNCS, read from numpy's ufunc objects; ExternalError
-    when one is missing."""
+    on doubles of UFUNCS, read from numpy's ufunc objects; and the log_ndtr
+    ufunc they are checked against (see _scipy_special). ExternalError when
+    one is missing."""
     from numpy._core import _multiarray_umath
-    from scipy.special import cython_special
 
     blas = ctypes.CDLL(_multiarray_umath.__file__)
     pointers = []
@@ -354,6 +396,7 @@ def resolve_externals() -> _Externals:
             pointers.append(ctypes.cast(getattr(blas, name), ctypes.c_void_p).value)
         except AttributeError:
             raise ExternalError(f"numpy's BLAS has no {name}, which kernel.c calls") from None
+    cython_special, log_ndtr = _scipy_special()
     capsule = cython_special.__pyx_capi__.get(LOG_NDTR_CAPSULE)
     if capsule is None:
         raise ExternalError(f"scipy.special.cython_special has no {LOG_NDTR_CAPSULE}")
@@ -361,24 +404,23 @@ def resolve_externals() -> _Externals:
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, capsule_t)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, capsule_t, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
     (exp, exp_data), (power, power_data) = (_double_loop(ufunc) for ufunc in UFUNCS)
-    return _Externals(*pointers, pointer(capsule, name(capsule)), exp, power, exp_data, power_data)
+    externals = _Externals(*pointers, pointer(capsule, name(capsule)), exp, power, exp_data, power_data)
+    return externals, log_ndtr
 
 
-def check_externals(lib: ctypes.CDLL, externals: _Externals) -> None:
+def check_externals(lib: ctypes.CDLL, externals: _Externals, log_ndtr) -> None:
     """ExternalError unless kernel.c's forward_products, matvec, log_ndtr_n,
     exp_n and power_n, through externals, give the bits of np.matmul,
-    scipy.special.log_ndtr, np.exp and the powers x ** 3, ** -2 and ** -4 on
-    a few seeded cases: each branch of forward_products on stacked inputs,
-    whose matrices lie apart as a stack's do (one row, one output unit,
-    both, and rows up to the largest block of a rows pass), and of matvec's
-    reverse products, each with a row of zeros, whose products are signed
-    zeros; log_ndtr at infinities, NaN, signed zeros and the edges of its
+    log_ndtr (scipy.special.log_ndtr, see _scipy_special), np.exp and the
+    powers x ** 3, ** -2 and ** -4 on a few seeded cases: each branch of
+    forward_products on stacked inputs, whose matrices lie apart as a
+    stack's do (one row, one output unit, both, and rows up to the largest
+    block of a rows pass), and of matvec's reverse products, each with a row
+    of zeros, whose products are signed zeros; log_ndtr at infinities, NaN, signed zeros and the edges of its
     branches; and exp and the powers at infinities, NaN, signed zeros and
     exp's underflow and overflow edges, on slices of several starts and
     lengths and on a gather, each value against its bits in the whole
     array; and that numpy's powers of -1.0 are exactly -1.0, 1.0 and 1.0."""
-    from scipy.special import log_ndtr
-
     rng = np.random.default_rng(18)
     ref = ctypes.byref(externals)
     blas = " and ".join(BLAS_SYMBOLS)
@@ -612,8 +654,8 @@ def _address(array: np.ndarray, shape: tuple[int, ...]) -> int:
 
 try:
     LIB = load(build())
-    EXTERNALS = resolve_externals()
-    check_externals(LIB, EXTERNALS)
+    EXTERNALS, LOG_NDTR = resolve_externals()
+    check_externals(LIB, EXTERNALS, LOG_NDTR)
     POW5 = pow5_tables()
     check_repr(LIB, POW5)
     check_read(LIB)

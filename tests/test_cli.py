@@ -164,6 +164,20 @@ class TestTrainCommand:
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")])
         assert_one_line_data_error(code, capsys, data)
 
+    def test_undecodable_byte_names_the_file_and_its_offset(self, tmp_path, capsys):
+        # Byte 12,006 lies past the first 8,192-byte chunk a text-mode read
+        # decodes, where it would be reported at position 3,814.
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n")
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(data), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (
+            f"data error: {data}: byte 0xff at offset 12006 is not UTF-8 (invalid start byte)\n"
+        )
+        assert not out.exists()
+
 
 class TestPredictCommand:
     def _train(self, toy_csv, tmp_path):
