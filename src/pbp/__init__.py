@@ -19,7 +19,7 @@ from .data import (
     save_model,
     split,
 )
-from .forward import MomentVector, forward_output_moments
+from .forward import forward_output_moments
 from .posterior import (
     GammaDist,
     LayerPosterior,

@@ -12,7 +12,12 @@ log_ndtr and numpy's exp and power loops from there. A rows pass
 (forward_output_moments) runs each work item through every layer in one
 call (kernel.RowsPass); the likelihood step runs one row per run through
 it, in the stack's workspace (kernel.Step), and training folds a whole epoch
-of examples into one call (updates.incorporate_likelihood_factors).
+of examples into one call (updates.incorporate_likelihood_factors). The
+rectifier's two fixed numbers, the variance below which a unit is
+deterministic and the standardized mean below which its pdf/cdf ratio takes
+the asymptotic series, are constants of kernel.c, as is log 2 pi; kernel.py
+reads them from there (kernel.DETERMINISTIC_VARIANCE, SERIES_THRESHOLD and
+LOG_2PI).
 """
 
 from __future__ import annotations
@@ -20,42 +25,14 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import RowsPass, Step
 from .posterior import PosteriorStack
 
-# Below this pre-activation variance the unit is treated as deterministic:
-# the moment formulas divide by sqrt(v) and this is their exact limit.
-DETERMINISTIC_VARIANCE = 1e-30
-
-# Below this standardized mean the pdf/cdf ratio switches to its asymptotic
-# series, which stays accurate where the direct ratio loses precision.
-SERIES_THRESHOLD = -30.0
-
 # Rows per block of a large forward pass (see forward_output_moments).
 BLOCK_ROWS = 512
-
-
-@dataclass
-class MomentVector:
-    """Paired mean/variance arrays for one layer's random activations.
-
-    Shape (*runs, rows, units): the last axis indexes units, the one before it
-    input rows, and a leading axis, when present, independent runs.
-    """
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self):
-        if self.mean.shape != self.variance.shape:
-            raise ValueError("mean and variance must have equal length")
-
-    def __len__(self) -> int:
-        return self.mean.shape[-1]
 
 
 def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +74,7 @@ def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.nda
         if need != have:
             bound.rows_pass = held = None  # the old buffers go before the new ones come
             held = bound.rows_pass = RowsPass(
-                stack.means, stack.variances, stack.layer_sizes, x, out_mean, out_var, *need,
-                DETERMINISTIC_VARIANCE, SERIES_THRESHOLD,
+                stack.means, stack.variances, stack.layer_sizes, x, out_mean, out_var, *need
             )
         held(*item)
 
@@ -110,10 +86,7 @@ def workspace(stack: PosteriorStack) -> Step:
     """The stack's likelihood step, a kernel.Step that the first call builds
     and keeps on the stack."""
     if stack.workspace is None:
-        stack.workspace = Step(
-            stack.means, stack.variances, stack.gamma, stack.layer_sizes,
-            DETERMINISTIC_VARIANCE, SERIES_THRESHOLD,
-        )
+        stack.workspace = Step(stack.means, stack.variances, stack.gamma, stack.layer_sizes)
     return stack.workspace
 
 

@@ -45,28 +45,40 @@ enum {
     NEGATIVE_VARIANCE = -5,   /* a negative pre-activation variance */
 };
 
+/* The fixed numbers of the moment maps, defined here alone; kernel.py reads
+ * each from the library (ctypes in_dll).
+ * log(2 pi), written as the repr of Python's math.log(2.0 * math.pi). */
+const double LOG_2PI = 1.8378770664093453;
+/* Below this pre-activation variance a rectifier input is deterministic:
+ * the moment formulas divide by sqrt(v) and this is their exact limit. */
+const double DETERMINISTIC_VARIANCE = 1e-30;
+/* Below this standardized mean the pdf/cdf ratio takes its asymptotic
+ * series, which stays accurate where the direct ratio loses precision. */
+const double SERIES_THRESHOLD = -30.0;
+
+/* Each struct kernel.py binds holds its int64s first, then its pointers,
+ * which kernel.py's _layout mirrors. */
+
 struct noise_args {
     int64_t runs;
+    int64_t failed_run;    /* the run whose arithmetic failed, with a status */
     double *moments;       /* (3, R): targets, output means, output variances */
     const double *gamma;   /* (2, R): noise Gamma shapes, rates */
     double *gamma_next;    /* (2, R): the matched Gammas */
     double *log_z;         /* (3, R): log-normalisers at shape + 0, 1, 2 */
     uint8_t *skipped;      /* (R,) */
     double *targets;       /* (R,): the target, or the output mean where skipped */
-    double log_2pi;
-    int64_t failed_run;    /* the run whose arithmetic failed, with a status */
 };
 
 struct refresh_args {
     int64_t runs, weights;
+    int64_t failed_run;        /* the run whose arithmetic failed, with a status */
     double *means, *variances; /* (R, W) */
     double *sites;             /* (4, R, W): precision, precision x mean, shape, rate */
     double *lam;               /* (2, R): prior Gamma shapes, rates */
     int64_t *skipped;          /* (R,): sites skipped per run */
     double *change;            /* (R,): largest change per run */
     double *backup;            /* 6 R W + 2 R */
-    double log_2pi;
-    int64_t failed_run;        /* the run whose arithmetic failed, with a status */
 };
 
 /* x ** 2 as Python's float power computes it: the base's sign dropped
@@ -105,8 +117,7 @@ enum { USABLE = 1, UNUSABLE = 0 };
  * UNUSABLE for a shape at or below 1, a negative v, a collapsed variance that
  * is not positive or a value that is not finite; OVERFLOW when the squared
  * residual overflows. */
-static int log_z_triple(double t, double mu, double v, double shape, double rate,
-                        double log_2pi, double lz[3])
+static int log_z_triple(double t, double mu, double v, double shape, double rate, double lz[3])
 {
     if (shape <= 1.0 || v < 0.0)
         return UNUSABLE;
@@ -119,9 +130,9 @@ static int log_z_triple(double t, double mu, double v, double shape, double rate
     double sq;
     if (py_square(t - mu, &sq))
         return OVERFLOW;
-    lz[0] = -0.5 * (log_2pi + log(var0) + sq / var0);
-    lz[1] = -0.5 * (log_2pi + log(var1) + sq / var1);
-    lz[2] = -0.5 * (log_2pi + log(var2) + sq / var2);
+    lz[0] = -0.5 * (LOG_2PI + log(var0) + sq / var0);
+    lz[1] = -0.5 * (LOG_2PI + log(var1) + sq / var1);
+    lz[2] = -0.5 * (LOG_2PI + log(var2) + sq / var2);
     return isfinite(lz[0]) && isfinite(lz[1]) && isfinite(lz[2]) ? USABLE : UNUSABLE;
 }
 
@@ -161,7 +172,7 @@ int64_t noise_step(struct noise_args *s)
     int64_t skips = 0;
     for (int64_t r = 0; r < R; r++) {
         double lz[3], refined[2] = {shape[r], rate[r]};
-        int usable = log_z_triple(y[r], mz[r], vz[r], shape[r], rate[r], s->log_2pi, lz) == USABLE;
+        int usable = log_z_triple(y[r], mz[r], vz[r], shape[r], rate[r], lz) == USABLE;
         if (usable) {
             /* A rejected match leaves refined as it was. */
             int status = gamma_moments(shape[r], rate[r], lz, refined);
@@ -251,7 +262,7 @@ static int refresh_run(const struct refresh_args *s, int64_t r)
                  * a_fit > 1, b_fit > 0 and 0 < v_cav < inf they are usable
                  * unless not finite, which the match would reject too. */
                 double lz[3], refined[2] = {a_fit, b_fit};
-                int status = log_z_triple(m_cav, 0.0, v_cav, a_fit, b_fit, s->log_2pi, lz);
+                int status = log_z_triple(m_cav, 0.0, v_cav, a_fit, b_fit, lz);
                 if (status == OVERFLOW)
                     return OVERFLOW;
                 if (status == USABLE) {
@@ -483,20 +494,20 @@ enum {
 
 struct relu_args {
     int64_t rows, units, out_stride; /* out_stride: doubles between rows of out_m, out_v */
+    int64_t n_deterministic, n_series;
     const double *m, *v;             /* (rows, units) pre-activation moments */
     /* RELU_ROWS rows of rows x units, in the order above: row k at buf + k *
      * rows * units, so that one buffer serves calls of up to as many rows as
      * it was made for */
     double *buf;
     double *out_m, *out_v;
-    int64_t n_deterministic, n_series;
-    double deterministic_variance, series_threshold, log_2pi;
 };
 
-/* det = v < cutoff; v_safe = where(det, 1.0, v); sqrt_v = sqrt(v_safe);
- * alpha = m / sqrt_v; log_pdf = -0.5 * (alpha * alpha + LOG_2PI);
- * series = alpha < threshold; alpha_s = where(series, alpha, -1.0); the
- * powers of -1.0 in cube, inv_square and inv_fourth; and the two counts.
+/* det = v < DETERMINISTIC_VARIANCE; v_safe = where(det, 1.0, v);
+ * sqrt_v = sqrt(v_safe); alpha = m / sqrt_v;
+ * log_pdf = -0.5 * (alpha * alpha + LOG_2PI); series = alpha <
+ * SERIES_THRESHOLD; alpha_s = where(series, alpha, -1.0); the powers of -1.0
+ * in cube, inv_square and inv_fourth; and the two counts.
  * NEGATIVE_VARIANCE, before any write, where some v < 0 (a NaN is not). */
 static int relu_pre(struct relu_args *s)
 {
@@ -515,20 +526,18 @@ static int relu_pre(struct relu_args *s)
     double *restrict inv_fourth = buf + INV_FOURTH * n;
     double *restrict deterministic = buf + DETERMINISTIC * n;
     double *restrict series = buf + SERIES * n;
-    const double cutoff = s->deterministic_variance, threshold = s->series_threshold;
-    const double log_2pi = s->log_2pi;
     #pragma GCC ivdep
     for (int64_t i = 0; i < n; i++) {
-        int det = v[i] < cutoff;
+        int det = v[i] < DETERMINISTIC_VARIANCE;
         double safe = det ? 1.0 : v[i];
         double root = __builtin_sqrt(safe);
         double a = m[i] / root;
-        int tail = a < threshold;
+        int tail = a < SERIES_THRESHOLD;
         v_safe[i] = safe;
         sqrt_v[i] = root;
         alpha[i] = a;
         neg_alpha[i] = -a;
-        log_pdf[i] = -0.5 * (a * a + log_2pi);
+        log_pdf[i] = -0.5 * (a * a + LOG_2PI);
         alpha_s[i] = tail ? a : -1.0; /* keeps the unused branch finite */
         cube[i] = -1.0;
         inv_square[i] = 1.0;
@@ -776,8 +785,8 @@ static int forward_layer(const struct step_args *s, int64_t l, int64_t n)
 /* A work item of a rows pass: rows [row, row + rows) of runs [run, run +
  * runs) of the inputs x, through every layer. */
 struct rows_args {
-    int64_t n, inputs;               /* rows per run and inputs per row of x */
-    const double *x;                 /* (R, n, inputs) */
+    int64_t n;                       /* rows per run of x */
+    const double *x;                 /* (R, n, d), d = layers[0].cols - 1 */
     double *out_mean, *out_variance; /* (R, n): the output moments */
 };
 
@@ -788,7 +797,7 @@ int forward_rows(const struct step_args *s, const struct rows_args *a, int64_t r
                  int64_t row, int64_t rows)
 {
     struct step_args item = *s;
-    const int64_t W = s->weights, d = a->inputs, cols = s->layers[0].cols;
+    const int64_t W = s->weights, cols = s->layers[0].cols, d = cols - 1;
     const struct step_layer *out = s->layers + s->n_layers - 1;
     if (runs * rows == 0)
         return 0;
@@ -937,17 +946,17 @@ void step_refine(const struct step_args *s)
  * step's; step_forward; noise_step; and, unless every run skips the
  * example, step_backward and step_refine. */
 struct epoch_args {
-    int64_t n, inputs;
-    const double *xs, *ys;             /* (n, R, inputs), (n, R) */
-    int64_t *skipped, *undo, *updates; /* (R,): each run's sums over the examples */
+    int64_t n;
     int64_t failed_run;                /* the run whose noise step failed, with a status */
+    const double *xs, *ys;             /* (n, R, d), (n, R); d = layers[0].cols - 1 */
+    int64_t *skipped, *undo, *updates; /* (R,): each run's sums over the examples */
 };
 
 /* Returns 0 or the status of the first example that fails, after the
  * examples before it. */
 int step_epoch(const struct step_args *s, struct epoch_args *e)
 {
-    const int64_t R = s->runs, d = e->inputs, cols = s->layers[0].cols;
+    const int64_t R = s->runs, cols = s->layers[0].cols, d = cols - 1;
     double *x = s->layers[0].zm, *y = s->noise->moments;
     for (int64_t r = 0; r < R; r++)
         e->skipped[r] = e->undo[r] = e->updates[r] = 0;

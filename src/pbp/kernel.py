@@ -41,9 +41,12 @@ another CPU never loads, as it could hold instructions this one lacks
 (SIGILL). kernel.c links against nothing but libm; the external functions
 reach it as pointers.
 
-Each entry point takes one struct of buffer addresses, bound once (per stack
-for a step, see Step; per thread of a rows pass, see RowsPass), so a call
-converts no array; an epoch binds its examples per call.
+Each entry point takes one struct of sizes and buffer addresses, bound once
+(per stack for a step, see Step; per thread of a rows pass, see RowsPass),
+so a call converts no array; an epoch binds its examples per call. The fixed
+numbers of the moment maps (LOG_2PI, DETERMINISTIC_VARIANCE,
+SERIES_THRESHOLD) are constants of kernel.c alone, read from the library
+once, at import.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ from pathlib import Path
 import numpy as np
 
 from .posterior import NumericError, layer_views
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 SOURCE = Path(__file__).with_name("kernel.c")
 COMPILER = "gcc"
@@ -173,27 +174,22 @@ def build(flags: tuple[str, ...] = FLAGS) -> Path:
     raise CompilerError(f"no cache directory for the kernel build can be written: {_cache_dirs()}")
 
 
-def _layout(ints=(), pointers=(), doubles=()):
-    """The _fields_ of a C struct of int64s, then pointers, then doubles."""
-    return (
-        [(name, ctypes.c_int64) for name in ints]
-        + [(name, ctypes.c_void_p) for name in pointers]
-        + [(name, ctypes.c_double) for name in doubles]
-    )
+def _layout(ints=(), pointers=()):
+    """The _fields_ of a C struct of int64s, then pointers."""
+    return [(name, ctypes.c_int64) for name in ints] + [(name, ctypes.c_void_p) for name in pointers]
 
 
 class _NoiseArgs(ctypes.Structure):
     _fields_ = _layout(
-        ["runs"], ["moments", "gamma", "gamma_next", "log_z", "skipped", "targets"], ["log_2pi"]
-    ) + _layout(["failed_run"])
+        ["runs", "failed_run"], ["moments", "gamma", "gamma_next", "log_z", "skipped", "targets"]
+    )
 
 
 class _RefreshArgs(ctypes.Structure):
     _fields_ = _layout(
-        ["runs", "weights"],
+        ["runs", "weights", "failed_run"],
         ["means", "variances", "sites", "lam", "skipped", "change", "backup"],
-        ["log_2pi"],
-    ) + _layout(["failed_run"])
+    )
 
 
 # The rows of a Rectifier's buffer, in order: log_ndtr maps the two from
@@ -212,10 +208,9 @@ _RELU_ROWS = (
 
 
 class _ReluArgs(ctypes.Structure):
-    _fields_ = (
-        _layout(["rows", "units", "out_stride"], ["m", "v", "buf", "out_m", "out_v"])
-        + _layout(["n_deterministic", "n_series"],
-                  doubles=["deterministic_variance", "series_threshold", "log_2pi"])
+    _fields_ = _layout(
+        ["rows", "units", "out_stride", "n_deterministic", "n_series"],
+        ["m", "v", "buf", "out_m", "out_v"],
     )
 
 
@@ -242,13 +237,11 @@ class _StepArgs(ctypes.Structure):
 
 
 class _EpochArgs(ctypes.Structure):
-    _fields_ = _layout(
-        ["n", "inputs"], ["xs", "ys", "skipped", "undo", "updates"]
-    ) + _layout(["failed_run"])
+    _fields_ = _layout(["n", "failed_run"], ["xs", "ys", "skipped", "undo", "updates"])
 
 
 class _RowsArgs(ctypes.Structure):
-    _fields_ = _layout(["n", "inputs"], ["x", "out_mean", "out_variance"])
+    _fields_ = _layout(["n"], ["x", "out_mean", "out_variance"])
 
 
 def load(path: Path) -> ctypes.CDLL:
@@ -654,6 +647,12 @@ def _address(array: np.ndarray, shape: tuple[int, ...]) -> int:
 
 try:
     LIB = load(build())
+    # kernel.c's fixed numbers (see there), read once for the Python code
+    # and tests that use them.
+    LOG_2PI, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD = (
+        ctypes.c_double.in_dll(LIB, name).value
+        for name in ("LOG_2PI", "DETERMINISTIC_VARIANCE", "SERIES_THRESHOLD")
+    )
     EXTERNALS, LOG_NDTR = resolve_externals()
     check_externals(LIB, EXTERNALS, LOG_NDTR)
     POW5 = pow5_tables()
@@ -706,14 +705,13 @@ class NoiseStep:
         self.gamma = gamma  # kept alive while the kernel holds its address
         self._args = _NoiseArgs(
             runs,
+            -1,
             self.moments.ctypes.data,
             _address(gamma, (2, runs)),
             self.gamma_next.ctypes.data,
             self.log_z.ctypes.data,
             self.skipped.ctypes.data,
             self.targets.ctypes.data,
-            LOG_2PI,
-            -1,
         )
         self._ref = ctypes.byref(self._args)
         self._call = LIB.noise_step
@@ -745,6 +743,7 @@ class Refresh:
         self._args = _RefreshArgs(
             runs,
             weights,
+            -1,
             _address(means, (runs, weights)),
             _address(variances, (runs, weights)),
             _address(sites, (4, runs, weights)),
@@ -752,8 +751,6 @@ class Refresh:
             self.skipped.ctypes.data,
             self.change.ctypes.data,
             backup.ctypes.data,
-            LOG_2PI,
-            -1,
         )
         self._ref = ctypes.byref(self._args)
         self._call = LIB.ep_refresh
@@ -799,8 +796,6 @@ class Rectifier:
         m: np.ndarray,
         v: np.ndarray,
         out: np.ndarray,
-        deterministic_variance: float,
-        series_threshold: float,
         buf: np.ndarray | None = None,
     ):
         shape = self._m_shape = m.shape
@@ -811,11 +806,9 @@ class Rectifier:
         self.buf, self._buffers = buf, (m, v, out)
         out_m = _address(out, out.shape)
         self._args = _ReluArgs(
-            m.size // shape[-1], shape[-1], out.shape[-1],
+            m.size // shape[-1], shape[-1], out.shape[-1], 0, 0,
             _address(m, shape), _address(v, shape), _address(buf, rows),
             out_m, out_m + 8 * out[0].size,
-            0, 0,
-            deterministic_variance, series_threshold, LOG_2PI,
         )
         self._ref = ctypes.byref(self._args)
 
@@ -862,8 +855,7 @@ class _Forward:
     one (in a pass that keeps no intermediates).
     """
 
-    def __init__(self, layer_sizes, shape, output, deterministic_variance, series_threshold,
-                 relu_buf=None):
+    def __init__(self, layer_sizes, shape, output, relu_buf=None):
         count, self.inputs, self.rectifiers = math.prod(shape), [], []
         self._layers = layers = (_LayerArgs * (len(layer_sizes) - 1))()
         pairs = zip(layer_sizes[:-1], layer_sizes[1:])
@@ -875,9 +867,7 @@ class _Forward:
             self.inputs.append(z)
             if l < len(layers) - 1:
                 pre, z = np.empty((2, *shape, rows)), bias_extended(shape, rows)
-                self.rectifiers.append(
-                    Rectifier(*pre, z, deterministic_variance, series_threshold, relu_buf)
-                )
+                self.rectifiers.append(Rectifier(*pre, z, relu_buf))
             else:
                 pre = output
             self._buffers.append(pre)
@@ -902,15 +892,11 @@ class RowsPass(_Forward):
     hidden layer's branch counts in its Rectifier (`rectifiers`).
     """
 
-    def __init__(self, means, variances, layer_sizes, x, out_mean, out_variance, runs, rows,
-                 deterministic_variance, series_threshold):
+    def __init__(self, means, variances, layer_sizes, x, out_mean, out_variance, runs, rows):
         stack_runs, weights = means.shape
         n, d = x.shape[1:]
         relu_buf = np.empty((len(_RELU_ROWS) + 2) * rows * max(layer_sizes[1:-1], default=0))
-        super().__init__(
-            layer_sizes, (rows,), np.empty((2, rows, 1)), deterministic_variance, series_threshold,
-            relu_buf,
-        )
+        super().__init__(layer_sizes, (rows,), np.empty((2, rows, 1)), relu_buf)
         self.shape, self.capacity = (stack_runs, n), (runs, rows)
         means_sq = np.empty((runs, weights))
         self._buffers += [means, variances, means_sq, x, out_mean, out_variance]
@@ -920,7 +906,7 @@ class RowsPass(_Forward):
             *(_address(a, (stack_runs, weights)) for a in (means, variances)), _data(means_sq),
         )
         self._rows = _RowsArgs(
-            n, d, _address(x, (stack_runs, n, d)),
+            n, _address(x, (stack_runs, n, d)),
             *(_address(a, (stack_runs, n)) for a in (out_mean, out_variance)),
         )
         self._refs = (ctypes.byref(self._args), ctypes.byref(self._rows))
@@ -958,13 +944,10 @@ class Step(_Forward):
     moves the matched noise Gammas into gamma.
     """
 
-    def __init__(self, means, variances, gamma, layer_sizes, deterministic_variance, series_threshold):
+    def __init__(self, means, variances, gamma, layer_sizes):
         runs, weights = means.shape
         self.noise = noise = NoiseStep(gamma)
-        super().__init__(
-            layer_sizes, (runs, 1), noise.moments[1:, :, None, None],
-            deterministic_variance, series_threshold,
-        )
+        super().__init__(layer_sizes, (runs, 1), noise.moments[1:, :, None, None])
         self.x = self.inputs[0][0, ..., :-1]
         self.d_means, self.d_variances, means_sq = (np.empty_like(means) for _ in range(3))
         self.d_mean_views = layer_views(self.d_means, layer_sizes)
@@ -1001,9 +984,8 @@ class Step(_Forward):
         n, runs = ys.shape
         counts = np.empty((3, runs), dtype=np.int64)
         args = _EpochArgs(
-            n, self.x.shape[-1],
-            _address(xs, (n, runs, self.x.shape[-1])), _address(ys, (n, runs)),
-            *(_data(row) for row in counts), -1,
+            n, -1, _address(xs, (n, runs, self.x.shape[-1])), _address(ys, (n, runs)),
+            *(_data(row) for row in counts),
         )
         status = LIB.step_epoch(self._ref, ctypes.byref(args))
         if status < 0:

@@ -8,13 +8,7 @@ import pytest
 
 import pbp.training as training
 from pbp.data import Dataset, NormStats
-from pbp.forward import (
-    DETERMINISTIC_VARIANCE,
-    SERIES_THRESHOLD,
-    MomentVector,
-    forward_output_moments,
-    workspace,
-)
+from pbp.forward import forward_output_moments, workspace
 from pbp.kernel import NoiseStep, Rectifier
 from pbp.posterior import GammaDist, PosteriorStack, new_uniform
 from pbp.prediction import predict_batch, training_rmse
@@ -24,7 +18,7 @@ from pbp.updates import (
     incorporate_all_prior_factors,
     incorporate_likelihood_factors,
 )
-from reference_update import GradientStore
+from reference_update import GradientStore, MomentVector
 
 # Prepared benchmark CSVs live here (see scripts/fetch_datasets.py); tests that
 # need them skip when absent, since this suite must run offline.
@@ -117,7 +111,7 @@ def relu_moments(a: MomentVector, out: np.ndarray | None = None) -> tuple[Moment
     m = np.ascontiguousarray(a.mean, dtype=float)
     v = np.ascontiguousarray(a.variance, dtype=float)
     out = np.empty((2, *m.shape)) if out is None else out
-    rectifier = Rectifier(m, v, out, DETERMINISTIC_VARIANCE, SERIES_THRESHOLD)
+    rectifier = Rectifier(m, v, out)
     rectifier()
     return MomentVector(*out), rectifier
 

@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from pbp.forward import MomentVector
 from pbp.posterior import NetworkPosterior
-from reference_update import relu_moments
+from reference_update import MomentVector, relu_moments
 
 
 def forward_output_moments_batch(

@@ -17,11 +17,29 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
-from pbp.kernel import LOG_2PI
+from pbp.kernel import DETERMINISTIC_VARIANCE, LOG_2PI, SERIES_THRESHOLD
 from pbp.posterior import GammaDist, LayerPosterior, NetworkPosterior
 from pbp.updates import UpdateOutcome
 from reference_prior import _gamma_moments, _likelihood_triple
+
+
+@dataclass
+class MomentVector:
+    """Paired mean/variance arrays for one layer's random activations.
+
+    Shape (*runs, rows, units): the last axis indexes units, the one before it
+    input rows, and a leading axis, when present, independent runs.
+    """
+
+    mean: np.ndarray
+    variance: np.ndarray
+
+    def __post_init__(self):
+        if self.mean.shape != self.variance.shape:
+            raise ValueError("mean and variance must have equal length")
+
+    def __len__(self) -> int:
+        return self.mean.shape[-1]
 
 
 @dataclass

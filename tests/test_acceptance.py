@@ -28,11 +28,11 @@ from pbp.active import POLICIES, ActiveConfig, run_active_experiments
 from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
 from pbp.data import Dataset, load_csv, normalize, split
-from pbp.forward import MomentVector
 from pbp.posterior import GammaDist, PbpConfig
 from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train, train_runs
 from reference_prior import _gamma_moments, gaussian_refine
+from reference_update import MomentVector
 
 BENCH_CONFIG = dict(hidden_layer_sizes=(50,), epochs=40)
 SPLITS = 20

@@ -24,9 +24,8 @@ from conftest import (
     toy_cubic_dataset, train_runs_tracing_rmse,
 )
 from pbp.data import Dataset, normalize, split
-from pbp.forward import MomentVector
 from reference_forward import forward_output_moments_batch
-from reference_update import GradientStore, incorporate_likelihood_factor
+from reference_update import GradientStore, MomentVector, incorporate_likelihood_factor
 from pbp.posterior import (
     HYPERPRIOR, GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform,
 )

@@ -10,11 +10,11 @@ import pytest
 
 from conftest import forward_trace, lone_output_moments, output_moments, random_net, relu_moments
 from pbp import forward, kernel
-from pbp.forward import BLOCK_ROWS, MomentVector, forward_output_moments
+from pbp.forward import BLOCK_ROWS, forward_output_moments
 from oracles import mc_forward_moments
 from pbp.posterior import LayerPosterior, NumericError, PosteriorStack, new_uniform
 from reference_forward import forward_output_moments_batch
-from reference_update import append_bias, forward_linear
+from reference_update import MomentVector, append_bias, forward_linear
 
 
 def mv(mean, var):

@@ -1,5 +1,5 @@
 """kernel.c against the Python-float kernel it replaced (`reference_prior`),
-and its build.
+its build, its fixed numbers and the ctypes mirrors of its structs.
 
 The likelihood step and the EP refresh must give the bits of the frozen
 `_likelihood_triple`, `_gamma_moments` and `_refresh_run` (through
@@ -15,8 +15,10 @@ squared. The likelihood step skips the example whose square overflows.
 """
 
 import copy
+import ctypes
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -30,14 +32,15 @@ import pbp.forward as forward
 import pbp.kernel as kernel
 import reference_prior as ref
 import reference_update
+from reference_update import MomentVector
 import test_forward
 from conftest import (
     incorporate_one_run, likelihood_step, one_step, random_net, refresh_one_run, relu_moments,
     toy_cubic_dataset,
 )
 from pbp.data import Dataset, normalize
-from pbp.forward import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD, MomentVector
 from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, layer_views
+from pbp.kernel import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD
 from pbp.training import train_runs
 from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors
 from test_batched_engine import assert_step_matches_reference, fuzz_step_case
@@ -281,6 +284,56 @@ def python(args, tmp_path, path_env):
         [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, text=True,
         timeout=300,
     )
+
+
+# The struct of kernel.c that each ctypes mirror of kernel.py stands for.
+# _UFuncHead mirrors the head of numpy's PyUFuncObject, not a struct of
+# kernel.c.
+C_STRUCTS = {
+    "_NoiseArgs": "noise_args", "_RefreshArgs": "refresh_args", "_ReluArgs": "relu_args",
+    "_Externals": "externals", "_LayerArgs": "step_layer", "_StepArgs": "step_args",
+    "_EpochArgs": "epoch_args", "_RowsArgs": "rows_args", "_ReadArgs": "read_args",
+}
+
+
+def layout_asserts(mirrors: dict[str, str]) -> str:
+    """C that includes kernel.c and asserts, at compile time, that each
+    ctypes mirror of kernel.py has its C struct's size and each of its
+    fields that struct's offset and size."""
+    lines = ["#include <stddef.h>", f'#include "{kernel.SOURCE}"']
+    for name, struct in mirrors.items():
+        mirror = getattr(kernel, name)
+        lines.append(f'_Static_assert(sizeof(struct {struct}) == {ctypes.sizeof(mirror)}, "{name}");')
+        for field, kind in mirror._fields_:
+            where = f"{name}.{field}"
+            lines += [
+                f"_Static_assert(offsetof(struct {struct}, {field}) == "
+                f'{getattr(mirror, field).offset}, "{where}");',
+                f"_Static_assert(sizeof(((struct {struct} *)0)->{field}) == "
+                f'{ctypes.sizeof(kind)}, "{where}");',
+            ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(shutil.which(kernel.COMPILER) is None, reason="no C compiler")
+def test_ctypes_mirrors_match_the_structs_of_kernel_c(tmp_path):
+    mirrors = {
+        name for name, value in vars(kernel).items()
+        if isinstance(value, type) and issubclass(value, ctypes.Structure)
+    }
+    assert mirrors - {"_UFuncHead"} == set(C_STRUCTS)
+    source = tmp_path / "layout.c"
+    source.write_text(layout_asserts(C_STRUCTS))
+    done = subprocess.run(
+        [kernel.COMPILER, "-fsyntax-only", str(source)], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_fixed_numbers_are_read_from_kernel_c():
+    assert kernel.LOG_2PI.hex() == math.log(2.0 * math.pi).hex()
+    assert kernel.DETERMINISTIC_VARIANCE == 1e-30
+    assert kernel.SERIES_THRESHOLD == -30.0
 
 
 def test_without_a_compiler_only_a_cached_build_loads(tmp_path):
