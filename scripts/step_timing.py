@@ -2,8 +2,8 @@
 """Time the likelihood step and the rows pass of pbp, in process, on a few
 stack shapes.
 
-    python scripts/step_timing.py TREE [--steps=N] [--repeats=K] [--json]
-    python scripts/step_timing.py --fresh TREE [TREE ...] [--repeats=K] [--json]
+    python scripts/step_timing.py TREE [--steps=N] [--repeats=K] [--cpus=C] [--json]
+    python scripts/step_timing.py --fresh TREE [TREE ...] [--repeats=K] [--cpus=C] [--json]
 
 TREE is a checkout of this repository: pbp is imported from its `src`, with
 BLAS pinned to one thread as in perfbench. For each stack (runs x layer
@@ -17,8 +17,20 @@ median microseconds per step over K such repeats, and their range. A tree
 whose step keeps per-phase counters (kernel.Step.count_phases) also gets the
 microseconds per step of each phase, from one more repeat with the counters
 on: each layer's forward pass (on trees whose step leaves numpy's exp
-between two calls, without it), the backward pass and the refinement. The
-header gives the number of CPUs the process may run on.
+between two calls, without it), the backward pass and the refinement. On a
+stack whose epoch runs in run groups (forward.run_groups), each group's
+step counts its own phases and the line gives their sum, thread time that
+may exceed the wall time per step where the groups ran side by side.
+
+The header gives the number of CPUs the process may run on, and the
+two-thread probe (two_thread_probe): the time of two concurrent GIL-free
+kernel.c calls (log_ndtr_n of PROBE_VALUES values each) over that of one
+alone, the median of PROBE_REPEATS. It reads about 1 where a second CPU
+runs the second call and about 2 where it does not, so it tells whether
+the work this run splits over threads had a second CPU. --cpus=C pins
+this process, and the processes it starts, to the first C CPUs it may run
+on (os.sched_setaffinity, which acts on this process alone), as `taskset`
+would: --cpus=1 times a tree on one CPU.
 
 A second table times the rows pass (`forward_output_moments`) of a few
 stacks, each at a number of rows per run, on seeded inputs: the median
@@ -91,6 +103,8 @@ STACKS = [
     (1, [90, 100, 1]),
 ]
 WARM_UP = 200
+# The two-thread probe: values per log_ndtr_n call, and calls timed.
+PROBE_VALUES, PROBE_REPEATS = 500_000, 5
 # (runs, layer sizes, rows per run) of the rows passes timed
 ROWS_PASSES = [
     (1, [6, 10, 1], 1),
@@ -186,6 +200,7 @@ def epoch_call():
 def timed_steps(runs, sizes, steps, seed, count_phases=False):
     """(seconds per step, per-phase seconds per step or None) of one repeat."""
     import numpy as np
+    import pbp.forward
 
     epoch = epoch_call()
     rng = np.random.default_rng(seed)
@@ -196,13 +211,60 @@ def timed_steps(runs, sizes, steps, seed, count_phases=False):
     timed = [np.ascontiguousarray(a[WARM_UP:]) for a in (xs, ys)]
     stack = fresh_stack(runs, sizes, seed)
     epoch(stack, *warm_up)
-    phases = None
+    counters = []
     if count_phases:
-        phases = stack.workspace.count_phases()
+        # The steps the timed epoch runs in: its run groups' on trees that
+        # have them, else the stack's workspace.
+        run_groups = getattr(pbp.forward, "run_groups", None)
+        bound = [step for _, step in run_groups(stack, steps)] if run_groups else [stack.workspace]
+        counters = [step.count_phases() for step in bound]
     start = time.perf_counter()
     epoch(stack, *timed)
     seconds = (time.perf_counter() - start) / steps
-    return seconds, None if phases is None else phases / 1e9 / steps
+    return seconds, sum(counters) / 1e9 / steps if counters else None
+
+
+def two_thread_probe():
+    """The median over PROBE_REPEATS of the time of two kernel.c log_ndtr_n
+    calls of PROBE_VALUES values, each on its own thread at once, over that
+    of one alone; None on a tree without the call."""
+    import ctypes
+    import threading
+
+    import numpy as np
+    import pbp.kernel as kernel
+
+    if not hasattr(kernel, "EXTERNALS") or not hasattr(kernel.LIB, "log_ndtr_n"):
+        return None
+    x = np.linspace(-40.0, 10.0, PROBE_VALUES)
+    outs = [np.empty_like(x) for _ in range(2)]
+    externals = ctypes.byref(kernel.EXTERNALS)
+
+    def call(out):
+        kernel.LIB.log_ndtr_n(externals, x.size, x.ctypes.data, out.ctypes.data)
+
+    call(outs[0])
+    ratios = []
+    for _ in range(PROBE_REPEATS):
+        start = time.perf_counter()
+        call(outs[0])
+        one = time.perf_counter() - start
+        threads = [threading.Thread(target=call, args=(out,)) for out in outs]
+        start = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        ratios.append((time.perf_counter() - start) / one)
+    return statistics.median(ratios)
+
+
+def pin(cpus):
+    """Pin this process to the first cpus CPUs it may run on."""
+    allowed = sorted(os.sched_getaffinity(0))
+    if not 1 <= cpus <= len(allowed):
+        raise SystemExit(f"--cpus={cpus}: this process may run on {len(allowed)} CPUs")
+    os.sched_setaffinity(0, allowed[:cpus])
 
 
 def timed_rows_pass(runs, sizes, n, seed):
@@ -442,10 +504,12 @@ def main(argv):
     options = dict(a[2:].split("=", 1) if "=" in a else (a[2:], "1") for a in argv if a.startswith("--"))
     fresh_only = "fresh" in options
     if (len(args) != 1 and not (fresh_only and args)) or not set(options) <= {
-        "steps", "repeats", "json", "fresh"
+        "steps", "repeats", "json", "fresh", "cpus"
     }:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
+    if "cpus" in options:
+        pin(int(options["cpus"]))
     steps, repeats = int(options.get("steps", 3000)), int(options.get("repeats", 5))
     trees = [Path(a).resolve() for a in args]
     tree = trees[0]
@@ -462,9 +526,11 @@ def main(argv):
     counters = hasattr(getattr(pbp.kernel, "Step", None), "count_phases")
     folded = hasattr(getattr(pbp.kernel, "Step", None), "epoch")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    probe = two_thread_probe()
     if "json" not in options:
         calls = "one call per epoch" if folded else "one call per step"
-        print(f"{tree}: {cpus} usable CPUs, BLAS on 1 thread, {calls}", flush=True)
+        probed = "" if probe is None else f", two-thread probe {probe:.2f}"
+        print(f"{tree}: {cpus} usable CPUs{probed}, BLAS on 1 thread, {calls}", flush=True)
     results = []
     for runs, sizes in STACKS:
         name = f"{runs} x {'-'.join(map(str, sizes))}"
@@ -565,7 +631,8 @@ def main(argv):
     fresh = fresh_table(trees, repeats)
     if "json" in options:
         print(json.dumps({
-            "tree": str(tree), "usable_cpus": cpus, "one_call_per_epoch": folded,
+            "tree": str(tree), "usable_cpus": cpus, "two_thread_probe": probe,
+            "one_call_per_epoch": folded,
             "phase_counters": counters, "stacks": results, "rows_passes": rows_passes,
             "trainings": trainings, "active": active, "predict": predicts, "fresh": fresh,
         }))

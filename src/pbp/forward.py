@@ -11,13 +11,14 @@ and rectifier over n input rows per run, calling numpy's BLAS, scipy's
 log_ndtr and numpy's exp and power loops from there. A rows pass
 (forward_output_moments) runs each work item through every layer in one
 call (kernel.RowsPass); the likelihood step runs one row per run through
-it, in the stack's workspace (kernel.Step), and training folds a whole epoch
-of examples into one call (updates.incorporate_likelihood_factors). The
-rectifier's two fixed numbers, the variance below which a unit is
-deterministic and the standardized mean below which its pdf/cdf ratio takes
-the asymptotic series, are constants of kernel.c, as is log 2 pi; kernel.py
-reads them from there (kernel.DETERMINISTIC_VARIANCE, SERIES_THRESHOLD and
-LOG_2PI).
+it, in a kernel.Step: the stack's workspace, or one per run group of an
+epoch of enough runs and weights (run_groups). Training folds a whole epoch
+of examples into one call per group, the groups on every usable CPU
+(_run_items, updates.incorporate_likelihood_factors). The rectifier's two
+fixed numbers, the variance below which a unit is deterministic and the
+standardized mean below which its pdf/cdf ratio takes the asymptotic series,
+are constants of kernel.c, as is log 2 pi; kernel.py reads them from there
+(kernel.DETERMINISTIC_VARIANCE, SERIES_THRESHOLD and LOG_2PI).
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from .posterior import PosteriorStack
 
 # Rows per block of a large forward pass (see forward_output_moments).
 BLOCK_ROWS = 512
+# The fewest runs of a group of a training epoch, and the fewest weight
+# updates (examples x runs x weights) of an epoch that runs in groups: on one
+# CPU, a smaller epoch loses more to the threads' start and switches than a
+# second CPU would save it (see run_groups).
+GROUP_RUNS, GROUP_WORK = 4, 1 << 18
 
 
 def forward_output_moments(stack: PosteriorStack, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,6 +94,31 @@ def workspace(stack: PosteriorStack) -> Step:
     if stack.workspace is None:
         stack.workspace = Step(stack.means, stack.variances, stack.gamma, stack.layer_sizes)
     return stack.workspace
+
+
+def run_groups(stack: PosteriorStack, examples: int) -> list[tuple[slice, Step]]:
+    """The run groups of an epoch of the stack of `examples` examples per
+    run, each a contiguous slice of its runs with the kernel.Step of those
+    runs: one group per usable CPU, each of at least GROUP_RUNS runs. An
+    epoch of fewer than GROUP_WORK weight updates, a stack of fewer than
+    2 * GROUP_RUNS runs, or one on one usable CPU, is one group, whose step
+    is the stack's workspace. Otherwise each group's step is bound to its
+    rows of the stack's means and variances and to (2, g) noise Gammas of
+    its own (step.noise.gamma); the first call with a group count builds the
+    groups and keeps them on the stack."""
+    runs = stack.means.shape[0]
+    # usable_cpus is a system call: most epochs are one group without it.
+    count = min(usable_cpus(), runs // GROUP_RUNS) if examples * stack.means.size >= GROUP_WORK else 1
+    if count <= 1:
+        return [(slice(0, runs), workspace(stack))]
+    if stack.groups is None or len(stack.groups) != count:
+        bounds = [runs * k // count for k in range(count + 1)]
+        groups = []
+        for start, stop in zip(bounds, bounds[1:]):
+            part, gamma = slice(start, stop), np.empty((2, stop - start))
+            groups.append((part, Step(stack.means[part], stack.variances[part], gamma, stack.layer_sizes)))
+        stack.groups = groups
+    return stack.groups
 
 
 def _work_items(runs: int, n: int) -> list[tuple[slice, slice]]:

@@ -87,8 +87,10 @@ class PosteriorStack:
     updates them in place. Each run keeps its own two Gamma factors: `gamma`
     (noise precision) and `lam` (prior precision) are (2, R) buffers of
     shapes and rates, also updated in place. `workspace` holds the buffers of
-    the update steps (a kernel.Step); the stack's first step builds it (see
-    forward.workspace), and only the stack refers to it. `refresh` is the compiled EP refresh bound to the
+    the update steps (a kernel.Step), and `groups` those of its run groups,
+    a kernel.Step each, where an epoch runs in groups; the stack's first step
+    builds them (see forward.workspace and forward.run_groups), and only the
+    stack refers to them. `refresh` is the compiled EP refresh bound to the
     stack and the sites it last refreshed.
     """
 
@@ -100,6 +102,7 @@ class PosteriorStack:
         self.layer_sizes = layer_sizes
         self.layers = flat_layers(means, variances, layer_sizes)
         self.workspace = None
+        self.groups = None
         self.refresh = None
 
     @classmethod

@@ -11,11 +11,15 @@ All Z bookkeeping stays in log space. Gradients of the likelihood log-Z with
 respect to every weight mean and variance come from a hand-written
 reverse-mode sweep over the moment maps of the forward pass.
 
-The likelihood steps of an epoch run in kernel.c, bound to the stack's
-workspace (a kernel.Step), in one call: per example the forward pass, the
-noise-Gamma step, the reverse sweep and the refinement. Its matmuls,
+The likelihood steps of an epoch run in kernel.c, in one call per run
+group (a kernel.Step, see forward.run_groups): per example the forward pass,
+the noise-Gamma step, the reverse sweep and the refinement. Its matmuls,
 log_ndtr, exp and powers call numpy's BLAS, scipy's log_ndtr and numpy's
-ufunc loops from there; no Python runs between two examples.
+ufunc loops from there; no Python runs between two examples. The epoch of
+a stack of enough runs and weights is cut into one group per usable CPU,
+each group's call on its own thread (ctypes releases the GIL); a smaller
+epoch, or one on one CPU, is one group, the stack's workspace, on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import workspace
+from .forward import _run_items, run_groups, workspace
 from .kernel import Refresh
 from .posterior import NumericError, PosteriorStack
 
@@ -91,8 +95,7 @@ def incorporate_likelihood_factors(
     then the Gaussian refinement of every weight, in place, and the
     tilted-moment update of each run's noise-precision Gamma. Weights whose
     refined variance would be invalid are rolled back individually; a run
-    whose log Z is not finite skips the example and keeps its weights. A
-    run's arithmetic is that of a stack of that run alone, bit for bit. The
+    whose log Z is not finite skips the example and keeps its weights. The
     outcome counts each run's skipped examples, undone weights and weight
     updates.
 
@@ -101,6 +104,18 @@ def incorporate_likelihood_factors(
     raises ZeroDivisionError, having written nothing in that step, where the
     sweep or the Gamma match would divide by 0 (a Gamma shape of 1 or a rate
     of 0); the steps before it stay done.
+
+    A run's arithmetic is that of a stack of that run alone, bit for bit,
+    with one exception: a run whose noise shape is exactly 1.0 skips every
+    example alone, but in a stack where another run keeps the example, the
+    sweep divides by its shape - 1 and raises.
+
+    The runs go through in groups (forward.run_groups), each group's epoch
+    one kernel.c call, the groups on every usable CPU (forward._run_items).
+    Grouping moves no bit: where a group raises, or some run ends the epoch
+    on a noise shape of exactly 1.0, the stack is put back as it was and the
+    epoch runs again as one group on the calling thread, which gives the
+    error, the run it names and the state it leaves of an ungrouped epoch.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys, dtype=float)
@@ -110,8 +125,29 @@ def incorporate_likelihood_factors(
             f"inputs of shape {xs.shape} and targets of shape {ys.shape}, expected "
             f"{('n', runs, d)} and {('n', runs)}"
         )
-    skipped, undo, updates = workspace(stack).epoch(xs, ys)
-    return UpdateOutcome(skipped, undo, updates)
+    groups = run_groups(stack, len(xs))
+    if len(groups) > 1:
+        counts = np.empty((3, runs), dtype=np.int64)
+
+        def epoch(group):
+            part, step = group
+            step.noise.gamma[...] = stack.gamma[:, part]
+            counts[:, part] = step.epoch(*(np.ascontiguousarray(a[:, part]) for a in (xs, ys)))
+            stack.gamma[:, part] = step.noise.gamma
+
+        state = (stack.means, stack.variances, stack.gamma)
+        before = [a.copy() for a in state]
+        try:
+            _run_items(epoch, groups, True)
+            # A noise shape of exactly 1.0, once reached, stays: where no
+            # run ends on one, no step met the one coupling between runs.
+            if not (stack.gamma[0] == 1.0).any():
+                return UpdateOutcome(*counts)
+        except (ArithmeticError, NumericError):  # the rerun below raises the stack's error
+            pass
+        for a, saved in zip(state, before):
+            a[...] = saved
+    return UpdateOutcome(*workspace(stack).epoch(xs, ys))
 
 
 def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:

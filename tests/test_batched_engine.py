@@ -10,6 +10,7 @@ arithmetic of a run.
 import copy
 import gc
 import math
+import sys
 import warnings
 import weakref
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import conftest
+import pbp.forward as forward
 import pbp.training as training
 import reference_update
 from conftest import (
@@ -385,15 +387,15 @@ def test_step_with_a_nan_target_in_one_run_of_three_matches_the_reference():
 FORCED_UNITS = [(0.0, 0.0), (-0.0, 0.0), (-0.7, 0.0), (1.3, 0.0), (-2e-20, 1e-40), (3e-20, 1e-31)]
 
 
-def fuzz_step_case(rng):
+def fuzz_step_case(rng, runs=None):
     """A seeded lockstep step: nets of 1-3 hidden layers of 1-60 units, 1-6
-    runs with their own noise Gammas, inputs and targets. Some runs get a
+    runs (or `runs`) with their own noise Gammas, inputs and targets. Some runs get a
     unit in the deterministic branch (zero or sub-cutoff variance), one in
     the far-tail series branch, inflated variances (which undo weights), a
     NaN target or one whose squared residual overflows."""
     features = int(rng.integers(1, 9))
     hidden = rng.integers(1, 61, size=int(rng.integers(1, 4))).tolist()
-    runs = int(rng.integers(1, 7))
+    runs = int(rng.integers(1, 7)) if runs is None else runs
     scale = float(rng.choice([0.3, 1.0, 2.0]))
     nets = [random_net([features, *hidden, 1], rng, mean_scale=scale) for _ in range(runs)]
     xs = rng.normal(size=(runs, features))
@@ -471,14 +473,14 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
-def fuzz_epoch_case(rng):
+def fuzz_epoch_case(rng, runs=None):
     """A seeded epoch of 1-8 examples per run on the nets of fuzz_step_case,
     whose first example it is. The later inputs keep the first one's signs,
     which keeps a far-tail unit in the series branch; about a twentieth of
     the targets are NaN or overflow their squared residual (skips); and some
     runs get one weight variance of 1e155, whose square overflows in the
     refinement (an undo that comes from the data, with no patched seam)."""
-    nets, x, y = fuzz_step_case(rng)
+    nets, x, y = fuzz_step_case(rng, runs)
     n, (runs, features) = int(rng.integers(1, 9)), x.shape
     xs = x * rng.uniform(0.5, 2.0, size=(n, runs, features))
     xs[0] = x
@@ -524,6 +526,150 @@ def test_the_per_example_driver_matches_step_epoch_on_fuzzed_stacks():
             got, want = (getattr(stack.workspace, name) for stack in (folded, driven))
             assert _bits(got) == _bits(want), (case, name)
     assert min(seen.values()) >= 20, seen
+
+
+def epoch_on_cpus(monkeypatch, cpus, nets, xs, ys):
+    """incorporate_likelihood_factors of xs and ys into a stack of copies of
+    nets with `cpus` usable CPUs: the stack, and the outcome's three counts
+    or the error raised, as (type, message, run)."""
+    stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+    monkeypatch.setattr(forward, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forward, "GROUP_WORK", 0)
+    try:
+        outcome = incorporate_likelihood_factors(stack, xs, ys)
+    except (ArithmeticError, NumericError) as error:
+        return stack, (type(error), str(error), error.run)
+    return stack, [a.tolist() for a in (outcome.skipped, outcome.undo_count, outcome.weight_updates)]
+
+
+def assert_same_epoch(got, want):
+    (stack, result), (ref_stack, ref_result) = got, want
+    assert result == ref_result
+    for name in ("means", "variances", "gamma", "lam"):
+        assert _bits(getattr(stack, name)) == _bits(getattr(ref_stack, name)), name
+
+
+@pytest.mark.parametrize("runs", [8, 9, 20])
+def test_an_epoch_in_run_groups_keeps_the_bits_of_one_cpu(monkeypatch, runs):
+    # On two CPUs the stack trains as two groups of runs, each on its own
+    # thread; the epochs of fuzz_epoch_case leave every bit and count as on
+    # one CPU, deterministic and far-tail units, skips and undos included.
+    rng = np.random.default_rng(2800 + runs)
+    seen = {"deterministic": 0, "series": 0, "skipped": 0, "undone": 0}
+    for case in range(40):
+        nets, xs, ys = fuzz_epoch_case(rng, runs)
+        one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
+        two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
+        assert_same_epoch(two, one)
+        stack, (skipped, undone, _) = two
+        assert [part for part, _ in stack.groups] == [slice(0, runs // 2), slice(runs // 2, runs)]
+        assert stack.workspace is None, case  # no rerun on one thread
+        relu = [aux for _, step in stack.groups for aux in step.rectifiers]
+        seen["deterministic"] += any(aux.n_deterministic for aux in relu)
+        seen["series"] += any(aux.n_series for aux in relu)
+        seen["skipped"] += any(skipped)
+        seen["undone"] += any(undone)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_run_groups_on_more_threads_than_cpus_keep_the_bits(monkeypatch):
+    # Five groups of four runs on five threads, switching every microsecond:
+    # each writes only its own rows, counts and Gammas of the stack.
+    nets, rng = step_nets([4, 8, 1], 20, 2950)
+    xs, ys = rng.normal(size=(30, 20, 4)), rng.normal(size=(30, 20))
+    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        five = epoch_on_cpus(monkeypatch, 5, nets, xs, ys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_epoch(five, one)
+    assert [part.stop - part.start for part, _ in five[0].groups] == [4] * 5
+
+
+def test_an_epoch_of_fewer_weight_updates_than_group_work_runs_as_one_group(monkeypatch):
+    # 20 runs of 31 weights on two CPUs: 422 examples are one group, on the
+    # calling thread, and 423 (262,260 weight updates) two.
+    monkeypatch.setattr(forward, "usable_cpus", lambda: 2)
+    nets, rng = step_nets([3, 6, 1], 20, 2990)
+    assert forward.GROUP_WORK == 1 << 18
+    for n, grouped in [(422, False), (423, True)]:
+        stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+        incorporate_likelihood_factors(stack, rng.normal(size=(n, 20, 3)), rng.normal(size=(n, 20)))
+        assert (stack.groups is not None, stack.workspace is None) == (grouped, grouped), n
+
+
+def shape_one_case(runs, first, last):
+    """A stack of runs in which every run of first..last skips every example
+    of an epoch of 3, run first + 1 for its noise shape of exactly 1.0 and
+    the others for NaN targets, and every other run keeps every example."""
+    nets, rng = step_nets([2, 5, 1], runs, 2900)
+    for net in nets:
+        net.gamma = GammaDist(6.0, 6.0)
+    nets[first + 1].gamma = GammaDist(1.0, 6.0)
+    xs, ys = rng.normal(size=(3, runs, 2)), rng.normal(size=(3, runs))
+    ys[:, first:last + 1] = np.nan
+    return nets, xs, ys
+
+
+@pytest.mark.parametrize("runs, first, last", [(8, 0, 3), (20, 10, 19)])
+def test_a_noise_shape_of_one_raises_as_on_one_cpu(monkeypatch, runs, first, last):
+    # On one CPU, a run with a noise shape of exactly 1.0 skips the example,
+    # and the reverse sweep of the runs that keep it divides by its shape - 1.
+    # On two, its group skips the example alone and the other group keeps
+    # it: the epoch runs again on one thread, which raises that error.
+    nets, xs, ys = shape_one_case(runs, first, last)
+    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
+    assert one[1] == (ZeroDivisionError, "float division by zero", first + 1)
+    two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
+    assert_same_epoch(two, one)
+    assert two[0].groups[1][0] == slice(runs // 2, runs)
+
+
+def test_a_noise_shape_of_one_skipped_by_every_run_raises_nothing(monkeypatch):
+    # Where every run skips the example, nothing divides by shape - 1 on one
+    # CPU either; the run still ends on a shape of 1.0, and the rerun gives
+    # the same bits and counts.
+    nets, xs, ys = shape_one_case(8, 0, 3)
+    ys[...] = np.nan
+    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
+    assert one[1] == [[3] * 8, [0] * 8, [0] * 8]
+    assert_same_epoch(epoch_on_cpus(monkeypatch, 2, nets, xs, ys), one)
+
+
+def zero_rate_at_the_third_example(nets, xs, ys):
+    # Run 13 skips its first two examples, and its Gamma match divides by its
+    # rate of 0 at the third.
+    nets[13].gamma = GammaDist(6.0, 0.0)
+    ys[:2, 13] = np.nan
+
+
+def negative_variance(nets, xs, ys):
+    # Run 15's first hidden unit has a negative pre-activation variance.
+    nets[15].layers[0].variances[0] = -1.0
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [
+        (zero_rate_at_the_third_example, (ZeroDivisionError, "float division by zero", 13)),
+        (negative_variance,
+         (NumericError, "negative pre-activation variance (upstream bug)", None)),
+    ],
+)
+def test_a_failing_group_leaves_the_stack_as_one_cpu_does(monkeypatch, fault, error):
+    # The other group trains to the end on its own thread; the rerun on one
+    # thread puts the stack back first, and leaves it, the steps before the
+    # error done, with the error and the run it names of one CPU.
+    nets, rng = step_nets([3, 6, 1], 20, 3000)
+    xs, ys = rng.normal(size=(5, 20, 3)), rng.normal(size=(5, 20))
+    fault(nets, xs, ys)
+    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
+    assert one[1] == error
+    two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
+    assert_same_epoch(two, one)
+    assert two[0].groups is not None and two[0].workspace is not None
 
 
 @pytest.mark.parametrize("variance", [0.0, 1e-40, 0.5])

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 
@@ -543,6 +544,43 @@ class TestCpuCount:
         two = self._outputs(monkeypatch, 2, args, tmp_path / "two.csv")
         assert two[1]
         assert one[0] == two[0]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["benchmark", "--splits", "8", "--test-fraction", "0.5"],
+            ["active", "--policy", "both", "--repetitions", "4", "--initial-train", "8",
+             "--test-size", "10", "--acquisitions", "3"],
+        ],
+        ids=["benchmark", "active"],
+    )
+    def test_training_in_run_groups(self, toy_csv, tmp_path, monkeypatch, command):
+        # Eight runs train as one group on one CPU and as two groups of four,
+        # each on its own thread, on two (every epoch, whatever its size);
+        # the files written are the same.
+        real, calls = kernel.Step.epoch, []
+
+        def epoch(step, xs, ys):
+            calls.append((ys.shape[1], threading.current_thread() is threading.main_thread()))
+            return real(step, xs, ys)
+
+        monkeypatch.setattr(kernel.Step, "epoch", epoch)
+        monkeypatch.setattr(forward, "GROUP_WORK", 0)
+        args = [command[0], "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
+                "--seed", "5", *command[1:]]
+        written = []
+        for cpus in (1, 2):
+            calls.clear()
+            monkeypatch.setattr(forward, "usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+            written.append(sorted(
+                (path.name.removeprefix(out.name), path.read_bytes())
+                for path in tmp_path.glob(f"{out.name}*")
+            ))
+            assert {runs for runs, _ in calls} == {8 // cpus}
+            assert {main for _, main in calls} == ({True} if cpus == 1 else {True, False})
+        assert written[0] == written[1] and written[0]
 
 
 class TestTrainingSetPasses:
