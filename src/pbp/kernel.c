@@ -190,13 +190,6 @@ int64_t noise_step(struct noise_args *s)
         shape_next[r] = refined[0];
         rate_next[r] = refined[1];
     }
-    /* The backward pass divides by every run's shape - 1. */
-    if (skips < R)
-        for (int64_t r = 0; r < R; r++)
-            if (shape[r] - 1.0 == 0.0) {
-                s->failed_run = r;
-                return ZERO_DIVISION;
-            }
     return skips;
 }
 

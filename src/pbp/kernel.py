@@ -401,49 +401,6 @@ def resolve_externals() -> tuple[_Externals, np.ufunc]:
     return externals, log_ndtr
 
 
-class _Draws:
-    """Seeded draws for the checks of the import, which numpy.random's first
-    import (8-20 ms) would slow: SplitMix64 (G. L. Steele, D. Lea and C. H.
-    Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014) of
-    a counter, in numpy's wrapping uint64 arithmetic. Uniform doubles take a
-    word's top 53 bits, and normal ones Box-Muller's cosine and sine of each
-    pair of uniforms. uniform and normal take numpy.random.Generator's
-    arguments."""
-
-    def __init__(self, seed: int):
-        self.seed, self.count = np.uint64(seed), 0
-
-    def words(self, size) -> np.ndarray:
-        """uint64 words, the mixes of seed + k * 0x9E3779B97F4A7C15 for the
-        next counts k."""
-        n = int(np.prod(size))
-        z = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
-        self.count += n
-        z *= np.uint64(0x9E3779B97F4A7C15)
-        z += self.seed
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z.reshape(size)
-
-    def uniform(self, low=0.0, high=1.0, size=1) -> np.ndarray:
-        # The top 53 bits as int64, whose conversion numpy vectorizes.
-        top = (self.words(size) >> np.uint64(11)).view(np.int64)
-        return top * ((high - low) * 2.0**-53) + low
-
-    def normal(self, loc=0.0, scale=1.0, size=1) -> np.ndarray:
-        n = int(np.prod(size))
-        half = (n + 1) // 2
-        radius = np.sqrt(-2.0 * np.log1p(-self.uniform(size=half)))
-        angle = self.uniform(high=2.0 * np.pi, size=half)
-        z = np.empty(2 * half)
-        np.multiply(radius, np.cos(angle), out=z[:half])
-        np.multiply(radius, np.sin(angle), out=z[half:])
-        return (z[:n] * scale + loc).reshape(size)
-
-
 def check_externals(lib: ctypes.CDLL, externals: _Externals, log_ndtr) -> None:
     """ExternalError unless kernel.c's forward_products, matvec, log_ndtr_n,
     exp_n and power_n, through externals, give the bits of np.matmul,
@@ -457,7 +414,7 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals, log_ndtr) -> None:
     exp's underflow and overflow edges, on slices of several starts and
     lengths and on a gather, each value against its bits in the whole
     array; and that numpy's powers of -1.0 are exactly -1.0, 1.0 and 1.0."""
-    rng = _Draws(18)
+    rng = np.random.default_rng(18)
     ref = ctypes.byref(externals)
     blas = " and ".join(BLAS_SYMBOLS)
     cases = [(1, 1, 5), (1, 7, 4), (6, 1, 5), (9, 4, 3), (512, 50, 51), (1023, 50, 51),
@@ -580,7 +537,7 @@ def check_repr(lib: ctypes.CDLL, pow5: np.ndarray) -> None:
         9007199254740994.0, 1e100, 1e-100, 123456789012345678.0, 2.0**-25,
         3.940649673949184e+37,
     ])
-    bits = _Draws(24).words(24)
+    bits = np.random.default_rng(24).integers(0, 2**64, 24, dtype=np.uint64)
     values = np.concatenate([values, bits.view(np.float64)])
     got = _repr_rows(lib, pow5, values, values[::-1].copy()).splitlines()
     for row, x, y in zip(got, values.tolist(), values[::-1].tolist()):

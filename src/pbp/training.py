@@ -5,9 +5,7 @@ Independent runs of one architecture (benchmark splits, active-learning
 repetitions) train in lockstep as a PosteriorStack: every run takes its t-th
 example in the same step, the stack's run groups on every usable CPU (see
 updates.incorporate_likelihood_factors). Each run's arithmetic is exactly
-that of training it alone, but for one case: a run whose noise shape is
-exactly 1.0 skips alone, and raises ZeroDivisionError in a stack where
-another run keeps the example. `train` is the one-run case.
+that of training it alone. `train` is the one-run case.
 """
 
 from __future__ import annotations

@@ -102,20 +102,19 @@ def incorporate_likelihood_factors(
     The log Z and Gamma step is kernel.c's noise_step, before the gradient
     sweep, whose noise variances come from the Gammas before the update. It
     raises ZeroDivisionError, having written nothing in that step, where the
-    sweep or the Gamma match would divide by 0 (a Gamma shape of 1 or a rate
-    of 0); the steps before it stay done.
+    Gamma match would divide by 0 (a noise rate of 0); the steps before it
+    stay done.
 
-    A run's arithmetic is that of a stack of that run alone, bit for bit,
-    with one exception: a run whose noise shape is exactly 1.0 skips every
-    example alone, but in a stack where another run keeps the example, the
-    sweep divides by its shape - 1 and raises.
+    A run's arithmetic is that of a stack of that run alone, bit for bit: a
+    run whose noise shape is exactly 1.0 skips every example, in a stack as
+    alone.
 
     The runs go through in groups (forward.run_groups), each group's epoch
     one kernel.c call, the groups on every usable CPU (forward._run_items).
-    Grouping moves no bit: where a group raises, or some run ends the epoch
-    on a noise shape of exactly 1.0, the stack is put back as it was and the
-    epoch runs again as one group on the calling thread, which gives the
-    error, the run it names and the state it leaves of an ungrouped epoch.
+    Grouping moves no bit: where a group raises, the stack is put back as it
+    was and the epoch runs again as one group on the calling thread, which
+    gives the error, the run it names and the state it leaves of an
+    ungrouped epoch.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys, dtype=float)
@@ -139,14 +138,10 @@ def incorporate_likelihood_factors(
         before = [a.copy() for a in state]
         try:
             _run_items(epoch, groups, True)
-            # A noise shape of exactly 1.0, once reached, stays: where no
-            # run ends on one, no step met the one coupling between runs.
-            if not (stack.gamma[0] == 1.0).any():
-                return UpdateOutcome(*counts)
+            return UpdateOutcome(*counts)
         except (ArithmeticError, NumericError):  # the rerun below raises the stack's error
-            pass
-        for a, saved in zip(state, before):
-            a[...] = saved
+            for a, saved in zip(state, before):
+                a[...] = saved
     return UpdateOutcome(*workspace(stack).epoch(xs, ys))
 
 

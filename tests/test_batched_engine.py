@@ -601,9 +601,9 @@ def test_an_epoch_of_fewer_weight_updates_than_group_work_runs_as_one_group(monk
 
 
 def shape_one_case(runs, first, last):
-    """A stack of runs in which every run of first..last skips every example
-    of an epoch of 3, run first + 1 for its noise shape of exactly 1.0 and
-    the others for NaN targets, and every other run keeps every example."""
+    """A stack of runs and an epoch of 3 in which run first + 1 has a noise
+    shape of exactly 1.0 and the runs first..last NaN targets: these runs
+    skip every example, and every other run keeps every example."""
     nets, rng = step_nets([2, 5, 1], runs, 2900)
     for net in nets:
         net.gamma = GammaDist(6.0, 6.0)
@@ -613,24 +613,32 @@ def shape_one_case(runs, first, last):
     return nets, xs, ys
 
 
-@pytest.mark.parametrize("runs, first, last", [(8, 0, 3), (20, 10, 19)])
-def test_a_noise_shape_of_one_raises_as_on_one_cpu(monkeypatch, runs, first, last):
-    # On one CPU, a run with a noise shape of exactly 1.0 skips the example,
-    # and the reverse sweep of the runs that keep it divides by its shape - 1.
-    # On two, its group skips the example alone and the other group keeps
-    # it: the epoch runs again on one thread, which raises that error.
-    nets, xs, ys = shape_one_case(runs, first, last)
-    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
-    assert one[1] == (ZeroDivisionError, "float division by zero", first + 1)
-    two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
-    assert_same_epoch(two, one)
-    assert two[0].groups[1][0] == slice(runs // 2, runs)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_run_of_a_stack_is_its_lone_run(monkeypatch, cpus):
+    # Each run of a stack, in run groups or not, leaves the bits and counts
+    # of an epoch of that run alone: on fuzzed stacks of 8 and 20 runs, and
+    # on a run with a noise shape of exactly 1.0, which skips every example
+    # in a stack as alone, in a group that skips too or one that keeps them
+    # (run 3 of 8, beside runs 0 and 1).
+    rng = np.random.default_rng(2910)
+    cases = [fuzz_epoch_case(rng, runs) for runs in (8, 20) for _ in range(6)]
+    cases += [shape_one_case(8, 0, 3), shape_one_case(20, 10, 19), shape_one_case(8, 2, 2)]
+    for case, (nets, xs, ys) in enumerate(cases):
+        stack, counts = epoch_on_cpus(monkeypatch, cpus, nets, xs, ys)
+        assert isinstance(counts, list), (case, counts)
+        assert (stack.groups is not None, stack.workspace is None) == (cpus > 1, cpus > 1), case
+        for r, net in enumerate(nets):
+            alone, alone_counts = epoch_on_cpus(monkeypatch, 1, [net], xs[:, r:r + 1], ys[:, r:r + 1])
+            assert [c[r] for c in counts] == [c[0] for c in alone_counts], (case, r)
+            for got, want in [(stack.means[r], alone.means[0]),
+                              (stack.variances[r], alone.variances[0]),
+                              (stack.gamma[:, r], alone.gamma[:, 0])]:
+                assert _bits(got) == _bits(want), (case, r)
 
 
 def test_a_noise_shape_of_one_skipped_by_every_run_raises_nothing(monkeypatch):
-    # Where every run skips the example, nothing divides by shape - 1 on one
-    # CPU either; the run still ends on a shape of 1.0, and the rerun gives
-    # the same bits and counts.
+    # Where every run skips every example, no run moves, on one CPU or two;
+    # the run at a noise shape of 1.0 ends the epoch on it.
     nets, xs, ys = shape_one_case(8, 0, 3)
     ys[...] = np.nan
     one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)

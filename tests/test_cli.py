@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -360,21 +361,19 @@ class TestNumericFailures:
         assert "numeric failure: math range error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "benchmark", "active"])
-    def test_division_by_zero_in_the_noise_gamma_step(
-        self, toy_csv, tmp_path, monkeypatch, capsys, command
-    ):
-        # A noise Gamma rate of exactly 0 divides by 0 in the moment match of
-        # the first likelihood step (kernel.c's noise_step), which raises
-        # ZeroDivisionError naming the run: here the last of the stack.
+    def _with_the_last_noise_gamma(self, toy_csv, tmp_path, monkeypatch, capsys, command,
+                                   entry, value):
+        """Run command with entry (0: shape, 1: rate) of the last run's noise
+        Gamma set to value after the prior step; assert it exits with a
+        numeric failure and writes nothing, and return its standard error."""
         real = training.incorporate_all_prior_factors
 
-        def zero_noise_rate(stack):
+        def last_noise_gamma(stack):
             sites = real(stack)
-            stack.gamma[1, -1] = 0.0
+            stack.gamma[entry, -1] = value
             return sites
 
-        monkeypatch.setattr(training, "incorporate_all_prior_factors", zero_noise_rate)
+        monkeypatch.setattr(training, "incorporate_all_prior_factors", last_noise_gamma)
         common = ["--data", str(toy_csv), "--hidden", "3", "--epochs", "1",
                   "--out", str(tmp_path / "out")]
         extra = {
@@ -384,9 +383,30 @@ class TestNumericFailures:
                        "--repetitions", "2"],
         }[command]
         assert main([command, *common, *extra]) == EXIT_NUMERIC
-        label = {"train": "run 0", "benchmark": "split 1", "active": "random repetition 1"}[command]
-        assert f"numeric failure: {label}: float division by zero" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
+        return capsys.readouterr().err
+
+    LAST_RUN = {"train": "run 0", "benchmark": "split 1", "active": "random repetition 1"}
+
+    @pytest.mark.parametrize("command", ["train", "benchmark", "active"])
+    def test_division_by_zero_in_the_noise_gamma_step(
+        self, toy_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        # A noise Gamma rate of exactly 0 divides by 0 in the moment match of
+        # the first likelihood step (kernel.c's noise_step), which raises
+        # ZeroDivisionError naming the run: here the last of the stack.
+        err = self._with_the_last_noise_gamma(toy_csv, tmp_path, monkeypatch, capsys, command, 1, 0.0)
+        assert f"numeric failure: {self.LAST_RUN[command]}: float division by zero" in err
+
+    @pytest.mark.parametrize("command", ["train", "benchmark", "active"])
+    def test_a_noise_shape_of_one_fails_every_command_alike(
+        self, toy_csv, tmp_path, monkeypatch, capsys, command
+    ):
+        # The last run, at a noise shape of exactly 1.0, skips every example
+        # in a stack as it does alone, and its skip rate ends each command.
+        err = self._with_the_last_noise_gamma(toy_csv, tmp_path, monkeypatch, capsys, command, 0, 1.0)
+        label = self.LAST_RUN[command]
+        assert re.fullmatch(rf"numeric failure: {label}: (\d+)/\1 examples skipped in epoch 1\n", err), err
 
     def _predict(self, model, tmp_path, features):
         feats = tmp_path / "f.csv"

@@ -165,27 +165,6 @@ def test_import_pbp_leaves_no_scipy_special(tmp_path):
     assert done.stdout == "['scipy']\n"
 
 
-def test_import_pbp_cli_leaves_no_numpy_random(tmp_path):
-    # The checks of the import draw their seeded cases from kernel._Draws.
-    done = _run("import sys, pbp.cli\nprint('numpy.random' in sys.modules)\n", tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
-
-
-def test_the_checks_draws_are_seeded_and_spread():
-    from pbp.kernel import _Draws
-
-    a, b = _Draws(18), _Draws(18)
-    first = a.words((2, 3))
-    assert first.shape == (2, 3) and first.tobytes() == b.words((2, 3)).tobytes()
-    assert a.words(6).tobytes() != first.tobytes() != _Draws(19).words(6).tobytes()
-    u = _Draws(5).uniform(-1e3, -30.0, 10_000)
-    assert (u >= -1e3).all() and (u < -30.0).all() and abs(u.mean() + 515.0) < 10.0
-    z = _Draws(6).normal(2.0, 3.0, (100, 100))
-    assert z.shape == (100, 100) and np.isfinite(z).all()
-    assert abs(z.mean() - 2.0) < 0.1 and abs(z.std() - 3.0) < 0.1
-
-
 # What a process makes of scipy.special and scipy.stats after its imports:
 # functions from three of the package's extension modules, its public names,
 # and the bits of a scipy.stats call that runs through it.

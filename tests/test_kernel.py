@@ -63,7 +63,7 @@ def fuzz_likelihood_cases(n: int, seed: int):
     a twentieth each, a target, output mean, output variance, shape or rate
     from the edges (overflowing and non-finite residuals, zero, negative and
     non-finite variances, shapes at and below 1 and huge, extreme rates). No
-    rate is 0 and no shape exactly 1: those raise (see the parity tests)."""
+    rate is 0: that raises (see the parity tests)."""
     rng = np.random.default_rng(seed)
     y, mz = rng.normal(0.0, 3.0, (2, n))
     vz = rng.uniform(0.0, 2.0, n)
@@ -73,13 +73,12 @@ def fuzz_likelihood_cases(n: int, seed: int):
         (y, [1e150, -1.3e154, 1.4e154, 1e160, -1e200, math.inf, -math.inf, math.nan]),
         (mz, [1e160, -1e160, math.inf, math.nan]),
         (vz, [0.0, -0.0, -0.1, 5e-324, 1e300, math.inf, math.nan]),
-        (shape, [0.5, 1e-3, 1.0 + 2.0**-52, 1.0 + 1e-10, 1e20, math.inf]),
+        (shape, [0.5, 1e-3, 1.0, 1.0 + 2.0**-52, 1.0 + 1e-10, 1e20, math.inf]),
         (rate, [5e-324, 1e-300, 1e300, 1.7e308]),
     ]
     for values, edge in edges:
         pick = rng.random(n) < 0.05
         values[pick] = rng.choice(edge, pick.sum())
-    shape[shape == 1.0] = 2.0
     return list(zip(y.tolist(), mz.tolist(), vz.tolist(), zip(shape.tolist(), rate.tolist())))
 
 
@@ -296,10 +295,23 @@ C_STRUCTS = {
 }
 
 
+# kernel.c's statuses, each by the message of the error kernel._ERRORS
+# raises for it.
+C_STATUSES = {
+    "ZERO_DIVISION": "float division by zero",
+    "OVERFLOW": "a squared value overflows",
+    "ZERO_WEIGHT_VARIANCE": "zero weight variance: its prior-site cavity is undefined",
+    "ZERO_PRIOR_VARIANCE": "prior variance underflows to 0 at a flat prior site",
+    "NEGATIVE_VARIANCE": "negative pre-activation variance (upstream bug)",
+}
+
+
 def layout_asserts(mirrors: dict[str, str]) -> str:
     """C that includes kernel.c and asserts, at compile time, that each
     ctypes mirror of kernel.py has its C struct's size and each of its
-    fields that struct's offset and size."""
+    fields that struct's offset and size, and that each number kernel.py
+    mirrors is kernel.c's: the rows of a rectifier's buffer, the statuses,
+    READ_FULL and the split and width of the Ryu tables."""
     lines = ["#include <stddef.h>", f'#include "{kernel.SOURCE}"']
     for name, struct in mirrors.items():
         mirror = getattr(kernel, name)
@@ -312,6 +324,26 @@ def layout_asserts(mirrors: dict[str, str]) -> str:
                 f"_Static_assert(sizeof(((struct {struct} *)0)->{field}) == "
                 f'{ctypes.sizeof(kind)}, "{where}");',
             ]
+    # The masks follow the named rows.
+    rows = [*kernel._RELU_ROWS, "deterministic", "series"]
+    lines.append(f'_Static_assert(RELU_ROWS == {len(rows)}, "_RELU_ROWS");')
+    lines += [f'_Static_assert({row.upper()} == {k}, "_RELU_ROWS {row}");' for k, row in enumerate(rows)]
+    by_message = {message: name for name, message in C_STATUSES.items()}
+    assert sorted(by_message) == sorted(message for _, message in kernel._ERRORS.values())
+    lines += [
+        f'_Static_assert({by_message[message]} == {status}, "_ERRORS {status}");'
+        for status, (_, message) in kernel._ERRORS.items()
+    ]
+    lines.append(f'_Static_assert(READ_FULL == {kernel.READ_FULL}, "READ_FULL");')
+    # The tables open with 5 ** 0 scaled to POW5_BITS bits, 2 ** (bits - 1),
+    # and the inverses with its inverse, 2 ** bits + 1.
+    tables = [int(low) | int(high) << 64 for low, high in kernel.pow5_tables().reshape(-1, 2)]
+    bits = tables[0].bit_length()
+    count = tables.index((1 << bits) + 1)
+    lines += [
+        f'_Static_assert(POW5_COUNT == {count}, "pow5_tables: {count} + {len(tables) - count}");',
+        f'_Static_assert(POW5_BITS == {bits}, "pow5_tables: {bits} bits");',
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -429,30 +461,44 @@ def step_stack(gammas):
 @pytest.mark.parametrize(
     "gammas",
     [
-        # The float kernel's backward pass divided by shape - 1 for every run
-        # once one run was not skipped.
-        pytest.param([(6.0, 6.0), (1.0, 6.0)], id="noise-shape-one"),
-        # Its Gamma match divided by the rate of a run not skipped.
+        # The Gamma match divides by the rate of a run not skipped.
         pytest.param([(6.0, 6.0), (6.0, 0.0)], id="noise-rate-zero"),
     ],
 )
 def test_likelihood_step_dividing_by_zero_raises_before_any_write(gammas):
-    stack = step_stack(gammas)
-    x = np.full((len(gammas), 1), 0.4)
-    y = np.full(len(gammas), 0.3)
-    before = snapshot(stack)
-    with pytest.raises(ZeroDivisionError):
-        one_step(stack, x, y)
-    assert snapshot(stack) == before
-    if gammas[1][1] == 0.0:
-        triple = ref._likelihood_triple(0.3, 0.1, 0.5, GammaDist(*gammas[1]))
+    # In a stack, and in a stack of the run alone.
+    for part in (gammas, gammas[1:]):
+        stack = step_stack(part)
+        before = snapshot(stack)
         with pytest.raises(ZeroDivisionError):
-            ref._gamma_moments(*gammas[1], *triple)
+            one_step(stack, np.full((len(part), 1), 0.4), np.full(len(part), 0.3))
+        assert snapshot(stack) == before
+    triple = ref._likelihood_triple(0.3, 0.1, 0.5, GammaDist(*gammas[1]))
+    with pytest.raises(ZeroDivisionError):
+        ref._gamma_moments(*gammas[1], *triple)
+
+
+def test_likelihood_step_at_a_noise_shape_of_one_skips_that_run_as_alone():
+    # Run 1's noise shape of 1.0 skips the example and run 0 refines, each
+    # leaving the bits and counts of a stack of that run alone.
+    gammas = [(6.0, 6.0), (1.0, 6.0)]
+    stack = step_stack(gammas)
+    x, y = np.full((2, 1), 0.4), np.full(2, 0.3)
+    outcome = one_step(stack, x, y)
+    assert outcome.skipped.tolist() == [0, 1]
+    assert outcome.weight_updates[0] > 0
+    for r, gamma in enumerate(gammas):
+        alone = step_stack([gamma])
+        alone_outcome = one_step(alone, x[r:r + 1], y[r:r + 1])
+        for name in ("skipped", "undo_count", "weight_updates"):
+            assert getattr(outcome, name)[r] == getattr(alone_outcome, name)[0], (r, name)
+        got = [stack.means[r], stack.variances[r], stack.gamma[:, r], stack.lam[:, r]]
+        assert [_bits(a) for a in got] == snapshot(alone), r
 
 
 def test_likelihood_step_with_only_unusable_runs_skips_them():
     # A Gamma shape of 1 skips the example; with no run left there is no
-    # backward pass, and nothing divides by shape - 1.
+    # backward pass.
     stack = step_stack([(1.0, 6.0)])
     before = snapshot(stack)
     outcome = one_step(stack, np.full((1, 1), 0.4), np.full(1, 0.3))
