@@ -50,7 +50,12 @@ the trees that fill `epoch_rmse` run it.
 A fourth table times `run_active_experiments` at the yacht_active shape
 (ACTIVE): its repetitions of each policy in one call, as `pbp active
 --policy both` runs them, on a seeded Yacht-shaped data set: the median
-milliseconds per call over K repeats, and their range.
+milliseconds per call over K repeats, and their range. K more repeats split
+the call, in milliseconds per call (medians): the wall time in which a call
+of each method of ACTIVE_SPLIT runs, calls running at once on several
+threads counted once, and the rest. The line ends with the median
+microseconds of a `forward._run_items` call over two items that do nothing
+(DISPATCHES calls), the cost of handing a pass's items to the threads.
 
 A fifth table times `pbp predict` at the perfbench workloads' shapes
 (PREDICTS): a model saved after one epoch on a seeded training set, and a
@@ -130,6 +135,10 @@ WITH, WITHOUT = "with_epoch_rmse", "without_epoch_rmse"
 # policy and ActiveConfig.
 ACTIVE = dict(rows=308, features=6, hidden=(10,), epochs=4, repetitions=10,
               initial_train=20, test_size=100, acquisitions=9)
+# The (class of pbp.kernel, method) whose time the active table splits out,
+# and the _run_items calls timed for its dispatch cost.
+ACTIVE_SPLIT = (("Step", "epoch"), ("Refresh", "__call__"), ("RowsPass", "__call__"))
+DISPATCHES = 2_000
 # (layer sizes, rows) of the `pbp predict` calls timed: boston_splits',
 # yacht_active's and wine_deep's; and the training rows of their models.
 PREDICTS = [([13, 50, 1], 40_000), ([6, 10, 1], 40_000), ([11, 50, 50, 1], 40_000)]
@@ -216,7 +225,11 @@ def timed_steps(runs, sizes, steps, seed, count_phases=False):
         # The steps the timed epoch runs in: its run groups' on trees that
         # have them, else the stack's workspace.
         run_groups = getattr(pbp.forward, "run_groups", None)
-        bound = [step for _, step in run_groups(stack, steps)] if run_groups else [stack.workspace]
+        if run_groups is None:
+            bound = [stack.workspace]
+        else:  # run_groups(stack, examples) on older trees, run_groups(stack) on newer
+            args = (stack, steps) if len(inspect.signature(run_groups).parameters) > 1 else (stack,)
+            bound = [step for _, step in run_groups(*args)]
         counters = [step.count_phases() for step in bound]
     start = time.perf_counter()
     epoch(stack, *timed)
@@ -346,6 +359,67 @@ def timed_active(seed):
     start = time.perf_counter()
     run_active_experiments(dataset, [policy for policy, _ in runs], config, rngs, active_cfg)
     return time.perf_counter() - start
+
+
+def split_active(seed):
+    """{part: seconds} of one timed_active(seed) call: for each method of
+    ACTIVE_SPLIT that the tree has, the wall time in which at least one call
+    of it runs, and the rest ("rest")."""
+    import threading
+
+    import pbp.kernel as kernel
+
+    lock, spent, patched = threading.Lock(), {}, []
+
+    def timed(key, real):
+        running = [0, 0.0]  # calls running, and when the first of them began
+
+        def call(*args, **kwargs):
+            with lock:
+                if not running[0]:
+                    running[1] = time.perf_counter()
+                running[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+                    if not running[0]:
+                        spent[key] += time.perf_counter() - running[1]
+
+        return call
+
+    for owner, name in ACTIVE_SPLIT:
+        cls = getattr(kernel, owner, None)
+        if cls is not None and name in vars(cls):
+            spent[f"{owner}.{name}"] = 0.0
+            patched.append((cls, name, vars(cls)[name]))
+            setattr(cls, name, timed(f"{owner}.{name}", vars(cls)[name]))
+    try:
+        seconds = timed_active(seed)
+    finally:
+        for cls, name, real in patched:
+            setattr(cls, name, real)
+    spent["rest"] = seconds - sum(spent.values())
+    return spent
+
+
+def dispatch_us():
+    """The median microseconds of a forward._run_items call over two items
+    that do nothing, as a parallel pass hands them out; None on a tree
+    without it."""
+    import pbp.forward
+
+    run_items = getattr(pbp.forward, "_run_items", None)
+    if run_items is None:
+        return None
+    items, times = [0, 1], []
+    run_items(lambda item: None, items, True)
+    for _ in range(DISPATCHES):
+        start = time.perf_counter()
+        run_items(lambda item: None, items, True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e6
 
 
 def predict_files(sizes, rows, seed, directory, cells):
@@ -601,10 +675,15 @@ def main(argv):
         "ms_per_call": statistics.median(ms), "ms_min": min(ms), "ms_max": max(ms),
         "repeats": repeats,
     }
+    splits = [split_active(k) for k in range(repeats)]
+    active["split_ms"] = {part: statistics.median(s[part] * 1e3 for s in splits) for part in splits[0]}
+    active["dispatch_us"] = dispatch_us()
     if "json" not in options:
+        split = ", ".join(f"{part} {ms:.1f}" for part, ms in active["split_ms"].items())
+        dispatch = "" if active["dispatch_us"] is None else f"; _run_items dispatch {active['dispatch_us']:.1f} us"
         print(
             f"run_active_experiments {active['experiment']}: {active['ms_per_call']:.1f} ms "
-            f"({active['ms_min']:.1f}-{active['ms_max']:.1f})",
+            f"({active['ms_min']:.1f}-{active['ms_max']:.1f}); per call, ms: {split}{dispatch}",
             flush=True,
         )
     predicts = []

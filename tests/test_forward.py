@@ -1,8 +1,11 @@
 import copy
 import math
+import multiprocessing
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +16,7 @@ from pbp import forward, kernel
 from pbp.forward import BLOCK_ROWS, forward_output_moments
 from oracles import mc_forward_moments
 from pbp.posterior import LayerPosterior, NumericError, PosteriorStack, new_uniform
+from pbp.updates import incorporate_likelihood_factors
 from reference_forward import forward_output_moments_batch
 from reference_update import MomentVector, append_bias, forward_linear
 
@@ -419,6 +423,20 @@ def _force_cpus(monkeypatch, count):
     monkeypatch.setattr(forward, "usable_cpus", lambda: count)
 
 
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty helper pool in place of the process's for one test; its
+    helpers end after the test."""
+    pool = forward._Pool()
+    monkeypatch.setattr(forward, "_pool", pool)
+    yield pool
+    for _ in pool.helpers:
+        pool.jobs.put(None)
+    for helper in pool.helpers:
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+
+
 def _spy_items(monkeypatch, before=lambda: None):
     """Route every work item of a rows pass (kernel.RowsPass.__call__)
     through a wrapper that calls before() first. Returns, for every item
@@ -520,10 +538,11 @@ class TestParallelPass:
         calls = _on_helpers(monkeypatch, fail)
         net = random_net([6, 10, 1], np.random.default_rng(18))
         X = np.random.default_rng(19).normal(size=(40 * 64, 6))
-        threads = threading.active_count()
+        threads = set(threading.enumerate())
         with pytest.raises(NumericError, match="raised in a helper"):
             lone_output_moments(net, X)
-        assert threading.active_count() == threads
+        # No thread beyond the pool's helpers runs on.
+        assert set(threading.enumerate()) <= threads | set(forward._pool.helpers)
         # The caller finished the item it had; nobody took another of the 40.
         assert len(calls) <= 2
 
@@ -560,7 +579,7 @@ class TestParallelPass:
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
         assert len(calls) == 60
 
-    def test_no_thread_to_be_had_leaves_the_work_to_the_caller(self, monkeypatch):
+    def test_no_thread_to_be_had_leaves_the_work_to_the_caller(self, monkeypatch, fresh_pool):
         _force_cpus(monkeypatch, 3)
         monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
 
@@ -574,6 +593,124 @@ class TestParallelPass:
         m, v = lone_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+        assert fresh_pool.helpers == []
+
+
+def _grouped_epoch(monkeypatch, cpus):
+    """A stack of 8 runs of 6-10-1 after an epoch of 25 seeded examples with
+    `cpus` usable CPUs (two run groups from 2 on), as bytes of its means,
+    variances and noise Gammas."""
+    _force_cpus(monkeypatch, cpus)
+    rng = np.random.default_rng(26)
+    stack = PosteriorStack.of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(8)])
+    incorporate_likelihood_factors(stack, rng.normal(size=(25, 8, 6)), rng.normal(size=(25, 8)))
+    return [a.tobytes() for a in (stack.means, stack.variances, stack.gamma)]
+
+
+class TestHelperPool:
+    """The helpers of parallel passes are started once and kept: a pass
+    starts no thread, a forked child starts its own, and a caller waits for
+    no item it did not hand to a helper that took it."""
+
+    def test_passes_start_no_thread_after_the_first(self, monkeypatch, fresh_pool):
+        _force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+        rng = np.random.default_rng(27)
+        stack = PosteriorStack.of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(12)])
+        xs, ys, X = rng.normal(size=(5, 12, 6)), rng.normal(size=(5, 12)), rng.normal(size=(12, 20, 6))
+
+        def grouped_epoch_and_rows_pass():
+            incorporate_likelihood_factors(stack, xs, ys)
+            forward_output_moments(stack, X)
+
+        grouped_epoch_and_rows_pass()
+        assert len(stack.groups) == 3
+        threads = threading.enumerate()
+        assert 1 <= len(fresh_pool.helpers) <= forward.usable_cpus() - 1
+        real_start, started = threading.Thread.start, []
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        for _ in range(100):
+            grouped_epoch_and_rows_pass()
+        assert started == []
+        assert threading.enumerate() == threads
+
+    def test_a_forked_child_runs_a_grouped_epoch_on_helpers_of_its_own(self, monkeypatch):
+        want = _grouped_epoch(monkeypatch, 1)
+        assert _grouped_epoch(monkeypatch, 2) == want
+        parent_helpers = set(forward._pool.helpers)
+        assert parent_helpers  # which the child's copy of the pool would name
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            got = _grouped_epoch(monkeypatch, 2)
+            helpers, alive = forward._pool.helpers, threading.enumerate()
+            send.send((got, len(helpers), sum(h in alive for h in helpers), len(parent_helpers & set(helpers))))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(60), "the forked child did not finish its epoch"
+            got, helpers, alive, inherited = receive.recv()
+        finally:
+            process.join(timeout=60)
+        assert not process.is_alive() and process.exitcode == 0
+        assert got == want
+        assert helpers == alive == 1 and inherited == 0
+
+    def test_a_finished_pass_leaves_nothing_alive_on_a_helper(self, monkeypatch, fresh_pool):
+        # Once a helper has run its job, nothing of the pass stays alive:
+        # not its inputs, nor the kernel bindings the helper made for it.
+        _force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
+        rng = np.random.default_rng(28)
+        stack = PosteriorStack.of([random_net([6, 10, 1], rng)])
+        X = rng.normal(size=(1, 5 * 64, 6))
+        forward_output_moments(stack, X)
+        assert fresh_pool.helpers
+        passed = weakref.ref(X)
+        del X
+        deadline = time.monotonic() + 10
+        while passed() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert passed() is None
+
+    def test_a_caller_waits_for_no_item_another_callers_item_holds_up(self, monkeypatch, fresh_pool):
+        # The helper holds one item of caller A until `release`, and A, its
+        # own item done, waits for it; caller B then finishes both its items
+        # on its own thread, the job it queued for the helper still waiting
+        # behind A's item.
+        _force_cpus(monkeypatch, 2)
+        held, release, own_done = threading.Event(), threading.Event(), threading.Event()
+        done_a, taken_b, caller_a = [], [], None
+
+        def work_a(item):
+            if threading.current_thread() is caller_a:
+                assert held.wait(timeout=10)  # the helper has taken the other item
+                done_a.append(item)
+                own_done.set()
+            else:
+                held.set()
+                assert release.wait(timeout=30)
+                done_a.append(item)
+
+        caller_a = threading.Thread(target=forward._run_items, args=(work_a, [0, 1], True))
+        caller_a.start()
+        try:
+            assert own_done.wait(timeout=10)
+            forward._run_items(lambda item: taken_b.append((item, threading.current_thread())), [0, 1], True)
+            assert taken_b == [(0, threading.current_thread()), (1, threading.current_thread())]
+            assert not release.is_set() and len(done_a) == 1 and caller_a.is_alive()
+        finally:
+            release.set()
+            caller_a.join(timeout=30)
+        assert sorted(done_a) == [0, 1] and not caller_a.is_alive()
+        assert len(fresh_pool.helpers) == 1
 
 
 class TestOneRectifierCallPerItem:
