@@ -13,30 +13,30 @@ log_ndtr and numpy's exp and power loops from there. A rows pass
 call (kernel.RowsPass); the likelihood step runs one row per run through
 it, in a kernel.Step: the stack's workspace, or one per run group of a
 stack of enough runs (run_groups). Training folds a whole epoch of examples
-into one call per group, and sweeps the prior sites in one call per group,
-the groups on every usable CPU (updates.incorporate_likelihood_factors and
-ep_refresh_prior). The rectifier's two fixed numbers, the variance below
-which a unit is deterministic and the standardized mean below which its
-pdf/cdf ratio takes the asymptotic series, are constants of kernel.c, as is
-log 2 pi; kernel.py reads them from there (kernel.DETERMINISTIC_VARIANCE,
-SERIES_THRESHOLD and LOG_2PI).
+into one call per group, the groups on every usable CPU (_run_items,
+updates.incorporate_likelihood_factors). The rectifier's two fixed numbers,
+the variance below which a unit is deterministic and the standardized mean
+below which its pdf/cdf ratio takes the asymptotic series, are constants of
+kernel.c, as is log 2 pi; kernel.py reads them from there
+(kernel.DETERMINISTIC_VARIANCE, SERIES_THRESHOLD and LOG_2PI).
 
 The items of a parallel pass (_run_items) run on the calling thread and on
-a pool of helper threads: daemon threads, at most usable_cpus() - 1 of
-them, started by the first pass that wants them and kept for the life of
-the process. A forked child starts with an empty pool of its own
-(os.register_at_fork), as the parent's helpers do not run in it. Each job
-runs in a copy of the submitting caller's context (contextvars), so numpy's
-error state holds there too. The caller takes items itself and, once none
-is left, waits only for the items a helper took: a job still queued behind
-another caller's item finds nothing left to take.
+the helper threads of one concurrent.futures.ThreadPoolExecutor, at most
+usable_cpus() - 1 of them, made by the first pass that wants helpers; its
+threads start with the first jobs that want them and are kept until the
+interpreter exits. A forked child makes a pool of its own with its first
+such pass (os.register_at_fork), as the parent's helpers do not run in it.
+Each job runs in a copy of the submitting caller's context (contextvars), so
+numpy's error state holds there too. The caller takes items itself and,
+once none is left, cancels the jobs no helper has started and waits only
+for the others: a job still queued behind another caller's item never
+holds it up.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import queue
 import threading
 
 import numpy as np
@@ -46,7 +46,7 @@ from .posterior import PosteriorStack
 
 # Rows per block of a large forward pass (see forward_output_moments).
 BLOCK_ROWS = 512
-# The fewest runs of a run group (see run_slices).
+# The fewest runs of a group of a training epoch (see run_groups).
 GROUP_RUNS = 4
 
 
@@ -105,32 +105,26 @@ def workspace(stack: PosteriorStack) -> Step:
     return stack.workspace
 
 
-def run_slices(runs: int) -> list[slice]:
-    """The run groups of a stack of `runs` runs, contiguous slices of its
-    runs: one group per usable CPU, each of at least GROUP_RUNS runs. A
-    stack of fewer than 2 * GROUP_RUNS runs, or one on one usable CPU, is
-    one group."""
-    count = max(1, min(usable_cpus(), runs // GROUP_RUNS))
-    bounds = [runs * k // count for k in range(count + 1)]
-    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
 def run_groups(stack: PosteriorStack) -> list[tuple[slice, Step]]:
-    """The run groups of the stack's epochs (run_slices), each with the
-    kernel.Step of its runs. A lone group's step is the stack's workspace;
-    otherwise each group's step is bound to its rows of the stack's means
-    and variances and to (2, g) noise Gammas of its own (step.noise.gamma),
-    and the first call with those groups builds them and keeps them on the
-    stack."""
-    parts = run_slices(stack.means.shape[0])
-    if len(parts) == 1:
-        return [(parts[0], workspace(stack))]
-    if stack.groups is None or [part for part, _ in stack.groups] != parts:
-        stack.groups = [
-            (part, Step(stack.means[part], stack.variances[part], np.empty((2, part.stop - part.start)),
-                        stack.layer_sizes))
-            for part in parts
-        ]
+    """The run groups of the stack's epochs, each a contiguous slice of its
+    runs with the kernel.Step of those runs: one group per usable CPU, each
+    of at least GROUP_RUNS runs. A stack of fewer than 2 * GROUP_RUNS runs,
+    or one on one usable CPU, is one group, whose step is the stack's
+    workspace. Otherwise each group's step is bound to its rows of the
+    stack's means and variances and to (2, g) noise Gammas of its own
+    (step.noise.gamma); the first call with a group count builds the groups
+    and keeps them on the stack."""
+    runs = stack.means.shape[0]
+    count = min(usable_cpus(), runs // GROUP_RUNS)
+    if count <= 1:
+        return [(slice(0, runs), workspace(stack))]
+    if stack.groups is None or len(stack.groups) != count:
+        bounds = [runs * k // count for k in range(count + 1)]
+        groups = []
+        for start, stop in zip(bounds, bounds[1:]):
+            part, gamma = slice(start, stop), np.empty((2, stop - start))
+            groups.append((part, Step(stack.means[part], stack.variances[part], gamma, stack.layer_sizes)))
+        stack.groups = groups
     return stack.groups
 
 
@@ -152,88 +146,40 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Pass:
-    """The items of one _run_items call, which the caller and the helpers
-    take one at a time (take) until none is left or one has raised."""
+def _new_pool():
+    """An empty pool of helpers, a ThreadPoolExecutor: they start with the
+    first jobs that want them, at most usable_cpus() - 1 (and at least one)
+    of them."""
+    # Imported here: concurrent.futures imports logging, which a command
+    # that hands out no items has no use for.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def __init__(self, work, items: list):
-        self.work, self.pending = work, iter(items)
-        self.lock = threading.Lock()
-        self.idle = threading.Condition(self.lock)
-        self.running = 0  # items taken and not yet done
-        self.errors = []
-
-    def take(self) -> None:
-        done = False
-        while True:
-            with self.lock:
-                if done:
-                    self.running -= 1
-                item = None if self.errors else next(self.pending, None)
-                if item is None:
-                    if not self.running:
-                        self.idle.notify_all()
-                    return
-                self.running += 1
-            try:
-                self.work(item)
-            except BaseException as exc:  # raised in the caller, by wait
-                with self.lock:
-                    self.errors.append(exc)
-            done = True
-
-    def wait(self) -> None:
-        """Wait until no item taken is running, then raise the first error."""
-        with self.lock:
-            while self.running:
-                self.idle.wait()
-        if self.errors:
-            raise self.errors[0]
+    return ThreadPoolExecutor(max(usable_cpus() - 1, 1), thread_name_prefix="pbp-helper")
 
 
-class _Pool:
-    """Daemon helper threads, each running the jobs of `jobs` in turn: a job
-    (context, function) runs as context.run(function), and None ends the
-    helper that takes it."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.jobs = queue.SimpleQueue()
-        self.helpers = []
-
-    def hire(self, count: int) -> int:
-        """Start helpers until there are `count`, as far as threads are to
-        be had, and return how many of them, up to count, there are."""
-        with self.lock:
-            while len(self.helpers) < count:
-                helper = threading.Thread(target=self.serve, name="pbp-helper", daemon=True)
-                try:
-                    helper.start()
-                except RuntimeError:  # no thread to be had: the others take its share
-                    break
-                self.helpers.append(helper)
-            return min(len(self.helpers), count)
-
-    def serve(self) -> None:
-        for context, function in iter(self.jobs.get, None):
-            context.run(function)
-            # A finished job keeps nothing of its pass alive (its work's
-            # buffers and this thread's kernel bindings) while this waits.
-            del context, function
+# The pool of this process, made by the first pass that wants helpers.
+_pool = None
 
 
-_pool = _Pool()
-
-
-def _new_pool() -> None:
-    """Give this process an empty pool of its own: a forked child's copy of
-    its parent's names helpers that do not run in the child."""
+def _fork_pool() -> None:
+    """Leave a forked child no pool, so its first pass makes one: its copy
+    of the parent's names helpers that do not run in the child."""
     global _pool
-    _pool = _Pool()
+    _pool = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+    os.register_at_fork(after_in_child=_fork_pool)
+
+
+def _job(job, context: contextvars.Context, take) -> None:
+    """A helper's share of a pass: context.run(take), unless the caller has
+    cancelled the job (a concurrent.futures.Future) first."""
+    if job.set_running_or_notify_cancel():
+        try:
+            context.run(take)
+        finally:
+            job.set_result(None)
 
 
 def _run_items(work, items: list, parallel: bool) -> None:
@@ -245,15 +191,49 @@ def _run_items(work, items: list, parallel: bool) -> None:
     exception no thread takes another item, and it is raised here once no
     item a helper took is running.
     """
-    pool, helpers = _pool, min(usable_cpus(), len(items)) - 1 if parallel else 0
-    if helpers > 0:
-        helpers = pool.hire(helpers)
+    global _pool
+    helpers = min(usable_cpus(), len(items)) - 1 if parallel else 0
     if helpers <= 0:
         for item in items:
             work(item)
         return
-    task = _Pass(work, items)
-    for _ in range(helpers):
-        pool.jobs.put((contextvars.copy_context(), task.take))
-    task.take()
-    task.wait()
+    from concurrent.futures import Future
+
+    if _pool is None:  # two first passes at once may make one each, both working
+        _pool = _new_pool()
+    pending = iter(items)
+    lock = threading.Lock()
+    errors = []
+
+    def take():
+        while True:
+            with lock:
+                item = None if errors else next(pending, None)
+            if item is None:
+                return
+            try:
+                work(item)
+            except BaseException as exc:  # raised in the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    jobs = []
+    try:
+        for _ in range(helpers):
+            # A future of its own, not submit's: a submit that cannot start a
+            # thread raises with the job already queued, where a helper the
+            # pool has may still run it.
+            jobs.append(Future())
+            try:
+                _pool.submit(_job, jobs[-1], contextvars.copy_context(), take)
+            except RuntimeError:  # no thread to be had: the others take its share
+                break
+        take()
+    finally:
+        for job in jobs:
+            if not job.cancel():  # a helper took it
+                job.result()
+    if errors:
+        raise errors[0]
+

@@ -72,12 +72,13 @@ struct noise_args {
 
 struct refresh_args {
     int64_t runs, weights;
+    int64_t failed_run;        /* the run whose arithmetic failed, with a status */
     double *means, *variances; /* (R, W) */
     double *sites;             /* (4, R, W): precision, precision x mean, shape, rate */
     double *lam;               /* (2, R): prior Gamma shapes, rates */
     int64_t *skipped;          /* (R,): sites skipped per run */
     double *change;            /* (R,): largest change per run */
-    double *backup;            /* 6 R W + 2 R, each run where the above hold it */
+    double *backup;            /* 6 R W + 2 R */
 };
 
 /* x ** 2 as Python's float power computes it: the base's sign dropped
@@ -296,55 +297,35 @@ static int refresh_run(const struct refresh_args *s, int64_t r)
     return 0;
 }
 
-/* Copies the runs first .. first + count - 1 of the means, variances, sites
- * and prior Gammas into the backup (save) or back from it. The backup holds
- * the four arrays one after another, each run where its array holds it. */
-static void copy_runs(const struct refresh_args *s, int64_t first, int64_t count, int save)
+/* Returns 0, or a status with every buffer as it was before the call. */
+int ep_refresh(struct refresh_args *s)
 {
-    const int64_t R = s->runs, W = s->weights;
-    double *arrays[] = {s->means, s->variances, s->sites, s->lam};
-    const int64_t rows[] = {1, 1, 4, 2}, width[] = {W, W, W, 1};
-    double *backup = s->backup;
-    for (int i = 0; i < 4; i++) {
-        for (int64_t k = 0; k < rows[i]; k++) {
-            const int64_t at = (k * R + first) * width[i];
-            double *stack = arrays[i] + at, *saved = backup + at;
-            memcpy(save ? saved : stack, save ? stack : saved, count * width[i] * sizeof(double));
-        }
-        backup += rows[i] * R * width[i];
-    }
-}
-
-/* The sweep of the runs first .. first + count - 1, which no other call
- * reads or writes meanwhile: a whole-stack call and calls on disjoint runs
- * leave the same bits. Returns 0, or a status, the run it arose in at
- * *failed_run and every buffer of those runs as it was before the call: a
- * zero weight variance in any of them fails the call before any write. */
-int ep_refresh(const struct refresh_args *s, int64_t first, int64_t count, int64_t *failed_run)
-{
-    const int64_t W = s->weights;
-    for (int64_t i = first * W; i < (first + count) * W; i++)
+    const int64_t R = s->runs, n = R * s->weights;
+    for (int64_t i = 0; i < n; i++)
         if (s->variances[i] == 0.0) {
-            *failed_run = i / W;
+            s->failed_run = i / s->weights;
             return ZERO_WEIGHT_VARIANCE;
         }
-    copy_runs(s, first, count, 1);
-    for (int64_t r = first; r < first + count; r++) {
+    double *saved[] = {s->means, s->variances, s->sites, s->lam};
+    const int64_t sizes[] = {n, n, 4 * n, 2 * R};
+    double *backup = s->backup;
+    for (int i = 0; i < 4; i++) {
+        memcpy(backup, saved[i], sizes[i] * sizeof(double));
+        backup += sizes[i];
+    }
+    for (int64_t r = 0; r < R; r++) {
         int status = refresh_run(s, r);
         if (status) {
-            copy_runs(s, first, count, 0);
-            *failed_run = r;
+            backup = s->backup;
+            for (int i = 0; i < 4; i++) {
+                memcpy(saved[i], backup, sizes[i] * sizeof(double));
+                backup += sizes[i];
+            }
+            s->failed_run = r;
             return status;
         }
     }
     return 0;
-}
-
-/* Puts back the runs first .. first + count - 1 as they were before the
- * last ep_refresh call that took them. */
-void refresh_restore(const struct refresh_args *s, int64_t first, int64_t count)
-{
-    copy_runs(s, first, count, 0);
 }
 
 /* ------------------------------------------------------------ the moment maps

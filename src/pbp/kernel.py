@@ -187,7 +187,8 @@ class _NoiseArgs(ctypes.Structure):
 
 class _RefreshArgs(ctypes.Structure):
     _fields_ = _layout(
-        ["runs", "weights"], ["means", "variances", "sites", "lam", "skipped", "change", "backup"]
+        ["runs", "weights", "failed_run"],
+        ["means", "variances", "sites", "lam", "skipped", "change", "backup"],
     )
 
 
@@ -248,6 +249,7 @@ def load(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     for name, args, restype in [
         ("noise_step", _NoiseArgs, ctypes.c_int64),
+        ("ep_refresh", _RefreshArgs, ctypes.c_int),
         ("step_forward", _StepArgs, ctypes.c_int),
         ("step_backward", _StepArgs, None),
         ("step_refine", _StepArgs, None),
@@ -256,10 +258,6 @@ def load(path: Path) -> ctypes.CDLL:
         entry.argtypes = [ctypes.POINTER(args)]
         entry.restype = restype
     externals, integer, address = ctypes.POINTER(_Externals), ctypes.c_int64, ctypes.c_void_p
-    refresh = ctypes.POINTER(_RefreshArgs)
-    lib.ep_refresh.argtypes = [refresh, integer, integer, ctypes.POINTER(integer)]
-    lib.refresh_restore.argtypes = [refresh, integer, integer]
-    lib.ep_refresh.restype, lib.refresh_restore.restype = ctypes.c_int, None
     lib.step_epoch.argtypes = [ctypes.POINTER(_StepArgs), ctypes.POINTER(_EpochArgs)]
     lib.forward_rows.argtypes = [
         ctypes.POINTER(_StepArgs), ctypes.POINTER(_RowsArgs), *[integer] * 4
@@ -734,16 +732,14 @@ class Refresh:
     """ep_refresh bound to a stack's (R, W) means and variances, its (2, R)
     prior Gammas and the (4, R, W) prior sites it refreshes in place.
 
-    Each call refreshes the runs of a slice, by default every run, and
-    writes, per run, the number of sites skipped and the largest change of a
-    weight's mean or variance or of the Gamma; a call that raises has changed
-    nothing. Calls on disjoint slices may run at once, on threads of their
-    own, and leave the bits of one call on every run.
+    Each call writes, per run, the number of sites skipped and the largest
+    change of a weight's mean or variance or of the Gamma; a call that raises
+    has changed nothing.
     """
 
     def __init__(self, means: np.ndarray, variances: np.ndarray, lam: np.ndarray, sites: np.ndarray):
         runs, weights = means.shape
-        self.sites, self.runs = sites, range(runs)
+        self.sites = sites
         self.skipped = np.empty(runs, dtype=np.int64)
         self.change = np.empty(runs)
         backup = np.empty(6 * runs * weights + 2 * runs)
@@ -751,6 +747,7 @@ class Refresh:
         self._args = _RefreshArgs(
             runs,
             weights,
+            -1,
             _address(means, (runs, weights)),
             _address(variances, (runs, weights)),
             _address(sites, (4, runs, weights)),
@@ -762,17 +759,10 @@ class Refresh:
         self._ref = ctypes.byref(self._args)
         self._call = LIB.ep_refresh
 
-    def __call__(self, runs: slice = slice(None)) -> None:
-        group, failed = self.runs[runs], ctypes.c_int64(-1)
-        status = self._call(self._ref, group.start, len(group), ctypes.byref(failed))
+    def __call__(self) -> None:
+        status = self._call(self._ref)
         if status < 0:
-            _raise(status, failed.value)
-
-    def restore(self, runs: slice) -> None:
-        """Put the runs of the slice `runs` back as they were before the
-        last call that refreshed them."""
-        group = self.runs[runs]
-        LIB.refresh_restore(self._ref, group.start, len(group))
+            _raise(status, self._args.failed_run)
 
 
 def bias_extended(rows: tuple[int, ...], units: int) -> np.ndarray:

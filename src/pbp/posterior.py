@@ -88,7 +88,7 @@ class PosteriorStack:
     (noise precision) and `lam` (prior precision) are (2, R) buffers of
     shapes and rates, also updated in place. `workspace` holds the buffers of
     the update steps (a kernel.Step), and `groups` those of its run groups,
-    a kernel.Step each, where the stack runs in groups; the stack's first step
+    a kernel.Step each, where an epoch runs in groups; the stack's first step
     builds them (see forward.workspace and forward.run_groups), and only the
     stack refers to them. `refresh` is the compiled EP refresh bound to the
     stack and the sites it last refreshed.

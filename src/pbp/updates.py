@@ -16,16 +16,16 @@ group (a kernel.Step, see forward.run_groups): per example the forward pass,
 the noise-Gamma step, the reverse sweep and the refinement. Its matmuls,
 log_ndtr, exp and powers call numpy's BLAS, scipy's log_ndtr and numpy's
 ufunc loops from there; no Python runs between two examples. The EP sweep
-over the prior sites runs in kernel.c's ep_refresh, one call per run group.
+over the prior sites is one kernel.c call (ep_refresh) over the whole stack.
 
-A stack of 2 * forward.GROUP_RUNS runs or more, on two usable CPUs or more,
-is cut into one run group per usable CPU (forward.run_slices), and the
-groups' calls of an epoch or a sweep run at once: one on the calling thread
-and the others on the helper threads of forward's pool, which live as long
-as the process (a forked child starts its own), run each call in a copy of
-the caller's context and release the GIL in the kernel (ctypes). The caller
-waits for the calls the helpers took and for no other. Any other stack is
-one group, on the calling thread.
+The epoch of a stack of 2 * forward.GROUP_RUNS runs or more, on two usable
+CPUs or more, is cut into one run group per usable CPU (forward.run_groups),
+and the groups' calls run at once: one on the calling thread and the others
+on the helper threads of forward's pool, which live as long as the process
+(a forked child makes its own), run each call in a copy of the caller's
+context and release the GIL in the kernel (ctypes). The caller waits for
+the calls the helpers took and for no other. Any other epoch is one group,
+the stack's workspace, on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _run_items, run_groups, run_slices, workspace
+from .forward import _run_items, run_groups, workspace
 from .kernel import Refresh
 from .posterior import NumericError, PosteriorStack
 
@@ -166,36 +166,12 @@ def ep_refresh_prior(stack: PosteriorStack, sites: np.ndarray) -> RefreshReport:
     The running prior-precision Gamma makes a run's sweep sequential; the
     sweep is kernel.c's ep_refresh, bound to the stack and sites on the first
     call with them. A zero weight variance, or a zero prior variance at a flat
-    site, raises NumericError; nothing is written when anything raises. The
-    zero weight variances are looked for in every run before any sweep: one
-    in a late run is raised before a failing sweep of an earlier run.
-
-    The runs go through in groups (forward.run_slices), one ep_refresh call
-    each, the groups on every usable CPU (forward._run_items). Grouping
-    moves no bit: where a group raises, the groups done are put back, the
-    failed one having put itself back, and the whole stack is swept again
-    in one call on the calling thread, which gives the error, the run it
-    names and the untouched stack of an ungrouped sweep.
+    site, raises NumericError; nothing is written when anything raises.
     """
     refresh = stack.refresh
     if refresh is None or refresh.sites is not sites:
         refresh = stack.refresh = Refresh(stack.means, stack.variances, stack.lam, sites)
-    parts = run_slices(stack.means.shape[0])
-    if len(parts) == 1:
-        refresh()
-    else:
-        done = []
-
-        def sweep(part):
-            refresh(part)
-            done.append(part)
-
-        try:
-            _run_items(sweep, parts, True)
-        except (ArithmeticError, NumericError):  # the sweep below raises the stack's error
-            for part in done:
-                refresh.restore(part)
-            refresh()
+    refresh()
     skipped, change = refresh.skipped.tolist(), refresh.change.tolist()
     return RefreshReport(
         sites_visited=stack.means.size,

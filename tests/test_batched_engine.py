@@ -19,9 +19,7 @@ import pytest
 
 import conftest
 import pbp.forward as forward
-import pbp.kernel as kernel
 import pbp.training as training
-import pbp.updates as updates
 import reference_update
 from conftest import (
     each_run, epoch_by_phases, one_step, random_net, relu_moments, step_by_phases,
@@ -667,170 +665,6 @@ def test_a_failing_group_leaves_the_stack_as_one_cpu_does(monkeypatch, fault, er
     two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
     assert_same_epoch(two, one)
     assert two[0].groups is not None and two[0].workspace is not None
-
-
-def fuzz_refresh_case(rng, runs):
-    """Nets of `runs` runs of 3-5-1 (26 weights), each with its own prior
-    Gamma, and their (4, R, W) prior sites, drawn so that the sweep of each
-    run takes every branch: of the sites, about a tenth have a negative
-    cavity precision (skipped), a tenth a zero one (flat), a tenth a Gamma
-    site above the running prior Gamma, whose cavity is rejected, and a
-    tenth a Gamma site of (-1e20, -1e20), whose refinement is rejected; the
-    rest refine the weight and the Gamma."""
-    nets = [random_net([3, 5, 1], rng, mean_scale=0.5) for _ in range(runs)]
-    for net in nets:
-        net.lam = GammaDist(*rng.uniform(5.0, 20.0, 2).tolist())
-    stack = PosteriorStack.of(nets)
-    shape = stack.means.shape
-    cavity = rng.uniform(0.2, 2.0, shape)
-    kind = rng.integers(0, 10, shape)
-    cavity[kind == 0] = -rng.uniform(0.1, 1.0, np.count_nonzero(kind == 0))
-    cavity[kind == 1] = 0.0
-    precision = 1.0 / stack.variances
-    sites = np.empty((4, *shape))
-    sites[0] = precision - cavity
-    sites[0][kind == 1] = precision[kind == 1]  # the cavity precision is exactly 0
-    sites[1] = stack.means * precision - cavity * rng.normal(0.0, 1.0, shape)
-    sites[2:] = rng.uniform(0.0, 0.5, (2, *shape))
-    sites[2:, kind == 2] = 1e3
-    sites[2:, kind == 3] = -1e20
-    return nets, sites
-
-
-def refresh_on_cpus(monkeypatch, cpus, nets, sites, faults=()):
-    """ep_refresh_prior on a stack of copies of nets and a copy of sites with
-    `cpus` usable CPUs, after each fault(stack, sites) of faults, the runs
-    labelled "split <r>": the stack, the sites, the outcome (the report's
-    fields, its float bits, or the error raised, as its type and its message,
-    which names the run by its label) and the group sizes of the kernel's calls."""
-    stack, sites = PosteriorStack.of([copy.deepcopy(net) for net in nets]), sites.copy()
-    for fault in faults:
-        fault(stack, sites)
-    real, calls = kernel.Refresh.__call__, []
-
-    def call(refresh, runs=slice(None)):
-        calls.append(len(refresh.runs[runs]))
-        real(refresh, runs)
-
-    monkeypatch.setattr(forward, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(kernel.Refresh, "__call__", call)
-    try:
-        with training._naming_the_run([f"split {r}" for r in range(len(nets))]):
-            report = updates.ep_refresh_prior(stack, sites)
-    except (ArithmeticError, NumericError) as error:
-        return stack, sites, (type(error), str(error)), calls
-    finally:
-        monkeypatch.setattr(kernel.Refresh, "__call__", real)
-    outcome = (report.sites_visited, report.sites_skipped, _bits(report.max_abs_change),
-               [(skipped, _bits(change)) for skipped, change in report.runs])
-    return stack, sites, outcome, calls
-
-
-def assert_same_sweep(got, want):
-    (stack, sites, outcome, _), (ref_stack, ref_sites, ref_outcome, _) = got, want
-    assert outcome == ref_outcome
-    assert _bits(sites) == _bits(ref_sites)
-    for name in ("means", "variances", "lam", "gamma"):
-        assert _bits(getattr(stack, name)) == _bits(getattr(ref_stack, name)), name
-
-
-@pytest.mark.parametrize("runs", [8, 9, 20])
-def test_a_sweep_in_run_groups_keeps_the_bits_of_one_cpu(monkeypatch, runs):
-    # Two sweeps of fuzzed stacks, the second from the sites the first
-    # stored, in one call on one CPU and in run groups on two and five: every
-    # bit of the weights, sites and Gammas and of the report is that of one
-    # CPU, skipped, flat and rejected sites included.
-    rng = np.random.default_rng(3100 + runs)
-    halves = [runs // 2, runs - runs // 2]
-    groups = {1: [runs], 2: halves, 5: [4] * 5 if runs == 20 else halves}
-    for case in range(8):
-        nets, sites = fuzz_refresh_case(rng, runs)
-        swept = {}
-        for cpus in (1, 2, 5):
-            stack, out, outcome, calls = refresh_on_cpus(monkeypatch, cpus, nets, sites)
-            assert outcome[0] == runs * 26 and outcome[1] > 0, (case, outcome)
-            assert sorted(calls) == groups[cpus], (case, cpus)
-            again = refresh_on_cpus(monkeypatch, cpus, [stack.run(r) for r in range(runs)], out)
-            swept[cpus] = (stack, out, outcome, calls), again
-        for cpus in (2, 5):
-            for got, want in zip(swept[cpus], swept[1]):
-                assert_same_sweep(got, want)
-
-
-@pytest.mark.parametrize("cpus", [2, 5])
-def test_the_first_incorporation_in_run_groups_keeps_the_bits_of_one_cpu(monkeypatch, cpus):
-    # The flat sweep from the uniform state, under prior Gammas that differ
-    # per run, shapes below 1 (every site skipped) among them.
-    rng = np.random.default_rng(3150)
-    nets = [new_uniform([3, 5, 1]) for _ in range(20)]
-    for net in nets:
-        net.gamma = GammaDist(6.0, 6.0)
-        net.lam = GammaDist(*rng.uniform(0.5, 20.0, 2).tolist())
-    stacks = []
-    for count in (1, cpus):
-        monkeypatch.setattr(forward, "usable_cpus", lambda count=count: count)
-        stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
-        stacks.append((stack, updates.incorporate_all_prior_factors(stack)))
-    (one, one_sites), (grouped, grouped_sites) = stacks
-    assert _bits(grouped_sites) == _bits(one_sites)
-    for name in ("means", "variances", "lam"):
-        assert _bits(getattr(grouped, name)) == _bits(getattr(one, name)), name
-    assert 0 < (one_sites[0] == 0.0).all(axis=1).sum() < 20  # some runs skipped every site
-
-
-def prior_shape_one(run):
-    def fault(stack, sites):
-        stack.lam[:, run] = (1.0, 6.0)  # b / (a - 1) divides by 0
-        sites[2:, run] = 0.0
-
-    return fault
-
-
-def zero_prior_variance_at_a_flat_site(run):
-    def fault(stack, sites):
-        stack.lam[:, run] = (10.0, 5e-324)  # b / (a - 1) underflows to 0
-        sites[0, run] = 1.0 / stack.variances[run]
-        sites[2:, run] = 0.0
-
-    return fault
-
-
-def zero_weight_variance(run):
-    def fault(stack, sites):
-        stack.variances[run, 7] = 0.0
-
-    return fault
-
-
-@pytest.mark.parametrize(
-    "faults, error",
-    [
-        ([prior_shape_one(14)], (ZeroDivisionError, "split 14: float division by zero")),
-        ([zero_prior_variance_at_a_flat_site(12)],
-         (NumericError, "split 12: prior variance underflows to 0 at a flat prior site")),
-        # The whole-stack check for zero variances comes before any sweep,
-        # so a late run's zero variance is raised, not run 3's failing sweep.
-        ([prior_shape_one(3), zero_weight_variance(17)],
-         (NumericError, "split 17: zero weight variance: its prior-site cavity is undefined")),
-    ],
-    ids=["prior-shape-one", "zero-prior-variance", "zero-weight-variance-after-a-failing-run"],
-)
-def test_a_failing_sweep_group_leaves_the_stack_as_one_cpu_does(monkeypatch, faults, error):
-    # A fault in the second of two groups: the first group's sweep is put
-    # back, and the sweep over the whole stack on the calling thread raises
-    # the error, with the run and label of one CPU, and leaves every bit.
-    nets, sites = fuzz_refresh_case(np.random.default_rng(3200), 20)
-    one = refresh_on_cpus(monkeypatch, 1, nets, sites, faults)
-    assert one[2] == error and one[3] == [20]
-    two = refresh_on_cpus(monkeypatch, 2, nets, sites, faults)
-    assert_same_sweep(two, one)
-    assert set(two[3][:-1]) == {10} and two[3][-1] == 20
-    before = PosteriorStack.of([copy.deepcopy(net) for net in nets]), sites.copy()
-    for fault in faults:
-        fault(*before)
-    assert _bits(two[1]) == _bits(before[1])
-    for name in ("means", "variances", "lam", "gamma"):
-        assert _bits(getattr(two[0], name)) == _bits(getattr(before[0], name)), name
 
 
 @pytest.mark.parametrize("variance", [0.0, 1e-40, 0.5])

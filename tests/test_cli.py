@@ -575,40 +575,30 @@ class TestCpuCount:
         ids=["benchmark", "active"],
     )
     def test_training_in_run_groups(self, toy_csv, tmp_path, monkeypatch, command):
-        # Eight runs train and sweep their prior sites as one group on one
-        # CPU and as two groups of four, on two threads, on two (every epoch
-        # and sweep, whatever its size); the files written are the same. On
-        # two CPUs the calling thread holds its first epoch and its first
-        # sweep until a helper has started the other group of it, so some
-        # helper surely takes one.
-        real_epoch, real_refresh, calls, sweeps = kernel.Step.epoch, kernel.Refresh.__call__, [], []
-        entered = {}
-
-        def on_main(kind, cpus):
-            if threading.current_thread() is not threading.main_thread():
-                entered[kind].set()
-                return False
-            if cpus > 1:
-                entered[kind].wait(timeout=10)
-            return True
+        # Eight runs train as one group on one CPU and as two groups of four,
+        # on two threads, on two (every epoch, whatever its size); the files
+        # written are the same. On two CPUs the calling thread holds its first
+        # epoch until a helper has started the other group of it, so some
+        # helper surely takes one: a pooled helper that wakes late would
+        # leave both groups to the caller.
+        real, calls, entered = kernel.Step.epoch, [], threading.Event()
 
         def epoch(step, xs, ys):
-            calls.append((ys.shape[1], on_main("epoch", forward.usable_cpus())))
-            return real_epoch(step, xs, ys)
-
-        def refresh(sweep, runs=slice(None)):
-            sweeps.append((len(sweep.runs[runs]), on_main("sweep", forward.usable_cpus())))
-            return real_refresh(sweep, runs)
+            on_main = threading.current_thread() is threading.main_thread()
+            if not on_main:
+                entered.set()
+            elif forward.usable_cpus() > 1:
+                entered.wait(timeout=10)
+            calls.append((ys.shape[1], on_main))
+            return real(step, xs, ys)
 
         monkeypatch.setattr(kernel.Step, "epoch", epoch)
-        monkeypatch.setattr(kernel.Refresh, "__call__", refresh)
         args = [command[0], "--data", str(toy_csv), "--hidden", "3", "--epochs", "2",
                 "--seed", "5", *command[1:]]
         written = []
         for cpus in (1, 2):
             calls.clear()
-            sweeps.clear()
-            entered.update(epoch=threading.Event(), sweep=threading.Event())
+            entered.clear()
             monkeypatch.setattr(forward, "usable_cpus", lambda cpus=cpus: cpus)
             out = tmp_path / f"cpus{cpus}"
             assert main(args + ["--out", str(out)]) == EXIT_OK
@@ -616,12 +606,8 @@ class TestCpuCount:
                 (path.name.removeprefix(out.name), path.read_bytes())
                 for path in tmp_path.glob(f"{out.name}*")
             ))
-            # Each training: two epochs, and three sweeps (the first
-            # incorporation and one after each epoch).
-            assert len(sweeps) == 3 * len(calls) // 2
-            for done in (calls, sweeps):
-                assert {runs for runs, _ in done} == {8 // cpus}
-                assert {main for _, main in done} == ({True} if cpus == 1 else {True, False})
+            assert {runs for runs, _ in calls} == {8 // cpus}
+            assert {main for _, main in calls} == ({True} if cpus == 1 else {True, False})
         assert written[0] == written[1] and written[0]
 
 

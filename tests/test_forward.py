@@ -427,14 +427,19 @@ def _force_cpus(monkeypatch, count):
 def fresh_pool(monkeypatch):
     """An empty helper pool in place of the process's for one test; its
     helpers end after the test."""
-    pool = forward._Pool()
+    pool = forward._new_pool()
     monkeypatch.setattr(forward, "_pool", pool)
     yield pool
-    for _ in pool.helpers:
-        pool.jobs.put(None)
-    for helper in pool.helpers:
+    helpers = _helpers(pool)
+    pool.shutdown(wait=False)
+    for helper in helpers:
         helper.join(timeout=10)
         assert not helper.is_alive()
+
+
+def _helpers(pool) -> set:
+    """The helper threads a pool has started."""
+    return set(pool._threads)
 
 
 def _spy_items(monkeypatch, before=lambda: None):
@@ -542,7 +547,7 @@ class TestParallelPass:
         with pytest.raises(NumericError, match="raised in a helper"):
             lone_output_moments(net, X)
         # No thread beyond the pool's helpers runs on.
-        assert set(threading.enumerate()) <= threads | set(forward._pool.helpers)
+        assert set(threading.enumerate()) <= threads | _helpers(forward._pool)
         # The caller finished the item it had; nobody took another of the 40.
         assert len(calls) <= 2
 
@@ -593,7 +598,33 @@ class TestParallelPass:
         m, v = lone_output_moments(net, X)
         ref_m, ref_v = forward_output_moments_batch(net, X)
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
-        assert fresh_pool.helpers == []
+        assert _helpers(fresh_pool) == set()
+
+    def test_a_job_queued_by_a_refused_start_is_waited_for(self, monkeypatch):
+        # A submit that cannot start a thread raises with its job queued, and
+        # a helper the pool has already may run that job all the same: the
+        # caller must wait for the item it takes.
+        _force_cpus(monkeypatch, 2)
+        taken, caller_done, done, main = threading.Event(), threading.Event(), [], threading.current_thread()
+
+        class RefusingPool:
+            def submit(self, function, *args):
+                threading.Thread(target=function, args=args).start()
+                raise RuntimeError("can't start new thread")
+
+        def work(item):
+            if threading.current_thread() is main:
+                assert taken.wait(timeout=10)
+                caller_done.set()
+            else:
+                taken.set()
+                assert caller_done.wait(timeout=10)
+                time.sleep(0.05)
+            done.append(item)
+
+        monkeypatch.setattr(forward, "_pool", RefusingPool())
+        forward._run_items(work, [0, 1], True)
+        assert sorted(done) == [0, 1]
 
 
 def _grouped_epoch(monkeypatch, cpus):
@@ -626,7 +657,7 @@ class TestHelperPool:
         grouped_epoch_and_rows_pass()
         assert len(stack.groups) == 3
         threads = threading.enumerate()
-        assert 1 <= len(fresh_pool.helpers) <= forward.usable_cpus() - 1
+        assert 1 <= len(_helpers(fresh_pool)) <= forward.usable_cpus() - 1
         real_start, started = threading.Thread.start, []
 
         def start(thread):
@@ -642,15 +673,15 @@ class TestHelperPool:
     def test_a_forked_child_runs_a_grouped_epoch_on_helpers_of_its_own(self, monkeypatch):
         want = _grouped_epoch(monkeypatch, 1)
         assert _grouped_epoch(monkeypatch, 2) == want
-        parent_helpers = set(forward._pool.helpers)
+        parent_helpers = _helpers(forward._pool)
         assert parent_helpers  # which the child's copy of the pool would name
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
 
         def child():
             got = _grouped_epoch(monkeypatch, 2)
-            helpers, alive = forward._pool.helpers, threading.enumerate()
-            send.send((got, len(helpers), sum(h in alive for h in helpers), len(parent_helpers & set(helpers))))
+            helpers, alive = _helpers(forward._pool), threading.enumerate()
+            send.send((got, len(helpers), sum(h in alive for h in helpers), len(parent_helpers & helpers)))
 
         process = context.Process(target=child)
         process.start()
@@ -672,7 +703,7 @@ class TestHelperPool:
         stack = PosteriorStack.of([random_net([6, 10, 1], rng)])
         X = rng.normal(size=(1, 5 * 64, 6))
         forward_output_moments(stack, X)
-        assert fresh_pool.helpers
+        assert _helpers(fresh_pool)
         passed = weakref.ref(X)
         del X
         deadline = time.monotonic() + 10
@@ -710,7 +741,7 @@ class TestHelperPool:
             release.set()
             caller_a.join(timeout=30)
         assert sorted(done_a) == [0, 1] and not caller_a.is_alive()
-        assert len(fresh_pool.helpers) == 1
+        assert len(_helpers(fresh_pool)) == 1
 
 
 class TestOneRectifierCallPerItem:
