@@ -173,13 +173,18 @@ PROFILED_IMPORT = (
 def fresh_stack(runs, sizes, seed):
     """A stack of runs in the state training starts its first epoch from."""
     import numpy as np
-    from pbp.posterior import HYPERPRIOR, GammaDist, PosteriorStack, new_uniform, perturb_means
+    from pbp import posterior
+    from pbp.posterior import HYPERPRIOR, new_uniform, perturb_means
     from pbp.updates import incorporate_all_prior_factors
 
-    net = new_uniform(sizes)
-    net.gamma = GammaDist(*HYPERPRIOR)
-    net.lam = GammaDist(*HYPERPRIOR)
-    stack = PosteriorStack.of([net] * runs)
+    if hasattr(posterior, "GammaDist"):  # new_uniform builds a lone network
+        net = new_uniform(sizes)
+        net.gamma = posterior.GammaDist(*HYPERPRIOR)
+        net.lam = posterior.GammaDist(*HYPERPRIOR)
+        stack = posterior.PosteriorStack.of([net] * runs)
+    else:
+        stack = new_uniform(sizes, runs)
+        stack.gamma[...] = stack.lam[...] = np.reshape(HYPERPRIOR, (2, 1))
     incorporate_all_prior_factors(stack)
     rng = np.random.default_rng(seed)
     if "stack" in inspect.signature(perturb_means).parameters:
@@ -437,9 +442,10 @@ def predict_files(sizes, rows, seed, directory, cells):
     dataset = Dataset(x, np.sin(x.sum(axis=1)) + 0.1 * rng.normal(size=PREDICT_TRAINING_ROWS))
     train_norm, stats = normalize(dataset)
     config = PbpConfig(hidden_layer_sizes=tuple(sizes[1:-1]), epochs=1, seed=seed)
-    net, _, _ = train(train_norm, config, rng)
+    trained, _, _ = train(train_norm, config, rng)
     model, features = Path(directory) / "model.json", Path(directory) / "features.csv"
-    save_model(TrainedModel(net=net, norm=stats, config=config), model)
+    # The posterior is TrainedModel's first field, a network or a stack of one.
+    save_model(TrainedModel(trained, stats, config), model)
     # A header, as perfbench writes its inputs.
     lines = [",".join(f"x{i + 1}" for i in range(sizes[0]))]
     write = PREDICT_CELLS[cells]
@@ -453,7 +459,6 @@ def timed_predict(model, features, out):
     --out out`, phase by phase as cmd_predict runs them (PREDICT_PHASES)."""
     from pbp import cli
     from pbp.data import load_model, read_csv_matrix
-    from pbp.posterior import PosteriorStack
     from pbp.prediction import predict_batch
 
     times = [time.perf_counter()]
@@ -461,7 +466,7 @@ def timed_predict(model, features, out):
     times.append(time.perf_counter())
     x, _ = read_csv_matrix(features)
     times.append(time.perf_counter())
-    [means], [variances] = predict_batch(PosteriorStack.of([loaded.net]), loaded.norm, x[None])
+    [means], [variances] = predict_batch(model_stack(loaded), loaded.norm, x[None])
     times.append(time.perf_counter())
     text = cli._prediction_csv(means, variances)
     times.append(time.perf_counter())
@@ -469,6 +474,16 @@ def timed_predict(model, features, out):
         fh.write(text)
     times.append(time.perf_counter())
     return {phase: end - start for phase, start, end in zip(PREDICT_PHASES, times, times[1:])}
+
+
+def model_stack(model):
+    """The stack of one of a TrainedModel: model.stack, or on trees whose
+    model holds a lone network, a stack of it."""
+    if hasattr(model, "stack"):
+        return model.stack
+    from pbp.posterior import PosteriorStack
+
+    return PosteriorStack.of([model.net])
 
 
 def fresh_files(directory):

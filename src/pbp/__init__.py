@@ -21,9 +21,6 @@ from .data import (
 )
 from .forward import forward_output_moments
 from .posterior import (
-    GammaDist,
-    LayerPosterior,
-    NetworkPosterior,
     NumericError,
     PbpConfig,
     PosteriorStack,

@@ -17,7 +17,7 @@ import numpy as np
 from . import data as dio
 from . import kernel
 from .active import POLICIES, ActiveConfig, run_active_experiments
-from .posterior import NumericError, PbpConfig, PosteriorStack
+from .posterior import NumericError, PbpConfig
 from .prediction import TrainedModel, predict_batch, test_metrics, training_rmse
 from .training import SkipRateError, train, train_runs
 
@@ -159,14 +159,13 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     train_set, test_set = dio.split(dataset, args.test_fraction, rng)
     train_norm, stats = dio.normalize(train_set)
-    net, _, report = train(train_norm, config, rng)
-    stack = PosteriorStack.of([net])
+    stack, _, report = train(train_norm, config, rng)
     # The one training RMSE printed, taken before the model is saved: a
     # numeric failure in its rows pass leaves no model file.
     train_rmse = None
     if report.epochs_run:
         [train_rmse] = training_rmse(stack, train_norm.features[None], train_norm.targets[None])
-    model = TrainedModel(net=net, norm=stats, config=config)
+    model = TrainedModel(stack=stack, norm=stats, config=config)
     dio.save_model(model, args.out)
 
     print(f"model: {args.out}")
@@ -187,12 +186,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = dio.load_model(args.model)
     features, _ = dio.read_csv_matrix(args.data)
-    expected = model.net.layer_sizes[0]
+    expected = model.stack.layer_sizes[0]
     if features.shape[1] != expected:
         raise dio.DataError(
             f"{args.data}: {features.shape[1]} feature columns, model expects {expected}"
         )
-    [means], [variances] = predict_batch(PosteriorStack.of([model.net]), model.norm, features[None])
+    [means], [variances] = predict_batch(model.stack, model.norm, features[None])
     with _output(args.out) as fh:
         fh.write(_prediction_csv(means, variances))
     return EXIT_OK

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .posterior import (
-    HYPERPRIOR,
-    GammaDist,
-    LayerPosterior,
-    NetworkPosterior,
-    PbpConfig,
-)
+from .posterior import HYPERPRIOR, PbpConfig, PosteriorStack, layer_views
 
 # Format 1 files also hold the prior sites of training, which load_model
 # ignores: prediction reads only the weight marginals and the noise Gamma.
@@ -315,32 +309,51 @@ def _require_finite_stats(columns, f_mean, f_std, t_mean, t_std) -> None:
     )
 
 
-def _net_to_dict(net: NetworkPosterior) -> dict:
+def _network_doc(stack: PosteriorStack) -> dict:
+    """The network entry of a model file, of a stack of one."""
+    sizes = stack.layer_sizes
     return {
-        "layer_sizes": list(net.layer_sizes),
+        "layer_sizes": list(sizes),
         "layers": [
-            {"means": layer.means.tolist(), "variances": layer.variances.tolist()}
-            for layer in net.layers
+            {"means": means.tolist(), "variances": variances.tolist()}
+            for means, variances in zip(
+                layer_views(stack.means[0], sizes), layer_views(stack.variances[0], sizes)
+            )
         ],
-        "gamma": {"shape": net.gamma.shape, "rate": net.gamma.rate},
-        "lambda": {"shape": net.lam.shape, "rate": net.lam.rate},
+        "gamma": dict(zip(("shape", "rate"), stack.gamma[:, 0].tolist())),
+        "lambda": dict(zip(("shape", "rate"), stack.lam[:, 0].tolist())),
     }
 
 
-def _net_from_dict(doc: dict) -> NetworkPosterior:
-    layers = [
-        LayerPosterior(
-            means=np.array(entry["means"], dtype=float),
-            variances=np.array(entry["variances"], dtype=float),
-        )
-        for entry in doc["layers"]
-    ]
-    return NetworkPosterior(
-        layers=layers,
-        gamma=GammaDist(**doc["gamma"]),
-        lam=GammaDist(**doc["lambda"]),
-        layer_sizes=list(doc["layer_sizes"]),
-    )
+def _gamma_column(entry) -> list[list[float]]:
+    """The (2, 1) shape and rate of a Gamma's entry in a model file, which
+    holds the two as JSON numbers and nothing else."""
+    if not isinstance(entry, dict) or entry.keys() != {"shape", "rate"}:
+        raise ValueError(f"a Gamma entry holds a shape and a rate alone, got {entry!r}")
+    values = [entry["shape"], entry["rate"]]
+    # numpy's conversion would take "7" and [1.0] too.
+    if not all(isinstance(value, (int, float)) for value in values):
+        raise TypeError(f"Gamma shape and rate must be numbers, got {values!r}")
+    return [[float(value)] for value in values]
+
+
+def _stack_from_doc(doc: dict) -> PosteriorStack:
+    """The stack of one of a model file's network entry. Raises ValueError
+    where its layers are not the weight matrices its layer_sizes give."""
+    sizes, layers = list(doc["layer_sizes"]), doc["layers"]
+    if len(layers) != len(sizes) - 1:
+        raise ValueError(f"layer_sizes {sizes} do not describe {len(layers)} layers")
+    flat = {"means": [], "variances": []}
+    for l, entry in enumerate(layers):
+        expected = (sizes[l + 1], sizes[l] + 1)
+        for name, arrays in flat.items():
+            arr = np.array(entry[name], dtype=float)
+            if arr.shape != expected:
+                raise ValueError(f"layer {l} {name} have shape {arr.shape}, expected {expected}")
+            arrays.append(arr.ravel())
+    means, variances = (np.concatenate(arrays)[None] for arrays in flat.values())
+    gamma, lam = (np.array(_gamma_column(doc[key])) for key in ("gamma", "lambda"))
+    return PosteriorStack(means, variances, gamma, lam, sizes)
 
 
 def save_model(model, path) -> None:
@@ -357,7 +370,7 @@ def save_model(model, path) -> None:
             **_HYPERPRIOR_CONFIG,
             "seed": model.config.seed,
         },
-        "network": _net_to_dict(model.net),
+        "network": _network_doc(model.stack),
         "normalization": {
             "feature_mean": model.norm.feature_mean.tolist(),
             "feature_std": model.norm.feature_std.tolist(),
@@ -398,7 +411,7 @@ def load_model(path):
             seed=cfg["seed"],
         )
         hyperprior = {key: cfg[key] for key in _HYPERPRIOR_CONFIG}
-        net = _net_from_dict(doc["network"])
+        stack = _stack_from_doc(doc["network"])
         nm = doc["normalization"]
         norm = NormStats(
             feature_mean=np.array(nm["feature_mean"], dtype=float),
@@ -408,48 +421,44 @@ def load_model(path):
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
-    problem = _model_problem(config, hyperprior, net, norm)
+    problem = _model_problem(config, hyperprior, stack, norm)
     if problem:
         raise DataError(f"corrupt model file {path}: {problem}")
-    return TrainedModel(net=net, norm=norm, config=config)
+    return TrainedModel(stack=stack, norm=norm, config=config)
 
 
 def _model_problem(
-    config: PbpConfig, hyperprior: dict, net: NetworkPosterior, norm: NormStats
+    config: PbpConfig, hyperprior: dict, stack: PosteriorStack, norm: NormStats
 ) -> str | None:
     """What makes a loaded model unusable, or None when it is sound.
 
     The config must give the fixed hyperprior and the network's hidden layer
-    sizes, and every layer size must be an int. Shapes must follow
-    layer_sizes, every number must be finite, weight variances, Gamma
-    parameters and normalization scales positive, and the noise Gamma shape
-    above 1, as prediction needs.
+    sizes, and every layer size must be an int. Every number must be finite,
+    weight variances, Gamma parameters and normalization scales positive,
+    and the noise Gamma shape above 1, as prediction needs.
     """
     if hyperprior != _HYPERPRIOR_CONFIG:
         return f"config hyperprior {hyperprior} is not the fixed {_HYPERPRIOR_CONFIG}"
-    sizes = net.layer_sizes
+    sizes = stack.layer_sizes
     hidden = list(config.hidden_layer_sizes)
     # A bool is an int, and 3.0 == 3 and True == 1: the types are checked.
     if not all(type(size) is int for size in [*sizes, *hidden]):
         return f"layer_sizes {sizes} and config hidden_layer_sizes {hidden} must hold integers"
-    if len(sizes) < 2 or sizes[-1] != 1 or len(net.layers) != len(sizes) - 1:
-        return f"layer_sizes {sizes} do not describe {len(net.layers)} layers with one output"
+    if len(sizes) < 2 or sizes[-1] != 1:
+        return f"layer_sizes {sizes} do not end in one output"
     if hidden != sizes[1:-1]:
         return f"config hidden_layer_sizes {hidden} disagree with layer_sizes {sizes}"
-    for l, layer in enumerate(net.layers):
-        expected = (sizes[l + 1], sizes[l] + 1)
-        for name, arr in (("means", layer.means), ("variances", layer.variances)):
-            if arr.shape != expected:
-                return f"layer {l} {name} have shape {arr.shape}, expected {expected}"
-            if not np.all(np.isfinite(arr)):
-                return f"layer {l} {name} hold a non-finite value"
-        if not np.all(layer.variances > 0.0):
-            return f"layer {l} has a non-positive weight variance"
-    for name, g in (("gamma", net.gamma), ("lambda", net.lam)):
-        if not (0.0 < g.shape < math.inf and 0.0 < g.rate < math.inf):
-            return f"{name} shape and rate must be positive and finite, got {g.shape}, {g.rate}"
-    if net.gamma.shape <= 1.0:
-        return f"noise gamma shape {net.gamma.shape} <= 1: posterior not trained"
+    for name in ("means", "variances"):
+        if not np.all(np.isfinite(getattr(stack, name))):
+            return f"weight {name} hold a non-finite value"
+    if not np.all(stack.variances > 0.0):
+        return "a weight variance is not positive"
+    for name, gamma in (("gamma", stack.gamma), ("lambda", stack.lam)):
+        shape, rate = gamma[:, 0].tolist()
+        if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
+            return f"{name} shape and rate must be positive and finite, got {shape}, {rate}"
+    if stack.gamma[0, 0] <= 1.0:
+        return f"noise gamma shape {stack.gamma[0, 0]} <= 1: posterior not trained"
     for name in ("feature_mean", "feature_std"):
         arr = getattr(norm, name)
         if arr.shape != (sizes[0],):

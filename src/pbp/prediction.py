@@ -10,14 +10,15 @@ import numpy as np
 from .data import Dataset, NormStats
 from .forward import forward_output_moments
 from .kernel import LOG_2PI
-from .posterior import NetworkPosterior, NumericError, PbpConfig, PosteriorStack
+from .posterior import NumericError, PbpConfig, PosteriorStack
 
 
 @dataclass
 class TrainedModel:
-    """A trained posterior bundled with its normalization statistics."""
+    """A trained posterior, a stack of one, bundled with its normalization
+    statistics."""
 
-    net: NetworkPosterior
+    stack: PosteriorStack
     norm: NormStats
     config: PbpConfig
 

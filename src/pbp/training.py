@@ -19,8 +19,6 @@ import numpy as np
 from .data import Dataset
 from .posterior import (
     HYPERPRIOR,
-    GammaDist,
-    NetworkPosterior,
     NumericError,
     PbpConfig,
     PosteriorStack,
@@ -82,7 +80,7 @@ def check_variances(stack: PosteriorStack, labels: list[str], epoch: int) -> Non
 
 def train(
     dataset: Dataset, config: PbpConfig, rng: np.random.Generator
-) -> tuple[NetworkPosterior, np.ndarray, TrainReport]:
+) -> tuple[PosteriorStack, np.ndarray, TrainReport]:
     """Run the full sequential-update schedule on a normalized training set.
 
     Schedule: absorb the Gamma hyperpriors exactly, ADF-incorporate every
@@ -90,11 +88,11 @@ def train(
     each epoch shuffle the examples, incorporate each likelihood factor once,
     and refresh the stored prior sites after the last. No rows pass runs:
     a caller that wants the training RMSE takes it from the posterior
-    (prediction.training_rmse). Returns the posterior, its (4, W) prior
-    sites (see incorporate_all_prior_factors) and the report.
+    (prediction.training_rmse). Returns the posterior, a stack of one, its
+    (4, W) prior sites (see incorporate_all_prior_factors) and the report.
     """
     stack, sites, [report] = train_runs(Dataset.of([dataset]), config, [rng])
-    return stack.run(0), sites[:, 0], report
+    return stack, sites[:, 0], report
 
 
 def train_runs(
@@ -129,11 +127,9 @@ def train_runs(
     labels = labels or [f"run {r}" for r in range(runs)]
 
     layer_sizes = [features.shape[-1], *config.hidden_layer_sizes, 1]
-    net = new_uniform(layer_sizes)
+    stack = new_uniform(layer_sizes, runs)
     # Hyperprior factors match the posterior family; absorbing them is exact.
-    net.gamma = GammaDist(*HYPERPRIOR)
-    net.lam = GammaDist(*HYPERPRIOR)
-    stack = PosteriorStack.of([net]).take(np.zeros(runs, dtype=np.intp))
+    stack.gamma[...] = stack.lam[...] = np.reshape(HYPERPRIOR, (2, 1))
     reports = [TrainReport() for _ in range(runs)]
     undo = np.zeros(runs, dtype=int)
     updates = np.zeros(runs, dtype=int)

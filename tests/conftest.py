@@ -10,7 +10,7 @@ import pbp.training as training
 from pbp.data import Dataset, NormStats
 from pbp.forward import forward_output_moments, workspace
 from pbp.kernel import NoiseStep, Rectifier
-from pbp.posterior import GammaDist, PosteriorStack, new_uniform
+from pbp.posterior import PosteriorStack, new_uniform
 from pbp.prediction import predict_batch, training_rmse
 from pbp.updates import (
     UpdateOutcome,
@@ -18,6 +18,7 @@ from pbp.updates import (
     incorporate_all_prior_factors,
     incorporate_likelihood_factors,
 )
+from reference_prior import weights
 from reference_update import GradientStore, MomentVector
 
 # Prepared benchmark CSVs live here (see scripts/fetch_datasets.py); tests that
@@ -46,20 +47,32 @@ def require_uci(name: str) -> Path:
 
 
 def random_net(layer_sizes, rng, mean_scale=1.0, var_low=0.05, var_high=1.0):
-    """A fully populated posterior with random finite parameters."""
+    """A fully populated posterior, a stack of one, with random finite
+    parameters."""
     net = new_uniform(layer_sizes)
-    for layer in net.layers:
-        layer.means[...] = rng.normal(0.0, mean_scale, layer.means.shape)
-        layer.variances[...] = rng.uniform(var_low, var_high, layer.variances.shape)
-    net.gamma = GammaDist(6.0, 6.0)
-    net.lam = GammaDist(6.0, 6.0)
+    for means, variances in zip(*weights(net)):
+        means[...] = rng.normal(0.0, mean_scale, means.shape)
+        variances[...] = rng.uniform(var_low, var_high, variances.shape)
+    net.gamma[...] = net.lam[...] = 6.0
     return net
 
 
+def stack_of(nets):
+    """A stack of copies of the runs of stacks of one architecture, in order."""
+
+    def joined(name, axis):
+        return np.concatenate([getattr(net, name) for net in nets], axis=axis)
+
+    return PosteriorStack(
+        joined("means", 0), joined("variances", 0), joined("gamma", 1), joined("lam", 1),
+        list(nets[0].layer_sizes),
+    )
+
+
 def lone_output_moments(net, X):
-    """forward_output_moments of rows X, shape (n, d), through a stack of one
-    copy of net: (n,) means and variances."""
-    m, v = forward_output_moments(PosteriorStack.of([net]), np.asarray(X, dtype=float)[None])
+    """forward_output_moments of rows X, shape (n, d), through net, a stack
+    of one: (n,) means and variances."""
+    m, v = forward_output_moments(net, np.asarray(X, dtype=float)[None])
     return m[0], v[0]
 
 
@@ -70,16 +83,17 @@ def output_moments(net, x):
 
 
 def predict_alone(net, norm, X_raw):
-    """predict_batch of raw rows X_raw, shape (n, d), through a stack of one
-    copy of net normalized with norm: (n,) means and variances."""
-    means, variances = predict_batch(PosteriorStack.of([net]), norm, np.asarray(X_raw, dtype=float)[None])
+    """predict_batch of raw rows X_raw, shape (n, d), through net, a stack of
+    one, normalized with norm: (n,) means and variances."""
+    means, variances = predict_batch(net, norm, np.asarray(X_raw, dtype=float)[None])
     return means[0], variances[0]
 
 
 def each_run(trained):
-    """Each run's (posterior, sites, report) of what train_runs returns."""
+    """Each run's (posterior, a stack of one, sites, report) of what
+    train_runs returns."""
     stack, sites, reports = trained
-    return [(stack.run(r), sites[:, r], report) for r, report in enumerate(reports)]
+    return [(stack.take([r]), sites[:, r], report) for r, report in enumerate(reports)]
 
 
 def train_runs_tracing_rmse(monkeypatch, datasets, config, rngs, labels=None):
@@ -158,9 +172,9 @@ def toy_cubic_dataset(n: int, seed: int, noise_sd: float = 3.0) -> Dataset:
 
 def one_run_gradients(net, x, y) -> GradientStore:
     """backward_gradients of the likelihood log Z for one input x and target y,
-    through a one-run stack of a copy of net; per-layer arrays without the
-    runs axis."""
-    stack = PosteriorStack.of([net])
+    through a copy of net, a stack of one; per-layer arrays without the runs
+    axis."""
+    stack = net.take([0])
     forward_trace(stack, np.asarray(x, dtype=float)[None, :])
     backward_gradients(stack, np.array([y]))
     ws = stack.workspace
@@ -170,27 +184,25 @@ def one_run_gradients(net, x, y) -> GradientStore:
 
 
 def _one_run(net, kernel):
-    """kernel(stack) on a one-run stack of a copy of net; net takes the run's
+    """kernel(stack) on a copy of net, a stack of one; net takes the run's
     weights and prior Gamma back when the kernel returns."""
-    stack = PosteriorStack.of([net])
+    stack = net.take([0])
     result = kernel(stack)
-    for layer, run_layer in zip(net.layers, stack.layers):
-        layer.means[...] = run_layer.means[0]
-        layer.variances[...] = run_layer.variances[0]
-    net.lam = stack.run(0).lam
+    for name in ("means", "variances", "lam"):
+        getattr(net, name)[...] = getattr(stack, name)
     return result
 
 
 def refresh_one_run(net, sites):
-    """pbp.updates.ep_refresh_prior on a one-run stack of a copy of net, with
+    """pbp.updates.ep_refresh_prior on a copy of net, a stack of one, with
     sites (a reference_prior.Sites) as the run's sites, refreshed in place;
     net takes the run's weights and prior Gamma back. Returns the report."""
     return _one_run(net, lambda stack: ep_refresh_prior(stack, sites.flat[:, None]))
 
 
 def incorporate_one_run(net, sites):
-    """pbp.updates.incorporate_all_prior_factors on a one-run stack of a copy
-    of net; net takes the run's weights back and sites (a
+    """pbp.updates.incorporate_all_prior_factors on a copy of net, a stack
+    of one; net takes the run's weights back and sites (a
     reference_prior.Sites) the run's new sites."""
 
     def incorporate(stack):
@@ -209,11 +221,11 @@ def likelihood_step(cases) -> NoiseStep:
     return step
 
 
-def log_z_triple(y, mz, vz, gam: GammaDist):
+def log_z_triple(y, mz, vz, gam):
     """The kernel's likelihood log-normalizers of target y against output
-    moments (mz, vz) under the noise Gamma gam, at shape + 0, 1, 2, or None
-    when it skips the example."""
-    step = likelihood_step([(y, mz, vz, (gam.shape, gam.rate))])
+    moments (mz, vz) under the noise Gamma gam, a (shape, rate) pair, at
+    shape + 0, 1, 2, or None when it skips the example."""
+    step = likelihood_step([(y, mz, vz, gam)])
     return None if step.skipped[0] else tuple(step.log_z[:, 0].tolist())
 
 

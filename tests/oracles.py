@@ -8,7 +8,6 @@ a log-transformed axis.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,8 @@ from scipy.special import gammaln
 
 from pbp.forward import forward_output_moments
 from pbp.kernel import LOG_2PI
-from pbp.posterior import GammaDist, NetworkPosterior, PosteriorStack
+from pbp.posterior import PosteriorStack
+from reference_prior import weights
 from reference_update import GradientStore
 
 
@@ -38,7 +38,7 @@ class McEstimate:
 
 
 def _sample_network_output(
-    net: NetworkPosterior, x: np.ndarray, count: int, rng: np.random.Generator
+    net: PosteriorStack, x: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw the network output under count independent weight sets.
 
@@ -51,26 +51,28 @@ def _sample_network_output(
     _sample_network_output_by_weights draws the weights themselves.
     """
     z = np.tile(np.append(x, 1.0), (count, 1))
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        mean = z @ layer.means.T
-        std = np.sqrt((z * z) @ layer.variances.T)
-        a = (mean + std * rng.standard_normal(mean.shape)) / math.sqrt(layer.cols)
+    means, variances = weights(net)
+    last = len(means) - 1
+    for l, (m, v) in enumerate(zip(means, variances)):
+        mean = z @ m.T
+        std = np.sqrt((z * z) @ v.T)
+        a = (mean + std * rng.standard_normal(mean.shape)) / math.sqrt(m.shape[-1])
         if l < last:
             z = np.hstack([np.maximum(a, 0.0), np.ones((count, 1))])
     return a[:, 0]
 
 
 def _sample_network_output_by_weights(
-    net: NetworkPosterior, x: np.ndarray, count: int, rng: np.random.Generator
+    net: PosteriorStack, x: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw weight sets from the posterior and run the deterministic network."""
     z = np.tile(np.append(x, 1.0), (count, 1))
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        std = np.sqrt(layer.variances)
-        w = layer.means + std * rng.standard_normal((count, *layer.means.shape))
-        a = np.einsum("nrc,nc->nr", w, z) / math.sqrt(layer.cols)
+    means, variances = weights(net)
+    last = len(means) - 1
+    for l, (m, v) in enumerate(zip(means, variances)):
+        std = np.sqrt(v)
+        w = m + std * rng.standard_normal((count, *m.shape))
+        a = np.einsum("nrc,nc->nr", w, z) / math.sqrt(m.shape[-1])
         if l < last:
             b = np.maximum(a, 0.0)
             z = np.hstack([b, np.ones((count, 1))])
@@ -119,7 +121,7 @@ def _merge_moments(a: _Moments, b: _Moments) -> _Moments:
 
 
 def mc_forward_moments(
-    net: NetworkPosterior,
+    net: PosteriorStack,
     x: np.ndarray,
     samples: int,
     rng: np.random.Generator,
@@ -166,7 +168,7 @@ def mc_forward_moments(
 
 
 def fd_logz_gradients(
-    net: NetworkPosterior, x: np.ndarray, y: float, step: float = 1e-5
+    net: PosteriorStack, x: np.ndarray, y: float, step: float = 1e-5
 ) -> GradientStore:
     """Central finite differences of the likelihood log Z per weight parameter.
 
@@ -174,38 +176,41 @@ def fd_logz_gradients(
     the downward evaluation stays positive.
     """
 
-    def logz(n: NetworkPosterior) -> float:
+    shape, rate = net.gamma[:, 0].tolist()
+
+    def logz(n: PosteriorStack) -> float:
         # log N(y | mz, noise + vz), the noise precision's Gamma collapsed.
-        mz, vz = forward_output_moments(PosteriorStack.of([n]), x[None, None, :])
+        mz, vz = forward_output_moments(n, x[None, None, :])
         mz, vz = mz[0, 0], vz[0, 0]
-        var = n.gamma.rate / (n.gamma.shape - 1.0) + vz
+        var = rate / (shape - 1.0) + vz
         return -0.5 * (LOG_2PI + math.log(var) + (y - mz) ** 2 / var)
 
-    work = copy.deepcopy(net)
+    work = net.take([0])
     d_means, d_variances = [], []
-    for layer in work.layers:
-        dm = np.zeros_like(layer.means)
-        dv = np.zeros_like(layer.variances)
-        for i in range(layer.rows):
-            for j in range(layer.cols):
-                theta = layer.means[i, j]
+    for means, variances in zip(*weights(work)):
+        dm = np.zeros_like(means)
+        dv = np.zeros_like(variances)
+        rows, cols = means.shape
+        for i in range(rows):
+            for j in range(cols):
+                theta = means[i, j]
                 h = step * max(1.0, abs(theta))
-                layer.means[i, j] = theta + h
+                means[i, j] = theta + h
                 up = logz(work)
-                layer.means[i, j] = theta - h
+                means[i, j] = theta - h
                 down = logz(work)
-                layer.means[i, j] = theta
+                means[i, j] = theta
                 dm[i, j] = (up - down) / (2 * h)
 
-                theta = layer.variances[i, j]
+                theta = variances[i, j]
                 h = min(step * max(1.0, abs(theta)), 0.5 * theta)
                 if h <= 0.0:
                     raise OracleError(f"variance step underflow at {theta}")
-                layer.variances[i, j] = theta + h
+                variances[i, j] = theta + h
                 up = logz(work)
-                layer.variances[i, j] = theta - h
+                variances[i, j] = theta - h
                 down = logz(work)
-                layer.variances[i, j] = theta
+                variances[i, j] = theta
                 dv[i, j] = (up - down) / (2 * h)
         d_means.append(dm)
         d_variances.append(dv)
@@ -213,15 +218,16 @@ def fd_logz_gradients(
 
 
 def gamma_tilted_moments_quadrature(
-    g: GammaDist, factor, rel_tol: float = 1e-9
+    g: tuple[float, float], factor, rel_tol: float = 1e-9
 ) -> tuple[float, float]:
-    """First two moments of s(x) ∝ factor(x) * Gamma(x | shape, rate).
+    """First two moments of s(x) ∝ factor(x) * Gamma(x | shape, rate), g
+    the (shape, rate) pair.
 
     Integrates on t = log x so both tails decay at least exponentially; each
     integral is shifted by its own maximum to stay in range. factor must be
     positive and integrable against the Gamma density.
     """
-    a, b = g.shape, g.rate
+    a, b = g
     if b <= 0.0:
         raise ValueError("quadrature needs a proper Gamma (rate > 0)")
     t0 = math.log(a / b)

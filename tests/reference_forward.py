@@ -12,14 +12,16 @@ import math
 
 import numpy as np
 
-from pbp.posterior import NetworkPosterior
+from pbp.posterior import PosteriorStack
+from reference_prior import weights
 from reference_update import MomentVector, relu_moments
 
 
 def forward_output_moments_batch(
-    net: NetworkPosterior, X: np.ndarray
+    net: PosteriorStack, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Output moments for a batch of inputs (rows of X). No trace is kept."""
+    """Output moments of a stack of one for a batch of inputs (rows of X).
+    No trace is kept."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.layer_sizes[0]:
         raise ValueError(
@@ -29,10 +31,10 @@ def forward_output_moments_batch(
     mz = np.hstack([X, np.ones((n, 1))])
     vz = np.zeros_like(mz)
 
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        m, v = layer.means, layer.variances
-        cols = layer.cols
+    means, variances = weights(net)
+    last = len(means) - 1
+    for l, (m, v) in enumerate(zip(means, variances)):
+        cols = m.shape[-1]
         ma = (mz @ m.T) / math.sqrt(cols)
         va = (vz @ (m * m).T + (mz * mz) @ v.T + vz @ v.T) / cols
         if l < last:

@@ -2,11 +2,11 @@
 `pbp.updates`, kept as the reference its tests compare against: verbatim, but
 for the one-run entry its RefreshReport now carries.
 
-It works on one `NetworkPosterior` and its `Sites`, weight by weight in
-row-major order, on Python floats: the ADF incorporation of each weight's
-prior factor from any state (`incorporate_prior_factor`,
-`incorporate_all_prior_factors`) and its Gaussian refinement
-(`gaussian_refine`), the EP refresh of the stored sites
+It works on a stack of one and its `Sites`, weight by weight in row-major
+order, on Python floats, with each Gamma a (shape, rate) pair: the ADF
+incorporation of each weight's prior factor from any state
+(`incorporate_prior_factor`, `incorporate_all_prior_factors`) and its
+Gaussian refinement (`gaussian_refine`), the EP refresh of the stored sites
 (`ep_refresh_prior`), the Gamma moment match (`gamma_refine`) and the
 likelihood log-Z triple (`likelihood_log_z_triple`). Where it aborts, it leaves
 the weights and sites it had reached changed. The Gaussian log-density and
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pbp.kernel import LOG_2PI
-from pbp.posterior import GammaDist, NetworkPosterior, NumericError, PosteriorStack, layer_views
+from pbp.posterior import NumericError, PosteriorStack, layer_views
 from pbp.updates import RefreshReport
 
 
@@ -41,12 +41,22 @@ class Sites:
         )
 
     @classmethod
-    def zeros(cls, net: NetworkPosterior) -> "Sites":
-        weights = sum(layer.means.size for layer in net.layers)
-        return cls(np.zeros((4, weights)), net.layer_sizes)
+    def zeros(cls, net: PosteriorStack) -> "Sites":
+        return cls(np.zeros((4, net.means.shape[-1])), net.layer_sizes)
 
     def __deepcopy__(self, memo) -> "Sites":
         return Sites(self.flat.copy(), self.layer_sizes)
+
+
+def weights(net: PosteriorStack, r: int = 0) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run r's per-layer (rows, cols) weight means and variances: two lists
+    of views into the stack (layer_views)."""
+    return tuple(layer_views(flat[r], net.layer_sizes) for flat in (net.means, net.variances))
+
+
+def _lam(net: PosteriorStack) -> tuple[float, float]:
+    """The prior-precision Gamma of a stack of one."""
+    return tuple(net.lam[:, 0].tolist())
 
 
 class NegativeVarianceError(NumericError):
@@ -88,7 +98,7 @@ def gaussian_refine(m: float, v: float, dm: float, dv: float) -> tuple[float, fl
     return m_new, v_new
 
 
-def gamma_refine(g: GammaDist, logz: LogZTriple) -> GammaDist:
+def gamma_refine(g: tuple[float, float], logz: LogZTriple) -> tuple[float, float]:
     """Match the first two tilted moments of the precision.
 
     With Z_k the normalizer at shape+k, the tilted moments are
@@ -97,7 +107,7 @@ def gamma_refine(g: GammaDist, logz: LogZTriple) -> GammaDist:
     and the matched Gamma follows from mean and variance. Invalid results
     (non-positive or non-finite parameters) reject the update and keep g.
     """
-    a, b = g.shape, g.rate
+    a, b = g
     try:
         r_z2 = math.exp(logz.log_z + logz.log_z2 - 2.0 * logz.log_z1)
         r_21 = math.exp(logz.log_z2 - logz.log_z1)
@@ -112,10 +122,10 @@ def gamma_refine(g: GammaDist, logz: LogZTriple) -> GammaDist:
     rate_new = 1.0 / denom_rate
     if not (math.isfinite(shape_new) and math.isfinite(rate_new)):
         return g
-    return GammaDist(shape=shape_new, rate=rate_new)
+    return shape_new, rate_new
 
 
-def log_z_prior_factor(m: float, v: float, lam: GammaDist, shift: int = 0) -> float:
+def log_z_prior_factor(m: float, v: float, lam: tuple[float, float], shift: int = 0) -> float:
     """Approximate log-normalizer of one zero-mean weight-prior factor.
 
     Marginalizing the Gamma precision gives a Student's t in the weight, which
@@ -125,14 +135,14 @@ def log_z_prior_factor(m: float, v: float, lam: GammaDist, shift: int = 0) -> fl
 
     shift in {0, 1, 2} realizes the Z, Z1, Z2 evaluations.
     """
-    shape = lam.shape + shift
+    shape = lam[0] + shift
     if shape <= 1.0:
         raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
-    return gaussian_log_density(m, 0.0, lam.rate / (shape - 1.0) + v)
+    return gaussian_log_density(m, 0.0, lam[1] / (shape - 1.0) + v)
 
 
 def log_z_likelihood(
-    y: float, mz: float, vz: float, gam: GammaDist, shift: int = 0
+    y: float, mz: float, vz: float, gam: tuple[float, float], shift: int = 0
 ) -> float:
     """Approximate log-normalizer of one likelihood factor.
 
@@ -141,22 +151,22 @@ def log_z_likelihood(
     """
     if vz < 0.0:
         raise ValueError(f"negative output variance {vz}")
-    shape = gam.shape + shift
+    shape = gam[0] + shift
     if shape <= 1.0:
         raise ValueError(f"Gamma shape {shape} <= 1: cannot collapse t to Gaussian")
-    return gaussian_log_density(y, mz, gam.rate / (shape - 1.0) + vz)
+    return gaussian_log_density(y, mz, gam[1] / (shape - 1.0) + vz)
 
 
-def _prior_logz_gradients(m: float, v: float, lam: GammaDist) -> tuple[float, float]:
+def _prior_logz_gradients(m: float, v: float, lam: tuple[float, float]) -> tuple[float, float]:
     """d log Z / dm and d log Z / dv for the prior-factor normalizer."""
-    total = lam.rate / (lam.shape - 1.0) + v
+    total = lam[1] / (lam[0] - 1.0) + v
     dm = -m / total
     dv = 0.5 * (m * m / (total * total) - 1.0 / total)
     return dm, dv
 
 
 def incorporate_prior_factor(
-    net: NetworkPosterior,
+    net: PosteriorStack,
     layer_idx: int,
     i: int,
     j: int,
@@ -169,13 +179,13 @@ def incorporate_prior_factor(
     through the closed-form limit: the weight collapses onto the collapsed
     Gaussian prior and the precision factor is untouched (all Z ratios -> 1).
     """
-    layer = net.layers[layer_idx]
-    m = float(layer.means[i, j])
-    v = float(layer.variances[i, j])
-    lam = net.lam
+    means, variances = (views[layer_idx] for views in weights(net))
+    m = float(means[i, j])
+    v = float(variances[i, j])
+    lam = _lam(net)
 
     if math.isinf(v):
-        sigma2 = lam.rate / (lam.shape - 1.0)
+        sigma2 = lam[1] / (lam[0] - 1.0)
         m_new, v_new = 0.0, sigma2
         lam_new = lam
     else:
@@ -189,11 +199,11 @@ def incorporate_prior_factor(
         lam_new = gamma_refine(lam, triple)
 
     _set_gaussian_site(sites, layer_idx, i, j, m, v, m_new, v_new)
-    sites.lam_shape[layer_idx][i, j] = lam_new.shape - lam.shape
-    sites.lam_rate[layer_idx][i, j] = lam_new.rate - lam.rate
-    layer.means[i, j] = m_new
-    layer.variances[i, j] = v_new
-    net.lam = lam_new
+    sites.lam_shape[layer_idx][i, j] = lam_new[0] - lam[0]
+    sites.lam_rate[layer_idx][i, j] = lam_new[1] - lam[1]
+    means[i, j] = m_new
+    variances[i, j] = v_new
+    net.lam[:, 0] = lam_new
 
 
 def _set_gaussian_site(sites, layer_idx, i, j, m_old, v_old, m_new, v_new):
@@ -206,15 +216,18 @@ def _set_gaussian_site(sites, layer_idx, i, j, m_old, v_old, m_new, v_new):
     sites.precision_mean[layer_idx][i, j] = m_new / v_new - pm_old
 
 
-def incorporate_all_prior_factors(net: NetworkPosterior, sites: Sites) -> None:
+def incorporate_all_prior_factors(net: PosteriorStack, sites: Sites) -> None:
     """Sequentially incorporate every weight's prior factor, row-major order."""
-    for layer_idx, layer in enumerate(net.layers):
-        for i in range(layer.rows):
-            for j in range(layer.cols):
+    for layer_idx, means in enumerate(weights(net)[0]):
+        rows, cols = means.shape
+        for i in range(rows):
+            for j in range(cols):
                 incorporate_prior_factor(net, layer_idx, i, j, sites)
 
 
-def likelihood_log_z_triple(y: float, mz: float, vz: float, gam: GammaDist) -> LogZTriple | None:
+def likelihood_log_z_triple(
+    y: float, mz: float, vz: float, gam: tuple[float, float]
+) -> LogZTriple | None:
     """The likelihood log-Z triple of one example, or None when it is unusable
     (invalid arguments or a non-finite value): the example is then skipped."""
     try:
@@ -228,7 +241,7 @@ def likelihood_log_z_triple(y: float, mz: float, vz: float, gam: GammaDist) -> L
     return triple if triple.is_finite() else None
 
 
-def ep_refresh_prior(net: NetworkPosterior, sites: Sites) -> RefreshReport:
+def ep_refresh_prior(net: PosteriorStack, sites: Sites) -> RefreshReport:
     """One EP sweep over the stored prior sites.
 
     Per weight: remove the site (natural-parameter subtraction), redo the
@@ -242,31 +255,33 @@ def ep_refresh_prior(net: NetworkPosterior, sites: Sites) -> RefreshReport:
     skipped = 0
     max_change = 0.0
 
-    for layer_idx, layer in enumerate(net.layers):
+    lam = _lam(net)
+    for layer_idx, (means, variances) in enumerate(zip(*weights(net))):
         prec = sites.precision[layer_idx]
         prec_mean = sites.precision_mean[layer_idx]
         site_shape = sites.lam_shape[layer_idx]
         site_rate = sites.lam_rate[layer_idx]
-        for i in range(layer.rows):
-            for j in range(layer.cols):
+        rows, cols = means.shape
+        for i in range(rows):
+            for j in range(cols):
                 visited += 1
-                m = float(layer.means[i, j])
-                v = float(layer.variances[i, j])
+                m = float(means[i, j])
+                v = float(variances[i, j])
                 p_cav = 1.0 / v - float(prec[i, j])
                 eta_cav = m / v - float(prec_mean[i, j])
                 if p_cav < 0.0:
                     skipped += 1
                     continue
 
-                a_cav = net.lam.shape - float(site_shape[i, j])
-                b_cav = net.lam.rate - float(site_rate[i, j])
+                a_cav = lam[0] - float(site_shape[i, j])
+                b_cav = lam[1] - float(site_rate[i, j])
                 gamma_ok = a_cav > 1.0 and b_cav > 0.0
-                lam_cav = GammaDist(a_cav, b_cav) if gamma_ok else net.lam
+                lam_cav = (a_cav, b_cav) if gamma_ok else lam
 
                 if p_cav == 0.0:
                     # Flat cavity: the limit of the refinement keeps the
                     # cavity's natural mean and collapses onto the prior.
-                    sigma2 = lam_cav.rate / (lam_cav.shape - 1.0)
+                    sigma2 = lam_cav[1] / (lam_cav[0] - 1.0)
                     if sigma2 != 0.0 and not 0.0 < sigma2 < math.inf:
                         # A prior shape fallen to 1 or below gives no
                         # variance (a zero one raises below).
@@ -292,19 +307,20 @@ def ep_refresh_prior(net: NetworkPosterior, sites: Sites) -> RefreshReport:
                         )
                         lam_new = gamma_refine(lam_cav, triple)
                     else:
-                        lam_new = net.lam
+                        lam_new = lam
                     m_cav_over_v = eta_cav
 
                 prec[i, j] = 1.0 / v_new - p_cav
                 prec_mean[i, j] = m_new / v_new - m_cav_over_v
                 if gamma_ok:
-                    site_shape[i, j] = lam_new.shape - a_cav
-                    site_rate[i, j] = lam_new.rate - b_cav
+                    site_shape[i, j] = lam_new[0] - a_cav
+                    site_rate[i, j] = lam_new[1] - b_cav
                     delta_lam = max(
-                        abs(lam_new.shape - net.lam.shape),
-                        abs(lam_new.rate - net.lam.rate),
+                        abs(lam_new[0] - lam[0]),
+                        abs(lam_new[1] - lam[1]),
                     )
-                    net.lam = lam_new
+                    lam = lam_new
+                    net.lam[:, 0] = lam
                 else:
                     delta_lam = 0.0
 
@@ -314,8 +330,8 @@ def ep_refresh_prior(net: NetworkPosterior, sites: Sites) -> RefreshReport:
                     abs(v_new - v),
                     delta_lam,
                 )
-                layer.means[i, j] = m_new
-                layer.variances[i, j] = v_new
+                means[i, j] = m_new
+                variances[i, j] = v_new
 
     return RefreshReport(
         sites_visited=visited,
@@ -362,7 +378,7 @@ def _gamma_moments(a, b, log_z, log_z1, log_z2):
     return shape_new, rate_new
 
 
-def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
+def _likelihood_triple(y: float, mz: float, vz: float, gam: tuple[float, float]):
     """log N(y | mz, rate/(shape+k-1) + vz) for k = 0, 1, 2 on floats, or None
     when the example is unusable and is skipped.
 
@@ -373,7 +389,7 @@ def _likelihood_triple(y: float, mz: float, vz: float, gam: GammaDist):
     variance, a collapsed variance that is not positive, a squared residual
     that overflows, or a non-finite value.
     """
-    shape, rate = gam.shape, gam.rate
+    shape, rate = gam
     if shape <= 1.0 or vz < 0.0:
         return None
     var0 = rate / (shape - 1.0) + vz

@@ -2,7 +2,7 @@
 buffers and a reusable workspace, kept verbatim as a reference.
 
 One row's forward trace, the reverse gradient sweep and the per-layer
-refinement of one NetworkPosterior, with the rectifier intermediates recomputed
+refinement of a stack of one, with the rectifier intermediates recomputed
 where the engine now carries them. `test_batched_engine.reference_train`
 trains through `incorporate_likelihood_factor` here, so the engine's step is
 compared with an independent copy rather than with itself. The scalar log-Z
@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from pbp.kernel import DETERMINISTIC_VARIANCE, LOG_2PI, SERIES_THRESHOLD
-from pbp.posterior import GammaDist, LayerPosterior, NetworkPosterior
+from pbp.posterior import PosteriorStack
 from pbp.updates import UpdateOutcome
-from reference_prior import _gamma_moments, _likelihood_triple
+from reference_prior import _gamma_moments, _likelihood_triple, weights
 
 
 @dataclass
@@ -82,12 +82,13 @@ class GradientStore:
 
 
 def forward_linear(
-    layer: LayerPosterior, z: MomentVector, means_sq: np.ndarray | None = None
+    m: np.ndarray, v: np.ndarray, z: MomentVector, means_sq: np.ndarray | None = None
 ) -> MomentVector:
-    cols = layer.cols
+    """The pre-activation moments of a layer of weight means m and variances
+    v, (*runs, rows, cols), for the bias-extended input moments z."""
+    cols = m.shape[-1]
     if len(z) != cols:
         raise ValueError(f"input length {len(z)} != layer fan-in {cols}")
-    m, v = layer.means, layer.variances
     if means_sq is None:
         means_sq = m * m
     m_t, v_t = m.swapaxes(-1, -2), v.swapaxes(-1, -2)
@@ -154,15 +155,16 @@ def append_bias(b: MomentVector) -> MomentVector:
     return MomentVector(mean, variance)
 
 
-def forward_trace(net: NetworkPosterior, x: np.ndarray):
+def forward_trace(net: PosteriorStack, x: np.ndarray):
     """Output moments of one input x of shape (d,), as floats, and its trace."""
     x = np.asarray(x, dtype=float)[None, :]
-    means_sq = [layer.means * layer.means for layer in net.layers]
+    means, variances = weights(net)
+    means_sq = [m * m for m in means]
     records = []
     z = append_bias(MomentVector(x, np.zeros_like(x)))
-    last = len(net.layers) - 1
-    for l, layer in enumerate(net.layers):
-        a = forward_linear(layer, z, means_sq[l])
+    last = len(means) - 1
+    for l, (m, v) in enumerate(zip(means, variances)):
+        a = forward_linear(m, v, z, means_sq[l])
         b, aux = relu_moments(a) if l < last else (None, None)
         records.append(LayerTrace(z, a, b, aux, means_sq[l]))
         if b is not None:
@@ -171,21 +173,25 @@ def forward_trace(net: NetworkPosterior, x: np.ndarray):
     return out_mean, out_var, ForwardTrace(records, out_mean, out_var)
 
 
-def backward_gradients(net: NetworkPosterior, trace: ForwardTrace, y: float) -> GradientStore:
-    noise = net.gamma.rate / (net.gamma.shape - 1.0)
+def backward_gradients(net: PosteriorStack, trace: ForwardTrace, y: float) -> GradientStore:
+    shape, rate = net.gamma[:, 0].tolist()
+    noise = rate / (shape - 1.0)
     total = noise + trace.output_variance
     diff = y - trace.output_mean
     # Shape (*runs, 1 row, 1 output unit), as the forward pass's moments.
     dma = np.asarray(diff / total)[..., None, None]
     dva = np.asarray(0.5 * (diff * diff / (total * total) - 1.0 / total))[..., None, None]
 
-    n_layers = len(net.layers)
+    means, variances = weights(net)
+    n_layers = len(means)
     d_means: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
     d_variances: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
 
     for l in range(n_layers - 1, -1, -1):
         rec = trace.records[l]
-        dM, dV, dmz, dvz = _linear_backward(net.layers[l], rec.z_in, dma, dva, rec.means_sq)
+        dM, dV, dmz, dvz = _linear_backward(
+            means[l], variances[l], rec.z_in, dma, dva, rec.means_sq
+        )
         d_means[l] = dM
         d_variances[l] = dV
         if l > 0:
@@ -197,11 +203,10 @@ def backward_gradients(net: NetworkPosterior, trace: ForwardTrace, y: float) -> 
     return GradientStore(d_means, d_variances)
 
 
-def _linear_backward(layer: LayerPosterior, z: MomentVector, dma, dva, means_sq):
-    c = layer.cols
+def _linear_backward(m, v, z: MomentVector, dma, dva, means_sq):
+    c = m.shape[-1]
     inv_c = 1.0 / c
     inv_s = 1.0 / math.sqrt(c)
-    m, v = layer.means, layer.variances
     mz, vz = z.mean, z.variance
     dma_col, dva_col = dma.swapaxes(-1, -2), dva.swapaxes(-1, -2)
 
@@ -289,7 +294,7 @@ def refine(m, v, dM, dV):
     return m_new, v_new, bad.sum(axis=(-2, -1))
 
 
-def _incorporate(net: NetworkPosterior, x, y, gammas: list[GammaDist]):
+def _incorporate(net: PosteriorStack, x, y, gammas: list[tuple[float, float]]):
     mz, vz, trace = forward_trace(net, x)
     triples = [
         _likelihood_triple(*args)
@@ -302,26 +307,25 @@ def _incorporate(net: NetworkPosterior, x, y, gammas: list[GammaDist]):
     grads = backward_gradients(net, trace, y)
 
     undo = 0
-    for layer, dM, dV in zip(net.layers, grads.d_means, grads.d_variances):
-        layer.means, layer.variances, bad = refine(layer.means, layer.variances, dM, dV)
+    for m, v, dM, dV in zip(*weights(net), grads.d_means, grads.d_variances):
+        m[...], v[...], bad = refine(m, v, dM, dV)
         undo = undo + bad
 
     for r, triple in enumerate(triples):
         if triple is not None:
-            refined = _gamma_moments(gammas[r].shape, gammas[r].rate, *triple)
+            refined = _gamma_moments(*gammas[r], *triple)
             if refined is not None:
-                gammas[r] = GammaDist(*refined)
+                gammas[r] = refined
     return skipped, undo
 
 
 def incorporate_likelihood_factor(
-    net: NetworkPosterior, x: np.ndarray, y: float
+    net: PosteriorStack, x: np.ndarray, y: float
 ) -> UpdateOutcome:
-    """Fold one observation into the posterior."""
-    gammas = [net.gamma]
+    """Fold one observation into the posterior, a stack of one."""
+    gammas = [tuple(net.gamma[:, 0].tolist())]
     skipped, undo = _incorporate(net, x, y, gammas)
-    net.gamma = gammas[0]
+    net.gamma[:, 0] = gammas[0]
     if skipped[0]:
         return UpdateOutcome(skipped=True, undo_count=0, weight_updates=0)
-    weights = sum(layer.means.size for layer in net.layers)
-    return UpdateOutcome(skipped=False, undo_count=int(undo), weight_updates=weights)
+    return UpdateOutcome(skipped=False, undo_count=int(undo), weight_updates=net.means.shape[-1])

@@ -28,7 +28,7 @@ from pbp.active import POLICIES, ActiveConfig, run_active_experiments
 from pbp.cli import EXIT_OK
 from pbp.cli import main as cli_main
 from pbp.data import Dataset, load_csv, normalize, split
-from pbp.posterior import GammaDist, PbpConfig
+from pbp.posterior import PbpConfig
 from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train, train_runs
 from reference_prior import _gamma_moments, gaussian_refine
@@ -130,14 +130,14 @@ class TestCriterion1UnitOracles:
 
         rng = np.random.default_rng(31)
         for _ in range(20):
-            g = GammaDist(float(rng.uniform(2.0, 12.0)), float(rng.uniform(1.0, 10.0)))
+            g = (float(rng.uniform(2.0, 12.0)), float(rng.uniform(1.0, 10.0)))
             factor = student_t_factor(
                 float(rng.normal(scale=2.0)), float(rng.uniform(0.05, 2.0))
             )
-            refined = GammaDist(*_gamma_moments(g.shape, g.rate, *quadrature_logz_triple(g, factor)))
+            shape, rate = _gamma_moments(*g, *quadrature_logz_triple(g, factor))
             e1, e2 = gamma_tilted_moments_quadrature(g, factor)
-            assert abs(refined.shape / refined.rate - e1) / e1 < 1e-6
-            second = refined.shape * (refined.shape + 1.0) / refined.rate**2
+            assert abs(shape / rate - e1) / e1 < 1e-6
+            second = shape * (shape + 1.0) / rate**2
             assert abs(second - e2) / e2 < 1e-6
         announce("1d", "the Gamma moment match agrees with quadrature tilted moments to 1e-6")
 
@@ -150,9 +150,7 @@ class TestCriterion1UnitOracles:
             net = random_net(
                 shapes[trial % len(shapes)], rng, var_low=0.05, var_high=1.5
             )
-            net.gamma = GammaDist(
-                float(rng.uniform(2, 10)), float(rng.uniform(2, 10))
-            )
+            net.gamma[:, 0] = (float(rng.uniform(2, 10)), float(rng.uniform(2, 10)))
             x = rng.normal(size=net.layer_sizes[0])
             y = float(rng.normal())
             grads = one_run_gradients(net, x, y)
@@ -176,7 +174,7 @@ def run_benchmark(dataset, splits=SPLITS, **config):
     rmses, lls = stacked_metrics(stack, norm, Dataset.of(test_sets))
     results = []
     for r, (report, rmse, ll) in enumerate(zip(reports, rmses, lls)):
-        negative = sum(int((l.variances <= 0).sum()) for l in stack.run(r).layers)
+        negative = int((stack.variances[r] <= 0).sum())
         results.append((
             rmse,
             ll,
@@ -375,9 +373,8 @@ class TestCriterion8Robustness:
         runs.append((net_big, report_big, len(trn)))
 
         for trained, rep, n in runs:
-            for layer in trained.layers:
-                assert np.all(layer.variances > 0.0)
-                assert np.all(np.isfinite(layer.variances))
+            assert np.all(trained.variances > 0.0)
+            assert np.all(np.isfinite(trained.variances))
             undo_rate = rep.undo_events / max(rep.weight_updates, 1)
             skip_rate = rep.examples_skipped / max(rep.epochs_run * n, 1)
             assert undo_rate < 0.01, f"undo rate {undo_rate:.4%}"

@@ -4,7 +4,7 @@ import pytest
 from conftest import identity_stats, predict_alone, random_net, toy_cubic_dataset
 from pbp.active import ActiveConfig, acquire_next, run_active_experiments
 from pbp.data import Dataset, normalize
-from pbp.posterior import PbpConfig, PosteriorStack
+from pbp.posterior import PbpConfig
 from pbp.prediction import TrainedModel
 from pbp.prediction import test_metrics as stacked_metrics
 from pbp.training import train
@@ -12,7 +12,7 @@ from pbp.training import train
 
 def model_from_net(net):
     return TrainedModel(
-        net=net,
+        stack=net,
         norm=identity_stats(net.layer_sizes[0]),
         config=PbpConfig(hidden_layer_sizes=tuple(net.layer_sizes[1:-1])),
     )
@@ -20,7 +20,7 @@ def model_from_net(net):
 
 def acquire(model, pool):
     """acquire_next of the model's predictive variances of pool."""
-    return acquire_next(predict_alone(model.net, model.norm, pool)[1])
+    return acquire_next(predict_alone(model.stack, model.norm, pool)[1])
 
 
 def run_active_experiment(dataset, policy, config, rng, active_cfg):
@@ -47,7 +47,7 @@ def step_by_step(dataset, policy, config, rng, cfg):
     for step in range(cfg.acquisitions + 1):
         train_norm, stats = normalize(train_set)
         net, _, _ = train(train_norm, config, rng)
-        [rmse], _ = stacked_metrics(PosteriorStack.of([net]), stats, test_set)
+        [rmse], _ = stacked_metrics(net, stats, test_set)
         history.append(float(rmse))
         if step == cfg.acquisitions:
             break
@@ -81,8 +81,7 @@ class TestAcquireNext:
 
     def test_deterministic_model_ties_break_low(self):
         net = random_net([2, 3, 1], np.random.default_rng(1))
-        for layer in net.layers:
-            layer.variances[...] = 0.0
+        net.variances[...] = 0.0
         model = model_from_net(net)
         pool = np.random.default_rng(2).normal(size=(6, 2))
         # All predictive variances equal the noise floor; first index wins.
@@ -98,7 +97,7 @@ class TestAcquireNext:
         norm, stats = normalize(ds)
         cfg = PbpConfig(hidden_layer_sizes=(50,), epochs=20, seed=3)
         net, _, _ = train(norm, cfg, np.random.default_rng(3))
-        model = TrainedModel(net=net, norm=stats, config=cfg)
+        model = TrainedModel(stack=net, norm=stats, config=cfg)
         # One interpolation point, one extrapolation point far outside [-4, 4].
         pool = np.array([[0.1], [9.0]])
         assert acquire(model, pool) == 1

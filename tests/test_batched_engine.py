@@ -7,7 +7,6 @@ changes how the work is dispatched and where it is stored, never the
 arithmetic of a run.
 """
 
-import copy
 import gc
 import math
 import sys
@@ -22,15 +21,13 @@ import pbp.forward as forward
 import pbp.training as training
 import reference_update
 from conftest import (
-    each_run, epoch_by_phases, one_step, random_net, relu_moments, step_by_phases,
-    toy_cubic_dataset, train_runs_tracing_rmse,
+    each_run, epoch_by_phases, one_step, random_net, relu_moments, stack_of, step_by_phases,
+    toy_cubic_dataset, train_runs_tracing_rmse, weights,
 )
 from pbp.data import Dataset, normalize, split
 from reference_forward import forward_output_moments_batch
 from reference_update import GradientStore, MomentVector, incorporate_likelihood_factor
-from pbp.posterior import (
-    HYPERPRIOR, GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform,
-)
+from pbp.posterior import HYPERPRIOR, NumericError, PbpConfig, layer_views, new_uniform
 from pbp.training import SkipRateError, TrainReport, train, train_runs
 from pbp.updates import incorporate_likelihood_factors
 from reference_prior import Sites, ep_refresh_prior, incorporate_all_prior_factors
@@ -43,15 +40,14 @@ def reference_train(dataset, config, rng):
     n = len(dataset.targets)
     layer_sizes = [dataset.features.shape[1], *config.hidden_layer_sizes, 1]
     net = new_uniform(layer_sizes)
-    net.gamma = GammaDist(*HYPERPRIOR)
-    net.lam = GammaDist(*HYPERPRIOR)
+    net.gamma[:, 0] = net.lam[:, 0] = HYPERPRIOR
 
     sites = Sites.zeros(net)
     incorporate_all_prior_factors(net, sites)
     # The mean perturbation as a lone network draws it: each layer's
     # (rows, cols) means in turn.
-    for layer in net.layers:
-        layer.means[...] = rng.standard_normal(layer.means.shape) * math.sqrt(1.0 / (layer.rows + 1))
+    for means in weights(net)[0]:
+        means[...] = rng.standard_normal(means.shape) * math.sqrt(1.0 / (means.shape[0] + 1))
 
     report, rmse = TrainReport(), []
     for _epoch in range(config.epochs):
@@ -82,11 +78,11 @@ def _bits(values) -> bytes:
 def assert_same_run(got, want):
     """Bit equality of posterior, Gammas, prior sites, RMSE trace and counters."""
     (net, sites, report, rmse), (ref_net, ref_sites, ref_report, ref_rmse) = got, want
-    for layer, ref_layer in zip(net.layers, ref_net.layers, strict=True):
-        assert _bits(layer.means) == _bits(ref_layer.means)
-        assert _bits(layer.variances) == _bits(ref_layer.variances)
-    assert net.gamma == ref_net.gamma
-    assert net.lam == ref_net.lam
+    for layer, ref_layer in zip(zip(*weights(net)), zip(*weights(ref_net)), strict=True):
+        assert _bits(layer[0]) == _bits(ref_layer[0])
+        assert _bits(layer[1]) == _bits(ref_layer[1])
+    assert np.array_equal(net.gamma, ref_net.gamma)
+    assert np.array_equal(net.lam, ref_net.lam)
     assert sites.shape == ref_sites.shape
     assert _bits(sites) == _bits(ref_sites)
     assert _bits(rmse) == _bits(ref_rmse)
@@ -275,7 +271,7 @@ def assert_step_matches_reference(nets, xs, ys, step=one_step):
     """One lockstep step (by default step_epoch's, or step_by_phases) on a
     stack of copies of nets against the frozen per-network step on each net
     alone, gradients included; returns the stack and its outcome."""
-    stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+    stack = stack_of(nets)
     outcome = step(stack, xs, ys)
     ws = stack.workspace
     for r, net in enumerate(nets):
@@ -287,13 +283,12 @@ def assert_step_matches_reference(nets, xs, ys, step=one_step):
             ):
                 assert _bits(got_dm[r]) == _bits(dm), r
                 assert _bits(got_dv[r]) == _bits(dv), r
-        ref = copy.deepcopy(net)
+        ref = net.take([0])
         want = incorporate_likelihood_factor(ref, xs[r], float(ys[r]))
-        got = stack.run(r)
-        for layer, ref_layer in zip(got.layers, ref.layers, strict=True):
-            assert _bits(layer.means) == _bits(ref_layer.means), r
-            assert _bits(layer.variances) == _bits(ref_layer.variances), r
-        assert got.gamma == ref.gamma
+        for layer, ref_layer in zip(zip(*weights(stack, r)), zip(*weights(ref)), strict=True):
+            assert _bits(layer[0]) == _bits(ref_layer[0]), r
+            assert _bits(layer[1]) == _bits(ref_layer[1]), r
+        assert np.array_equal(stack.gamma[:, r], ref.gamma[:, 0])
         assert bool(outcome.skipped[r]) == want.skipped
         assert outcome.undo_count[r] == want.undo_count
         assert outcome.weight_updates[r] == want.weight_updates
@@ -314,7 +309,7 @@ def test_step_with_a_deterministic_unit_in_one_run_matches_the_reference():
     # Run 0's first hidden unit has weight variances of 1e-40, so its
     # pre-activation variance falls below the 1e-30 exact-limit cutoff.
     nets, rng = step_nets([3, 5, 4, 1], 3, 41)
-    nets[0].layers[0].variances[0] = 1e-40
+    weights(nets[0])[1][0][0] = 1e-40
     stack, _ = assert_step_matches_reference(nets, rng.normal(size=(3, 3)), rng.normal(size=3))
     det = stack.workspace.rectifiers[0].deterministic
     assert det[:, 0, 0].tolist() == [True, False, False]
@@ -325,7 +320,7 @@ def test_step_with_a_far_tail_unit_in_one_run_matches_the_reference():
     # Run 2's first hidden unit has weight means of -40 on positive inputs:
     # alpha is about -150, in the asymptotic-series branch.
     nets, rng = step_nets([3, 5, 4, 1], 3, 42)
-    nets[2].layers[0].means[0] = -40.0
+    weights(nets[2])[0][0][0] = -40.0
     xs = rng.uniform(0.5, 1.5, size=(3, 3))
     stack, _ = assert_step_matches_reference(nets, xs, rng.normal(size=3))
     series = stack.workspace.rectifiers[0].series
@@ -336,7 +331,7 @@ def test_step_with_a_far_tail_unit_in_one_run_matches_the_reference():
 def test_step_with_an_undone_weight_in_one_run_matches_the_reference(monkeypatch):
     nets, rng = step_nets([3, 5, 4, 1], 3, 43)
     xs, ys = rng.normal(size=(3, 3)), rng.normal(size=3)
-    refs = [copy.deepcopy(net) for net in nets]
+    refs = [net.take([0]) for net in nets]
     wants = [incorporate_likelihood_factor(refs[r], xs[r], float(ys[r])) for r in (0, 2)]
     monkeypatch.setattr(
         reference_update,
@@ -347,24 +342,24 @@ def test_step_with_an_undone_weight_in_one_run_matches_the_reference(monkeypatch
     monkeypatch.setattr(
         conftest, "backward_gradients", sabotage(conftest.backward_gradients, (1, 2, 3))
     )
-    stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+    stack = stack_of(nets)
     outcome = step_by_phases(stack, xs, ys)
 
     assert outcome.undo_count.tolist() == [want.undo_count for want in wants] == [0, 1, 0]
     for r, ref in enumerate(refs):
-        for layer, ref_layer in zip(stack.run(r).layers, ref.layers, strict=True):
-            assert _bits(layer.means) == _bits(ref_layer.means), r
-            assert _bits(layer.variances) == _bits(ref_layer.variances), r
-        assert stack.run(r).gamma == ref.gamma
-    assert stack.layers[0].means[1, 2, 3] == nets[1].layers[0].means[2, 3]
+        for layer, ref_layer in zip(zip(*weights(stack, r)), zip(*weights(ref)), strict=True):
+            assert _bits(layer[0]) == _bits(ref_layer[0]), r
+            assert _bits(layer[1]) == _bits(ref_layer[1]), r
+        assert np.array_equal(stack.gamma[:, r], ref.gamma[:, 0])
+    assert weights(stack, 1)[0][0][2, 3] == weights(nets[1])[0][0][2, 3]
 
 
 def test_step_with_a_negative_pre_activation_variance_raises_before_any_write():
     # Negative weight variances give run 1's first hidden unit a negative
     # pre-activation variance, which the step's forward call refuses.
     nets, rng = step_nets([3, 5, 4, 1], 3, 47)
-    nets[1].layers[0].variances[0] = -5.0
-    stack = PosteriorStack.of(nets)
+    weights(nets[1])[1][0][0] = -5.0
+    stack = stack_of(nets)
     before = [_bits(a) for a in (stack.means, stack.variances, stack.gamma)]
     with pytest.raises(NumericError, match="^negative pre-activation variance"):
         one_step(stack, rng.normal(size=(3, 3)), rng.normal(size=3))
@@ -376,7 +371,7 @@ def test_step_with_a_nan_target_in_one_run_of_three_matches_the_reference():
     ys = np.array([0.3, np.nan, -0.2])
     stack, outcome = assert_step_matches_reference(nets, rng.normal(size=(3, 3)), ys)
     assert outcome.skipped.tolist() == [False, True, False]
-    assert _bits(stack.means[1]) == _bits(PosteriorStack.of([nets[1]]).means[0])
+    assert _bits(stack.means[1]) == _bits(nets[1].means[0])
 
 
 # The pre-activations a fuzzed step may force on one hidden unit: means of
@@ -401,26 +396,26 @@ def fuzz_step_case(rng, runs=None):
     xs = rng.normal(size=(runs, features))
     ys = rng.normal(0.0, 2.0, size=runs)
     for r, net in enumerate(nets):
-        net.gamma = GammaDist(float(rng.uniform(1.5, 20.0)), float(rng.uniform(0.1, 20.0)))
+        net.gamma[:, 0] = (float(rng.uniform(1.5, 20.0)), float(rng.uniform(0.1, 20.0)))
         l = int(rng.integers(len(hidden)))
-        unit, layer = int(rng.integers(hidden[l])), net.layers[l]
+        unit = int(rng.integers(hidden[l]))
+        means, variances = weights(net)
         kind = rng.random()
         if kind < 0.15:
             # Zero variance: deterministic, with the input layer's mean x . m,
             # and a mean of 0 in a deeper layer, whose inputs are random.
-            layer.variances[unit] = 0.0
+            variances[l][unit] = 0.0
             if l > 0:
-                layer.means[unit] = 0.0
+                means[l][unit] = 0.0
         elif kind < 0.25:
-            layer.means[unit] = rng.normal(0.0, 1e-20, layer.cols)
-            layer.variances[unit] = 1e-40
+            means[l][unit] = rng.normal(0.0, 1e-20, means[l].shape[1])
+            variances[l][unit] = 1e-40
         elif kind < 0.35:
             # alpha <= -40 (sum |x| + 1) / sqrt(sum x^2 v) <= -40, v <= 1.
-            first = net.layers[0]
-            first.means[unit % hidden[0], :-1] = -40.0 * np.sign(xs[r])
-            first.means[unit % hidden[0], -1] = -40.0
+            means[0][unit % hidden[0], :-1] = -40.0 * np.sign(xs[r])
+            means[0][unit % hidden[0], -1] = -40.0
         elif kind < 0.45:
-            layer.variances[unit] *= 1e4
+            variances[l][unit] *= 1e4
         elif kind < 0.52:
             ys[r] = np.nan
         elif kind < 0.59:
@@ -434,11 +429,12 @@ def force_unit(nets, hidden_layer, unit, mean, variance):
     weight means but the bias's, mean * sqrt(cols), and zero weight
     variances but the bias's, variance * cols."""
     for net in nets:
-        layer = net.layers[hidden_layer]
-        layer.means[unit] = 0.0
-        layer.means[unit, -1] = mean * math.sqrt(layer.cols)
-        layer.variances[unit] = 0.0
-        layer.variances[unit, -1] = variance * layer.cols
+        means, variances = (views[hidden_layer] for views in weights(net))
+        cols = means.shape[1]
+        means[unit] = 0.0
+        means[unit, -1] = mean * math.sqrt(cols)
+        variances[unit] = 0.0
+        variances[unit, -1] = variance * cols
 
 
 def test_fuzzed_steps_match_the_reference(monkeypatch):
@@ -451,15 +447,15 @@ def test_fuzzed_steps_match_the_reference(monkeypatch):
         step = one_step
         with monkeypatch.context() as m:
             if case % 10 == 9:
-                first = nets[0].layers[0]
-                index = (..., int(rng.integers(first.rows)), int(rng.integers(first.cols)))
+                rows, cols = weights(nets[0])[0][0].shape
+                index = (..., int(rng.integers(rows)), int(rng.integers(cols)))
                 for module in (conftest, reference_update):
                     m.setattr(module, "backward_gradients", sabotage(module.backward_gradients, index))
                 step = step_by_phases
             if case % 7 == 6:
-                layers = len(nets[0].layers)
-                l = int(rng.integers(layers - 1))
-                unit = int(rng.integers(nets[0].layers[l].rows))
+                means = weights(nets[0])[0]
+                l = int(rng.integers(len(means) - 1))
+                unit = int(rng.integers(means[l].shape[0]))
                 force_unit(nets, l, unit, *FORCED_UNITS[(case // 7) % len(FORCED_UNITS)])
             stack, outcome = assert_step_matches_reference(nets, xs, ys, step)
         if outcome.skipped.all():
@@ -490,8 +486,9 @@ def fuzz_epoch_case(rng, runs=None):
     ys[edge] = rng.choice([np.nan, 1e160], edge.sum())
     for net in nets:
         if rng.random() < 0.2:
-            layer = net.layers[int(rng.integers(len(net.layers)))]
-            layer.variances[int(rng.integers(layer.rows)), int(rng.integers(layer.cols))] = 1e155
+            variances = weights(net)[1]
+            layer = variances[int(rng.integers(len(variances)))]
+            layer[int(rng.integers(layer.shape[0])), int(rng.integers(layer.shape[1]))] = 1e155
     return nets, xs, ys
 
 
@@ -503,7 +500,7 @@ def test_the_per_example_driver_matches_step_epoch_on_fuzzed_stacks():
     seen = {"deterministic": 0, "series": 0, "skipped": 0, "undone": 0}
     for case in range(200):
         nets, xs, ys = fuzz_epoch_case(rng)
-        folded, driven = (PosteriorStack.of([copy.deepcopy(net) for net in nets]) for _ in range(2))
+        folded, driven = (stack_of(nets) for _ in range(2))
         outcome = incorporate_likelihood_factors(folded, xs, ys)
         counts = np.zeros((3, len(nets)), dtype=np.int64)
         branches = set()
@@ -532,7 +529,7 @@ def epoch_on_cpus(monkeypatch, cpus, nets, xs, ys):
     """incorporate_likelihood_factors of xs and ys into a stack of copies of
     nets with `cpus` usable CPUs: the stack, and the outcome's three counts
     or the error raised, as (type, message, run)."""
-    stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+    stack = stack_of(nets)
     monkeypatch.setattr(forward, "usable_cpus", lambda: cpus)
     try:
         outcome = incorporate_likelihood_factors(stack, xs, ys)
@@ -593,8 +590,8 @@ def shape_one_case(runs, first, last):
     skip every example, and every other run keeps every example."""
     nets, rng = step_nets([2, 5, 1], runs, 2900)
     for net in nets:
-        net.gamma = GammaDist(6.0, 6.0)
-    nets[first + 1].gamma = GammaDist(1.0, 6.0)
+        net.gamma[:, 0] = (6.0, 6.0)
+    nets[first + 1].gamma[:, 0] = (1.0, 6.0)
     xs, ys = rng.normal(size=(3, runs, 2)), rng.normal(size=(3, runs))
     ys[:, first:last + 1] = np.nan
     return nets, xs, ys
@@ -636,13 +633,13 @@ def test_a_noise_shape_of_one_skipped_by_every_run_raises_nothing(monkeypatch):
 def zero_rate_at_the_third_example(nets, xs, ys):
     # Run 13 skips its first two examples, and its Gamma match divides by its
     # rate of 0 at the third.
-    nets[13].gamma = GammaDist(6.0, 0.0)
+    nets[13].gamma[:, 0] = (6.0, 0.0)
     ys[:2, 13] = np.nan
 
 
 def negative_variance(nets, xs, ys):
     # Run 15's first hidden unit has a negative pre-activation variance.
-    nets[15].layers[0].variances[0] = -1.0
+    weights(nets[15])[1][0][0] = -1.0
 
 
 @pytest.mark.parametrize(
@@ -689,7 +686,7 @@ def test_phase_counters_time_every_call_and_move_no_bit():
     # out, backward, refine.
     nets, rng = step_nets([3, 5, 4, 1], 3, 46)
     xs, ys = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 3))
-    plain, counted = (PosteriorStack.of([copy.deepcopy(net) for net in nets]) for _ in range(2))
+    plain, counted = (stack_of(nets) for _ in range(2))
     for stack in (plain, counted):
         one_step(stack, xs[0], ys[0])
     phases = counted.workspace.count_phases()
@@ -707,7 +704,7 @@ def test_phase_counters_time_every_call_and_move_no_bit():
 )
 def test_an_epoch_of_the_wrong_shape_is_refused(xs_shape, ys_shape):
     nets, _ = step_nets([3, 4, 1], 3, 48)
-    stack = PosteriorStack.of(nets)
+    stack = stack_of(nets)
     with pytest.raises(ValueError, match="expected"):
         incorporate_likelihood_factors(stack, np.zeros(xs_shape), np.zeros(ys_shape))
     assert stack.workspace is None
@@ -715,25 +712,28 @@ def test_an_epoch_of_the_wrong_shape_is_refused(xs_shape, ys_shape):
 
 def test_stack_layers_and_runs_are_views_of_one_buffer():
     nets, _ = step_nets([3, 4, 2, 1], 3, 45)
-    stack = PosteriorStack.of(nets)
+    stack = stack_of(nets)
     assert stack.means.shape == stack.variances.shape == (3, 4 * 4 + 2 * 5 + 3)
     for r, net in enumerate(nets):
-        flat = np.concatenate([layer.means.ravel() for layer in net.layers])
+        flat = np.concatenate([means.ravel() for means in weights(net)[0]])
         assert _bits(stack.means[r]) == _bits(flat)
-    for layer in stack.layers:
-        assert np.shares_memory(layer.means, stack.means)
-        assert np.shares_memory(layer.variances, stack.variances)
-    run = stack.run(1)
-    run.layers[1].means[0, 2] = 7.0
+    mean_views, variance_views = (
+        layer_views(flat, stack.layer_sizes) for flat in (stack.means, stack.variances)
+    )
+    for layer_means, layer_variances in zip(mean_views, variance_views):
+        assert np.shares_memory(layer_means, stack.means)
+        assert np.shares_memory(layer_variances, stack.variances)
+    run_means, run_variances = weights(stack, 1)
+    run_means[1][0, 2] = 7.0
     assert stack.means[1, 16 + 2] == 7.0
-    stack.layers[0].variances[2, 3, 1] = 5.0
+    variance_views[0][2, 3, 1] = 5.0
     assert stack.variances[2, 3 * 4 + 1] == 5.0
-    assert run.layers[0].variances[3, 1] != 5.0
+    assert run_variances[0][3, 1] != 5.0
     means, variances = stack.means, stack.variances
     one_step(stack, np.ones((3, 3)), np.zeros(3))
     assert stack.means is means and stack.variances is variances
-    assert np.shares_memory(run.layers[0].means, stack.means)
-    assert run.layers[1].means[0, 2] == stack.means[1, 16 + 2] != 7.0
+    assert np.shares_memory(run_means[0], stack.means)
+    assert run_means[1][0, 2] == stack.means[1, 16 + 2] != 7.0
 
 
 def test_no_workspace_outlives_its_train_runs_call(monkeypatch):

@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import predict_alone, toy_cubic_dataset, train_runs_tracing_rmse
+from conftest import predict_alone, toy_cubic_dataset, train_runs_tracing_rmse, weights
 import pbp
 import pbp.forward as forward
 import pbp.kernel as kernel
 import pbp.training as training
 from pbp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _prediction_csv, main
 from pbp.data import load_csv, load_model, normalize, read_csv_matrix, split
-from pbp.posterior import NumericError, PbpConfig, PosteriorStack
+from pbp.posterior import NumericError, PbpConfig
 from pbp.training import train
 
 
@@ -116,10 +116,10 @@ class TestTrainCommand:
         rng = np.random.default_rng(7)
         train_set, _ = split(load_csv(toy_csv), 0.1, rng)
         train_norm, _ = normalize(train_set)
-        net, _, _ = train(train_norm, PbpConfig(hidden_layer_sizes=(4,), epochs=2, seed=7), rng)
-        for got, want in zip(model.net.layers, net.layers, strict=True):
-            assert np.array_equal(got.means, want.means)
-            assert np.array_equal(got.variances, want.variances)
+        stack, _, _ = train(train_norm, PbpConfig(hidden_layer_sizes=(4,), epochs=2, seed=7), rng)
+        for got, want in zip(zip(*weights(model.stack)), zip(*weights(stack)), strict=True):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
     def test_zero_epochs_prior_only(self, toy_csv, tmp_path):
         out = tmp_path / "m.json"
@@ -130,8 +130,8 @@ class TestTrainCommand:
         from pbp.data import load_model
 
         model = load_model(out)
-        for layer in model.net.layers:
-            assert np.allclose(layer.variances, 1.2)
+        for variances in weights(model.stack)[1]:
+            assert np.allclose(variances, 1.2)
 
     @pytest.mark.parametrize(
         "scale, column",
@@ -216,7 +216,7 @@ class TestPredictCommand:
         from pbp.prediction import noise_floor
 
         model = load_model(model_path)
-        floor = noise_floor(PosteriorStack.of([model.net]))[0] * model.norm.target_std**2
+        floor = noise_floor(model.stack)[0] * model.norm.target_std**2
         for row in read_rows(out)[1:]:
             assert float(row[1]) >= floor * (1 - 1e-12)
 
@@ -250,6 +250,26 @@ class TestPredictCommand:
                          id="float-hidden-size"),
             pytest.param(lambda d: d["network"].__setitem__("layer_sizes", [1, 4, True]),
                          id="bool-output-size"),
+            pytest.param(lambda d: d["network"]["gamma"].__setitem__("shape", 10**400),
+                         id="noise-shape-beyond-float"),
+            pytest.param(lambda d: d["network"]["lambda"].__setitem__("rate", 10**400),
+                         id="prior-rate-beyond-float-in-network"),
+            pytest.param(lambda d: d["network"]["gamma"].__setitem__("shape", "7"),
+                         id="noise-shape-numeric-string"),
+            pytest.param(lambda d: d["network"]["lambda"].__setitem__("rate", "text"),
+                         id="prior-rate-text"),
+            pytest.param(lambda d: d["network"]["gamma"].__setitem__("rate", [1.0]),
+                         id="noise-rate-in-a-list"),
+            pytest.param(lambda d: d["network"]["lambda"].pop("shape"),
+                         id="prior-shape-missing"),
+            pytest.param(lambda d: d["network"]["gamma"].__setitem__("mean", 1.0),
+                         id="noise-gamma-extra-key"),
+            pytest.param(lambda d: d["network"]["lambda"].__setitem__("shape", -1.0),
+                         id="prior-shape-negative"),
+            pytest.param(lambda d: d["network"]["gamma"].__setitem__("shape", 0.0),
+                         id="noise-shape-zero"),
+            pytest.param(lambda d: d["network"]["lambda"].__setitem__("rate", -1.0),
+                         id="prior-rate-negative"),
         ],
     )
     def test_hostile_model_file_is_a_data_error(self, toy_csv, tmp_path, capsys, corrupt):
@@ -299,7 +319,7 @@ class TestPredictCommand:
         got = capsys.readouterr().out.encode() if to_stdout else out.read_bytes()
 
         model = load_model(model_path)
-        means, variances = predict_alone(model.net, model.norm, read_csv_matrix(feats)[0])
+        means, variances = predict_alone(model.stack, model.norm, read_csv_matrix(feats)[0])
         assert got == csv_writer_output(means, variances).encode()
 
 
@@ -852,7 +872,7 @@ class TestHostileTrainingSets:
         for key in ("final_train_rmse_normalized", "test_rmse", "test_log_likelihood"):
             assert math.isfinite(float(lines[key])), key
         assert lines["examples_skipped"] == "0"
-        assert np.isfinite(load_model(out).net.layers[0].means).all()
+        assert np.isfinite(weights(load_model(out).stack)[0][0]).all()
 
     @pytest.mark.parametrize(
         "rows, fraction",
@@ -883,7 +903,7 @@ class TestHostileTrainingSets:
         code = main(["train", "--data", str(data), "--epochs", "3", "--test-fraction", "0.5",
                      "--out", str(out)])
         assert code == EXIT_OK, capsys.readouterr().err
-        assert np.isfinite(load_model(out).net.layers[0].variances).all()
+        assert np.isfinite(weights(load_model(out).stack)[1][0]).all()
 
     def test_a_constant_feature_column_trains_and_benchmarks(self, tmp_path, capsys):
         # The constant column normalizes to 0, so its weights' cavities are

@@ -400,8 +400,8 @@ def small_trained_model(tmp_path=None, epochs=2):
     ds = Dataset(x[:, None], y)
     norm, stats = normalize(ds)
     cfg = PbpConfig(hidden_layer_sizes=(5,), epochs=epochs, seed=1)
-    net, _, _ = train(norm, cfg, np.random.default_rng(1))
-    return TrainedModel(net=net, norm=stats, config=cfg)
+    stack, _, _ = train(norm, cfg, np.random.default_rng(1))
+    return TrainedModel(stack=stack, norm=stats, config=cfg)
 
 
 class TestNormalizeOverflow:
@@ -440,11 +440,9 @@ class TestModelFile:
         p = tmp_path / "m.json"
         save_model(model, p)
         loaded = load_model(p)
-        for a, b in zip(model.net.layers, loaded.net.layers):
-            assert np.array_equal(a.means, b.means)
-            assert np.array_equal(a.variances, b.variances)
-        assert model.net.gamma == loaded.net.gamma
-        assert model.net.lam == loaded.net.lam
+        assert model.stack.layer_sizes == loaded.stack.layer_sizes
+        for name in ("means", "variances", "gamma", "lam"):
+            assert np.array_equal(getattr(model.stack, name), getattr(loaded.stack, name))
         assert np.array_equal(model.norm.feature_mean, loaded.norm.feature_mean)
 
     def test_predictions_identical_after_reload(self, tmp_path):
@@ -453,8 +451,8 @@ class TestModelFile:
         save_model(model, p)
         loaded = load_model(p)
         x = np.array([[0.37]])
-        a_mean, a_variance = predict_alone(model.net, model.norm, x)
-        b_mean, b_variance = predict_alone(loaded.net, loaded.norm, x)
+        a_mean, a_variance = predict_alone(model.stack, model.norm, x)
+        b_mean, b_variance = predict_alone(loaded.stack, loaded.norm, x)
         assert a_mean == b_mean
         assert a_variance == b_variance
 

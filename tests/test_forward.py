@@ -1,4 +1,3 @@
-import copy
 import math
 import multiprocessing
 import sys
@@ -11,11 +10,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import forward_trace, lone_output_moments, output_moments, random_net, relu_moments
+from conftest import (
+    forward_trace,
+    lone_output_moments,
+    output_moments,
+    random_net,
+    relu_moments,
+    stack_of,
+    weights,
+)
 from pbp import forward, kernel
 from pbp.forward import BLOCK_ROWS, forward_output_moments
 from oracles import mc_forward_moments
-from pbp.posterior import LayerPosterior, NumericError, PosteriorStack, new_uniform
+from pbp.posterior import NumericError, new_uniform
 from pbp.updates import incorporate_likelihood_factors
 from reference_forward import forward_output_moments_batch
 from reference_update import MomentVector, append_bias, forward_linear
@@ -25,50 +32,47 @@ def mv(mean, var):
     return MomentVector(np.asarray(mean, dtype=float), np.asarray(var, dtype=float))
 
 
-def linear(layer, x):
-    """The moments of layer's units at the input row x, the bias unit (mean
-    1, variance 0) after it: each unit through forward_output_moments of a
-    one-layer net of that unit alone."""
+def linear(means, variances, x):
+    """The moments of the units of a layer of weight means and variances,
+    (rows, cols), at the input row x, the bias unit (mean 1, variance 0)
+    after it: each unit through forward_output_moments of a one-layer net of
+    that unit alone."""
     moments = []
-    for unit in range(layer.rows):
-        net = new_uniform([layer.cols - 1, 1])
-        net.layers[0].means[...] = layer.means[unit]
-        net.layers[0].variances[...] = layer.variances[unit]
+    for unit_means, unit_variances in zip(means, variances):
+        net = new_uniform([unit_means.size - 1, 1])
+        net.means[0] = unit_means
+        net.variances[0] = unit_variances
         moments.append(output_moments(net, x))
     return mv(*zip(*moments))
 
 
 class TestForwardLinear:
     def test_deterministic_weights_and_inputs(self):
-        layer = LayerPosterior(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
-        out = linear(layer, [3.0])
+        out = linear(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]), [3.0])
         assert out.mean[0] == pytest.approx(4.0 / math.sqrt(2.0), abs=1e-15)
         assert out.variance[0] == 0.0
 
     def test_pure_weight_variance(self):
-        layer = LayerPosterior(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
-        out = linear(layer, [1.0])
+        out = linear(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), [1.0])
         assert out.mean[0] == 0.0
         assert out.variance[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_all_deterministic_gives_zero_variance(self):
-        layer = LayerPosterior(np.array([[2.0, -1.0, 0.5]]), np.zeros((1, 3)))
-        out = linear(layer, [0.3, 0.7])
+        out = linear(np.array([[2.0, -1.0, 0.5]]), np.zeros((1, 3)), [0.3, 0.7])
         assert out.variance[0] == 0.0
 
     def test_dimension_mismatch(self):
-        layer = LayerPosterior(np.zeros((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="expected"):
-            linear(layer, [1.0])
+            linear(np.zeros((2, 3)), np.ones((2, 3)), [1.0])
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(8)
-        layer = LayerPosterior(rng.normal(size=(2, 3)), rng.uniform(0.1, 1.0, (2, 3)))
+        means, variances = rng.normal(size=(2, 3)), rng.uniform(0.1, 1.0, (2, 3))
         z_mean = rng.normal(size=3)
         z_mean[-1] = 1.0  # the bias unit
-        out = linear(layer, z_mean[:-1])
+        out = linear(means, variances, z_mean[:-1])
         n = 400_000
-        w = layer.means + np.sqrt(layer.variances) * rng.standard_normal((n, 2, 3))
+        w = means + np.sqrt(variances) * rng.standard_normal((n, 2, 3))
         samples = np.einsum("nrc,c->nr", w, z_mean) / math.sqrt(3)
         assert np.allclose(out.mean, samples.mean(axis=0), atol=4e-3)
         assert np.allclose(out.variance, samples.var(axis=0), rtol=2e-2)
@@ -194,15 +198,15 @@ class TestForwardOutputMoments:
         # network evaluated at the means, with zero variance.
         rng = np.random.default_rng(5)
         net = random_net([3, 4, 1], rng)
-        for layer in net.layers:
-            layer.variances[...] = 0.0
+        net.variances[...] = 0.0
         x = rng.normal(size=3)
         m, v = output_moments(net, x)
 
+        means, _ = weights(net)
         z = np.append(x, 1.0)
-        a = net.layers[0].means @ z / math.sqrt(4)
+        a = means[0] @ z / math.sqrt(4)
         z2 = np.append(np.maximum(a, 0.0), 1.0)
-        expected = (net.layers[1].means @ z2 / math.sqrt(5))[0]
+        expected = (means[1] @ z2 / math.sqrt(5))[0]
         assert m == pytest.approx(expected, rel=1e-12)
         assert v == 0.0
 
@@ -235,15 +239,10 @@ class TestForwardOutputMoments:
         m0, v0 = output_moments(net, x)
 
         perm = rng.permutation(6)
-        permuted = copy.deepcopy(net)
-        permuted.layers[0].means = net.layers[0].means[perm]
-        permuted.layers[0].variances = net.layers[0].variances[perm]
-        permuted.layers[1].means = np.hstack(
-            [net.layers[1].means[:, :6][:, perm], net.layers[1].means[:, 6:]]
-        )
-        permuted.layers[1].variances = np.hstack(
-            [net.layers[1].variances[:, :6][:, perm], net.layers[1].variances[:, 6:]]
-        )
+        permuted = net.take([0])
+        for into, (first, second) in zip(weights(permuted), weights(net)):
+            into[0][...] = first[perm]
+            into[1][...] = np.hstack([second[:, :6][:, perm], second[:, 6:]])
         m1, v1 = output_moments(permuted, x)
         assert m1 == pytest.approx(m0, rel=1e-12)
         assert v1 == pytest.approx(v0, rel=1e-12)
@@ -297,7 +296,7 @@ class TestShapeContract:
         rng = np.random.default_rng(9)
         nets = [random_net([3, 4, 4, 1], rng) for _ in range(3)]
         X = rng.normal(size=(3, n, 3))
-        m, v = forward_output_moments(PosteriorStack.of(nets), X)
+        m, v = forward_output_moments(stack_of(nets), X)
         assert m.shape == v.shape == (3, n)
         for r, net in enumerate(nets):
             alone_m, alone_v = lone_output_moments(net, X[r])
@@ -306,7 +305,7 @@ class TestShapeContract:
 
     def test_stack_without_a_rows_axis_rejected(self):
         rng = np.random.default_rng(5)
-        stack = PosteriorStack.of([random_net([3, 4, 1], rng) for _ in range(3)])
+        stack = stack_of([random_net([3, 4, 1], rng) for _ in range(3)])
         with pytest.raises(ValueError, match="expected"):
             forward_output_moments(stack, rng.normal(size=(3, 3)))
 
@@ -321,7 +320,7 @@ class TestShapeContract:
         # points over the same layer arithmetic.
         rng = np.random.default_rng(6)
         nets = [random_net([3, 4, 4, 1], rng) for _ in range(2)]
-        stack = PosteriorStack.of(nets)
+        stack = stack_of(nets)
         x = rng.normal(size=(2, 3))
         trace_m, trace_v = forward_trace(stack, x)
         m, v = forward_output_moments(stack, x[:, None, :])
@@ -335,7 +334,7 @@ class TestShapeContract:
 
     def test_trace_shape_checked(self):
         rng = np.random.default_rng(7)
-        stack = PosteriorStack.of([random_net([3, 4, 1], rng) for _ in range(2)])
+        stack = stack_of([random_net([3, 4, 1], rng) for _ in range(2)])
         for shape in [(2, 1, 3), (3,), (1, 3), (2, 4)]:
             with pytest.raises(ValueError, match="expected"):
                 forward_trace(stack, rng.normal(size=shape))
@@ -356,11 +355,11 @@ def _branch_net_and_rows(n, block, rng):
     branch.
     """
     net = random_net([6, 10, 1], rng)
-    unit = net.layers[0]
-    unit.means[0] = 0.0
-    unit.means[0, 0] = -1.0
-    unit.variances[0] = 0.0
-    unit.variances[0, 1] = 1.0
+    (means, _), (variances, _) = weights(net)
+    means[0] = 0.0
+    means[0, 0] = -1.0
+    variances[0] = 0.0
+    variances[0, 1] = 1.0
     X = rng.normal(size=(n, 6))
     X[:, 0] = rng.uniform(-1.0, 1.0, n)
     X[:, 1] = rng.uniform(1.0, 2.0, n)
@@ -389,7 +388,7 @@ class TestBlockedRows:
     def test_stack_matches_the_unblocked_reference_per_run(self, block):
         rng = np.random.default_rng(12)
         nets = [random_net([11, 50, 50, 1], rng, mean_scale=0.5) for _ in range(3)]
-        stack = PosteriorStack.of(nets)
+        stack = stack_of(nets)
         for n in _row_counts(block):
             X = rng.normal(size=(3, n, 11))
             m, v = forward_output_moments(stack, X)
@@ -403,7 +402,9 @@ class TestBlockedRows:
         rng = np.random.default_rng(13)
         n = 3 * block + 5
         net, X = _branch_net_and_rows(n, block, rng)
-        _, aux = relu_moments(forward_linear(net.layers[0], append_bias(mv(X, np.zeros_like(X)))))
+        (means, _), (variances, _) = weights(net)
+        z = append_bias(mv(X, np.zeros_like(X)))
+        _, aux = relu_moments(forward_linear(means, variances, z))
         for flags in (aux.deterministic[:, 0], aux.series[:, 0]):
             assert flags[block : 2 * block].any()
             assert not flags[:block].any() and not flags[2 * block :].any()
@@ -501,7 +502,7 @@ class TestParallelPass:
         # threshold, one more is above it, and the rest straddle the blocks.
         rng = np.random.default_rng(16)
         nets = [random_net([13, 50, 1], rng, mean_scale=0.5) for _ in range(3)]
-        stack = PosteriorStack.of(nets)
+        stack = stack_of(nets)
         for n in [2 * block // 3, 2 * block // 3 + 1, *_row_counts(block)]:
             X = rng.normal(size=(3, n, 13))
             m, v = forward_output_moments(stack, X)
@@ -633,7 +634,7 @@ def _grouped_epoch(monkeypatch, cpus):
     variances and noise Gammas."""
     _force_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(26)
-    stack = PosteriorStack.of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(8)])
+    stack = stack_of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(8)])
     incorporate_likelihood_factors(stack, rng.normal(size=(25, 8, 6)), rng.normal(size=(25, 8)))
     return [a.tobytes() for a in (stack.means, stack.variances, stack.gamma)]
 
@@ -647,7 +648,7 @@ class TestHelperPool:
         _force_cpus(monkeypatch, 3)
         monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
         rng = np.random.default_rng(27)
-        stack = PosteriorStack.of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(12)])
+        stack = stack_of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(12)])
         xs, ys, X = rng.normal(size=(5, 12, 6)), rng.normal(size=(5, 12)), rng.normal(size=(12, 20, 6))
 
         def grouped_epoch_and_rows_pass():
@@ -700,7 +701,7 @@ class TestHelperPool:
         _force_cpus(monkeypatch, 2)
         monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
         rng = np.random.default_rng(28)
-        stack = PosteriorStack.of([random_net([6, 10, 1], rng)])
+        stack = stack_of([random_net([6, 10, 1], rng)])
         X = rng.normal(size=(1, 5 * 64, 6))
         forward_output_moments(stack, X)
         assert _helpers(fresh_pool)
@@ -761,11 +762,11 @@ class TestOneRectifierCallPerItem:
         (x1 = 1e-3) branches."""
         nets = [random_net([6, units, 7, 1], rng, mean_scale=0.5) for _ in range(runs)]
         for net in nets:
-            unit = net.layers[0]
-            unit.means[0] = 0.0
-            unit.means[0, 0] = -1.0
-            unit.variances[0] = 0.0
-            unit.variances[0, 1] = 1.0
+            (means, *_), (variances, *_) = weights(net)
+            means[0] = 0.0
+            means[0, 0] = -1.0
+            variances[0] = 0.0
+            variances[0, 1] = 1.0
         X = rng.normal(size=(runs, n, 6))
         X[..., 0] = rng.uniform(-1.0, 1.0, (runs, n))
         X[..., 1] = rng.uniform(1.0, 2.0, (runs, n))
@@ -800,7 +801,7 @@ class TestOneRectifierCallPerItem:
 
         monkeypatch.setattr(forward, "_run_items", run_items)
         nets, X = self.nets_and_rows(runs, n, units, np.random.default_rng(runs * n + units))
-        m, v = forward_output_moments(PosteriorStack.of(nets), X)
+        m, v = forward_output_moments(stack_of(nets), X)
         for r, net in enumerate(nets):
             ref_m, ref_v = forward_output_moments_batch(net, X[r])
             assert m[r].tobytes() == ref_m.tobytes() and v[r].tobytes() == ref_v.tobytes(), r
@@ -828,7 +829,7 @@ def test_a_threads_buffers_serve_items_of_every_shape_in_a_pass(monkeypatch, blo
         nets = [random_net([6, 10, 7, 1], rng, mean_scale=0.5) for _ in range(runs)]
         X = rng.normal(size=(runs, n, 6))
         calls.clear()
-        m, v = forward_output_moments(PosteriorStack.of(nets), X)
+        m, v = forward_output_moments(stack_of(nets), X)
         for r, net in enumerate(nets):
             ref_m, ref_v = forward_output_moments_batch(net, X[r])
             assert m[r].tobytes() == ref_m.tobytes() and v[r].tobytes() == ref_v.tobytes(), (n, r)
@@ -857,7 +858,7 @@ def test_a_threads_buffers_fit_the_items_it_takes(monkeypatch, block, cpus):
     monkeypatch.setattr(kernel.RowsPass, "__call__", call)
     rng = np.random.default_rng(31)
     net = random_net([11, 50, 50, 1], rng, mean_scale=0.5)
-    stack, X = PosteriorStack.of([net]), rng.normal(size=(1, 1439, 11))
+    stack, X = stack_of([net]), rng.normal(size=(1, 1439, 11))
     m, v = forward_output_moments(stack, X)
     ref_m, ref_v = forward_output_moments_batch(net, X[0])
     assert m[0].tobytes() == ref_m.tobytes() and v[0].tobytes() == ref_v.tobytes()
@@ -884,7 +885,7 @@ def test_forward_memory_is_bounded_by_one_block(monkeypatch):
     # Each working thread holds one block, so the thread count is fixed.
     _force_cpus(monkeypatch, 2)
     rng = np.random.default_rng(14)
-    stack = PosteriorStack.of([random_net([11, 50, 50, 1], rng, mean_scale=0.5)])
+    stack = stack_of([random_net([11, 50, 50, 1], rng, mean_scale=0.5)])
     X20, X40 = rng.normal(size=(1, 20_000, 11)), rng.normal(size=(1, 40_000, 11))
     peak20 = _forward_peak_bytes(stack, X20)
     peak40 = _forward_peak_bytes(stack, X40)
@@ -900,5 +901,5 @@ def test_stack_memory_is_bounded_by_its_items(monkeypatch, cpus):
     # thread and 8.6 MB on two.
     _force_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(23)
-    stack = PosteriorStack.of([random_net([13, 50, 1], rng) for _ in range(20)])
+    stack = stack_of([random_net([13, 50, 1], rng) for _ in range(20)])
     assert _forward_peak_bytes(stack, rng.normal(size=(20, 456, 13))) < 12e6

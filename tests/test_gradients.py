@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forward_trace, one_run_gradients, output_moments, random_net
+from conftest import forward_trace, one_run_gradients, output_moments, random_net, weights
 from oracles import fd_logz_gradients
-from pbp.posterior import GammaDist, PosteriorStack, new_uniform
+from pbp.posterior import new_uniform
 
 GRAD_FLOOR = 1e-5
 FD_NOISE = 1e-9
@@ -35,7 +35,7 @@ def test_matches_finite_differences_random_nets():
     shapes = [[3, 5, 1], [2, 4, 3, 1], [4, 8, 1], [1, 2, 2, 1], [5, 3, 1]]
     for trial in range(20):
         net = random_net(shapes[trial % len(shapes)], rng, var_low=0.05, var_high=1.5)
-        net.gamma = GammaDist(rng.uniform(2, 10), rng.uniform(2, 10))
+        net.gamma[:, 0] = (rng.uniform(2, 10), rng.uniform(2, 10))
         x = rng.normal(size=net.layer_sizes[0])
         y = float(rng.normal())
         grads = one_run_gradients(net, x, y)
@@ -49,20 +49,20 @@ def test_deterministic_net_equals_classic_backprop():
     # reproduce textbook backprop through f.
     rng = np.random.default_rng(8)
     net = random_net([2, 3, 1], rng)
-    for layer in net.layers:
-        layer.variances[...] = 0.0
-    net.gamma = GammaDist(6.0, 6.0)
+    net.variances[...] = 0.0
+    net.gamma[:, 0] = (6.0, 6.0)
     x = rng.normal(size=2)
     y = 0.7
 
     z0 = np.append(x, 1.0)
-    w1, w2 = net.layers[0].means, net.layers[1].means
+    w1, w2 = weights(net)[0]
     a1 = w1 @ z0 / math.sqrt(3)
     b1 = np.maximum(a1, 0.0)
     z1 = np.append(b1, 1.0)
     out = (w2 @ z1 / math.sqrt(4))[0]
 
-    noise = net.gamma.rate / (net.gamma.shape - 1.0)
+    shape, rate = net.gamma[:, 0]
+    noise = rate / (shape - 1.0)
     dout = (y - out) / noise
     d_w2 = dout * z1 / math.sqrt(4)
     d_b1 = dout * w2[0, :3] / math.sqrt(4)
@@ -84,9 +84,10 @@ def test_output_bias_variance_gradient_single_path():
     mz, vz = output_moments(net, x)
     grads = one_run_gradients(net, x, y)
 
-    total = net.gamma.rate / (net.gamma.shape - 1.0) + vz
+    shape, rate = net.gamma[:, 0]
+    total = rate / (shape - 1.0) + vz
     dvz = 0.5 * ((y - mz) ** 2 / total**2 - 1.0 / total)
-    cols = net.layers[1].cols
+    cols = weights(net)[0][1].shape[-1]
     assert grads.d_variances[1][0, -1] == pytest.approx(dvz / cols, rel=1e-12)
 
 
@@ -94,15 +95,15 @@ def test_gradients_through_series_branch():
     # Push one hidden unit deep into the series regime and check the backward
     # pass still matches finite differences of the implemented forward pass.
     net = new_uniform([1, 2, 1])
-    net.gamma = GammaDist(6.0, 6.0)
-    net.lam = GammaDist(6.0, 6.0)
-    net.layers[0].means[...] = np.array([[-40.0, -8.0], [0.5, 0.2]])
-    net.layers[0].variances[...] = np.array([[0.3, 0.4], [0.2, 0.3]])
-    net.layers[1].means[...] = np.array([[1.2, 0.8, 0.1]])
-    net.layers[1].variances[...] = np.array([[0.2, 0.1, 0.3]])
+    net.gamma[...] = net.lam[...] = 6.0
+    means, variances = weights(net)
+    means[0][...] = np.array([[-40.0, -8.0], [0.5, 0.2]])
+    variances[0][...] = np.array([[0.3, 0.4], [0.2, 0.3]])
+    means[1][...] = np.array([[1.2, 0.8, 0.1]])
+    variances[1][...] = np.array([[0.2, 0.1, 0.3]])
     x = np.array([1.0])
     y = 0.3
-    stack = PosteriorStack.of([net])
+    stack = net.take([0])
     forward_trace(stack, x[None, :])
     assert stack.workspace.rectifiers[0].series.any()
     grads = one_run_gradients(net, x, y)

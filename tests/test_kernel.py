@@ -36,10 +36,10 @@ from reference_update import MomentVector
 import test_forward
 from conftest import (
     incorporate_one_run, likelihood_step, one_step, random_net, refresh_one_run, relu_moments,
-    toy_cubic_dataset,
+    stack_of, toy_cubic_dataset, weights,
 )
 from pbp.data import Dataset, normalize
-from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, layer_views
+from pbp.posterior import NumericError, PbpConfig, PosteriorStack, layer_views
 from pbp.kernel import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD
 from pbp.training import train_runs
 from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors
@@ -88,7 +88,7 @@ def test_likelihood_step_matches_the_float_kernel_on_fuzzed_cases():
     log_z, gamma_next = step.log_z.T.tolist(), step.gamma_next.T.tolist()
     kinds = set()
     for r, (y, mz, vz, (a, b)) in enumerate(cases):
-        triple = ref._likelihood_triple(y, mz, vz, GammaDist(a, b))
+        triple = ref._likelihood_triple(y, mz, vz, (a, b))
         assert step.skipped[r] == (triple is None), r
         refined = None if triple is None else ref._gamma_moments(a, b, *triple)
         if triple is not None:
@@ -96,10 +96,6 @@ def test_likelihood_step_matches_the_float_kernel_on_fuzzed_cases():
         assert _bits(gamma_next[r]) == _bits(refined or (a, b)), r
         kinds.add("skipped" if triple is None else "rejected" if refined is None else "refined")
     assert kinds == {"skipped", "rejected", "refined"}
-
-
-def stack_of(nets, sites):
-    return PosteriorStack.of(nets), np.stack(sites, axis=1)
 
 
 def trained_stack(features, hidden, seed):
@@ -113,7 +109,7 @@ def trained_stack(features, hidden, seed):
     cfg = PbpConfig(hidden_layer_sizes=hidden, epochs=3)
     rngs = [np.random.default_rng(seed + 10 + r) for r in range(3)]
     stack, sites, _ = train_runs(Dataset.of(datasets), cfg, rngs)
-    return stack_of([stack.run(r) for r in range(3)], list(sites.swapaxes(0, 1)))
+    return stack.take(np.arange(3)), sites.copy()
 
 
 def fuzz_sites(stack, sites, rng):
@@ -185,7 +181,7 @@ def stepped(cases) -> list[bytes]:
     updated) after one likelihood step on a stack of copies of its nets."""
     out = []
     for nets, xs, ys in cases:
-        stack = PosteriorStack.of([copy.deepcopy(net) for net in nets])
+        stack = stack_of(nets)
         outcome = one_step(stack, xs, ys)
         counts = (outcome.skipped, outcome.undo_count, outcome.weight_updates)
         arrays = (stack.means, stack.variances, stack.gamma, *counts)
@@ -200,7 +196,7 @@ def test_pinned_flags_keep_products_unfused(monkeypatch):
     # test_batched_engine), which the build as pinned keeps (see above and
     # there).
     stack, sites = trained_stack(6, (10,), 5)
-    fused_stack, fused_sites = stack_of([stack.run(r) for r in range(3)], list(sites.swapaxes(0, 1)))
+    fused_stack, fused_sites = stack.take(np.arange(3)), sites.copy()
     ep_refresh_prior(stack, sites)
     rng = np.random.default_rng(1401)
     cases = [fuzz_step_case(rng) for _ in range(20)]
@@ -224,7 +220,7 @@ def kernel_bits(rows_pass) -> list[bytes]:
     out += [_bits(a) for a in (stack.means, stack.variances, stack.lam, sites)]
     out.append(repr(report).encode())
     nets, X = rows_pass
-    out += [a.tobytes() for a in forward.forward_output_moments(PosteriorStack.of(nets), X)]
+    out += [a.tobytes() for a in forward.forward_output_moments(stack_of(nets), X)]
     return out
 
 
@@ -240,8 +236,8 @@ def test_host_tuned_build_gives_the_bits_of_the_baseline_build(monkeypatch):
     # deterministic with a mean of +-0 and unit 2 has alpha +-0.
     nets, X = test_forward.TestOneRectifierCallPerItem.nets_and_rows(2, 3 * 64 + 7, 50, rng)
     for net in nets:
-        hidden = net.layers[0]
-        hidden.means[1], hidden.variances[1], hidden.means[2] = 0.0, 0.0, -0.0
+        (means, *_), (variances, *_) = weights(net)
+        means[1], variances[1], means[2] = 0.0, 0.0, -0.0
     tuned = kernel_bits((nets, X))
     baseline = tuple(flag for flag in kernel.FLAGS if flag != "-march=native")
     monkeypatch.setattr(kernel, "LIB", kernel.load(kernel.build(baseline)))
@@ -439,21 +435,21 @@ def test_refresh_dividing_by_a_zero_total_variance_raises_zero_division(variance
     # underflows to 0.
     rate = 1.0 if variance == 2.0 else 1e-170
     net, sites = one_layer([(0.3, 1.0, 0.0, 0.0, 0.0, 0.0), (0.1, variance, 0.0, 0.0, 0.0, 0.0)])
-    net.lam = GammaDist(0.5, rate)
-    stack = PosteriorStack.of([net])
+    net.lam[:, 0] = (0.5, rate)
+    stack = net.take([0])
     refused_by_both(stack, sites.flat[:, None].copy(), ZeroDivisionError)
 
 
 def test_refresh_at_a_flat_site_with_zero_prior_variance_raises_numeric_error():
     net, sites = one_layer([(0.3, 1.0, 0.0, 0.0, 0.0, 0.0), (0.3, 1.2, 1.0 / 1.2, 0.0, 0.0, 0.0)])
-    net.lam = GammaDist(10.0, 5e-324)
-    stack = PosteriorStack.of([net])
+    net.lam[:, 0] = (10.0, 5e-324)
+    stack = net.take([0])
     refused_by_both(stack, sites.flat[:, None].copy(), NumericError)
 
 
 def step_stack(gammas):
     net, _ = trained((4,))
-    stack = PosteriorStack.of([net] * len(gammas))
+    stack = stack_of([net] * len(gammas))
     stack.gamma[...] = np.array(gammas, dtype=float).T
     return stack
 
@@ -473,7 +469,7 @@ def test_likelihood_step_dividing_by_zero_raises_before_any_write(gammas):
         with pytest.raises(ZeroDivisionError):
             one_step(stack, np.full((len(part), 1), 0.4), np.full(len(part), 0.3))
         assert snapshot(stack) == before
-    triple = ref._likelihood_triple(0.3, 0.1, 0.5, GammaDist(*gammas[1]))
+    triple = ref._likelihood_triple(0.3, 0.1, 0.5, gammas[1])
     with pytest.raises(ZeroDivisionError):
         ref._gamma_moments(*gammas[1], *triple)
 
@@ -510,7 +506,7 @@ def test_first_incorporation_with_a_gamma_shape_of_one_raises_zero_division():
     net, sites = uniform([2, 3, 1], (1.0, 6.0))
     assert_refused(incorporate_one_run, ZeroDivisionError, net, sites)
     with pytest.raises(ZeroDivisionError):
-        ref.incorporate_all_prior_factors(copy.deepcopy(net), copy.deepcopy(sites))
+        ref.incorporate_all_prior_factors(net.take([0]), copy.deepcopy(sites))
 
 
 def test_first_incorporation_with_a_zero_prior_rate_raises_numeric_error():
@@ -518,7 +514,7 @@ def test_first_incorporation_with_a_zero_prior_rate_raises_numeric_error():
     # sweep refuses it; run 0, incorporated first, is put back, and so are
     # the means the sweep set to 0.
     net, _ = uniform([2, 3, 1], (6.0, 6.0))
-    stack = PosteriorStack.of([net, net])
+    stack = stack_of([net, net])
     stack.lam[1, 1] = 0.0
     stack.means[0] = -0.7
     before = snapshot(stack)
@@ -612,10 +608,10 @@ def edge_net(rng):
     (2 mean + 0 + 0 + 0) / 2 and its variance (4 variance + 0 + 0 + 0) / 4,
     exact (a zero mean may come out with either sign)."""
     net = random_net([3, len(EDGE_UNITS), 1], rng)
-    hidden = net.layers[0]
+    (means, _), (variances, _) = weights(net)
     for unit, (mean, variance) in enumerate(EDGE_UNITS):
-        hidden.means[unit, [0, 3]] = 2.0 * mean, 0.0
-        hidden.variances[unit, [0, 3]] = 4.0 * variance, 0.0
+        means[unit, [0, 3]] = 2.0 * mean, 0.0
+        variances[unit, [0, 3]] = 4.0 * variance, 0.0
     return net
 
 
@@ -657,7 +653,7 @@ def test_refinement_at_edge_values_matches_the_reference():
     # refined through the step's own buffers; run 1 skips its example and
     # keeps its weights.
     rng = np.random.default_rng(2005)
-    stack = PosteriorStack.of([random_net([3, 8, 1], rng) for _ in range(2)])
+    stack = stack_of([random_net([3, 8, 1], rng) for _ in range(2)])
     step = forward.workspace(stack)
     step.noise.skipped[:] = (False, True)
     step.noise.gamma_next[...] = 7.0
@@ -668,11 +664,11 @@ def test_refinement_at_edge_values_matches_the_reference():
     before = [b.copy() for b in buffers]
     step.refine()
     undo, views = 0, [layer_views(b[:1], stack.layer_sizes) for b in before]
-    for l, layer in enumerate(stack.layers):
+    for l, (means, variances) in enumerate(zip(*weights(stack))):
         with np.errstate(all="ignore"):
             m, v, bad = reference_update.refine(*(view[l] for view in views))
-        assert layer.means[0].tobytes() == m[0].tobytes(), l
-        assert layer.variances[0].tobytes() == v[0].tobytes(), l
+        assert means.tobytes() == m[0].tobytes(), l
+        assert variances.tobytes() == v[0].tobytes(), l
         undo += int(bad[0])
     assert step.undo.tolist() == [undo, 0] and step.updates.tolist() == [stack.means.shape[1], 0]
     assert 0 < undo < stack.means.shape[1]

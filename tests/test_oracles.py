@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_net
+from conftest import random_net, weights
 from oracles import (
     OracleError,
     _sample_network_output,
@@ -11,14 +11,12 @@ from oracles import (
     gamma_tilted_moments_quadrature,
     mc_forward_moments,
 )
-from pbp.posterior import GammaDist
 
 
 class TestMcForwardMoments:
     def test_deterministic_net_has_zero_variance(self):
         net = random_net([2, 3, 1], np.random.default_rng(1))
-        for layer in net.layers:
-            layer.variances[...] = 0.0
+        net.variances[...] = 0.0
         est = mc_forward_moments(net, np.array([0.3, 0.7]), 10_000, np.random.default_rng(0))
         assert est.variance < 1e-20
 
@@ -27,10 +25,11 @@ class TestMcForwardMoments:
         # a deterministic sqrt(2) output weight undoes the output scaling, so
         # the network output is max(0, N(0,1)) with mean 1/sqrt(2 pi).
         net = random_net([1, 1, 1], np.random.default_rng(2))
-        net.layers[0].means[...] = np.array([[0.0, 0.0]])
-        net.layers[0].variances[...] = np.array([[2.0, 0.0]])
-        net.layers[1].means[...] = np.array([[math.sqrt(2.0), 0.0]])
-        net.layers[1].variances[...] = np.array([[0.0, 0.0]])
+        means, variances = weights(net)
+        means[0][...] = np.array([[0.0, 0.0]])
+        variances[0][...] = np.array([[2.0, 0.0]])
+        means[1][...] = np.array([[math.sqrt(2.0), 0.0]])
+        variances[1][...] = np.array([[0.0, 0.0]])
         est = mc_forward_moments(net, np.array([1.0]), 10**6, np.random.default_rng(3))
         assert est.mean == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=4 * est.mean_se)
 
@@ -51,8 +50,7 @@ class TestMcForwardMoments:
 
     def test_deterministic_net_has_zero_standard_errors(self):
         net = random_net([2, 3, 1], np.random.default_rng(1))
-        for layer in net.layers:
-            layer.variances[...] = 0.0
+        net.variances[...] = 0.0
         for x in (np.array([0.3, 0.7]), np.array([0.2, -0.4])):
             est = mc_forward_moments(net, x, 10_000, np.random.default_rng(0))
             assert est.variance >= 0.0
@@ -66,7 +64,7 @@ class TestMcForwardMoments:
         x = np.array([0.2, -0.4])
         net = random_net([2, 4, 1], np.random.default_rng(5))
         base = mc_forward_moments(net, x, 40_000, np.random.default_rng(2), chunk=chunk)
-        net.layers[-1].means[0, -1] += 1e6
+        weights(net)[0][-1][0, -1] += 1e6
         shifted = mc_forward_moments(net, x, 40_000, np.random.default_rng(2), chunk=chunk)
         assert shifted.variance == pytest.approx(base.variance, rel=1e-9)
         assert shifted.variance_se == pytest.approx(base.variance_se, rel=1e-9)
@@ -118,28 +116,28 @@ class TestMcForwardMoments:
 
 class TestGammaQuadrature:
     def test_constant_factor_recovers_gamma_moments(self):
-        g = GammaDist(6.0, 6.0)
+        g = (6.0, 6.0)
         e1, e2 = gamma_tilted_moments_quadrature(g, lambda x: 1.0)
         assert e1 == pytest.approx(1.0, rel=1e-9)
         assert e2 == pytest.approx(6.0 * 7.0 / 36.0, rel=1e-9)
 
     def test_monomial_factor_is_conjugate(self):
         # factor = x tilts Gamma(a, b) to Gamma(a+1, b).
-        g = GammaDist(3.0, 2.0)
+        g = (3.0, 2.0)
         e1, e2 = gamma_tilted_moments_quadrature(g, lambda x: x)
         assert e1 == pytest.approx(4.0 / 2.0, rel=1e-9)
         assert e2 == pytest.approx(4.0 * 5.0 / 4.0, rel=1e-9)
 
     def test_exponential_factor_is_conjugate(self):
         # factor = exp(-c x) tilts Gamma(a, b) to Gamma(a, b + c).
-        g = GammaDist(5.0, 1.5)
+        g = (5.0, 1.5)
         c = 0.7
         e1, e2 = gamma_tilted_moments_quadrature(g, lambda x: math.exp(-c * x))
         assert e1 == pytest.approx(5.0 / 2.2, rel=1e-9)
         assert e2 == pytest.approx(5.0 * 6.0 / 2.2**2, rel=1e-9)
 
     def test_tolerance_self_check(self):
-        g = GammaDist(6.0, 6.0)
+        g = (6.0, 6.0)
         factor = lambda x: math.exp(-0.5 * (x - 1.0) ** 2)
         a1, a2 = gamma_tilted_moments_quadrature(g, factor, rel_tol=1e-9)
         b1, b2 = gamma_tilted_moments_quadrature(g, factor, rel_tol=5e-10)
@@ -147,10 +145,10 @@ class TestGammaQuadrature:
         assert abs(a2 - b2) / b2 < 1e-9
 
     def test_negative_factor_rejected(self):
-        g = GammaDist(6.0, 6.0)
+        g = (6.0, 6.0)
         with pytest.raises(OracleError):
             gamma_tilted_moments_quadrature(g, lambda x: -1.0)
 
     def test_uniform_gamma_rejected(self):
         with pytest.raises(ValueError):
-            gamma_tilted_moments_quadrature(GammaDist(1.0, 0.0), lambda x: 1.0)
+            gamma_tilted_moments_quadrature((1.0, 0.0), lambda x: 1.0)

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import identity_stats, output_moments, predict_alone, random_net
+from conftest import identity_stats, output_moments, predict_alone, random_net, stack_of
 from pbp import forward
 from pbp.data import Dataset, NormStats, normalize
 from pbp.forward import BLOCK_ROWS
-from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
+from pbp.posterior import NumericError, PbpConfig, new_uniform
 from pbp.prediction import TrainedModel, noise_floor, predict_batch
 from pbp.prediction import test_metrics as stacked_metrics
 
 
 def model_from_net(net, norm=None):
     return TrainedModel(
-        net=net,
+        stack=net,
         norm=norm or identity_stats(net.layer_sizes[0]),
         config=PbpConfig(hidden_layer_sizes=tuple(net.layer_sizes[1:-1])),
     )
@@ -23,7 +23,7 @@ def model_from_net(net, norm=None):
 def metrics(model, test):
     """The model's test RMSE and average log-likelihood, as floats, from
     stacked_metrics of its stack of one."""
-    [rmse_value], [ll_value] = stacked_metrics(PosteriorStack.of([model.net]), model.norm, Dataset.of([test]))
+    [rmse_value], [ll_value] = stacked_metrics(model.stack, model.norm, Dataset.of([test]))
     return float(rmse_value), float(ll_value)
 
 
@@ -36,7 +36,7 @@ def avg_log_likelihood(model, test):
 
 
 def lone_noise_floor(net):
-    return float(noise_floor(PosteriorStack.of([net]))[0])
+    return float(noise_floor(net)[0])
 
 
 class TestPredict:
@@ -53,8 +53,7 @@ class TestPredict:
     def test_deterministic_net_gives_noise_floor_only(self):
         rng = np.random.default_rng(4)
         net = random_net([2, 3, 1], rng)
-        for layer in net.layers:
-            layer.variances[...] = 0.0
+        net.variances[...] = 0.0
         _, variance = predict_alone(net, identity_stats(2), np.array([[0.5, 0.5]]))
         assert variance[0] == pytest.approx(lone_noise_floor(net), rel=1e-15)
 
@@ -103,7 +102,7 @@ class TestPredict:
     def test_non_finite_prediction_names_the_run(self):
         # Run 0's rows all stay finite; run 1's second overflows.
         rng = np.random.default_rng(9)
-        stack = PosteriorStack.of([random_net([1, 3, 1], rng) for _ in range(2)])
+        stack = stack_of([random_net([1, 3, 1], rng) for _ in range(2)])
         rows = np.array([[0.5, -1e3, 0.5], [0.5, 1e300, 0.5]])[..., None]
         with pytest.raises(NumericError, match="^run 1, input row 2: predictive mean"):
             predict_batch(stack, identity_stats(1), rows)
@@ -112,16 +111,16 @@ class TestPredict:
 class TestNoiseFloor:
     def test_gaussian_collapse_of_the_noise_gamma(self):
         net = new_uniform([2, 3, 1])
-        net.gamma = GammaDist(6.0, 6.0)
+        net.gamma[:, 0] = (6.0, 6.0)
         assert lone_noise_floor(net) == 6.0 / 5.0
-        net.gamma = GammaDist(3.0, 0.5)
+        net.gamma[:, 0] = (3.0, 0.5)
         assert lone_noise_floor(net) == 0.25
 
-    @pytest.mark.parametrize("gamma", [GammaDist(1.0, 0.0), GammaDist(0.5, 2.0)])
+    @pytest.mark.parametrize("gamma", [(1.0, 0.0), (0.5, 2.0)])
     def test_undefined_for_an_untrained_gamma(self, gamma):
         # Shape <= 1 (the uniform state among them) has no finite variance.
         net = new_uniform([2, 3, 1])
-        net.gamma = gamma
+        net.gamma[:, 0] = gamma
         with pytest.raises(ValueError, match="not trained"):
             lone_noise_floor(net)
 
@@ -141,9 +140,8 @@ class TestMetrics:
         rng = np.random.default_rng(3)
         targets = rng.normal(5.0, 3.0, 400)
         net = random_net([1, 2, 1], rng)
-        for layer in net.layers:
-            layer.means[...] = 0.0
-            layer.variances[...] = 0.0
+        net.means[...] = 0.0
+        net.variances[...] = 0.0
         stats = identity_stats(1)
         stats.target_mean = float(targets.mean())
         stats.target_std = 1.0
@@ -154,10 +152,9 @@ class TestMetrics:
     def test_log_likelihood_peak_value(self):
         # One point at the predictive mean with unit predictive variance.
         net = random_net([1, 2, 1], np.random.default_rng(5))
-        for layer in net.layers:
-            layer.variances[...] = 0.0
+        net.variances[...] = 0.0
         # noise floor = rate/(shape-1) = 1 in normalized units
-        net.gamma = GammaDist(2.0, 1.0)
+        net.gamma[:, 0] = (2.0, 1.0)
         stats = identity_stats(1)
         model = model_from_net(net, stats)
         x = np.array([[0.4]])
@@ -168,14 +165,13 @@ class TestMetrics:
 
     def test_variance_widening_drops_ll_by_log2(self):
         net = random_net([1, 2, 1], np.random.default_rng(5))
-        for layer in net.layers:
-            layer.variances[...] = 0.0
-        net.gamma = GammaDist(2.0, 1.0)
+        net.variances[...] = 0.0
+        net.gamma[:, 0] = (2.0, 1.0)
         model = model_from_net(net)
         x = np.array([[0.4]])
         mean, _ = predict_alone(net, model.norm, x)
         ll_narrow = avg_log_likelihood(model, Dataset(x, mean))
-        net.gamma = GammaDist(2.0, 4.0)  # predictive variance x4
+        net.gamma[:, 0] = (2.0, 4.0)  # predictive variance x4
         ll_wide = avg_log_likelihood(model, Dataset(x, mean))
         assert ll_narrow - ll_wide == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -210,7 +206,7 @@ class TestStackedEvaluation:
         runs = []
         for r in range(3):
             net = random_net([4, 6, 1], rng, mean_scale=0.5)
-            net.gamma = GammaDist(2.0 + r, 0.5 + r)
+            net.gamma[:, 0] = (2.0 + r, 0.5 + r)
             stats = NormStats(
                 rng.normal(size=4), rng.uniform(0.5, 2.0, 4), float(rng.normal(3.0)), float(rng.uniform(0.5, 3.0))
             )
@@ -226,7 +222,7 @@ class TestStackedEvaluation:
         monkeypatch.setattr(forward, "usable_cpus", lambda: 2)
         runs = self.runs(n, np.random.default_rng(n))
         nets, norms, tests = (list(column) for column in zip(*runs))
-        stack = PosteriorStack.of(nets)
+        stack = stack_of(nets)
         norm = NormStats(*(np.array([getattr(stats, name) for stats in norms]) for name in (
             "feature_mean", "feature_std", "target_mean", "target_std"
         )))
@@ -235,7 +231,7 @@ class TestStackedEvaluation:
         assert means.shape == variances.shape == (3, n)
         assert rmses.shape == lls.shape == (3,)
         for r, (net, stats, test) in enumerate(runs):
-            alone = PosteriorStack.of([net])
+            alone = stack_of([net])
             [m], [v] = predict_batch(alone, stats, test.features[None])
             [rmse_r], [ll_r] = stacked_metrics(alone, stats, Dataset.of([test]))
             assert means[r].tobytes() == m.tobytes(), r

@@ -28,12 +28,12 @@ import pbp.training as training
 import pbp.updates as updates
 import reference_prior as ref
 from conftest import (
-    epoch_by_phases, incorporate_one_run, likelihood_step, refresh_one_run, toy_cubic_dataset,
-    train_runs_tracing_rmse,
+    epoch_by_phases, incorporate_one_run, likelihood_step, refresh_one_run, stack_of,
+    toy_cubic_dataset, train_runs_tracing_rmse,
 )
 from pbp.data import normalize, split
 from pbp.kernel import LOG_2PI
-from pbp.posterior import GammaDist, NumericError, PbpConfig, PosteriorStack, new_uniform
+from pbp.posterior import NumericError, PbpConfig, new_uniform
 from pbp.training import train
 from pbp.updates import RefreshReport
 from reference_prior import Sites
@@ -48,9 +48,10 @@ def _bits(x) -> bytes:
 def state(net, sites):
     """Everything a prior loop may change, as bytes; sites is a Sites or its
     (4, W) array."""
-    arrays = [layer.means for layer in net.layers] + [layer.variances for layer in net.layers]
+    means, variances = ref.weights(net)
+    arrays = [*means, *variances]
     arrays.append(sites.flat if isinstance(sites, Sites) else sites)
-    gammas = [net.gamma.shape, net.gamma.rate, net.lam.shape, net.lam.rate]
+    gammas = [*net.gamma[:, 0], *net.lam[:, 0]]
     return [_bits(a) for a in arrays] + [_bits(float(g)) for g in gammas]
 
 
@@ -67,7 +68,7 @@ def assert_same(fn_kernel, fn_reference, net, sites):
     """Run the kernel as fn(net, sites) and the reference on a copy; their
     outcomes (result, or the type of what they raised) and the states they
     leave must be equal. Returns the reference's outcome."""
-    ref_net, ref_sites = copy.deepcopy(net), copy.deepcopy(sites)
+    ref_net, ref_sites = net.take([0]), copy.deepcopy(sites)
     outcomes = []
     for fn, n, s in ((fn_kernel, net, sites), (fn_reference, ref_net, ref_sites)):
         try:
@@ -100,8 +101,8 @@ def trained(hidden, seed=3, n=24, epochs=2):
 
 def uniform(layer_sizes, lam):
     net = new_uniform(layer_sizes)
-    net.gamma = GammaDist(6.0, 6.0)
-    net.lam = GammaDist(*lam)
+    net.gamma[:, 0] = (6.0, 6.0)
+    net.lam[:, 0] = lam
     return net, Sites.zeros(net)
 
 
@@ -128,7 +129,7 @@ def test_incorporation_on_a_trained_posterior(hidden):
     net, _ = trained(hidden)
     assert_refused(incorporate_one_run, ValueError, net, Sites.zeros(net))
     flat, sites = uniform(net.layer_sizes, (6.0, 6.0))
-    flat.layers[-1].variances[0, 0] = 1.0
+    ref.weights(flat)[1][-1][0, 0] = 1.0
     assert_refused(incorporate_one_run, ValueError, flat, sites)
 
 
@@ -144,9 +145,9 @@ def one_layer(weights):
     """A 1-row layer holding one hand-built site per weight:
     (mean, variance, site precision, site precision-mean, site shape, site rate)."""
     net = new_uniform([len(weights) - 1, 1])
-    net.gamma = net.lam = GammaDist(6.0, 6.0)
+    net.gamma[...] = net.lam[...] = 6.0
     sites = Sites.zeros(net)
-    arrays = [net.layers[0].means, net.layers[0].variances, *(
+    arrays = [net.means, net.variances, *(
         getattr(sites, name)[0] for name in ("precision", "precision_mean", "lam_shape", "lam_rate")
     )]
     for k, values in enumerate(weights):
@@ -178,7 +179,7 @@ def test_ep_refresh_reaches_every_branch():
     report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
     assert report.sites_skipped == 4
     # The rejected refine leaves the Gamma at its cavity, as the reference does.
-    assert net.lam.shape == 1e20
+    assert net.lam[0, 0] == 1e20
     # A second sweep starts from the sites and Gamma the first one stored.
     assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
 
@@ -194,10 +195,10 @@ def test_flat_site_under_a_prior_shape_at_or_below_one_is_skipped(shape):
         (0.2, 1.5, 1.0 / 1.5, 0.1, 0.0, 0.0),
         (0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
     ])
-    net.lam = GammaDist(shape, 6.0)
+    net.lam[:, 0] = (shape, 6.0)
     report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
     assert report.sites_skipped == 2
-    assert net.layers[0].variances[0, :2].tolist() == [0.8, 1.5]
+    assert net.variances[0, :2].tolist() == [0.8, 1.5]
 
 
 @pytest.mark.parametrize(
@@ -218,17 +219,17 @@ def test_first_incorporation_reaches_every_branch(lam, weights):
     # PbpConfig rejects, the prior variance is negative, and the flat limit's
     # mean prior_var * 0.0 is -0.0 where the reference writes 0.0.)
     net, sites = one_layer([(m, v, 0.0, 0.0, 0.0, 0.0) for m, v in weights])
-    net.lam = GammaDist(*lam)
+    net.lam[:, 0] = lam
     assert_refused(incorporate_one_run, ValueError, net, sites)
     if lam[0] > 1.0:
-        net.layers[0].variances[...] = math.inf
+        net.variances[...] = math.inf
         assert_same(incorporate_one_run, ref.incorporate_all_prior_factors, net, sites)
 
 
 def test_ep_refresh_with_an_inflated_site_on_a_trained_posterior():
     net, sites = trained((4,))
-    sites.precision[0][0, 0] = 1.0 / net.layers[0].variances[0, 0] + 5.0
-    sites.lam_shape[1][0, 2] = net.lam.shape  # Gamma cavity shape 0
+    sites.precision[0][0, 0] = 1.0 / ref.weights(net)[1][0][0, 0] + 5.0
+    sites.lam_shape[1][0, 2] = net.lam[0, 0]  # Gamma cavity shape 0
     report = assert_same(refresh_one_run, ref.ep_refresh_prior, net, sites)
     assert report.sites_skipped == 1
 
@@ -244,9 +245,9 @@ def three_run_stack():
     net, sites = trained((4,))
     flat, flat_sites = uniform(net.layer_sizes, (6.0, 6.0))
     ref.incorporate_all_prior_factors(flat, flat_sites)
-    for layer in flat.layers:
-        layer.means[...] = np.random.default_rng(1).normal(0.0, 0.5, layer.means.shape)
-    stack = PosteriorStack.of([net, net, flat])
+    for means in ref.weights(flat)[0]:
+        means[...] = np.random.default_rng(1).normal(0.0, 0.5, means.shape)
+    stack = stack_of([net, net, flat])
     stack_sites = np.stack([sites.flat, sites.flat, flat_sites.flat], axis=1)
     hand = np.array(EVERY_BRANCH).T
     stack.means[0, :10], stack.variances[0, :10] = hand[:2]
@@ -258,7 +259,7 @@ def three_run_stack():
 def test_three_run_stack_matches_each_run_alone():
     stack, sites = three_run_stack()
     runs = [
-        (copy.deepcopy(stack.run(r)), Sites(sites[:, r].copy(), stack.layer_sizes))
+        (stack.take([r]), Sites(sites[:, r].copy(), stack.layer_sizes))
         for r in range(3)
     ]
     for sweep in range(2):
@@ -270,7 +271,7 @@ def test_three_run_stack_matches_each_run_alone():
         for r, ((net, s), w) in enumerate(zip(runs, want)):
             alone = RefreshReport(13, *report.runs[r], [report.runs[r]])
             assert same_report(alone, w), (sweep, r)
-            assert state(stack.run(r), sites[:, r]) == state(net, s), (sweep, r)
+            assert state(stack.take([r]), sites[:, r]) == state(net, s), (sweep, r)
     # The runs did take different branches.
     assert [w.sites_skipped for w in want] == [4, 0, 0]
 
@@ -314,7 +315,7 @@ def test_zero_variance_raises_numeric_error_before_any_write():
     # before it; the kernel checks every variance first.
     net, sites = one_layer([(0.3, 1.0, 0.0, 0.0, 0.0, 0.0), (0.2, 0.0, 0.0, 0.0, 0.0, 0.0)])
     with pytest.raises(ZeroDivisionError):
-        ref.ep_refresh_prior(copy.deepcopy(net), copy.deepcopy(sites))
+        ref.ep_refresh_prior(net.take([0]), copy.deepcopy(sites))
     assert_refused(refresh_one_run, NumericError, net, sites)
 
 
@@ -322,9 +323,9 @@ def test_flat_site_with_a_zero_prior_variance_raises_numeric_error():
     # b/(a-1) underflows to 0: the reference raises ZeroDivisionError on the
     # new site precision 1/0.
     net, sites = one_layer([(0.3, 1.0, 0.0, 0.0, 0.0, 0.0), (0.3, 1.2, 1.0 / 1.2, 0.0, 0.0, 0.0)])
-    net.lam = GammaDist(10.0, 5e-324)
+    net.lam[:, 0] = (10.0, 5e-324)
     with pytest.raises(ZeroDivisionError):
-        ref.ep_refresh_prior(copy.deepcopy(net), copy.deepcopy(sites))
+        ref.ep_refresh_prior(net.take([0]), copy.deepcopy(sites))
     assert_refused(refresh_one_run, NumericError, net, sites)
 
 
@@ -359,7 +360,7 @@ def test_likelihood_triple_and_gamma_refine_match():
     cases = likelihood_cases()
     step = likelihood_step(cases)
     for r, (y, mz, vz, (a, b)) in enumerate(cases):
-        g = GammaDist(a, b)
+        g = (a, b)
         got_g = _bits(float(step.gamma_next[0, r])) + _bits(float(step.gamma_next[1, r]))
         try:
             want = ref.likelihood_log_z_triple(y, mz, vz, g)
@@ -377,7 +378,7 @@ def test_likelihood_triple_and_gamma_refine_match():
         want_g = ref.gamma_refine(g, want)
         # A rejected match is the one that leaves the Gamma as it was.
         assert (got_g == _bits(a) + _bits(b)) == (want_g is g)
-        assert got_g == _bits(want_g.shape) + _bits(want_g.rate)
+        assert got_g == _bits(want_g[0]) + _bits(want_g[1])
 
 
 @pytest.mark.parametrize(
@@ -385,11 +386,11 @@ def test_likelihood_triple_and_gamma_refine_match():
     [(0.3, 0.3, 0.3), (0.1, 0.25, 0.4), (0.0, 1.0, 0.0), (0.0, 800.0, 0.0), (-900.0, 0.0, 900.0)],
 )
 def test_gamma_refine_matches_on_its_branches(logz):
-    g = GammaDist(6.0, 6.0)
+    g = (6.0, 6.0)
     want = ref.gamma_refine(g, ref.LogZTriple(*logz))
-    got = ref._gamma_moments(g.shape, g.rate, *logz)
+    got = ref._gamma_moments(*g, *logz)
     assert (got is None) == (want is g)
-    assert (got or (g.shape, g.rate)) == (want.shape, want.rate)
+    assert (got or g) == want
 
 
 # ------------------------------------------------------------- training
@@ -400,9 +401,10 @@ def per_run(reference, stack, sites):
     stack's (4, R, W) sites, as train_runs did before the stacked kernel."""
     reports = []
     for r in range(stack.lam.shape[1]):
-        net = stack.run(r)
+        net = stack.take([r])
         reports.append(reference(net, Sites(sites[:, r], stack.layer_sizes)))
-        stack.lam[:, r] = (net.lam.shape, net.lam.rate)
+        stack.means[r], stack.variances[r] = net.means[0], net.variances[0]
+        stack.lam[:, r] = net.lam[:, 0]
     return reports
 
 
@@ -427,13 +429,12 @@ def reference_noise_step(step):
     Gamma match; a skipped run's gradient target is its output mean."""
     skips = 0
     for r in range(len(step.skipped)):
-        g = GammaDist(*step.gamma[:, r].tolist())
+        g = tuple(step.gamma[:, r].tolist())
         t = ref.likelihood_log_z_triple(*step.moments[:, r].tolist(), g)
         step.skipped[r] = t is None
         step.targets[r] = step.mz[r] if t is None else step.y[r]
         skips += t is None
-        refined = g if t is None else ref.gamma_refine(g, t)
-        step.gamma_next[:, r] = (refined.shape, refined.rate)
+        step.gamma_next[:, r] = g if t is None else ref.gamma_refine(g, t)
         step.log_z[:, r] = math.nan if t is None else (t.log_z, t.log_z1, t.log_z2)
     return skips
 

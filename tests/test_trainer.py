@@ -3,9 +3,9 @@ import pytest
 
 import pbp.prediction as prediction
 import pbp.training as training
-from conftest import each_run,  toy_cubic_dataset, train_runs_tracing_rmse
+from conftest import each_run,  toy_cubic_dataset, train_runs_tracing_rmse, weights
 from pbp.data import Dataset, normalize
-from pbp.posterior import NumericError, PbpConfig, PosteriorStack
+from pbp.posterior import NumericError, PbpConfig
 from pbp.training import SkipRateError, train, train_runs
 from pbp.updates import UpdateOutcome
 
@@ -28,10 +28,10 @@ class TestSchedule:
         cfg = PbpConfig(hidden_layer_sizes=(7,), epochs=0, seed=3)
         net, sites, report = train(norm, cfg, np.random.default_rng(3))
         assert report.epochs_run == 0
-        for layer in net.layers:
-            assert np.allclose(layer.variances, 1.2, atol=1e-12)
-        assert net.gamma.shape == 6.0 and net.gamma.rate == 6.0
-        assert net.lam.shape == 6.0 and net.lam.rate == 6.0
+        for variances in weights(net)[1]:
+            assert np.allclose(variances, 1.2, atol=1e-12)
+        assert net.gamma[:, 0].tolist() == [6.0, 6.0]
+        assert net.lam[:, 0].tolist() == [6.0, 6.0]
 
     def test_each_example_incorporated_once_per_epoch(self, monkeypatch):
         norm, _ = normalized_toy(n=13)
@@ -146,10 +146,10 @@ class TestDeterminism:
         cfg = PbpConfig(hidden_layer_sizes=(10,), epochs=3, seed=7)
         [(net_a, _, rep_a, rmse_a)] = traced_train(monkeypatch, norm, cfg, 7)
         [(net_b, _, rep_b, rmse_b)] = traced_train(monkeypatch, norm, cfg, 7)
-        for la, lb in zip(net_a.layers, net_b.layers):
-            assert np.array_equal(la.means, lb.means)
-            assert np.array_equal(la.variances, lb.variances)
-        assert net_a.gamma == net_b.gamma
+        for la, lb in zip(zip(*weights(net_a)), zip(*weights(net_b))):
+            assert np.array_equal(la[0], lb[0])
+            assert np.array_equal(la[1], lb[1])
+        assert np.array_equal(net_a.gamma, net_b.gamma)
         assert rmse_a == rmse_b
         assert rep_a.undo_events == rep_b.undo_events
 
@@ -170,21 +170,22 @@ class TestProgress:
         norm, _ = normalized_toy()
         cfg = PbpConfig(hidden_layer_sizes=(12,), epochs=8, seed=4)
         net, _, _ = train(norm, cfg, np.random.default_rng(4))
-        for layer in net.layers:
-            assert np.all(np.isfinite(layer.means))
-            assert np.all(layer.variances > 0.0)
-            assert np.all(np.isfinite(layer.variances))
-        assert net.gamma.shape > 1.0
-        assert net.lam.shape > 1.0
+        for means, variances in zip(*weights(net)):
+            assert np.all(np.isfinite(means))
+            assert np.all(variances > 0.0)
+            assert np.all(np.isfinite(variances))
+        assert net.gamma[0, 0] > 1.0
+        assert net.lam[0, 0] > 1.0
 
     def test_two_hidden_layer_training(self, monkeypatch):
         norm, _ = normalized_toy(n=30)
         cfg = PbpConfig(hidden_layer_sizes=(8, 6), epochs=15, seed=6)
         [(net, _, _, rmse)] = traced_train(monkeypatch, norm, cfg, 6)
-        assert [l.means.shape for l in net.layers] == [(8, 2), (6, 9), (1, 7)]
+        means, variances = weights(net)
+        assert [m.shape for m in means] == [(8, 2), (6, 9), (1, 7)]
         assert rmse[-1] < rmse[0]
-        for layer in net.layers:
-            assert np.all(layer.variances > 0.0)
+        for v in variances:
+            assert np.all(v > 0.0)
 
     def test_learned_noise_floor_tracks_true_noise(self):
         # On a noise-dominated task (easy mean function, sd-1 noise) the
@@ -198,7 +199,7 @@ class TestProgress:
         norm, stats = normalize(Dataset(x[:, None], y))
         cfg = PbpConfig(hidden_layer_sizes=(20,), epochs=20, seed=42)
         net, _, _ = train(norm, cfg, np.random.default_rng(42))
-        learned = noise_floor(PosteriorStack.of([net]))[0] * stats.target_std**2
+        learned = noise_floor(net)[0] * stats.target_std**2
         assert learned == pytest.approx(1.0, rel=0.15)
 
 
