@@ -18,9 +18,13 @@ whose step keeps per-phase counters (kernel.Step.count_phases) also gets the
 microseconds per step of each phase, from one more repeat with the counters
 on: each layer's forward pass (on trees whose step leaves numpy's exp
 between two calls, without it), the backward pass and the refinement. On a
-stack whose epoch runs in run groups (forward.run_groups), each group's
-step counts its own phases and the line gives their sum, thread time that
-may exceed the wall time per step where the groups ran side by side.
+tree whose epoch runs in run groups (forward.run_groups(stack)), each
+group's step counts its own phases and the line gives their sum, thread
+time that may exceed the wall time per step where the groups ran side by
+side. On a tree whose run groups are whole trainings (run_groups(runs),
+which train_runs alone makes), the timed epoch is one group: one call over
+the whole stack on the calling thread, whichever the CPU count; the
+train_runs and active tables time the groups.
 
 The header gives the number of CPUs the process may run on, and the
 two-thread probe (two_thread_probe): the time of two concurrent GIL-free
@@ -42,7 +46,8 @@ A third table times `train_runs` of TRAINING_EPOCHS epochs on a few stacks,
 each on seeded normalized training sets of a number of rows per run: the
 median milliseconds per call over K repeats, and their range, with a
 training-RMSE rows pass over every run's training set at the end of each
-epoch and, on trees whose `train_runs` runs no such pass (TrainReport has no
+epoch (each run group's over its runs' sets, on trees whose groups train
+alone) and, on trees whose `train_runs` runs no such pass (TrainReport has no
 `epoch_rmse`), without it, the two alternated in each repeat. On those trees
 the pass is `prediction.training_rmse`, run where `check_variances` runs, as
 the trees that fill `epoch_rmse` run it.
@@ -227,13 +232,16 @@ def timed_steps(runs, sizes, steps, seed, count_phases=False):
     epoch(stack, *warm_up)
     counters = []
     if count_phases:
-        # The steps the timed epoch runs in: its run groups' on trees that
-        # have them, else the stack's workspace.
+        # The steps the timed epoch runs in: its run groups' on trees whose
+        # epochs run in groups, run_groups(stack, examples) or, newer,
+        # run_groups(stack); else, groups of trainings (run_groups(runs)) or
+        # none, the stack's workspace.
         run_groups = getattr(pbp.forward, "run_groups", None)
-        if run_groups is None:
+        params = [] if run_groups is None else list(inspect.signature(run_groups).parameters)
+        if params[:1] != ["stack"]:
             bound = [stack.workspace]
-        else:  # run_groups(stack, examples) on older trees, run_groups(stack) on newer
-            args = (stack, steps) if len(inspect.signature(run_groups).parameters) > 1 else (stack,)
+        else:
+            args = (stack, steps) if len(params) > 1 else (stack,)
             bound = [step for _, step in run_groups(*args)]
         counters = [step.count_phases() for step in bound]
     start = time.perf_counter()
@@ -329,7 +337,11 @@ def timed_trainings(runs, sizes, n, seed, modes):
         from pbp.prediction import training_rmse
 
         check_variances(stack, labels, epoch)
-        training_rmse(stack, features, targets)
+        # The runs of the stack checked, a run group's on trees whose groups
+        # train alone: train_runs' default labels, "run <r>", name them.
+        first = int(labels[0].split()[-1])
+        part = slice(first, first + len(labels))
+        training_rmse(stack, features[part], targets[part])
 
     seconds = {}
     for mode in modes:

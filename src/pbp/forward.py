@@ -11,10 +11,10 @@ and rectifier over n input rows per run, calling numpy's BLAS, scipy's
 log_ndtr and numpy's exp and power loops from there. A rows pass
 (forward_output_moments) runs each work item through every layer in one
 call (kernel.RowsPass); the likelihood step runs one row per run through
-it, in a kernel.Step: the stack's workspace, or one per run group of a
-stack of enough runs (run_groups). Training folds a whole epoch of examples
-into one call per group, the groups on every usable CPU (_run_items,
-updates.incorporate_likelihood_factors). The rectifier's two fixed numbers,
+it, in the stack's workspace (a kernel.Step), which folds a whole epoch of
+examples into one call. A stack of enough runs trains in run groups
+(run_groups), each a stack of its own, the groups on every usable CPU
+(_run_items, training.train_runs). The rectifier's two fixed numbers,
 the variance below which a unit is deterministic and the standardized mean
 below which its pdf/cdf ratio takes the asymptotic series, are constants of
 kernel.c, as is log 2 pi; kernel.py reads them from there
@@ -46,7 +46,7 @@ from .posterior import PosteriorStack
 
 # Rows per block of a large forward pass (see forward_output_moments).
 BLOCK_ROWS = 512
-# The fewest runs of a group of a training epoch (see run_groups).
+# The fewest runs of a group of a training (see run_groups).
 GROUP_RUNS = 4
 
 
@@ -105,27 +105,13 @@ def workspace(stack: PosteriorStack) -> Step:
     return stack.workspace
 
 
-def run_groups(stack: PosteriorStack) -> list[tuple[slice, Step]]:
-    """The run groups of the stack's epochs, each a contiguous slice of its
-    runs with the kernel.Step of those runs: one group per usable CPU, each
-    of at least GROUP_RUNS runs. A stack of fewer than 2 * GROUP_RUNS runs,
-    or one on one usable CPU, is one group, whose step is the stack's
-    workspace. Otherwise each group's step is bound to its rows of the
-    stack's means and variances and to (2, g) noise Gammas of its own
-    (step.noise.gamma); the first call with a group count builds the groups
-    and keeps them on the stack."""
-    runs = stack.means.shape[0]
-    count = min(usable_cpus(), runs // GROUP_RUNS)
-    if count <= 1:
-        return [(slice(0, runs), workspace(stack))]
-    if stack.groups is None or len(stack.groups) != count:
-        bounds = [runs * k // count for k in range(count + 1)]
-        groups = []
-        for start, stop in zip(bounds, bounds[1:]):
-            part, gamma = slice(start, stop), np.empty((2, stop - start))
-            groups.append((part, Step(stack.means[part], stack.variances[part], gamma, stack.layer_sizes)))
-        stack.groups = groups
-    return stack.groups
+def run_groups(runs: int) -> list[slice]:
+    """The run groups a stack of runs trains in (training.train_runs):
+    contiguous slices of its runs, one per usable CPU, each of at least
+    GROUP_RUNS runs. A stack of fewer than 2 * GROUP_RUNS runs, or one on
+    one usable CPU, is one group."""
+    count = max(1, min(usable_cpus(), runs // GROUP_RUNS))
+    return [slice(runs * k // count, runs * (k + 1) // count) for k in range(count)]
 
 
 def _work_items(runs: int, n: int) -> list[tuple[slice, slice]]:

@@ -32,11 +32,11 @@ class PosteriorStack:
     buffers, and training updates them in place. Each run keeps its own two Gamma factors: `gamma`
     (noise precision) and `lam` (prior precision) are (2, R) buffers of
     shapes and rates, also updated in place. `workspace` holds the buffers of
-    the update steps (a kernel.Step), and `groups` those of its run groups,
-    a kernel.Step each, where an epoch runs in groups; the stack's first step
-    builds them (see forward.workspace and forward.run_groups), and only the
-    stack refers to them. `refresh` is the compiled EP refresh bound to the
-    stack and the sites it last refreshed.
+    the update steps (a kernel.Step), which the stack's first step builds
+    (see forward.workspace); `refresh` is the compiled EP refresh bound to
+    the stack and the sites it last refreshed. Only the stack refers to
+    them, and a copy or pickle of it holds neither: its first step and
+    refresh bind its buffers again.
     """
 
     def __init__(self, means, variances, gamma, lam, layer_sizes):
@@ -46,8 +46,10 @@ class PosteriorStack:
         self.lam = lam
         self.layer_sizes = layer_sizes
         self.workspace = None
-        self.groups = None
         self.refresh = None
+
+    def __reduce__(self):
+        return PosteriorStack, (self.means, self.variances, self.gamma, self.lam, self.layer_sizes)
 
     def take(self, runs: np.ndarray) -> PosteriorStack:
         """A stack of copies of the given runs, in that order, in C-contiguous

@@ -3,9 +3,10 @@ the per-pass EP refresh of the stored prior sites.
 
 Independent runs of one architecture (benchmark splits, active-learning
 repetitions) train in lockstep as a PosteriorStack: every run takes its t-th
-example in the same step, the stack's run groups on every usable CPU (see
-updates.incorporate_likelihood_factors). Each run's arithmetic is exactly
-that of training it alone. `train` is the one-run case.
+example in the same step. A stack of enough runs trains in run groups, each
+a stack of its own, on every usable CPU (see train_runs). Each run's
+arithmetic is exactly that of training it alone. `train` is the one-run
+case.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .forward import _run_items, run_groups
 from .posterior import (
     HYPERPRIOR,
     NumericError,
@@ -107,10 +109,16 @@ def train_runs(
     report.
 
     Run r draws only from rngs[r], in the order a lone run would: the mean
-    perturbation, then one permutation per epoch. labels name the runs
-    (default "run <r>") in a SkipRateError, in the NumericError of
-    check_variances, which runs at the end of every epoch, and in front of
-    an error of the kernel that names its run.
+    perturbation, then one permutation per epoch, all drawn before the first
+    epoch. labels name the runs (default "run <r>") in a SkipRateError, in
+    the NumericError of check_variances, which runs at the end of every
+    epoch, and in front of an error of the kernel that names its run.
+
+    A stack of more than one run group (forward.run_groups) trains each
+    group on a copy of its rows and sites, one job per group on every usable
+    CPU (forward._run_items), and takes the rows back once all have trained;
+    where one raises, the untouched stack trains again on the calling
+    thread, which raises the error, and names the run, of one CPU.
     """
     start = time.perf_counter()
     features, targets = train.features, train.targets
@@ -130,41 +138,77 @@ def train_runs(
     stack = new_uniform(layer_sizes, runs)
     # Hyperprior factors match the posterior family; absorbing them is exact.
     stack.gamma[...] = stack.lam[...] = np.reshape(HYPERPRIOR, (2, 1))
-    reports = [TrainReport() for _ in range(runs)]
-    undo = np.zeros(runs, dtype=int)
-    updates = np.zeros(runs, dtype=int)
-    run_index = np.arange(runs)[:, None]
-
     with _naming_the_run(labels):
         sites = incorporate_all_prior_factors(stack)
         perturb_means(stack, rngs)
+    orders = np.empty((config.epochs, runs, n), dtype=np.intp)
+    for order in orders:
+        order[...] = [rng.permutation(n) for rng in rngs]
 
-        for epoch in range(1, config.epochs + 1):
-            order = np.stack([rng.permutation(n) for rng in rngs])
-            # Step-major copies: row t holds every run's t-th example.
-            xs = np.ascontiguousarray(features[run_index, order].swapaxes(0, 1))
-            ys = np.ascontiguousarray(targets[run_index, order].T)
-            outcome = incorporate_likelihood_factors(stack, xs, ys)
-            skipped = outcome.skipped
-            undo += outcome.undo_count
-            updates += outcome.weight_updates
-            refresh = ep_refresh_prior(stack, sites)
-            check_variances(stack, labels, epoch)
-            for report, run_refresh in zip(reports, refresh.runs):
-                report.refreshes.append(run_refresh)
-
-            for r, report in enumerate(reports):
-                report.examples_skipped += int(skipped[r])
-                report.epochs_run += 1
-            for r in range(runs):
-                if skipped[r] > MAX_SKIP_RATE * n:
-                    raise SkipRateError(
-                        f"{labels[r]}: {skipped[r]}/{n} examples skipped in epoch {epoch}"
-                    )
-
+    groups = run_groups(runs)
+    reports = _train_in_groups(stack, sites, train, orders, labels, groups) if len(groups) > 1 else None
+    if reports is None:
+        reports = _train_epochs(stack, sites, train, orders, labels)
     seconds = time.perf_counter() - start
-    for r, report in enumerate(reports):
-        report.undo_events = int(undo[r])
-        report.weight_updates = int(updates[r])
+    for report in reports:
         report.seconds = seconds
     return stack, sites, reports
+
+
+def _train_epochs(
+    stack: PosteriorStack, sites: np.ndarray, train: Dataset, orders: np.ndarray, labels: list[str]
+) -> list[TrainReport]:
+    """train_runs' epochs on a stack whose prior factors are in and means
+    perturbed, and its sites: epoch e takes run r's examples in the order
+    orders[e - 1, r]. Returns each run's report, its seconds not set."""
+    runs, n = train.targets.shape
+    reports = [TrainReport() for _ in range(runs)]
+    run_index = np.arange(runs)[:, None]
+    with _naming_the_run(labels):
+        for epoch, order in enumerate(orders, 1):
+            # Step-major copies: row t holds every run's t-th example.
+            xs = np.ascontiguousarray(train.features[run_index, order].swapaxes(0, 1))
+            ys = np.ascontiguousarray(train.targets[run_index, order].T)
+            outcome = incorporate_likelihood_factors(stack, xs, ys)
+            refresh = ep_refresh_prior(stack, sites)
+            check_variances(stack, labels, epoch)
+            counts = np.array([outcome.skipped, outcome.undo_count, outcome.weight_updates]).T.tolist()
+            for report, (skipped, undone, updated), run_refresh in zip(reports, counts, refresh.runs):
+                report.epochs_run += 1
+                report.examples_skipped += skipped
+                report.undo_events += undone
+                report.weight_updates += updated
+                report.refreshes.append(run_refresh)
+            for label, (skipped, _, _) in zip(labels, counts):
+                if skipped > MAX_SKIP_RATE * n:
+                    raise SkipRateError(f"{label}: {skipped}/{n} examples skipped in epoch {epoch}")
+    return reports
+
+
+def _train_in_groups(
+    stack: PosteriorStack, sites: np.ndarray, train: Dataset, orders: np.ndarray,
+    labels: list[str], groups: list[slice],
+) -> list[TrainReport] | None:
+    """_train_epochs of each run group on a copy of its rows and sites, one
+    job per group: each run's report, the trained rows written back into the
+    stack and sites; or None, both untouched, where a group raised."""
+    trained = [None] * len(groups)
+
+    def train_group(k):
+        part = groups[k]
+        group, group_sites = stack.take(np.arange(part.start, part.stop)), sites[:, part].copy()
+        group_train = Dataset(train.features[part], train.targets[part])
+        try:
+            reports = _train_epochs(group, group_sites, group_train, orders[:, part], labels[part])
+        except (ArithmeticError, NumericError, SkipRateError):  # the caller's rerun raises it
+            return
+        trained[k] = group, group_sites, reports
+
+    _run_items(train_group, range(len(groups)), True)
+    if not all(trained):
+        return None
+    for part, (group, group_sites, _) in zip(groups, trained):
+        stack.means[part], stack.variances[part] = group.means, group.variances
+        stack.gamma[:, part], stack.lam[:, part] = group.gamma, group.lam
+        sites[:, part] = group_sites
+    return [report for *_, reports in trained for report in reports]

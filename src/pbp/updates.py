@@ -11,21 +11,13 @@ All Z bookkeeping stays in log space. Gradients of the likelihood log-Z with
 respect to every weight mean and variance come from a hand-written
 reverse-mode sweep over the moment maps of the forward pass.
 
-The likelihood steps of an epoch run in kernel.c, in one call per run
-group (a kernel.Step, see forward.run_groups): per example the forward pass,
-the noise-Gamma step, the reverse sweep and the refinement. Its matmuls,
-log_ndtr, exp and powers call numpy's BLAS, scipy's log_ndtr and numpy's
-ufunc loops from there; no Python runs between two examples. The EP sweep
-over the prior sites is one kernel.c call (ep_refresh) over the whole stack.
-
-The epoch of a stack of 2 * forward.GROUP_RUNS runs or more, on two usable
-CPUs or more, is cut into one run group per usable CPU (forward.run_groups),
-and the groups' calls run at once: one on the calling thread and the others
-on the helper threads of forward's pool, which live as long as the process
-(a forked child makes its own), run each call in a copy of the caller's
-context and release the GIL in the kernel (ctypes). The caller waits for
-the calls the helpers took and for no other. Any other epoch is one group,
-the stack's workspace, on the calling thread.
+The likelihood steps of an epoch run in kernel.c, in one call through the
+stack's workspace (a kernel.Step, see forward.workspace): per example the
+forward pass, the noise-Gamma step, the reverse sweep and the refinement.
+Its matmuls, log_ndtr, exp and powers call numpy's BLAS, scipy's log_ndtr
+and numpy's ufunc loops from there; no Python runs between two examples.
+The EP sweep over the prior sites is one kernel.c call (ep_refresh) over
+the stack; a run group (forward.run_groups) is a stack of its own.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _run_items, run_groups, workspace
+from .forward import workspace
 from .kernel import Refresh
 from .posterior import NumericError, PosteriorStack
 
@@ -114,13 +106,6 @@ def incorporate_likelihood_factors(
     A run's arithmetic is that of a stack of that run alone, bit for bit: a
     run whose noise shape is exactly 1.0 skips every example, in a stack as
     alone.
-
-    The runs go through in groups (forward.run_groups), each group's epoch
-    one kernel.c call, the groups on every usable CPU (forward._run_items).
-    Grouping moves no bit: where a group raises, the stack is put back as it
-    was and the epoch runs again as one group on the calling thread, which
-    gives the error, the run it names and the state it leaves of an
-    ungrouped epoch.
     """
     xs = np.ascontiguousarray(xs, dtype=float)
     ys = np.ascontiguousarray(ys, dtype=float)
@@ -130,24 +115,6 @@ def incorporate_likelihood_factors(
             f"inputs of shape {xs.shape} and targets of shape {ys.shape}, expected "
             f"{('n', runs, d)} and {('n', runs)}"
         )
-    groups = run_groups(stack)
-    if len(groups) > 1:
-        counts = np.empty((3, runs), dtype=np.int64)
-
-        def epoch(group):
-            part, step = group
-            step.noise.gamma[...] = stack.gamma[:, part]
-            counts[:, part] = step.epoch(*(np.ascontiguousarray(a[:, part]) for a in (xs, ys)))
-            stack.gamma[:, part] = step.noise.gamma
-
-        state = (stack.means, stack.variances, stack.gamma)
-        before = [a.copy() for a in state]
-        try:
-            _run_items(epoch, groups, True)
-            return UpdateOutcome(*counts)
-        except (ArithmeticError, NumericError):  # the rerun below raises the stack's error
-            for a, saved in zip(state, before):
-                a[...] = saved
     return UpdateOutcome(*workspace(stack).epoch(xs, ys))
 
 

@@ -7,6 +7,7 @@ changes how the work is dispatched and where it is stored, never the
 arithmetic of a run.
 """
 
+import dataclasses
 import gc
 import math
 import sys
@@ -27,8 +28,8 @@ from conftest import (
 from pbp.data import Dataset, normalize, split
 from reference_forward import forward_output_moments_batch
 from reference_update import GradientStore, MomentVector, incorporate_likelihood_factor
-from pbp.posterior import HYPERPRIOR, NumericError, PbpConfig, layer_views, new_uniform
-from pbp.training import SkipRateError, TrainReport, train, train_runs
+from pbp.posterior import HYPERPRIOR, NumericError, PbpConfig, layer_views, new_uniform, perturb_means
+from pbp.training import SkipRateError, TrainReport, check_variances, train, train_runs
 from pbp.updates import incorporate_likelihood_factors
 from reference_prior import Sites, ep_refresh_prior, incorporate_all_prior_factors
 
@@ -545,43 +546,140 @@ def assert_same_epoch(got, want):
         assert _bits(getattr(stack, name)) == _bits(getattr(ref_stack, name)), name
 
 
+def fuzzed_start(monkeypatch, nets):
+    """Have train_runs start its epochs from the means, variances and noise
+    Gammas of nets, run after run: training.perturb_means draws as it does,
+    then writes them into the stack. A weight variance of 0, which the EP
+    refresh refuses, starts at 1e-40, which keeps its unit deterministic."""
+    start = stack_of(nets)
+    start.variances[start.variances == 0.0] = 1e-40
+
+    def perturb_then_start(stack, rngs):
+        perturb_means(stack, rngs)
+        for name in ("means", "variances", "gamma"):
+            getattr(stack, name)[...] = getattr(start, name)
+
+    monkeypatch.setattr(training, "perturb_means", perturb_then_start)
+
+
+def fuzz_training(rng, runs):
+    """fuzz_epoch_case as a training of 2 epochs: the nets it starts from
+    (see fuzzed_start), its stack of training sets, each run's generator
+    state and the config."""
+    nets, xs, ys = fuzz_epoch_case(rng, runs)
+    train = Dataset(np.ascontiguousarray(xs.swapaxes(0, 1)), np.ascontiguousarray(ys.T))
+    states = [np.random.default_rng(seed).bit_generator.state for seed in rng.integers(2**32, size=runs)]
+    return nets, train, states, PbpConfig(tuple(nets[0].layer_sizes[1:-1]), epochs=2)
+
+
+def training_on_cpus(monkeypatch, cpus, train, cfg, rngs, labels=None):
+    """train_runs of train with `cpus` usable CPUs: the trained stack, its
+    sites and each run's report but its seconds, or the error raised as
+    (type, message); and the states of rngs after."""
+    monkeypatch.setattr(forward, "usable_cpus", lambda: cpus)
+    try:
+        stack, sites, reports = train_runs(train, cfg, rngs, labels)
+        result = stack, sites, [dataclasses.replace(report, seconds=0.0) for report in reports]
+    except (ArithmeticError, NumericError, SkipRateError) as error:
+        result = type(error), str(error)
+    return result, [rng.bit_generator.state for rng in rngs]
+
+
+def assert_same_training(got, want):
+    (result, states), (ref_result, ref_states) = got, want
+    assert states == ref_states
+    if isinstance(ref_result[0], type):  # an error
+        assert result == ref_result
+        return
+    (stack, sites, reports), (ref_stack, ref_sites, ref_reports) = result, ref_result
+    for name in ("means", "variances", "gamma", "lam"):
+        assert _bits(getattr(stack, name)) == _bits(getattr(ref_stack, name)), name
+    assert _bits(sites) == _bits(ref_sites)
+    assert reports == ref_reports
+
+
+def spy_trainings(monkeypatch):
+    """The run count of each stack whose epochs train_runs trains, a run
+    group's or the whole stack's, and the item count of each dispatch of
+    train_runs (training._run_items): two lists that fill as it runs."""
+    stacks, dispatches = [], []
+    train_epochs, run_items = training._train_epochs, training._run_items
+
+    def spy_epochs(stack, *args):
+        stacks.append(stack.means.shape[0])
+        return train_epochs(stack, *args)
+
+    def spy_items(work, items, parallel):
+        dispatches.append(len(items))
+        return run_items(work, items, parallel)
+
+    monkeypatch.setattr(training, "_train_epochs", spy_epochs)
+    monkeypatch.setattr(training, "_run_items", spy_items)
+    return stacks, dispatches
+
+
+def group_sizes(runs, cpus):
+    """The run counts of the run groups of a stack of runs on cpus CPUs."""
+    count = max(1, min(cpus, runs // forward.GROUP_RUNS))
+    bounds = [runs * k // count for k in range(count + 1)]
+    return [stop - start for start, stop in zip(bounds, bounds[1:])]
+
+
 @pytest.mark.parametrize("runs", [8, 9, 20])
-def test_an_epoch_in_run_groups_keeps_the_bits_of_one_cpu(monkeypatch, runs):
-    # On two CPUs the stack trains as two groups of runs, each on its own
-    # thread; the epochs of fuzz_epoch_case leave every bit and count as on
-    # one CPU, deterministic and far-tail units, skips and undos included.
+def test_a_training_in_run_groups_keeps_the_bits_of_one_cpu(monkeypatch, runs):
+    # On 2 and 5 CPUs the stack trains as run groups, each a stack of its
+    # own on its own thread, in one dispatch and with no rerun; the trainings
+    # of fuzz_training leave every bit, report and generator as on one CPU,
+    # deterministic and far-tail units, skips and undos included.
+    monkeypatch.setattr(training, "MAX_SKIP_RATE", 1.0)
     rng = np.random.default_rng(2800 + runs)
     seen = {"deterministic": 0, "series": 0, "skipped": 0, "undone": 0}
-    for case in range(40):
-        nets, xs, ys = fuzz_epoch_case(rng, runs)
-        one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
-        two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
-        assert_same_epoch(two, one)
-        stack, (skipped, undone, _) = two
-        assert [part for part, _ in stack.groups] == [slice(0, runs // 2), slice(runs // 2, runs)]
-        assert stack.workspace is None, case  # no rerun on one thread
-        relu = [aux for _, step in stack.groups for aux in step.rectifiers]
-        seen["deterministic"] += any(aux.n_deterministic for aux in relu)
-        seen["series"] += any(aux.n_series for aux in relu)
-        seen["skipped"] += any(skipped)
-        seen["undone"] += any(undone)
+    branches = []
+
+    def check_and_see(stack, labels, epoch):
+        check_variances(stack, labels, epoch)
+        relu = stack.workspace.rectifiers
+        branches.append((any(aux.n_deterministic for aux in relu), any(aux.n_series for aux in relu)))
+
+    monkeypatch.setattr(training, "check_variances", check_and_see)
+    stacks, dispatches = spy_trainings(monkeypatch)
+    for case in range(8):
+        nets, train, states, cfg = fuzz_training(rng, runs)
+        fuzzed_start(monkeypatch, nets)
+        one = training_on_cpus(monkeypatch, 1, train, cfg, [rng_at(s) for s in states])
+        _, _, reports = one[0]
+        branches.clear()
+        for cpus in (2, 5):
+            del stacks[:], dispatches[:]
+            got = training_on_cpus(monkeypatch, cpus, train, cfg, [rng_at(s) for s in states])
+            assert_same_training(got, one)
+            assert dispatches == [len(group_sizes(runs, cpus))], (case, cpus)
+            assert sorted(stacks) == sorted(group_sizes(runs, cpus)), (case, cpus)
+        seen["deterministic"] += any(deterministic for deterministic, _ in branches)
+        seen["series"] += any(series for _, series in branches)
+        seen["skipped"] += any(report.examples_skipped for report in reports)
+        seen["undone"] += any(report.undo_events for report in reports)
     assert min(seen.values()) >= 5, seen
 
 
 def test_run_groups_on_more_threads_than_cpus_keep_the_bits(monkeypatch):
     # Five groups of four runs on five threads, switching every microsecond:
-    # each writes only its own rows, counts and Gammas of the stack.
-    nets, rng = step_nets([4, 8, 1], 20, 2950)
-    xs, ys = rng.normal(size=(30, 20, 4)), rng.normal(size=(30, 20))
-    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
+    # each trains only its own copy of its rows and sites, and writes them
+    # back once every group has trained.
+    rng = np.random.default_rng(2950)
+    train = Dataset(rng.normal(size=(20, 30, 4)), rng.normal(size=(20, 30)))
+    cfg = PbpConfig(hidden_layer_sizes=(8,), epochs=2)
+    states = [np.random.default_rng(2950 + r).bit_generator.state for r in range(20)]
+    one = training_on_cpus(monkeypatch, 1, train, cfg, [rng_at(s) for s in states])
+    stacks, _ = spy_trainings(monkeypatch)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        five = epoch_on_cpus(monkeypatch, 5, nets, xs, ys)
+        five = training_on_cpus(monkeypatch, 5, train, cfg, [rng_at(s) for s in states])
     finally:
         sys.setswitchinterval(interval)
-    assert_same_epoch(five, one)
-    assert [part.stop - part.start for part, _ in five[0].groups] == [4] * 5
+    assert_same_training(five, one)
+    assert stacks == [4] * 5
 
 
 def shape_one_case(runs, first, last):
@@ -597,26 +695,45 @@ def shape_one_case(runs, first, last):
     return nets, xs, ys
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+def shape_one_training(runs, first, last):
+    """shape_one_case as a training of 2 epochs, as fuzz_training gives it."""
+    nets, xs, ys = shape_one_case(runs, first, last)
+    train = Dataset(np.ascontiguousarray(xs.swapaxes(0, 1)), np.ascontiguousarray(ys.T))
+    states = [np.random.default_rng(2900 + r).bit_generator.state for r in range(runs)]
+    return nets, train, states, PbpConfig((5,), epochs=2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
 def test_every_run_of_a_stack_is_its_lone_run(monkeypatch, cpus):
-    # Each run of a stack, in run groups or not, leaves the bits and counts
-    # of an epoch of that run alone: on fuzzed stacks of 8 and 20 runs, and
-    # on a run with a noise shape of exactly 1.0, which skips every example
-    # in a stack as alone, in a group that skips too or one that keeps them
-    # (run 3 of 8, beside runs 0 and 1).
+    # Each run of a stack, in run groups or not, leaves the bits, report and
+    # generator of a training of that run alone: on fuzzed stacks of 8 and
+    # 20 runs, and on a run with a noise shape of exactly 1.0, which skips
+    # every example in a stack as alone, in a group that skips too or one
+    # that keeps them (run 3 of 8, beside runs 0 and 1).
+    monkeypatch.setattr(training, "MAX_SKIP_RATE", 1.0)
     rng = np.random.default_rng(2910)
-    cases = [fuzz_epoch_case(rng, runs) for runs in (8, 20) for _ in range(6)]
-    cases += [shape_one_case(8, 0, 3), shape_one_case(20, 10, 19), shape_one_case(8, 2, 2)]
-    for case, (nets, xs, ys) in enumerate(cases):
-        stack, counts = epoch_on_cpus(monkeypatch, cpus, nets, xs, ys)
-        assert isinstance(counts, list), (case, counts)
-        assert (stack.groups is not None, stack.workspace is None) == (cpus > 1, cpus > 1), case
+    cases = [fuzz_training(rng, runs) for runs in (8, 20) for _ in range(3)]
+    cases += [shape_one_training(8, 0, 3), shape_one_training(20, 10, 19), shape_one_training(8, 2, 2)]
+    stacks, _ = spy_trainings(monkeypatch)
+    for case, (nets, train, states, cfg) in enumerate(cases):
+        fuzzed_start(monkeypatch, nets)
+        del stacks[:]
+        (stack, sites, reports), after = training_on_cpus(
+            monkeypatch, cpus, train, cfg, [rng_at(s) for s in states]
+        )
+        assert sorted(stacks) == sorted(group_sizes(len(nets), cpus)), case
         for r, net in enumerate(nets):
-            alone, alone_counts = epoch_on_cpus(monkeypatch, 1, [net], xs[:, r:r + 1], ys[:, r:r + 1])
-            assert [c[r] for c in counts] == [c[0] for c in alone_counts], (case, r)
+            fuzzed_start(monkeypatch, [net])
+            lone = Dataset(train.features[r:r + 1], train.targets[r:r + 1])
+            (alone, alone_sites, [report]), [state] = training_on_cpus(
+                monkeypatch, 1, lone, cfg, [rng_at(states[r])]
+            )
+            assert (reports[r], after[r]) == (report, state), (case, r)
             for got, want in [(stack.means[r], alone.means[0]),
                               (stack.variances[r], alone.variances[0]),
-                              (stack.gamma[:, r], alone.gamma[:, 0])]:
+                              (stack.gamma[:, r], alone.gamma[:, 0]),
+                              (stack.lam[:, r], alone.lam[:, 0]),
+                              (sites[:, r], alone_sites[:, 0])]:
                 assert _bits(got) == _bits(want), (case, r)
 
 
@@ -630,38 +747,139 @@ def test_a_noise_shape_of_one_skipped_by_every_run_raises_nothing(monkeypatch):
     assert_same_epoch(epoch_on_cpus(monkeypatch, 2, nets, xs, ys), one)
 
 
-def zero_rate_at_the_third_example(nets, xs, ys):
-    # Run 13 skips its first two examples, and its Gamma match divides by its
-    # rate of 0 at the third.
-    nets[13].gamma[:, 0] = (6.0, 0.0)
-    ys[:2, 13] = np.nan
+def zero_noise_rate(stack, r):
+    # Run r's Gamma match divides by its noise rate of 0 at its next example.
+    stack.gamma[1, r] = 0.0
 
 
-def negative_variance(nets, xs, ys):
-    # Run 15's first hidden unit has a negative pre-activation variance.
-    weights(nets[15])[1][0][0] = -1.0
+def negative_variance(stack, r):
+    # Run r's first hidden unit gets a negative pre-activation variance,
+    # which the forward pass refuses without naming the run.
+    weights(stack, r)[1][0][0] = -1.0
 
 
+def zero_variance(stack, r):
+    # The next EP refresh refuses run r's weight variance of 0.
+    stack.variances[r, 0] = 0.0
+
+
+def infinite_output_variance(stack, r):
+    # Run r's output variance is infinite: it skips every example, and its
+    # output bias keeps its variance, which the variance check refuses.
+    stack.variances[r, -1] = np.inf
+
+
+FAULT_LABELS = [f"split {r}" for r in range(20)]
+
+
+def fault_training(monkeypatch, faults, nan_targets=()):
+    """A training of 20 runs of 3-6-1, labelled "split <r>", for 2 epochs of
+    6 examples, in which fault(stack, i) hits run r, row i of the stack that
+    holds it, for each (r, epoch, fault) of faults: after the mean
+    perturbation where epoch is 0, else after the variance check of that
+    epoch. Each run of nan_targets has a NaN target, which it skips in
+    every epoch. Returns the training set, generator states and config."""
+    rng = np.random.default_rng(3000)
+    train = Dataset(rng.normal(size=(20, 6, 3)), rng.normal(size=(20, 6)))
+    for r in nan_targets:
+        train.targets[r, 0] = np.nan
+
+    def hit(stack, labels, epoch):
+        for r, at, fault in faults:
+            if at == epoch and FAULT_LABELS[r] in labels:
+                fault(stack, labels.index(FAULT_LABELS[r]))
+
+    def perturb_and_hit(stack, rngs):
+        perturb_means(stack, rngs)
+        hit(stack, FAULT_LABELS, 0)
+
+    def check_and_hit(stack, labels, epoch):
+        check_variances(stack, labels, epoch)
+        hit(stack, labels, epoch)
+
+    monkeypatch.setattr(training, "perturb_means", perturb_and_hit)
+    monkeypatch.setattr(training, "check_variances", check_and_hit)
+    states = [np.random.default_rng(3000 + r).bit_generator.state for r in range(20)]
+    return train, states, PbpConfig(hidden_layer_sizes=(6,), epochs=2)
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
 @pytest.mark.parametrize(
-    "fault, error",
+    "faults, error",
     [
-        (zero_rate_at_the_third_example, (ZeroDivisionError, "float division by zero", 13)),
-        (negative_variance,
-         (NumericError, "negative pre-activation variance (upstream bug)", None)),
+        ([(13, 0, zero_noise_rate)], (ZeroDivisionError, "split 13: float division by zero")),
+        ([(15, 0, negative_variance)],
+         (NumericError, "negative pre-activation variance (upstream bug)")),
     ],
+    ids=["zero-noise-rate", "negative-variance"],
 )
-def test_a_failing_group_leaves_the_stack_as_one_cpu_does(monkeypatch, fault, error):
-    # The other group trains to the end on its own thread; the rerun on one
-    # thread puts the stack back first, and leaves it, the steps before the
-    # error done, with the error and the run it names of one CPU.
-    nets, rng = step_nets([3, 6, 1], 20, 3000)
-    xs, ys = rng.normal(size=(5, 20, 3)), rng.normal(size=(5, 20))
-    fault(nets, xs, ys)
-    one = epoch_on_cpus(monkeypatch, 1, nets, xs, ys)
-    assert one[1] == error
-    two = epoch_on_cpus(monkeypatch, 2, nets, xs, ys)
-    assert_same_epoch(two, one)
-    assert two[0].groups is not None and two[0].workspace is not None
+def test_a_failing_group_raises_the_error_of_one_cpu(monkeypatch, faults, error, cpus):
+    # The other groups train to the end on their own threads; then the
+    # whole stack, untouched, trains again on the calling thread, and
+    # raises the error, and names the run, of one CPU.
+    train, states, cfg = fault_training(monkeypatch, faults)
+    one = training_on_cpus(monkeypatch, 1, train, cfg, [rng_at(s) for s in states], FAULT_LABELS)
+    assert one[0] == error
+    stacks, dispatches = spy_trainings(monkeypatch)
+    grouped = training_on_cpus(monkeypatch, cpus, train, cfg, [rng_at(s) for s in states], FAULT_LABELS)
+    assert_same_training(grouped, one)
+    assert dispatches == [len(group_sizes(20, cpus))]
+    assert sorted(stacks[:-1]) == sorted(group_sizes(20, cpus)) and stacks[-1] == 20
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+@pytest.mark.parametrize(
+    "faults, nan_targets, error, earlier",
+    [
+        # A later group's skip rate in epoch 1 before an earlier group's
+        # likelihood step in epoch 2.
+        ([(1, 1, zero_noise_rate)], [17],
+         (SkipRateError, "split 17: 1/6 examples skipped in epoch 1"),
+         (ZeroDivisionError, "split 1: float division by zero")),
+        # In one epoch, a later group's variance check before an earlier
+        # group's skip rate.
+        ([(17, 0, infinite_output_variance)], [1],
+         (NumericError, "split 17: 1 weight variances not finite and positive after epoch 1"),
+         (SkipRateError, "split 1: 1/6 examples skipped in epoch 1")),
+        # A later group's likelihood step in epoch 1 before an earlier
+        # group's EP refresh in epoch 2.
+        ([(17, 0, zero_noise_rate), (1, 1, zero_variance)], [],
+         (ZeroDivisionError, "split 17: float division by zero"),
+         (NumericError, "split 1: zero weight variance: its prior-site cavity is undefined")),
+    ],
+    ids=["earlier-epoch", "variance-check-before-skip-rate", "step-before-later-refresh"],
+)
+def test_the_error_of_groups_is_the_first_one_cpu_meets(
+    monkeypatch, faults, nan_targets, error, earlier, cpus
+):
+    # Runs 1 and 17 are in the first and the last run group on 2 and on 5
+    # CPUs. The earlier group's fault alone raises `earlier`; with both,
+    # the groups raise the error of one CPU, which the serial loop meets
+    # first: by epoch, then by phase (likelihood steps, EP refresh,
+    # variance check, skip rate).
+    def on_cpus(count, faults, nan_targets):
+        train, states, cfg = fault_training(monkeypatch, faults, nan_targets)
+        return training_on_cpus(monkeypatch, count, train, cfg, [rng_at(s) for s in states], FAULT_LABELS)
+
+    early = [fault for fault in faults if fault[0] == 1]
+    assert on_cpus(cpus, early, [r for r in nan_targets if r == 1])[0] == earlier
+    one = on_cpus(1, faults, nan_targets)
+    assert one[0] == error
+    assert_same_training(on_cpus(cpus, faults, nan_targets), one)
+
+
+def test_one_generator_shared_by_every_run_keeps_the_bits_of_one_cpu(monkeypatch):
+    # Eight runs draw from one generator, in train_runs' order: each run's
+    # mean perturbation, then per epoch one permutation per run, all before
+    # the first epoch; the run groups draw none.
+    datasets, _ = split_runs(8)
+    cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=3)
+    trained = [
+        training_on_cpus(monkeypatch, cpus, Dataset.of(datasets), cfg, [np.random.default_rng(29)] * 8)
+        for cpus in (1, 2, 5)
+    ]
+    for got in trained[1:]:
+        assert_same_training(got, trained[0])
 
 
 @pytest.mark.parametrize("variance", [0.0, 1e-40, 0.5])
@@ -736,24 +954,44 @@ def test_stack_layers_and_runs_are_views_of_one_buffer():
     assert run_means[1][0, 2] == stack.means[1, 16 + 2] != 7.0
 
 
-def test_no_workspace_outlives_its_train_runs_call(monkeypatch):
-    refs, ids = [], set()
+@pytest.mark.parametrize("fails", [False, True], ids=["trains", "fails"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_no_workspace_outlives_its_train_runs_call(monkeypatch, cpus, fails):
+    # Every stack whose epochs a train_runs call trains, each run group's or
+    # the whole stack's, goes with its workspace when the call returns or
+    # raises, without waiting for the cycle collector. Where run 7 fails in
+    # epoch 1, on two CPUs its group stops there, the other trains to the
+    # end and the whole stack trains again, to the error.
+    seen = []
     real = training.incorporate_likelihood_factors
 
     def spy(stack, x, y):
         outcome = real(stack, x, y)
-        refs.append(weakref.ref(stack.workspace))
-        ids.add(id(stack.workspace))
+        seen.append((weakref.ref(stack), weakref.ref(stack.workspace)))
         return outcome
 
     monkeypatch.setattr(training, "incorporate_likelihood_factors", spy)
-    datasets, states = split_runs(2)
+    monkeypatch.setattr(forward, "usable_cpus", lambda: cpus)
+    datasets, states = split_runs(8)
+    if fails:
+        targets = datasets[7].targets.copy()
+        targets[0] = np.nan
+        datasets[7] = Dataset(datasets[7].features, targets)
     cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
-    results = each_run(train_runs(Dataset.of(datasets), cfg, [rng_at(s) for s in states]))
-    # One call per epoch, one workspace served every step, and it went with
-    # its stack, without waiting for the cycle collector.
-    assert len(refs) == 2 and len(ids) == 1
-    assert refs[0]() is None
+    rngs = [rng_at(s) for s in states]
+    if fails:
+        with pytest.raises(SkipRateError, match="^run 7: 1/36 examples skipped in epoch 1$"):
+            train_runs(Dataset.of(datasets), cfg, rngs)
+    else:
+        results = each_run(train_runs(Dataset.of(datasets), cfg, rngs))
+        assert [report.epochs_run for _, _, report in results] == [2] * 8
+    # One call per epoch each stack trained; each stack kept one workspace
+    # (weakref.ref gives one ref per live object).
+    calls, stacks = {
+        (1, False): (2, 1), (2, False): (4, 2), (1, True): (1, 1), (2, True): (4, 3)
+    }[cpus, fails]
+    assert len(seen) == calls
+    assert len({id(stack) for stack, _ in seen}) == len({id(step) for _, step in seen}) == stacks
+    assert all(ref() is None for pair in seen for ref in pair)
     gc.collect()
-    assert refs[0]() is None
-    assert [report.epochs_run for _, _, report in results] == [2, 2]
+    assert all(ref() is None for pair in seen for ref in pair)

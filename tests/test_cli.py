@@ -596,10 +596,10 @@ class TestCpuCount:
     )
     def test_training_in_run_groups(self, toy_csv, tmp_path, monkeypatch, command):
         # Eight runs train as one group on one CPU and as two groups of four,
-        # on two threads, on two (every epoch, whatever its size); the files
-        # written are the same. On two CPUs the calling thread holds its first
-        # epoch until a helper has started the other group of it, so some
-        # helper surely takes one: a pooled helper that wakes late would
+        # on two threads, on two (every training, whatever its size); the
+        # files written are the same. On two CPUs the calling thread holds
+        # its first epoch until a helper has started the other group's, so
+        # some helper surely takes one: a pooled helper that wakes late would
         # leave both groups to the caller.
         real, calls, entered = kernel.Step.epoch, [], threading.Event()
 

@@ -19,11 +19,12 @@ from conftest import (
     stack_of,
     weights,
 )
-from pbp import forward, kernel
+from pbp import forward, kernel, training
+from pbp.data import Dataset
 from pbp.forward import BLOCK_ROWS, forward_output_moments
 from oracles import mc_forward_moments
-from pbp.posterior import NumericError, new_uniform
-from pbp.updates import incorporate_likelihood_factors
+from pbp.posterior import NumericError, PbpConfig, new_uniform
+from pbp.training import train_runs
 from reference_forward import forward_output_moments_batch
 from reference_update import MomentVector, append_bias, forward_linear
 
@@ -628,15 +629,16 @@ class TestParallelPass:
         assert sorted(done) == [0, 1]
 
 
-def _grouped_epoch(monkeypatch, cpus):
-    """A stack of 8 runs of 6-10-1 after an epoch of 25 seeded examples with
-    `cpus` usable CPUs (two run groups from 2 on), as bytes of its means,
-    variances and noise Gammas."""
+def _grouped_training(monkeypatch, cpus):
+    """A stack of 8 runs of 6-10-1 after a training of one epoch on 25
+    seeded examples per run with `cpus` usable CPUs (two run groups from 2
+    on), as bytes of its means, variances, Gammas and sites."""
     _force_cpus(monkeypatch, cpus)
     rng = np.random.default_rng(26)
-    stack = stack_of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(8)])
-    incorporate_likelihood_factors(stack, rng.normal(size=(25, 8, 6)), rng.normal(size=(25, 8)))
-    return [a.tobytes() for a in (stack.means, stack.variances, stack.gamma)]
+    train = Dataset(rng.normal(size=(8, 25, 6)), rng.normal(size=(8, 25)))
+    rngs = [np.random.default_rng(26 + r) for r in range(8)]
+    stack, sites, _ = train_runs(train, PbpConfig(hidden_layer_sizes=(10,), epochs=1), rngs)
+    return [a.tobytes() for a in (stack.means, stack.variances, stack.gamma, stack.lam, sites)]
 
 
 class TestHelperPool:
@@ -648,15 +650,22 @@ class TestHelperPool:
         _force_cpus(monkeypatch, 3)
         monkeypatch.setattr(forward, "BLOCK_ROWS", 64)
         rng = np.random.default_rng(27)
-        stack = stack_of([random_net([6, 10, 1], rng, mean_scale=0.5) for _ in range(12)])
-        xs, ys, X = rng.normal(size=(5, 12, 6)), rng.normal(size=(5, 12)), rng.normal(size=(12, 20, 6))
+        train = Dataset(rng.normal(size=(12, 5, 6)), rng.normal(size=(12, 5)))
+        config, X = PbpConfig(hidden_layer_sizes=(10,), epochs=1), rng.normal(size=(12, 20, 6))
+        real_run_items, dispatches = training._run_items, []
 
-        def grouped_epoch_and_rows_pass():
-            incorporate_likelihood_factors(stack, xs, ys)
+        def run_items(work, items, parallel):
+            dispatches.append(len(items))
+            real_run_items(work, items, parallel)
+
+        monkeypatch.setattr(training, "_run_items", run_items)
+
+        def grouped_training_and_rows_pass():
+            stack, _, _ = train_runs(train, config, [np.random.default_rng(r) for r in range(12)])
             forward_output_moments(stack, X)
 
-        grouped_epoch_and_rows_pass()
-        assert len(stack.groups) == 3
+        grouped_training_and_rows_pass()
+        assert dispatches == [3]
         threads = threading.enumerate()
         assert 1 <= len(_helpers(fresh_pool)) <= forward.usable_cpus() - 1
         real_start, started = threading.Thread.start, []
@@ -667,27 +676,27 @@ class TestHelperPool:
 
         monkeypatch.setattr(threading.Thread, "start", start)
         for _ in range(100):
-            grouped_epoch_and_rows_pass()
+            grouped_training_and_rows_pass()
         assert started == []
         assert threading.enumerate() == threads
 
-    def test_a_forked_child_runs_a_grouped_epoch_on_helpers_of_its_own(self, monkeypatch):
-        want = _grouped_epoch(monkeypatch, 1)
-        assert _grouped_epoch(monkeypatch, 2) == want
+    def test_a_forked_child_runs_a_grouped_training_on_helpers_of_its_own(self, monkeypatch):
+        want = _grouped_training(monkeypatch, 1)
+        assert _grouped_training(monkeypatch, 2) == want
         parent_helpers = _helpers(forward._pool)
         assert parent_helpers  # which the child's copy of the pool would name
         context = multiprocessing.get_context("fork")
         receive, send = context.Pipe(duplex=False)
 
         def child():
-            got = _grouped_epoch(monkeypatch, 2)
+            got = _grouped_training(monkeypatch, 2)
             helpers, alive = _helpers(forward._pool), threading.enumerate()
             send.send((got, len(helpers), sum(h in alive for h in helpers), len(parent_helpers & helpers)))
 
         process = context.Process(target=child)
         process.start()
         try:
-            assert receive.poll(60), "the forked child did not finish its epoch"
+            assert receive.poll(60), "the forked child did not finish its training"
             got, helpers, alive, inherited = receive.recv()
         finally:
             process.join(timeout=60)

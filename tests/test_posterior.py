@@ -1,10 +1,16 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import weights
+from conftest import one_step, toy_cubic_dataset, weights
+from pbp import forward
+from pbp.data import Dataset, normalize
+from pbp.prediction import TrainedModel, predict_batch
+from pbp.training import train, train_runs
 from pbp.posterior import (
     HYPERPRIOR,
     PbpConfig,
@@ -98,3 +104,43 @@ def test_config_has_no_refresh_setting():
     ]
     with pytest.raises(TypeError):
         PbpConfig(refresh_every_n_examples=5)
+
+
+def _trained(kind, monkeypatch):
+    """(what is copied, its stack, its NormStats) of one kind of training:
+    a `train` stack, a `train_runs` stack of 8 runs trained in two run
+    groups, or a TrainedModel."""
+    cfg = PbpConfig(hidden_layer_sizes=(4,), epochs=2)
+    if kind == "grouped":
+        monkeypatch.setattr(forward, "usable_cpus", lambda: 2)
+        sets = Dataset.of([toy_cubic_dataset(20, seed) for seed in range(8)])
+        train_set, norm = normalize(sets)
+        stack, _, _ = train_runs(train_set, cfg, [np.random.default_rng(r) for r in range(8)])
+        return stack, stack, norm
+    train_set, norm = normalize(toy_cubic_dataset(20, 3))
+    stack, _, _ = train(train_set, cfg, np.random.default_rng(3))
+    return (TrainedModel(stack, norm, cfg) if kind == "model" else stack), stack, norm
+
+
+@pytest.mark.parametrize("copied", [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("kind", ["train", "grouped", "model"])
+def test_a_trained_stack_copies_without_its_kernel_bindings(monkeypatch, kind, copied):
+    # A copy holds the stack's arrays, copied, and binds the kernel again
+    # on first use: it predicts, and takes a step, with the original's bits.
+    original, stack, norm = _trained(kind, monkeypatch)
+    duplicate = copied(original)
+    twin = duplicate.stack if kind == "model" else duplicate
+    assert twin.workspace is None and twin.refresh is None and twin.layer_sizes == stack.layer_sizes
+    for name in ("means", "variances", "gamma", "lam"):
+        a, b = getattr(twin, name), getattr(stack, name)
+        assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b), name
+    x = np.random.default_rng(5).uniform(-4.0, 4.0, (stack.means.shape[0], 7, 1))
+    assert [a.tobytes() for a in predict_batch(twin, norm, x)] == [
+        a.tobytes() for a in predict_batch(stack, norm, x)
+    ]
+    for each in (twin, stack):
+        one_step(each, x[:, 0], np.zeros(stack.means.shape[0]))
+    assert [a.tobytes() for a in (twin.means, twin.variances, twin.gamma)] == [
+        a.tobytes() for a in (stack.means, stack.variances, stack.gamma)
+    ]
