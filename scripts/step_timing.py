@@ -69,8 +69,9 @@ significant digits, as perfbench writes its inputs, and each float's repr,
 up to 17), through each phase of `cli.cmd_predict` in turn
 (PREDICT_PHASES): `load_model`, `read_csv_matrix`, the rows pass
 (`predict_batch`), the CSV text (`cli._prediction_csv`) and its write to a
-file. Each phase gives the median milliseconds over K repeats, and their
-range.
+file; and, after `load_model`, `save_model` of the model loaded to another
+file, which `pbp train` runs. Each phase gives the median milliseconds over
+K repeats, and their range.
 
 A sixth table times what a user waits for from a shell, in fresh Python
 processes (FRESH): `import pbp.cli`, timed inside the process, and the whole
@@ -148,7 +149,7 @@ DISPATCHES = 2_000
 # yacht_active's and wine_deep's; and the training rows of their models.
 PREDICTS = [([13, 50, 1], 40_000), ([6, 10, 1], 40_000), ([11, 50, 50, 1], 40_000)]
 PREDICT_TRAINING_ROWS = 200
-PREDICT_PHASES = ("load_model", "read_csv_matrix", "rows_pass", "csv_text", "write")
+PREDICT_PHASES = ("load_model", "save_model", "read_csv_matrix", "rows_pass", "csv_text", "write")
 # The forms of the features CSV's cells: how each writes a float.
 PREDICT_CELLS = {".6g": lambda v: format(v, ".6g"), "repr": repr}
 # The fresh processes timed, and the code each runs: the import, timed in
@@ -468,13 +469,16 @@ def predict_files(sizes, rows, seed, directory, cells):
 
 def timed_predict(model, features, out):
     """{phase: seconds} of one `pbp predict --model model --data features
-    --out out`, phase by phase as cmd_predict runs them (PREDICT_PHASES)."""
+    --out out`, phase by phase as cmd_predict runs them, and of save_model
+    of the model loaded to saved.json beside out (PREDICT_PHASES)."""
     from pbp import cli
-    from pbp.data import load_model, read_csv_matrix
+    from pbp.data import load_model, read_csv_matrix, save_model
     from pbp.prediction import predict_batch
 
     times = [time.perf_counter()]
     loaded = load_model(model)
+    times.append(time.perf_counter())
+    save_model(loaded, Path(out).with_name("saved.json"))
     times.append(time.perf_counter())
     x, _ = read_csv_matrix(features)
     times.append(time.perf_counter())

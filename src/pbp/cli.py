@@ -146,7 +146,8 @@ def _prediction_csv(means: np.ndarray, variances: np.ndarray) -> str:
     """The mean,variance CSV of predictions, floats as repr (written by
     kernel.c): what csv.writer gives for these fields, none of which needs
     quoting."""
-    return "mean,variance\n" + kernel.repr_rows(means, variances)
+    rows = kernel.repr_matrix(np.column_stack([means, variances]), ",", "\n")
+    return f"mean,variance\n{rows}\n" if rows else "mean,variance\n"
 
 
 def _fmt(x: float) -> str:

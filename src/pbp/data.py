@@ -309,13 +309,14 @@ def _require_finite_stats(columns, f_mean, f_std, t_mean, t_std) -> None:
     )
 
 
-def _network_doc(stack: PosteriorStack) -> dict:
-    """The network entry of a model file, of a stack of one."""
+def _network_doc(stack: PosteriorStack, array) -> dict:
+    """The network entry of a model file, of a stack of one, with array(w)
+    in place of each weight matrix w."""
     sizes = stack.layer_sizes
     return {
         "layer_sizes": list(sizes),
         "layers": [
-            {"means": means.tolist(), "variances": variances.tolist()}
+            {"means": array(means), "variances": array(variances)}
             for means, variances in zip(
                 layer_views(stack.means[0], sizes), layer_views(stack.variances[0], sizes)
             )
@@ -323,6 +324,27 @@ def _network_doc(stack: PosteriorStack) -> dict:
         "gamma": dict(zip(("shape", "rate"), stack.gamma[:, 0].tolist())),
         "lambda": dict(zip(("shape", "rate"), stack.lam[:, 0].tolist())),
     }
+
+
+def _json_array(x: np.ndarray, indent: str) -> str:
+    """json.dumps(x.tolist(), indent=1) of a float vector or matrix x, each
+    line after the first indented by indent further, as the value of a key
+    indented by indent: its floats by kernel.repr_matrix, as json writes them."""
+    if not x.size:
+        return json.dumps(x.tolist(), indent=1).replace("\n", "\n" + indent)
+    pads = [indent + " " * depth for depth in range(x.ndim + 1)]
+    opening = "".join(f"[\n{pad}" for pad in pads[1:])
+    closing = "".join(f"\n{pad}]" for pad in pads[-2::-1])
+    row_sep = f"\n{pads[1]}],\n{pads[1]}[\n{pads[-1]}"
+    text = opening + kernel.repr_matrix(x.reshape(-1, x.shape[-1]), ",\n" + pads[-1], row_sep) + closing
+    if not np.isfinite(x).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+# The line of the i-th float array of a model file's skeleton: its key's
+# indent, the key, and the string "\0<i>" in its place, as json escapes it.
+_ARRAY_SLOT = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
 
 
 def _gamma_column(entry) -> list[list[float]]:
@@ -360,8 +382,16 @@ def save_model(model, path) -> None:
     """Write the trained model as versioned, human-diffable JSON.
 
     Floats round-trip exactly (shortest-representation encoding), so
-    save -> load -> save is byte-identical.
+    save -> load -> save is byte-identical. The bytes are those of
+    json.dumps(doc, indent=1) + "\n", kernel.c writing each float array
+    (_json_array). A save that raises leaves no file.
     """
+    arrays = []
+
+    def array(x: np.ndarray) -> str:
+        arrays.append(x)
+        return f"\0{len(arrays) - 1}"
+
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": {
@@ -370,16 +400,20 @@ def save_model(model, path) -> None:
             **_HYPERPRIOR_CONFIG,
             "seed": model.config.seed,
         },
-        "network": _network_doc(model.stack),
+        "network": _network_doc(model.stack, array),
         "normalization": {
-            "feature_mean": model.norm.feature_mean.tolist(),
-            "feature_std": model.norm.feature_std.tolist(),
+            "feature_mean": array(model.norm.feature_mean),
+            "feature_std": array(model.norm.feature_std),
             "target_mean": model.norm.target_mean,
             "target_std": model.norm.target_std,
         },
     }
+    text = _ARRAY_SLOT.sub(
+        lambda slot: slot[1] + slot[2] + _json_array(arrays[int(slot[3])], slot[1]),
+        json.dumps(doc, indent=1),
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):

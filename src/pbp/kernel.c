@@ -14,9 +14,10 @@
  * step_epoch folds n examples per run of a stack in sequence, each through
  * the forward pass (step_forward), noise_step, the reverse sweep
  * (step_backward) and the refinement of every weight (step_refine).
- * repr_rows writes the CSV rows of predictions, each double as Python's repr
- * writes it, and read_rows (at the end) reads the rows of a numeric CSV,
- * each cell as Python's float() reads it.
+ * repr_matrix writes a matrix of doubles, each as Python's repr writes it,
+ * between separators of the caller's: the rows of a prediction CSV and the
+ * weight arrays of a model file. read_rows (at the end) reads the rows of a
+ * numeric CSV, each cell as Python's float() reads it.
  *
  * Every expression is the one the Python floats or numpy arrays of pbp
  * evaluated before, in the same order and association, so the results are
@@ -746,6 +747,20 @@ static int64_t now_ns(void)
     return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
 }
 
+/* Whether the input layer's products zv @ (M*M)^T and zv @ V^T, its zv all
+ * +0.0, are +0.0 without the matmuls: where every M*M is finite and every V
+ * positive and finite, n weights per run over the runs, every term is +0.0.
+ * Elsewhere a term is NaN (0 * inf, 0 * NaN) or may be -0.0 (0 * -V). */
+static int zero_input_products(int64_t runs, int64_t n, int64_t stride, const double *m_sq,
+                               const double *v)
+{
+    int64_t finite = 0;
+    for (int64_t r = 0; r < runs; r++)
+        for (int64_t i = r * stride; i < r * stride + n; i++)
+            finite += (m_sq[i] < INFINITY) & (v[i] > 0.0) & (v[i] < INFINITY);
+    return finite == runs * n;
+}
+
 /* Layer l's forward pass of n rows per run: the layer's moments and, for a
  * hidden layer, its rectifier, whose output moments are the next layer's
  * inputs. Returns 0 or NEGATIVE_VARIANCE. */
@@ -760,10 +775,17 @@ static int forward_layer(const struct step_args *s, int64_t l, int64_t n)
     for (int64_t r = 0; r < R; r++)
         square(rows * cols, m + r * W, m_sq + r * W);
     square(R * n * cols, L->zm, zm_sq);
+    const int zero_zv = l == 0 && zero_input_products(R, rows * cols, W, m_sq, v);
     forward_products(e, R, n, rows, cols, W, m, L->zm, p);
-    forward_products(e, R, n, rows, cols, W, m_sq, L->zv, p + k);
+    if (zero_zv)
+        memset(p + k, 0, k * sizeof(double));
+    else
+        forward_products(e, R, n, rows, cols, W, m_sq, L->zv, p + k);
     forward_products(e, R, n, rows, cols, W, v, zm_sq, p + 2 * k);
-    forward_products(e, R, n, rows, cols, W, v, L->zv, p + 3 * k);
+    if (zero_zv)
+        memset(p + 3 * k, 0, k * sizeof(double));
+    else
+        forward_products(e, R, n, rows, cols, W, v, L->zv, p + 3 * k);
     linear_moments(k, p, cols, L->mean, L->variance);
     int status = 0;
     if (L->relu) {
@@ -1171,17 +1193,22 @@ static int64_t repr_double(const uint64_t *pow5, double x, char *out)
     return p - out;
 }
 
-/* The CSV rows "<repr(a[i])>,<repr(b[i])>\n" of n pairs at out, which holds
- * at least 50 n bytes; returns the number of bytes written. */
-int64_t repr_rows(const uint64_t *pow5, int64_t n, const double *a, const double *b, char *out)
+/* The (rows, cols) doubles x, each as repr writes it, the values of a row
+ * joined by col_sep (col_len bytes) and the rows by row_sep (row_len bytes),
+ * at out, which holds rows * cols * (24 + the longer length) bytes or more.
+ * Returns the number of bytes written. */
+int64_t repr_matrix(const uint64_t *pow5, int64_t rows, int64_t cols, const double *x,
+                    const char *col_sep, int64_t col_len, const char *row_sep, int64_t row_len,
+                    char *out)
 {
     char *p = out;
-    for (int64_t i = 0; i < n; i++) {
-        p += repr_double(pow5, a[i], p);
-        *p++ = ',';
-        p += repr_double(pow5, b[i], p);
-        *p++ = '\n';
-    }
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++) {
+            const int64_t len = j ? col_len : i ? row_len : 0;
+            memcpy(p, j ? col_sep : row_sep, len);
+            p += len;
+            p += repr_double(pow5, x[i * cols + j], p);
+        }
     return p - out;
 }
 

@@ -9,9 +9,10 @@ share: a rows pass runs one work item through every layer in one call
 (RowsPass), and the likelihood step (Step), whose epoch() folds n examples
 per run in sequence, runs one row per run through every layer, then the
 noise step, the reverse sweep and the refinement of every weight. It also
-writes the CSV rows of predictions (repr_rows), each float as Python's repr
-gives it, by Ryu's shortest round-trip conversion, and reads the rows of a
-numeric CSV (read_rows), each cell as Python's float() reads it.
+writes a float matrix between the caller's separators (repr_matrix), each
+float as Python's repr gives it, by Ryu's shortest round-trip conversion,
+for prediction CSVs and model files, and reads the rows of a numeric CSV
+(read_rows), each cell as Python's float() reads it.
 
 Some bits come from outside this package. The matmuls call numpy's bundled
 OpenBLAS (BLAS_SYMBOLS) as np.matmul does on stacked inputs (gemv or dot
@@ -23,9 +24,10 @@ the ufunc objects. All are resolved once, at import, and checked against
 np.matmul, scipy.special.log_ndtr, np.exp and np.power (check_externals); a
 missing symbol or loop or a differing bit fails the import with one line,
 an ExternalError, and there is no other path. So does a formatted float that
-is not its repr (check_repr), as on a Python whose float_repr_style is not
-'short', and a cell read with other bits than float()'s (check_read), as
-from a libc whose strtod does not round correctly. Where scipy.special is
+is not its repr, or separators other than those given (check_repr), as on
+a Python whose float_repr_style is not 'short', and a cell read with other
+bits than float()'s (check_read), as from a libc whose strtod does not
+round correctly. Where scipy.special is
 not yet imported, its cython_special and log_ndtr load under a stub
 package, out of sys.modules again once they are loaded, so that the
 package's __init__ (0.2-0.3 s) does not run (_scipy_special).
@@ -55,6 +57,7 @@ import ctypes
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -270,8 +273,8 @@ def load(path: Path) -> ctypes.CDLL:
     lib.power_n.argtypes = [externals, integer, address, ctypes.c_double, address]
     for entry in (lib.matvec, lib.forward_products, lib.log_ndtr_n, lib.exp_n, lib.power_n):
         entry.restype = None
-    lib.repr_rows.argtypes = [address, integer, address, address, address]
-    lib.repr_rows.restype = ctypes.c_int64
+    lib.repr_matrix.argtypes = [address, integer, integer, address, *[ctypes.c_char_p, integer] * 2, address]
+    lib.repr_matrix.restype = ctypes.c_int64
     lib.read_rows.argtypes = [ctypes.POINTER(_ReadArgs)]
     lib.read_rows.restype = ctypes.c_int
     return lib
@@ -499,7 +502,7 @@ def check_externals(lib: ctypes.CDLL, externals: _Externals, log_ndtr) -> None:
 
 
 def pow5_tables() -> np.ndarray:
-    """The multipliers of kernel.c's Ryu conversion (see repr_rows there),
+    """The multipliers of kernel.c's Ryu conversion (see repr_double there),
     each 128 bits as a (low, high) pair of uint64 words, from exact integers:
     5 ** i scaled to 125 bits for i < 326, then 2 ** (len(5 ** i) + 124)
     // 5 ** i + 1 for i < 342, len the bit length."""
@@ -511,23 +514,29 @@ def pow5_tables() -> np.ndarray:
     return np.array([word for v in scaled + inverses for word in (v & low, v >> 64)], dtype=np.uint64)
 
 
-# The longest row repr_rows writes: two reprs of at most 24 bytes
-# ("-2.2250738585072014e-308"), a comma and a newline.
-ROW_BYTES = 50
+# The longest repr repr_matrix writes: "-2.2250738585072014e-308".
+REPR_BYTES = 24
 
 
-def _repr_rows(lib: ctypes.CDLL, pow5: np.ndarray, first: np.ndarray, second: np.ndarray) -> str:
-    out = np.empty(ROW_BYTES * first.size, dtype=np.uint8)
-    size = lib.repr_rows(_data(pow5), first.size, _data(first), _data(second), _data(out))
+def _repr_matrix(lib: ctypes.CDLL, pow5: np.ndarray, x: np.ndarray, col_sep: bytes, row_sep: bytes) -> str:
+    out = np.empty(x.size * (REPR_BYTES + max(len(col_sep), len(row_sep))), dtype=np.uint8)
+    seps = (col_sep, len(col_sep), row_sep, len(row_sep))
+    size = lib.repr_matrix(_data(pow5), *x.shape, _data(x), *seps, _data(out))
     return str(out.data[:size], "ascii")
 
 
+# The separators check_repr joins values with: a prediction CSV's, and a
+# model file's within and between the rows of a weight matrix.
+REPR_CHECK_SEPARATORS = ((",", "\n"), (",\n      ", "\n     ],\n     [\n      "))
+
+
 def check_repr(lib: ctypes.CDLL, pow5: np.ndarray) -> None:
-    """ExternalError unless kernel.c's repr_rows writes repr of every float
-    of a few dozen: signed zeros, infinities, NaN, the ends of the
-    subnormal and normal ranges, the switches to and from the exponent form,
-    integers near 2 ** 53, a tie to even (2 ** -25), an interval end exact
-    in decimal (3.940649673949184e+37) and a few seeded bit patterns."""
+    """ExternalError unless kernel.c's repr_matrix writes repr of every float
+    of a few dozen: signed zeros, infinities, NaN, the ends of the subnormal
+    and normal ranges, the switches to and from the exponent form, integers
+    near 2 ** 53, a tie to even (2 ** -25), an interval end exact in decimal
+    (3.940649673949184e+37) and a few seeded bit patterns, in two columns,
+    four rows, one column and one row, joined by REPR_CHECK_SEPARATORS."""
     values = np.array([
         0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.5e-323,
         2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -539,15 +548,20 @@ def check_repr(lib: ctypes.CDLL, pow5: np.ndarray) -> None:
     ])
     bits = np.random.default_rng(24).integers(0, 2**64, 24, dtype=np.uint64)
     values = np.concatenate([values, bits.view(np.float64)])
-    got = _repr_rows(lib, pow5, values, values[::-1].copy()).splitlines()
-    for row, x, y in zip(got, values.tolist(), values[::-1].tolist()):
-        if row != f"{x!r},{y!r}":
-            raise ExternalError(
-                f"kernel.c's repr_rows writes {row!r} where repr gives {x!r},{y!r} "
-                f"(float_repr_style {sys.float_repr_style!r})"
-            )
-    if len(got) != values.size:
-        raise ExternalError(f"kernel.c's repr_rows writes {len(got)} rows for {values.size}")
+    reprs, i = [repr(value) for value in values.tolist()], np.arange(values.size)
+    for index in (np.column_stack([i, i[::-1]]), i.reshape(4, -1), i[:, None], i[None]):
+        x, wanted = values[index], [[reprs[j] for j in row] for row in index.tolist()]
+        for col_sep, row_sep in REPR_CHECK_SEPARATORS:
+            got = _repr_matrix(lib, pow5, x, col_sep.encode(), row_sep.encode())
+            want = row_sep.join(col_sep.join(row) for row in wanted)
+            if got != want:
+                # the first value written otherwise than its repr, else the whole text
+                pairs = zip(re.findall(r"[^,\s\[\]]+", got), x.ravel().tolist())
+                wrote, value = next(((g, v) for g, v in pairs if g != repr(v)), (got, want))
+                raise ExternalError(
+                    f"kernel.c's repr_matrix writes {wrote!r} for {value!r} in a {x.shape} matrix "
+                    f"joined by {col_sep!r} and {row_sep!r} (float_repr_style {sys.float_repr_style!r})"
+                )
 
 
 class _ReadArgs(ctypes.Structure):
@@ -667,14 +681,14 @@ except CompilerError:
     raise
 
 
-def repr_rows(first: np.ndarray, second: np.ndarray) -> str:
-    """The CSV rows f"{first[i]!r},{second[i]!r}\n" of two float arrays of
-    one length n, each float as Python's repr gives it (kernel.c's
-    repr_rows, in one call)."""
-    first, second = (np.ascontiguousarray(a, dtype=np.float64) for a in (first, second))
-    if first.ndim != 1 or first.shape != second.shape:
-        raise ValueError(f"rows of arrays of shapes {first.shape} and {second.shape}")
-    return _repr_rows(LIB, POW5, first, second)
+def repr_matrix(x: np.ndarray, col_sep: str, row_sep: str) -> str:
+    """The floats of the (rows, cols) matrix x, each as Python's repr gives
+    it, the values of a row joined by col_sep and the rows by row_sep
+    (kernel.c's repr_matrix, in one call); both separators ASCII."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"a matrix of shape {x.shape}")
+    return _repr_matrix(LIB, POW5, x, col_sep.encode("ascii"), row_sep.encode("ascii"))
 
 
 def read_rows(text: bytes, start: int = 0) -> np.ndarray | None:

@@ -13,6 +13,7 @@ from pbp.cli import EXIT_DATA, EXIT_OK, main
 from pbp.data import (
     DataError,
     Dataset,
+    NormStats,
     load_csv,
     load_model,
     normalize,
@@ -20,7 +21,7 @@ from pbp.data import (
     save_model,
     split,
 )
-from pbp.posterior import PbpConfig
+from pbp.posterior import PbpConfig, layer_views, new_uniform
 from pbp.prediction import TrainedModel
 from pbp.training import train
 from reference_data import read_csv_matrix as reference_read_csv_matrix
@@ -478,6 +479,108 @@ class TestModelFile:
         p.write_text(doc)
         with pytest.raises(DataError, match="model format version None not supported"):
             load_model(p)
+
+
+def reference_model_text(model) -> str:
+    """json.dumps(doc, indent=1) + "\n" of a model's document, as save_model
+    wrote it whole with json before kernel.c wrote its arrays."""
+    stack, norm, sizes = model.stack, model.norm, model.stack.layer_sizes
+    doc = {
+        "format_version": pbp.data.MODEL_FORMAT_VERSION,
+        "config": {
+            "hidden_layer_sizes": list(model.config.hidden_layer_sizes),
+            "epochs": model.config.epochs,
+            **pbp.data._HYPERPRIOR_CONFIG,
+            "seed": model.config.seed,
+        },
+        "network": {
+            "layer_sizes": list(sizes),
+            "layers": [
+                {"means": means.tolist(), "variances": variances.tolist()}
+                for means, variances in zip(
+                    layer_views(stack.means[0], sizes), layer_views(stack.variances[0], sizes)
+                )
+            ],
+            "gamma": dict(zip(("shape", "rate"), stack.gamma[:, 0].tolist())),
+            "lambda": dict(zip(("shape", "rate"), stack.lam[:, 0].tolist())),
+        },
+        "normalization": {
+            "feature_mean": norm.feature_mean.tolist(),
+            "feature_std": norm.feature_std.tolist(),
+            "target_mean": norm.target_mean,
+            "target_std": norm.target_std,
+        },
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+# Doubles whose reprs take each of repr's forms and edges.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+               1.0, 0.1, -2.5e-8, 1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+def seeded_model(hidden, seed, features=3) -> TrainedModel:
+    """A model of the hidden layers given whose weight means and variances
+    and normalization vectors are random bit patterns, with EDGE_FLOATS
+    among them."""
+    rng = np.random.default_rng(seed)
+    sizes = [features, *hidden, 1]
+    stack = new_uniform(sizes)
+
+    def bits(shape):
+        values = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+        edges = np.resize(EDGE_FLOATS, values.size)
+        return np.where(rng.random(shape) < 0.25, edges.reshape(shape), values)
+
+    stack.means[...], stack.variances[...] = bits(stack.means.shape), bits(stack.means.shape)
+    stack.gamma[...], stack.lam[...] = rng.uniform(1.0, 50.0, size=(2, 2, 1))
+    norm = NormStats(bits(features), bits(features), float(rng.normal()), float(rng.uniform(0.5, 2.0)))
+    return TrainedModel(stack, norm, PbpConfig(tuple(hidden), epochs=3, seed=seed))
+
+
+class TestModelFileBytes:
+    """save_model writes the bytes of json.dumps(doc, indent=1) + "\n", its
+    arrays through kernel.repr_matrix."""
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (10,), (50, 50)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bytes_are_those_of_json_dumps(self, tmp_path, hidden, seed):
+        model = seeded_model(hidden, seed)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert path.read_text() == reference_model_text(model)
+
+    def test_trained_model_bytes_are_those_of_json_dumps(self, tmp_path):
+        model = small_trained_model()
+        save_model(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == reference_model_text(model)
+
+    def test_non_finite_floats_are_written_as_json_writes_them(self, tmp_path):
+        # No trained model holds one; a model built through the library can.
+        model = seeded_model((4,), 2)
+        model.stack.means[0, :4] = [np.nan, np.inf, -np.inf, -np.nan]
+        model.norm.feature_std[:] = [np.inf, 1.0, np.nan]
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        text = path.read_text()
+        assert text == reference_model_text(model)
+        assert all(token in text for token in ("NaN", "Infinity", "-Infinity"))
+
+    def test_empty_normalization_vectors_are_json_lists(self, tmp_path):
+        model = seeded_model((2,), 3, features=1)
+        model.norm.feature_mean = model.norm.feature_std = np.empty(0)
+        save_model(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == reference_model_text(model)
+
+    def test_a_save_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise MemoryError("no room for the text")
+
+        monkeypatch.setattr(kernel, "repr_matrix", failing)
+        path = tmp_path / "m.json"
+        with pytest.raises(MemoryError):
+            save_model(small_trained_model(), path)
+        assert not path.exists()
 
 
 def predict_fixture_features(model, tmp_path) -> bytes:

@@ -42,6 +42,7 @@ from pbp.data import Dataset, normalize
 from pbp.posterior import NumericError, PbpConfig, PosteriorStack, layer_views
 from pbp.kernel import DETERMINISTIC_VARIANCE, SERIES_THRESHOLD
 from pbp.training import train_runs
+from reference_forward import forward_output_moments_batch
 from pbp.updates import ep_refresh_prior, incorporate_all_prior_factors
 from test_batched_engine import assert_step_matches_reference, fuzz_step_case
 from test_prior_kernel import (
@@ -674,3 +675,42 @@ def test_refinement_at_edge_values_matches_the_reference():
     assert 0 < undo < stack.means.shape[1]
     assert _bits(stack.means[1]) + _bits(stack.variances[1]) == _bits(before[0][1]) + _bits(before[1][1])
     assert (stack.gamma == 7.0).all()
+
+
+# Input-layer weights (mean, variance) at which the input layer's products
+# of its zero variances with M*M and with V are not all +0.0 terms, so the
+# forward pass keeps their matmuls: 0 * inf and 0 * NaN are NaN, and 0 * a
+# negative variance is -0.0.
+CRAFTED_INPUT_WEIGHTS = {
+    "infinite variance": (0.5, np.inf),
+    "NaN mean": (np.nan, 1.0),
+    "overflowing square": (1e200, 1.0),
+    "zero variance": (0.5, 0.0),
+    "negative variance": (0.5, -1e-3),
+}
+
+
+@pytest.mark.parametrize(
+    "mean, variance", CRAFTED_INPUT_WEIGHTS.values(), ids=CRAFTED_INPUT_WEIGHTS.keys()
+)
+def test_crafted_input_weights_give_the_bits_of_every_product(mean, variance):
+    # Run 0 of a stack of two holds the crafted weight; a rows pass and a
+    # step over the stack match the frozen numpy code, which multiplies the
+    # zero input variances out, on each run alone: outputs, the first
+    # rectifier's inputs, gradients and refined weights.
+    rng = np.random.default_rng(2006)
+    nets = [random_net([3, 5, 4, 1], rng, mean_scale=0.5) for _ in range(2)]
+    (means, _, _), (variances, _, _) = weights(nets[0])
+    means[1, 2], variances[1, 2] = mean, variance
+    x = rng.normal(size=(2, 7, 3))
+    with np.errstate(all="ignore"):
+        m, v = forward.forward_output_moments(stack_of(nets), x)
+        for r, net in enumerate(nets):
+            want_m, want_v = forward_output_moments_batch(net, x[r])
+            assert same_bits(m[r], want_m) and same_bits(v[r], want_v), r
+        stack, _ = assert_step_matches_reference(nets, x[:, 0], rng.normal(size=2))
+        rectifier = stack.workspace.rectifiers[0]
+        for r, net in enumerate(nets):
+            aux = reference_update.forward_trace(net, x[r, 0])[2].records[0].relu
+            assert same_bits(rectifier.sqrt_v[r], aux.sqrt_v), r
+            assert same_bits(rectifier.alpha[r], aux.alpha), r

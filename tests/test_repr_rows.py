@@ -1,6 +1,7 @@
-"""kernel.c's formatter of prediction rows (kernel.repr_rows) against Python's
-repr, on seeded families of doubles, and the import-time check that stops
-`import pbp` where the two differ (kernel.check_repr)."""
+"""kernel.c's writer of float matrices (kernel.repr_matrix) against Python's
+repr, on seeded families of doubles, with a prediction CSV's separators and
+a model file's, and the import-time check that stops `import pbp` where the
+two differ (kernel.check_repr)."""
 
 import ctypes
 import math
@@ -10,13 +11,16 @@ import pytest
 
 import pbp.kernel as kernel
 
+# A model file's separators within and between the rows of a weight matrix.
+MODEL_SEPARATORS = (",\n      ", "\n     ],\n     [\n      ")
+
 
 def assert_rows_are_repr(values: np.ndarray) -> None:
-    """repr_rows of the first and the second half of values, one value of
-    each a row, is repr of each value; a failure names the first row that
-    differs."""
+    """The CSV rows repr_matrix writes of the first and the second half of
+    values, one value of each a row, are repr of each value; a failure
+    names the first row that differs."""
     first, second = (np.ascontiguousarray(half) for half in np.split(values, 2))
-    got = kernel.repr_rows(first, second)
+    got = kernel.repr_matrix(np.column_stack([first, second]), ",", "\n") + "\n"
     want = "".join(f"{x!r},{y!r}\n" for x, y in zip(first.tolist(), second.tolist()))
     if got != want:
         rows = zip(got.splitlines(), want.splitlines(), first.tolist(), second.tolist())
@@ -78,33 +82,69 @@ def test_edge_values_format_as_repr():
     assert_rows_are_repr(np.concatenate([values, -values]))
 
 
-def test_empty_rows_are_empty():
-    assert kernel.repr_rows(np.empty(0), np.empty(0)) == ""
+@pytest.mark.parametrize("shape", [(1, 1), (1, 68), (68, 1), (4, 17), (17, 4)])
+@pytest.mark.parametrize("separators", [(",", "\n"), MODEL_SEPARATORS, ("", "")])
+def test_matrices_join_their_reprs_with_the_separators_given(shape, separators):
+    rng = np.random.default_rng(33)
+    values = rng.integers(0, 2**64, size=68, dtype=np.uint64).view(np.float64)
+    values[:6] = [-0.0, 5e-324, 1e16, 1e-4, 9.999999999999999e-05, np.nan]
+    x, (col_sep, row_sep) = values[: math.prod(shape)].reshape(shape), separators
+    want = row_sep.join(col_sep.join(map(repr, row)) for row in x.tolist())
+    assert kernel.repr_matrix(x, col_sep, row_sep) == want
 
 
-def test_rows_of_arrays_of_other_shapes_are_refused():
+def test_a_strided_or_integer_matrix_is_written_as_its_floats():
+    x = np.arange(12).reshape(3, 4)
+    assert kernel.repr_matrix(x[:, ::2], ",", ";") == "0.0,2.0;4.0,6.0;8.0,10.0"
+
+
+def test_empty_matrices_are_empty():
+    assert kernel.repr_matrix(np.empty((0, 2)), ",", "\n") == ""
+    assert kernel.repr_matrix(np.empty((3, 0)), ",", "\n") == ""
+
+
+def test_arrays_that_are_not_matrices_are_refused():
     with pytest.raises(ValueError):
-        kernel.repr_rows(np.zeros(3), np.zeros(2))
+        kernel.repr_matrix(np.zeros(3), ",", "\n")
     with pytest.raises(ValueError):
-        kernel.repr_rows(np.zeros((2, 2)), np.zeros((2, 2)))
+        kernel.repr_matrix(np.zeros((2, 2, 2)), ",", "\n")
 
 
 class _LegacyRepr:
-    """A repr_rows that writes each float as '%.17g', as a Python whose
+    """A repr_matrix that writes each float as '%.17g', as a Python whose
     float_repr_style is 'legacy' gives repr."""
 
     @staticmethod
-    def repr_rows(pow5, n, first, second, out):
-        a, b = (np.frombuffer((ctypes.c_double * n).from_address(p)) for p in (first, second))
-        text = "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(a.tolist(), b.tolist())).encode()
+    def repr_matrix(pow5, rows, cols, x, col_sep, col_len, row_sep, row_len, out):
+        values = np.frombuffer((ctypes.c_double * (rows * cols)).from_address(x))
+        text = row_sep.join(
+            col_sep.join(f"{v:.17g}".encode() for v in row)
+            for row in values.reshape(rows, cols).tolist()
+        )
         ctypes.memmove(out, text, len(text))
         return len(text)
+
+
+class _SpaceBetweenRows:
+    """A repr_matrix that writes each repr but joins the rows by a space."""
+
+    @staticmethod
+    def repr_matrix(pow5, rows, cols, x, col_sep, col_len, row_sep, row_len, out):
+        return kernel.LIB.repr_matrix(pow5, rows, cols, x, col_sep, col_len, b" ", 1, out)
 
 
 def test_a_formatter_that_is_not_repr_fails_the_check_in_one_line():
     with pytest.raises(kernel.ExternalError) as failure:
         kernel.check_repr(_LegacyRepr(), kernel.POW5)
     message = str(failure.value)
-    assert message.startswith("kernel.c's repr_rows writes ") and "float_repr_style" in message
-    assert len(message.splitlines()) == 1
+    assert message.startswith("kernel.c's repr_matrix writes '0' for 0.0 in a (68, 2) matrix ")
+    assert "float_repr_style" in message and len(message.splitlines()) == 1
     kernel.check_repr(kernel.LIB, kernel.POW5)
+
+
+def test_a_writer_with_other_separators_fails_the_check_in_one_line():
+    with pytest.raises(kernel.ExternalError) as failure:
+        kernel.check_repr(_SpaceBetweenRows(), kernel.POW5)
+    message = str(failure.value)
+    assert message.startswith("kernel.c's repr_matrix writes '0.0,") and "joined by ',' and '\\n'" in message
+    assert len(message.splitlines()) == 1
